@@ -35,7 +35,7 @@ def main() -> int:
         for params in ACCEPTANCE_GRID[tag]:
             built = build_family(tag, **params)
             rep = induced_coloring(built.graph)
-            chk = check_expected(built.graph, built.expected)
+            chk = check_expected(built.graph, built.expected, rep)
             ok = rep.local_antimagic and chk.passed
             failures += not ok
             param_str = ",".join(f"{k}={v}" for k, v in params.items())

@@ -107,7 +107,7 @@ def cmd_build(args: argparse.Namespace) -> int:
     failed = False
     if args.verify:
         verification = induced_coloring(built.graph)
-        check = check_expected(built.graph, built.expected)
+        check = check_expected(built.graph, built.expected, verification)
         failed = not (verification.local_antimagic and check.passed)
         if not verification.local_antimagic:
             print("verification: labeling is not local antimagic", file=sys.stderr)
@@ -135,7 +135,7 @@ def cmd_verify(args: argparse.Namespace) -> int:
     for p in report.label_problems[:10]:
         print(f"labels: {p}", file=sys.stderr)
     if expected is not None:
-        check = check_expected(g, expected)
+        check = check_expected(g, expected, report)
         ok = ok and check.passed
         for d in check.diffs:
             print(f"expected-colors mismatch: {d}", file=sys.stderr)
@@ -210,7 +210,7 @@ def cmd_selftest(args: argparse.Namespace) -> int:
         for params in grid:
             built = build_family(tag, **params)
             rep = induced_coloring(built.graph)
-            chk = check_expected(built.graph, built.expected)
+            chk = check_expected(built.graph, built.expected, rep)
             if not (rep.local_antimagic and chk.passed):
                 report(f"family {tag} {params}", False,
                        "; ".join(chk.diffs) or "not local antimagic")

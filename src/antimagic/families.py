@@ -9,8 +9,8 @@ trusts these expectations.
 Two construction pipelines:
 
 * fan-blade units labeled by ``matrix_5x2k`` feed FB, rFB, FB1/FB2, the
-  diamond-fan families rDF / DFr / DF1-DF4 (via vertex splits and merges
-  of the hub pieces);
+  diamond-fan families rDF / DFr / DF1-DF4 (from units whose hubs come
+  already split into x_i^1 and x_i^2, merged into the diamond hubs);
 * 8-cycle units labeled by ``matrix_kx10`` feed the C8 units, Bk, kC(8,2),
   kD(8,2), rG(8,2) and the experimental odd-k construction, while the
   ``sequences_6x4n`` trace labels nC4(8,2) and its merge families G1/G2,
@@ -20,10 +20,11 @@ Two construction pipelines:
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable
+from typing import Callable, Sequence
 
-from .graph import LabeledGraph, apply_merge, merge_plan, new_graph, split_vertex
-from .matrices import matrix_5x2k, matrix_kx10, sequences_6x4n
+from .graph import LabeledGraph, apply_merge, merge_plan, new_graph
+from .graph import split_vertex  # unused here; bench/tracing.py wraps it by this name
+from .matrices import LabelMatrix, matrix_5x2k, matrix_kx10, sequences_6x4n
 
 
 class ParameterError(ValueError):
@@ -73,37 +74,41 @@ def _check(cond: bool, msg: str) -> None:
 # fan-blade units (5 x 2k matrix)
 
 
-def _fan_units(k: int) -> LabeledGraph:
-    """2k disjoint 4-vertex fans; column i labels unit i's five edges."""
+def _fan_units(k: int, split: Sequence[int] = ()) -> tuple[LabeledGraph, LabelMatrix]:
+    """2k disjoint 4-vertex fans; column i labels unit i's five edges.
+
+    Hubs x_i with i in ``split`` come split as ``split_vertex`` leaves them,
+    hub by hub: x_i^1 takes x_i's place and the w_i edge, and x_i^2,
+    appended after all units in ``split`` order, takes the u_i, v_i edges.
+    """
     m = matrix_5x2k(k)
+    is_split = set(split)
     names: list[str] = []
     for i in range(1, 2 * k + 1):
-        names += [f"u_{i}", f"v_{i}", f"w_{i}", f"x_{i}"]
+        names += [f"u_{i}", f"v_{i}", f"w_{i}",
+                  f"x_{i}^1" if i in is_split else f"x_{i}"]
+    names += [f"x_{i}^2" for i in split]
     g = new_graph(names)
     triples = []
     for i in range(1, 2 * k + 1):
         col = m.column(i)
+        x1, x2 = (f"x_{i}^1", f"x_{i}^2") if i in is_split else (f"x_{i}",) * 2
         triples += [
             (f"u_{i}", f"w_{i}", col[0]),
             (f"v_{i}", f"w_{i}", col[1]),
-            (f"x_{i}", f"w_{i}", col[2]),
-            (f"x_{i}", f"u_{i}", col[3]),
-            (f"x_{i}", f"v_{i}", col[4]),
+            (x1, f"w_{i}", col[2]),
+            (x2, f"u_{i}", col[3]),
+            (x2, f"v_{i}", col[4]),
         ]
-    return g.with_edges(triples)
-
-
-def _hub_sum(k: int, i: int) -> int:
-    col = matrix_5x2k(k).column(i)
-    return col[2] + col[3] + col[4]
+    return g.with_edges(triples), m
 
 
 def build_fb_units(k: int) -> BuiltFamily:
     """2k disjoint fan units; hub sums vary per column, u/v/w are constant."""
     _check(k >= 1, "k must be >= 1")
-    g = _fan_units(k)
+    g, m = _fan_units(k)
     classes = [(10 * k + 1, 4 * k, 2), (13 * k + 1, 2 * k, 3)]
-    classes += [(_hub_sum(k, i), 1, 3) for i in range(1, 2 * k + 1)]
+    classes += [(sum(m.column(i)[2:]), 1, 3) for i in range(1, 2 * k + 1)]
     return BuiltFamily(
         "FB_units", {"k": k}, g,
         _expected(classes, 2 * k + 2),
@@ -114,7 +119,7 @@ def build_fb_units(k: int) -> BuiltFamily:
 def build_fb(k: int) -> BuiltFamily:
     """Fan with 2k blades: all unit hubs fused into one vertex x."""
     _check(k >= 1, "k must be >= 1")
-    g = _fan_units(k)
+    g, _ = _fan_units(k)
     g = apply_merge(g, merge_plan([
         ([f"x_{i}" for i in range(1, 2 * k + 1)], "x"),
     ]))
@@ -155,7 +160,7 @@ def build_rfb(r: int, s: int) -> BuiltFamily:
     _check(s >= 2 and s % 2 == 0, "s must be even and >= 2")
     _check(r * s >= 4, "rs must be >= 4")
     k = r * s // 2
-    g = _fan_units(k)
+    g, _ = _fan_units(k)
     plan = merge_plan([
         (members, f"x_{j}")
         for j, members in enumerate(_rfb_merge_groups(r, s), start=1)
@@ -226,21 +231,12 @@ def build_fb2(r: int, s: int) -> BuiltFamily:
     )
 
 
-def _split_all_hubs(g: LabeledGraph, indices: list[int]) -> LabeledGraph:
-    """Split x_i into x_i^1 (keeps the w_i edge) and x_i^2 (keeps u_i, v_i)."""
-    for i in indices:
-        g = split_vertex(g, f"x_{i}", {f"w_{i}"}, {f"u_{i}", f"v_{i}"},
-                         f"x_{i}^1", f"x_{i}^2")
-    return g
-
-
 def build_rdf(r: int, s: int) -> BuiltFamily:
     """r diamond fans of size 10s built from 2rs fan units by hub splitting."""
     _check(r >= 1 and s >= 1, "r and s must be >= 1")
     _check(r * s >= 2, "rs must be >= 2")
     k = r * s
-    g = _fan_units(k)
-    g = _split_all_hubs(g, list(range(1, 2 * k + 1)))
+    g, _ = _fan_units(k, range(1, 2 * k + 1))
     groups = []
     for j in range(1, r + 1):
         y = [f"x_{(j - 1) * s + a}^1" for a in range(1, s + 1)] \
@@ -267,10 +263,8 @@ def build_dfr(r: int, s: int) -> BuiltFamily:
     _check(s >= 2 and s % 2 == 0, "s must be even and >= 2")
     two_k = (2 * r + 1) * s
     k = two_k // 2
-    g = _fan_units(k)
-    middle = list(range(r * s + 1, (r + 1) * s + 1))
-    others = [i for i in range(1, two_k + 1) if i not in set(middle)]
-    g = _split_all_hubs(g, others)
+    middle = range(r * s + 1, (r + 1) * s + 1)
+    g, _ = _fan_units(k, [i for i in range(1, two_k + 1) if i not in middle])
     groups: list[tuple[list[str], str]] = [([f"x_{i}" for i in middle], "x")]
     for j in range(1, r + 1):
         y = [f"x_{(j - 1) * s + a}^1" for a in range(1, s + 1)] \

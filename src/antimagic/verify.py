@@ -110,9 +110,14 @@ class ExpectedCheck:
     diffs: tuple[str, ...]
 
 
-def check_expected(g: LabeledGraph, expected: ExpectedColors) -> ExpectedCheck:
-    """Exact comparison of color values, class sizes and member degrees."""
-    report = induced_coloring(g)
+def check_expected(g: LabeledGraph, expected: ExpectedColors,
+                   report: ColorReport | None = None) -> ExpectedCheck:
+    """Exact comparison of color values, class sizes and member degrees.
+
+    ``report`` is ``induced_coloring(g)`` when the caller already has it.
+    """
+    if report is None:
+        report = induced_coloring(g)
     degrees = g.degrees()
     diffs: list[str] = []
 

@@ -6,11 +6,15 @@ from __future__ import annotations
 from collections import Counter
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+import antimagic.families as families
 from antimagic.families import (
     ACCEPTANCE_GRID,
     FAMILIES,
     ParameterError,
+    _fan_units,
     build_df_variant,
     build_dfr,
     build_family,
@@ -28,6 +32,7 @@ from antimagic.families import (
     build_rfb,
     build_rg82,
 )
+from antimagic.graph import split_vertex
 from antimagic.verify import check_expected, induced_coloring
 
 
@@ -328,3 +333,40 @@ def test_dfr_shape_equals_rdf_plus_fan():
     assert sorted(combined.degrees().values()) == sorted(direct.degrees().values())
     assert combined.size == direct.size
     assert len(combined.components()) == len(direct.components()) == 2
+
+
+@settings(max_examples=80)
+@given(st.integers(1, 5).flatmap(lambda k: st.tuples(
+    st.just(k), st.lists(st.integers(1, 2 * k), unique=True))))
+def test_presplit_fan_units_match_sequential_splits(case):
+    k, split = case
+    oracle, _ = _fan_units(k)
+    for i in split:
+        oracle = split_vertex(oracle, f"x_{i}", {f"w_{i}"}, {f"u_{i}", f"v_{i}"},
+                              f"x_{i}^1", f"x_{i}^2")
+    g, _ = _fan_units(k, split)
+    assert g.names == oracle.names
+    assert g.edges == oracle.edges
+
+
+@pytest.mark.parametrize("tag, params", [
+    ("rDF", {"r": 3, "s": 2}), ("DFr", {"r": 2, "s": 4}),
+    ("DF1", {"r": 3, "s": 2}), ("DF2", {"r": 2, "s": 4}),
+    ("DF3", {"r": 3, "s": 2}), ("DF4", {"r": 4, "s": 2}),
+    ("FB_units", {"k": 6}),
+])
+def test_fan_builds_make_one_matrix_and_split_nothing(monkeypatch, tag, params):
+    # the per-hub split_vertex copies (O(k m)) and per-column matrix
+    # rebuilds (O(k^2)) must not come back
+    calls: Counter = Counter()
+
+    def counted(name, fn):
+        def wrapper(*args, **kwargs):
+            calls[name] += 1
+            return fn(*args, **kwargs)
+        return wrapper
+
+    for name in ("matrix_5x2k", "split_vertex"):
+        monkeypatch.setattr(families, name, counted(name, getattr(families, name)))
+    build_family(tag, **params)
+    assert calls == {"matrix_5x2k": 1}
