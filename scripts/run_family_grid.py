@@ -14,42 +14,33 @@ import argparse
 import sys
 import time
 
-from antimagic.families import ACCEPTANCE_GRID, build_family
-from antimagic.verify import check_expected, induced_coloring
+from antimagic.families import ACCEPTANCE_GRID, verify_grid
 
 
 def main() -> int:
     parser = argparse.ArgumentParser(description=__doc__)
     parser.add_argument("--families", nargs="*", default=None,
+                        choices=sorted(ACCEPTANCE_GRID), metavar="TAG",
                         help="subset of family tags (default: all)")
     parser.add_argument("--show-colors", action="store_true")
     args = parser.parse_args()
 
-    tags = args.families or sorted(ACCEPTANCE_GRID)
-    failures = 0
+    points = failures = 0
     t0 = time.monotonic()
-    for tag in tags:
-        if tag not in ACCEPTANCE_GRID:
-            print(f"unknown family {tag!r}", file=sys.stderr)
-            return 2
-        for params in ACCEPTANCE_GRID[tag]:
-            built = build_family(tag, **params)
-            rep = induced_coloring(built.graph)
-            chk = check_expected(built.graph, built.expected, rep)
-            ok = rep.local_antimagic and chk.passed
-            failures += not ok
-            param_str = ",".join(f"{k}={v}" for k, v in params.items())
-            line = (f"{'ok  ' if ok else 'FAIL'} {tag:<9} {param_str:<14} "
-                    f"m={built.graph.size:<4} colors={rep.color_count}")
-            if args.show_colors:
-                line += f" values={sorted(rep.color_classes)}"
-            print(line)
-            if not ok:
-                for d in chk.diffs[:3]:
-                    print(f"      {d}")
+    for res in verify_grid(args.families or sorted(ACCEPTANCE_GRID)):
+        points += 1
+        failures += not res.passed
+        param_str = ",".join(f"{k}={v}" for k, v in res.params.items())
+        line = (f"{'ok  ' if res.passed else 'FAIL'} {res.tag:<9} {param_str:<14} "
+                f"m={res.built.graph.size:<4} colors={res.report.color_count}")
+        if args.show_colors:
+            line += f" values={sorted(res.report.color_classes)}"
+        print(line)
+        if not res.passed:
+            for d in res.check.diffs[:3]:
+                print(f"      {d}")
     elapsed = time.monotonic() - t0
-    print(f"\n{sum(len(g) for t, g in ACCEPTANCE_GRID.items() if t in tags)} "
-          f"points, {failures} failure(s), {elapsed:.2f}s")
+    print(f"\n{points} points, {failures} failure(s), {elapsed:.2f}s")
     return 1 if failures else 0
 
 

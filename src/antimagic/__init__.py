@@ -3,11 +3,11 @@
 from .families import (
     ACCEPTANCE_GRID,
     BuiltFamily,
-    ColorClass,
-    ExpectedColors,
     FAMILIES,
+    GridResult,
     ParameterError,
     build_family,
+    verify_grid,
 )
 from .graph import (
     Bipartition,
@@ -19,18 +19,13 @@ from .graph import (
     LabeledGraph,
     Loop,
     LoopCreated,
-    MergeGroup,
-    MergePlan,
     NotAPartition,
     ParallelEdge,
     ParallelEdgeCreated,
-    add_edge,
     apply_merge,
     chromatic_number_small,
-    degrees,
     disjoint_union,
     is_bipartite,
-    merge_plan,
     new_graph,
     split_vertex,
 )
@@ -54,14 +49,17 @@ from .search import (
     confirm_three,
 )
 from .verify import (
+    ColorClass,
     ColorReport,
     ExpectedCheck,
+    ExpectedColors,
     GateReport,
     TwoColorGate,
     check_expected,
     induced_coloring,
     lower_bound,
     two_color_gate,
+    vertex_sums,
 )
 
 __version__ = "0.1.0"

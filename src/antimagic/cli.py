@@ -10,16 +10,11 @@ from __future__ import annotations
 import argparse
 import json
 import sys
+from itertools import groupby
 from pathlib import Path
 
 from . import document as doc_mod
-from .families import (
-    ACCEPTANCE_GRID,
-    FAMILIES,
-    ParameterError,
-    build_family,
-)
-from .graph import GraphError
+from .families import FAMILIES, build_family, verify_grid
 from .matrices import (
     matrix_5x2k,
     matrix_6x4n,
@@ -29,7 +24,7 @@ from .matrices import (
     validate_6x4n,
 )
 from .search import DEFAULT_MAX_EDGES, STATUS_VALUE, chi_la_exact, default_budget
-from .verify import check_expected, induced_coloring
+from .verify import check_expected, induced_coloring, vertex_sums
 
 USAGE_ERROR = 2
 CHECK_FAILED = 1
@@ -50,26 +45,13 @@ def _load_document(path: str) -> dict:
 
 def cmd_matrix(args: argparse.Namespace) -> int:
     kind = args.kind
-    if kind == "6x4n":
-        if args.n is None:
-            print("matrix 6x4n requires --n", file=sys.stderr)
-            return USAGE_ERROR
-        param = args.n
-    else:
-        if args.k is None:
-            print(f"matrix {kind} requires --k", file=sys.stderr)
-            return USAGE_ERROR
-        param = args.k
-    try:
-        if kind == "5x2k":
-            m = matrix_5x2k(param)
-        elif kind == "kx10":
-            m = matrix_kx10(param)
-        else:
-            m = matrix_6x4n(param)
-    except ValueError as exc:
-        print(f"error: {exc}", file=sys.stderr)
+    param_name = "n" if kind == "6x4n" else "k"
+    param = getattr(args, param_name)
+    if param is None:
+        print(f"matrix {kind} requires --{param_name}", file=sys.stderr)
         return USAGE_ERROR
+    generate = {"5x2k": matrix_5x2k, "kx10": matrix_kx10, "6x4n": matrix_6x4n}[kind]
+    m = generate(param)
 
     if args.sequences and kind != "6x4n":
         print("--sequences only applies to the 6x4n matrix", file=sys.stderr)
@@ -95,11 +77,7 @@ def cmd_matrix(args: argparse.Namespace) -> int:
 def cmd_build(args: argparse.Namespace) -> int:
     params = {p: getattr(args, p) for p in ("k", "n", "r", "s", "m")
               if getattr(args, p) is not None}
-    try:
-        built = build_family(args.family, **params)
-    except (ParameterError, GraphError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return USAGE_ERROR
+    built = build_family(args.family, **params)
     for w in built.warnings:
         print(f"warning: {w}", file=sys.stderr)
 
@@ -121,12 +99,7 @@ def cmd_build(args: argparse.Namespace) -> int:
 
 
 def cmd_verify(args: argparse.Namespace) -> int:
-    try:
-        doc = _load_document(args.input)
-        g, expected = doc_mod.document_to_graph(doc)
-    except (OSError, ValueError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return USAGE_ERROR
+    g, expected = doc_mod.document_to_graph(_load_document(args.input))
     report = induced_coloring(g)
     _emit(doc_mod.dumps(report.to_json_dict()), args.out)
     ok = report.local_antimagic
@@ -143,18 +116,9 @@ def cmd_verify(args: argparse.Namespace) -> int:
 
 
 def cmd_search(args: argparse.Namespace) -> int:
-    try:
-        doc = _load_document(args.input)
-        g, _ = doc_mod.document_to_graph(doc)
-    except (OSError, ValueError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return USAGE_ERROR
+    g, _ = doc_mod.document_to_graph(_load_document(args.input))
     budget = args.budget if args.budget is not None else default_budget()
-    try:
-        result = chi_la_exact(g, max_edges=args.max_edges, budget=budget)
-    except GraphError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return USAGE_ERROR
+    result = chi_la_exact(g, max_edges=args.max_edges, budget=budget)
     _emit(doc_mod.dumps(result.to_json_dict()), args.out)
     if result.status == STATUS_VALUE and result.chi_la is not None:
         print(f"chi_la = {result.chi_la}", file=sys.stderr)
@@ -162,14 +126,8 @@ def cmd_search(args: argparse.Namespace) -> int:
 
 
 def cmd_export(args: argparse.Namespace) -> int:
-    try:
-        doc = _load_document(args.input)
-        g, _ = doc_mod.document_to_graph(doc)
-    except (OSError, ValueError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return USAGE_ERROR
-    sums = induced_coloring(g).sums
-    _emit(doc_mod.to_dot(g, sums), args.out)
+    g, _ = doc_mod.document_to_graph(_load_document(args.input))
+    _emit(doc_mod.to_dot(g, dict(zip(g.names, vertex_sums(g)))), args.out)
     return OK
 
 
@@ -185,36 +143,23 @@ def cmd_selftest(args: argparse.Namespace) -> int:
             print(f"FAIL {name}: {detail}")
 
     top = args.max_param
-    for k in range(1, top + 1):
-        rep = validate(matrix_5x2k(k))
-        if not rep.ok:
-            report(f"matrix 5x2k k={k}", False, str(rep.failures))
-    report(f"matrix 5x2k k=1..{top}", failures == 0)
-
-    before = failures
-    for n in range(1, top + 1):
-        rep = validate_6x4n(sequences_6x4n(n))
-        if not rep.ok:
-            report(f"sequences 6x4n n={n}", False, str(rep.failures))
-    report(f"sequences 6x4n n=1..{top}", failures == before)
-
-    before = failures
-    for k in range(1, top + 1):
-        rep = validate(matrix_kx10(k))
-        if not rep.ok:
-            report(f"matrix kx10 k={k}", False, str(rep.failures))
-    report(f"matrix kx10 k=1..{top}", failures == before)
-
-    for tag, grid in ACCEPTANCE_GRID.items():
+    for label, generate, check in (("matrix 5x2k k", matrix_5x2k, validate),
+                                   ("sequences 6x4n n", sequences_6x4n, validate_6x4n),
+                                   ("matrix kx10 k", matrix_kx10, validate)):
         before = failures
-        for params in grid:
-            built = build_family(tag, **params)
-            rep = induced_coloring(built.graph)
-            chk = check_expected(built.graph, built.expected, rep)
-            if not (rep.local_antimagic and chk.passed):
-                report(f"family {tag} {params}", False,
-                       "; ".join(chk.diffs) or "not local antimagic")
-        report(f"family {tag} ({len(grid)} points)", failures == before)
+        for p in range(1, top + 1):
+            rep = check(generate(p))
+            if not rep.ok:
+                report(f"{label}={p}", False, str(rep.failures))
+        report(f"{label}=1..{top}", failures == before)
+
+    for tag, results in groupby(verify_grid(), key=lambda res: res.tag):
+        before = failures
+        for points, res in enumerate(results, start=1):
+            if not res.passed:
+                report(f"family {tag} {res.params}", False,
+                       "; ".join(res.check.diffs) or "not local antimagic")
+        report(f"family {tag} ({points} points)", failures == before)
 
     print(f"selftest: {failures} failure(s)")
     return OK if failures == 0 else CHECK_FAILED
@@ -281,7 +226,7 @@ def main(argv: list[str] | None = None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.func(args)
-    except (ParameterError, GraphError) as exc:
+    except (OSError, ValueError) as exc:  # bad input: parameters, documents, files
         print(f"error: {exc}", file=sys.stderr)
         return USAGE_ERROR
 

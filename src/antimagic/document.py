@@ -10,10 +10,10 @@ from __future__ import annotations
 
 import json
 
-from .families import BuiltFamily, ColorClass, ExpectedColors
+from .families import BuiltFamily
 from .graph import LabeledEdge, LabeledGraph
 from .matrices import LabelMatrix
-from .verify import ColorReport
+from .verify import ColorClass, ColorReport, ExpectedColors
 
 FORMAT = "antimagic.graph/1"
 

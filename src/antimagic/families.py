@@ -20,33 +20,25 @@ Two construction pipelines:
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable, Sequence
+from functools import partial
+from typing import Callable, Iterable, Iterator, NamedTuple, Sequence
 
-from .graph import LabeledGraph, apply_merge, merge_plan, new_graph
+from .graph import LabeledGraph, apply_merge, new_graph
 from .graph import split_vertex  # unused here; bench/tracing.py wraps it by this name
 from .matrices import LabelMatrix, matrix_5x2k, matrix_kx10, sequences_6x4n
+from .verify import (
+    ColorClass,
+    ColorReport,
+    ExpectedCheck,
+    ExpectedColors,
+    check_expected,
+    induced_coloring,
+    vertex_sums,
+)
 
 
 class ParameterError(ValueError):
     """Family parameters outside the construction's hypotheses."""
-
-
-@dataclass(frozen=True)
-class ColorClass:
-    value: int
-    size: int
-    degree: int
-
-
-@dataclass(frozen=True)
-class ExpectedColors:
-    classes: tuple[ColorClass, ...]
-    claimed_colors: int
-    exact: bool = True  # False: claimed_colors is an upper bound
-
-    @property
-    def values(self) -> tuple[int, ...]:
-        return tuple(c.value for c in self.classes)
 
 
 @dataclass(frozen=True)
@@ -120,9 +112,7 @@ def build_fb(k: int) -> BuiltFamily:
     """Fan with 2k blades: all unit hubs fused into one vertex x."""
     _check(k >= 1, "k must be >= 1")
     g, _ = _fan_units(k)
-    g = apply_merge(g, merge_plan([
-        ([f"x_{i}" for i in range(1, 2 * k + 1)], "x"),
-    ]))
+    g = apply_merge(g, [([f"x_{i}" for i in range(1, 2 * k + 1)], "x")])
     return BuiltFamily(
         "FB", {"k": k}, g,
         _expected([
@@ -132,16 +122,6 @@ def build_fb(k: int) -> BuiltFamily:
         ], 3),
         chi_la_is_three=True,
     )
-
-
-def _rfb_merge_groups(r: int, s: int) -> list[list[str]]:
-    two_k = r * s
-    groups = []
-    for j in range(1, r + 1):
-        left = [(j - 1) * s // 2 + a for a in range(1, s // 2 + 1)]
-        right = [two_k - (j - 1) * s // 2 + 1 - a for a in range(1, s // 2 + 1)]
-        groups.append([f"x_{i}" for i in left + right])
-    return groups
 
 
 def _rfb_component_units(r: int, s: int) -> list[list[int]]:
@@ -161,11 +141,10 @@ def build_rfb(r: int, s: int) -> BuiltFamily:
     _check(r * s >= 4, "rs must be >= 4")
     k = r * s // 2
     g, _ = _fan_units(k)
-    plan = merge_plan([
-        (members, f"x_{j}")
-        for j, members in enumerate(_rfb_merge_groups(r, s), start=1)
+    g = apply_merge(g, [
+        ([f"x_{i}" for i in units], f"x_{j}")
+        for j, units in enumerate(_rfb_component_units(r, s), start=1)
     ])
-    g = apply_merge(g, plan)
     return BuiltFamily(
         "rFB", {"r": r, "s": s}, g,
         _expected([
@@ -186,7 +165,7 @@ def build_fb1(r: int, s: int) -> BuiltFamily:
     for j in range(1, s + 1):
         groups.append(([f"u_{comps[i][j - 1]}" for i in range(r)], f"u_{j}"))
         groups.append(([f"v_{comps[i][j - 1]}" for i in range(r)], f"v_{j}"))
-    g = apply_merge(base.graph, merge_plan(groups))
+    g = apply_merge(base.graph, groups)
     warnings = ()
     ok = r % 4 != 0
     if not ok:
@@ -213,7 +192,7 @@ def build_fb2(r: int, s: int) -> BuiltFamily:
         ([f"w_{comps[i][j - 1]}" for i in range(r)], f"w_{j}")
         for j in range(1, s + 1)
     ]
-    g = apply_merge(base.graph, merge_plan(groups))
+    g = apply_merge(base.graph, groups)
     warnings = ()
     ok = (r * s) % 4 != 0
     if not ok:
@@ -245,7 +224,7 @@ def build_rdf(r: int, s: int) -> BuiltFamily:
             + [f"x_{(2 * r - j) * s + a}^1" for a in range(1, s + 1)]
         groups.append((y, f"y_{j}"))
         groups.append((z, f"z_{j}"))
-    g = apply_merge(g, merge_plan(groups))
+    g = apply_merge(g, groups)
     return BuiltFamily(
         "rDF", {"r": r, "s": s}, g,
         _expected([
@@ -273,7 +252,7 @@ def build_dfr(r: int, s: int) -> BuiltFamily:
             + [f"x_{(2 * r + 1 - j) * s + a}^1" for a in range(1, s + 1)]
         groups.append((y, f"y_{j}"))
         groups.append((z, f"z_{j}"))
-    g = apply_merge(g, merge_plan(groups))
+    g = apply_merge(g, groups)
     return BuiltFamily(
         "DFr", {"r": r, "s": s}, g,
         _expected([
@@ -337,29 +316,13 @@ def build_df_variant(v: int, r: int, s: int) -> BuiltFamily:
                   for j in range(1, r + 1)]
         classes = [(10 * k + 1, 4 * k, 2), (13 * k + 1, 2 * k, 3),
                    (2 * hub, r, 6 * s)]
-    g = apply_merge(base.graph, merge_plan(groups))
+    g = apply_merge(base.graph, groups)
     return BuiltFamily(
         f"DF{v}", {"r": r, "s": s}, g,
         _expected(classes, 3),
         chi_la_is_three=ok,
         warnings=warnings,
     )
-
-
-def build_df1(r: int, s: int) -> BuiltFamily:
-    return build_df_variant(1, r, s)
-
-
-def build_df2(r: int, s: int) -> BuiltFamily:
-    return build_df_variant(2, r, s)
-
-
-def build_df3(r: int, s: int) -> BuiltFamily:
-    return build_df_variant(3, r, s)
-
-
-def build_df4(r: int, s: int) -> BuiltFamily:
-    return build_df_variant(4, r, s)
 
 
 # ---------------------------------------------------------------------------
@@ -416,7 +379,7 @@ def build_g1(r: int, s: int) -> BuiltFamily:
             p = 2 * j - 1
             groups.append(([f"u_{c}_{p}" for c in block], f"U_{b}_{j}"))
             groups.append(([f"v_{c}_{p}" for c in block], f"V_{b}_{j}"))
-    g = apply_merge(base.graph, merge_plan(groups))
+    g = apply_merge(base.graph, groups)
     return BuiltFamily(
         "G1", {"r": r, "s": s}, g,
         _expected([
@@ -441,7 +404,7 @@ def build_g2(r: int, s: int) -> BuiltFamily:
             groups.append(([f"u_{c}_{2 * j}" for c in block], f"U_{b}_{j}"))
         for j in (2, 3):
             groups.append(([f"v_{c}_{2 * j}" for c in block], f"V_{b}_{j}"))
-    g = apply_merge(base.graph, merge_plan(groups))
+    g = apply_merge(base.graph, groups)
     return BuiltFamily(
         "G2", {"r": r, "s": s}, g,
         _expected([
@@ -480,7 +443,7 @@ def build_h(m: int, n: int) -> BuiltFamily:
         for (pair, fam, pos) in zip(_H_MERGES[m], fused_names, fused_pos):
             members = [f"{role}_{i}_{p}" for role, p in pair]
             groups.append((members, f"{fam}_{i}_{pos}"))
-    g = apply_merge(base.graph, merge_plan(groups))
+    g = apply_merge(base.graph, groups)
     return BuiltFamily(
         f"H{m}", {"n": n}, g,
         _expected([
@@ -490,18 +453,6 @@ def build_h(m: int, n: int) -> BuiltFamily:
         ], 3),
         chi_la_is_three=True,
     )
-
-
-def build_h1(n: int) -> BuiltFamily:
-    return build_h(1, n)
-
-
-def build_h2(n: int) -> BuiltFamily:
-    return build_h(2, n)
-
-
-def build_h3(n: int) -> BuiltFamily:
-    return build_h(3, n)
 
 
 def build_hm_rs(m: int, r: int, s: int) -> BuiltFamily:
@@ -517,7 +468,7 @@ def build_hm_rs(m: int, r: int, s: int) -> BuiltFamily:
         for j in (1, 2):
             groups.append(([f"x_{c}_{j}" for c in block], f"X_{b}_{j}"))
             groups.append(([f"y_{c}_{j}" for c in block], f"Y_{b}_{j}"))
-    g = apply_merge(base.graph, merge_plan(groups))
+    g = apply_merge(base.graph, groups)
     return BuiltFamily(
         "Hm_rs", {"m": m, "r": r, "s": s}, g,
         _expected([
@@ -581,9 +532,9 @@ def build_bk(k: int) -> BuiltFamily:
     """C8 units with u_4 and u_8 fused (degree 4, color 24k+3)."""
     _check(k >= 1, "k must be >= 1")
     g = _prism_units(k)
-    g = apply_merge(g, merge_plan([
+    g = apply_merge(g, [
         ([f"u_{i}_4", f"u_{i}_8"], f"b_{i}") for i in range(1, k + 1)
-    ]))
+    ])
     return BuiltFamily(
         "Bk", {"k": k}, g,
         _expected([
@@ -600,9 +551,9 @@ def build_kc82(k: int) -> BuiltFamily:
     """C8 units with x and u_8 fused into z (degree 4, color 28k+2)."""
     _check(k >= 1, "k must be >= 1")
     g = _prism_units(k)
-    g = apply_merge(g, merge_plan([
+    g = apply_merge(g, [
         ([f"x_{i}", f"u_{i}_8"], f"z_{i}") for i in range(1, k + 1)
-    ]))
+    ])
     return BuiltFamily(
         "kC82", {"k": k}, g,
         _expected([
@@ -620,9 +571,9 @@ def build_kd82(k: int) -> BuiltFamily:
     """C8 units with x, u_4 and u_8 fused (degree 6, color 34k+4)."""
     _check(k >= 1, "k must be >= 1")
     g = _prism_units(k)
-    g = apply_merge(g, merge_plan([
+    g = apply_merge(g, [
         ([f"x_{i}", f"u_{i}_4", f"u_{i}_8"], f"w_{i}") for i in range(1, k + 1)
-    ]))
+    ])
     return BuiltFamily(
         "kD82", {"k": k}, g,
         _expected([
@@ -647,9 +598,9 @@ def build_rg82(r: int, s: int) -> BuiltFamily:
     _check(s >= 2 and s % 2 == 0, "s must be even and >= 2")
     k = r * s
     g = _prism_units(k)
-    g = apply_merge(g, merge_plan([
+    g = apply_merge(g, [
         ([f"x_{i}", f"u_{i}_8"], f"z_{i}") for i in range(1, k + 1)
-    ]))
+    ])
     groups = []
     for a in range(1, r + 1):
         first = [(a - 1) * s + i for i in range(1, s // 2 + 1)]
@@ -658,7 +609,7 @@ def build_rg82(r: int, s: int) -> BuiltFamily:
                        f"p_{a}"))
         groups.append(([f"z_{c}" for c in second] + [f"u_{c}_4" for c in first],
                        f"q_{a}"))
-    g = apply_merge(g, merge_plan(groups))
+    g = apply_merge(g, groups)
     return BuiltFamily(
         "rG82", {"r": r, "s": s}, g,
         _expected([
@@ -708,9 +659,9 @@ def build_oddk_h(r: int, s: int) -> BuiltFamily:
         if len(small) >= 2:
             merge_groups.append((small, f"q_{a}"))
     if z_groups:
-        g = apply_merge(g, merge_plan(z_groups))
+        g = apply_merge(g, z_groups)
     if merge_groups:
-        g = apply_merge(g, merge_plan(merge_groups))
+        g = apply_merge(g, merge_groups)
 
     hub_deg = 3 * (s - 1) + 2
     claimed = [
@@ -721,11 +672,7 @@ def build_oddk_h(r: int, s: int) -> BuiltFamily:
     ]
     expected = _expected(claimed, 4, exact=False)
 
-    sums: dict[int, int] = {i: 0 for i in range(g.n_vertices)}
-    for e in g.edges:
-        sums[e.u] += e.label
-        sums[e.v] += e.label
-    achieved = sorted(set(sums.values()))
+    achieved = sorted(set(vertex_sums(g)))
     claimed_values = sorted(c[0] for c in claimed)
     notes = [
         "experimental construction: the defining merge-index ranges are "
@@ -772,18 +719,25 @@ FAMILIES: dict[str, FamilyDef] = {
                   "rFB(s) with blade centers fused across components"),
         FamilyDef("rDF", ("r", "s"), build_rdf, "r diamond fans of size 10s"),
         FamilyDef("DFr", ("r", "s"), build_dfr, "r diamond fans plus one fan"),
-        FamilyDef("DF1", ("r", "s"), build_df1, "diamond fans, centers fused"),
-        FamilyDef("DF2", ("r", "s"), build_df2, "diamond fans, tips fused"),
-        FamilyDef("DF3", ("r", "s"), build_df3, "diamond fans, hubs fused"),
-        FamilyDef("DF4", ("r", "s"), build_df4, "diamond fans, hub pairs chained"),
+        FamilyDef("DF1", ("r", "s"), partial(build_df_variant, 1),
+                  "diamond fans, centers fused"),
+        FamilyDef("DF2", ("r", "s"), partial(build_df_variant, 2),
+                  "diamond fans, tips fused"),
+        FamilyDef("DF3", ("r", "s"), partial(build_df_variant, 3),
+                  "diamond fans, hubs fused"),
+        FamilyDef("DF4", ("r", "s"), partial(build_df_variant, 4),
+                  "diamond fans, hub pairs chained"),
         FamilyDef("nC482", ("n",), build_nc482,
                   "n 8-prisms with alternating rungs removed"),
         FamilyDef("G1", ("r", "s"), build_g1, "nC4(8,2), corners fused per block"),
         FamilyDef("G2", ("r", "s"), build_g2,
                   "nC4(8,2), 30n+1 degree-3 vertices fused per block"),
-        FamilyDef("H1", ("n",), build_h1, "cycles folded onto themselves"),
-        FamilyDef("H2", ("n",), build_h2, "opposite corners fused across cycles"),
-        FamilyDef("H3", ("n",), build_h3, "aligned corners fused (bracelets)"),
+        FamilyDef("H1", ("n",), partial(build_h, 1),
+                  "cycles folded onto themselves"),
+        FamilyDef("H2", ("n",), partial(build_h, 2),
+                  "opposite corners fused across cycles"),
+        FamilyDef("H3", ("n",), partial(build_h, 3),
+                  "aligned corners fused (bracelets)"),
         FamilyDef("Hm_rs", ("m", "r", "s"), build_hm_rs,
                   "H_m(rs) with degree-4 vertices fused per block"),
         FamilyDef("C8_units", ("k",), build_c8_units,
@@ -877,3 +831,25 @@ ACCEPTANCE_GRID: dict[str, tuple[dict, ...]] = {
                    ((1, 3), (3, 1), (1, 5), (5, 1), (1, 7), (3, 3),
                     (7, 1), (1, 9), (9, 1), (5, 3))),
 }
+
+
+class GridResult(NamedTuple):
+    tag: str
+    params: dict
+    built: BuiltFamily
+    report: ColorReport
+    check: ExpectedCheck
+
+    @property
+    def passed(self) -> bool:
+        return self.report.local_antimagic and self.check.passed
+
+
+def verify_grid(tags: Iterable[str] = ACCEPTANCE_GRID) -> Iterator[GridResult]:
+    """Build and verify every grid point of each tag, in grid order."""
+    for tag in tags:
+        for params in ACCEPTANCE_GRID[tag]:
+            built = build_family(tag, **params)
+            report = induced_coloring(built.graph)
+            yield GridResult(tag, params, built, report,
+                             check_expected(built.graph, built.expected, report))

@@ -13,6 +13,7 @@ from __future__ import annotations
 from collections import deque
 from dataclasses import dataclass
 from functools import cached_property
+from typing import Sequence
 
 
 class GraphError(ValueError):
@@ -61,24 +62,6 @@ class LabeledEdge:
 
 
 @dataclass(frozen=True)
-class MergeGroup:
-    """A set of >= 2 vertices to fuse, plus the display name of the result."""
-
-    members: tuple[str, ...]
-    name: str
-
-
-@dataclass(frozen=True)
-class MergePlan:
-    groups: tuple[MergeGroup, ...]
-
-
-def merge_plan(groups: list[tuple[list[str] | tuple[str, ...], str]]) -> MergePlan:
-    """Convenience constructor: ``[(members, fused_name), ...]``."""
-    return MergePlan(tuple(MergeGroup(tuple(m), nm) for m, nm in groups))
-
-
-@dataclass(frozen=True)
 class Bipartition:
     side: tuple[int, ...]  # 0/1 per vertex id
     component_parts: tuple[tuple[int, int], ...]  # (|side0|, |side1|) per component
@@ -122,9 +105,6 @@ class LabeledGraph:
         except KeyError:
             raise GraphError(f"no vertex named {name!r}") from None
 
-    def name_of(self, vid: int) -> str:
-        return self.names[vid]
-
     @cached_property
     def adjacency(self) -> tuple[tuple[int, ...], ...]:
         adj: list[list[int]] = [[] for _ in self.names]
@@ -148,13 +128,6 @@ class LabeledGraph:
 
     def labels(self) -> tuple[int, ...]:
         return tuple(e.label for e in self.edges)
-
-    def incident_labels(self, name: str) -> tuple[int, ...]:
-        vid = self.id_of(name)
-        return tuple(e.label for e in self.edges if vid in (e.u, e.v))
-
-    def edge_names(self) -> tuple[tuple[str, str, int], ...]:
-        return tuple((self.names[e.u], self.names[e.v], e.label) for e in self.edges)
 
     def components(self) -> tuple[tuple[int, ...], ...]:
         seen = [False] * self.n_vertices
@@ -207,30 +180,28 @@ def new_graph(names: list[str] | tuple[str, ...]) -> LabeledGraph:
     return LabeledGraph(tuple(names), ())
 
 
-def add_edge(g: LabeledGraph, a: str, b: str, label: int) -> LabeledGraph:
-    return g.with_edges([(a, b, label)])
-
-
-def apply_merge(g: LabeledGraph, plan: MergePlan) -> LabeledGraph:
-    """Fuse each group of vertices into one, keeping all edges and labels.
+def apply_merge(g: LabeledGraph,
+                groups: Sequence[tuple[Sequence[str], str]]) -> LabeledGraph:
+    """Fuse each ``(members, fused_name)`` group into one vertex, keeping all
+    edges and labels; the fused vertex takes its lowest member's position.
 
     Errors: InvalidPlan for malformed groups, LoopCreated when a group
     contains adjacent vertices, ParallelEdgeCreated when the fused graph
     would carry two edges between the same pair.
     """
     assigned: dict[int, int] = {}  # vertex id -> group index
-    for gi, group in enumerate(plan.groups):
-        if len(group.members) < 2:
-            raise InvalidPlan(f"group {group.name!r} has fewer than 2 members")
-        if len(set(group.members)) != len(group.members):
-            raise InvalidPlan(f"group {group.name!r} repeats a member")
-        for nm in group.members:
+    for gi, (members, name) in enumerate(groups):
+        if len(members) < 2:
+            raise InvalidPlan(f"group {name!r} has fewer than 2 members")
+        if len(set(members)) != len(members):
+            raise InvalidPlan(f"group {name!r} repeats a member")
+        for nm in members:
             vid = g.id_of(nm)
             if vid in assigned:
                 raise InvalidPlan(f"vertex {nm!r} appears in two merge groups")
             assigned[vid] = gi
 
-    fused_names = [grp.name for grp in plan.groups]
+    fused_names = [name for _, name in groups]
     if len(set(fused_names)) != len(fused_names):
         raise InvalidPlan("fused vertex names are not distinct")
     survivors = {nm for i, nm in enumerate(g.names) if i not in assigned}
@@ -249,7 +220,7 @@ def apply_merge(g: LabeledGraph, plan: MergePlan) -> LabeledGraph:
     for vid in range(g.n_vertices):
         if vid in leader_ids:
             remap[vid] = len(new_names)
-            new_names.append(plan.groups[leader_ids[vid]].name)
+            new_names.append(fused_names[leader_ids[vid]])
         elif vid in assigned:
             continue
         else:
@@ -334,10 +305,6 @@ def disjoint_union(g1: LabeledGraph, g2: LabeledGraph) -> LabeledGraph:
         LabeledEdge(e.u + off, e.v + off, e.label) for e in g2.edges
     )
     return LabeledGraph(names, edges)
-
-
-def degrees(g: LabeledGraph) -> dict[str, int]:
-    return g.degrees()
 
 
 def is_bipartite(g: LabeledGraph) -> Bipartition | None:

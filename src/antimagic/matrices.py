@@ -33,14 +33,6 @@ class LabelMatrix:
     grid: tuple[tuple[int, ...], ...]  # row-major
     sequences: tuple[tuple[int, ...], ...] | None = None  # 6x4n only
 
-    @property
-    def rows(self) -> int:
-        return len(self.grid)
-
-    @property
-    def cols(self) -> int:
-        return len(self.grid[0]) if self.grid else 0
-
     def flat(self) -> list[int]:
         return [x for row in self.grid for x in row]
 

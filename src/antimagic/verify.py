@@ -13,7 +13,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 from enum import Enum
 
-from .families import ExpectedColors
 from .graph import (
     Bipartition,
     GraphTooLarge,
@@ -21,6 +20,24 @@ from .graph import (
     chromatic_number_small,
     is_bipartite,
 )
+
+
+@dataclass(frozen=True)
+class ColorClass:
+    value: int
+    size: int
+    degree: int
+
+
+@dataclass(frozen=True)
+class ExpectedColors:
+    classes: tuple[ColorClass, ...]
+    claimed_colors: int
+    exact: bool = True  # False: claimed_colors is an upper bound
+
+    @property
+    def values(self) -> tuple[int, ...]:
+        return tuple(c.value for c in self.classes)
 
 
 @dataclass(frozen=True)
@@ -54,12 +71,18 @@ class ColorReport:
         }
 
 
-def induced_coloring(g: LabeledGraph) -> ColorReport:
-    """Induced vertex sums, color classes, and the local-antimagic verdict."""
+def vertex_sums(g: LabeledGraph) -> list[int]:
+    """Sum of incident edge labels, indexed by vertex id."""
     sums = [0] * g.n_vertices
     for e in g.edges:
         sums[e.u] += e.label
         sums[e.v] += e.label
+    return sums
+
+
+def induced_coloring(g: LabeledGraph) -> ColorReport:
+    """Induced vertex sums, color classes, and the local-antimagic verdict."""
+    sums = vertex_sums(g)
 
     problems: list[str] = []
     labels = sorted(g.labels())
@@ -121,7 +144,7 @@ def check_expected(g: LabeledGraph, expected: ExpectedColors,
     degrees = g.degrees()
     diffs: list[str] = []
 
-    values = [c.value for c in expected.classes]
+    values = expected.values
     if len(set(values)) != len(values):
         diffs.append(f"expected color values are not distinct: {sorted(values)}")
 

@@ -7,6 +7,7 @@ from collections import Counter
 
 from antimagic.families import BuiltFamily
 from antimagic.graph import LabeledGraph
+from antimagic.verify import vertex_sums
 
 
 def vertex_label_signature(g: LabeledGraph) -> Counter:
@@ -52,10 +53,7 @@ def transposition_detected(built: BuiltFamily, e1: int, e2: int) -> bool:
     if delta == 0:
         return False  # not a transposition
 
-    sums = [0] * g.n_vertices
-    for e in g.edges:
-        sums[e.u] += e.label
-        sums[e.v] += e.label
+    sums = vertex_sums(g)
     for w in (a.u, a.v):
         sums[w] += delta
     for w in (b.u, b.v):

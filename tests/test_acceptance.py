@@ -12,6 +12,7 @@ import time
 from antimagic.families import (
     ACCEPTANCE_GRID,
     build_family,
+    verify_grid,
 )
 from antimagic.graph import new_graph
 from antimagic.matrices import (
@@ -30,7 +31,6 @@ from antimagic.search import (
 )
 from antimagic.verify import (
     TwoColorGate,
-    check_expected,
     induced_coloring,
     lower_bound,
     two_color_gate,
@@ -81,16 +81,17 @@ def test_criterion_2_matrix_invariants_to_50():
 
 def test_criterion_3_family_verification_grid():
     start = time.monotonic()
-    points = 0
     for tag, grid in ACCEPTANCE_GRID.items():
         assert len(grid) >= 10, tag
-        for params in grid:
-            built = build_family(tag, **params)
-            rep = induced_coloring(built.graph)
-            assert rep.local_antimagic, (tag, params, rep.conflicts[:3])
-            chk = check_expected(built.graph, built.expected)
-            assert chk.passed, (tag, params, chk.diffs)
-            points += 1
+    seen = []
+    for res in verify_grid():
+        assert res.report.local_antimagic, (res.tag, res.params, res.report.conflicts[:3])
+        assert res.check.passed, (res.tag, res.params, res.check.diffs)
+        seen.append((res.tag, res.params))
+    assert seen == [(tag, params) for tag, grid in ACCEPTANCE_GRID.items()
+                    for params in grid]
+    points = len(seen)
+    assert points == 260
     # the worked diamond-fan instance, class sizes included
     built = build_family("rDF", r=3, s=2)
     rep = induced_coloring(built.graph)

@@ -2,11 +2,15 @@
 
 from __future__ import annotations
 
+import dataclasses
 import json
 
+import pytest
+
+import antimagic.families as families
 from antimagic.cli import main
 from antimagic.document import dumps, graph_to_document
-from antimagic.graph import new_graph
+from antimagic.graph import LabeledGraph, new_graph
 from golden import GRID_5X2K_K6, SEQUENCES_N6
 
 
@@ -131,3 +135,43 @@ def test_selftest_small(capsys):
     code, out, _ = run(capsys, "selftest", "--max-param", "3")
     assert code == 0
     assert "selftest: 0 failure(s)" in out
+
+
+@pytest.mark.parametrize("argv, env", [
+    (["build", "FB", "--k", "1", "--out", "missing/g.json"], {}),
+    (["search", "fb.json"], {"ANTIMAGIC_SEARCH_BUDGET": "abc"}),
+    *[([cmd, path], {}) for cmd in ("verify", "search", "export")
+      for path in ("missing.json", "notjson.json")],
+])
+def test_bad_input_is_one_error_line(tmp_path, monkeypatch, capsys, argv, env):
+    monkeypatch.chdir(tmp_path)
+    (tmp_path / "notjson.json").write_text("not json {", encoding="utf-8")
+    g = new_graph(["a", "b"]).with_edges([("a", "b", 1)])
+    (tmp_path / "fb.json").write_text(dumps(graph_to_document(g)), encoding="utf-8")
+    for name, value in env.items():
+        monkeypatch.setenv(name, value)
+    code, out, err = run(capsys, *argv)
+    assert code == 2 and out == ""
+    assert len(err.splitlines()) == 1 and err.startswith("error: ")
+    assert "Traceback" not in err
+
+
+def test_selftest_reports_a_failing_grid_point(monkeypatch, capsys):
+    real_build = families.build_family
+
+    def build_with_two_labels_swapped(tag, **params):
+        built = real_build(tag, **params)
+        if (tag, params) != ("FB", {"k": 1}):
+            return built
+        e0, e1, *rest = built.graph.edges
+        edges = (dataclasses.replace(e0, label=e1.label),
+                 dataclasses.replace(e1, label=e0.label), *rest)
+        return dataclasses.replace(built, graph=LabeledGraph(built.graph.names, edges))
+
+    monkeypatch.setattr(families, "build_family", build_with_two_labels_swapped)
+    code, out, _ = run(capsys, "selftest", "--max-param", "1")
+    assert code == 1
+    assert "FAIL family FB {'k': 1}: " in out
+    assert "FAIL family FB (10 points)" in out
+    assert "ok   family FB_units (10 points)" in out
+    assert out.endswith("selftest: 2 failure(s)\n")

@@ -31,9 +31,10 @@ from antimagic.families import (
     build_rdf,
     build_rfb,
     build_rg82,
+    verify_grid,
 )
 from antimagic.graph import split_vertex
-from antimagic.verify import check_expected, induced_coloring
+from antimagic.verify import induced_coloring
 
 
 def sums_of(g):
@@ -304,13 +305,14 @@ def test_parameter_errors():
 
 @pytest.mark.parametrize("tag", sorted(ACCEPTANCE_GRID))
 def test_family_grid_verifies(tag):
-    for params in ACCEPTANCE_GRID[tag]:
-        built = build_family(tag, **params)
-        assert sorted(built.graph.labels()) == list(range(1, built.graph.size + 1))
-        rep = induced_coloring(built.graph)
-        assert rep.local_antimagic, (tag, params, rep.conflicts[:3])
-        chk = check_expected(built.graph, built.expected)
-        assert chk.passed, (tag, params, chk.diffs)
+    results = list(verify_grid([tag]))
+    assert [res.params for res in results] == list(ACCEPTANCE_GRID[tag])
+    for res in results:
+        g = res.built.graph
+        assert sorted(g.labels()) == list(range(1, g.size + 1))
+        assert res.report.local_antimagic, (tag, res.params, res.report.conflicts[:3])
+        assert res.check.passed, (tag, res.params, res.check.diffs)
+        assert res.passed
 
 
 def test_registry_covers_grid():

@@ -7,8 +7,6 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from antimagic.families import (
-    ColorClass,
-    ExpectedColors,
     build_fb,
     build_nc482,
     build_rdf,
@@ -16,11 +14,14 @@ from antimagic.families import (
 )
 from antimagic.graph import LabeledEdge, LabeledGraph, new_graph
 from antimagic.verify import (
+    ColorClass,
+    ExpectedColors,
     TwoColorGate,
     check_expected,
     induced_coloring,
     lower_bound,
     two_color_gate,
+    vertex_sums,
 )
 
 
@@ -30,6 +31,13 @@ def test_induced_coloring_fb12():
     assert sorted(rep.color_classes) == [61, 79, 1248]
     assert [len(rep.color_classes[v]) for v in (61, 79, 1248)] == [24, 12, 1]
     assert rep.total == 60 * 61  # m(m+1) for a bijective labeling
+
+
+def test_vertex_sums_match_the_report():
+    g = build_rdf(2, 2).graph
+    sums = vertex_sums(g)
+    assert sums == [induced_coloring(g).sums[nm] for nm in g.names]
+    assert sum(sums) == g.size * (g.size + 1)
 
 
 def test_single_edge_is_never_local_antimagic():
