@@ -18,7 +18,7 @@ import sys
 
 from antimagic.families import build_family
 from antimagic.search import STATUS_VALUE, chi_la_exact, confirm_three
-from antimagic.verify import induced_coloring, lower_bound
+from antimagic.verify import induced_coloring
 
 
 CASES = (
@@ -48,7 +48,7 @@ def main() -> int:
                 verdict += f" ({confirm_three(g, result.witness)})"
         else:
             verdict = result.status
-        print(f"{tag:<9} {params} m={g.size:<3} lower_bound={lower_bound(g)} "
+        print(f"{tag:<9} {params} m={g.size:<3} lower_bound={result.lower_bound} "
               f"constructed={constructed}  search: {verdict} "
               f"[{result.stats.nodes} nodes, {result.stats.elapsed:.2f}s]  "
               f"known: {known}")

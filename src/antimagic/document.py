@@ -72,48 +72,84 @@ def built_to_document(built: BuiltFamily,
 
 
 def document_to_graph(doc: dict) -> tuple[LabeledGraph, ExpectedColors | None]:
-    if not isinstance(doc, dict) or doc.get("format") != FORMAT:
+    """The graph and claimed coloring a document holds.
+
+    Raises ``DocumentError`` for any malformed document: the wrong shape
+    or key set, a non-integer id, endpoint, label, degree or class field
+    (JSON ``true`` is a bool, not the label 1), a non-string name, or a
+    stored degree that the edges contradict.
+    """
+    if not isinstance(doc, dict):
+        raise DocumentError(f"a graph document is a JSON object, not {type(doc).__name__}")
+    if doc.get("format") != FORMAT:
         raise DocumentError(f"unsupported document format {doc.get('format')!r}")
     try:
         vertices = doc["vertices"]
         edge_rows = doc["edges"]
     except KeyError as exc:
         raise DocumentError(f"document missing {exc}") from None
-    ids = [v["id"] for v in vertices]
-    if ids != list(range(len(vertices))):
-        raise DocumentError("vertex ids must be 0..n-1 in order")
-    names = tuple(v["name"] for v in vertices)
-    if len(set(names)) != len(names):
+    if not (isinstance(vertices, list) and isinstance(edge_rows, list)):
+        raise DocumentError("document vertices and edges must be lists")
+
+    names = []
+    stored = []
+    for i, row in enumerate(vertices):
+        try:
+            vid, name, degree = row["id"], row["name"], row["degree"]
+        except (KeyError, TypeError):
+            raise DocumentError(f"vertex {row!r} needs id, name and degree") from None
+        if type(vid) is not int or vid != i:
+            raise DocumentError("vertex ids must be 0..n-1 in order")
+        if type(name) is not str or type(degree) is not int:
+            raise DocumentError(f"vertex {row!r} needs a string name and an integer degree")
+        names.append(name)
+        stored.append(degree)
+    n = len(names)
+    if len(set(names)) != n:
         raise DocumentError("vertex names are not unique")
+
     edges = []
+    counted = [0] * n
     for row in edge_rows:
-        u, v, label = row["u"], row["v"], row["label"]
-        if not (0 <= u < len(names) and 0 <= v < len(names)):
+        try:
+            u, v, label = row["u"], row["v"], row["label"]
+        except (KeyError, TypeError):
+            raise DocumentError(f"edge {row!r} needs u, v and label") from None
+        if type(u) is not int or type(v) is not int or not (0 <= u < n and 0 <= v < n):
             raise DocumentError(f"edge {row} references a missing vertex id")
         if u == v:
             raise DocumentError(f"edge {row} is a loop")
-        if not isinstance(label, int) or label < 1:
+        if type(label) is not int or label < 1:
             raise DocumentError(f"edge {row} needs a positive integer label")
         edges.append(LabeledEdge(min(u, v), max(u, v), label))
+        counted[u] += 1
+        counted[v] += 1
     if len({(e.u, e.v) for e in edges}) != len(edges):
         raise DocumentError("document contains parallel edges")
-    g = LabeledGraph(names, tuple(edges))
-    for v in vertices:
-        if v["degree"] != g.degree(v["name"]):
-            raise DocumentError(
-                f"stored degree of {v['name']!r} is {v['degree']}, edges give "
-                f"{g.degree(v['name'])}")
+    if counted != stored:
+        i = next(i for i in range(n) if counted[i] != stored[i])
+        raise DocumentError(
+            f"stored degree of {names[i]!r} is {stored[i]}, edges give {counted[i]}")
+    g = LabeledGraph(tuple(names), tuple(edges))
 
     expected = None
     if "expected_colors" in doc:
-        block = doc["expected_colors"]
-        expected = ExpectedColors(
-            tuple(ColorClass(c["value"], c["size"], c["degree"])
-                  for c in block["classes"]),
-            block["claimed_colors"],
-            block.get("exact", True),
-        )
+        expected = _expected_colors(doc["expected_colors"])
     return g, expected
+
+
+def _expected_colors(block: dict) -> ExpectedColors:
+    try:
+        classes = tuple(ColorClass(c["value"], c["size"], c["degree"])
+                        for c in block["classes"])
+        claimed, exact = block["claimed_colors"], block.get("exact", True)
+    except (AttributeError, KeyError, TypeError):
+        raise DocumentError("expected_colors needs classes of value, size and "
+                            "degree, and claimed_colors") from None
+    fields = [claimed, *(x for c in classes for x in (c.value, c.size, c.degree))]
+    if any(type(x) is not int for x in fields) or type(exact) is not bool:
+        raise DocumentError("expected_colors fields must be integers, and exact a bool")
+    return ExpectedColors(classes, claimed, exact)
 
 
 def dumps(doc: dict) -> str:

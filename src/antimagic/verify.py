@@ -3,9 +3,9 @@
 Everything here recomputes from the edge list: induced vertex sums, color
 classes, the local-antimagic verdict (labels bijective onto [1, m] and
 adjacent sums distinct), comparison against a builder's claimed coloring,
-and the two lower-bound sources (chromatic number and the balanced /
-divisor-pair 2-coloring impossibility gate).  Exact integer arithmetic
-throughout.
+and the three lower-bound sources (chromatic number, the balanced /
+divisor-pair 2-coloring impossibility gate, and the pendant count).
+Exact integer arithmetic throughout.
 """
 
 from __future__ import annotations
@@ -230,15 +230,26 @@ def lower_bound(g: LabeledGraph, chi_budget: int = 20) -> int:
     """Best available lower bound on the local antimagic chromatic number.
 
     Combines chi(g) (exact when the graph is small or bipartite, else the
-    odd-cycle bound 3) with the 2-coloring gate.
+    odd-cycle bound 3), the 2-coloring gate, and the pendant bound of
+    Arumugam, Premalatha, Baca and Semanicova-Fenovcikova (Local antimagic
+    vertex coloring of a graph, Graphs Combin. 33, 2017): with l >= 1
+    vertices of degree 1, every local antimagic labeling uses at least
+    l + 1 colors, plus 1 when some vertex is isolated.  Proof: a pendant
+    vertex's sum is the label of its own edge, so the l pendant sums are
+    distinct.  The edge labeled m has an endpoint of degree >= 2 (else it
+    is a K2 component, whose two equal sums admit no valid labeling at
+    all), and that endpoint's sum exceeds m, hence every pendant sum.  An
+    isolated vertex has sum 0, below every other sum.
     """
     if g.n_vertices == 0:
         return 0
     if g.size == 0:
         return 1
-    bound = 2
+    degrees = [len(nbrs) for nbrs in g.adjacency]
+    pendants = degrees.count(1)
+    bound = pendants + 1 + (0 in degrees) if pendants else 2
     if is_bipartite(g) is None:
-        bound = 3
+        bound = max(bound, 3)
         if g.n_vertices <= chi_budget:
             try:
                 bound = max(bound, chromatic_number_small(g, chi_budget))

@@ -101,6 +101,7 @@ def test_search_fb1_document(tmp_path, capsys):
     assert code == 0
     result = json.loads(out)
     assert result["status"] == "value" and result["chi_la"] == 3
+    assert result["lower_bound"] == result["upper_bound"] == 3
 
 
 def test_search_too_large_is_usage_error(tmp_path, capsys):
@@ -137,15 +138,38 @@ def test_selftest_small(capsys):
     assert "selftest: 0 failure(s)" in out
 
 
+P3_DOC = graph_to_document(
+    new_graph(["a", "b", "c"]).with_edges([("a", "b", 1), ("b", "c", 2)]))
+
+
+def _spoiled(change) -> dict:
+    doc = json.loads(dumps(P3_DOC))
+    change(doc)
+    return doc
+
+
+BAD_DOCUMENTS = {
+    "top_level_list.json": [P3_DOC],
+    "vertex_without_degree.json": _spoiled(lambda d: d["vertices"][0].pop("degree")),
+    "string_endpoint.json": _spoiled(lambda d: d["edges"][0].update(u="0")),
+    "class_without_degree.json": _spoiled(lambda d: d.update(expected_colors={
+        "classes": [{"value": 1, "size": 1}], "claimed_colors": 3})),
+    "list_name.json": _spoiled(lambda d: d["vertices"][0].update(name=["a"])),
+    "true_label.json": _spoiled(lambda d: d["edges"][0].update(label=True)),
+}
+
+
 @pytest.mark.parametrize("argv, env", [
     (["build", "FB", "--k", "1", "--out", "missing/g.json"], {}),
     (["search", "fb.json"], {"ANTIMAGIC_SEARCH_BUDGET": "abc"}),
     *[([cmd, path], {}) for cmd in ("verify", "search", "export")
-      for path in ("missing.json", "notjson.json")],
+      for path in ("missing.json", "notjson.json", *BAD_DOCUMENTS)],
 ])
 def test_bad_input_is_one_error_line(tmp_path, monkeypatch, capsys, argv, env):
     monkeypatch.chdir(tmp_path)
     (tmp_path / "notjson.json").write_text("not json {", encoding="utf-8")
+    for name, doc in BAD_DOCUMENTS.items():
+        (tmp_path / name).write_text(json.dumps(doc), encoding="utf-8")
     g = new_graph(["a", "b"]).with_edges([("a", "b", 1)])
     (tmp_path / "fb.json").write_text(dumps(graph_to_document(g)), encoding="utf-8")
     for name, value in env.items():

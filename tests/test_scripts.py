@@ -10,17 +10,17 @@ from pathlib import Path
 ROOT = Path(__file__).resolve().parents[1]
 
 
-def run_family_grid(*args: str) -> subprocess.CompletedProcess:
+def run_script(script: str, *args: str) -> subprocess.CompletedProcess:
     env = dict(os.environ)
     env["PYTHONPATH"] = os.pathsep.join(
         p for p in (str(ROOT / "src"), env.get("PYTHONPATH")) if p)
     return subprocess.run(
-        [sys.executable, str(ROOT / "scripts" / "run_family_grid.py"), *args],
+        [sys.executable, str(ROOT / "scripts" / script), *args],
         capture_output=True, text=True, env=env, timeout=120)
 
 
 def test_family_grid_subset():
-    proc = run_family_grid("--families", "FB", "rDF")
+    proc = run_script("run_family_grid.py", "--families", "FB", "rDF")
     assert proc.returncode == 0, proc.stderr
     lines = proc.stdout.splitlines()
     assert sum(line.startswith("ok   ") for line in lines) == 20
@@ -28,6 +28,16 @@ def test_family_grid_subset():
 
 
 def test_family_grid_rejects_unknown_tag():
-    proc = run_family_grid("--families", "nope")
+    proc = run_script("run_family_grid.py", "--families", "nope")
     assert proc.returncode == 2
     assert proc.stdout == "" and "invalid choice: 'nope'" in proc.stderr
+
+
+def test_explore_small_chi_la():
+    proc = run_script("explore_small_chi_la.py")
+    assert proc.returncode == 0, proc.stderr
+    lines = proc.stdout.splitlines()
+    assert len(lines) == 5
+    for tag in ("kD82", "FB"):
+        line = next(line for line in lines if line.startswith(tag + " "))
+        assert "search: chi_la = 3 (confirmed3)" in line

@@ -7,6 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import antimagic.search as search
 from antimagic.families import build_family, build_fb
 from antimagic.graph import GraphTooLarge, new_graph
 from antimagic.search import (
@@ -18,7 +19,7 @@ from antimagic.search import (
     chi_la_exact,
     confirm_three,
 )
-from antimagic.verify import induced_coloring
+from antimagic.verify import induced_coloring, lower_bound
 from oracles import naive_chi_la
 
 
@@ -41,6 +42,14 @@ def star(n):
     names = ["hub"] + [f"l{i}" for i in range(n)]
     g = new_graph(names)
     return g.with_edges([("hub", f"l{i}", i + 1) for i in range(n)])
+
+
+def k4_path():
+    names = [f"v{i}" for i in range(8)]
+    pairs = [(0, 1), (0, 2), (0, 3), (1, 2), (1, 3), (2, 3),
+             (3, 4), (4, 5), (5, 6), (6, 7)]
+    return new_graph(names).with_edges(
+        [(names[a], names[b], t + 1) for t, (a, b) in enumerate(pairs)])
 
 
 def fb1_graph():
@@ -78,22 +87,64 @@ def test_pruned_matches_naive_oracle(g):
         assert result.status == STATUS_VALUE and result.chi_la == naive
 
 
-@settings(max_examples=12, deadline=None)
-@given(st.data())
-def test_pruned_matches_naive_on_random_graphs(data):
-    n = data.draw(st.integers(3, 6))
-    names = [f"n{i}" for i in range(n)]
+@st.composite
+def small_graphs(draw):
+    """Up to 8 edges: a random core (often disconnected, sometimes with
+    untouched vertices), 0-3 leaves hung on one core vertex, and maybe
+    one more isolated vertex."""
+    leaves = draw(st.integers(0, 3))
+    n = draw(st.integers(2, 6))
     pairs = [(i, j) for i in range(n) for j in range(i + 1, n)]
-    chosen = data.draw(st.lists(st.sampled_from(pairs), unique=True,
-                                min_size=2, max_size=min(7, len(pairs))))
-    g = new_graph(names).with_edges(
+    chosen = draw(st.lists(st.sampled_from(pairs), unique=True, min_size=1,
+                           max_size=min(8 - leaves, len(pairs))))
+    hub = draw(st.integers(0, n - 1))
+    chosen += [(hub, n + i) for i in range(leaves)]
+    names = [f"n{i}" for i in range(n + leaves + draw(st.integers(0, 1)))]
+    return new_graph(names).with_edges(
         [(names[i], names[j], t + 1) for t, (i, j) in enumerate(chosen)])
+
+
+@settings(max_examples=40, deadline=None)
+@given(small_graphs())
+def test_pruned_matches_naive_on_random_graphs(g):
     naive = naive_chi_la(g)
     result = chi_la_exact(g)
+    assert result.lower_bound == lower_bound(g)
+    assert result.stats.prunes == (result.stats.conflict + result.stats.color_bound
+                                   + result.stats.symmetry)
     if naive is None:
         assert result.status == STATUS_NO_LABELING
-    else:
-        assert result.chi_la == naive
+        # Haslegrave (DMTCS 2018): every connected graph but K2 is local antimagic
+        assert len(g.components()) > 1 or g.n_vertices == 2
+        return
+    assert result.status == STATUS_VALUE and result.chi_la == naive
+    assert lower_bound(g) <= naive
+    rep = induced_coloring(result.witness)
+    assert rep.local_antimagic and rep.color_count == naive
+
+
+@pytest.mark.parametrize("n", range(3, 12))
+def test_star_proven_by_first_labeling(n):
+    # the pendant bound is n + 1 and twin leaves take labels 1..n in order
+    result = chi_la_exact(star(n))
+    assert result.status == STATUS_VALUE and result.chi_la == n + 1
+    assert result.lower_bound == n + 1
+    assert result.stats.nodes <= n + 1
+
+
+def test_symmetry_rule_prunes_twin_leaves():
+    # a double star: two leaves on a, two on b
+    g = new_graph(["a", "b", "w", "x", "y", "z"]).with_edges(
+        [("a", "b", 1), ("a", "w", 2), ("a", "x", 3), ("b", "y", 4), ("b", "z", 5)])
+    result = chi_la_exact(g)
+    assert result.chi_la == naive_chi_la(g) == 6
+    assert result.lower_bound == 5
+    assert result.stats.symmetry > 0
+    by_rule = result.to_json_dict()["stats"]["prunes_by_rule"]
+    assert by_rule == {"conflict": result.stats.conflict,
+                       "color_bound": result.stats.color_bound,
+                       "symmetry": result.stats.symmetry}
+    assert result.to_json_dict()["stats"]["prunes"] == sum(by_rule.values())
 
 
 def test_disconnected_searched_whole():
@@ -135,6 +186,35 @@ def test_budget_timeout():
     result = chi_la_exact(g, budget=1e-9)
     assert result.status == STATUS_TIMEOUT
     assert result.chi_la is None
+    # the clock is read at the first node, before any labeling is complete
+    assert result.stats.nodes == 1
+    assert result.lower_bound == 3
+    assert result.upper_bound is None and result.witness is None
+    doc = result.to_json_dict()
+    assert doc["lower_bound"] == 3 and doc["upper_bound"] is None
+    assert doc["witness"] is None
+
+
+def test_timeout_keeps_the_best_labeling(monkeypatch):
+    class Clock:
+        """Reads 0 at the start and at node 1, then past the deadline."""
+        reads = 0
+
+        def monotonic(self):
+            self.reads += 1
+            return 0.0 if self.reads <= 2 else 10.0
+
+    monkeypatch.setattr(search, "time", Clock())
+    g = k4_path()  # chi_la 4, proven only after 1.4M nodes
+    result = chi_la_exact(g, budget=1.0)
+    assert result.status == STATUS_TIMEOUT and result.chi_la is None
+    assert result.stats.nodes == 1 + search.CLOCK_EVERY
+    assert result.lower_bound == lower_bound(g) <= 4
+    rep = induced_coloring(result.witness)
+    assert rep.local_antimagic and rep.color_count == result.upper_bound >= 4
+    doc = result.to_json_dict()
+    assert doc["upper_bound"] == result.upper_bound
+    assert len(doc["witness"]) == g.size
 
 
 def test_empty_graph():

@@ -23,6 +23,7 @@ from antimagic.verify import (
     two_color_gate,
     vertex_sums,
 )
+from oracles import naive_chi_la
 
 
 def test_induced_coloring_fb12():
@@ -115,11 +116,24 @@ def test_lower_bounds():
     # forced to 1, 3, 2); chi alone would only give 2
     p3 = new_graph(["a", "b", "c"]).with_edges([("a", "b", 1), ("b", "c", 2)])
     assert lower_bound(p3) == 3
+    # the pendant bound: three leaves sum to three distinct labels, and the
+    # center's sum exceeds them all
     star = new_graph(["c", "l1", "l2", "l3"]).with_edges(
         [("c", "l1", 1), ("c", "l2", 2), ("c", "l3", 3)])
-    assert lower_bound(star) == 2
+    assert lower_bound(star) == naive_chi_la(star) == 4
     assert lower_bound(new_graph(["a"])) == 1
     assert lower_bound(new_graph([])) == 0
+
+
+def test_pendant_lower_bound():
+    p3 = new_graph(["a", "b", "c"]).with_edges([("a", "b", 1), ("b", "c", 2)])
+    two_p3 = new_graph(["a", "b", "c", "d", "e", "f"]).with_edges(
+        [("a", "b", 1), ("b", "c", 2), ("d", "e", 3), ("e", "f", 4)])
+    for g, bound in ((p3, 3), (two_p3, 5)):
+        assert lower_bound(g) == naive_chi_la(g) == bound
+        with_isolated = new_graph([*g.names, "z"]).with_edges(
+            [(g.names[e.u], g.names[e.v], e.label) for e in g.edges])
+        assert lower_bound(with_isolated) == naive_chi_la(with_isolated) == bound + 1
 
 
 def test_lower_bound_large_graphs_do_not_raise():
