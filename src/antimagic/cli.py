@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import os
 import sys
 from itertools import groupby
 from pathlib import Path
@@ -23,12 +24,14 @@ from .matrices import (
     validate,
     validate_6x4n,
 )
-from .search import DEFAULT_MAX_EDGES, STATUS_VALUE, chi_la_exact, default_budget
+from .search import DEFAULT_MAX_EDGES, STATUS_VALUE, chi_la_exact
 from .verify import check_expected, induced_coloring, vertex_sums
 
 USAGE_ERROR = 2
 CHECK_FAILED = 1
 OK = 0
+
+BUDGET_ENV_VAR = "ANTIMAGIC_SEARCH_BUDGET"  # seconds; search's default budget
 
 
 def _emit(text: str, out: str | None) -> None:
@@ -48,20 +51,14 @@ def cmd_matrix(args: argparse.Namespace) -> int:
     param_name = "n" if kind == "6x4n" else "k"
     param = getattr(args, param_name)
     if param is None:
-        print(f"matrix {kind} requires --{param_name}", file=sys.stderr)
-        return USAGE_ERROR
+        raise ValueError(f"matrix {kind} requires --{param_name}")
+    if args.sequences and kind != "6x4n":
+        raise ValueError("--sequences only applies to the 6x4n matrix")
     generate = {"5x2k": matrix_5x2k, "kx10": matrix_kx10, "6x4n": matrix_6x4n}[kind]
     m = generate(param)
 
-    if args.sequences and kind != "6x4n":
-        print("--sequences only applies to the 6x4n matrix", file=sys.stderr)
-        return USAGE_ERROR
-
     if args.format == "csv":
-        if args.sequences:
-            text = doc_mod.sequences_csv(m.sequences)
-        else:
-            text = doc_mod.matrix_csv(m)
+        text = doc_mod.rows_csv(m.sequences if args.sequences else m.grid)
     else:
         text = doc_mod.dumps(doc_mod.matrix_json(m, include_sequences=args.sequences))
     _emit(text, args.out)
@@ -117,7 +114,9 @@ def cmd_verify(args: argparse.Namespace) -> int:
 
 def cmd_search(args: argparse.Namespace) -> int:
     g, _ = doc_mod.document_to_graph(_load_document(args.input))
-    budget = args.budget if args.budget is not None else default_budget()
+    budget = args.budget
+    if budget is None and os.environ.get(BUDGET_ENV_VAR):
+        budget = float(os.environ[BUDGET_ENV_VAR])
     result = chi_la_exact(g, max_edges=args.max_edges, budget=budget)
     _emit(doc_mod.dumps(result.to_json_dict()), args.out)
     if result.status == STATUS_VALUE and result.chi_la is not None:
@@ -204,7 +203,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("input")
     p.add_argument("--max-edges", type=int, default=DEFAULT_MAX_EDGES)
     p.add_argument("--budget", type=float, default=None,
-                   help="seconds; defaults to $ANTIMAGIC_SEARCH_BUDGET")
+                   help=f"seconds; defaults to ${BUDGET_ENV_VAR}, else unlimited")
     p.add_argument("--out")
     p.set_defaults(func=cmd_search)
 

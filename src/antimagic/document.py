@@ -9,6 +9,7 @@ sorted order so snapshots are stable.
 from __future__ import annotations
 
 import json
+from typing import Iterable
 
 from .families import BuiltFamily
 from .graph import LabeledEdge, LabeledGraph
@@ -156,26 +157,20 @@ def dumps(doc: dict) -> str:
     return json.dumps(doc, indent=2, sort_keys=True) + "\n"
 
 
-def to_dot(g: LabeledGraph, sums: dict[str, int] | None = None) -> str:
-    """Undirected DOT; vertex labels carry induced sums when provided."""
+def to_dot(g: LabeledGraph, sums: dict[str, int]) -> str:
+    """Undirected DOT; each vertex label carries the vertex's induced sum."""
     lines = ["graph G {"]
     for i, name in enumerate(g.names):
-        if sums is not None:
-            lines.append(f'  v{i} [label="{name}\\n{sums[name]}"];')
-        else:
-            lines.append(f'  v{i} [label="{name}"];')
+        lines.append(f'  v{i} [label="{name}\\n{sums[name]}"];')
     for e in sorted(g.edges, key=lambda e: (e.u, e.v)):
         lines.append(f'  v{e.u} -- v{e.v} [label="{e.label}"];')
     lines.append("}")
     return "\n".join(lines) + "\n"
 
 
-def matrix_csv(m: LabelMatrix) -> str:
-    return "\n".join(",".join(str(x) for x in row) for row in m.grid) + "\n"
-
-
-def sequences_csv(sequences: tuple[tuple[int, ...], ...]) -> str:
-    return "\n".join(",".join(str(x) for x in t) for t in sequences) + "\n"
+def rows_csv(rows: Iterable[Iterable[int]]) -> str:
+    """One CSV line per row: a matrix grid or the 6x4n sequences."""
+    return "\n".join(",".join(str(x) for x in row) for row in rows) + "\n"
 
 
 def matrix_json(m: LabelMatrix, include_sequences: bool = False) -> dict:

@@ -6,7 +6,10 @@ degrees), so tests and the CLI can check claims without re-deriving any
 formula.  The verifier recomputes everything from the edge list and never
 trusts these expectations.
 
-Two construction pipelines:
+Every family is a merged graph: disjoint units labeled from one matrix,
+then vertex groups fused by ``apply_merge``, each fusion pattern coming
+from one generator (``_block``, ``_diamond_hubs``, ``_across_fans``,
+``_across_components``).  Two construction pipelines:
 
 * fan-blade units labeled by ``matrix_5x2k`` feed FB, rFB, FB1/FB2, the
   diamond-fan families rDF / DFr / DF1-DF4 (from units whose hubs come
@@ -15,12 +18,18 @@ Two construction pipelines:
   kD(8,2), rG(8,2) and the experimental odd-k construction, while the
   ``sequences_6x4n`` trace labels nC4(8,2) and its merge families G1/G2,
   H1-H3 and Hm(r,s).
+
+``FAMILIES`` maps each tag to its builder (a ``partial`` for the numbered
+variants); ``build_family`` reads the parameter names from the builder's
+signature.
 """
 
 from __future__ import annotations
 
+import inspect
 from dataclasses import dataclass
 from functools import partial
+from itertools import product
 from typing import Callable, Iterable, Iterator, NamedTuple, Sequence
 
 from .graph import LabeledGraph, apply_merge, new_graph
@@ -60,6 +69,11 @@ def _expected(classes: list[tuple[int, int, int]], claimed: int,
 def _check(cond: bool, msg: str) -> None:
     if not cond:
         raise ParameterError(msg)
+
+
+def _block(j: int, s: int) -> range:
+    """Indices of block j of s consecutive copies (or units), 1-based."""
+    return range((j - 1) * s + 1, j * s + 1)
 
 
 # ---------------------------------------------------------------------------
@@ -125,13 +139,16 @@ def build_fb(k: int) -> BuiltFamily:
 
 
 def _rfb_component_units(r: int, s: int) -> list[list[int]]:
-    two_k = r * s
-    comps = []
-    for j in range(1, r + 1):
-        left = [(j - 1) * s // 2 + a for a in range(1, s // 2 + 1)]
-        right = [two_k - (j - 1) * s // 2 + 1 - a for a in range(1, s // 2 + 1)]
-        comps.append(sorted(left + right))
-    return comps
+    """Fan units of each rFB(s) component: block j of s/2 and its mirror."""
+    halves = (_block(j, s // 2) for j in range(1, r + 1))
+    return [sorted([*half, *(r * s + 1 - i for i in half)]) for half in halves]
+
+
+def _across_components(r: int, s: int, roles: str) -> Iterator[tuple[list[str], str]]:
+    """Unit j of every rFB(s) component, fused per role into role_j."""
+    for j, units in enumerate(zip(*_rfb_component_units(r, s)), start=1):
+        for role in roles:
+            yield [f"{role}_{i}" for i in units], f"{role}_{j}"
 
 
 def build_rfb(r: int, s: int) -> BuiltFamily:
@@ -160,12 +177,7 @@ def build_fb1(r: int, s: int) -> BuiltFamily:
     """rFB(s) with matching degree-2 blade tips fused across components."""
     base = build_rfb(r, s)
     k = r * s // 2
-    comps = _rfb_component_units(r, s)
-    groups = []
-    for j in range(1, s + 1):
-        groups.append(([f"u_{comps[i][j - 1]}" for i in range(r)], f"u_{j}"))
-        groups.append(([f"v_{comps[i][j - 1]}" for i in range(r)], f"v_{j}"))
-    g = apply_merge(base.graph, groups)
+    g = apply_merge(base.graph, _across_components(r, s, "uv"))
     warnings = ()
     ok = r % 4 != 0
     if not ok:
@@ -187,12 +199,7 @@ def build_fb2(r: int, s: int) -> BuiltFamily:
     """rFB(s) with matching degree-3 blade centers fused across components."""
     base = build_rfb(r, s)
     k = r * s // 2
-    comps = _rfb_component_units(r, s)
-    groups = [
-        ([f"w_{comps[i][j - 1]}" for i in range(r)], f"w_{j}")
-        for j in range(1, s + 1)
-    ]
-    g = apply_merge(base.graph, groups)
+    g = apply_merge(base.graph, _across_components(r, s, "w"))
     warnings = ()
     ok = (r * s) % 4 != 0
     if not ok:
@@ -210,21 +217,23 @@ def build_fb2(r: int, s: int) -> BuiltFamily:
     )
 
 
+def _diamond_hubs(r: int, s: int, mirror: int) -> Iterator[tuple[list[str], str]]:
+    """Diamond fan j's hubs: y_j fuses the x^1 halves of unit block j with
+    the x^2 halves of block mirror+1-j, and z_j the other halves."""
+    for j in range(1, r + 1):
+        front, back = _block(j, s), _block(mirror + 1 - j, s)
+        for name, (a, b) in (("y", (1, 2)), ("z", (2, 1))):
+            yield ([f"x_{i}^{a}" for i in front] + [f"x_{i}^{b}" for i in back],
+                   f"{name}_{j}")
+
+
 def build_rdf(r: int, s: int) -> BuiltFamily:
     """r diamond fans of size 10s built from 2rs fan units by hub splitting."""
     _check(r >= 1 and s >= 1, "r and s must be >= 1")
     _check(r * s >= 2, "rs must be >= 2")
     k = r * s
     g, _ = _fan_units(k, range(1, 2 * k + 1))
-    groups = []
-    for j in range(1, r + 1):
-        y = [f"x_{(j - 1) * s + a}^1" for a in range(1, s + 1)] \
-            + [f"x_{(2 * r - j) * s + a}^2" for a in range(1, s + 1)]
-        z = [f"x_{(j - 1) * s + a}^2" for a in range(1, s + 1)] \
-            + [f"x_{(2 * r - j) * s + a}^1" for a in range(1, s + 1)]
-        groups.append((y, f"y_{j}"))
-        groups.append((z, f"z_{j}"))
-    g = apply_merge(g, groups)
+    g = apply_merge(g, _diamond_hubs(r, s, 2 * r))
     return BuiltFamily(
         "rDF", {"r": r, "s": s}, g,
         _expected([
@@ -242,17 +251,10 @@ def build_dfr(r: int, s: int) -> BuiltFamily:
     _check(s >= 2 and s % 2 == 0, "s must be even and >= 2")
     two_k = (2 * r + 1) * s
     k = two_k // 2
-    middle = range(r * s + 1, (r + 1) * s + 1)
+    middle = _block(r + 1, s)
     g, _ = _fan_units(k, [i for i in range(1, two_k + 1) if i not in middle])
-    groups: list[tuple[list[str], str]] = [([f"x_{i}" for i in middle], "x")]
-    for j in range(1, r + 1):
-        y = [f"x_{(j - 1) * s + a}^1" for a in range(1, s + 1)] \
-            + [f"x_{(2 * r + 1 - j) * s + a}^2" for a in range(1, s + 1)]
-        z = [f"x_{(j - 1) * s + a}^2" for a in range(1, s + 1)] \
-            + [f"x_{(2 * r + 1 - j) * s + a}^1" for a in range(1, s + 1)]
-        groups.append((y, f"y_{j}"))
-        groups.append((z, f"z_{j}"))
-    g = apply_merge(g, groups)
+    g = apply_merge(g, [([f"x_{i}" for i in middle], "x"),
+                        *_diamond_hubs(r, s, 2 * r + 1)])
     return BuiltFamily(
         "DFr", {"r": r, "s": s}, g,
         _expected([
@@ -262,6 +264,18 @@ def build_dfr(r: int, s: int) -> BuiltFamily:
         ], 3),
         chi_la_is_three=True,
     )
+
+
+def _across_fans(r: int, s: int, roles: str,
+                 name: str) -> Iterator[tuple[list[str], str]]:
+    """Per unit position a and role, one group across the front blocks
+    1..r and one across their mirror blocks 2r+1-j; the groups are named
+    name_t_a, with t counting the (role, side) pairs."""
+    sides = ([_block(j, s) for j in range(1, r + 1)],
+             [_block(2 * r + 1 - j, s) for j in range(1, r + 1)])
+    for a in range(s):
+        for t, (role, blocks) in enumerate(product(roles, sides), start=1):
+            yield [f"{role}_{b[a]}" for b in blocks], f"{name}_{t}_{a + 1}"
 
 
 def build_df_variant(v: int, r: int, s: int) -> BuiltFamily:
@@ -277,12 +291,7 @@ def build_df_variant(v: int, r: int, s: int) -> BuiltFamily:
     warnings: tuple[str, ...] = ()
     ok = True
     if v == 1:
-        groups = []
-        for a in range(1, s + 1):
-            groups.append(([f"w_{(j - 1) * s + a}" for j in range(1, r + 1)],
-                           f"alpha_1_{a}"))
-            groups.append(([f"w_{(2 * r - j) * s + a}" for j in range(1, r + 1)],
-                           f"alpha_2_{a}"))
+        groups = _across_fans(r, s, "w", "alpha")
         classes = [(10 * k + 1, 4 * k, 2), (r * (13 * k + 1), 2 * s, 3 * r),
                    (hub, 2 * r, 3 * s)]
         ok = s % 2 == 0 and (r * s) % 4 != 0
@@ -290,16 +299,7 @@ def build_df_variant(v: int, r: int, s: int) -> BuiltFamily:
             warnings = ("distinctness of r*(13k+1) and s*(17k+2) is only "
                         "guaranteed for even s with rs not divisible by 4",)
     elif v == 2:
-        groups = []
-        for a in range(1, s + 1):
-            groups.append(([f"u_{(j - 1) * s + a}" for j in range(1, r + 1)],
-                           f"beta_1_{a}"))
-            groups.append(([f"u_{(2 * r - j) * s + a}" for j in range(1, r + 1)],
-                           f"beta_2_{a}"))
-            groups.append(([f"v_{(j - 1) * s + a}" for j in range(1, r + 1)],
-                           f"beta_3_{a}"))
-            groups.append(([f"v_{(2 * r - j) * s + a}" for j in range(1, r + 1)],
-                           f"beta_4_{a}"))
+        groups = _across_fans(r, s, "uv", "beta")
         classes = [(r * (10 * k + 1), 4 * s, 2 * r), (13 * k + 1, 2 * k, 3),
                    (hub, 2 * r, 3 * s)]
         ok = s % 2 == 0 and r % 4 != 0
@@ -374,7 +374,7 @@ def build_g1(r: int, s: int) -> BuiltFamily:
     base = build_nc482(n)
     groups = []
     for b in range(1, r + 1):
-        block = [(b - 1) * s + i for i in range(1, s + 1)]
+        block = _block(b, s)
         for j in range(1, 5):
             p = 2 * j - 1
             groups.append(([f"u_{c}_{p}" for c in block], f"U_{b}_{j}"))
@@ -399,7 +399,7 @@ def build_g2(r: int, s: int) -> BuiltFamily:
     base = build_nc482(n)
     groups = []
     for b in range(1, r + 1):
-        block = [(b - 1) * s + i for i in range(1, s + 1)]
+        block = _block(b, s)
         for j in (1, 4):
             groups.append(([f"u_{c}_{2 * j}" for c in block], f"U_{b}_{j}"))
         for j in (2, 3):
@@ -464,7 +464,7 @@ def build_hm_rs(m: int, r: int, s: int) -> BuiltFamily:
     base = build_h(m, n)
     groups = []
     for b in range(1, r + 1):
-        block = [(b - 1) * s + i for i in range(1, s + 1)]
+        block = _block(b, s)
         for j in (1, 2):
             groups.append(([f"x_{c}_{j}" for c in block], f"X_{b}_{j}"))
             groups.append(([f"y_{c}_{j}" for c in block], f"Y_{b}_{j}"))
@@ -513,6 +513,7 @@ _FUSED_D82_NOTE = ("degree-6 fused color is (10k+1)+(6k+2)+(18k+1) = 34k+4; "
 
 
 def build_c8_units(k: int) -> BuiltFamily:
+    """k 8-cycles, each with a 2-spoke vertex."""
     _check(k >= 1, "k must be >= 1")
     g = _prism_units(k)
     return BuiltFamily(
@@ -597,14 +598,11 @@ def build_rg82(r: int, s: int) -> BuiltFamily:
     _check(r >= 1, "r must be >= 1")
     _check(s >= 2 and s % 2 == 0, "s must be even and >= 2")
     k = r * s
-    g = _prism_units(k)
-    g = apply_merge(g, [
-        ([f"x_{i}", f"u_{i}_8"], f"z_{i}") for i in range(1, k + 1)
-    ])
+    g = build_kc82(k).graph
     groups = []
     for a in range(1, r + 1):
-        first = [(a - 1) * s + i for i in range(1, s // 2 + 1)]
-        second = [(2 * a - 1) * s // 2 + i for i in range(1, s // 2 + 1)]
+        block = _block(a, s)
+        first, second = block[:s // 2], block[s // 2:]
         groups.append(([f"z_{c}" for c in first] + [f"u_{c}_4" for c in second],
                        f"p_{a}"))
         groups.append(([f"z_{c}" for c in second] + [f"u_{c}_4" for c in first],
@@ -644,16 +642,11 @@ def build_oddk_h(r: int, s: int) -> BuiltFamily:
     z_groups = []
     merge_groups = []
     for a in range(1, r + 1):
-        base = (a - 1) * s
-        mid = base + half + 1
-        for t in range(1, s + 1):
-            if base + t != mid:
-                z_groups.append(([f"x_{base + t}", f"u_{base + t}_8"],
-                                 f"z_{base + t}"))
-        big = [f"z_{base + t}" for t in range(1, half + 1)] + [f"u_{mid}_8"] \
-            + [f"u_{base + t}_4" for t in range(half + 2, s + 1)]
-        small = [f"z_{base + t}" for t in range(half + 2, s + 1)] \
-            + [f"u_{base + t}_4" for t in range(1, half + 1)] + [f"u_{mid}_4"]
+        block = _block(a, s)
+        lead, mid, trail = block[:half], block[half], block[half + 1:]
+        z_groups += [([f"x_{c}", f"u_{c}_8"], f"z_{c}") for c in block if c != mid]
+        big = [f"z_{c}" for c in lead] + [f"u_{mid}_8"] + [f"u_{c}_4" for c in trail]
+        small = [f"z_{c}" for c in trail] + [f"u_{c}_4" for c in lead] + [f"u_{mid}_4"]
         if len(big) >= 2:
             merge_groups.append((big, f"p_{a}"))
         if len(small) >= 2:
@@ -698,58 +691,26 @@ def build_oddk_h(r: int, s: int) -> BuiltFamily:
 # registry
 
 
-@dataclass(frozen=True)
-class FamilyDef:
-    tag: str
-    params: tuple[str, ...]
-    build: Callable[..., BuiltFamily]
-    summary: str
-
-
-FAMILIES: dict[str, FamilyDef] = {
-    f.tag: f
-    for f in (
-        FamilyDef("FB_units", ("k",), build_fb_units,
-                  "2k disjoint fan units labeled column-by-column"),
-        FamilyDef("FB", ("k",), build_fb, "fan with 2k blades"),
-        FamilyDef("rFB", ("r", "s"), build_rfb, "r fans with s blades each"),
-        FamilyDef("FB1", ("r", "s"), build_fb1,
-                  "rFB(s) with blade tips fused across components"),
-        FamilyDef("FB2", ("r", "s"), build_fb2,
-                  "rFB(s) with blade centers fused across components"),
-        FamilyDef("rDF", ("r", "s"), build_rdf, "r diamond fans of size 10s"),
-        FamilyDef("DFr", ("r", "s"), build_dfr, "r diamond fans plus one fan"),
-        FamilyDef("DF1", ("r", "s"), partial(build_df_variant, 1),
-                  "diamond fans, centers fused"),
-        FamilyDef("DF2", ("r", "s"), partial(build_df_variant, 2),
-                  "diamond fans, tips fused"),
-        FamilyDef("DF3", ("r", "s"), partial(build_df_variant, 3),
-                  "diamond fans, hubs fused"),
-        FamilyDef("DF4", ("r", "s"), partial(build_df_variant, 4),
-                  "diamond fans, hub pairs chained"),
-        FamilyDef("nC482", ("n",), build_nc482,
-                  "n 8-prisms with alternating rungs removed"),
-        FamilyDef("G1", ("r", "s"), build_g1, "nC4(8,2), corners fused per block"),
-        FamilyDef("G2", ("r", "s"), build_g2,
-                  "nC4(8,2), 30n+1 degree-3 vertices fused per block"),
-        FamilyDef("H1", ("n",), partial(build_h, 1),
-                  "cycles folded onto themselves"),
-        FamilyDef("H2", ("n",), partial(build_h, 2),
-                  "opposite corners fused across cycles"),
-        FamilyDef("H3", ("n",), partial(build_h, 3),
-                  "aligned corners fused (bracelets)"),
-        FamilyDef("Hm_rs", ("m", "r", "s"), build_hm_rs,
-                  "H_m(rs) with degree-4 vertices fused per block"),
-        FamilyDef("C8_units", ("k",), build_c8_units,
-                  "k 8-cycles with a 2-spoke vertex"),
-        FamilyDef("Bk", ("k",), build_bk, "C8 units with u_4, u_8 fused"),
-        FamilyDef("kC82", ("k",), build_kc82, "C8 units with x, u_8 fused"),
-        FamilyDef("kD82", ("k",), build_kd82, "C8 units with x, u_4, u_8 fused"),
-        FamilyDef("rG82", ("r", "s"), build_rg82,
-                  "r components of s C(8,2) copies fused at two hubs"),
-        FamilyDef("OddKH", ("r", "s"), build_oddk_h,
-                  "experimental odd-k fusing of C(8,2) copies"),
-    )
+FAMILIES: dict[str, Callable[..., BuiltFamily]] = {
+    "FB_units": build_fb_units,
+    "FB": build_fb,
+    "rFB": build_rfb,
+    "FB1": build_fb1,
+    "FB2": build_fb2,
+    "rDF": build_rdf,
+    "DFr": build_dfr,
+    **{f"DF{v}": partial(build_df_variant, v) for v in (1, 2, 3, 4)},
+    "nC482": build_nc482,
+    "G1": build_g1,
+    "G2": build_g2,
+    **{f"H{m}": partial(build_h, m) for m in (1, 2, 3)},
+    "Hm_rs": build_hm_rs,
+    "C8_units": build_c8_units,
+    "Bk": build_bk,
+    "kC82": build_kc82,
+    "kD82": build_kd82,
+    "rG82": build_rg82,
+    "OddKH": build_oddk_h,
 }
 
 _TAG_LOOKUP = {tag.lower().replace("-", "_"): tag for tag in FAMILIES}
@@ -764,14 +725,19 @@ def resolve_tag(tag: str) -> str:
 
 
 def build_family(tag: str, **params: int) -> BuiltFamily:
-    fam = FAMILIES[resolve_tag(tag)]
-    missing = [p for p in fam.params if p not in params]
-    extra = [p for p in params if p not in fam.params]
+    tag = resolve_tag(tag)
+    build = FAMILIES[tag]
+    names = tuple(inspect.signature(build).parameters)
+    missing = [p for p in names if p not in params]
+    extra = [p for p in params if p not in names]
     if missing:
-        raise ParameterError(f"{fam.tag} needs parameters {fam.params}; missing {missing}")
+        raise ParameterError(f"{tag} needs parameters {names}; missing {missing}")
     if extra:
-        raise ParameterError(f"{fam.tag} takes parameters {fam.params}; got extra {extra}")
-    return fam.build(**{p: params[p] for p in fam.params})
+        raise ParameterError(f"{tag} takes parameters {names}; got extra {extra}")
+    for p, value in params.items():
+        if type(value) is not int:  # bool is an int subclass, so compare types
+            raise ParameterError(f"{tag} parameter {p} must be an integer, got {value!r}")
+    return build(**params)
 
 
 # parameter grids used by the verification suite and the selftest command;

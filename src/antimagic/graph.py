@@ -13,7 +13,7 @@ from __future__ import annotations
 from collections import deque
 from dataclasses import dataclass
 from functools import cached_property
-from typing import Sequence
+from typing import Iterable, Sequence
 
 
 class GraphError(ValueError):
@@ -181,7 +181,7 @@ def new_graph(names: list[str] | tuple[str, ...]) -> LabeledGraph:
 
 
 def apply_merge(g: LabeledGraph,
-                groups: Sequence[tuple[Sequence[str], str]]) -> LabeledGraph:
+                groups: Iterable[tuple[Sequence[str], str]]) -> LabeledGraph:
     """Fuse each ``(members, fused_name)`` group into one vertex, keeping all
     edges and labels; the fused vertex takes its lowest member's position.
 
@@ -189,7 +189,9 @@ def apply_merge(g: LabeledGraph,
     contains adjacent vertices, ParallelEdgeCreated when the fused graph
     would carry two edges between the same pair.
     """
-    assigned: dict[int, int] = {}  # vertex id -> group index
+    group_of: dict[int, int] = {}  # vertex id -> group index
+    lowest: list[int] = []  # group index -> smallest member id
+    fused_names: list[str] = []
     for gi, (members, name) in enumerate(groups):
         if len(members) < 2:
             raise InvalidPlan(f"group {name!r} has fewer than 2 members")
@@ -197,37 +199,30 @@ def apply_merge(g: LabeledGraph,
             raise InvalidPlan(f"group {name!r} repeats a member")
         for nm in members:
             vid = g.id_of(nm)
-            if vid in assigned:
+            if vid in group_of:
                 raise InvalidPlan(f"vertex {nm!r} appears in two merge groups")
-            assigned[vid] = gi
+            group_of[vid] = gi
+        lowest.append(min(map(g.id_of, members)))
+        fused_names.append(name)
 
-    fused_names = [name for _, name in groups]
     if len(set(fused_names)) != len(fused_names):
         raise InvalidPlan("fused vertex names are not distinct")
-    survivors = {nm for i, nm in enumerate(g.names) if i not in assigned}
+    survivors = {nm for i, nm in enumerate(g.names) if i not in group_of}
     for nm in fused_names:
         if nm in survivors:
             raise InvalidPlan(f"fused name {nm!r} collides with a surviving vertex")
 
-    leader = {}  # group index -> smallest member id, fixes the fused vertex position
-    for vid, gi in assigned.items():
-        if gi not in leader or vid < leader[gi]:
-            leader[gi] = vid
-    leader_ids = {vid: gi for gi, vid in leader.items()}
-
+    # a group's lowest member comes first, so its new id is known when the
+    # other members reach it
     new_names: list[str] = []
-    remap: dict[int, int] = {}
-    for vid in range(g.n_vertices):
-        if vid in leader_ids:
-            remap[vid] = len(new_names)
-            new_names.append(fused_names[leader_ids[vid]])
-        elif vid in assigned:
-            continue
+    remap: list[int] = []
+    for vid, nm in enumerate(g.names):
+        gi = group_of.get(vid)
+        if gi is not None and lowest[gi] < vid:
+            remap.append(remap[lowest[gi]])
         else:
-            remap[vid] = len(new_names)
-            new_names.append(g.names[vid])
-    for vid, gi in assigned.items():
-        remap[vid] = remap[leader[gi]]
+            remap.append(len(new_names))
+            new_names.append(nm if gi is None else fused_names[gi])
 
     new_edges: list[LabeledEdge] = []
     seen: dict[tuple[int, int], LabeledEdge] = {}

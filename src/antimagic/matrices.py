@@ -62,7 +62,7 @@ class ValidationReport:
 
 
 def _require_param(value: int, name: str) -> None:
-    if not isinstance(value, int) or value < 1:
+    if type(value) is not int or value < 1:  # bool is an int subclass
         raise ValueError(f"{name} must be an integer >= 1, got {value!r}")
 
 

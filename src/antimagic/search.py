@@ -25,15 +25,14 @@ halving the space with it would be unsound here.  The edge order is
 static, so the position at which each vertex becomes fully labeled, and
 the neighbors it must then be compared with, are computed once before
 the search; the unused labels are a bitmask, so each partial assignment
-loops over free labels only.  Default edge budget is 11; the time budget comes from the
-argument or the ANTIMAGIC_SEARCH_BUDGET environment variable (seconds).
+loops over free labels only.  Default edge budget is 11; the time budget
+is the ``budget`` argument in seconds, and ``None`` means unlimited.
 A search that runs out of time still reports the lower bound and the
 best labeling found so far.
 """
 
 from __future__ import annotations
 
-import os
 import time
 from dataclasses import dataclass
 
@@ -41,7 +40,6 @@ from .graph import GraphTooLarge, LabeledEdge, LabeledGraph
 from .verify import induced_coloring, lower_bound
 
 DEFAULT_MAX_EDGES = 11
-BUDGET_ENV_VAR = "ANTIMAGIC_SEARCH_BUDGET"
 CLOCK_EVERY = 4096  # nodes between deadline checks
 
 STATUS_VALUE = "value"
@@ -105,11 +103,6 @@ class _Timeout(Exception):
 
 class _Stop(Exception):
     pass
-
-
-def default_budget() -> float | None:
-    raw = os.environ.get(BUDGET_ENV_VAR)
-    return float(raw) if raw else None
 
 
 def _edge_order(g: LabeledGraph) -> list[int]:
@@ -189,8 +182,6 @@ def chi_la_exact(
     m = g.size
     if m > max_edges:
         raise GraphTooLarge(f"{m} edges exceeds the search budget of {max_edges}")
-    if budget is None:
-        budget = default_budget()
     start = time.monotonic()
     lb = lower_bound(g)
     if m == 0:

@@ -15,11 +15,12 @@ from enum import Enum
 
 from .graph import (
     Bipartition,
-    GraphTooLarge,
     LabeledGraph,
     chromatic_number_small,
     is_bipartite,
 )
+
+CHI_EXACT_MAX_VERTICES = 20  # lower_bound computes chi exactly up to this size
 
 
 @dataclass(frozen=True)
@@ -134,13 +135,9 @@ class ExpectedCheck:
 
 
 def check_expected(g: LabeledGraph, expected: ExpectedColors,
-                   report: ColorReport | None = None) -> ExpectedCheck:
-    """Exact comparison of color values, class sizes and member degrees.
-
-    ``report`` is ``induced_coloring(g)`` when the caller already has it.
-    """
-    if report is None:
-        report = induced_coloring(g)
+                   report: ColorReport) -> ExpectedCheck:
+    """Exact comparison of color values, class sizes and member degrees;
+    ``report`` is ``induced_coloring(g)``."""
     degrees = g.degrees()
     diffs: list[str] = []
 
@@ -226,7 +223,7 @@ def two_color_gate(g: LabeledGraph) -> GateReport:
     )
 
 
-def lower_bound(g: LabeledGraph, chi_budget: int = 20) -> int:
+def lower_bound(g: LabeledGraph) -> int:
     """Best available lower bound on the local antimagic chromatic number.
 
     Combines chi(g) (exact when the graph is small or bipartite, else the
@@ -250,11 +247,8 @@ def lower_bound(g: LabeledGraph, chi_budget: int = 20) -> int:
     bound = pendants + 1 + (0 in degrees) if pendants else 2
     if is_bipartite(g) is None:
         bound = max(bound, 3)
-        if g.n_vertices <= chi_budget:
-            try:
-                bound = max(bound, chromatic_number_small(g, chi_budget))
-            except GraphTooLarge:  # pragma: no cover - guarded by the size test
-                pass
+        if g.n_vertices <= CHI_EXACT_MAX_VERTICES:
+            bound = max(bound, chromatic_number_small(g, CHI_EXACT_MAX_VERTICES))
     if two_color_gate(g).verdict is TwoColorGate.IMPOSSIBLE_BY_LEMMA:
         bound = max(bound, 3)
     return bound

@@ -2,15 +2,22 @@
 
 from __future__ import annotations
 
+import contextlib
+import copy
 import dataclasses
+import io
 import json
+from unittest import mock
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import antimagic.families as families
 from antimagic.cli import main
-from antimagic.document import dumps, graph_to_document
+from antimagic.document import DocumentError, document_to_graph, dumps, graph_to_document
 from antimagic.graph import LabeledGraph, new_graph
+from antimagic.verify import ColorClass, ExpectedColors, induced_coloring
 from golden import GRID_5X2K_K6, SEQUENCES_N6
 
 
@@ -164,6 +171,8 @@ BAD_DOCUMENTS = {
     (["search", "fb.json"], {"ANTIMAGIC_SEARCH_BUDGET": "abc"}),
     *[([cmd, path], {}) for cmd in ("verify", "search", "export")
       for path in ("missing.json", "notjson.json", *BAD_DOCUMENTS)],
+    (["matrix", "5x2k"], {}),
+    (["matrix", "5x2k", "--k", "2", "--sequences"], {}),
 ])
 def test_bad_input_is_one_error_line(tmp_path, monkeypatch, capsys, argv, env):
     monkeypatch.chdir(tmp_path)
@@ -199,3 +208,69 @@ def test_selftest_reports_a_failing_grid_point(monkeypatch, capsys):
     assert "FAIL family FB (10 points)" in out
     assert "ok   family FB_units (10 points)" in out
     assert out.endswith("selftest: 2 failure(s)\n")
+
+
+def _fan_document() -> dict:
+    """The 5-edge fan with its claimed coloring, so every key kind occurs."""
+    g = new_graph(["u", "v", "w", "x"]).with_edges(
+        [("u", "w", 1), ("v", "w", 2), ("x", "w", 3), ("x", "u", 4), ("x", "v", 5)])
+    expected = ExpectedColors((ColorClass(5, 1, 2), ColorClass(7, 1, 2),
+                               ColorClass(6, 1, 3), ColorClass(12, 1, 3)), 4)
+    return json.loads(dumps(graph_to_document(
+        g, expected=expected, verification=induced_coloring(g))))
+
+
+FUZZ_BASES = (_fan_document(), json.loads(dumps(P3_DOC)))
+ODD_VALUES = st.one_of(st.booleans(), st.text(max_size=3), st.none(),
+                       st.integers(-3, 0), st.lists(st.integers(0, 2), max_size=2))
+
+
+def _paths(node):
+    """Every (container, key) pair inside a document."""
+    items = node.items() if isinstance(node, dict) else \
+        enumerate(node) if isinstance(node, list) else ()
+    for key, value in items:
+        yield node, key
+        yield from _paths(value)
+
+
+@st.composite
+def mutated_documents(draw) -> dict:
+    """A valid document with one or two keys dropped or retyped, an edge
+    row duplicated, or two edge labels swapped (still well formed)."""
+    doc = copy.deepcopy(draw(st.sampled_from(FUZZ_BASES)))
+    for _ in range(draw(st.integers(1, 2))):
+        op = draw(st.sampled_from(("drop", "retype", "duplicate_edge", "swap_labels")))
+        edges = doc.get("edges")
+        rows = [e for e in edges if isinstance(e, dict)] if isinstance(edges, list) else []
+        targets = list(_paths(doc))
+        if op == "duplicate_edge" and rows:
+            edges.append(dict(draw(st.sampled_from(rows))))
+        elif op == "swap_labels" and len(rows) >= 2:
+            a, b = draw(st.permutations(rows))[:2]
+            a["label"], b["label"] = b.get("label"), a.get("label")
+        elif op in ("drop", "retype") and targets:
+            node, key = draw(st.sampled_from(targets))
+            if op == "drop":
+                del node[key]
+            else:
+                node[key] = draw(ODD_VALUES)
+    return doc
+
+
+@settings(max_examples=300, deadline=None)
+@given(doc=mutated_documents(), command=st.sampled_from(("verify", "search", "export")))
+def test_mutated_documents_never_crash(doc, command):
+    try:
+        document_to_graph(copy.deepcopy(doc))
+        accepted = True
+    except DocumentError:
+        accepted = False
+    out, err = io.StringIO(), io.StringIO()
+    with mock.patch("sys.stdin", io.StringIO(json.dumps(doc))), \
+            contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        code = main([command, "-"])  # any exception but a handled one fails here
+    assert code in (0, 1, 2)
+    assert "Traceback" not in err.getvalue()
+    assert code != 1 or accepted
+    assert accepted or (code == 2 and err.getvalue().startswith("error: "))

@@ -12,8 +12,7 @@ from antimagic.document import (
     document_to_graph,
     dumps,
     graph_to_document,
-    matrix_csv,
-    sequences_csv,
+    rows_csv,
     to_dot,
 )
 from antimagic.families import build_family
@@ -38,7 +37,7 @@ def test_round_trip_verification_matches_in_memory():
     g, expected = document_to_graph(doc)
     loaded = induced_coloring(g).to_json_dict()
     assert dumps(in_memory) == dumps(loaded)
-    assert check_expected(g, expected).passed
+    assert check_expected(g, expected, induced_coloring(g)).passed
 
 
 def test_dumps_is_deterministic():
@@ -88,9 +87,9 @@ def test_dot_export_snapshot():
 
 
 def test_matrix_csv():
-    text = matrix_csv(matrix_5x2k(1))
+    text = rows_csv(matrix_5x2k(1).grid)
     assert text == "1,2\n6,8\n7,4\n10,9\n5,3\n"
-    seq_text = sequences_csv(sequences_6x4n(1))
+    seq_text = rows_csv(sequences_6x4n(1))
     assert seq_text.splitlines()[0] == "1,17,13,8,18,6,15,3,14,7,4,20"
 
 

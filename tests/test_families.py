@@ -301,6 +301,12 @@ def test_parameter_errors():
         build_family("nope", k=1)
     with pytest.raises(ParameterError):
         build_family("FB", n=1)  # wrong parameter name
+    with pytest.raises(ParameterError, match="must be an integer"):
+        build_family("FB", k=True)  # a bool is not a parameter value
+    with pytest.raises(ParameterError, match="must be an integer"):
+        build_family("rDF", r=1.5, s=2)
+    with pytest.raises(ParameterError, match=r"needs parameters \('r', 's'\)"):
+        build_family("DF1", r=3)  # partial builders report their own names
 
 
 @pytest.mark.parametrize("tag", sorted(ACCEPTANCE_GRID))

@@ -43,6 +43,8 @@ def test_matrix_5x2k_k1_columns():
 def test_matrix_5x2k_rejects_bad_k():
     with pytest.raises(ValueError):
         matrix_5x2k(0)
+    with pytest.raises(ValueError, match="must be an integer"):
+        matrix_5x2k(True)  # bool is an int subclass, but not a parameter
 
 
 @pytest.mark.parametrize("k", list(range(1, 51)))

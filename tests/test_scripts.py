@@ -1,7 +1,9 @@
-"""Smoke tests of the scripts under scripts/, run as a user runs them."""
+"""Smoke tests of the scripts under scripts/, run as a user runs them, and
+of the names the benchmark's tracer looks up in the package."""
 
 from __future__ import annotations
 
+import importlib
 import os
 import subprocess
 import sys
@@ -41,3 +43,10 @@ def test_explore_small_chi_la():
     for tag in ("kD82", "FB"):
         line = next(line for line in lines if line.startswith(tag + " "))
         assert "search: chi_la = 3 (confirmed3)" in line
+
+
+def test_bench_tracer_finds_every_name_it_wraps(monkeypatch):
+    # bench/tracing.py resolves each wrap target with getattr and no
+    # default, so a deleted or renamed package name breaks every traced run
+    monkeypatch.syspath_prepend(str(ROOT / "bench"))
+    importlib.import_module("tracing").Tracer()  # AttributeError if one is gone

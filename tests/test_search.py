@@ -3,11 +3,15 @@ spot values, determinism, and witness re-verification."""
 
 from __future__ import annotations
 
+import json
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import antimagic.search as search
+from antimagic.cli import main
+from antimagic.document import dumps, graph_to_document
 from antimagic.families import build_family, build_fb
 from antimagic.graph import GraphTooLarge, new_graph
 from antimagic.search import (
@@ -222,13 +226,17 @@ def test_empty_graph():
     assert chi_la_exact(new_graph(["a"])).chi_la == 1
 
 
-def test_env_var_budget(monkeypatch):
+def test_env_var_budget(tmp_path, monkeypatch, capsys):
+    # only the search command reads the variable
+    doc = tmp_path / "fb2.json"
+    doc.write_text(dumps(graph_to_document(build_fb(1).graph)), encoding="utf-8")
     monkeypatch.setenv("ANTIMAGIC_SEARCH_BUDGET", "1e-9")
-    result = chi_la_exact(build_fb(1).graph)
-    assert result.status == STATUS_TIMEOUT
-    assert result.budget == 1e-9
-    monkeypatch.delenv("ANTIMAGIC_SEARCH_BUDGET")
-    assert chi_la_exact(path(3)).budget is None
+    assert main(["search", str(doc)]) == 1
+    result = json.loads(capsys.readouterr().out)
+    assert result["status"] == STATUS_TIMEOUT and result["budget"] == 1e-9
+    # in the library budget=None is unlimited, whatever the environment says
+    result = chi_la_exact(path(3))
+    assert result.status == STATUS_VALUE and result.budget is None
 
 
 def test_confirm_three():

@@ -59,15 +59,16 @@ def test_nonbijective_labels_reported():
 
 def test_check_expected_passes_and_catches_tampering():
     built = build_rdf(3, 2)
-    assert check_expected(built.graph, built.expected).passed
+    assert check_expected(built.graph, built.expected,
+                          induced_coloring(built.graph)).passed
     # swap two labels: class table must notice
     edges = list(built.graph.edges)
     e0, e1 = edges[0], edges[7]
     edges[0] = LabeledEdge(e0.u, e0.v, e1.label)
     edges[7] = LabeledEdge(e1.u, e1.v, e0.label)
     tampered = LabeledGraph(built.graph.names, tuple(edges))
-    chk = check_expected(tampered, built.expected)
     rep = induced_coloring(tampered)
+    chk = check_expected(tampered, built.expected, rep)
     assert not (chk.passed and rep.local_antimagic)
 
 
@@ -75,7 +76,7 @@ def test_check_expected_fails_on_colliding_expectations():
     built = build_fb(1)
     collided = ExpectedColors(
         (ColorClass(11, 4, 2), ColorClass(11, 2, 3), ColorClass(38, 1, 6)), 3)
-    chk = check_expected(built.graph, collided)
+    chk = check_expected(built.graph, collided, induced_coloring(built.graph))
     assert not chk.passed
     assert any("not distinct" in d for d in chk.diffs)
 
@@ -84,7 +85,7 @@ def test_check_expected_degree_mismatch_detected():
     built = build_fb(1)
     wrong_degree = ExpectedColors(
         (ColorClass(11, 4, 3), ColorClass(14, 2, 3), ColorClass(38, 1, 6)), 3)
-    chk = check_expected(built.graph, wrong_degree)
+    chk = check_expected(built.graph, wrong_degree, induced_coloring(built.graph))
     assert not chk.passed and any("degree" in d for d in chk.diffs)
 
 
