@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import os
 import sys
 from itertools import groupby
@@ -113,10 +114,13 @@ def cmd_verify(args: argparse.Namespace) -> int:
 
 
 def cmd_search(args: argparse.Namespace) -> int:
-    g, _ = doc_mod.document_to_graph(_load_document(args.input))
     budget = args.budget
     if budget is None and os.environ.get(BUDGET_ENV_VAR):
         budget = float(os.environ[BUDGET_ENV_VAR])
+    if budget is not None and not 0 < budget < math.inf:  # also rejects nan
+        raise ValueError(
+            f"search budget must be a positive finite number of seconds, not {budget}")
+    g, _ = doc_mod.document_to_graph(_load_document(args.input))
     result = chi_la_exact(g, max_edges=args.max_edges, budget=budget)
     _emit(doc_mod.dumps(result.to_json_dict()), args.out)
     if result.status == STATUS_VALUE and result.chi_la is not None:
@@ -142,6 +146,8 @@ def cmd_selftest(args: argparse.Namespace) -> int:
             print(f"FAIL {name}: {detail}")
 
     top = args.max_param
+    if top < 0:
+        raise ValueError(f"--max-param must be at least 0, not {top}")
     for label, generate, check in (("matrix 5x2k k", matrix_5x2k, validate),
                                    ("sequences 6x4n n", sequences_6x4n, validate_6x4n),
                                    ("matrix kx10 k", matrix_kx10, validate)):
@@ -203,7 +209,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("input")
     p.add_argument("--max-edges", type=int, default=DEFAULT_MAX_EDGES)
     p.add_argument("--budget", type=float, default=None,
-                   help=f"seconds; defaults to ${BUDGET_ENV_VAR}, else unlimited")
+                   help=f"positive seconds; defaults to ${BUDGET_ENV_VAR}, else unlimited")
     p.add_argument("--out")
     p.set_defaults(func=cmd_search)
 
@@ -214,7 +220,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=cmd_export)
 
     p = sub.add_parser("selftest", help="run all validators over default grids")
-    p.add_argument("--max-param", type=int, default=50)
+    p.add_argument("--max-param", type=int, default=50,
+                   help="check the matrices for parameters 1..N (0: none)")
     p.set_defaults(func=cmd_selftest)
 
     return parser

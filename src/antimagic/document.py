@@ -2,13 +2,19 @@
 
 The JSON document is the interchange format: it round-trips losslessly,
 and identical inputs always produce identical bytes (sorted keys, fixed
-indentation, trailing newline).  DOT is export-only with vertices in
+indentation, trailing newline).  ``dumps(doc)`` is byte for byte
+``json.dumps(doc, indent=2, sort_keys=True) + "\n"``, for any value that
+``json.dumps`` accepts.  It writes objects and lists itself and the
+vertex and edge rows from fixed templates, because with an indent CPython
+runs ``json.dumps`` through its pure-Python encoder; whatever else it
+meets goes through ``json.dumps``.  DOT is export-only with vertices in
 sorted order so snapshots are stable.
 """
 
 from __future__ import annotations
 
 import json
+from json.encoder import encode_basestring_ascii as _quote
 from typing import Iterable
 
 from .families import BuiltFamily
@@ -77,8 +83,9 @@ def document_to_graph(doc: dict) -> tuple[LabeledGraph, ExpectedColors | None]:
 
     Raises ``DocumentError`` for any malformed document: the wrong shape
     or key set, a non-integer id, endpoint, label, degree or class field
-    (JSON ``true`` is a bool, not the label 1), a non-string name, or a
-    stored degree that the edges contradict.
+    (JSON ``true`` is a bool, not the label 1), a negative class size or
+    claimed color count, a non-string name, or a stored degree that the
+    edges contradict.
     """
     if not isinstance(doc, dict):
         raise DocumentError(f"a graph document is a JSON object, not {type(doc).__name__}")
@@ -110,6 +117,7 @@ def document_to_graph(doc: dict) -> tuple[LabeledGraph, ExpectedColors | None]:
         raise DocumentError("vertex names are not unique")
 
     edges = []
+    pairs = set()
     counted = [0] * n
     for row in edge_rows:
         try:
@@ -122,10 +130,13 @@ def document_to_graph(doc: dict) -> tuple[LabeledGraph, ExpectedColors | None]:
             raise DocumentError(f"edge {row} is a loop")
         if type(label) is not int or label < 1:
             raise DocumentError(f"edge {row} needs a positive integer label")
-        edges.append(LabeledEdge(min(u, v), max(u, v), label))
+        if u > v:
+            u, v = v, u
+        pairs.add(u * n + v)  # one int per vertex pair
+        edges.append(LabeledEdge(u, v, label))
         counted[u] += 1
         counted[v] += 1
-    if len({(e.u, e.v) for e in edges}) != len(edges):
+    if len(pairs) != len(edges):
         raise DocumentError("document contains parallel edges")
     if counted != stored:
         i = next(i for i in range(n) if counted[i] != stored[i])
@@ -150,11 +161,53 @@ def _expected_colors(block: dict) -> ExpectedColors:
     fields = [claimed, *(x for c in classes for x in (c.value, c.size, c.degree))]
     if any(type(x) is not int for x in fields) or type(exact) is not bool:
         raise DocumentError("expected_colors fields must be integers, and exact a bool")
+    if claimed < 0 or any(c.size < 0 for c in classes):
+        raise DocumentError("expected_colors sizes and claimed_colors must not be negative")
     return ExpectedColors(classes, claimed, exact)
 
 
-def dumps(doc: dict) -> str:
-    return json.dumps(doc, indent=2, sort_keys=True) + "\n"
+# A vertex and an edge row as json.dumps(indent=2, sort_keys=True) writes
+# them; _encode puts a list's indentation after each newline.
+_VERTEX_ROW = '{\n  "degree": %d,\n  "id": %d,\n  "name": %s\n}'
+_EDGE_ROW = '{\n  "label": %d,\n  "u": %d,\n  "v": %d\n}'
+
+
+def dumps(doc) -> str:
+    """``json.dumps(doc, indent=2, sort_keys=True) + "\\n"``, byte for byte."""
+    return _encode(doc, "") + "\n"
+
+
+def _encode(value, pad: str) -> str:
+    """``value`` as ``json.dumps(value, indent=2, sort_keys=True)`` writes it,
+    with ``pad`` after each newline, i.e. nested at that indentation."""
+    kind = type(value)
+    inner = pad + "  "
+    if kind is dict and value and all(type(k) is str for k in value):
+        body = [f"{inner}{_quote(k)}: {x if type(x) is int else _encode(x, inner)}"
+                for k, x in sorted(value.items())]
+        return "{\n" + ",\n".join(body) + "\n" + pad + "}"
+    if kind is list and value:
+        newline = "\n" + inner
+        vertex, edge = (row.replace("\n", newline) for row in (_VERTEX_ROW, _EDGE_ROW))
+        rows = [_quote(x) if type(x) is str else _row(x, inner, vertex, edge) for x in value]
+        return "[" + newline + ("," + newline).join(rows) + "\n" + pad + "]"
+    return json.dumps(value, indent=2, sort_keys=True).replace("\n", "\n" + pad)
+
+
+def _row(x, pad: str, vertex: str, edge: str) -> str:
+    """A list item: from a row template when it is exactly a vertex row
+    (int ``degree`` and ``id``, str ``name``) or an edge row (int ``label``,
+    ``u`` and ``v``), else through ``_encode``."""
+    if type(x) is dict and len(x) == 3:
+        if "label" in x:
+            label, u, v = x["label"], x.get("u"), x.get("v")
+            if type(label) is int and type(u) is int and type(v) is int:
+                return edge % (label, u, v)
+        elif "name" in x:
+            degree, vid, name = x.get("degree"), x.get("id"), x["name"]
+            if type(degree) is int and type(vid) is int and type(name) is str:
+                return vertex % (degree, vid, _quote(name))
+    return _encode(x, pad)
 
 
 def to_dot(g: LabeledGraph, sums: dict[str, int]) -> str:

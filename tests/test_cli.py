@@ -15,7 +15,13 @@ from hypothesis import strategies as st
 
 import antimagic.families as families
 from antimagic.cli import main
-from antimagic.document import DocumentError, document_to_graph, dumps, graph_to_document
+from antimagic.document import (
+    DocumentError,
+    built_to_document,
+    document_to_graph,
+    dumps,
+    graph_to_document,
+)
 from antimagic.graph import LabeledGraph, new_graph
 from antimagic.verify import ColorClass, ExpectedColors, induced_coloring
 from golden import GRID_5X2K_K6, SEQUENCES_N6
@@ -143,14 +149,16 @@ def test_selftest_small(capsys):
     code, out, _ = run(capsys, "selftest", "--max-param", "3")
     assert code == 0
     assert "selftest: 0 failure(s)" in out
+    code, out, _ = run(capsys, "selftest", "--max-param", "0")  # families only
+    assert code == 0 and "ok   matrix 5x2k k=1..0\n" in out
 
 
 P3_DOC = graph_to_document(
     new_graph(["a", "b", "c"]).with_edges([("a", "b", 1), ("b", "c", 2)]))
 
 
-def _spoiled(change) -> dict:
-    doc = json.loads(dumps(P3_DOC))
+def _spoiled(change, base: dict = P3_DOC) -> dict:
+    doc = json.loads(dumps(base))
     change(doc)
     return doc
 
@@ -164,6 +172,13 @@ BAD_DOCUMENTS = {
     "list_name.json": _spoiled(lambda d: d["vertices"][0].update(name=["a"])),
     "true_label.json": _spoiled(lambda d: d["edges"][0].update(label=True)),
 }
+FB_DOC = built_to_document(families.build_family("FB", k=1))
+NEGATIVE_CLAIMS = {
+    "negative_claimed_colors.json":
+        _spoiled(lambda d: d["expected_colors"].update(claimed_colors=-1), FB_DOC),
+    "negative_size.json":
+        _spoiled(lambda d: d["expected_colors"]["classes"][0].update(size=-4), FB_DOC),
+}
 
 
 @pytest.mark.parametrize("argv, env", [
@@ -173,11 +188,15 @@ BAD_DOCUMENTS = {
       for path in ("missing.json", "notjson.json", *BAD_DOCUMENTS)],
     (["matrix", "5x2k"], {}),
     (["matrix", "5x2k", "--k", "2", "--sequences"], {}),
+    *[(["verify", path], {}) for path in NEGATIVE_CLAIMS],
+    *[(["search", "fb.json", "--budget", value], {}) for value in ("-1", "0", "nan", "inf")],
+    *[(["search", "fb.json"], {"ANTIMAGIC_SEARCH_BUDGET": value}) for value in ("-1", "nan")],
+    (["selftest", "--max-param", "-3"], {}),
 ])
 def test_bad_input_is_one_error_line(tmp_path, monkeypatch, capsys, argv, env):
     monkeypatch.chdir(tmp_path)
     (tmp_path / "notjson.json").write_text("not json {", encoding="utf-8")
-    for name, doc in BAD_DOCUMENTS.items():
+    for name, doc in {**BAD_DOCUMENTS, **NEGATIVE_CLAIMS}.items():
         (tmp_path / name).write_text(json.dumps(doc), encoding="utf-8")
     g = new_graph(["a", "b"]).with_edges([("a", "b", 1)])
     (tmp_path / "fb.json").write_text(dumps(graph_to_document(g)), encoding="utf-8")
@@ -234,21 +253,38 @@ def _paths(node):
         yield from _paths(value)
 
 
+def _claims(doc) -> list:
+    """The (container, key) pairs of the claimed color count and the class
+    sizes in the document's expected_colors block."""
+    block = doc.get("expected_colors")
+    if not isinstance(block, dict):
+        return []
+    classes = block.get("classes")
+    sized = [c for c in classes if isinstance(c, dict)] if isinstance(classes, list) else []
+    return [(block, "claimed_colors"), *((c, "size") for c in sized)]
+
+
 @st.composite
 def mutated_documents(draw) -> dict:
     """A valid document with one or two keys dropped or retyped, an edge
-    row duplicated, or two edge labels swapped (still well formed)."""
+    row duplicated, two edge labels swapped (still well formed), or a
+    claimed class size or color count made negative."""
     doc = copy.deepcopy(draw(st.sampled_from(FUZZ_BASES)))
     for _ in range(draw(st.integers(1, 2))):
-        op = draw(st.sampled_from(("drop", "retype", "duplicate_edge", "swap_labels")))
+        op = draw(st.sampled_from(
+            ("drop", "retype", "duplicate_edge", "swap_labels", "negative_claim")))
         edges = doc.get("edges")
         rows = [e for e in edges if isinstance(e, dict)] if isinstance(edges, list) else []
+        claims = _claims(doc)
         targets = list(_paths(doc))
         if op == "duplicate_edge" and rows:
             edges.append(dict(draw(st.sampled_from(rows))))
         elif op == "swap_labels" and len(rows) >= 2:
             a, b = draw(st.permutations(rows))[:2]
             a["label"], b["label"] = b.get("label"), a.get("label")
+        elif op == "negative_claim" and claims:
+            node, key = draw(st.sampled_from(claims))
+            node[key] = draw(st.integers(-5, -1))
         elif op in ("drop", "retype") and targets:
             node, key = draw(st.sampled_from(targets))
             if op == "drop":
@@ -274,3 +310,5 @@ def test_mutated_documents_never_crash(doc, command):
     assert "Traceback" not in err.getvalue()
     assert code != 1 or accepted
     assert accepted or (code == 2 and err.getvalue().startswith("error: "))
+    negative = any(type(node.get(key)) is int and node[key] < 0 for node, key in _claims(doc))
+    assert not (accepted and negative)

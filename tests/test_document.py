@@ -5,8 +5,11 @@ from __future__ import annotations
 import json
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from antimagic.document import (
+    FORMAT,
     DocumentError,
     built_to_document,
     document_to_graph,
@@ -69,6 +72,13 @@ def test_document_validation_errors():
     with pytest.raises(DocumentError):
         document_to_graph({"format": "other"})
 
+    for field in ("claimed_colors", "size"):
+        bad = json.loads(dumps(doc))
+        block = bad["expected_colors"]
+        (block if field == "claimed_colors" else block["classes"][0])[field] = -1
+        with pytest.raises(DocumentError, match="must not be negative"):
+            document_to_graph(bad)
+
 
 def test_dot_export_snapshot():
     g = new_graph(["a", "b", "c"]).with_edges([("a", "b", 2), ("b", "c", 1)])
@@ -101,3 +111,72 @@ def test_graph_to_document_plain():
         {"id": 1, "name": "b", "degree": 1},
     ]
     assert "family" not in doc and "expected_colors" not in doc
+
+
+# Names with quotes, backslashes, control characters, non-ASCII text
+# (surrogates included) and the empty string.
+NAMES = st.one_of(st.sampled_from(["", '"', "\\", "a\"b\\c", "\n\t\x00\x1f\x7f",
+                                   "x_5^1", "é", "∑ w_2", "\U0001f600", "\ud800"]),
+                  st.text(max_size=6))
+SCALARS = st.one_of(st.none(), st.booleans(), st.integers(), st.floats(), NAMES)
+JSON_VALUES = st.recursive(
+    SCALARS,
+    lambda inner: st.one_of(st.lists(inner, max_size=4),
+                            st.dictionaries(NAMES, inner, max_size=4),
+                            st.dictionaries(st.integers(), inner, max_size=3)),
+    max_leaves=12)
+
+
+@st.composite
+def _row(draw, fields: dict) -> dict:
+    """A row of exactly these fields, or one with up to two fields retyped
+    (to a bool, float, None, string or other integer), dropped, or added."""
+    row = draw(st.fixed_dictionaries(fields))
+    for how in draw(st.lists(st.sampled_from(("retype", "drop", "extra")), max_size=2)):
+        if how == "extra" or not row:
+            row[draw(NAMES)] = draw(JSON_VALUES)
+            continue
+        key = draw(st.sampled_from(sorted(row)))
+        if how == "retype":
+            row[key] = draw(SCALARS)
+        else:
+            del row[key]
+    return row
+
+
+VERTEX_ROWS = _row({"degree": st.integers(), "id": st.integers(0), "name": NAMES})
+EDGE_ROWS = _row({"label": st.integers(1), "u": st.integers(0), "v": st.integers(0)})
+REPORTS = st.fixed_dictionaries({
+    "sums": st.dictionaries(NAMES, st.one_of(st.integers(), SCALARS), max_size=6),
+    "classes": st.dictionaries(st.integers().map(str), st.lists(NAMES, max_size=4),
+                               max_size=3),
+    "conflicts": st.lists(_row({"u": NAMES, "v": NAMES, "sum": st.integers()}),
+                          max_size=2),
+    "part_sizes": st.one_of(st.none(), st.lists(st.integers(), max_size=2)),
+    "local_antimagic": st.booleans(),
+})
+SEARCH_RESULTS = st.fixed_dictionaries({
+    "status": st.sampled_from(["value", "timeout", "no_labeling"]),
+    "chi_la": st.one_of(st.none(), st.integers(0, 12)),
+    "witness": st.one_of(st.none(), st.lists(EDGE_ROWS, max_size=4)),
+    "stats": st.fixed_dictionaries({"nodes": st.integers(0), "elapsed": st.floats(0)}),
+    "budget": st.one_of(st.none(), st.floats()),  # NaN and infinities included
+})
+DOCUMENTS = st.fixed_dictionaries(
+    {"format": st.just(FORMAT),
+     "vertices": st.lists(VERTEX_ROWS, max_size=8),
+     "edges": st.lists(EDGE_ROWS, max_size=8)},
+    optional={"family": JSON_VALUES, "expected_colors": JSON_VALUES,
+              "verification": REPORTS, "notes": st.lists(NAMES, max_size=3)})
+
+
+@settings(max_examples=400, deadline=None)
+@given(doc=st.one_of(DOCUMENTS, REPORTS, SEARCH_RESULTS, JSON_VALUES))
+def test_dumps_writes_what_indented_json_dumps_writes(doc):
+    assert dumps(doc) == json.dumps(doc, indent=2, sort_keys=True) + "\n"
+
+
+def test_dumps_writes_family_documents_as_json_dumps():
+    built = build_family("DF2", r=2, s=2)
+    doc = built_to_document(built, induced_coloring(built.graph))
+    assert dumps(doc) == json.dumps(doc, indent=2, sort_keys=True) + "\n"
