@@ -24,7 +24,6 @@ from .graph import (
     ParallelEdgeCreated,
     apply_merge,
     chromatic_number_small,
-    disjoint_union,
     is_bipartite,
     new_graph,
     split_vertex,
@@ -35,7 +34,6 @@ from .matrices import (
     matrix_5x2k,
     matrix_6x4n,
     matrix_kx10,
-    row_structure_6x4n,
     sequences_6x4n,
     validate,
     validate_5x2k,
@@ -53,12 +51,10 @@ from .verify import (
     ColorReport,
     ExpectedCheck,
     ExpectedColors,
-    GateReport,
-    TwoColorGate,
     check_expected,
     induced_coloring,
     lower_bound,
-    two_color_gate,
+    two_coloring_impossible,
     vertex_sums,
 )
 

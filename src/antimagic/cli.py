@@ -26,7 +26,7 @@ from .matrices import (
     validate_6x4n,
 )
 from .search import DEFAULT_MAX_EDGES, STATUS_VALUE, chi_la_exact
-from .verify import check_expected, induced_coloring, vertex_sums
+from .verify import check_expected, induced_coloring
 
 USAGE_ERROR = 2
 CHECK_FAILED = 1
@@ -44,7 +44,10 @@ def _emit(text: str, out: str | None) -> None:
 
 def _load_document(path: str) -> dict:
     raw = sys.stdin.read() if path == "-" else Path(path).read_text(encoding="utf-8")
-    return json.loads(raw)
+    try:
+        return json.loads(raw)
+    except RecursionError:  # the decoder recurses once per nesting level
+        raise ValueError(f"{path}: JSON nested too deeply to read") from None
 
 
 def cmd_matrix(args: argparse.Namespace) -> int:
@@ -130,7 +133,7 @@ def cmd_search(args: argparse.Namespace) -> int:
 
 def cmd_export(args: argparse.Namespace) -> int:
     g, _ = doc_mod.document_to_graph(_load_document(args.input))
-    _emit(doc_mod.to_dot(g, dict(zip(g.names, vertex_sums(g)))), args.out)
+    _emit(doc_mod.to_dot(g), args.out)
     return OK
 
 

@@ -20,7 +20,7 @@ from typing import Iterable
 from .families import BuiltFamily
 from .graph import LabeledEdge, LabeledGraph
 from .matrices import LabelMatrix
-from .verify import ColorClass, ColorReport, ExpectedColors
+from .verify import ColorClass, ColorReport, ExpectedColors, vertex_sums
 
 FORMAT = "antimagic.graph/1"
 
@@ -210,11 +210,13 @@ def _row(x, pad: str, vertex: str, edge: str) -> str:
     return _encode(x, pad)
 
 
-def to_dot(g: LabeledGraph, sums: dict[str, int]) -> str:
-    """Undirected DOT; each vertex label carries the vertex's induced sum."""
+def to_dot(g: LabeledGraph) -> str:
+    """Undirected DOT; each vertex label carries the vertex's induced sum.
+    A backslash or double quote in a name is escaped."""
     lines = ["graph G {"]
-    for i, name in enumerate(g.names):
-        lines.append(f'  v{i} [label="{name}\\n{sums[name]}"];')
+    for i, (name, total) in enumerate(zip(g.names, vertex_sums(g))):
+        name = name.replace("\\", "\\\\").replace('"', '\\"')
+        lines.append(f'  v{i} [label="{name}\\n{total}"];')
     for e in sorted(g.edges, key=lambda e: (e.u, e.v)):
         lines.append(f'  v{e.u} -- v{e.v} [label="{e.label}"];')
     lines.append("}")

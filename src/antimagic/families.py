@@ -21,7 +21,11 @@ from one generator (``_block``, ``_diamond_hubs``, ``_across_fans``,
 
 ``FAMILIES`` maps each tag to its builder (a ``partial`` for the numbered
 variants); ``build_family`` reads the parameter names from the builder's
-signature.
+signature.  ``BuiltFamily.chi_la_is_three`` is derived rather than set:
+an exact claim of 3 colors whose hypotheses raised no warning.  The unit
+builders refuse a family of more than ``MAX_BUILD_EDGES`` edges (10k for
+the two k-matrices, 20n for the 6x4n sequences) before any work that
+grows with its size.
 """
 
 from __future__ import annotations
@@ -46,6 +50,9 @@ from .verify import (
 )
 
 
+MAX_BUILD_EDGES = 10**6  # no builder makes a family with more edges than this
+
+
 class ParameterError(ValueError):
     """Family parameters outside the construction's hypotheses."""
 
@@ -56,9 +63,15 @@ class BuiltFamily:
     params: dict
     graph: LabeledGraph
     expected: ExpectedColors
-    chi_la_is_three: bool  # the construction's coloring is known optimal at 3
     warnings: tuple[str, ...] = ()
     notes: tuple[str, ...] = ()
+
+    @property
+    def chi_la_is_three(self) -> bool:
+        """The construction's coloring is known optimal at 3: an exact
+        3-coloring claim whose hypotheses raised no warning."""
+        claim = self.expected
+        return claim.exact and claim.claimed_colors == 3 and not self.warnings
 
 
 def _expected(classes: list[tuple[int, int, int]], claimed: int,
@@ -69,6 +82,12 @@ def _expected(classes: list[tuple[int, int, int]], claimed: int,
 def _check(cond: bool, msg: str) -> None:
     if not cond:
         raise ParameterError(msg)
+
+
+def _check_size(edges: int) -> None:
+    """Refuse a family above the cap before any work that grows with it."""
+    _check(edges <= MAX_BUILD_EDGES,
+           f"the family would have {edges} edges, above the cap of {MAX_BUILD_EDGES}")
 
 
 def _block(j: int, s: int) -> range:
@@ -87,6 +106,7 @@ def _fan_units(k: int, split: Sequence[int] = ()) -> tuple[LabeledGraph, LabelMa
     hub by hub: x_i^1 takes x_i's place and the w_i edge, and x_i^2,
     appended after all units in ``split`` order, takes the u_i, v_i edges.
     """
+    _check_size(10 * k)
     m = matrix_5x2k(k)
     is_split = set(split)
     names: list[str] = []
@@ -118,7 +138,6 @@ def build_fb_units(k: int) -> BuiltFamily:
     return BuiltFamily(
         "FB_units", {"k": k}, g,
         _expected(classes, 2 * k + 2),
-        chi_la_is_three=False,
     )
 
 
@@ -134,7 +153,6 @@ def build_fb(k: int) -> BuiltFamily:
             (13 * k + 1, 2 * k, 3),
             (k * (34 * k + 4), 1, 6 * k),
         ], 3),
-        chi_la_is_three=True,
     )
 
 
@@ -169,7 +187,6 @@ def build_rfb(r: int, s: int) -> BuiltFamily:
             (13 * k + 1, 2 * k, 3),
             (s * (17 * k + 2), r, 3 * s),
         ], 3),
-        chi_la_is_three=True,
     )
 
 
@@ -179,8 +196,7 @@ def build_fb1(r: int, s: int) -> BuiltFamily:
     k = r * s // 2
     g = apply_merge(base.graph, _across_components(r, s, "uv"))
     warnings = ()
-    ok = r % 4 != 0
-    if not ok:
+    if r % 4 == 0:
         warnings = (f"r = {r} is divisible by 4: distinctness of "
                     f"{r}*(10k+1) and s*(17k+2) is not guaranteed",)
     return BuiltFamily(
@@ -190,7 +206,6 @@ def build_fb1(r: int, s: int) -> BuiltFamily:
             (13 * k + 1, 2 * k, 3),
             (s * (17 * k + 2), r, 3 * s),
         ], 3),
-        chi_la_is_three=ok,
         warnings=warnings,
     )
 
@@ -201,8 +216,7 @@ def build_fb2(r: int, s: int) -> BuiltFamily:
     k = r * s // 2
     g = apply_merge(base.graph, _across_components(r, s, "w"))
     warnings = ()
-    ok = (r * s) % 4 != 0
-    if not ok:
+    if (r * s) % 4 == 0:
         warnings = (f"rs = {r * s} is divisible by 4: distinctness of "
                     f"{r}*(13k+1) and s*(17k+2) is not guaranteed",)
     return BuiltFamily(
@@ -212,7 +226,6 @@ def build_fb2(r: int, s: int) -> BuiltFamily:
             (r * (13 * k + 1), s, 3 * r),
             (s * (17 * k + 2), r, 3 * s),
         ], 3),
-        chi_la_is_three=ok,
         warnings=warnings,
     )
 
@@ -241,7 +254,6 @@ def build_rdf(r: int, s: int) -> BuiltFamily:
             (13 * k + 1, 2 * k, 3),
             (s * (17 * k + 2), 2 * r, 3 * s),
         ], 3),
-        chi_la_is_three=True,
     )
 
 
@@ -252,6 +264,7 @@ def build_dfr(r: int, s: int) -> BuiltFamily:
     two_k = (2 * r + 1) * s
     k = two_k // 2
     middle = _block(r + 1, s)
+    _check_size(10 * k)  # before the O(k) split list
     g, _ = _fan_units(k, [i for i in range(1, two_k + 1) if i not in middle])
     g = apply_merge(g, [([f"x_{i}" for i in middle], "x"),
                         *_diamond_hubs(r, s, 2 * r + 1)])
@@ -262,7 +275,6 @@ def build_dfr(r: int, s: int) -> BuiltFamily:
             (13 * k + 1, 2 * k, 3),
             (s * (17 * k + 2), 2 * r + 1, 3 * s),
         ], 3),
-        chi_la_is_three=True,
     )
 
 
@@ -289,21 +301,18 @@ def build_df_variant(v: int, r: int, s: int) -> BuiltFamily:
     k = r * s
     hub = s * (17 * k + 2)
     warnings: tuple[str, ...] = ()
-    ok = True
     if v == 1:
         groups = _across_fans(r, s, "w", "alpha")
         classes = [(10 * k + 1, 4 * k, 2), (r * (13 * k + 1), 2 * s, 3 * r),
                    (hub, 2 * r, 3 * s)]
-        ok = s % 2 == 0 and (r * s) % 4 != 0
-        if not ok:
+        if s % 2 or (r * s) % 4 == 0:
             warnings = ("distinctness of r*(13k+1) and s*(17k+2) is only "
                         "guaranteed for even s with rs not divisible by 4",)
     elif v == 2:
         groups = _across_fans(r, s, "uv", "beta")
         classes = [(r * (10 * k + 1), 4 * s, 2 * r), (13 * k + 1, 2 * k, 3),
                    (hub, 2 * r, 3 * s)]
-        ok = s % 2 == 0 and r % 4 != 0
-        if not ok:
+        if s % 2 or r % 4 == 0:
             warnings = ("distinctness of r*(10k+1) and s*(17k+2) is only "
                         "guaranteed for even s with r not divisible by 4",)
     elif v == 3:
@@ -320,7 +329,6 @@ def build_df_variant(v: int, r: int, s: int) -> BuiltFamily:
     return BuiltFamily(
         f"DF{v}", {"r": r, "s": s}, g,
         _expected(classes, 3),
-        chi_la_is_three=ok,
         warnings=warnings,
     )
 
@@ -337,6 +345,7 @@ def build_nc482(n: int) -> BuiltFamily:
     surviving rungs take positions 2,5,8,11 (shared by both sequences).
     """
     _check(n >= 1, "n must be >= 1")
+    _check_size(20 * n)
     seqs = sequences_6x4n(n)
     names = []
     for a in range(1, n + 1):
@@ -362,7 +371,6 @@ def build_nc482(n: int) -> BuiltFamily:
             (30 * n + 1, 4 * n, 3),
             (30 * n + 2, 4 * n, 3),
         ], 3),
-        chi_la_is_three=True,
     )
 
 
@@ -387,7 +395,6 @@ def build_g1(r: int, s: int) -> BuiltFamily:
             (30 * n + 1, 4 * n, 3),
             (30 * n + 2, 4 * n, 3),
         ], 3),
-        chi_la_is_three=True,
     )
 
 
@@ -412,7 +419,6 @@ def build_g2(r: int, s: int) -> BuiltFamily:
             (30 * n + 2, 4 * n, 3),
             (s * (30 * n + 1), 4 * r, 3 * s),
         ], 3),
-        chi_la_is_three=True,
     )
 
 
@@ -451,7 +457,6 @@ def build_h(m: int, n: int) -> BuiltFamily:
             (30 * n + 1, 4 * n, 3),
             (30 * n + 2, 4 * n, 3),
         ], 3),
-        chi_la_is_three=True,
     )
 
 
@@ -476,7 +481,6 @@ def build_hm_rs(m: int, r: int, s: int) -> BuiltFamily:
             (30 * n + 1, 4 * n, 3),
             (30 * n + 2, 4 * n, 3),
         ], 3),
-        chi_la_is_three=True,
     )
 
 
@@ -490,6 +494,7 @@ def _prism_units(k: int) -> LabeledGraph:
     Row i labels unit i: columns 1-8 go around the cycle, columns 9 and 10
     go on the two spokes.
     """
+    _check_size(10 * k)
     m = matrix_kx10(k)
     names = []
     for i in range(1, k + 1):
@@ -524,7 +529,6 @@ def build_c8_units(k: int) -> BuiltFamily:
             (6 * k + 2, k, 2),
             (18 * k + 1, k, 2),
         ], 4, exact=False),
-        chi_la_is_three=False,
         notes=(_DEGREE3_NOTE,),
     )
 
@@ -543,7 +547,6 @@ def build_bk(k: int) -> BuiltFamily:
             (13 * k + 1, 2 * k, 3),
             (24 * k + 3, k, 4),
         ], 3, exact=False),
-        chi_la_is_three=False,
         notes=(_DEGREE3_NOTE,),
     )
 
@@ -563,7 +566,6 @@ def build_kc82(k: int) -> BuiltFamily:
             (13 * k + 1, 2 * k, 3),
             (28 * k + 2, k, 4),
         ], 4, exact=False),
-        chi_la_is_three=False,
         notes=(_DEGREE3_NOTE,),
     )
 
@@ -582,7 +584,6 @@ def build_kd82(k: int) -> BuiltFamily:
             (13 * k + 1, 2 * k, 3),
             (34 * k + 4, k, 6),
         ], 3),
-        chi_la_is_three=True,
         notes=(_DEGREE3_NOTE, _FUSED_D82_NOTE),
     )
 
@@ -615,7 +616,6 @@ def build_rg82(r: int, s: int) -> BuiltFamily:
             (13 * k + 1, 2 * k, 3),
             (s * (17 * k + 2), 2 * r, 3 * s),
         ], 3),
-        chi_la_is_three=True,
         notes=(_DEGREE3_NOTE,),
     )
 
@@ -681,7 +681,6 @@ def build_oddk_h(r: int, s: int) -> BuiltFamily:
     return BuiltFamily(
         "OddKH", {"r": r, "s": s}, g,
         expected,
-        chi_la_is_three=False,
         warnings=("experimental construction; claims verified post hoc",),
         notes=tuple(notes),
     )

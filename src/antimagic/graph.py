@@ -2,8 +2,13 @@
 
 Vertices are addressed by display name (``u_3``, ``x_5^1``, ``w_2_4``) so
 constructions and tests can refer to them directly; integer ids are
-positional handles.  Every operation is pure: it validates its inputs and
-returns a new graph.  Edge labels stay attached to their edges through
+positional handles.  A ``LabeledGraph`` gives the views the other modules
+read (``adjacency``, ``degrees()``, ``labels()``, ``id_of``) and
+``with_edges``.  The surgery is ``apply_merge``, which every family
+builder uses, and ``split_vertex``, which no builder calls; the tests
+keep it as the oracle for the pre-split fan units.  ``is_bipartite`` and
+``chromatic_number_small`` feed the verifier's lower bound.  Every operation is pure: it validates its inputs and returns a
+new graph.  Edge labels stay attached to their edges through
 merges and splits, so a bijective labeling survives any sequence of
 surgeries.  Values are safe to share across threads.
 """
@@ -14,6 +19,9 @@ from collections import deque
 from dataclasses import dataclass
 from functools import cached_property
 from typing import Iterable, Sequence
+
+
+CHI_EXACT_MAX_VERTICES = 20  # chromatic_number_small's backtracking budget
 
 
 class GraphError(ValueError):
@@ -52,7 +60,7 @@ class GraphTooLarge(GraphError):
     pass
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class LabeledEdge:
     """Undirected edge, endpoints stored with u < v, carrying a positive label."""
 
@@ -113,40 +121,11 @@ class LabeledGraph:
             adj[e.v].append(e.u)
         return tuple(tuple(a) for a in adj)
 
-    def neighbors(self, name: str) -> tuple[str, ...]:
-        return tuple(self.names[w] for w in self.adjacency[self.id_of(name)])
-
-    def degree(self, name: str) -> int:
-        return len(self.adjacency[self.id_of(name)])
-
     def degrees(self) -> dict[str, int]:
         return {nm: len(adj) for nm, adj in zip(self.names, self.adjacency)}
 
-    def has_edge(self, a: str, b: str) -> bool:
-        ia, ib = self.id_of(a), self.id_of(b)
-        return ib in self.adjacency[ia]
-
     def labels(self) -> tuple[int, ...]:
         return tuple(e.label for e in self.edges)
-
-    def components(self) -> tuple[tuple[int, ...], ...]:
-        seen = [False] * self.n_vertices
-        comps = []
-        for start in range(self.n_vertices):
-            if seen[start]:
-                continue
-            seen[start] = True
-            comp = [start]
-            queue = deque([start])
-            while queue:
-                v = queue.popleft()
-                for w in self.adjacency[v]:
-                    if not seen[w]:
-                        seen[w] = True
-                        comp.append(w)
-                        queue.append(w)
-            comps.append(tuple(sorted(comp)))
-        return tuple(comps)
 
     # ---- pure construction ----------------------------------------------
 
@@ -292,16 +271,6 @@ def split_vertex(
     return LabeledGraph(tuple(names), tuple(new_edges))
 
 
-def disjoint_union(g1: LabeledGraph, g2: LabeledGraph) -> LabeledGraph:
-    """Concatenate vertex and edge sets; names are namespaced per operand."""
-    names = tuple(f"1:{nm}" for nm in g1.names) + tuple(f"2:{nm}" for nm in g2.names)
-    off = g1.n_vertices
-    edges = g1.edges + tuple(
-        LabeledEdge(e.u + off, e.v + off, e.label) for e in g2.edges
-    )
-    return LabeledGraph(names, edges)
-
-
 def is_bipartite(g: LabeledGraph) -> Bipartition | None:
     side = [-1] * g.n_vertices
     parts: list[tuple[int, int]] = []
@@ -324,11 +293,13 @@ def is_bipartite(g: LabeledGraph) -> Bipartition | None:
     return Bipartition(tuple(side), tuple(parts))
 
 
-def chromatic_number_small(g: LabeledGraph, max_vertices: int = 20) -> int:
-    """Exact chromatic number by backtracking; refuses graphs above the budget."""
+def chromatic_number_small(g: LabeledGraph) -> int:
+    """Exact chromatic number by backtracking; refuses graphs with more than
+    ``CHI_EXACT_MAX_VERTICES`` vertices."""
     n = g.n_vertices
-    if n > max_vertices:
-        raise GraphTooLarge(f"{n} vertices exceeds the exact-coloring budget {max_vertices}")
+    if n > CHI_EXACT_MAX_VERTICES:
+        raise GraphTooLarge(
+            f"{n} vertices exceeds the exact-coloring budget {CHI_EXACT_MAX_VERTICES}")
     if n == 0:
         return 0
     if g.size == 0:

@@ -107,10 +107,7 @@ class _Stop(Exception):
 
 def _edge_order(g: LabeledGraph) -> list[int]:
     """Static order that completes vertices early (more pruning up front)."""
-    deg = [0] * g.n_vertices
-    for e in g.edges:
-        deg[e.u] += 1
-        deg[e.v] += 1
+    deg = [len(nbrs) for nbrs in g.adjacency]
     placed = [0] * g.n_vertices
     remaining = list(range(g.size))
     order = []

@@ -3,24 +3,23 @@
 Everything here recomputes from the edge list: induced vertex sums, color
 classes, the local-antimagic verdict (labels bijective onto [1, m] and
 adjacent sums distinct), comparison against a builder's claimed coloring,
-and the three lower-bound sources (chromatic number, the balanced /
-divisor-pair 2-coloring impossibility gate, and the pendant count).
+and ``lower_bound`` from three sources: the chromatic number, the
+2-coloring lemma (``two_coloring_impossible``: balanced bipartitions and
+the divisor-pair scan), and the pendant count.
 Exact integer arithmetic throughout.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from enum import Enum
 
 from .graph import (
+    CHI_EXACT_MAX_VERTICES,
     Bipartition,
     LabeledGraph,
     chromatic_number_small,
     is_bipartite,
 )
-
-CHI_EXACT_MAX_VERTICES = 20  # lower_bound computes chi exactly up to this size
 
 
 @dataclass(frozen=True)
@@ -169,17 +168,6 @@ def check_expected(g: LabeledGraph, expected: ExpectedColors,
     return ExpectedCheck(not diffs, tuple(diffs))
 
 
-class TwoColorGate(Enum):
-    IMPOSSIBLE_BY_LEMMA = "impossible_by_lemma"
-    INCONCLUSIVE = "inconclusive"
-
-
-@dataclass(frozen=True)
-class GateReport:
-    verdict: TwoColorGate
-    reason: str
-
-
 def _achievable_part_sizes(bip: Bipartition) -> set[int]:
     """All |X| achievable by flipping sides independently per component."""
     sizes = {0}
@@ -188,39 +176,30 @@ def _achievable_part_sizes(bip: Bipartition) -> set[int]:
     return sizes
 
 
-def two_color_gate(g: LabeledGraph) -> GateReport:
-    """Rule out 2-colorings: any local antimagic 2-coloring with colors
-    x < y on classes X, Y forces a bipartition with |X| > |Y| and
-    x|X| = y|Y| = m(m+1)/2.  Balanced bipartite graphs fail |X| > |Y|;
-    otherwise every achievable split must admit the integer divisor pair.
+def two_coloring_impossible(g: LabeledGraph) -> bool:
+    """True when the lemma rules out every local antimagic 2-coloring;
+    False means inconclusive.
+
+    Lemma: a local antimagic 2-coloring with colors x < y on classes X, Y
+    forces a bipartition with |X| > |Y| and x|X| = y|Y| = m(m+1)/2.  Proof:
+    adjacent sums differ, so X and Y are the sides of a bipartition; each
+    edge has one endpoint in each side, so each side's sums add up to the
+    label total m(m+1)/2, and x < y then gives |X| > |Y|.  Balanced
+    bipartite graphs (equal sides in every component, hence in every
+    2-coloring) fail |X| > |Y|; otherwise every achievable split must
+    admit the integer divisor pair.  Graphs without edges or that are not
+    bipartite are inconclusive.
     """
     m = g.size
-    if m == 0:
-        return GateReport(TwoColorGate.INCONCLUSIVE, "no edges")
     bip = is_bipartite(g)
-    if bip is None:
-        return GateReport(TwoColorGate.INCONCLUSIVE, "not bipartite")
+    if m == 0 or bip is None:
+        return False
     if bip.balanced:
-        return GateReport(
-            TwoColorGate.IMPOSSIBLE_BY_LEMMA,
-            "every bipartition has equal parts, contradicting |X| > |Y|",
-        )
+        return True
     n = g.n_vertices
     half = m * (m + 1) // 2
-    for big in sorted(_achievable_part_sizes(bip)):
-        small = n - big
-        if big <= small or small < 1:
-            continue
-        if half % big == 0 and half % small == 0:
-            return GateReport(
-                TwoColorGate.INCONCLUSIVE,
-                f"divisor pair x={half // big}, y={half // small} fits parts "
-                f"({big}, {small})",
-            )
-    return GateReport(
-        TwoColorGate.IMPOSSIBLE_BY_LEMMA,
-        f"no achievable bipartition admits integers x|X| = y|Y| = {half}",
-    )
+    splits = ((big, n - big) for big in _achievable_part_sizes(bip) if big > n - big >= 1)
+    return not any(half % big == 0 and half % small == 0 for big, small in splits)
 
 
 def lower_bound(g: LabeledGraph) -> int:
@@ -248,7 +227,7 @@ def lower_bound(g: LabeledGraph) -> int:
     if is_bipartite(g) is None:
         bound = max(bound, 3)
         if g.n_vertices <= CHI_EXACT_MAX_VERTICES:
-            bound = max(bound, chromatic_number_small(g, CHI_EXACT_MAX_VERTICES))
-    if two_color_gate(g).verdict is TwoColorGate.IMPOSSIBLE_BY_LEMMA:
+            bound = max(bound, chromatic_number_small(g))
+    if two_coloring_impossible(g):
         bound = max(bound, 3)
     return bound

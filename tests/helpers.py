@@ -1,13 +1,66 @@
-"""Shared test utilities: structural graph comparison and fast transposition
-checking for the metamorphic suites."""
+"""Shared test utilities: structural graph comparison, fast transposition
+checking for the metamorphic suites, and graph and matrix helpers that only
+the tests need (components, disjoint union, the 6x4n closed-form rows)."""
 
 from __future__ import annotations
 
-from collections import Counter
+from collections import Counter, deque
 
 from antimagic.families import BuiltFamily
-from antimagic.graph import LabeledGraph
+from antimagic.graph import LabeledEdge, LabeledGraph
+from antimagic.matrices import KIND_6X4N, Check, LabelMatrix, ValidationReport
 from antimagic.verify import vertex_sums
+
+
+def components(g: LabeledGraph) -> tuple[tuple[int, ...], ...]:
+    """Vertex ids of each connected component, in order of lowest id."""
+    seen = [False] * g.n_vertices
+    comps = []
+    for start in range(g.n_vertices):
+        if seen[start]:
+            continue
+        seen[start] = True
+        comp = [start]
+        queue = deque([start])
+        while queue:
+            v = queue.popleft()
+            for w in g.adjacency[v]:
+                if not seen[w]:
+                    seen[w] = True
+                    comp.append(w)
+                    queue.append(w)
+        comps.append(tuple(sorted(comp)))
+    return tuple(comps)
+
+
+def disjoint_union(g1: LabeledGraph, g2: LabeledGraph) -> LabeledGraph:
+    """Concatenate vertex and edge sets; names are namespaced per operand."""
+    names = tuple(f"1:{nm}" for nm in g1.names) + tuple(f"2:{nm}" for nm in g2.names)
+    off = g1.n_vertices
+    edges = g1.edges + tuple(
+        LabeledEdge(e.u + off, e.v + off, e.label) for e in g2.edges
+    )
+    return LabeledGraph(names, edges)
+
+
+def row_structure_6x4n(m: LabelMatrix) -> ValidationReport:
+    """Check that the reconstructed 6x4n grid has the closed-form rows."""
+    if m.kind != KIND_6X4N:
+        return ValidationReport((Check("kind", False, f"expected {KIND_6X4N}"),))
+    n = m.param
+    want = (
+        list(range(1, 2 * n + 1)) + list(range(6 * n + 2, 10 * n + 1, 2)),
+        list(range(16 * n + 1, 18 * n + 1)) + list(range(18 * n, 16 * n, -1)),
+        list(range(14 * n - 1, 10 * n, -2)) + list(range(6 * n, 4 * n, -1)),
+        list(range(14 * n + 1, 16 * n + 1)) + list(range(6 * n + 1, 10 * n, 2)),
+        list(range(2 * n + 1, 4 * n + 1)) + list(range(4 * n, 2 * n, -1)),
+        list(range(14 * n, 10 * n + 1, -2)) + list(range(20 * n, 18 * n, -1)),
+    )
+    checks = tuple(
+        Check(f"row_{i + 1}_structure", list(m.grid[i]) == want[i])
+        for i in range(6)
+    )
+    return ValidationReport(checks)
 
 
 def vertex_label_signature(g: LabeledGraph) -> Counter:

@@ -192,10 +192,13 @@ NEGATIVE_CLAIMS = {
     *[(["search", "fb.json", "--budget", value], {}) for value in ("-1", "0", "nan", "inf")],
     *[(["search", "fb.json"], {"ANTIMAGIC_SEARCH_BUDGET": value}) for value in ("-1", "nan")],
     (["selftest", "--max-param", "-3"], {}),
+    *[([cmd, "deep.json"], {}) for cmd in ("verify", "search", "export")],
 ])
 def test_bad_input_is_one_error_line(tmp_path, monkeypatch, capsys, argv, env):
     monkeypatch.chdir(tmp_path)
     (tmp_path / "notjson.json").write_text("not json {", encoding="utf-8")
+    depth = 200_000  # far past the interpreter's recursion limit
+    (tmp_path / "deep.json").write_text("[" * depth + "]" * depth, encoding="utf-8")
     for name, doc in {**BAD_DOCUMENTS, **NEGATIVE_CLAIMS}.items():
         (tmp_path / name).write_text(json.dumps(doc), encoding="utf-8")
     g = new_graph(["a", "b"]).with_edges([("a", "b", 1)])
@@ -206,6 +209,29 @@ def test_bad_input_is_one_error_line(tmp_path, monkeypatch, capsys, argv, env):
     assert code == 2 and out == ""
     assert len(err.splitlines()) == 1 and err.startswith("error: ")
     assert "Traceback" not in err
+
+
+@pytest.mark.parametrize("tag", sorted(families.ACCEPTANCE_GRID))
+def test_build_refuses_a_family_above_the_edge_cap(monkeypatch, capsys, tag):
+    # the cap is lowered to each grid point's size, so that no test needs
+    # a huge parameter, which a broken cap would really build
+    def unreachable(*args):
+        raise AssertionError("a matrix was generated for a family above the cap")
+
+    for params in families.ACCEPTANCE_GRID[tag]:
+        edges = families.build_family(tag, **params).graph.size
+        argv = ["build", tag, *(x for p, v in params.items() for x in (f"--{p}", str(v)))]
+        with monkeypatch.context() as patch:
+            patch.setattr(families, "MAX_BUILD_EDGES", edges - 1)
+            for name in ("matrix_5x2k", "matrix_kx10", "sequences_6x4n"):
+                patch.setattr(families, name, unreachable)
+            code, out, err = run(capsys, *argv)
+        assert code == 2 and out == "", (params, edges)
+        assert len(err.splitlines()) == 1 and err.startswith("error: ")
+        assert f"{edges} edges" in err
+        with monkeypatch.context() as patch:
+            patch.setattr(families, "MAX_BUILD_EDGES", edges)
+            assert families.build_family(tag, **params).graph.size == edges
 
 
 def test_selftest_reports_a_failing_grid_point(monkeypatch, capsys):

@@ -82,7 +82,6 @@ def test_document_validation_errors():
 
 def test_dot_export_snapshot():
     g = new_graph(["a", "b", "c"]).with_edges([("a", "b", 2), ("b", "c", 1)])
-    sums = induced_coloring(g).sums
     expected = (
         "graph G {\n"
         '  v0 [label="a\\n2"];\n'
@@ -92,8 +91,20 @@ def test_dot_export_snapshot():
         '  v1 -- v2 [label="1"];\n'
         "}\n"
     )
-    assert to_dot(g, sums) == expected
-    assert to_dot(g, sums) == to_dot(g, sums)
+    assert to_dot(g) == expected
+    assert to_dot(g) == to_dot(g)
+
+
+def test_dot_export_escapes_quotes_and_backslashes():
+    # unescaped, 'a"b' would end the label early and 'c\' would swallow the \n
+    g = new_graph(['a"b', "c\\"]).with_edges([('a"b', "c\\", 1)])
+    assert to_dot(g) == (
+        "graph G {\n"
+        '  v0 [label="a\\"b\\n1"];\n'
+        '  v1 [label="c\\\\\\n1"];\n'
+        '  v0 -- v1 [label="1"];\n'
+        "}\n"
+    )
 
 
 def test_matrix_csv():

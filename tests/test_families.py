@@ -35,6 +35,7 @@ from antimagic.families import (
 )
 from antimagic.graph import split_vertex
 from antimagic.verify import induced_coloring
+from helpers import components, disjoint_union
 
 
 def sums_of(g):
@@ -59,7 +60,7 @@ def test_fb_units_k6_center_sum():
 def test_fb_merge_of_twelve_units():
     built = build_fb(6)
     g = built.graph
-    assert g.degree("x") == 36
+    assert g.degrees()["x"] == 36
     assert sums_of(g)["x"] == 1248 == 6 * (34 * 6 + 4)
 
 
@@ -78,12 +79,12 @@ def test_rfb_merge_sets_match_worked_example():
     # 6FB(2) at k=6 fuses {x_i, x_13-i}; 3FB(4) fuses consecutive pairs with
     # their mirrors
     b62 = build_rfb(6, 2)
-    assert len(b62.graph.components()) == 6
+    assert len(components(b62.graph)) == 6
     s = sums_of(b62.graph)
     assert all(s[f"x_{j}"] == 208 for j in range(1, 7))
 
     b34 = build_rfb(3, 4)
-    assert len(b34.graph.components()) == 3
+    assert len(components(b34.graph)) == 3
     s = sums_of(b34.graph)
     assert all(s[f"x_{j}"] == 4 * (17 * 6 + 2) for j in range(1, 4))
 
@@ -113,40 +114,40 @@ def test_fb1_fb2_hypothesis_warnings():
 def test_rdf_example_colors_and_structure():
     b = build_rdf(3, 2)
     g = b.graph
-    assert len(g.components()) == 3
+    assert len(components(g)) == 3
     rep = induced_coloring(g)
     assert sorted(rep.color_classes) == [61, 79, 208]
     assert [len(rep.color_classes[v]) for v in (61, 79, 208)] == [24, 12, 6]
     deg = Counter(g.degrees().values())
     # per diamond fan: 4s degree-2, 2s degree-3, 2 hubs of degree 3s
     assert deg == {2: 24, 3: 12, 6: 6}
-    assert all(g.degree(f"y_{j}") == 6 and g.degree(f"z_{j}") == 6
+    assert all(g.degrees()[f"y_{j}"] == 6 and g.degrees()[f"z_{j}"] == 6
                for j in (1, 2, 3))
 
 
 def test_rdf_size_formula():
     b = build_rdf(1, 2)
     assert b.graph.size == 20
-    assert len(b.graph.components()) == 1
+    assert len(components(b.graph)) == 1
 
 
 def test_dfr_component_count_and_size():
     b = build_dfr(1, 2)
     assert b.graph.size == 30
-    assert len(b.graph.components()) == 2  # one diamond fan + the fan
+    assert len(components(b.graph)) == 2  # one diamond fan + the fan
     b = build_dfr(1, 4)
-    assert len(b.graph.components()) == 2
+    assert len(components(b.graph)) == 2
     rep = induced_coloring(b.graph)
     assert rep.local_antimagic
     b = build_dfr(3, 2)
-    assert len(b.graph.components()) == 4
+    assert len(components(b.graph)) == 4
 
 
 def test_df_variant_colors():
     b = build_df_variant(3, 2, 1)  # k = 2
     assert sorted(set(sums_of(b.graph).values())) == [21, 27, 72]
     b = build_df_variant(1, 2, 2)  # alpha degree 3r
-    assert all(b.graph.degree(f"alpha_{i}_{a}") == 6
+    assert all(b.graph.degrees()[f"alpha_{i}_{a}"] == 6
                for i in (1, 2) for a in (1, 2))
 
 
@@ -194,13 +195,13 @@ def test_g1_g2_colors():
     b = build_g1(1, 2)  # n = 2
     s = sums_of(b.graph)
     assert all(s[f"U_1_{j}"] == 82 for j in range(1, 5))
-    assert b.graph.degree("U_1_1") == 4
+    assert b.graph.degrees()["U_1_1"] == 4
 
     b = build_g2(3, 2)  # n = 6: fused vertices carry s*(30n+1)
     s = sums_of(b.graph)
     assert all(s[f"U_{bk}_{j}"] == 2 * 181 for bk in (1, 2, 3) for j in (1, 4))
     assert all(s[f"V_{bk}_{j}"] == 2 * 181 for bk in (1, 2, 3) for j in (2, 3))
-    assert len(b.graph.components()) == 3
+    assert len(components(b.graph)) == 3
 
 
 def test_h_families():
@@ -213,7 +214,7 @@ def test_h_families():
     # aligned-corner variant folds each component into a triangular bracelet:
     # 6 triangles around the four degree-4 vertices
     g = build_h(3, 2).graph
-    assert len(g.components()) == 2
+    assert len(components(g)) == 2
     deg = Counter(g.degrees().values())
     assert deg == {3: 16, 4: 8}
 
@@ -244,7 +245,7 @@ def test_bk_and_kc82():
     b = build_family("kC82", k=2)
     s = sums_of(b.graph)
     assert all(s[f"z_{i}"] == 28 * 2 + 2 for i in (1, 2))
-    assert b.graph.degree("z_1") == 4
+    assert b.graph.degrees()["z_1"] == 4
 
 
 def test_kd82_fused_value_is_34k_plus_4():
@@ -253,7 +254,7 @@ def test_kd82_fused_value_is_34k_plus_4():
         s = sums_of(b.graph)
         assert all(s[f"w_{i}"] == 34 * k + 4 for i in range(1, k + 1))
         assert all(s[f"w_{i}"] != 34 * k + 2 for i in range(1, k + 1))
-        assert b.graph.degree("w_1") == 6
+        assert b.graph.degrees()["w_1"] == 6
     assert build_kd82(4).expected.values.count(140) == 1
 
 
@@ -261,10 +262,10 @@ def test_rg82_small():
     b = build_rg82(1, 2)  # k = 2
     s = sums_of(b.graph)
     assert s["p_1"] == 72 and s["q_1"] == 72
-    assert b.graph.degree("p_1") == 6
-    assert len(b.graph.components()) == 1
+    assert b.graph.degrees()["p_1"] == 6
+    assert len(components(b.graph)) == 1
     b = build_rg82(2, 2)  # the two-component case
-    assert len(b.graph.components()) == 2
+    assert len(components(b.graph)) == 2
     rep = induced_coloring(b.graph)
     assert rep.local_antimagic and rep.color_count == 3
 
@@ -325,6 +326,26 @@ def test_registry_covers_grid():
     assert set(ACCEPTANCE_GRID) == set(FAMILIES)
 
 
+OPTIMAL_AT_THREE = {
+    "FB", "rFB", "FB1", "FB2", "rDF", "DFr", "DF1", "DF2", "DF3", "DF4",
+    "nC482", "G1", "G2", "H1", "H2", "H3", "Hm_rs", "kD82", "rG82",
+}
+
+
+@pytest.mark.parametrize("tag", sorted(ACCEPTANCE_GRID))
+def test_chi_la_is_three_per_tag(tag):
+    for params in ACCEPTANCE_GRID[tag]:
+        assert build_family(tag, **params).chi_la_is_three is (tag in OPTIMAL_AT_THREE)
+
+
+@pytest.mark.parametrize("tag, r, s", [
+    ("FB1", 4, 2), ("FB2", 2, 2), ("DF1", 2, 2), ("DF2", 4, 2),
+])
+def test_chi_la_is_three_false_where_hypotheses_warn(tag, r, s):
+    built = build_family(tag, r=r, s=s)
+    assert built.warnings and built.chi_la_is_three is False
+
+
 def test_c482_is_balanced_bipartite():
     from antimagic.graph import is_bipartite
 
@@ -334,13 +355,11 @@ def test_c482_is_balanced_bipartite():
 
 def test_dfr_shape_equals_rdf_plus_fan():
     # structurally, DF_1(4) is the disjoint union of 1DF(4) and FB(2)
-    from antimagic.graph import disjoint_union
-
     combined = disjoint_union(build_rdf(1, 2).graph, build_fb(1).graph)
     direct = build_dfr(1, 2).graph
     assert sorted(combined.degrees().values()) == sorted(direct.degrees().values())
     assert combined.size == direct.size
-    assert len(combined.components()) == len(direct.components()) == 2
+    assert len(components(combined)) == len(components(direct)) == 2
 
 
 @settings(max_examples=80)

@@ -17,12 +17,11 @@ from antimagic.graph import (
     ParallelEdgeCreated,
     apply_merge,
     chromatic_number_small,
-    disjoint_union,
     is_bipartite,
     new_graph,
     split_vertex,
 )
-from helpers import same_up_to_names, vertex_label_signature
+from helpers import disjoint_union, same_up_to_names, vertex_label_signature
 
 
 def fan_unit(labels=(1, 2, 3, 4, 5), suffix=""):
@@ -32,6 +31,10 @@ def fan_unit(labels=(1, 2, 3, 4, 5), suffix=""):
         (u, w, labels[0]), (v, w, labels[1]), (x, w, labels[2]),
         (x, u, labels[3]), (x, v, labels[4]),
     ])
+
+
+def neighbor_names(g, name):
+    return {g.names[w] for w in g.adjacency[g.id_of(name)]}
 
 
 def test_new_graph_and_errors():
@@ -58,7 +61,7 @@ def test_merge_two_units_degree_additivity():
     g = disjoint_union(g1, g2)
     g = apply_merge(g, [(["1:x1", "2:x2"], "x")])
     assert g.n_vertices == 7
-    assert g.degree("x") == 6
+    assert g.degrees()["x"] == 6
 
 
 def test_merge_adjacent_vertices_is_loop():
@@ -105,14 +108,14 @@ def test_split_vertex_fan():
     g = fan_unit()
     g = split_vertex(g, "x", {"w"}, {"u", "v"}, "x^1", "x^2")
     assert g.n_vertices == 5
-    assert g.degree("x^1") == 1 and g.degree("x^2") == 2
-    assert g.has_edge("x^1", "w") and g.has_edge("x^2", "u")
+    assert g.degrees()["x^1"] == 1 and g.degrees()["x^2"] == 2
+    assert "w" in neighbor_names(g, "x^1") and "u" in neighbor_names(g, "x^2")
 
 
 def test_split_empty_block_gives_isolated_vertex():
     g = new_graph(["a", "b"]).with_edges([("a", "b", 1)])
     g = split_vertex(g, "a", {"b"}, set(), "a1", "a2")
-    assert g.degree("a2") == 0
+    assert g.degrees()["a2"] == 0
 
 
 def test_split_overlapping_blocks_rejected():
@@ -192,9 +195,9 @@ def small_graphs(draw):
 @settings(max_examples=60)
 @given(small_graphs(), st.data())
 def test_split_merge_roundtrip_random(g, data):
-    candidates = [nm for nm in g.names if g.degree(nm) >= 1]
+    candidates = [nm for nm in g.names if g.degrees()[nm] >= 1]
     v = data.draw(st.sampled_from(candidates))
-    nbrs = sorted(g.neighbors(v))
+    nbrs = sorted(neighbor_names(g, v))
     block1 = set(data.draw(st.lists(st.sampled_from(nbrs), unique=True,
                                     max_size=len(nbrs)))) if nbrs else set()
     block2 = set(nbrs) - block1

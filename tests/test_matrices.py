@@ -13,7 +13,6 @@ from antimagic.matrices import (
     matrix_5x2k,
     matrix_6x4n,
     matrix_kx10,
-    row_structure_6x4n,
     sequences_6x4n,
     validate_5x2k,
     validate_6x4n,
@@ -26,6 +25,7 @@ from golden import (
     ROW_KX10_K1,
     SEQUENCES_N6,
 )
+from helpers import row_structure_6x4n
 from collections import Counter
 
 

@@ -16,11 +16,10 @@ from antimagic.graph import LabeledEdge, LabeledGraph, new_graph
 from antimagic.verify import (
     ColorClass,
     ExpectedColors,
-    TwoColorGate,
     check_expected,
     induced_coloring,
     lower_bound,
-    two_color_gate,
+    two_coloring_impossible,
     vertex_sums,
 )
 from oracles import naive_chi_la
@@ -90,24 +89,22 @@ def test_check_expected_degree_mismatch_detected():
 
 
 def test_two_color_gate_balanced_families():
-    assert two_color_gate(build_rdf(1, 2).graph).verdict \
-        is TwoColorGate.IMPOSSIBLE_BY_LEMMA
-    assert two_color_gate(build_nc482(1).graph).verdict \
-        is TwoColorGate.IMPOSSIBLE_BY_LEMMA
+    assert two_coloring_impossible(build_rdf(1, 2).graph) is True
+    assert two_coloring_impossible(build_nc482(1).graph) is True
 
 
 def test_two_color_gate_tripartite_inconclusive():
-    assert two_color_gate(build_fb(1).graph).verdict is TwoColorGate.INCONCLUSIVE
+    assert two_coloring_impossible(build_fb(1).graph) is False
 
 
 def test_two_color_gate_divisor_scan():
     # path on 3 vertices: q = 2, q(q+1)/2 = 3 does not split as x*2 = 3
     p3 = new_graph(["a", "b", "c"]).with_edges([("a", "b", 1), ("b", "c", 2)])
-    assert two_color_gate(p3).verdict is TwoColorGate.IMPOSSIBLE_BY_LEMMA
+    assert two_coloring_impossible(p3) is True
     # star K_{1,3}: q = 3, parts (1, 3): 6 = 2*3 = 6*1 fits, so inconclusive
     star = new_graph(["c", "l1", "l2", "l3"]).with_edges(
         [("c", "l1", 1), ("c", "l2", 2), ("c", "l3", 3)])
-    assert two_color_gate(star).verdict is TwoColorGate.INCONCLUSIVE
+    assert two_coloring_impossible(star) is False
 
 
 def test_lower_bounds():
