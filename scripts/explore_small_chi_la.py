@@ -17,7 +17,13 @@ import argparse
 import sys
 
 from antimagic.families import build_family
-from antimagic.search import STATUS_VALUE, chi_la_exact, confirm_three
+from antimagic.search import (
+    DEFAULT_MAX_EDGES,
+    STATUS_VALUE,
+    check_budget,
+    chi_la_exact,
+    confirm_three,
+)
 from antimagic.verify import induced_coloring
 
 
@@ -34,8 +40,12 @@ def main() -> int:
     parser = argparse.ArgumentParser(description=__doc__)
     parser.add_argument("--budget", type=float, default=None,
                         help="seconds per case (default: unlimited)")
-    parser.add_argument("--max-edges", type=int, default=11)
+    parser.add_argument("--max-edges", type=int, default=DEFAULT_MAX_EDGES)
     args = parser.parse_args()
+    try:
+        check_budget(args.budget)
+    except ValueError as exc:
+        parser.error(str(exc))
 
     for tag, params, known in CASES:
         built = build_family(tag, **params)

@@ -9,7 +9,6 @@ from __future__ import annotations
 
 import argparse
 import json
-import math
 import os
 import sys
 from itertools import groupby
@@ -25,7 +24,7 @@ from .matrices import (
     validate,
     validate_6x4n,
 )
-from .search import DEFAULT_MAX_EDGES, STATUS_VALUE, chi_la_exact
+from .search import DEFAULT_MAX_EDGES, STATUS_VALUE, check_budget, chi_la_exact
 from .verify import check_expected, induced_coloring
 
 USAGE_ERROR = 2
@@ -120,9 +119,7 @@ def cmd_search(args: argparse.Namespace) -> int:
     budget = args.budget
     if budget is None and os.environ.get(BUDGET_ENV_VAR):
         budget = float(os.environ[BUDGET_ENV_VAR])
-    if budget is not None and not 0 < budget < math.inf:  # also rejects nan
-        raise ValueError(
-            f"search budget must be a positive finite number of seconds, not {budget}")
+    check_budget(budget)
     g, _ = doc_mod.document_to_graph(_load_document(args.input))
     result = chi_la_exact(g, max_edges=args.max_edges, budget=budget)
     _emit(doc_mod.dumps(result.to_json_dict()), args.out)

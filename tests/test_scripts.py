@@ -45,6 +45,12 @@ def test_explore_small_chi_la():
         assert "search: chi_la = 3 (confirmed3)" in line
 
 
+def test_explore_small_chi_la_rejects_a_bad_budget():
+    proc = run_script("explore_small_chi_la.py", "--budget", "nan")
+    assert proc.returncode == 2 and proc.stdout == ""
+    assert "positive finite number of seconds, not nan" in proc.stderr
+
+
 def test_bench_tracer_finds_every_name_it_wraps(monkeypatch):
     # bench/tracing.py resolves each wrap target with getattr and no
     # default, so a deleted or renamed package name breaks every traced run

@@ -57,6 +57,27 @@ def k4_path():
         [(names[a], names[b], t + 1) for t, (a, b) in enumerate(pairs)])
 
 
+def bull():
+    # a triangle a, b, c with a pendant at a and one at b
+    g = new_graph(["a", "b", "c", "x", "y"])
+    return g.with_edges([("a", "b", 1), ("b", "c", 2), ("a", "c", 3),
+                         ("a", "x", 4), ("b", "y", 5)])
+
+
+def double_star(leaves):
+    names = ["a", "b"] + [f"a{i}" for i in range(leaves)] + [f"b{i}" for i in range(leaves)]
+    pairs = [("a", "b")] + [(h, f"{h}{i}") for h in "ab" for i in range(leaves)]
+    return new_graph(names).with_edges(
+        [(a, b, t + 1) for t, (a, b) in enumerate(pairs)])
+
+
+def fan_with_leaves():
+    # hub h joined to the path a-b-c and to two leaves x, y
+    g = new_graph(["h", "a", "b", "c", "x", "y"])
+    return g.with_edges([("h", "a", 1), ("h", "b", 2), ("h", "c", 3), ("h", "x", 4),
+                         ("a", "b", 5), ("b", "c", 6), ("h", "y", 7)])
+
+
 def fb1_graph():
     g = new_graph(["u", "v", "w", "x"])
     return g.with_edges([("u", "w", 1), ("v", "w", 2), ("x", "w", 3),
@@ -81,8 +102,9 @@ def test_fb1_value_3():
 
 @pytest.mark.parametrize("g", [
     path(3), path(4), path(5), cycle(3), cycle(4), cycle(5), cycle(6),
-    star(3), star(4), fb1_graph(),
-], ids=["P3", "P4", "P5", "C3", "C4", "C5", "C6", "K13", "K14", "FB1"])
+    star(3), star(4), fb1_graph(), bull(), fan_with_leaves(),
+], ids=["P3", "P4", "P5", "C3", "C4", "C5", "C6", "K13", "K14", "FB1", "bull",
+        "fan_with_leaves"])
 def test_pruned_matches_naive_oracle(g):
     naive = naive_chi_la(g)
     result = chi_la_exact(g)
@@ -116,7 +138,7 @@ def test_pruned_matches_naive_on_random_graphs(g):
     result = chi_la_exact(g)
     assert result.lower_bound == lower_bound(g)
     assert result.stats.prunes == (result.stats.conflict + result.stats.color_bound
-                                   + result.stats.symmetry)
+                                   + result.stats.symmetry + result.stats.reach)
     if naive is None:
         assert result.status == STATUS_NO_LABELING
         # Haslegrave (DMTCS 2018): every connected graph but K2 is local antimagic
@@ -148,8 +170,71 @@ def test_symmetry_rule_prunes_twin_leaves():
     by_rule = result.to_json_dict()["stats"]["prunes_by_rule"]
     assert by_rule == {"conflict": result.stats.conflict,
                        "color_bound": result.stats.color_bound,
-                       "symmetry": result.stats.symmetry}
+                       "symmetry": result.stats.symmetry,
+                       "reach": result.stats.reach}
     assert result.to_json_dict()["stats"]["prunes"] == sum(by_rule.values())
+
+
+@pytest.mark.parametrize("g, lb, chi", [
+    (bull(), 3, 4),  # the dive finds 5 colors; the round for 3 fails, 4 succeeds
+    (double_star(2), 5, 6),  # the dive finds 6; the round for 5 fails
+    (double_star(3), 7, 8),
+], ids=["bull", "double_star_2", "double_star_3"])
+def test_value_above_lower_bound(g, lb, chi):
+    result = chi_la_exact(g)
+    assert result.status == STATUS_VALUE and result.chi_la == naive_chi_la(g) == chi
+    # a value keeps verify.lower_bound, not the largest refuted target + 1
+    assert result.lower_bound == lower_bound(g) == lb
+    assert result.upper_bound == chi
+    rep = induced_coloring(result.witness)
+    assert rep.local_antimagic and rep.color_count == chi
+
+
+def test_k4_path_proven_by_reach_prunes():
+    # lower_bound is 4 but the dive's first labeling has more colors, so
+    # the round for 4 must find one; reach prunes keep it small
+    result = chi_la_exact(k4_path())
+    assert result.status == STATUS_VALUE and result.chi_la == result.lower_bound == 4
+    assert result.stats.reach > 0
+    assert result.stats.nodes < 400_000
+
+
+def test_timeout_reports_the_largest_refuted_target(monkeypatch):
+    class Clock:
+        """Advances one second per read: the start, then every node."""
+        reads = 0
+
+        def monotonic(self):
+            self.reads += 1
+            return float(self.reads)
+
+    g = bull()  # lower_bound 3, chi_la 4, and the dive finds 5 colors
+    nodes = chi_la_exact(g).stats.nodes  # the last node completes the 4-coloring
+    monkeypatch.setattr(search, "CLOCK_EVERY", 1)
+    monkeypatch.setattr(search, "time", Clock())
+    seen = []
+    for budget in range(1, nodes):
+        result = chi_la_exact(g, budget=float(budget))
+        assert result.status == STATUS_TIMEOUT and result.chi_la is None
+        assert result.stats.nodes == budget + 1
+        if result.witness is not None:  # the dive's labeling
+            rep = induced_coloring(result.witness)
+            assert rep.local_antimagic and rep.color_count == result.upper_bound == 5
+        else:
+            assert result.upper_bound is None and result.lower_bound == 3
+        seen.append((result.lower_bound, result.upper_bound))
+    assert seen == sorted(seen, key=lambda b: (b[0], b[1] or 0))
+    # timing out in the dive, in the round for 3 colors and, once 3 is
+    # refuted, in the round for 4
+    assert {b for b, _ in seen} == {3, 4}
+    assert seen[-1] == (4, 5)
+    assert result.to_json_dict()["lower_bound"] == 4
+
+
+@pytest.mark.parametrize("budget", [0.0, -1.0, float("nan"), float("inf")])
+def test_budget_must_be_positive_and_finite(budget):
+    with pytest.raises(ValueError, match="positive finite"):
+        chi_la_exact(path(3), budget=budget)
 
 
 def test_disconnected_searched_whole():
@@ -210,7 +295,7 @@ def test_timeout_keeps_the_best_labeling(monkeypatch):
             return 0.0 if self.reads <= 2 else 10.0
 
     monkeypatch.setattr(search, "time", Clock())
-    g = k4_path()  # chi_la 4, proven only after 1.4M nodes
+    g = k4_path()  # chi_la 4; the dive's first labeling has more colors
     result = chi_la_exact(g, budget=1.0)
     assert result.status == STATUS_TIMEOUT and result.chi_la is None
     assert result.stats.nodes == 1 + search.CLOCK_EVERY
