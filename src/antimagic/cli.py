@@ -16,6 +16,7 @@ from pathlib import Path
 
 from . import document as doc_mod
 from .families import FAMILIES, build_family, verify_grid
+from .graph import LabeledGraph
 from .matrices import (
     matrix_5x2k,
     matrix_6x4n,
@@ -24,8 +25,8 @@ from .matrices import (
     validate,
     validate_6x4n,
 )
-from .search import DEFAULT_MAX_EDGES, STATUS_VALUE, check_budget, chi_la_exact
-from .verify import check_expected, induced_coloring
+from .search import DEFAULT_MAX_EDGES, STATUS_TIMEOUT, STATUS_VALUE, check_budget, chi_la_exact
+from .verify import ColorReport, ExpectedColors, check_expected, induced_coloring
 
 USAGE_ERROR = 2
 CHECK_FAILED = 1
@@ -47,6 +48,23 @@ def _load_document(path: str) -> dict:
         return json.loads(raw)
     except RecursionError:  # the decoder recurses once per nesting level
         raise ValueError(f"{path}: JSON nested too deeply to read") from None
+
+
+def _check(g: LabeledGraph, expected: ExpectedColors | None) -> tuple[ColorReport, bool]:
+    """Color ``g``, check it against ``expected`` when there is a claim, and
+    print the problems to stderr; ok means local antimagic and as claimed."""
+    report = induced_coloring(g)
+    ok = report.local_antimagic
+    for u, v, s in report.conflicts[:10]:
+        print(f"conflict: {u} -- {v} both sum to {s}", file=sys.stderr)
+    for p in report.label_problems[:10]:
+        print(f"labels: {p}", file=sys.stderr)
+    if expected is not None:
+        check = check_expected(g, expected, report)
+        ok = ok and check.passed
+        for d in check.diffs:
+            print(f"expected-colors mismatch: {d}", file=sys.stderr)
+    return report, ok
 
 
 def cmd_matrix(args: argparse.Namespace) -> int:
@@ -81,37 +99,15 @@ def cmd_build(args: argparse.Namespace) -> int:
     for w in built.warnings:
         print(f"warning: {w}", file=sys.stderr)
 
-    verification = None
-    failed = False
-    if args.verify:
-        verification = induced_coloring(built.graph)
-        check = check_expected(built.graph, built.expected, verification)
-        failed = not (verification.local_antimagic and check.passed)
-        if not verification.local_antimagic:
-            print("verification: labeling is not local antimagic", file=sys.stderr)
-            for u, v, s in verification.conflicts[:5]:
-                print(f"  conflict: {u} -- {v} both sum to {s}", file=sys.stderr)
-        for d in check.diffs:
-            print(f"expected-colors mismatch: {d}", file=sys.stderr)
-
+    verification, ok = _check(built.graph, built.expected) if args.verify else (None, True)
     _emit(doc_mod.dumps(doc_mod.built_to_document(built, verification)), args.out)
-    return CHECK_FAILED if failed else OK
+    return OK if ok else CHECK_FAILED
 
 
 def cmd_verify(args: argparse.Namespace) -> int:
     g, expected = doc_mod.document_to_graph(_load_document(args.input))
-    report = induced_coloring(g)
+    report, ok = _check(g, expected)
     _emit(doc_mod.dumps(report.to_json_dict()), args.out)
-    ok = report.local_antimagic
-    for u, v, s in report.conflicts[:10]:
-        print(f"conflict: {u} -- {v} both sum to {s}", file=sys.stderr)
-    for p in report.label_problems[:10]:
-        print(f"labels: {p}", file=sys.stderr)
-    if expected is not None:
-        check = check_expected(g, expected, report)
-        ok = ok and check.passed
-        for d in check.diffs:
-            print(f"expected-colors mismatch: {d}", file=sys.stderr)
     return OK if ok else CHECK_FAILED
 
 
@@ -123,9 +119,9 @@ def cmd_search(args: argparse.Namespace) -> int:
     g, _ = doc_mod.document_to_graph(_load_document(args.input))
     result = chi_la_exact(g, max_edges=args.max_edges, budget=budget)
     _emit(doc_mod.dumps(result.to_json_dict()), args.out)
-    if result.status == STATUS_VALUE and result.chi_la is not None:
+    if result.status == STATUS_VALUE:
         print(f"chi_la = {result.chi_la}", file=sys.stderr)
-    return OK if result.status != "timeout" else CHECK_FAILED
+    return CHECK_FAILED if result.status == STATUS_TIMEOUT else OK
 
 
 def cmd_export(args: argparse.Namespace) -> int:

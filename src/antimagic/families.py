@@ -639,21 +639,17 @@ def build_oddk_h(r: int, s: int) -> BuiltFamily:
     _check(k % 2 == 1 and k >= 3, "k = rs must be odd and >= 3")
     g = _prism_units(k)
     half = (s - 1) // 2
-    z_groups = []
     merge_groups = []
     for a in range(1, r + 1):
         block = _block(a, s)
         lead, mid, trail = block[:half], block[half], block[half + 1:]
-        z_groups += [([f"x_{c}", f"u_{c}_8"], f"z_{c}") for c in block if c != mid]
-        big = [f"z_{c}" for c in lead] + [f"u_{mid}_8"] + [f"u_{c}_4" for c in trail]
-        small = [f"z_{c}" for c in trail] + [f"u_{c}_4" for c in lead] + [f"u_{mid}_4"]
-        if len(big) >= 2:
-            merge_groups.append((big, f"p_{a}"))
-        if len(small) >= 2:
-            merge_groups.append((small, f"q_{a}"))
-    if z_groups:
-        g = apply_merge(g, z_groups)
-    if merge_groups:
+        # a copy's z vertex is its spoke x fused with its corner u_8
+        big = [v for c in lead for v in (f"x_{c}", f"u_{c}_8")] \
+            + [f"u_{mid}_8"] + [f"u_{c}_4" for c in trail]
+        small = [v for c in trail for v in (f"x_{c}", f"u_{c}_8")] \
+            + [f"u_{c}_4" for c in lead] + [f"u_{mid}_4"]
+        merge_groups += [(big, f"p_{a}"), (small, f"q_{a}")]
+    if half:  # s = 1 fuses nothing
         g = apply_merge(g, merge_groups)
 
     hub_deg = 3 * (s - 1) + 2

@@ -71,7 +71,6 @@ class LabeledEdge:
 
 @dataclass(frozen=True)
 class Bipartition:
-    side: tuple[int, ...]  # 0/1 per vertex id
     component_parts: tuple[tuple[int, int], ...]  # (|side0|, |side1|) per component
 
     @property
@@ -290,7 +289,7 @@ def is_bipartite(g: LabeledGraph) -> Bipartition | None:
                 elif side[w] == side[v]:
                     return None
         parts.append((count[0], count[1]))
-    return Bipartition(tuple(side), tuple(parts))
+    return Bipartition(tuple(parts))
 
 
 def chromatic_number_small(g: LabeledGraph) -> int:
@@ -331,7 +330,4 @@ def chromatic_number_small(g: LabeledGraph) -> int:
 
         return place(0)
 
-    for c in range(3, n + 1):
-        if colorable(c):
-            return c
-    return n
+    return next(c for c in range(3, n + 1) if colorable(c))  # c = n always succeeds

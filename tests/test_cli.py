@@ -13,6 +13,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import antimagic.cli as cli
 import antimagic.families as families
 from antimagic.cli import main
 from antimagic.document import (
@@ -23,6 +24,7 @@ from antimagic.document import (
     graph_to_document,
 )
 from antimagic.graph import LabeledGraph, new_graph
+from antimagic.matrices import matrix_6x4n, sequences_6x4n
 from antimagic.verify import ColorClass, ExpectedColors, induced_coloring
 from golden import GRID_5X2K_K6, SEQUENCES_N6
 
@@ -61,6 +63,12 @@ def test_matrix_json_format(capsys):
     assert code == 0
     doc = json.loads(out)
     assert doc["grid"] == [[1, 6, 5, 3, 8, 2, 9, 10, 7, 4]]
+    code, out, _ = run(capsys, "matrix", "6x4n", "--n", "3", "--format", "json",
+                       "--sequences")
+    assert code == 0
+    doc = json.loads(out)
+    assert doc["sequences"] == [list(t) for t in sequences_6x4n(3)]
+    assert doc["grid"] == [list(row) for row in matrix_6x4n(3).grid]
 
 
 def test_build_fb_verify(capsys):
@@ -171,6 +179,8 @@ BAD_DOCUMENTS = {
         "classes": [{"value": 1, "size": 1}], "claimed_colors": 3})),
     "list_name.json": _spoiled(lambda d: d["vertices"][0].update(name=["a"])),
     "true_label.json": _spoiled(lambda d: d["edges"][0].update(label=True)),
+    "repeated_name.json": _spoiled(lambda d: d["vertices"][2].update(name="a")),
+    "loop_edge.json": _spoiled(lambda d: d["edges"][0].update(v=0)),
 }
 FB_DOC = built_to_document(families.build_family("FB", k=1))
 NEGATIVE_CLAIMS = {
@@ -183,6 +193,7 @@ NEGATIVE_CLAIMS = {
 
 @pytest.mark.parametrize("argv, env", [
     (["build", "FB", "--k", "1", "--out", "missing/g.json"], {}),
+    (["build", "FB", "--k", "1", "--r", "2"], {}),
     (["search", "fb.json"], {"ANTIMAGIC_SEARCH_BUDGET": "abc"}),
     *[([cmd, path], {}) for cmd in ("verify", "search", "export")
       for path in ("missing.json", "notjson.json", *BAD_DOCUMENTS)],
@@ -253,6 +264,24 @@ def test_selftest_reports_a_failing_grid_point(monkeypatch, capsys):
     assert "FAIL family FB (10 points)" in out
     assert "ok   family FB_units (10 points)" in out
     assert out.endswith("selftest: 2 failure(s)\n")
+
+
+def test_failing_build_verify_prints_what_verify_prints(tmp_path, monkeypatch, capsys):
+    def build_with_a_label_repeated(tag, **params):
+        built = families.build_family(tag, **params)
+        e0, e1, *rest = built.graph.edges
+        edges = (dataclasses.replace(e0, label=e1.label), e1, *rest)
+        return dataclasses.replace(built, graph=LabeledGraph(built.graph.names, edges))
+
+    monkeypatch.setattr(cli, "build_family", build_with_a_label_repeated)
+    code, out, build_err = run(capsys, "build", "FB", "--k", "1", "--verify")
+    assert code == 1
+    assert build_err.startswith("labels: label 6 used more than once\nlabels: label 1 missing\n")
+    assert "expected-colors mismatch: " in build_err
+    path = tmp_path / "repeated.json"
+    path.write_text(out, encoding="utf-8")
+    code, _, verify_err = run(capsys, "verify", str(path))
+    assert code == 1 and verify_err == build_err
 
 
 def _fan_document() -> dict:

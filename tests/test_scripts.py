@@ -1,10 +1,12 @@
-"""Smoke tests of the scripts under scripts/, run as a user runs them, and
-of the names the benchmark's tracer looks up in the package."""
+"""Smoke tests of the scripts under scripts/, run as a user runs them, of
+the names the benchmark's tracer looks up in the package, and of the
+package's modules imported one at a time."""
 
 from __future__ import annotations
 
 import importlib
 import os
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -12,13 +14,17 @@ from pathlib import Path
 ROOT = Path(__file__).resolve().parents[1]
 
 
-def run_script(script: str, *args: str) -> subprocess.CompletedProcess:
+def run_python(*args: str) -> subprocess.CompletedProcess:
+    """A fresh interpreter with the package's source first on its path."""
     env = dict(os.environ)
     env["PYTHONPATH"] = os.pathsep.join(
         p for p in (str(ROOT / "src"), env.get("PYTHONPATH")) if p)
-    return subprocess.run(
-        [sys.executable, str(ROOT / "scripts" / script), *args],
-        capture_output=True, text=True, env=env, timeout=120)
+    return subprocess.run([sys.executable, *args],
+                          capture_output=True, text=True, env=env, timeout=120)
+
+
+def run_script(script: str, *args: str) -> subprocess.CompletedProcess:
+    return run_python(str(ROOT / "scripts" / script), *args)
 
 
 def test_family_grid_subset():
@@ -56,3 +62,19 @@ def test_bench_tracer_finds_every_name_it_wraps(monkeypatch):
     # default, so a deleted or renamed package name breaks every traced run
     monkeypatch.syspath_prepend(str(ROOT / "bench"))
     importlib.import_module("tracing").Tracer()  # AttributeError if one is gone
+
+
+def test_each_module_imports_alone_and_the_version_is_the_projects():
+    # the package __init__ imports nothing, so each module must pull in
+    # what it needs itself
+    modules = sorted(p.stem for p in (ROOT / "src" / "antimagic").glob("*.py")
+                     if p.stem != "__init__")
+    assert modules == ["cli", "document", "families", "graph", "matrices",
+                       "search", "verify"]
+    for name in modules:
+        proc = run_python("-c", f"import antimagic.{name}")
+        assert proc.returncode == 0, (name, proc.stderr)
+
+    pyproject = (ROOT / "pyproject.toml").read_text(encoding="utf-8")
+    version = re.search(r'^version = "([^"]+)"$', pyproject, re.MULTILINE).group(1)
+    assert importlib.import_module("antimagic").__version__ == version

@@ -54,6 +54,11 @@ def test_nonbijective_labels_reported():
     assert not rep.labels_bijective
     assert any("more than once" in p for p in rep.label_problems)
     assert not rep.local_antimagic
+    # a label above m on the 3-vertex path
+    rep = induced_coloring(new_graph(["a", "b", "c"]).with_edges(
+        [("a", "b", 1), ("b", "c", 5)]))
+    assert not rep.labels_bijective and not rep.local_antimagic
+    assert "label 5 outside [1, 2]" in rep.label_problems
 
 
 def test_check_expected_passes_and_catches_tampering():
@@ -86,6 +91,11 @@ def test_check_expected_degree_mismatch_detected():
         (ColorClass(11, 4, 3), ColorClass(14, 2, 3), ColorClass(38, 1, 6)), 3)
     chk = check_expected(built.graph, wrong_degree, induced_coloring(built.graph))
     assert not chk.passed and any("degree" in d for d in chk.diffs)
+    # a bound claim (exact=False) of 2 colors, where FB_1 has 3
+    bound = ExpectedColors(
+        (ColorClass(11, 4, 2), ColorClass(14, 2, 3), ColorClass(38, 1, 6)), 2, exact=False)
+    chk = check_expected(built.graph, bound, induced_coloring(built.graph))
+    assert chk.diffs == ("color count 3 exceeds claimed bound 2",)
 
 
 def test_two_color_gate_balanced_families():
