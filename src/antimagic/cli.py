@@ -15,6 +15,7 @@ from itertools import groupby
 from pathlib import Path
 
 from . import document as doc_mod
+from . import families
 from .families import FAMILIES, build_family, verify_grid
 from .graph import LabeledGraph
 from .matrices import (
@@ -50,21 +51,25 @@ def _load_document(path: str) -> dict:
         raise ValueError(f"{path}: JSON nested too deeply to read") from None
 
 
-def _check(g: LabeledGraph, expected: ExpectedColors | None) -> tuple[ColorReport, bool]:
-    """Color ``g``, check it against ``expected`` when there is a claim, and
-    print the problems to stderr; ok means local antimagic and as claimed."""
+def _check(g: LabeledGraph, expected: ExpectedColors | None) -> tuple[ColorReport, list[str]]:
+    """Color ``g`` and check it against ``expected`` when there is a claim.
+    The problem lines are empty exactly when ``g`` is local antimagic and
+    as claimed."""
     report = induced_coloring(g)
-    ok = report.local_antimagic
-    for u, v, s in report.conflicts[:10]:
-        print(f"conflict: {u} -- {v} both sum to {s}", file=sys.stderr)
-    for p in report.label_problems[:10]:
-        print(f"labels: {p}", file=sys.stderr)
+    problems = [f"conflict: {u} -- {v} both sum to {s}" for u, v, s in report.conflicts[:10]]
+    problems += [f"labels: {p}" for p in report.label_problems[:10]]
     if expected is not None:
         check = check_expected(g, expected, report)
-        ok = ok and check.passed
-        for d in check.diffs:
-            print(f"expected-colors mismatch: {d}", file=sys.stderr)
-    return report, ok
+        problems += [f"expected-colors mismatch: {d}" for d in check.diffs]
+    return report, problems
+
+
+def _verdict(problems: list[str]) -> int:
+    """Print the check's problem lines to stderr, after the output is
+    written, so that a failed write is the one ``error:`` line."""
+    for line in problems:
+        print(line, file=sys.stderr)
+    return CHECK_FAILED if problems else OK
 
 
 def cmd_matrix(args: argparse.Namespace) -> int:
@@ -75,6 +80,10 @@ def cmd_matrix(args: argparse.Namespace) -> int:
         raise ValueError(f"matrix {kind} requires --{param_name}")
     if args.sequences and kind != "6x4n":
         raise ValueError("--sequences only applies to the 6x4n matrix")
+    labels = (20 if kind == "6x4n" else 10) * param
+    if labels > families.MAX_BUILD_EDGES:
+        raise ValueError(f"matrix {kind} would have {labels} labels, "
+                         f"above the cap of {families.MAX_BUILD_EDGES}")
     generate = {"5x2k": matrix_5x2k, "kx10": matrix_kx10, "6x4n": matrix_6x4n}[kind]
     m = generate(param)
 
@@ -99,16 +108,16 @@ def cmd_build(args: argparse.Namespace) -> int:
     for w in built.warnings:
         print(f"warning: {w}", file=sys.stderr)
 
-    verification, ok = _check(built.graph, built.expected) if args.verify else (None, True)
+    verification, problems = _check(built.graph, built.expected) if args.verify else (None, [])
     _emit(doc_mod.dumps(doc_mod.built_to_document(built, verification)), args.out)
-    return OK if ok else CHECK_FAILED
+    return _verdict(problems)
 
 
 def cmd_verify(args: argparse.Namespace) -> int:
     g, expected = doc_mod.document_to_graph(_load_document(args.input))
-    report, ok = _check(g, expected)
+    report, problems = _check(g, expected)
     _emit(doc_mod.dumps(report.to_json_dict()), args.out)
-    return OK if ok else CHECK_FAILED
+    return _verdict(problems)
 
 
 def cmd_search(args: argparse.Namespace) -> int:

@@ -4,11 +4,11 @@ The JSON document is the interchange format: it round-trips losslessly,
 and identical inputs always produce identical bytes (sorted keys, fixed
 indentation, trailing newline).  ``dumps(doc)`` is byte for byte
 ``json.dumps(doc, indent=2, sort_keys=True) + "\n"``, for any value that
-``json.dumps`` accepts.  It writes objects and lists itself and the
-vertex and edge rows from fixed templates, because with an indent CPython
-runs ``json.dumps`` through its pure-Python encoder; whatever else it
-meets goes through ``json.dumps``.  DOT is export-only with vertices in
-sorted order so snapshots are stable.
+``json.dumps`` accepts.  It writes objects and lists itself, int and str
+items inline and the vertex and edge rows from fixed templates, because
+with an indent CPython runs ``json.dumps`` through its pure-Python
+encoder; whatever else it meets goes through ``json.dumps``.  DOT is
+export-only with vertices in sorted order so snapshots are stable.
 """
 
 from __future__ import annotations
@@ -44,7 +44,7 @@ def graph_to_document(
             {"id": i, "name": nm, "degree": degrees[nm]}
             for i, nm in enumerate(g.names)
         ],
-        "edges": [{"u": e.u, "v": e.v, "label": e.label} for e in g.edges],
+        "edges": [{"u": u, "v": v, "label": label} for u, v, label in g.edges],
     }
     if family is not None:
         doc["family"] = {"tag": family, "params": dict(params or {})}
@@ -189,7 +189,8 @@ def _encode(value, pad: str) -> str:
     if kind is list and value:
         newline = "\n" + inner
         vertex, edge = (row.replace("\n", newline) for row in (_VERTEX_ROW, _EDGE_ROW))
-        rows = [_quote(x) if type(x) is str else _row(x, inner, vertex, edge) for x in value]
+        rows = [repr(x) if type(x) is int else _quote(x) if type(x) is str
+                else _row(x, inner, vertex, edge) for x in value]
         return "[" + newline + ("," + newline).join(rows) + "\n" + pad + "]"
     return json.dumps(value, indent=2, sort_keys=True).replace("\n", "\n" + pad)
 
@@ -217,8 +218,8 @@ def to_dot(g: LabeledGraph) -> str:
     for i, (name, total) in enumerate(zip(g.names, vertex_sums(g))):
         name = name.replace("\\", "\\\\").replace('"', '\\"')
         lines.append(f'  v{i} [label="{name}\\n{total}"];')
-    for e in sorted(g.edges, key=lambda e: (e.u, e.v)):
-        lines.append(f'  v{e.u} -- v{e.v} [label="{e.label}"];')
+    for u, v, label in sorted(g.edges):  # each pair once: the label breaks no tie
+        lines.append(f'  v{u} -- v{v} [label="{label}"];')
     lines.append("}")
     return "\n".join(lines) + "\n"
 

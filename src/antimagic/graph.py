@@ -2,13 +2,16 @@
 
 Vertices are addressed by display name (``u_3``, ``x_5^1``, ``w_2_4``) so
 constructions and tests can refer to them directly; integer ids are
-positional handles.  A ``LabeledGraph`` gives the views the other modules
-read (``adjacency``, ``degrees()``, ``labels()``, ``id_of``) and
-``with_edges``.  The surgery is ``apply_merge``, which every family
-builder uses, and ``split_vertex``, which no builder calls; the tests
-keep it as the oracle for the pre-split fan units.  ``is_bipartite`` and
-``chromatic_number_small`` feed the verifier's lower bound.  Every operation is pure: it validates its inputs and returns a
-new graph.  Edge labels stay attached to their edges through
+positional handles.  An edge is a named triple ``LabeledEdge(u, v,
+label)`` of two vertex ids with ``u < v`` and a positive label; it
+unpacks as ``u, v, label``.  A ``LabeledGraph`` gives the views the
+other modules read (``adjacency``, ``degrees()``, ``labels()``,
+``id_of``) and ``with_edges``.  The surgery is ``apply_merge``, which
+every family builder uses, and ``split_vertex``, which no builder calls;
+the tests keep it as the oracle for the pre-split fan units.
+``is_bipartite`` and ``chromatic_number_small`` feed the verifier's
+lower bound.  Every operation is pure: it validates its inputs and
+returns a new graph.  Edge labels stay attached to their edges through
 merges and splits, so a bijective labeling survives any sequence of
 surgeries.  Values are safe to share across threads.
 """
@@ -18,7 +21,7 @@ from __future__ import annotations
 from collections import deque
 from dataclasses import dataclass
 from functools import cached_property
-from typing import Iterable, Sequence
+from typing import Iterable, NamedTuple, Sequence
 
 
 CHI_EXACT_MAX_VERTICES = 20  # chromatic_number_small's backtracking budget
@@ -60,8 +63,11 @@ class GraphTooLarge(GraphError):
     pass
 
 
-@dataclass(frozen=True, slots=True)
-class LabeledEdge:
+def _no_vertex(name: str) -> GraphError:
+    return GraphError(f"no vertex named {name!r}")
+
+
+class LabeledEdge(NamedTuple):
     """Undirected edge, endpoints stored with u < v, carrying a positive label."""
 
     u: int
@@ -110,39 +116,45 @@ class LabeledGraph:
         try:
             return self._id_of[name]
         except KeyError:
-            raise GraphError(f"no vertex named {name!r}") from None
+            raise _no_vertex(name) from None
 
     @cached_property
     def adjacency(self) -> tuple[tuple[int, ...], ...]:
         adj: list[list[int]] = [[] for _ in self.names]
-        for e in self.edges:
-            adj[e.u].append(e.v)
-            adj[e.v].append(e.u)
+        for u, v, _ in self.edges:
+            adj[u].append(v)
+            adj[v].append(u)
         return tuple(tuple(a) for a in adj)
 
     def degrees(self) -> dict[str, int]:
         return {nm: len(adj) for nm, adj in zip(self.names, self.adjacency)}
 
     def labels(self) -> tuple[int, ...]:
-        return tuple(e.label for e in self.edges)
+        return tuple(label for _, _, label in self.edges)
 
     # ---- pure construction ----------------------------------------------
 
     def with_edges(self, triples: list[tuple[str, str, int]]) -> LabeledGraph:
         """Append edges given as (name_a, name_b, label); validates simplicity."""
+        ids, n = self._id_of, len(self.names)
         new = list(self.edges)
-        seen = {(e.u, e.v) for e in self.edges}
+        seen = {u * n + v for u, v, _ in self.edges}  # one int per vertex pair
         for a, b, label in triples:
-            ia, ib = self.id_of(a), self.id_of(b)
+            try:
+                ia, ib = ids[a], ids[b]
+            except KeyError as exc:
+                raise _no_vertex(exc.args[0]) from None
             if ia == ib:
                 raise Loop(f"loop at vertex {a!r}")
-            key = (min(ia, ib), max(ia, ib))
+            if ia > ib:
+                ia, ib = ib, ia
+            key = ia * n + ib
             if key in seen:
                 raise ParallelEdge(f"edge {a!r}--{b!r} already present")
             if label < 1:
                 raise GraphError(f"edge label must be a positive integer, got {label}")
             seen.add(key)
-            new.append(LabeledEdge(*key, label))
+            new.append(LabeledEdge(ia, ib, label))
         return LabeledGraph(self.names, tuple(new))
 
 
@@ -175,19 +187,22 @@ def apply_merge(g: LabeledGraph,
             raise InvalidPlan(f"group {name!r} has fewer than 2 members")
         if len(set(members)) != len(members):
             raise InvalidPlan(f"group {name!r} repeats a member")
+        low = len(g.names)
         for nm in members:
             vid = g.id_of(nm)
             if vid in group_of:
                 raise InvalidPlan(f"vertex {nm!r} appears in two merge groups")
             group_of[vid] = gi
-        lowest.append(min(map(g.id_of, members)))
+            if vid < low:
+                low = vid
+        lowest.append(low)
         fused_names.append(name)
 
     if len(set(fused_names)) != len(fused_names):
         raise InvalidPlan("fused vertex names are not distinct")
-    survivors = {nm for i, nm in enumerate(g.names) if i not in group_of}
     for nm in fused_names:
-        if nm in survivors:
+        vid = g._id_of.get(nm)
+        if vid is not None and vid not in group_of:  # a vertex that survives
             raise InvalidPlan(f"fused name {nm!r} collides with a surviving vertex")
 
     # a group's lowest member comes first, so its new id is known when the
@@ -202,24 +217,25 @@ def apply_merge(g: LabeledGraph,
             remap.append(len(new_names))
             new_names.append(nm if gi is None else fused_names[gi])
 
+    n = len(new_names)
     new_edges: list[LabeledEdge] = []
-    seen: dict[tuple[int, int], LabeledEdge] = {}
-    for e in g.edges:
-        nu, nv = remap[e.u], remap[e.v]
+    seen: dict[int, int] = {}  # u * n + v -> label of the edge joining u < v
+    for u, v, label in g.edges:
+        nu, nv = remap[u], remap[v]
         if nu == nv:
             raise LoopCreated(
-                f"merging adjacent vertices {g.names[e.u]!r} and {g.names[e.v]!r}"
+                f"merging adjacent vertices {g.names[u]!r} and {g.names[v]!r}"
             )
-        key = (min(nu, nv), max(nu, nv))
+        if nu > nv:
+            nu, nv = nv, nu
+        key = nu * n + nv
         if key in seen:
-            other = seen[key]
             raise ParallelEdgeCreated(
-                f"edges labeled {other.label} and {e.label} would join "
-                f"{new_names[key[0]]!r} and {new_names[key[1]]!r} twice"
+                f"edges labeled {seen[key]} and {label} would join "
+                f"{new_names[nu]!r} and {new_names[nv]!r} twice"
             )
-        ne = LabeledEdge(*key, e.label)
-        seen[key] = ne
-        new_edges.append(ne)
+        seen[key] = label
+        new_edges.append(LabeledEdge(nu, nv, label))
     return LabeledGraph(tuple(new_names), tuple(new_edges))
 
 

@@ -74,9 +74,9 @@ class ColorReport:
 def vertex_sums(g: LabeledGraph) -> list[int]:
     """Sum of incident edge labels, indexed by vertex id."""
     sums = [0] * g.n_vertices
-    for e in g.edges:
-        sums[e.u] += e.label
-        sums[e.v] += e.label
+    for u, v, label in g.edges:
+        sums[u] += label
+        sums[v] += label
     return sums
 
 
@@ -101,9 +101,9 @@ def induced_coloring(g: LabeledGraph) -> ColorReport:
     bijective = not problems
 
     conflicts = tuple(
-        (g.names[e.u], g.names[e.v], sums[e.u])
-        for e in g.edges
-        if sums[e.u] == sums[e.v]
+        (g.names[u], g.names[v], sums[u])
+        for u, v, _ in g.edges
+        if sums[u] == sums[v]
     )
 
     classes: dict[int, list[str]] = {}

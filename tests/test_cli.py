@@ -253,8 +253,7 @@ def test_selftest_reports_a_failing_grid_point(monkeypatch, capsys):
         if (tag, params) != ("FB", {"k": 1}):
             return built
         e0, e1, *rest = built.graph.edges
-        edges = (dataclasses.replace(e0, label=e1.label),
-                 dataclasses.replace(e1, label=e0.label), *rest)
+        edges = (e0._replace(label=e1.label), e1._replace(label=e0.label), *rest)
         return dataclasses.replace(built, graph=LabeledGraph(built.graph.names, edges))
 
     monkeypatch.setattr(families, "build_family", build_with_two_labels_swapped)
@@ -266,14 +265,15 @@ def test_selftest_reports_a_failing_grid_point(monkeypatch, capsys):
     assert out.endswith("selftest: 2 failure(s)\n")
 
 
-def test_failing_build_verify_prints_what_verify_prints(tmp_path, monkeypatch, capsys):
-    def build_with_a_label_repeated(tag, **params):
-        built = families.build_family(tag, **params)
-        e0, e1, *rest = built.graph.edges
-        edges = (dataclasses.replace(e0, label=e1.label), e1, *rest)
-        return dataclasses.replace(built, graph=LabeledGraph(built.graph.names, edges))
+def _build_with_a_label_repeated(tag, **params):
+    built = families.build_family(tag, **params)
+    e0, e1, *rest = built.graph.edges
+    edges = (e0._replace(label=e1.label), e1, *rest)
+    return dataclasses.replace(built, graph=LabeledGraph(built.graph.names, edges))
 
-    monkeypatch.setattr(cli, "build_family", build_with_a_label_repeated)
+
+def test_failing_build_verify_prints_what_verify_prints(tmp_path, monkeypatch, capsys):
+    monkeypatch.setattr(cli, "build_family", _build_with_a_label_repeated)
     code, out, build_err = run(capsys, "build", "FB", "--k", "1", "--verify")
     assert code == 1
     assert build_err.startswith("labels: label 6 used more than once\nlabels: label 1 missing\n")
@@ -282,6 +282,44 @@ def test_failing_build_verify_prints_what_verify_prints(tmp_path, monkeypatch, c
     path.write_text(out, encoding="utf-8")
     code, _, verify_err = run(capsys, "verify", str(path))
     assert code == 1 and verify_err == build_err
+
+
+def test_failed_check_with_an_unwritable_out_is_one_error_line(tmp_path, monkeypatch, capsys):
+    # the output is written before the problem lines, so a failed write
+    # is a usage error with nothing else on stderr
+    g = new_graph(["a", "b"]).with_edges([("a", "b", 1)])  # both ends sum to 1
+    path = tmp_path / "edge.json"
+    path.write_text(dumps(graph_to_document(g)), encoding="utf-8")
+    unwritable = str(tmp_path / "missing" / "r.json")
+    monkeypatch.setattr(cli, "build_family", _build_with_a_label_repeated)
+    for argv in (["verify", str(path)], ["build", "FB", "--k", "1", "--verify"]):
+        code, out, err = run(capsys, *argv)
+        assert code == 1 and out and err.count("\n") >= 1
+        code, out, err = run(capsys, *argv, "--out", unwritable)
+        assert code == 2 and out == "", argv
+        assert len(err.splitlines()) == 1 and err.startswith("error: "), argv
+
+
+@pytest.mark.parametrize("kind, flag, labels_per_param",
+                         [("5x2k", "--k", 10), ("kx10", "--k", 10), ("6x4n", "--n", 20)])
+def test_matrix_refuses_a_matrix_above_the_label_cap(monkeypatch, capsys, kind, flag,
+                                                     labels_per_param):
+    # as for build, the cap is lowered rather than a huge matrix requested
+    def unreachable(*args):
+        raise AssertionError("a matrix was generated above the cap")
+
+    labels = 3 * labels_per_param
+    with monkeypatch.context() as patch:
+        patch.setattr(families, "MAX_BUILD_EDGES", labels - 1)
+        for name in ("matrix_5x2k", "matrix_kx10", "matrix_6x4n"):
+            patch.setattr(cli, name, unreachable)
+        code, out, err = run(capsys, "matrix", kind, flag, "3", "--format", "json")
+    assert code == 2 and out == ""
+    assert err == (f"error: matrix {kind} would have {labels} labels, "
+                   f"above the cap of {labels - 1}\n")
+    monkeypatch.setattr(families, "MAX_BUILD_EDGES", labels)
+    code, out, _ = run(capsys, "matrix", kind, flag, "3", "--format", "json")
+    assert code == 0 and json.loads(out)["param"] == 3
 
 
 def _fan_document() -> dict:

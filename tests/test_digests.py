@@ -2,8 +2,8 @@
 
 Runs, in-process, every `build TAG ... --verify` point of the benchmark's
 split_build workload, `selftest`, and the build, verify and export triple
-of one roundtrip point, and compares the sha256 of each output with
-bench/digests.json.  The ops come from bench/workloads.py, so the argv
+of the first roundtrip point of every roundtrip family, and compares the
+sha256 of each output with bench/digests.json.  The ops come from bench/workloads.py, so the argv
 and digest keys are the benchmark's own; roundtrip files go to a
 temporary directory, and nothing is written under bench/.
 """
@@ -35,7 +35,6 @@ def _load_workloads():
 workloads = _load_workloads()
 SPLIT_OPS = [op for tag, (edges, points, _) in workloads.SPLIT_BUILD.items()
              for p in points for op in workloads.split_ops(tag, p, edges)]
-ROUNDTRIP_TAG = "FB"
 
 
 def _sha256(data: bytes) -> str:
@@ -50,8 +49,10 @@ def test_stdout_matches_the_recorded_digest(capsys, op):
 
 
 def test_roundtrip_files_match_the_recorded_digests(tmp_path, capsys):
-    edges, points, _ = workloads.ROUNDTRIP[ROUNDTRIP_TAG]
-    for op in workloads.roundtrip_ops(ROUNDTRIP_TAG, points[0], edges):
+    ops = [op for tag, (edges, points, _) in workloads.ROUNDTRIP.items()
+           for op in workloads.roundtrip_ops(tag, points[0], edges)]
+    assert len(ops) >= 24  # a build, verify and export per family
+    for op in ops:
         # the benchmark's paths point under bench/; keep only the file names
         argv = [str(tmp_path / Path(a).name) if Path(a).parent == workloads.WORK else a
                 for a in op.argv]

@@ -15,12 +15,13 @@ from antimagic.document import (
     document_to_graph,
     dumps,
     graph_to_document,
+    matrix_json,
     rows_csv,
     to_dot,
 )
 from antimagic.families import build_family
 from antimagic.graph import new_graph
-from antimagic.matrices import matrix_5x2k, sequences_6x4n
+from antimagic.matrices import matrix_5x2k, matrix_6x4n, matrix_kx10, sequences_6x4n
 from antimagic.verify import check_expected, induced_coloring
 
 
@@ -185,6 +186,14 @@ DOCUMENTS = st.fixed_dictionaries(
 @given(doc=st.one_of(DOCUMENTS, REPORTS, SEARCH_RESULTS, JSON_VALUES))
 def test_dumps_writes_what_indented_json_dumps_writes(doc):
     assert dumps(doc) == json.dumps(doc, indent=2, sort_keys=True) + "\n"
+
+
+@pytest.mark.parametrize("sequences", [False, True])
+@pytest.mark.parametrize("generate", [matrix_5x2k, matrix_kx10, matrix_6x4n])
+def test_dumps_writes_matrices_as_json_dumps(generate, sequences):
+    for param in (1, 2, 7):
+        doc = matrix_json(generate(param), include_sequences=sequences)
+        assert dumps(doc) == json.dumps(doc, indent=2, sort_keys=True) + "\n"
 
 
 def test_dumps_writes_family_documents_as_json_dumps():

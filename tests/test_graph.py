@@ -6,10 +6,14 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from antimagic.document import document_to_graph, graph_to_document
+from antimagic.families import build_family
 from antimagic.graph import (
     DuplicateName,
+    GraphError,
     GraphTooLarge,
     InvalidPlan,
+    LabeledEdge,
     Loop,
     LoopCreated,
     NotAPartition,
@@ -22,6 +26,7 @@ from antimagic.graph import (
     split_vertex,
 )
 from helpers import disjoint_union, same_up_to_names, vertex_label_signature
+from oracles import naive_merge
 
 
 def fan_unit(labels=(1, 2, 3, 4, 5), suffix=""):
@@ -53,6 +58,62 @@ def test_add_edge_and_errors():
         g.with_edges([("u", "u", 2)])
     with pytest.raises(ParallelEdge):
         g.with_edges([("v", "u", 2)])
+
+
+def test_edge_is_an_immutable_named_triple():
+    e = LabeledEdge(2, 5, 7)
+    assert LabeledEdge._fields == ("u", "v", "label")
+    assert (e.u, e.v, e.label) == (2, 5, 7)
+    u, v, label = e
+    assert (u, v, label) == (2, 5, 7)
+    with pytest.raises(AttributeError):
+        e.label = 8
+    assert e._replace(label=8) == LabeledEdge(2, 5, 8) and e.label == 7
+
+
+def _ordered(g) -> bool:
+    return all(type(e) is LabeledEdge and e.u < e.v for e in g.edges)
+
+
+def test_every_edge_keeps_u_below_v():
+    g = new_graph(["a", "b", "c", "d", "e"]).with_edges(
+        [("b", "a", 1), ("e", "c", 2), ("a", "d", 3), ("d", "b", 4)])
+    assert _ordered(g) and [e[:2] for e in g.edges] == [(0, 1), (2, 4), (0, 3), (1, 3)]
+    merged = apply_merge(g, [(["e", "a"], "ae")])  # e lands on a's id 0
+    assert _ordered(merged) and merged.names == ("ae", "b", "c", "d")
+    assert [e[:2] for e in merged.edges] == [(0, 1), (0, 2), (0, 3), (1, 3)]
+    doc = graph_to_document(g)
+    for row in doc["edges"]:
+        row["u"], row["v"] = row["v"], row["u"]
+    read, _ = document_to_graph(doc)
+    assert _ordered(read) and read == g
+    assert _ordered(build_family("FB", k=2).graph)
+
+
+def test_surgery_error_messages():
+    g = fan_unit()  # edges u-w 1, v-w 2, x-w 3, x-u 4, x-v 5
+    cases = [
+        (lambda: g.with_edges([("u", "u", 6)]), Loop, "loop at vertex 'u'"),
+        (lambda: g.with_edges([("w", "u", 6)]), ParallelEdge, "edge 'w'--'u' already present"),
+        (lambda: g.with_edges([("u", "zz", 6)]), GraphError, "no vertex named 'zz'"),
+        (lambda: g.with_edges([("zz", "yy", 6)]), GraphError, "no vertex named 'zz'"),
+        (lambda: g.id_of("zz"), GraphError, "no vertex named 'zz'"),
+        (lambda: apply_merge(g, [(["u", "zz"], "uz")]), GraphError, "no vertex named 'zz'"),
+        (lambda: apply_merge(g, [(["v", "u", "w"], "uvw")]), LoopCreated,
+         "merging adjacent vertices 'u' and 'w'"),
+        (lambda: apply_merge(g, [(["u", "v"], "uv")]), ParallelEdgeCreated,
+         "edges labeled 1 and 2 would join 'uv' and 'w' twice"),
+        (lambda: apply_merge(g, [(["u", "v"], "w")]), InvalidPlan,
+         "fused name 'w' collides with a surviving vertex"),
+    ]
+    for call, kind, message in cases:
+        with pytest.raises(GraphError) as info:
+            call()
+        assert type(info.value) is kind and str(info.value) == message
+    two = new_graph(["a", "b", "c", "d"]).with_edges([("a", "c", 4), ("d", "b", 9)])
+    with pytest.raises(ParallelEdgeCreated) as info:
+        apply_merge(two, [(["c", "d"], "cd"), (["b", "a"], "ab")])
+    assert str(info.value) == "edges labeled 4 and 9 would join 'ab' and 'cd' twice"
 
 
 def test_merge_two_units_degree_additivity():
@@ -211,3 +272,45 @@ def test_split_merge_roundtrip_random(g, data):
 @given(small_graphs())
 def test_degree_sum_invariant_random(g):
     assert sum(g.degrees().values()) == 2 * g.size
+
+
+@st.composite
+def merge_cases(draw):
+    """A sparse small graph and a merge plan that is often valid, and
+    otherwise breaks one of apply_merge's rules."""
+    n = draw(st.integers(min_value=2, max_value=8))
+    names = [f"n{i}" for i in range(n)]
+    pairs = [(i, j) for i in range(n) for j in range(i + 1, n)]
+    chosen = draw(st.lists(st.sampled_from(pairs), unique=True, max_size=n))
+    flips = draw(st.lists(st.booleans(), min_size=len(chosen), max_size=len(chosen)))
+    labels = draw(st.permutations(range(1, len(chosen) + 1)))
+    g = new_graph(names).with_edges([
+        (names[j], names[i], lab) if flip else (names[i], names[j], lab)
+        for (i, j), flip, lab in zip(chosen, flips, labels)])
+    if draw(st.integers(0, 3)):  # disjoint groups of known vertices, mostly fresh names
+        order = draw(st.permutations(names))
+        k = draw(st.integers(1, n // 2))
+        blocks = [order[2 * i:2 * i + 2] for i in range(k)]
+        if 2 * k < n and draw(st.booleans()):
+            blocks[-1].append(order[2 * k])
+        plan = [(block, draw(st.sampled_from([f"f{i}"] * 3 + [block[-1], names[0]])))
+                for i, block in enumerate(blocks)]
+    else:
+        members = st.lists(st.sampled_from([*names, "zz"]), min_size=1, max_size=4)
+        fused = st.sampled_from(["f0", "f1", *names])
+        plan = draw(st.lists(st.tuples(members, fused), min_size=1, max_size=3))
+    return g, plan
+
+
+def _outcome(merge, g, plan):
+    try:
+        return merge(g, plan)
+    except GraphError as exc:
+        return type(exc)
+
+
+@settings(max_examples=300, deadline=None)
+@given(merge_cases())
+def test_merge_matches_the_naive_merge(case):
+    g, plan = case
+    assert _outcome(apply_merge, g, plan) == _outcome(naive_merge, g, plan)
