@@ -22,9 +22,12 @@ from antimagic.search import (
     STATUS_VALUE,
     check_budget,
     chi_la_exact,
-    confirm_three,
 )
-from antimagic.verify import induced_coloring
+from antimagic.graph import LabeledGraph
+from antimagic.verify import induced_coloring, lower_bound
+
+CONFIRMED_3 = "confirmed3"
+ONLY_UPPER_BOUND = "only_upper_bound"
 
 
 CASES = (
@@ -34,6 +37,16 @@ CASES = (
     ("kD82", {"k": 1}, "chi_la = 3 known"),
     ("FB", {"k": 1}, "chi_la = 3 known"),
 )
+
+
+def confirm_three(g: LabeledGraph, witness: LabeledGraph) -> str:
+    """Upgrade a verified 3-color witness to an exact value when
+    ``lower_bound`` reaches 3 (chromatic number, the 2-coloring gate or
+    the pendant count)."""
+    report = induced_coloring(witness)
+    if not (report.local_antimagic and report.color_count == 3):
+        raise ValueError("witness is not a local antimagic 3-coloring")
+    return CONFIRMED_3 if lower_bound(g) >= 3 else ONLY_UPPER_BOUND
 
 
 def main() -> int:

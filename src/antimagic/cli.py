@@ -74,10 +74,12 @@ def _verdict(problems: list[str]) -> int:
 
 def cmd_matrix(args: argparse.Namespace) -> int:
     kind = args.kind
-    param_name = "n" if kind == "6x4n" else "k"
+    param_name, other = ("n", "k") if kind == "6x4n" else ("k", "n")
     param = getattr(args, param_name)
     if param is None:
         raise ValueError(f"matrix {kind} requires --{param_name}")
+    if getattr(args, other) is not None:
+        raise ValueError(f"matrix {kind} takes --{param_name}, not --{other}")
     if args.sequences and kind != "6x4n":
         raise ValueError("--sequences only applies to the 6x4n matrix")
     labels = (20 if kind == "6x4n" else 10) * param

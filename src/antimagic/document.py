@@ -29,16 +29,9 @@ class DocumentError(ValueError):
     pass
 
 
-def graph_to_document(
-    g: LabeledGraph,
-    *,
-    family: str | None = None,
-    params: dict | None = None,
-    expected: ExpectedColors | None = None,
-    verification: ColorReport | None = None,
-) -> dict:
+def graph_to_document(g: LabeledGraph) -> dict:
     degrees = g.degrees()
-    doc: dict = {
+    return {
         "format": FORMAT,
         "vertices": [
             {"id": i, "name": nm, "degree": degrees[nm]}
@@ -46,31 +39,24 @@ def graph_to_document(
         ],
         "edges": [{"u": u, "v": v, "label": label} for u, v, label in g.edges],
     }
-    if family is not None:
-        doc["family"] = {"tag": family, "params": dict(params or {})}
-    if expected is not None:
-        doc["expected_colors"] = {
-            "classes": [
-                {"value": c.value, "size": c.size, "degree": c.degree}
-                for c in expected.classes
-            ],
-            "claimed_colors": expected.claimed_colors,
-            "exact": expected.exact,
-        }
-    if verification is not None:
-        doc["verification"] = verification.to_json_dict()
-    return doc
 
 
 def built_to_document(built: BuiltFamily,
                       verification: ColorReport | None = None) -> dict:
-    doc = graph_to_document(
-        built.graph,
-        family=built.tag,
-        params=built.params,
-        expected=built.expected,
-        verification=verification,
-    )
+    """The built graph's document with its family, its claimed coloring
+    and, when given, the coloring that verification found."""
+    doc = graph_to_document(built.graph)
+    doc["family"] = {"tag": built.tag, "params": dict(built.params)}
+    doc["expected_colors"] = {
+        "classes": [
+            {"value": c.value, "size": c.size, "degree": c.degree}
+            for c in built.expected.classes
+        ],
+        "claimed_colors": built.expected.claimed_colors,
+        "exact": built.expected.exact,
+    }
+    if verification is not None:
+        doc["verification"] = verification.to_json_dict()
     if built.warnings:
         doc["warnings"] = list(built.warnings)
     if built.notes:

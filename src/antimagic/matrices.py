@@ -14,7 +14,9 @@ this package:
   triples (1,2,9), (5,6,10) to 13k+1.
 
 All arithmetic is exact.  Validators return a check list and never throw
-on a matrix of their own kind, as every generator here builds it.
+on a matrix of their own kind, as every generator here builds it.  Each
+identity is one named check, in a fixed order, built by one helper; only
+the failure ``detail`` text may change.
 """
 
 from __future__ import annotations
@@ -88,83 +90,51 @@ def matrix_5x2k(k: int) -> LabelMatrix:
 
 
 def validate_5x2k(m: LabelMatrix) -> ValidationReport:
-    checks: list[Check] = []
     k = m.param
     cols = 2 * k
     r1, r2, r3, r4, r5 = m.grid
-
-    checks.append(_bijection_check(m.flat(), 10 * k))
-
-    bad = [j for j in range(cols) if r1[j] + r2[j] + r3[j] != 13 * k + 1]
-    checks.append(Check("column_sum_rows_1_3", not bad,
-                        f"columns {bad} do not sum to {13 * k + 1}" if bad else ""))
-    bad = [j for j in range(cols) if r1[j] + r4[j] != 10 * k + 1]
-    checks.append(Check("column_sum_rows_1_4", not bad,
-                        f"columns {bad} do not sum to {10 * k + 1}" if bad else ""))
-    bad = [j for j in range(cols) if r2[j] + r5[j] != 10 * k + 1]
-    checks.append(Check("column_sum_rows_2_5", not bad,
-                        f"columns {bad} do not sum to {10 * k + 1}" if bad else ""))
-
-    bottom = [r3[j] + r4[j] + r5[j] for j in range(cols)]
-    mirror_ok = all(bottom[a - 1] + bottom[cols - a] == 34 * k + 4 for a in range(1, k + 1))
-    ends_ok = bottom[0] == 21 * k + 1 and bottom[cols - 1] == 13 * k + 3
-    left = bottom[1:k]
-    right = bottom[k:cols - 1]
-    ap_left = left == list(range(19 * k - 1, 15 * k + 3, -4))
-    ap_right = right == list(range(19 * k - 3, 15 * k + 1, -4))
-    checks.append(Check("mirror_sum_rows_3_5", mirror_ok and ends_ok and ap_left and ap_right,
-                        "" if mirror_ok and ends_ok and ap_left and ap_right
-                        else f"bottom sums {bottom} break the mirror/endpoint/AP structure"))
-
+    tip, center = 10 * k + 1, 13 * k + 1
+    bottom = [a + b + c for a, b, c in zip(r3, r4, r5)]
+    # each column's bottom sum: 21k+1, two descending runs of step 4, 13k+3
+    want = [21 * k + 1, *range(19 * k - 1, 15 * k + 3, -4),
+            *range(19 * k - 3, 15 * k + 1, -4), 13 * k + 3]
     total = sum(bottom)
-    checks.append(Check("total_rows_3_5", total == k * (34 * k + 4),
-                        "" if total == k * (34 * k + 4)
-                        else f"total {total} != {k * (34 * k + 4)}"))
-
-    checks.append(_block_sums_check(m))
-
-    bad = [i for i in range(1, cols + 1)
-           if r2[i - 1] + r3[i - 1] + r4[cols - i] != 21 * k + 1]
-    checks.append(Check("rows_2_3_4_mirror", not bad,
-                        f"positions {bad} do not sum to {21 * k + 1}" if bad else ""))
-    bad = [i for i in range(1, k + 1) if r4[i - 1] + r4[cols - i] != 18 * k + 1]
-    checks.append(Check("row_4_mirror", not bad,
-                        f"positions {bad} do not sum to {18 * k + 1}" if bad else ""))
-    bad = [i for i in range(1, k + 1) if r5[i - 1] + r5[cols - i] != 6 * k + 2]
-    checks.append(Check("row_5_mirror", not bad,
-                        f"positions {bad} do not sum to {6 * k + 2}" if bad else ""))
-    return ValidationReport(tuple(checks))
-
-
-def _block_sums_check(m: LabelMatrix) -> Check:
-    """For every factorization 2k = r*s (r >= 2): row-3 sums of block j plus
-    row-4/5 sums of the mirror block equal s(17k+2); for odd r the middle
-    block's full bottom sum equals the same constant."""
-    k = m.param
-    cols = 2 * k
-    _, _, r3, r4, r5 = m.grid
-    failures = []
+    # for every factorization 2k = r*s (r >= 2): the row-3 sum of block j plus
+    # the rows-4/5 sum of the mirror block r+1-j is s(17k+2); for odd r the
+    # middle block is its own mirror
+    rows45 = [a + b for a, b in zip(r4, r5)]
+    blocks = []
     for r in range(2, cols + 1):
-        if cols % r:
-            continue
-        s = cols // r
-        k3 = s * (17 * k + 2)
-
-        def row3_block(j: int) -> int:
-            return sum(r3[(j - 1) * s + a] for a in range(s))
-
-        def rows45_block(j: int) -> int:
-            return sum(r4[(j - 1) * s + a] + r5[(j - 1) * s + a] for a in range(s))
-
-        for j in range(1, r // 2 + 1):
-            if row3_block(j) + rows45_block(r + 1 - j) != k3:
-                failures.append((r, s, j))
-        if r % 2:
-            mid = (r + 1) // 2
-            if row3_block(mid) + rows45_block(mid) != k3:
-                failures.append((r, s, "middle"))
-    return Check("block_sums", not failures,
-                 f"(r, s, j) failures: {failures}" if failures else "")
+        if cols % r == 0:
+            s = cols // r
+            blocks += [(r, s, j) for j in range(1, (r + 1) // 2 + 1)
+                       if sum(r3[(j - 1) * s:j * s]) + sum(rows45[(r - j) * s:(r + 1 - j) * s])
+                       != s * (17 * k + 2)]
+    return ValidationReport((
+        _bijection_check(m.flat(), 10 * k),
+        _identity("column_sum_rows_1_3",
+                  [j for j, (a, b, c) in enumerate(zip(r1, r2, r3), 1) if a + b + c != center],
+                  center),
+        _identity("column_sum_rows_1_4",
+                  [j for j, (a, b) in enumerate(zip(r1, r4), 1) if a + b != tip], tip),
+        _identity("column_sum_rows_2_5",
+                  [j for j, (a, b) in enumerate(zip(r2, r5), 1) if a + b != tip], tip),
+        _identity("mirror_sum_rows_3_5",
+                  [("pair", a) for a in range(1, k + 1)
+                   if bottom[a - 1] + bottom[-a] != 34 * k + 4]
+                  + [("column", j, b) for j, (a, b) in enumerate(zip(bottom, want), 1) if a != b],
+                  f"{34 * k + 4} per mirrored pair, or the target listed with the column"),
+        _identity("total_rows_3_5", [total] if total != k * (34 * k + 4) else [],
+                  k * (34 * k + 4)),
+        _identity("block_sums", blocks, f"s * {17 * k + 2} for each (r, s, j)"),
+        _identity("rows_2_3_4_mirror",
+                  [j for j, (a, b, c) in enumerate(zip(r2, r3, r4[::-1]), 1)
+                   if a + b + c != 21 * k + 1], 21 * k + 1),
+        _identity("row_4_mirror",
+                  [a for a in range(1, k + 1) if r4[a - 1] + r4[-a] != 18 * k + 1], 18 * k + 1),
+        _identity("row_5_mirror",
+                  [a for a in range(1, k + 1) if r5[a - 1] + r5[-a] != 6 * k + 2], 6 * k + 2),
+    ))
 
 
 # ---------------------------------------------------------------------------
@@ -224,47 +194,38 @@ def expected_6x4n_multiset(n: int) -> Counter:
 
 
 def validate_6x4n(sequences: tuple[tuple[int, ...], ...]) -> ValidationReport:
-    checks: list[Check] = []
     count = len(sequences)
     if count == 0 or count % 2 or any(len(t) != 12 for t in sequences):
         return ValidationReport(
             (Check("shape", False, "need an even number of length-12 sequences"),))
     n = count // 2
-    checks.append(Check("shape", True))
+    end = 20 * n + 1
+    # (head, tail, middle, middle) triple sums: the first n sequences take
+    # 30n+1 at the ends, the last n take it in the middle
+    lo, hi = 30 * n + 1, 30 * n + 2
+    firsts, lasts = (lo, lo, hi, hi), (hi, hi, lo, lo)
 
     have = Counter(t for seq in sequences for t in seq)
     ok = have == expected_6x4n_multiset(n)
-    checks.append(Check("term_multiset", ok,
-                        "" if ok else "terms do not cover [1,20n] with the doubled bands"))
-
-    bad = []
-    for i, t in enumerate(sequences, start=1):
-        if not (t[0] + t[11] == t[5] + t[6] == t[8] + t[9] == 20 * n + 1):
-            bad.append(i)
-    checks.append(Check("end_pair_sums", not bad,
-                        f"sequences {bad} break the {20 * n + 1} pair sums" if bad else ""))
-
-    bad = []
-    for i, t in enumerate(sequences, start=1):
-        head = t[0] + t[1] + t[2]
-        tail = t[9] + t[10] + t[11]
-        mid1 = t[3] + t[4] + t[5]
-        mid2 = t[6] + t[7] + t[8]
-        lo, hi = 30 * n + 1, 30 * n + 2
-        want = (lo, lo, hi, hi) if i <= n else (hi, hi, lo, lo)
-        if (head, tail, mid1, mid2) != want:
-            bad.append(i)
-    checks.append(Check("triple_sums", not bad,
-                        f"sequences {bad} break the 30n+1/30n+2 triples" if bad else ""))
-
     bad = []
     for a in range(n):
         for p in (1, 4, 7, 10):
             if sequences[a][p] != sequences[n + a][p]:
                 bad.append((a + 1, p + 1))
-    checks.append(Check("shared_positions", not bad,
-                        f"(sequence, position) mismatches: {bad}" if bad else ""))
-    return ValidationReport(tuple(checks))
+    return ValidationReport((
+        Check("shape", True),
+        Check("term_multiset", ok,
+              "" if ok else "terms do not cover [1,20n] with the doubled bands"),
+        _identity("end_pair_sums", [
+            i for i, t in enumerate(sequences, 1)
+            if not t[0] + t[11] == t[5] + t[6] == t[8] + t[9] == end], end),
+        _identity("triple_sums", [
+            i for i, t in enumerate(sequences, 1)
+            if (t[0] + t[1] + t[2], t[9] + t[10] + t[11], t[3] + t[4] + t[5], t[6] + t[7] + t[8])
+            != (firsts if i <= n else lasts)], "ends 30n+1, middles 30n+2; the reverse after n"),
+        Check("shared_positions", not bad,
+              f"(sequence, position) mismatches: {bad}" if bad else ""),
+    ))
 
 
 # ---------------------------------------------------------------------------
@@ -290,29 +251,28 @@ def matrix_kx10(k: int) -> LabelMatrix:
     return LabelMatrix(KIND_KX10, k, tuple(rows))
 
 
+# 0-based columns of the kx10 identities; every row meets each of them
+_KX10_PAIRS = ((0, 7), (1, 2), (3, 4), (5, 6), (8, 9))  # sum 10k+1
+_KX10_TRIPLES = ((0, 1, 8), (4, 5, 9))  # sum 13k+1
+
+
 def validate_kx10(m: LabelMatrix) -> ValidationReport:
-    checks: list[Check] = []
     k = m.param
-    checks.append(_bijection_check(m.flat(), 10 * k))
+    tip, center = 10 * k + 1, 13 * k + 1
+    return ValidationReport((
+        _bijection_check(m.flat(), 10 * k),
+        _identity("pair_sums", [(i, a + 1, b + 1) for i, row in enumerate(m.grid, 1)
+                                for a, b in _KX10_PAIRS if row[a] + row[b] != tip], tip),
+        _identity("triple_sums", [(i, a + 1, b + 1, c + 1) for i, row in enumerate(m.grid, 1)
+                                  for a, b, c in _KX10_TRIPLES
+                                  if row[a] + row[b] + row[c] != center], center),
+    ))
 
-    pair_cols = ((1, 8), (2, 3), (4, 5), (6, 7), (9, 10))
-    bad = []
-    for i, row in enumerate(m.grid, start=1):
-        for a, b in pair_cols:
-            if row[a - 1] + row[b - 1] != 10 * k + 1:
-                bad.append((i, (a, b)))
-    checks.append(Check("pair_sums", not bad,
-                        f"(row, pair) failures: {bad}" if bad else ""))
 
-    bad = []
-    for i, row in enumerate(m.grid, start=1):
-        if row[0] + row[1] + row[8] != 13 * k + 1:
-            bad.append((i, (1, 2, 9)))
-        if row[4] + row[5] + row[9] != 13 * k + 1:
-            bad.append((i, (5, 6, 10)))
-    checks.append(Check("triple_sums", not bad,
-                        f"(row, triple) failures: {bad}" if bad else ""))
-    return ValidationReport(tuple(checks))
+def _identity(name: str, bad: list, target) -> Check:
+    """The check of one identity: it holds when nothing in ``bad`` (the
+    places that miss it) is left; ``target`` is what they should sum to."""
+    return Check(name, not bad, f"{bad} do not sum to {target}" if bad else "")
 
 
 def _bijection_check(values: list[int], top: int) -> Check:

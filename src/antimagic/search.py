@@ -63,7 +63,7 @@ from dataclasses import dataclass
 from itertools import accumulate
 
 from .graph import GraphTooLarge, LabeledEdge, LabeledGraph
-from .verify import induced_coloring, lower_bound
+from .verify import lower_bound
 
 DEFAULT_MAX_EDGES = 11
 CLOCK_EVERY = 4096  # nodes between deadline checks
@@ -71,9 +71,6 @@ CLOCK_EVERY = 4096  # nodes between deadline checks
 STATUS_VALUE = "value"
 STATUS_NO_LABELING = "no_labeling"
 STATUS_TIMEOUT = "timeout"
-
-CONFIRMED_3 = "confirmed3"
-ONLY_UPPER_BOUND = "only_upper_bound"
 
 
 @dataclass(frozen=True)
@@ -350,13 +347,3 @@ def chi_la_exact(
     witness = LabeledGraph(g.names, tuple(witness_edges))
     chi = colors if status == STATUS_VALUE else None
     return SearchResult(status, chi, witness, stats, proven, colors, budget)
-
-
-def confirm_three(g: LabeledGraph, witness: LabeledGraph) -> str:
-    """Upgrade a verified 3-color witness to an exact value when
-    ``lower_bound`` reaches 3 (chromatic number, the 2-coloring gate or
-    the pendant count)."""
-    report = induced_coloring(witness)
-    if not (report.local_antimagic and report.color_count == 3):
-        raise ValueError("witness is not a local antimagic 3-coloring")
-    return CONFIRMED_3 if lower_bound(g) >= 3 else ONLY_UPPER_BOUND

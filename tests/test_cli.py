@@ -22,10 +22,11 @@ from antimagic.document import (
     document_to_graph,
     dumps,
     graph_to_document,
+    rows_csv,
 )
 from antimagic.graph import LabeledGraph, new_graph
-from antimagic.matrices import matrix_6x4n, sequences_6x4n
-from antimagic.verify import ColorClass, ExpectedColors, induced_coloring
+from antimagic.matrices import matrix_6x4n, sequences_6x4n, validate
+from antimagic.verify import induced_coloring
 from golden import GRID_5X2K_K6, SEQUENCES_N6
 
 
@@ -69,6 +70,28 @@ def test_matrix_json_format(capsys):
     doc = json.loads(out)
     assert doc["sequences"] == [list(t) for t in sequences_6x4n(3)]
     assert doc["grid"] == [list(row) for row in matrix_6x4n(3).grid]
+
+
+@pytest.mark.parametrize("kind, flag, generator", [
+    ("5x2k", "--k", "matrix_5x2k"), ("6x4n", "--n", "matrix_6x4n"), ("kx10", "--k", "matrix_kx10"),
+])
+def test_matrix_validate_prints_each_failed_check(monkeypatch, capsys, kind, flag, generator):
+    m = getattr(cli, generator)(3)
+    if m.sequences:  # the 6x4n validator reads the sequences
+        seqs = [list(t) for t in m.sequences]
+        seqs[0][0], seqs[0][1] = seqs[0][1], seqs[0][0]
+        tampered = dataclasses.replace(m, sequences=tuple(map(tuple, seqs)))
+    else:
+        rows = [list(r) for r in m.grid]
+        rows[0][0], rows[1][0] = rows[1][0], rows[0][0]
+        tampered = dataclasses.replace(m, grid=tuple(map(tuple, rows)))
+    monkeypatch.setattr(cli, generator, lambda param: tampered)
+    code, out, err = run(capsys, "matrix", kind, flag, "3", "--validate")
+    failed = [c.name for c in validate(tampered).failures]
+    assert code == 1 and failed and out == rows_csv(tampered.grid)
+    lines = err.splitlines()
+    assert len(lines) == len(failed)
+    assert all(line.startswith(f"FAIL {name}: ") for line, name in zip(lines, failed))
 
 
 def test_build_fb_verify(capsys):
@@ -204,6 +227,8 @@ NEGATIVE_CLAIMS = {
     *[(["search", "fb.json"], {"ANTIMAGIC_SEARCH_BUDGET": value}) for value in ("-1", "nan")],
     (["selftest", "--max-param", "-3"], {}),
     *[([cmd, "deep.json"], {}) for cmd in ("verify", "search", "export")],
+    (["matrix", "5x2k", "--k", "1", "--n", "9"], {}),
+    (["matrix", "6x4n", "--n", "1", "--k", "7"], {}),
 ])
 def test_bad_input_is_one_error_line(tmp_path, monkeypatch, capsys, argv, env):
     monkeypatch.chdir(tmp_path)
@@ -326,10 +351,13 @@ def _fan_document() -> dict:
     """The 5-edge fan with its claimed coloring, so every key kind occurs."""
     g = new_graph(["u", "v", "w", "x"]).with_edges(
         [("u", "w", 1), ("v", "w", 2), ("x", "w", 3), ("x", "u", 4), ("x", "v", 5)])
-    expected = ExpectedColors((ColorClass(5, 1, 2), ColorClass(7, 1, 2),
-                               ColorClass(6, 1, 3), ColorClass(12, 1, 3)), 4)
-    return json.loads(dumps(graph_to_document(
-        g, expected=expected, verification=induced_coloring(g))))
+    doc = graph_to_document(g)
+    doc["expected_colors"] = {
+        "classes": [{"value": 5, "size": 1, "degree": 2}, {"value": 7, "size": 1, "degree": 2},
+                    {"value": 6, "size": 1, "degree": 3}, {"value": 12, "size": 1, "degree": 3}],
+        "claimed_colors": 4, "exact": True}
+    doc["verification"] = induced_coloring(g).to_json_dict()
+    return json.loads(dumps(doc))
 
 
 FUZZ_BASES = (_fan_document(), json.loads(dumps(P3_DOC)))

@@ -166,6 +166,49 @@ def test_6x4n_detects_sequence_swap(n, data):
     assert not validate_6x4n(tuple(tuple(t) for t in seqs)).ok
 
 
+CHECK_NAMES = {
+    "5x2k": ("bijection", "column_sum_rows_1_3", "column_sum_rows_1_4",
+             "column_sum_rows_2_5", "mirror_sum_rows_3_5", "total_rows_3_5",
+             "block_sums", "rows_2_3_4_mirror", "row_4_mirror", "row_5_mirror"),
+    "6x4n": ("shape", "term_multiset", "end_pair_sums", "triple_sums",
+             "shared_positions"),
+    "kx10": ("bijection", "pair_sums", "triple_sums"),
+}
+
+
+def _repeat_second(rows):
+    """The first entry repeats the second."""
+    return ((rows[0][1], *rows[0][1:]), *rows[1:])
+
+
+# the checks that no swap of two entries can break, each with a change
+# that breaks it
+NOT_BY_SWAPS = {
+    "bijection": _repeat_second,
+    "term_multiset": _repeat_second,
+    "shape": lambda rows: (rows[0][:-1], *rows[1:]),  # the first row loses an entry
+}
+VALIDATE_AT_3 = {
+    "5x2k": (matrix_5x2k(3).grid, lambda rows: validate_5x2k(LabelMatrix("5x2k", 3, rows))),
+    "6x4n": (sequences_6x4n(3), validate_6x4n),
+    "kx10": (matrix_kx10(3).grid, lambda rows: validate_kx10(LabelMatrix("kx10", 3, rows))),
+}
+
+
+@pytest.mark.parametrize("kind", sorted(CHECK_NAMES))
+def test_each_named_check_fails_on_some_change(kind):
+    rows, check = VALIDATE_AT_3[kind]
+    assert tuple(c.name for c in check(rows).checks) == CHECK_NAMES[kind]
+    cells = [(i, j) for i, row in enumerate(rows) for j in range(len(row))]
+    broken_by_swaps = set()
+    for n, a in enumerate(cells):
+        for b in cells[n + 1:]:
+            broken_by_swaps |= {c.name for c in check(_swap(rows, a, b)).failures}
+    assert broken_by_swaps == set(CHECK_NAMES[kind]) - set(NOT_BY_SWAPS)
+    for name in set(CHECK_NAMES[kind]) & set(NOT_BY_SWAPS):
+        assert name in {c.name for c in check(NOT_BY_SWAPS[name](rows)).failures}
+
+
 def test_single_entry_perturbation_detected():
     m = matrix_5x2k(3)
     g = [list(r) for r in m.grid]

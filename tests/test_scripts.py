@@ -1,6 +1,6 @@
-"""Smoke tests of the scripts under scripts/, run as a user runs them, of
-the names the benchmark's tracer looks up in the package, and of the
-package's modules imported one at a time."""
+"""Smoke tests of the scripts under scripts/, run as a user runs them or
+imported, of the names the benchmark's tracer looks up in the package,
+and of the package's modules imported one at a time."""
 
 from __future__ import annotations
 
@@ -10,6 +10,11 @@ import re
 import subprocess
 import sys
 from pathlib import Path
+
+import pytest
+
+from antimagic.families import build_family, build_fb
+from antimagic.graph import new_graph
 
 ROOT = Path(__file__).resolve().parents[1]
 
@@ -49,6 +54,23 @@ def test_explore_small_chi_la():
     for tag in ("kD82", "FB"):
         line = next(line for line in lines if line.startswith(tag + " "))
         assert "search: chi_la = 3 (confirmed3)" in line
+
+
+def test_confirm_three(monkeypatch):
+    monkeypatch.syspath_prepend(str(ROOT / "scripts"))
+    explore = importlib.import_module("explore_small_chi_la")
+    built = build_fb(1)  # chromatic number 3 backs the witness
+    assert explore.confirm_three(built.graph, built.graph) == explore.CONFIRMED_3
+    rdf = build_family("rDF", r=1, s=2)  # balanced bipartite: gate gives 3
+    assert explore.confirm_three(rdf.graph, rdf.graph) == explore.CONFIRMED_3
+    # B_2 is bipartite with parts (10, 6); 210 = 21*10 = 35*6 keeps the gate
+    # inconclusive, so its 3-color labeling stays an upper bound only
+    bk = build_family("Bk", k=2)
+    assert explore.confirm_three(bk.graph, bk.graph) == explore.ONLY_UPPER_BOUND
+    star = new_graph(["hub", "l0", "l1", "l2"]).with_edges(
+        [("hub", f"l{i}", i + 1) for i in range(3)])
+    with pytest.raises(ValueError):
+        explore.confirm_three(star, star)  # 4-color witness is rejected
 
 
 def test_explore_small_chi_la_rejects_a_bad_budget():

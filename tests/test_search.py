@@ -12,16 +12,13 @@ from hypothesis import strategies as st
 import antimagic.search as search
 from antimagic.cli import main
 from antimagic.document import dumps, graph_to_document
-from antimagic.families import build_family, build_fb
+from antimagic.families import build_fb
 from antimagic.graph import GraphTooLarge, new_graph
 from antimagic.search import (
-    CONFIRMED_3,
-    ONLY_UPPER_BOUND,
     STATUS_NO_LABELING,
     STATUS_TIMEOUT,
     STATUS_VALUE,
     chi_la_exact,
-    confirm_three,
 )
 from antimagic.verify import induced_coloring, lower_bound
 from helpers import components
@@ -323,16 +320,3 @@ def test_env_var_budget(tmp_path, monkeypatch, capsys):
     # in the library budget=None is unlimited, whatever the environment says
     result = chi_la_exact(path(3))
     assert result.status == STATUS_VALUE and result.budget is None
-
-
-def test_confirm_three():
-    built = build_fb(1)  # chromatic number 3 backs the witness
-    assert confirm_three(built.graph, built.graph) == CONFIRMED_3
-    rdf = build_family("rDF", r=1, s=2)  # balanced bipartite: gate gives 3
-    assert confirm_three(rdf.graph, rdf.graph) == CONFIRMED_3
-    # B_2 is bipartite with parts (10, 6); 210 = 21*10 = 35*6 keeps the gate
-    # inconclusive, so its 3-color labeling stays an upper bound only
-    bk = build_family("Bk", k=2)
-    assert confirm_three(bk.graph, bk.graph) == ONLY_UPPER_BOUND
-    with pytest.raises(ValueError):
-        confirm_three(star(3), star(3))  # 4-color witness is rejected
