@@ -34,6 +34,10 @@ CHECK_FAILED = 1
 OK = 0
 
 BUDGET_ENV_VAR = "ANTIMAGIC_SEARCH_BUDGET"  # seconds; search's default budget
+# Input documents are read up to this length.  `build FB_units --k 100000
+# --verify`, 10**6 edges, writes the longest document measured: 192,167,544
+# characters, all ASCII.
+MAX_DOCUMENT_CHARS = 200_000_000
 
 
 def _emit(text: str, out: str | None) -> None:
@@ -44,7 +48,14 @@ def _emit(text: str, out: str | None) -> None:
 
 
 def _load_document(path: str) -> dict:
-    raw = sys.stdin.read() if path == "-" else Path(path).read_text(encoding="utf-8")
+    if path == "-":
+        raw = sys.stdin.read(MAX_DOCUMENT_CHARS + 1)
+    else:
+        with open(path, encoding="utf-8") as f:
+            raw = f.read(MAX_DOCUMENT_CHARS + 1)
+    if len(raw) > MAX_DOCUMENT_CHARS:
+        raise ValueError(f"{path}: more than {MAX_DOCUMENT_CHARS} characters, "
+                         "longer than any document build writes")
     try:
         return json.loads(raw)
     except RecursionError:  # the decoder recurses once per nesting level

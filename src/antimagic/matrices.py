@@ -184,13 +184,11 @@ def matrix_6x4n(n: int) -> LabelMatrix:
     return LabelMatrix(KIND_6X4N, n, grid, seqs)
 
 
-def expected_6x4n_multiset(n: int) -> Counter:
-    want = Counter(range(1, 20 * n + 1))
-    for v in range(2 * n + 1, 4 * n + 1):
-        want[v] += 1
-    for v in range(16 * n + 1, 18 * n + 1):
-        want[v] += 1
-    return want
+def expected_6x4n_multiset(n: int) -> list[int]:
+    """The terms of ``sequences_6x4n(n)`` in increasing order: [1, 20n]
+    with [2n+1, 4n] and [16n+1, 18n] once more."""
+    return sorted([*range(1, 20 * n + 1), *range(2 * n + 1, 4 * n + 1),
+                   *range(16 * n + 1, 18 * n + 1)])
 
 
 def validate_6x4n(sequences: tuple[tuple[int, ...], ...]) -> ValidationReport:
@@ -205,8 +203,7 @@ def validate_6x4n(sequences: tuple[tuple[int, ...], ...]) -> ValidationReport:
     lo, hi = 30 * n + 1, 30 * n + 2
     firsts, lasts = (lo, lo, hi, hi), (hi, hi, lo, lo)
 
-    have = Counter(t for seq in sequences for t in seq)
-    ok = have == expected_6x4n_multiset(n)
+    ok = sorted([t for seq in sequences for t in seq]) == expected_6x4n_multiset(n)
     bad = []
     for a in range(n):
         for p in (1, 4, 7, 10):

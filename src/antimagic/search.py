@@ -4,7 +4,7 @@
 edge by edge in a fixed order and labels in increasing order, pruning
 only in ways that cannot change the minimum.  It searches in rounds:
 
-* (a) **Deepen on the target.**  A first *dive* runs the search with no
+* **Deepen on the target.**  A first *dive* runs the search with no
   color target and stops at its first complete labeling, which gives a
   witness with u colors (if it finds none, the dive has enumerated
   everything and there is no labeling).  If u meets
@@ -27,26 +27,37 @@ assignments it cuts:
   vertices (plus one for an isolated vertex, whose sum 0 is unique)
   exceed the round's target; a completed vertex keeps its sum, so the
   final count can only be larger.
-* ``reach`` (b): when the fully labeled vertices already use every color
-  the target allows, no vertex may end on a new sum, so each endpoint w
-  of the current edge that still has r unlabeled edges must end on a sum
-  some fully labeled vertex already has.  Its final sum is sums[w] plus
-  r distinct free labels, which lies between sums[w] plus the r smallest
-  and sums[w] plus the r largest free labels; if no taken sum lies in
-  that interval, no completion stays within the target.
-* ``symmetry``: pendant edges at the same vertex ("twins") are swapped
-  by an automorphism of the graph, which permutes the twins' labels and
-  sums and leaves every other sum, so every labeling has an equivalent
-  one whose twin labels increase in edge order.  Each twin's label
-  therefore starts above the previous twin's; a free label below that
-  start counts as one symmetry prune.
+* ``reach``: a vertex w that still has r unlabeled edges ends on
+  sums[w] plus r distinct free labels, which lies between sums[w] plus
+  the r smallest and sums[w] plus the r largest free labels.  Call w
+  *stuck* if no sum of a fully labeled vertex lies in that interval: w
+  must end on a sum no vertex has yet.  When the fully labeled vertices
+  already use every color the target allows, one stuck vertex cuts the
+  branch.  When they use all but one, two adjacent stuck vertices
+  cut it: each needs a new sum, and adjacent sums differ, so the two
+  new sums exceed the target.  Every vertex with unlabeled edges is
+  checked, not only the current edge's endpoints.
+* ``symmetry`` (lex-leader, Crawford, Ginsberg, Luks and Roy, KR 1996):
+  let pi be a vertex automorphism of g, s the first position of the
+  static edge order whose edge pi moves, and q the position of the image
+  of that edge; q > s, because pi fixes every edge before s.  For any
+  labeling f, f o pi has the sums f+ o pi, so it is local antimagic
+  exactly when f is, with as many colors.  f and f o pi agree before s
+  and differ at s (labels are distinct), so the lexicographically least
+  labeling of each orbit has label[q] > label[s], for every pi at once;
+  searching only labelings that meet these constraints, for any set of
+  automorphisms, keeps one labeling of every orbit.  At position q each
+  free label up to the largest such label[s] counts as one symmetry
+  prune.  The automorphisms come from the twin quotient (see
+  ``_automorphisms``), so a star K1,n costs n - 1 swaps, not n! maps.
 
 No other symmetry reduction is applied: the label-complement map
 l -> m+1-l can break validity between neighbors of unequal degree, so
 halving the space with it would be unsound here.  The edge order is
 static, so the position at which each vertex becomes fully labeled, the
-neighbors it must then be compared with, and the edges each endpoint
-still lacks are computed once before the search; the unused labels and
+neighbors it must then be compared with, the edges each vertex still
+lacks and the lex-leader constraints are computed once before the
+search; the unused labels and
 the taken sums are bitmasks, so each partial assignment loops over free
 labels only.  Default edge budget is 11; the time budget is the
 ``budget`` argument in seconds, and ``None`` means unlimited.  A search
@@ -59,6 +70,7 @@ from __future__ import annotations
 
 import math
 import time
+from collections.abc import Sequence
 from dataclasses import dataclass
 from itertools import accumulate
 
@@ -150,37 +162,144 @@ def _edge_order(g: LabeledGraph) -> list[int]:
     return order
 
 
+def _automorphisms(g: LabeledGraph, order: list[int]) -> list[list[int]]:
+    """Vertex automorphisms of g as image lists: the swap of each pair of
+    consecutive twins, and maps of the twin quotient lifted to g.
+
+    Twins are vertices x, y with N(x) - {y} = N(y) - {x}; they fall into
+    classes, each a clique or an independent set, and swapping two twins
+    is an automorphism.  Each class contracts to one block whose kind is
+    its adjacency, size and member kind, and the contraction repeats on
+    the quotient (blocks of equal kind only) until no twins are left.  A
+    map of the final quotient that keeps kinds and adjacency lifts to g
+    by sending each block's vertices onto its image's in member order.
+    Of those maps, one is kept per block b and later block c: the first
+    found that fixes every block before b and sends b to c, if any.
+    These generate the quotient's group (a Sims transversal) with at most
+    size^2 / 2 maps, however large the group.  Vertices are ordered by
+    their first edge in the static order, so the constraints the maps
+    give do not depend on vertex ids.
+    """
+    n = g.n_vertices
+    rank: dict[int, int] = {}
+    for ei in order:
+        for w in g.edges[ei][:2]:
+            rank.setdefault(w, len(rank))
+    members = [[w] for w in sorted(range(n), key=lambda w: rank.get(w, n + w))]
+    block_of = {m[0]: b for b, m in enumerate(members)}
+    nbrs = [{block_of[x] for x in g.adjacency[m[0]]} for m in members]
+    kinds: list[tuple] = [()] * n
+    identity = list(range(n))
+    maps = []
+    while True:
+        classes: dict[tuple, list[int]] = {}
+        for b, near in enumerate(nbrs):
+            classes.setdefault((kinds[b], False, frozenset(near)), []).append(b)
+            classes.setdefault((kinds[b], True, frozenset(near | {b})), []).append(b)
+        twins = [(key[1], c) for key, c in classes.items() if len(c) > 1]
+        if not twins:
+            break
+        head = list(range(len(members)))
+        for adjacent, c in twins:
+            for a, b in zip(c, c[1:]):
+                pi = identity[:]
+                for x, y in zip(members[a], members[b]):
+                    pi[x], pi[y] = y, x
+                maps.append(pi)
+            kinds[c[0]] = (adjacent, len(c), kinds[c[0]])
+            for b in c[1:]:
+                members[c[0]] += members[b]
+                head[b] = c[0]
+        keep = [b for b, h in enumerate(head) if h == b]
+        renum = {b: i for i, b in enumerate(keep)}
+        nbrs = [{renum[head[x]] for x in nbrs[b]} - {renum[b]} for b in keep]
+        members = [members[b] for b in keep]
+        kinds = [kinds[b] for b in keep]
+
+    size = len(members)
+    image = list(range(size))
+    unused = [False] * size
+
+    def fits(b: int, c: int) -> bool:
+        """Block b may map onto c, given the images of the blocks before b."""
+        return (unused[c] and kinds[c] == kinds[b] and len(nbrs[c]) == len(nbrs[b])
+                and all((image[a] in nbrs[c]) == (a in nbrs[b]) for a in range(b)))
+
+    def extend(b: int, targets: Sequence[int]) -> bool:
+        """Map block b onto one of ``targets`` and complete ``image`` from
+        there; record the first map found."""
+        if b == size:
+            pi = [0] * n
+            for src, c in zip(members, image):
+                for x, y in zip(src, members[c]):
+                    pi[x] = y
+            maps.append(pi)
+            return True
+        for c in targets:
+            if fits(b, c):
+                unused[c] = False
+                image[b] = c
+                if extend(b + 1, range(size)):
+                    return True
+                unused[c] = True
+        return False
+
+    for b in range(size):
+        for c in range(b + 1, size):
+            image[:b] = range(b)
+            unused[:] = [x >= b for x in range(size)]
+            extend(b, (c,))
+    return maps
+
+
+def _lex_leader(g: LabeledGraph, order: list[int]) -> list[tuple[int, ...]]:
+    """Per position q of the static order, the earlier positions s whose
+    labels the label at q must exceed: for each automorphism, s is the
+    first position it moves and q the position of its image."""
+    position = {}
+    for t, ei in enumerate(order):
+        u, v, _ = g.edges[ei]
+        position[u, v] = position[v, u] = t
+    after: list[set[int]] = [set() for _ in order]
+    for pi in _automorphisms(g, order):
+        for s, ei in enumerate(order):
+            u, v, _ = g.edges[ei]
+            q = position[pi[u], pi[v]]
+            if q != s:
+                after[q].add(s)
+                break
+    return [tuple(sorted(s)) for s in after]
+
+
 def _schedule(g: LabeledGraph, order: list[int]) -> list[tuple]:
     """Per position t of the static order: the edge's endpoints, the
-    position of the previous twin pendant edge at the same vertex (-1 if
-    none), the adjacent vertex pairs that become comparable at t (both
-    fully labeled, one of them just now), the vertices completed at t,
-    and each other endpoint with its count of edges after t.
+    earlier positions whose labels the label at t must exceed, the
+    adjacent vertex pairs that become comparable at t (both fully
+    labeled, one of them just now), the vertices completed at t, and
+    every vertex with edges after t (the edge's endpoints first), with
+    its count of such edges, its bit and its neighbors as a bitmask.
     """
     adj = g.adjacency
-    last = [-1] * g.n_vertices
+    n = g.n_vertices
+    last = [-1] * n
     for t, ei in enumerate(order):
         e = g.edges[ei]
         last[e.u] = last[e.v] = t
+    neighbors = [sum(1 << x for x in nbrs) for nbrs in adj]
     left = [len(nbrs) for nbrs in adj]
-    previous_twin: dict[int, int] = {}
     plan = []
-    for t, ei in enumerate(order):
+    for t, (ei, after) in enumerate(zip(order, _lex_leader(g, order))):
         u, v = g.edges[ei].u, g.edges[ei].v
-        du, dv = len(adj[u]), len(adj[v])
-        hub = u if dv == 1 < du else v if du == 1 < dv else -1
-        prev = -1
-        if hub >= 0:
-            prev = previous_twin.get(hub, -1)
-            previous_twin[hub] = t
         left[u] -= 1
         left[v] -= 1
         done = tuple(w for w in (u, v) if not left[w])
-        opens = tuple((w, left[w]) for w in (u, v) if left[w])
+        opens = tuple((w, left[w], 1 << w, neighbors[w])
+                      for w in (u, v, *(x for x in range(n) if x != u and x != v))
+                      if left[w])
         pairs = [(w, nb) for w in done for nb in adj[w] if last[nb] < t]
         if len(done) == 2:
             pairs.append((u, v))
-        plan.append((u, v, prev, tuple(pairs), done, opens))
+        plan.append((u, v, after, tuple(pairs), done, opens))
     return plan
 
 
@@ -256,10 +375,10 @@ def chi_la_exact(
 
     def dfs(t: int, distinct: int, taken: int, free: int) -> None:
         nonlocal nodes, conflict, color_bound, symmetry, reach, next_clock
-        u, v, prev, pairs, done, opens = plan[t]
+        u, v, after, pairs, done, opens = plan[t]
         tried = free
-        if prev >= 0:  # skip labels up to the previous twin's
-            below = free & ((2 << assignment[prev]) - 1)
+        if after:  # skip labels up to the largest label this one must exceed
+            below = free & ((2 << max([assignment[s] for s in after])) - 1)
             symmetry += below.bit_count()
             tried ^= below
         for lab in label_sets[tried]:
@@ -287,14 +406,17 @@ def chi_la_exact(
                 else:
                     rest = free ^ (1 << lab)
                     cut = False
-                    if d == cap:  # no new sum fits: each open endpoint needs a taken one
+                    if d >= cap - 1:  # an open vertex that cannot end on a taken sum needs a new one
                         span = spans[rest]
-                        for w, r in opens:
+                        stuck = 0  # bitmask of such vertices
+                        for w, r, bit, near in opens:
                             lo, width = span[r]
                             if not now >> (sums[w] + lo) & width:
-                                reach += 1
-                                cut = True
-                                break
+                                if d == cap or stuck & near:
+                                    reach += 1
+                                    cut = True
+                                    break
+                                stuck |= bit
                     if not cut:
                         assignment[t] = lab
                         if t < final:

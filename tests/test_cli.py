@@ -247,6 +247,27 @@ def test_bad_input_is_one_error_line(tmp_path, monkeypatch, capsys, argv, env):
     assert "Traceback" not in err
 
 
+@pytest.mark.parametrize("command", ["verify", "search", "export"])
+def test_document_above_the_size_cap_is_refused(tmp_path, monkeypatch, capsys, command):
+    # the cap is lowered to the document's length, so that no test needs
+    # a huge file
+    text = dumps(P3_DOC)
+    path = tmp_path / "p3.json"
+    path.write_text(text, encoding="utf-8")
+    monkeypatch.setattr(cli, "MAX_DOCUMENT_CHARS", len(text) - 1)
+    for source in (str(path), "-"):
+        with mock.patch("sys.stdin", io.StringIO(text)):
+            code, out, err = run(capsys, command, source)
+        assert code == 2 and out == ""
+        assert len(err.splitlines()) == 1 and err.startswith("error: ")
+        assert f"more than {len(text) - 1} characters" in err
+    monkeypatch.setattr(cli, "MAX_DOCUMENT_CHARS", len(text))
+    for source in (str(path), "-"):
+        with mock.patch("sys.stdin", io.StringIO(text)):
+            code, out, _ = run(capsys, command, source)
+        assert code == 0 and out
+
+
 @pytest.mark.parametrize("tag", sorted(families.ACCEPTANCE_GRID))
 def test_build_refuses_a_family_above_the_edge_cap(monkeypatch, capsys, tag):
     # the cap is lowered to each grid point's size, so that no test needs

@@ -76,7 +76,7 @@ def test_sequences_golden_n6():
 def test_sequences_n1_multiset():
     seqs = sequences_6x4n(1)
     counts = Counter(t for seq in seqs for t in seq)
-    assert counts == expected_6x4n_multiset(1)
+    assert sorted(counts.elements()) == expected_6x4n_multiset(1)
     assert counts[3] == counts[4] == counts[17] == counts[18] == 2
 
 
@@ -94,7 +94,7 @@ def test_matrix_6x4n_n1_row1():
 def test_matrix_6x4n_structure_and_multiset(n):
     m = matrix_6x4n(n)
     assert row_structure_6x4n(m).ok
-    assert Counter(m.flat()) == expected_6x4n_multiset(n)
+    assert sorted(m.flat()) == expected_6x4n_multiset(n)
     # flattened grid and flattened sequences agree as multisets
     assert Counter(m.flat()) == Counter(t for seq in m.sequences for t in seq)
 

@@ -12,8 +12,8 @@ from hypothesis import strategies as st
 import antimagic.search as search
 from antimagic.cli import main
 from antimagic.document import dumps, graph_to_document
-from antimagic.families import build_fb
-from antimagic.graph import GraphTooLarge, new_graph
+from antimagic.families import build_fb, build_family
+from antimagic.graph import GraphTooLarge, LabeledEdge, LabeledGraph, new_graph
 from antimagic.search import (
     STATUS_NO_LABELING,
     STATUS_TIMEOUT,
@@ -128,9 +128,44 @@ def small_graphs(draw):
         [(names[i], names[j], t + 1) for t, (i, j) in enumerate(chosen)])
 
 
-@settings(max_examples=40, deadline=None)
-@given(small_graphs())
+@st.composite
+def symmetric_graphs(draw):
+    """Up to 8 edges with many automorphisms: a cycle, a complete
+    bipartite graph, disjoint copies of a small graph, or a star with a
+    chord between two leaves; vertex ids shuffled."""
+    kind = draw(st.sampled_from(["cycle", "bipartite", "copies", "chorded_star"]))
+    if kind == "cycle":
+        n = draw(st.integers(3, 8))
+        pairs = [(i, (i + 1) % n) for i in range(n)]
+    elif kind == "bipartite":
+        a = draw(st.integers(1, 2))
+        b = draw(st.integers(a, 8 // a))
+        pairs = [(i, a + j) for i in range(a) for j in range(b)]
+    elif kind == "copies":
+        base = draw(st.sampled_from([
+            [(0, 1)], [(0, 1), (1, 2)], [(0, 1), (1, 2), (0, 2)],
+            [(0, 1), (0, 2), (0, 3)], [(0, 1), (1, 2), (2, 3)],
+            [(0, 1), (1, 2), (2, 3), (0, 3)]]))
+        k = draw(st.integers(2, 8 // len(base)))
+        pairs = [(a + 4 * i, b + 4 * i) for i in range(k) for a, b in base]
+    else:
+        leaves = draw(st.integers(2, 7))
+        pairs = [(0, i) for i in range(1, leaves + 1)] + [(1, 2)]
+    used = sorted({w for p in pairs for w in p})
+    ids = dict(zip(used, draw(st.permutations(range(len(used))))))
+    names = [f"n{i}" for i in range(len(used))]
+    return new_graph(names).with_edges(
+        [(names[ids[a]], names[ids[b]], t + 1) for t, (a, b) in enumerate(pairs)])
+
+
+@settings(max_examples=80, deadline=None)
+@given(st.one_of(small_graphs(), symmetric_graphs()))
 def test_pruned_matches_naive_on_random_graphs(g):
+    # the symmetry rule is sound only if every map it uses is an automorphism
+    edges = {frozenset(e[:2]) for e in g.edges}
+    for pi in search._automorphisms(g, search._edge_order(g)):
+        assert sorted(pi) == list(range(g.n_vertices))
+        assert {frozenset((pi[u], pi[v])) for u, v, _ in g.edges} == edges
     naive = naive_chi_la(g)
     result = chi_la_exact(g)
     assert result.lower_bound == lower_bound(g)
@@ -145,6 +180,33 @@ def test_pruned_matches_naive_on_random_graphs(g):
     assert lower_bound(g) <= naive
     rep = induced_coloring(result.witness)
     assert rep.local_antimagic and rep.color_count == naive
+
+
+@st.composite
+def connected_graphs(draw):
+    """Connected with 9 or 10 edges, past the naive oracle's reach: a
+    random spanning tree on 5-11 vertices plus random further edges, in
+    a random order."""
+    m = draw(st.integers(9, 10))
+    n = draw(st.integers(5, m + 1))
+    pairs = [(draw(st.integers(0, i - 1)), i) for i in range(1, n)]
+    others = [(i, j) for i in range(n) for j in range(i + 1, n) if (i, j) not in pairs]
+    pairs += draw(st.lists(st.sampled_from(others), unique=True,
+                           min_size=m - len(pairs), max_size=m - len(pairs)))
+    names = [f"n{i}" for i in range(n)]
+    return new_graph(names).with_edges(
+        [(names[a], names[b], t + 1) for t, (a, b) in enumerate(draw(st.permutations(pairs)))])
+
+
+@settings(max_examples=25, deadline=None)
+@given(connected_graphs())
+def test_connected_graphs_are_local_antimagic(g):
+    # Haslegrave (DMTCS 2018): every connected graph but K2 is local
+    # antimagic, so the search must find a labeling
+    result = chi_la_exact(g)
+    assert result.status == STATUS_VALUE
+    rep = induced_coloring(result.witness)
+    assert rep.local_antimagic and rep.color_count == result.chi_la >= result.lower_bound
 
 
 @pytest.mark.parametrize("n", range(3, 12))
@@ -193,7 +255,48 @@ def test_k4_path_proven_by_reach_prunes():
     result = chi_la_exact(k4_path())
     assert result.status == STATUS_VALUE and result.chi_la == result.lower_bound == 4
     assert result.stats.reach > 0
-    assert result.stats.nodes < 400_000
+    assert result.stats.nodes <= NODES_TO_PROOF["K4_path"]
+
+
+# Nodes to proof of the graphs of the benchmark's search workload: a gate
+# on the search's work that does not time it.  Lower counts may replace
+# these; higher ones mean a pruning rule got weaker.
+NODES_TO_PROOF = {
+    "K4_path": 43_428, "K1_9": 9, "C8_units": 6_895, "Bk": 8_883, "kC82": 2_593,
+    "kD82": 2_210, "FB": 2_423, "K1_11": 11,
+}
+
+
+def _benchmark_graph(name):
+    if name == "K4_path":
+        return k4_path()
+    if name.startswith("K1_"):
+        return star(int(name[3:]))
+    return build_family(name, k=1).graph
+
+
+@pytest.mark.parametrize("name", list(NODES_TO_PROOF))
+def test_benchmark_graph_nodes_to_proof(name):
+    g = _benchmark_graph(name)
+    result = chi_la_exact(g)
+    assert result.status == STATUS_VALUE
+    assert result.stats.nodes <= NODES_TO_PROOF[name]
+    rep = induced_coloring(result.witness)
+    assert rep.local_antimagic and rep.color_count == result.chi_la
+    # vertex ids reversed: the search tree is the same, node for node
+    last = g.n_vertices - 1
+    relabeled = LabeledGraph(g.names[::-1], tuple(
+        LabeledEdge(last - e.v, last - e.u, e.label) for e in g.edges))
+    assert chi_la_exact(relabeled).stats.nodes == result.stats.nodes
+
+
+def test_star_symmetry_is_a_chain_of_twin_swaps():
+    # the 11 leaves are one twin class: its 10 consecutive swaps and no
+    # enumeration of the 11! automorphisms
+    g = star(11)
+    order = search._edge_order(g)
+    assert len(search._automorphisms(g, order)) == 10
+    assert search._lex_leader(g, order) == [()] + [(t,) for t in range(10)]
 
 
 def test_timeout_reports_the_largest_refuted_target(monkeypatch):
