@@ -6,14 +6,13 @@ positional handles.  An edge is a named triple ``LabeledEdge(u, v,
 label)`` of two vertex ids with ``u < v`` and a positive label; it
 unpacks as ``u, v, label``.  A ``LabeledGraph`` gives the views the
 other modules read (``adjacency``, ``degrees()``, ``labels()``,
-``id_of``) and ``with_edges``.  The surgery is ``apply_merge``, which
-every family builder uses, and ``split_vertex``, which no builder calls;
-the tests keep it as the oracle for the pre-split fan units.
-``is_bipartite`` and ``chromatic_number_small`` feed the verifier's
-lower bound.  Every operation is pure: it validates its inputs and
-returns a new graph.  Edge labels stay attached to their edges through
-merges and splits, so a bijective labeling survives any sequence of
-surgeries.  Values are safe to share across threads.
+``id_of``) and ``with_edges``.  The one surgery is ``apply_merge``,
+which every family builder uses; the tests keep a ``split_vertex``
+oracle.  ``is_bipartite`` and ``chromatic_number_small`` feed the
+verifier's lower bound.  Every operation is pure: it validates its
+inputs and returns a new graph.  Edge labels stay attached to their
+edges through merges, so a bijective labeling survives any sequence of
+them.  Values are safe to share across threads.
 """
 
 from __future__ import annotations
@@ -52,10 +51,6 @@ class LoopCreated(GraphError):
 
 
 class ParallelEdgeCreated(GraphError):
-    pass
-
-
-class NotAPartition(GraphError):
     pass
 
 
@@ -237,53 +232,6 @@ def apply_merge(g: LabeledGraph,
         seen[key] = label
         new_edges.append(LabeledEdge(nu, nv, label))
     return LabeledGraph(tuple(new_names), tuple(new_edges))
-
-
-def split_vertex(
-    g: LabeledGraph,
-    v: str,
-    first: set[str] | frozenset[str],
-    second: set[str] | frozenset[str],
-    name_first: str,
-    name_second: str,
-) -> LabeledGraph:
-    """Split v into two vertices; edges to `first` neighbors follow the first.
-
-    The two blocks must partition the neighbor set of v (simple graph, so
-    incident edges correspond to neighbors).  Empty blocks are allowed and
-    produce an isolated vertex.
-    """
-    vid = g.id_of(v)
-    nbrs = {g.names[w] for w in g.adjacency[vid]}
-    first = set(first)
-    second = set(second)
-    if first & second:
-        raise NotAPartition(f"blocks for {v!r} overlap: {sorted(first & second)}")
-    if first | second != nbrs:
-        raise NotAPartition(
-            f"blocks for {v!r} do not cover its neighbors exactly "
-            f"(got {sorted(first | second)}, need {sorted(nbrs)})"
-        )
-    if name_first == name_second:
-        raise DuplicateName(f"split names for {v!r} are equal")
-    for nm in (name_first, name_second):
-        if nm in g._id_of and nm != v:
-            raise DuplicateName(f"split name {nm!r} already in use")
-
-    names = list(g.names)
-    names[vid] = name_first
-    names.append(name_second)
-    second_id = len(names) - 1
-    first_ids = {g.id_of(nm) for nm in first}
-    new_edges = []
-    for e in g.edges:
-        if vid not in (e.u, e.v):
-            new_edges.append(e)
-            continue
-        other = e.v if e.u == vid else e.u
-        mine = vid if other in first_ids else second_id
-        new_edges.append(LabeledEdge(min(mine, other), max(mine, other), e.label))
-    return LabeledGraph(tuple(names), tuple(new_edges))
 
 
 def is_bipartite(g: LabeledGraph) -> Bipartition | None:

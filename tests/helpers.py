@@ -1,15 +1,35 @@
 """Shared test utilities: structural graph comparison, fast transposition
-checking for the metamorphic suites, and graph and matrix helpers that only
-the tests need (components, disjoint union, the 6x4n closed-form rows)."""
+checking for the metamorphic suites, and graph, matrix and family helpers
+that only the tests need (components, disjoint union, the 6x4n
+closed-form rows, the verified acceptance grid, the 3-color claim)."""
 
 from __future__ import annotations
 
 from collections import Counter, deque
+from typing import Iterable
 
-from antimagic.families import BuiltFamily
+from antimagic.families import ACCEPTANCE_GRID, BuiltFamily, build_family
 from antimagic.graph import LabeledEdge, LabeledGraph
 from antimagic.matrices import KIND_6X4N, Check, LabelMatrix, ValidationReport
-from antimagic.verify import vertex_sums
+from antimagic.verify import check_expected, induced_coloring, vertex_sums
+
+
+def grid_points(tags: Iterable[str] = ACCEPTANCE_GRID):
+    """Build and check every grid point of each tag, in grid order: yields
+    the tag, the parameters, the build, its induced coloring and
+    ``check_expected``'s difference lines."""
+    for tag in tags:
+        for params in ACCEPTANCE_GRID[tag]:
+            built = build_family(tag, **params)
+            report = induced_coloring(built.graph)
+            yield tag, params, built, report, check_expected(built.graph, built.expected, report)
+
+
+def chi_la_is_three(built: BuiltFamily) -> bool:
+    """The construction's coloring is known optimal at 3: an exact
+    3-coloring claim whose hypotheses raised no warning."""
+    claim = built.expected
+    return claim.exact and claim.claimed_colors == 3 and not built.warnings
 
 
 def components(g: LabeledGraph) -> tuple[tuple[int, ...], ...]:

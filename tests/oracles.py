@@ -4,6 +4,8 @@
 with no pruning at all, so it shares no code path with the package's
 search module.  ``naive_merge`` does ``apply_merge``'s surgery on vertex
 names, with linear scans and no integer ids or pair keys.
+``split_vertex`` is the inverse surgery, which no builder does: it is the
+oracle for the hubs that ``families._fan_units`` makes already split.
 """
 
 from __future__ import annotations
@@ -11,6 +13,7 @@ from __future__ import annotations
 import itertools
 
 from antimagic.graph import (
+    DuplicateName,
     GraphError,
     InvalidPlan,
     LabeledEdge,
@@ -18,6 +21,10 @@ from antimagic.graph import (
     LoopCreated,
     ParallelEdgeCreated,
 )
+
+
+class NotAPartition(GraphError):
+    pass
 
 
 def naive_chi_la(g: LabeledGraph) -> int | None:
@@ -76,3 +83,50 @@ def naive_merge(g: LabeledGraph, groups) -> LabeledGraph:
         u, v = sorted((names.index(a), names.index(b)))
         edges.append(LabeledEdge(u, v, e.label))
     return LabeledGraph(tuple(names), tuple(edges))
+
+
+def split_vertex(
+    g: LabeledGraph,
+    v: str,
+    first: set[str] | frozenset[str],
+    second: set[str] | frozenset[str],
+    name_first: str,
+    name_second: str,
+) -> LabeledGraph:
+    """Split v into two vertices; edges to `first` neighbors follow the first.
+
+    The two blocks must partition the neighbor set of v (simple graph, so
+    incident edges correspond to neighbors).  Empty blocks are allowed and
+    produce an isolated vertex.
+    """
+    vid = g.id_of(v)
+    nbrs = {g.names[w] for w in g.adjacency[vid]}
+    first = set(first)
+    second = set(second)
+    if first & second:
+        raise NotAPartition(f"blocks for {v!r} overlap: {sorted(first & second)}")
+    if first | second != nbrs:
+        raise NotAPartition(
+            f"blocks for {v!r} do not cover its neighbors exactly "
+            f"(got {sorted(first | second)}, need {sorted(nbrs)})"
+        )
+    if name_first == name_second:
+        raise DuplicateName(f"split names for {v!r} are equal")
+    for nm in (name_first, name_second):
+        if nm in g._id_of and nm != v:
+            raise DuplicateName(f"split name {nm!r} already in use")
+
+    names = list(g.names)
+    names[vid] = name_first
+    names.append(name_second)
+    second_id = len(names) - 1
+    first_ids = {g.id_of(nm) for nm in first}
+    new_edges = []
+    for e in g.edges:
+        if vid not in (e.u, e.v):
+            new_edges.append(e)
+            continue
+        other = e.v if e.u == vid else e.u
+        mine = vid if other in first_ids else second_id
+        new_edges.append(LabeledEdge(min(mine, other), max(mine, other), e.label))
+    return LabeledGraph(tuple(names), tuple(new_edges))

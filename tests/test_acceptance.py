@@ -9,11 +9,7 @@ from __future__ import annotations
 import random
 import time
 
-from antimagic.families import (
-    ACCEPTANCE_GRID,
-    build_family,
-    verify_grid,
-)
+from antimagic.families import ACCEPTANCE_GRID, build_family
 from antimagic.graph import new_graph
 from antimagic.matrices import (
     matrix_5x2k,
@@ -35,7 +31,7 @@ from antimagic.verify import (
     two_coloring_impossible,
 )
 from golden import GRID_5X2K_K6, GRID_KX10_K4, SEQUENCES_N6
-from helpers import transposition_detected
+from helpers import chi_la_is_three, grid_points, transposition_detected
 
 # families whose construction-time coloring is provably optimal at 3 colors
 THREE_COLOR_FAMILIES = (
@@ -83,10 +79,10 @@ def test_criterion_3_family_verification_grid():
     for tag, grid in ACCEPTANCE_GRID.items():
         assert len(grid) >= 10, tag
     seen = []
-    for res in verify_grid():
-        assert res.report.local_antimagic, (res.tag, res.params, res.report.conflicts[:3])
-        assert res.check.passed, (res.tag, res.params, res.check.diffs)
-        seen.append((res.tag, res.params))
+    for tag, params, _, report, diffs in grid_points():
+        assert report.local_antimagic, (tag, params, report.conflicts[:3])
+        assert not diffs, (tag, params, diffs)
+        seen.append((tag, params))
     assert seen == [(tag, params) for tag, grid in ACCEPTANCE_GRID.items()
                     for params in grid]
     points = len(seen)
@@ -106,7 +102,7 @@ def test_criterion_4_color_count_claims():
     for tag in THREE_COLOR_FAMILIES:
         for params in ACCEPTANCE_GRID[tag]:
             built = build_family(tag, **params)
-            if not built.chi_la_is_three:
+            if not chi_la_is_three(built):
                 continue
             rep = induced_coloring(built.graph)
             assert rep.color_count == 3, (tag, params, rep.color_count)
@@ -164,7 +160,7 @@ def test_criterion_6_lower_bounds():
     for tag in THREE_COLOR_FAMILIES:
         for params in ACCEPTANCE_GRID[tag]:
             built = build_family(tag, **params)
-            if built.chi_la_is_three:
+            if chi_la_is_three(built):
                 assert lower_bound(built.graph) >= 3, (tag, params)
     elapsed = time.monotonic() - start
     _report(6, "gate impossibility and lower bounds >= 3 across the grid", elapsed)

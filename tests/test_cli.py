@@ -291,8 +291,8 @@ def test_build_refuses_a_family_above_the_edge_cap(monkeypatch, capsys, tag):
             assert families.build_family(tag, **params).graph.size == edges
 
 
-def test_selftest_reports_a_failing_grid_point(monkeypatch, capsys):
-    real_build = families.build_family
+def test_selftest_reports_a_failing_grid_point(tmp_path, monkeypatch, capsys):
+    real_build = cli.build_family
 
     def build_with_two_labels_swapped(tag, **params):
         built = real_build(tag, **params)
@@ -302,13 +302,21 @@ def test_selftest_reports_a_failing_grid_point(monkeypatch, capsys):
         edges = (e0._replace(label=e1.label), e1._replace(label=e0.label), *rest)
         return dataclasses.replace(built, graph=LabeledGraph(built.graph.names, edges))
 
-    monkeypatch.setattr(families, "build_family", build_with_two_labels_swapped)
+    monkeypatch.setattr(cli, "build_family", build_with_two_labels_swapped)
     code, out, _ = run(capsys, "selftest", "--max-param", "1")
     assert code == 1
     assert "FAIL family FB {'k': 1}: " in out
     assert "FAIL family FB (10 points)" in out
     assert "ok   family FB_units (10 points)" in out
     assert out.endswith("selftest: 2 failure(s)\n")
+    # the detail is the problem lines verify prints for the same document
+    _, doc, _ = run(capsys, "build", "FB", "--k", "1")
+    path = tmp_path / "swapped.json"
+    path.write_text(doc, encoding="utf-8")
+    _, _, verify_err = run(capsys, "verify", str(path))
+    detail = next(line for line in out.splitlines()
+                  if line.startswith("FAIL family FB {'k': 1}: "))
+    assert detail == "FAIL family FB {'k': 1}: " + "; ".join(verify_err.splitlines())
 
 
 def _build_with_a_label_repeated(tag, **params):

@@ -31,11 +31,11 @@ from antimagic.families import (
     build_rdf,
     build_rfb,
     build_rg82,
-    verify_grid,
 )
-from antimagic.graph import split_vertex
+from antimagic.cli import _check
 from antimagic.verify import induced_coloring
-from helpers import components, disjoint_union
+from helpers import chi_la_is_three, components, disjoint_union, grid_points
+from oracles import split_vertex
 
 
 def sums_of(g):
@@ -104,11 +104,11 @@ def test_fb1_fb2_colors():
 
 def test_fb1_fb2_hypothesis_warnings():
     b = build_fb2(2, 2)  # rs = 4 divisible by 4
-    assert b.warnings and not b.chi_la_is_three
+    assert b.warnings and not chi_la_is_three(b)
     rep = induced_coloring(b.graph)
     assert rep.local_antimagic  # graph still produced and labeled
     b = build_fb1(4, 2)  # r divisible by 4
-    assert b.warnings and not b.chi_la_is_three
+    assert b.warnings and not chi_la_is_three(b)
 
 
 def test_rdf_example_colors_and_structure():
@@ -312,14 +312,14 @@ def test_parameter_errors():
 
 @pytest.mark.parametrize("tag", sorted(ACCEPTANCE_GRID))
 def test_family_grid_verifies(tag):
-    results = list(verify_grid([tag]))
-    assert [res.params for res in results] == list(ACCEPTANCE_GRID[tag])
-    for res in results:
-        g = res.built.graph
+    results = list(grid_points([tag]))
+    assert [params for _, params, *_ in results] == list(ACCEPTANCE_GRID[tag])
+    for _, params, built, report, diffs in results:
+        g = built.graph
         assert sorted(g.labels()) == list(range(1, g.size + 1))
-        assert res.report.local_antimagic, (tag, res.params, res.report.conflicts[:3])
-        assert res.check.passed, (tag, res.params, res.check.diffs)
-        assert res.passed
+        assert report.local_antimagic, (tag, params, report.conflicts[:3])
+        assert not diffs, (tag, params, diffs)
+        assert _check(g, built.expected)[1] == []  # selftest's verdict
 
 
 def test_registry_covers_grid():
@@ -335,7 +335,7 @@ OPTIMAL_AT_THREE = {
 @pytest.mark.parametrize("tag", sorted(ACCEPTANCE_GRID))
 def test_chi_la_is_three_per_tag(tag):
     for params in ACCEPTANCE_GRID[tag]:
-        assert build_family(tag, **params).chi_la_is_three is (tag in OPTIMAL_AT_THREE)
+        assert chi_la_is_three(build_family(tag, **params)) is (tag in OPTIMAL_AT_THREE)
 
 
 @pytest.mark.parametrize("tag, r, s", [
@@ -343,7 +343,7 @@ def test_chi_la_is_three_per_tag(tag):
 ])
 def test_chi_la_is_three_false_where_hypotheses_warn(tag, r, s):
     built = build_family(tag, r=r, s=s)
-    assert built.warnings and built.chi_la_is_three is False
+    assert built.warnings and chi_la_is_three(built) is False
 
 
 def test_c482_is_balanced_bipartite():

@@ -16,17 +16,15 @@ from antimagic.graph import (
     LabeledEdge,
     Loop,
     LoopCreated,
-    NotAPartition,
     ParallelEdge,
     ParallelEdgeCreated,
     apply_merge,
     chromatic_number_small,
     is_bipartite,
     new_graph,
-    split_vertex,
 )
 from helpers import disjoint_union, same_up_to_names, vertex_label_signature
-from oracles import naive_merge
+from oracles import NotAPartition, naive_merge, split_vertex
 
 
 def fan_unit(labels=(1, 2, 3, 4, 5), suffix=""):

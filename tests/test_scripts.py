@@ -9,10 +9,12 @@ import os
 import re
 import subprocess
 import sys
+from collections import Counter
 from pathlib import Path
 
 import pytest
 
+import antimagic.cli as cli
 from antimagic.families import build_family, build_fb
 from antimagic.graph import new_graph
 
@@ -30,20 +32,6 @@ def run_python(*args: str) -> subprocess.CompletedProcess:
 
 def run_script(script: str, *args: str) -> subprocess.CompletedProcess:
     return run_python(str(ROOT / "scripts" / script), *args)
-
-
-def test_family_grid_subset():
-    proc = run_script("run_family_grid.py", "--families", "FB", "rDF")
-    assert proc.returncode == 0, proc.stderr
-    lines = proc.stdout.splitlines()
-    assert sum(line.startswith("ok   ") for line in lines) == 20
-    assert lines[-1].startswith("20 points, 0 failure(s)")
-
-
-def test_family_grid_rejects_unknown_tag():
-    proc = run_script("run_family_grid.py", "--families", "nope")
-    assert proc.returncode == 2
-    assert proc.stdout == "" and "invalid choice: 'nope'" in proc.stderr
 
 
 def test_explore_small_chi_la():
@@ -84,6 +72,26 @@ def test_bench_tracer_finds_every_name_it_wraps(monkeypatch):
     # default, so a deleted or renamed package name breaks every traced run
     monkeypatch.syspath_prepend(str(ROOT / "bench"))
     importlib.import_module("tracing").Tracer()  # AttributeError if one is gone
+
+
+def test_traced_selftest_spans_every_build_coloring_and_check(monkeypatch, capsys):
+    # selftest reaches build_family, induced_coloring and check_expected
+    # through the cli names the tracer wraps, so their time is not filed
+    # under cli.main
+    monkeypatch.syspath_prepend(str(ROOT / "bench"))
+    tracer = importlib.import_module("tracing").Tracer()
+    argv = ["selftest", "--max-param", "0"]
+    assert cli.main(argv) == 0
+    untraced = capsys.readouterr().out
+    tracer.install()
+    try:
+        assert tracer.root(cli.main)(argv) == 0
+    finally:
+        tracer.remove()
+    assert capsys.readouterr().out == untraced
+    spans = Counter(name for _, _, name, _, _ in tracer.spans)
+    assert [spans[name] for name in ("families.build", "verify.coloring", "verify.check")] \
+        == [260, 260, 260]
 
 
 def test_each_module_imports_alone_and_the_version_is_the_projects():
