@@ -137,6 +137,8 @@ def cmd_search(args: argparse.Namespace) -> int:
     if budget is None and os.environ.get(BUDGET_ENV_VAR):
         budget = float(os.environ[BUDGET_ENV_VAR])
     check_budget(budget)
+    if args.max_edges < 0:
+        raise ValueError(f"--max-edges must be at least 0, not {args.max_edges}")
     g, _ = doc_mod.document_to_graph(_load_document(args.input))
     result = chi_la_exact(g, max_edges=args.max_edges, budget=budget)
     _emit(doc_mod.dumps(result.to_json_dict()), args.out)

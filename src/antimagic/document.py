@@ -18,7 +18,7 @@ from json.encoder import encode_basestring_ascii as _quote
 from typing import Iterable
 
 from .families import BuiltFamily
-from .graph import LabeledEdge, LabeledGraph
+from .graph import LabeledGraph
 from .matrices import LabelMatrix
 from .verify import ColorClass, ColorReport, ExpectedColors, vertex_sums
 
@@ -119,7 +119,7 @@ def document_to_graph(doc: dict) -> tuple[LabeledGraph, ExpectedColors | None]:
         if u > v:
             u, v = v, u
         pairs.add(u * n + v)  # one int per vertex pair
-        edges.append(LabeledEdge(u, v, label))
+        edges.append((u, v, label))
         counted[u] += 1
         counted[v] += 1
     if len(pairs) != len(edges):

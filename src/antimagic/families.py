@@ -426,7 +426,7 @@ def build_h(m: int, n: int) -> BuiltFamily:
     corners across the two cycles, variant 3 fuses aligned corners (each
     component becomes a triangular bracelet).
     """
-    _check(m in (1, 2, 3), "variant must be 1, 2 or 3")
+    _check(m in (1, 2, 3), "m must be 1, 2 or 3")
     _check(n >= 1, "n must be >= 1")
     base = build_nc482(n)
     fused_names = ("x", "x", "y", "y")
@@ -449,7 +449,7 @@ def build_h(m: int, n: int) -> BuiltFamily:
 
 def build_hm_rs(m: int, r: int, s: int) -> BuiltFamily:
     """H_m(rs) with the degree-4 vertices fused across each block of s copies."""
-    _check(m in (1, 2, 3), "variant must be 1, 2 or 3")
+    _check(m in (1, 2, 3), "m must be 1, 2 or 3")
     _check(r >= 1, "r must be >= 1")
     _check(s >= 2, "s must be >= 2")
     n = r * s

@@ -2,9 +2,9 @@
 
 Vertices are addressed by display name (``u_3``, ``x_5^1``, ``w_2_4``) so
 constructions and tests can refer to them directly; integer ids are
-positional handles.  An edge is a named triple ``LabeledEdge(u, v,
-label)`` of two vertex ids with ``u < v`` and a positive label; it
-unpacks as ``u, v, label``.  A ``LabeledGraph`` gives the views the
+positional handles.  An edge is a plain int triple ``(u, v, label)``
+with ``u < v`` and ``label >= 1``; ``LabeledEdge`` is its named form
+for outside callers.  A ``LabeledGraph`` gives the views the
 other modules read (``adjacency``, ``degrees()``, ``labels()``,
 ``id_of``) and ``with_edges``.  The one surgery is ``apply_merge``,
 which every family builder uses; the tests keep a ``split_vertex``
@@ -63,7 +63,7 @@ def _no_vertex(name: str) -> GraphError:
 
 
 class LabeledEdge(NamedTuple):
-    """Undirected edge, endpoints stored with u < v, carrying a positive label."""
+    """Named form of the ``(u, v, label)`` edge triple, u < v, label >= 1."""
 
     u: int
     v: int
@@ -90,7 +90,7 @@ class Bipartition:
 @dataclass(frozen=True)
 class LabeledGraph:
     names: tuple[str, ...]
-    edges: tuple[LabeledEdge, ...]
+    edges: tuple[tuple[int, int, int], ...]
 
     # ---- views ---------------------------------------------------------
 
@@ -149,7 +149,7 @@ class LabeledGraph:
             if label < 1:
                 raise GraphError(f"edge label must be a positive integer, got {label}")
             seen.add(key)
-            new.append(LabeledEdge(ia, ib, label))
+            new.append((ia, ib, label))
         return LabeledGraph(self.names, tuple(new))
 
 
@@ -213,7 +213,7 @@ def apply_merge(g: LabeledGraph,
             new_names.append(nm if gi is None else fused_names[gi])
 
     n = len(new_names)
-    new_edges: list[LabeledEdge] = []
+    new_edges: list[tuple[int, int, int]] = []
     seen: dict[int, int] = {}  # u * n + v -> label of the edge joining u < v
     for u, v, label in g.edges:
         nu, nv = remap[u], remap[v]
@@ -230,7 +230,7 @@ def apply_merge(g: LabeledGraph,
                 f"{new_names[nu]!r} and {new_names[nv]!r} twice"
             )
         seen[key] = label
-        new_edges.append(LabeledEdge(nu, nv, label))
+        new_edges.append((nu, nv, label))
     return LabeledGraph(tuple(new_names), tuple(new_edges))
 
 

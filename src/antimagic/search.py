@@ -74,7 +74,7 @@ from collections.abc import Sequence
 from dataclasses import dataclass
 from itertools import accumulate
 
-from .graph import GraphTooLarge, LabeledEdge, LabeledGraph
+from .graph import GraphTooLarge, LabeledGraph
 from .verify import lower_bound
 
 DEFAULT_MAX_EDGES = 11
@@ -116,7 +116,7 @@ class SearchResult:
             "lower_bound": self.lower_bound,
             "upper_bound": self.upper_bound,
             "witness": (
-                [{"u": e.u, "v": e.v, "label": e.label} for e in self.witness.edges]
+                [{"u": u, "v": v, "label": label} for u, v, label in self.witness.edges]
                 if self.witness is not None else None
             ),
             "stats": {
@@ -150,15 +150,15 @@ def _edge_order(g: LabeledGraph) -> list[int]:
     order = []
     while remaining:
         def score(ei: int) -> tuple[int, int, int]:
-            e = g.edges[ei]
-            completes = (placed[e.u] == deg[e.u] - 1) + (placed[e.v] == deg[e.v] - 1)
-            return (completes, placed[e.u] + placed[e.v], -ei)
+            u, v, _ = g.edges[ei]
+            completes = (placed[u] == deg[u] - 1) + (placed[v] == deg[v] - 1)
+            return (completes, placed[u] + placed[v], -ei)
 
         best = max(remaining, key=score)
         remaining.remove(best)
         order.append(best)
-        placed[g.edges[best].u] += 1
-        placed[g.edges[best].v] += 1
+        for w in g.edges[best][:2]:
+            placed[w] += 1
     return order
 
 
@@ -283,13 +283,13 @@ def _schedule(g: LabeledGraph, order: list[int]) -> list[tuple]:
     n = g.n_vertices
     last = [-1] * n
     for t, ei in enumerate(order):
-        e = g.edges[ei]
-        last[e.u] = last[e.v] = t
+        u, v, _ = g.edges[ei]
+        last[u] = last[v] = t
     neighbors = [sum(1 << x for x in nbrs) for nbrs in adj]
     left = [len(nbrs) for nbrs in adj]
     plan = []
     for t, (ei, after) in enumerate(zip(order, _lex_leader(g, order))):
-        u, v = g.edges[ei].u, g.edges[ei].v
+        u, v, _ = g.edges[ei]
         left[u] -= 1
         left[v] -= 1
         done = tuple(w for w in (u, v) if not left[w])
@@ -349,7 +349,7 @@ def chi_la_exact(
     """
     m = g.size
     if m > max_edges:
-        raise GraphTooLarge(f"{m} edges exceeds the search budget of {max_edges}")
+        raise GraphTooLarge(f"{m} edges exceeds the search's edge cap of {max_edges} (--max-edges)")
     check_budget(budget)
     start = time.monotonic()
     lb = lower_bound(g)
@@ -462,10 +462,8 @@ def chi_la_exact(
             status = STATUS_NO_LABELING
         return SearchResult(status, None, None, stats, proven, None, budget)
     colors, best_assignment = best
-    witness_edges = [None] * m
-    for ei, lab in zip(order, best_assignment):
-        e = g.edges[ei]
-        witness_edges[ei] = LabeledEdge(e.u, e.v, lab)
-    witness = LabeledGraph(g.names, tuple(witness_edges))
+    label_of = dict(zip(order, best_assignment))
+    witness = LabeledGraph(g.names, tuple(
+        (u, v, label_of[ei]) for ei, (u, v, _) in enumerate(g.edges)))
     chi = colors if status == STATUS_VALUE else None
     return SearchResult(status, chi, witness, stats, proven, colors, budget)

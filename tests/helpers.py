@@ -9,7 +9,7 @@ from collections import Counter, deque
 from typing import Iterable
 
 from antimagic.families import ACCEPTANCE_GRID, BuiltFamily, build_family
-from antimagic.graph import LabeledEdge, LabeledGraph
+from antimagic.graph import LabeledGraph
 from antimagic.matrices import KIND_6X4N, Check, LabelMatrix, ValidationReport
 from antimagic.verify import check_expected, induced_coloring, vertex_sums
 
@@ -58,7 +58,7 @@ def disjoint_union(g1: LabeledGraph, g2: LabeledGraph) -> LabeledGraph:
     names = tuple(f"1:{nm}" for nm in g1.names) + tuple(f"2:{nm}" for nm in g2.names)
     off = g1.n_vertices
     edges = g1.edges + tuple(
-        LabeledEdge(e.u + off, e.v + off, e.label) for e in g2.edges
+        (u + off, v + off, label) for u, v, label in g2.edges
     )
     return LabeledGraph(names, edges)
 
@@ -86,9 +86,9 @@ def row_structure_6x4n(m: LabelMatrix) -> ValidationReport:
 def vertex_label_signature(g: LabeledGraph) -> Counter:
     """Multiset of per-vertex incident-label sets; invariant under renaming."""
     incident: dict[int, list[int]] = {i: [] for i in range(g.n_vertices)}
-    for e in g.edges:
-        incident[e.u].append(e.label)
-        incident[e.v].append(e.label)
+    for u, v, label in g.edges:
+        incident[u].append(label)
+        incident[v].append(label)
     return Counter(tuple(sorted(labs)) for labs in incident.values())
 
 
@@ -107,11 +107,11 @@ def same_up_to_names(g1: LabeledGraph, g2: LabeledGraph) -> bool:
 
     def label_endpoints(g: LabeledGraph) -> dict[int, frozenset]:
         incident: dict[int, list[int]] = {i: [] for i in range(g.n_vertices)}
-        for e in g.edges:
-            incident[e.u].append(e.label)
-            incident[e.v].append(e.label)
+        for u, v, label in g.edges:
+            incident[u].append(label)
+            incident[v].append(label)
         sig = {i: tuple(sorted(labs)) for i, labs in incident.items()}
-        return {e.label: frozenset((sig[e.u], sig[e.v])) for e in g.edges}
+        return {label: frozenset((sig[u], sig[v])) for u, v, label in g.edges}
 
     return label_endpoints(g1) == label_endpoints(g2)
 
@@ -121,18 +121,19 @@ def transposition_detected(built: BuiltFamily, e1: int, e2: int) -> bool:
     verdict or the expected-colors table.  Incremental: only the (at most
     four) endpoint sums change."""
     g = built.graph
-    a, b = g.edges[e1], g.edges[e2]
-    delta = b.label - a.label
+    au, av, a_label = g.edges[e1]
+    bu, bv, b_label = g.edges[e2]
+    delta = b_label - a_label
     if delta == 0:
         return False  # not a transposition
 
     sums = vertex_sums(g)
-    for w in (a.u, a.v):
+    for w in (au, av):
         sums[w] += delta
-    for w in (b.u, b.v):
+    for w in (bu, bv):
         sums[w] -= delta
 
-    touched = {a.u, a.v, b.u, b.v}
+    touched = {au, av, bu, bv}
     for w in touched:
         for nb in g.adjacency[w]:
             if sums[nb] == sums[w]:

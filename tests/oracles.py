@@ -16,7 +16,6 @@ from antimagic.graph import (
     DuplicateName,
     GraphError,
     InvalidPlan,
-    LabeledEdge,
     LabeledGraph,
     LoopCreated,
     ParallelEdgeCreated,
@@ -31,7 +30,7 @@ def naive_chi_la(g: LabeledGraph) -> int | None:
     """Minimum color count over all bijective labelings; None if none is valid."""
     m = g.size
     n = g.n_vertices
-    edges = [(e.u, e.v) for e in g.edges]
+    edges = [(u, v) for u, v, _ in g.edges]
     best: int | None = None
     for perm in itertools.permutations(range(1, m + 1)):
         sums = [0] * n
@@ -73,15 +72,15 @@ def naive_merge(g: LabeledGraph, groups) -> LabeledGraph:
     names = [nm for i, nm in enumerate(renamed) if nm not in renamed[:i]]
     edges = []
     joined: list[set[str]] = []
-    for e in g.edges:
-        a, b = renamed[e.u], renamed[e.v]
+    for x, y, label in g.edges:
+        a, b = renamed[x], renamed[y]
         if a == b:
-            raise LoopCreated(f"{g.names[e.u]!r} and {g.names[e.v]!r} are adjacent")
+            raise LoopCreated(f"{g.names[x]!r} and {g.names[y]!r} are adjacent")
         if {a, b} in joined:
             raise ParallelEdgeCreated(f"{a!r} and {b!r} are joined twice")
         joined.append({a, b})
         u, v = sorted((names.index(a), names.index(b)))
-        edges.append(LabeledEdge(u, v, e.label))
+        edges.append((u, v, label))
     return LabeledGraph(tuple(names), tuple(edges))
 
 
@@ -123,10 +122,11 @@ def split_vertex(
     first_ids = {g.id_of(nm) for nm in first}
     new_edges = []
     for e in g.edges:
-        if vid not in (e.u, e.v):
+        a, b, label = e
+        if vid not in (a, b):
             new_edges.append(e)
             continue
-        other = e.v if e.u == vid else e.u
+        other = b if a == vid else a
         mine = vid if other in first_ids else second_id
-        new_edges.append(LabeledEdge(min(mine, other), max(mine, other), e.label))
+        new_edges.append((min(mine, other), max(mine, other), label))
     return LabeledGraph(tuple(names), tuple(new_edges))

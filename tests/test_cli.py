@@ -153,7 +153,11 @@ def test_search_too_large_is_usage_error(tmp_path, capsys):
     path = tmp_path / "fb4.json"
     path.write_text(out, encoding="utf-8")
     code, _, err = run(capsys, "search", str(path), "--max-edges", "5")
-    assert code == 2 and "exceeds" in err
+    assert code == 2
+    assert err == "error: 20 edges exceeds the search's edge cap of 5 (--max-edges)\n"
+    # a negative cap is refused before the document is read
+    code, _, err = run(capsys, "search", str(tmp_path / "missing.json"), "--max-edges", "-1")
+    assert code == 2 and err == "error: --max-edges must be at least 0, not -1\n"
 
 
 def test_export_dot_stable(tmp_path, capsys):
@@ -229,6 +233,8 @@ NEGATIVE_CLAIMS = {
     *[([cmd, "deep.json"], {}) for cmd in ("verify", "search", "export")],
     (["matrix", "5x2k", "--k", "1", "--n", "9"], {}),
     (["matrix", "6x4n", "--n", "1", "--k", "7"], {}),
+    (["search", "fb.json", "--max-edges", "-1"], {}),
+    (["search", "fb.json", "--max-edges", "0"], {}),
 ])
 def test_bad_input_is_one_error_line(tmp_path, monkeypatch, capsys, argv, env):
     monkeypatch.chdir(tmp_path)
@@ -298,8 +304,8 @@ def test_selftest_reports_a_failing_grid_point(tmp_path, monkeypatch, capsys):
         built = real_build(tag, **params)
         if (tag, params) != ("FB", {"k": 1}):
             return built
-        e0, e1, *rest = built.graph.edges
-        edges = (e0._replace(label=e1.label), e1._replace(label=e0.label), *rest)
+        (u0, v0, label0), (u1, v1, label1), *rest = built.graph.edges
+        edges = ((u0, v0, label1), (u1, v1, label0), *rest)
         return dataclasses.replace(built, graph=LabeledGraph(built.graph.names, edges))
 
     monkeypatch.setattr(cli, "build_family", build_with_two_labels_swapped)
@@ -321,8 +327,8 @@ def test_selftest_reports_a_failing_grid_point(tmp_path, monkeypatch, capsys):
 
 def _build_with_a_label_repeated(tag, **params):
     built = families.build_family(tag, **params)
-    e0, e1, *rest = built.graph.edges
-    edges = (e0._replace(label=e1.label), e1, *rest)
+    (u0, v0, _), e1, *rest = built.graph.edges
+    edges = ((u0, v0, e1[2]), e1, *rest)
     return dataclasses.replace(built, graph=LabeledGraph(built.graph.names, edges))
 
 

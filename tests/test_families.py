@@ -308,6 +308,8 @@ def test_parameter_errors():
         build_family("rDF", r=1.5, s=2)
     with pytest.raises(ParameterError, match=r"needs parameters \('r', 's'\)"):
         build_family("DF1", r=3)  # partial builders report their own names
+    with pytest.raises(ParameterError, match=r"^m must be 1, 2 or 3$"):
+        build_family("Hm_rs", m=0, r=1, s=2)  # the message names the parameter typed
 
 
 @pytest.mark.parametrize("tag", sorted(ACCEPTANCE_GRID))

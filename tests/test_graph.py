@@ -7,7 +7,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from antimagic.document import document_to_graph, graph_to_document
-from antimagic.families import build_family
+from antimagic.families import ACCEPTANCE_GRID, FAMILIES, build_family
 from antimagic.graph import (
     DuplicateName,
     GraphError,
@@ -23,6 +23,7 @@ from antimagic.graph import (
     is_bipartite,
     new_graph,
 )
+from antimagic.search import chi_la_exact
 from helpers import disjoint_union, same_up_to_names, vertex_label_signature
 from oracles import NotAPartition, naive_merge, split_vertex
 
@@ -67,10 +68,13 @@ def test_edge_is_an_immutable_named_triple():
     with pytest.raises(AttributeError):
         e.label = 8
     assert e._replace(label=8) == LabeledEdge(2, 5, 8) and e.label == 7
+    assert LabeledEdge(2, 5, 7) == (2, 5, 7)
 
 
 def _ordered(g) -> bool:
-    return all(type(e) is LabeledEdge and e.u < e.v for e in g.edges)
+    """Every edge is exactly a tuple of three ints, u < v and label >= 1."""
+    return all(type(e) is tuple and len(e) == 3 and all(type(x) is int for x in e)
+               and e[0] < e[1] and e[2] >= 1 for e in g.edges)
 
 
 def test_every_edge_keeps_u_below_v():
@@ -86,6 +90,12 @@ def test_every_edge_keeps_u_below_v():
     read, _ = document_to_graph(doc)
     assert _ordered(read) and read == g
     assert _ordered(build_family("FB", k=2).graph)
+    assert _ordered(chi_la_exact(fan_unit()).witness)
+
+
+@pytest.mark.parametrize("tag", sorted(FAMILIES))
+def test_every_family_edge_is_a_plain_int_triple(tag):
+    assert _ordered(build_family(tag, **ACCEPTANCE_GRID[tag][0]).graph)
 
 
 def test_surgery_error_messages():

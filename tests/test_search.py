@@ -11,7 +11,7 @@ from hypothesis import strategies as st
 
 import antimagic.search as search
 from antimagic.cli import main
-from antimagic.document import dumps, graph_to_document
+from antimagic.document import dumps, graph_to_document, to_dot
 from antimagic.families import build_fb, build_family
 from antimagic.graph import GraphTooLarge, LabeledEdge, LabeledGraph, new_graph
 from antimagic.search import (
@@ -286,8 +286,23 @@ def test_benchmark_graph_nodes_to_proof(name):
     # vertex ids reversed: the search tree is the same, node for node
     last = g.n_vertices - 1
     relabeled = LabeledGraph(g.names[::-1], tuple(
-        LabeledEdge(last - e.v, last - e.u, e.label) for e in g.edges))
+        (last - v, last - u, label) for u, v, label in g.edges))
     assert chi_la_exact(relabeled).stats.nodes == result.stats.nodes
+
+
+@pytest.mark.parametrize("name", ["K1_3", "kC82"])
+def test_named_edges_give_what_plain_edges_give(name):
+    # bench/workloads.py builds its graphs from LabeledEdge rows; the
+    # library makes plain (u, v, label) tuples
+    plain = _benchmark_graph(name)
+    named = LabeledGraph(plain.names, tuple(LabeledEdge(u, v, label)
+                                            for u, v, label in plain.edges))
+    assert [type(e) for e in named.edges] == [LabeledEdge] * plain.size
+    assert induced_coloring(named) == induced_coloring(plain)
+    assert to_dot(named) == to_dot(plain)
+    assert dumps(graph_to_document(named)) == dumps(graph_to_document(plain))
+    a, b = chi_la_exact(named), chi_la_exact(plain)
+    assert a.chi_la == b.chi_la is not None and a.witness == b.witness
 
 
 def test_star_symmetry_is_a_chain_of_twin_swaps():

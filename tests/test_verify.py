@@ -12,7 +12,7 @@ from antimagic.families import (
     build_rdf,
     build_rfb,
 )
-from antimagic.graph import LabeledEdge, LabeledGraph, new_graph
+from antimagic.graph import LabeledGraph, new_graph
 from antimagic.verify import (
     ColorClass,
     ExpectedColors,
@@ -48,8 +48,7 @@ def test_single_edge_is_never_local_antimagic():
 
 
 def test_nonbijective_labels_reported():
-    g = LabeledGraph(("a", "b", "c"),
-                     (LabeledEdge(0, 1, 1), LabeledEdge(1, 2, 1)))
+    g = LabeledGraph(("a", "b", "c"), ((0, 1, 1), (1, 2, 1)))
     rep = induced_coloring(g)
     assert not rep.labels_bijective
     assert any("more than once" in p for p in rep.label_problems)
@@ -67,9 +66,9 @@ def test_check_expected_passes_and_catches_tampering():
                           induced_coloring(built.graph)) == ()
     # swap two labels: class table must notice
     edges = list(built.graph.edges)
-    e0, e1 = edges[0], edges[7]
-    edges[0] = LabeledEdge(e0.u, e0.v, e1.label)
-    edges[7] = LabeledEdge(e1.u, e1.v, e0.label)
+    (u0, v0, label0), (u1, v1, label1) = edges[0], edges[7]
+    edges[0] = (u0, v0, label1)
+    edges[7] = (u1, v1, label0)
     tampered = LabeledGraph(built.graph.names, tuple(edges))
     rep = induced_coloring(tampered)
     diffs = check_expected(tampered, built.expected, rep)
@@ -140,7 +139,7 @@ def test_pendant_lower_bound():
     for g, bound in ((p3, 3), (two_p3, 5)):
         assert lower_bound(g) == naive_chi_la(g) == bound
         with_isolated = new_graph([*g.names, "z"]).with_edges(
-            [(g.names[e.u], g.names[e.v], e.label) for e in g.edges])
+            [(g.names[u], g.names[v], label) for u, v, label in g.edges])
         assert lower_bound(with_isolated) == naive_chi_la(with_isolated) == bound + 1
 
 
@@ -157,13 +156,13 @@ def test_transposition_changes_at_most_four_sums(data):
     i = data.draw(st.integers(0, g.size - 1))
     j = data.draw(st.integers(0, g.size - 1).filter(lambda x: x != i))
     edges = list(g.edges)
-    ei, ej = edges[i], edges[j]
-    edges[i] = LabeledEdge(ei.u, ei.v, ej.label)
-    edges[j] = LabeledEdge(ej.u, ej.v, ei.label)
+    (ui, vi, label_i), (uj, vj, label_j) = edges[i], edges[j]
+    edges[i] = (ui, vi, label_j)
+    edges[j] = (uj, vj, label_i)
     swapped = LabeledGraph(g.names, tuple(edges))
     before = induced_coloring(g).sums
     after = induced_coloring(swapped).sums
     changed = {nm for nm in before if before[nm] != after[nm]}
     assert len(changed) <= 4
-    touched = {g.names[v] for v in (ei.u, ei.v, ej.u, ej.v)}
+    touched = {g.names[v] for v in (ui, vi, uj, vj)}
     assert changed <= touched
