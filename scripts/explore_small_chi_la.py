@@ -23,7 +23,7 @@ from antimagic.search import (
     check_budget,
     chi_la_exact,
 )
-from antimagic.graph import LabeledGraph
+from antimagic.graph import GraphTooLarge, LabeledGraph
 from antimagic.verify import induced_coloring, lower_bound
 
 CONFIRMED_3 = "confirmed3"
@@ -59,12 +59,19 @@ def main() -> int:
         check_budget(args.budget)
     except ValueError as exc:
         parser.error(str(exc))
+    if args.max_edges < 0:
+        parser.error(f"--max-edges must be at least 0, not {args.max_edges}")
 
     for tag, params, known in CASES:
         built = build_family(tag, **params)
         g = built.graph
         constructed = induced_coloring(g).color_count
-        result = chi_la_exact(g, max_edges=args.max_edges, budget=args.budget)
+        try:
+            result = chi_la_exact(g, max_edges=args.max_edges, budget=args.budget)
+        except GraphTooLarge:
+            print(f"{tag:<9} {params} m={g.size:<3} constructed={constructed}  "
+                  f"search: above --max-edges {args.max_edges}  known: {known}")
+            continue
         if result.status == STATUS_VALUE:
             verdict = f"chi_la = {result.chi_la}"
             if result.chi_la == 3:

@@ -3,11 +3,16 @@
 Exit codes: 0 success or verified, 1 verification failure or timeout,
 2 usage error.  Output is deterministic: no randomness anywhere, JSON with
 sorted keys, DOT with sorted vertices.
+
+Each command runs with the cyclic garbage collector paused, and ``main``
+turns it back on only if it was on.  No command builds cycles worth
+collecting, yet a 16k-edge build would run ~150 collections in vain.
 """
 
 from __future__ import annotations
 
 import argparse
+import gc
 import json
 import os
 import sys
@@ -250,11 +255,16 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv: list[str] | None = None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
+    enabled = gc.isenabled()
+    gc.disable()
     try:
         return args.func(args)
     except (OSError, ValueError) as exc:  # bad input: parameters, documents, files
         print(f"error: {exc}", file=sys.stderr)
         return USAGE_ERROR
+    finally:
+        if enabled:
+            gc.enable()
 
 
 if __name__ == "__main__":

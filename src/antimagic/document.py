@@ -2,18 +2,20 @@
 
 The JSON document is the interchange format: it round-trips losslessly,
 and identical inputs always produce identical bytes (sorted keys, fixed
-indentation, trailing newline).  ``dumps(doc)`` is byte for byte
-``json.dumps(doc, indent=2, sort_keys=True) + "\n"``, for any value that
-``json.dumps`` accepts.  It writes objects and lists itself, int and str
-items inline and the vertex and edge rows from fixed templates, because
-with an indent CPython runs ``json.dumps`` through its pure-Python
-encoder; whatever else it meets goes through ``json.dumps``.  DOT is
+indentation, trailing newline).  A graph's vertex and edge rows are
+``Rows`` views of it; ``json.loads(dumps(doc))`` is the plain form, and
+``dumps(doc)`` writes exactly ``json.dumps(plain, indent=2,
+sort_keys=True) + "\n"``.  As CPython runs an indented ``json.dumps``
+through its pure-Python encoder, it writes objects, lists, ints and
+strings itself, and a view's rows from two templates straight from the
+graph's tuples; anything else goes through ``json.dumps``.  DOT is
 export-only with vertices in sorted order so snapshots are stable.
 """
 
 from __future__ import annotations
 
 import json
+from dataclasses import asdict, dataclass
 from json.encoder import encode_basestring_ascii as _quote
 from typing import Iterable
 
@@ -29,16 +31,17 @@ class DocumentError(ValueError):
     pass
 
 
+@dataclass(frozen=True, slots=True)
+class Rows:
+    """The vertex or the edge rows of ``graph``'s document, which ``dumps``
+    writes straight from the graph's tuples.  ``json.dumps`` refuses it."""
+
+    graph: LabeledGraph
+    edges: bool  # False: the vertex rows
+
+
 def graph_to_document(g: LabeledGraph) -> dict:
-    degrees = g.degrees()
-    return {
-        "format": FORMAT,
-        "vertices": [
-            {"id": i, "name": nm, "degree": degrees[nm]}
-            for i, nm in enumerate(g.names)
-        ],
-        "edges": [{"u": u, "v": v, "label": label} for u, v, label in g.edges],
-    }
+    return {"format": FORMAT, "vertices": Rows(g, False), "edges": Rows(g, True)}
 
 
 def built_to_document(built: BuiltFamily,
@@ -47,14 +50,7 @@ def built_to_document(built: BuiltFamily,
     and, when given, the coloring that verification found."""
     doc = graph_to_document(built.graph)
     doc["family"] = {"tag": built.tag, "params": dict(built.params)}
-    doc["expected_colors"] = {
-        "classes": [
-            {"value": c.value, "size": c.size, "degree": c.degree}
-            for c in built.expected.classes
-        ],
-        "claimed_colors": built.expected.claimed_colors,
-        "exact": built.expected.exact,
-    }
+    doc["expected_colors"] = asdict(built.expected)
     if verification is not None:
         doc["verification"] = verification.to_json_dict()
     if built.warnings:
@@ -168,33 +164,26 @@ def _encode(value, pad: str) -> str:
     with ``pad`` after each newline, i.e. nested at that indentation."""
     kind = type(value)
     inner = pad + "  "
+    newline = "\n" + inner
     if kind is dict and value and all(type(k) is str for k in value):
         body = [f"{inner}{_quote(k)}: {x if type(x) is int else _encode(x, inner)}"
                 for k, x in sorted(value.items())]
         return "{\n" + ",\n".join(body) + "\n" + pad + "}"
     if kind is list and value:
-        newline = "\n" + inner
-        vertex, edge = (row.replace("\n", newline) for row in (_VERTEX_ROW, _EDGE_ROW))
         rows = [repr(x) if type(x) is int else _quote(x) if type(x) is str
-                else _row(x, inner, vertex, edge) for x in value]
-        return "[" + newline + ("," + newline).join(rows) + "\n" + pad + "]"
-    return json.dumps(value, indent=2, sort_keys=True).replace("\n", "\n" + pad)
-
-
-def _row(x, pad: str, vertex: str, edge: str) -> str:
-    """A list item: from a row template when it is exactly a vertex row
-    (int ``degree`` and ``id``, str ``name``) or an edge row (int ``label``,
-    ``u`` and ``v``), else through ``_encode``."""
-    if type(x) is dict and len(x) == 3:
-        if "label" in x:
-            label, u, v = x["label"], x.get("u"), x.get("v")
-            if type(label) is int and type(u) is int and type(v) is int:
-                return edge % (label, u, v)
-        elif "name" in x:
-            degree, vid, name = x.get("degree"), x.get("id"), x["name"]
-            if type(degree) is int and type(vid) is int and type(name) is str:
-                return vertex % (degree, vid, _quote(name))
-    return _encode(x, pad)
+                else _encode(x, inner) for x in value]
+    elif kind is Rows and value.edges:
+        template = _EDGE_ROW.replace("\n", newline)
+        rows = [template % (label, u, v) for u, v, label in value.graph.edges]
+    elif kind is Rows:
+        template, g = _VERTEX_ROW.replace("\n", newline), value.graph
+        rows = [template % (len(adj), i, _quote(name))
+                for i, (name, adj) in enumerate(zip(g.names, g.adjacency))]
+    else:
+        return json.dumps(value, indent=2, sort_keys=True).replace("\n", "\n" + pad)
+    if not rows:  # an empty view
+        return "[]"
+    return "[" + newline + ("," + newline).join(rows) + "\n" + pad + "]"
 
 
 def to_dot(g: LabeledGraph) -> str:

@@ -56,7 +56,7 @@ class ColorReport:
 
     def to_json_dict(self) -> dict:
         return {
-            "sums": dict(sorted(self.sums.items())),
+            "sums": dict(self.sums),
             "classes": {str(v): list(names)
                         for v, names in sorted(self.color_classes.items())},
             "color_count": self.color_count,

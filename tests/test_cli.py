@@ -5,6 +5,7 @@ from __future__ import annotations
 import contextlib
 import copy
 import dataclasses
+import gc
 import io
 import json
 from unittest import mock
@@ -14,6 +15,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import antimagic.cli as cli
+import antimagic.document as doc_mod
 import antimagic.families as families
 from antimagic.cli import main
 from antimagic.document import (
@@ -188,8 +190,8 @@ def test_selftest_small(capsys):
     assert code == 0 and "ok   matrix 5x2k k=1..0\n" in out
 
 
-P3_DOC = graph_to_document(
-    new_graph(["a", "b", "c"]).with_edges([("a", "b", 1), ("b", "c", 2)]))
+P3_DOC = json.loads(dumps(graph_to_document(
+    new_graph(["a", "b", "c"]).with_edges([("a", "b", 1), ("b", "c", 2)]))))
 
 
 def _spoiled(change, base: dict = P3_DOC) -> dict:
@@ -358,6 +360,59 @@ def test_failed_check_with_an_unwritable_out_is_one_error_line(tmp_path, monkeyp
         code, out, err = run(capsys, *argv, "--out", unwritable)
         assert code == 2 and out == "", argv
         assert len(err.splitlines()) == 1 and err.startswith("error: "), argv
+
+
+@pytest.mark.parametrize("enabled", [True, False])
+def test_main_leaves_the_collector_as_it_found_it(tmp_path, monkeypatch, capsys, enabled):
+    g = new_graph(["a", "b"]).with_edges([("a", "b", 1)])  # both ends sum to 1
+    path = tmp_path / "edge.json"
+    path.write_text(dumps(graph_to_document(g)), encoding="utf-8")
+    during = []
+
+    def raising(args):
+        during.append(gc.isenabled())
+        raise RuntimeError("a command that fails")
+
+    monkeypatch.setattr(cli, "cmd_export", raising)
+    was = gc.isenabled()
+    (gc.enable if enabled else gc.disable)()
+    try:
+        for argv, want in ((["matrix", "5x2k", "--k", "1"], 0), (["verify", str(path)], 1),
+                           (["matrix", "5x2k"], 2)):
+            assert main(argv) == want
+            assert gc.isenabled() is enabled, argv
+        with pytest.raises(SystemExit):  # a usage error from the parser
+            main(["matrix", "9x9"])
+        assert gc.isenabled() is enabled
+        with pytest.raises(RuntimeError):
+            main(["export", str(path)])
+        assert gc.isenabled() is enabled and during == [False]
+    finally:
+        (gc.enable if was else gc.disable)()
+    capsys.readouterr()
+
+
+def test_build_out_writes_the_text_dumps_returned(tmp_path, monkeypatch, capsys):
+    # the benchmark's tracer times these two module attributes as the
+    # document.todoc and document.dump spans
+    made, dumped = [], []
+    to_document, to_text = doc_mod.built_to_document, doc_mod.dumps
+
+    def built_to_document(*args):
+        made.append(to_document(*args))
+        return made[-1]
+
+    def dumps_spy(doc):
+        dumped.append((doc, to_text(doc)))
+        return dumped[-1][1]
+
+    monkeypatch.setattr(doc_mod, "built_to_document", built_to_document)
+    monkeypatch.setattr(doc_mod, "dumps", dumps_spy)
+    out = tmp_path / "fb.json"
+    code, stdout, _ = run(capsys, "build", "FB", "--k", "2", "--verify", "--out", str(out))
+    assert code == 0 and stdout == ""
+    assert len(made) == 1 and len(dumped) == 1 and dumped[0][0] is made[0]
+    assert out.read_text(encoding="utf-8") == dumped[0][1]
 
 
 @pytest.mark.parametrize("kind, flag, labels_per_param",

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import dataclasses
 import json
 
 import pytest
@@ -20,7 +21,7 @@ from antimagic.document import (
     to_dot,
 )
 from antimagic.families import build_family
-from antimagic.graph import new_graph
+from antimagic.graph import LabeledEdge, LabeledGraph, new_graph
 from antimagic.matrices import matrix_5x2k, matrix_6x4n, matrix_kx10, sequences_6x4n
 from antimagic.verify import check_expected, induced_coloring
 
@@ -117,7 +118,7 @@ def test_matrix_csv():
 
 def test_graph_to_document_plain():
     g = new_graph(["a", "b"]).with_edges([("a", "b", 1)])
-    doc = graph_to_document(g)
+    doc = json.loads(dumps(graph_to_document(g)))
     assert doc["vertices"] == [
         {"id": 0, "name": "a", "degree": 1},
         {"id": 1, "name": "b", "degree": 1},
@@ -196,7 +197,69 @@ def test_dumps_writes_matrices_as_json_dumps(generate, sequences):
         assert dumps(doc) == json.dumps(doc, indent=2, sort_keys=True) + "\n"
 
 
+def _plain_rows(g: LabeledGraph) -> tuple[list, list]:
+    """``g``'s vertex and edge rows as dicts, each degree counted from the
+    edges."""
+    degree = [0] * len(g.names)
+    for u, v, _ in g.edges:
+        degree[u] += 1
+        degree[v] += 1
+    return ([{"id": i, "name": name, "degree": degree[i]} for i, name in enumerate(g.names)],
+            [{"u": u, "v": v, "label": label} for u, v, label in g.edges])
+
+
+def _indented(plain) -> str:
+    return json.dumps(plain, indent=2, sort_keys=True) + "\n"
+
+
 def test_dumps_writes_family_documents_as_json_dumps():
     built = build_family("DF2", r=2, s=2)
-    doc = built_to_document(built, induced_coloring(built.graph))
-    assert dumps(doc) == json.dumps(doc, indent=2, sort_keys=True) + "\n"
+    report = induced_coloring(built.graph)
+    vertices, edges = _plain_rows(built.graph)
+    expected = built.expected
+    plain = {
+        "format": FORMAT, "vertices": vertices, "edges": edges,
+        "family": {"tag": "DF2", "params": {"r": 2, "s": 2}},
+        "expected_colors": {
+            "classes": [{"value": c.value, "size": c.size, "degree": c.degree}
+                        for c in expected.classes],
+            "claimed_colors": expected.claimed_colors, "exact": expected.exact},
+        "verification": report.to_json_dict(),
+    }
+    assert not built.warnings and not built.notes
+    assert dumps(built_to_document(built, report)) == _indented(plain)
+
+
+@st.composite
+def _graphs(draw) -> LabeledGraph:
+    """Up to 7 distinct names (the empty graph and isolated vertices
+    included) and up to 10 edges u < v, as plain triples or LabeledEdges."""
+    names = draw(st.lists(NAMES, unique=True, max_size=7))
+    pairs = [(u, v) for v in range(len(names)) for u in range(v)]
+    chosen = draw(st.lists(st.sampled_from(pairs), unique=True, max_size=10)) if pairs else []
+    edges = [(u, v, draw(st.integers(1))) for u, v in chosen]
+    if draw(st.booleans()):
+        edges = [LabeledEdge(*e) for e in edges]
+    return LabeledGraph(tuple(names), tuple(edges))
+
+
+FB1 = build_family("FB", k=1)
+
+
+@settings(max_examples=300, deadline=None)
+@given(g=_graphs(), verified=st.booleans())
+def test_dumps_writes_graph_rows_as_json_dumps_of_plain_rows(g, verified):
+    vertices, edges = _plain_rows(g)
+    assert dumps(graph_to_document(g)) == _indented(
+        {"format": FORMAT, "vertices": vertices, "edges": edges})
+    # the other keys of a built document are plain already
+    doc = built_to_document(dataclasses.replace(FB1, graph=g),
+                            induced_coloring(g) if verified else None)
+    assert dumps(doc) == _indented({**doc, "vertices": vertices, "edges": edges})
+
+
+def test_json_dumps_refuses_a_row_view():
+    doc = graph_to_document(new_graph(["a", "b"]).with_edges([("a", "b", 1)]))
+    for value in (doc, doc["vertices"], doc["edges"]):
+        with pytest.raises(TypeError):
+            json.dumps(value)

@@ -67,6 +67,23 @@ def test_explore_small_chi_la_rejects_a_bad_budget():
     assert "positive finite number of seconds, not nan" in proc.stderr
 
 
+def test_explore_small_chi_la_refuses_a_negative_edge_cap():
+    proc = run_script("explore_small_chi_la.py", "--max-edges", "-1")
+    assert proc.returncode == 2 and proc.stdout == ""
+    assert proc.stderr.splitlines()[-1].endswith(
+        "error: --max-edges must be at least 0, not -1")
+    assert "Traceback" not in proc.stderr
+
+
+def test_explore_small_chi_la_reports_a_case_above_the_edge_cap():
+    # every case has 10 edges, so a cap of 5 skips each one and goes on
+    proc = run_script("explore_small_chi_la.py", "--max-edges", "5")
+    assert proc.returncode == 0 and proc.stderr == ""
+    lines = proc.stdout.splitlines()
+    assert len(lines) == 5
+    assert all("search: above --max-edges 5" in line for line in lines)
+
+
 def test_bench_tracer_finds_every_name_it_wraps(monkeypatch):
     # bench/tracing.py resolves each wrap target with getattr and no
     # default, so a deleted or renamed package name breaks every traced run
