@@ -9,7 +9,8 @@ trusts these expectations.
 Every family is a merged graph: disjoint units labeled from one matrix,
 then vertex groups fused by ``apply_merge``, each fusion pattern coming
 from one generator (``_block``, ``_diamond_hubs``, ``_across_fans``,
-``_across_components``).  Two construction pipelines:
+``_across_components``, ``_corner_pairs``, ``_rg_groups``).  Two
+construction pipelines:
 
 * fan-blade units labeled by ``matrix_5x2k`` feed FB, rFB, FB1/FB2, the
   diamond-fan families rDF / DFr / DF1-DF4 (from units whose hubs come
@@ -19,11 +20,16 @@ from one generator (``_block``, ``_diamond_hubs``, ``_across_fans``,
   ``sequences_6x4n`` trace labels nC4(8,2) and its merge families G1/G2,
   H1-H3 and Hm(r,s).
 
-``FAMILIES`` maps each tag to its builder (a ``partial`` for the numbered
-variants); ``build_family`` reads the parameter names from the builder's
-signature.  The unit builders refuse a family of more than
-``MAX_BUILD_EDGES`` edges (10k for the two k-matrices, 20n for the 6x4n
-sequences) before any work that grows with its size.
+``FAMILIES`` maps each tag to its builder.  Families that share a
+construction and differ only in data share one builder, registered per
+tag through ``partial``: ``build_fb_variant`` (FB1, FB2),
+``build_df_variant`` (DF1-DF4), ``build_g`` (G1, G2), ``build_h``
+(H1-H3) and ``build_c8`` over the ``_C8`` table (C8_units, Bk, kC82,
+kD82).  ``build_family`` reads the parameter names from the builder's
+signature.  Each claimed color count is the number of claimed classes.
+The unit builders refuse a family of more than ``MAX_BUILD_EDGES`` edges
+(10k for the two k-matrices, 20n for the 6x4n sequences) before any work
+that grows with its size.
 """
 
 from __future__ import annotations
@@ -60,9 +66,10 @@ class BuiltFamily:
     notes: tuple[str, ...] = ()
 
 
-def _expected(classes: list[tuple[int, int, int]], claimed: int,
-              exact: bool = True) -> ExpectedColors:
-    return ExpectedColors(tuple(ColorClass(*c) for c in classes), claimed, exact)
+def _expected(classes: list[tuple[int, int, int]], exact: bool = True) -> ExpectedColors:
+    """The claim that the coloring has exactly these (value, size, degree)
+    classes; ``exact`` False claims their count only as an upper bound."""
+    return ExpectedColors(tuple(ColorClass(*c) for c in classes), len(classes), exact)
 
 
 def _check(cond: bool, msg: str) -> None:
@@ -122,10 +129,7 @@ def build_fb_units(k: int) -> BuiltFamily:
     g, m = _fan_units(k)
     classes = [(10 * k + 1, 4 * k, 2), (13 * k + 1, 2 * k, 3)]
     classes += [(sum(m.column(i)[2:]), 1, 3) for i in range(1, 2 * k + 1)]
-    return BuiltFamily(
-        "FB_units", {"k": k}, g,
-        _expected(classes, 2 * k + 2),
-    )
+    return BuiltFamily("FB_units", {"k": k}, g, _expected(classes))
 
 
 def build_fb(k: int) -> BuiltFamily:
@@ -139,7 +143,7 @@ def build_fb(k: int) -> BuiltFamily:
             (10 * k + 1, 4 * k, 2),
             (13 * k + 1, 2 * k, 3),
             (k * (34 * k + 4), 1, 6 * k),
-        ], 3),
+        ]),
     )
 
 
@@ -173,48 +177,32 @@ def build_rfb(r: int, s: int) -> BuiltFamily:
             (10 * k + 1, 4 * k, 2),
             (13 * k + 1, 2 * k, 3),
             (s * (17 * k + 2), r, 3 * s),
-        ], 3),
+        ]),
     )
 
 
-def build_fb1(r: int, s: int) -> BuiltFamily:
-    """rFB(s) with matching degree-2 blade tips fused across components."""
-    base = build_rfb(r, s)
+def build_fb_variant(v: int, r: int, s: int) -> BuiltFamily:
+    """rFB(s) with matching blade vertices fused across components: 1 fuses
+    the degree-2 tips, 2 the degree-3 centers."""
+    _check(v in (1, 2), "variant must be 1 or 2")
+    g = build_rfb(r, s).graph
     k = r * s // 2
-    g = apply_merge(base.graph, _across_components(r, s, "uv"))
-    warnings = ()
-    if r % 4 == 0:
-        warnings = (f"r = {r} is divisible by 4: distinctness of "
-                    f"{r}*(10k+1) and s*(17k+2) is not guaranteed",)
-    return BuiltFamily(
-        "FB1", {"r": r, "s": s}, g,
-        _expected([
-            (r * (10 * k + 1), 2 * s, 2 * r),
-            (13 * k + 1, 2 * k, 3),
-            (s * (17 * k + 2), r, 3 * s),
-        ], 3),
-        warnings=warnings,
-    )
-
-
-def build_fb2(r: int, s: int) -> BuiltFamily:
-    """rFB(s) with matching degree-3 blade centers fused across components."""
-    base = build_rfb(r, s)
-    k = r * s // 2
-    g = apply_merge(base.graph, _across_components(r, s, "w"))
-    warnings = ()
-    if (r * s) % 4 == 0:
-        warnings = (f"rs = {r * s} is divisible by 4: distinctness of "
-                    f"{r}*(13k+1) and s*(17k+2) is not guaranteed",)
-    return BuiltFamily(
-        "FB2", {"r": r, "s": s}, g,
-        _expected([
-            (10 * k + 1, 4 * k, 2),
-            (r * (13 * k + 1), s, 3 * r),
-            (s * (17 * k + 2), r, 3 * s),
-        ], 3),
-        warnings=warnings,
-    )
+    hub = (s * (17 * k + 2), r, 3 * s)
+    warnings: tuple[str, ...] = ()
+    if v == 1:
+        roles = "uv"
+        classes = [(r * (10 * k + 1), 2 * s, 2 * r), (13 * k + 1, 2 * k, 3), hub]
+        if r % 4 == 0:
+            warnings = (f"r = {r} is divisible by 4: distinctness of "
+                        f"{r}*(10k+1) and s*(17k+2) is not guaranteed",)
+    else:
+        roles = "w"
+        classes = [(10 * k + 1, 4 * k, 2), (r * (13 * k + 1), s, 3 * r), hub]
+        if (r * s) % 4 == 0:
+            warnings = (f"rs = {r * s} is divisible by 4: distinctness of "
+                        f"{r}*(13k+1) and s*(17k+2) is not guaranteed",)
+    g = apply_merge(g, _across_components(r, s, roles))
+    return BuiltFamily(f"FB{v}", {"r": r, "s": s}, g, _expected(classes), warnings=warnings)
 
 
 def _diamond_hubs(r: int, s: int, mirror: int) -> Iterator[tuple[list[str], str]]:
@@ -240,7 +228,7 @@ def build_rdf(r: int, s: int) -> BuiltFamily:
             (10 * k + 1, 4 * k, 2),
             (13 * k + 1, 2 * k, 3),
             (s * (17 * k + 2), 2 * r, 3 * s),
-        ], 3),
+        ]),
     )
 
 
@@ -261,7 +249,7 @@ def build_dfr(r: int, s: int) -> BuiltFamily:
             (10 * k + 1, 4 * k, 2),
             (13 * k + 1, 2 * k, 3),
             (s * (17 * k + 2), 2 * r + 1, 3 * s),
-        ], 3),
+        ]),
     )
 
 
@@ -313,11 +301,7 @@ def build_df_variant(v: int, r: int, s: int) -> BuiltFamily:
         classes = [(10 * k + 1, 4 * k, 2), (13 * k + 1, 2 * k, 3),
                    (2 * hub, r, 6 * s)]
     g = apply_merge(base.graph, groups)
-    return BuiltFamily(
-        f"DF{v}", {"r": r, "s": s}, g,
-        _expected(classes, 3),
-        warnings=warnings,
-    )
+    return BuiltFamily(f"DF{v}", {"r": r, "s": s}, g, _expected(classes), warnings=warnings)
 
 
 # ---------------------------------------------------------------------------
@@ -357,56 +341,35 @@ def build_nc482(n: int) -> BuiltFamily:
             (20 * n + 1, 8 * n, 2),
             (30 * n + 1, 4 * n, 3),
             (30 * n + 2, 4 * n, 3),
-        ], 3),
+        ]),
     )
 
 
-def build_g1(r: int, s: int) -> BuiltFamily:
-    """nC4(8,2) with degree-2 cycle corners fused across each block of s copies."""
+# G variant -> (role, corner, fused index) per copy: role_c_corner of every
+# copy c of block b fuses into ROLE_b_index
+_G_CORNERS = {
+    1: [(role, 2 * j - 1, j) for j in range(1, 5) for role in "uv"],
+    2: [("u", 2, 1), ("u", 8, 4), ("v", 4, 2), ("v", 6, 3)],
+}
+
+
+def build_g(v: int, r: int, s: int) -> BuiltFamily:
+    """nC4(8,2) with corners fused across each block of s copies: 1 fuses
+    the degree-2 cycle corners, 2 the 30n+1 degree-3 vertices."""
+    _check(v in (1, 2), "variant must be 1 or 2")
     _check(r >= 1, "r must be >= 1")
     _check(s >= 2, "s must be >= 2")
     n = r * s
-    base = build_nc482(n)
-    groups = []
-    for b in range(1, r + 1):
-        block = _block(b, s)
-        for j in range(1, 5):
-            p = 2 * j - 1
-            groups.append(([f"u_{c}_{p}" for c in block], f"U_{b}_{j}"))
-            groups.append(([f"v_{c}_{p}" for c in block], f"V_{b}_{j}"))
-    g = apply_merge(base.graph, groups)
-    return BuiltFamily(
-        "G1", {"r": r, "s": s}, g,
-        _expected([
-            (s * (20 * n + 1), 8 * r, 2 * s),
-            (30 * n + 1, 4 * n, 3),
-            (30 * n + 2, 4 * n, 3),
-        ], 3),
-    )
-
-
-def build_g2(r: int, s: int) -> BuiltFamily:
-    """nC4(8,2) with the 30n+1 degree-3 vertices fused across each block."""
-    _check(r >= 1, "r must be >= 1")
-    _check(s >= 2, "s must be >= 2")
-    n = r * s
-    base = build_nc482(n)
-    groups = []
-    for b in range(1, r + 1):
-        block = _block(b, s)
-        for j in (1, 4):
-            groups.append(([f"u_{c}_{2 * j}" for c in block], f"U_{b}_{j}"))
-        for j in (2, 3):
-            groups.append(([f"v_{c}_{2 * j}" for c in block], f"V_{b}_{j}"))
-    g = apply_merge(base.graph, groups)
-    return BuiltFamily(
-        "G2", {"r": r, "s": s}, g,
-        _expected([
-            (20 * n + 1, 8 * n, 2),
-            (30 * n + 2, 4 * n, 3),
-            (s * (30 * n + 1), 4 * r, 3 * s),
-        ], 3),
-    )
+    g = apply_merge(build_nc482(n).graph, (
+        ([f"{role}_{c}_{p}" for c in _block(b, s)], f"{role.upper()}_{b}_{j}")
+        for b in range(1, r + 1) for role, p, j in _G_CORNERS[v]))
+    if v == 1:
+        classes = [(s * (20 * n + 1), 8 * r, 2 * s), (30 * n + 1, 4 * n, 3),
+                   (30 * n + 2, 4 * n, 3)]
+    else:
+        classes = [(20 * n + 1, 8 * n, 2), (30 * n + 2, 4 * n, 3),
+                   (s * (30 * n + 1), 4 * r, 3 * s)]
+    return BuiltFamily(f"G{v}", {"r": r, "s": s}, g, _expected(classes))
 
 
 _H_MERGES = {
@@ -419,6 +382,16 @@ _H_MERGES = {
 }
 
 
+def _corner_pairs(m: int, r: int, s: int, names: str) -> Iterator[tuple[list[str], str]]:
+    """The four corner pairs of variant m in every copy of block b (of s
+    copies), each fused across the block into x_b_1, x_b_2, y_b_1, y_b_2,
+    with x and y the two letters of ``names``."""
+    for b in range(1, r + 1):
+        for pair, (x, j) in zip(_H_MERGES[m], product(names, (1, 2))):
+            yield ([f"{role}_{c}_{p}" for c in _block(b, s) for role, p in pair],
+                   f"{x}_{b}_{j}")
+
+
 def build_h(m: int, n: int) -> BuiltFamily:
     """nC4(8,2) with two corner pairs per cycle fused into degree-4 vertices.
 
@@ -428,22 +401,14 @@ def build_h(m: int, n: int) -> BuiltFamily:
     """
     _check(m in (1, 2, 3), "m must be 1, 2 or 3")
     _check(n >= 1, "n must be >= 1")
-    base = build_nc482(n)
-    fused_names = ("x", "x", "y", "y")
-    fused_pos = (1, 2, 1, 2)
-    groups = []
-    for i in range(1, n + 1):
-        for (pair, fam, pos) in zip(_H_MERGES[m], fused_names, fused_pos):
-            members = [f"{role}_{i}_{p}" for role, p in pair]
-            groups.append((members, f"{fam}_{i}_{pos}"))
-    g = apply_merge(base.graph, groups)
+    g = apply_merge(build_nc482(n).graph, _corner_pairs(m, n, 1, "xy"))
     return BuiltFamily(
         f"H{m}", {"n": n}, g,
         _expected([
             (40 * n + 2, 4 * n, 4),
             (30 * n + 1, 4 * n, 3),
             (30 * n + 2, 4 * n, 3),
-        ], 3),
+        ]),
     )
 
 
@@ -453,21 +418,14 @@ def build_hm_rs(m: int, r: int, s: int) -> BuiltFamily:
     _check(r >= 1, "r must be >= 1")
     _check(s >= 2, "s must be >= 2")
     n = r * s
-    base = build_h(m, n)
-    groups = []
-    for b in range(1, r + 1):
-        block = _block(b, s)
-        for j in (1, 2):
-            groups.append(([f"x_{c}_{j}" for c in block], f"X_{b}_{j}"))
-            groups.append(([f"y_{c}_{j}" for c in block], f"Y_{b}_{j}"))
-    g = apply_merge(base.graph, groups)
+    g = apply_merge(build_nc482(n).graph, _corner_pairs(m, r, s, "XY"))
     return BuiltFamily(
         "Hm_rs", {"m": m, "r": r, "s": s}, g,
         _expected([
             (s * (40 * n + 2), 4 * r, 4 * s),
             (30 * n + 1, 4 * n, 3),
             (30 * n + 2, 4 * n, 3),
-        ], 3),
+        ]),
     )
 
 
@@ -504,75 +462,55 @@ _FUSED_D82_NOTE = ("degree-6 fused color is (10k+1)+(6k+2)+(18k+1) = 34k+4; "
                    "the alternative stated value 34k+2 fails verification")
 
 
-def build_c8_units(k: int) -> BuiltFamily:
-    """k 8-cycles, each with a 2-spoke vertex."""
+# tag -> (unit i's vertices fused into one, given as name formats of i,
+# that vertex's name, exact, classes as (a, b, c, degree) for value
+# a*k + b on c*k vertices, notes)
+_C8 = {
+    "C8_units": ((), "", False,
+                 ((10, 1, 5, 2), (13, 1, 2, 3), (6, 2, 1, 2), (18, 1, 1, 2)),
+                 (_DEGREE3_NOTE,)),
+    "Bk": (("u_{}_4", "u_{}_8"), "b", False,
+           ((10, 1, 5, 2), (13, 1, 2, 3), (24, 3, 1, 4)), (_DEGREE3_NOTE,)),
+    "kC82": (("x_{}", "u_{}_8"), "z", False,
+             ((10, 1, 4, 2), (6, 2, 1, 2), (13, 1, 2, 3), (28, 2, 1, 4)),
+             (_DEGREE3_NOTE,)),
+    "kD82": (("x_{}", "u_{}_4", "u_{}_8"), "w", True,
+             ((10, 1, 4, 2), (13, 1, 2, 3), (34, 4, 1, 6)),
+             (_DEGREE3_NOTE, _FUSED_D82_NOTE)),
+}
+
+
+def build_c8(tag: str, k: int) -> BuiltFamily:
+    """k 8-cycles, each with a 2-spoke vertex, and per unit the vertices
+    ``_C8[tag]`` names fused into one: none (C8 units), u_4 and u_8 (Bk,
+    color 24k+3), x and u_8 (kC(8,2), color 28k+2), or x, u_4 and u_8
+    (kD(8,2), degree 6, color 34k+4)."""
     _check(k >= 1, "k must be >= 1")
+    fuse, name, exact, classes, notes = _C8[tag]
     g = _prism_units(k)
+    if fuse:
+        g = apply_merge(g, [([f.format(i) for f in fuse], f"{name}_{i}")
+                            for i in range(1, k + 1)])
     return BuiltFamily(
-        "C8_units", {"k": k}, g,
-        _expected([
-            (10 * k + 1, 5 * k, 2),
-            (13 * k + 1, 2 * k, 3),
-            (6 * k + 2, k, 2),
-            (18 * k + 1, k, 2),
-        ], 4, exact=False),
-        notes=(_DEGREE3_NOTE,),
+        tag, {"k": k}, g,
+        _expected([(a * k + b, c * k, d) for a, b, c, d in classes], exact),
+        notes=notes,
     )
 
 
-def build_bk(k: int) -> BuiltFamily:
-    """C8 units with u_4 and u_8 fused (degree 4, color 24k+3)."""
-    _check(k >= 1, "k must be >= 1")
-    g = _prism_units(k)
-    g = apply_merge(g, [
-        ([f"u_{i}_4", f"u_{i}_8"], f"b_{i}") for i in range(1, k + 1)
-    ])
-    return BuiltFamily(
-        "Bk", {"k": k}, g,
-        _expected([
-            (10 * k + 1, 5 * k, 2),
-            (13 * k + 1, 2 * k, 3),
-            (24 * k + 3, k, 4),
-        ], 3, exact=False),
-        notes=(_DEGREE3_NOTE,),
-    )
-
-
-def build_kc82(k: int) -> BuiltFamily:
-    """C8 units with x and u_8 fused into z (degree 4, color 28k+2)."""
-    _check(k >= 1, "k must be >= 1")
-    g = _prism_units(k)
-    g = apply_merge(g, [
-        ([f"x_{i}", f"u_{i}_8"], f"z_{i}") for i in range(1, k + 1)
-    ])
-    return BuiltFamily(
-        "kC82", {"k": k}, g,
-        _expected([
-            (10 * k + 1, 4 * k, 2),
-            (6 * k + 2, k, 2),
-            (13 * k + 1, 2 * k, 3),
-            (28 * k + 2, k, 4),
-        ], 4, exact=False),
-        notes=(_DEGREE3_NOTE,),
-    )
-
-
-def build_kd82(k: int) -> BuiltFamily:
-    """C8 units with x, u_4 and u_8 fused (degree 6, color 34k+4)."""
-    _check(k >= 1, "k must be >= 1")
-    g = _prism_units(k)
-    g = apply_merge(g, [
-        ([f"x_{i}", f"u_{i}_4", f"u_{i}_8"], f"w_{i}") for i in range(1, k + 1)
-    ])
-    return BuiltFamily(
-        "kD82", {"k": k}, g,
-        _expected([
-            (10 * k + 1, 4 * k, 2),
-            (13 * k + 1, 2 * k, 3),
-            (34 * k + 4, k, 6),
-        ], 3),
-        notes=(_DEGREE3_NOTE, _FUSED_D82_NOTE),
-    )
+def _rg_groups(r: int, s: int) -> Iterator[tuple[list[str], str]]:
+    """Per block a of s units, p_a fuses the z vertices (x with u_8) of the
+    first s//2 units with the u_4 corners of the last s//2, and q_a the
+    other way round; for odd s the middle unit gives its u_8 to p_a and
+    its u_4 to q_a."""
+    half = s // 2
+    for a in range(1, r + 1):
+        block = _block(a, s)
+        first, mid, last = block[:half], block[half:s - half], block[s - half:]
+        yield ([v for c in first for v in (f"x_{c}", f"u_{c}_8")]
+               + [f"u_{c}_8" for c in mid] + [f"u_{c}_4" for c in last], f"p_{a}")
+        yield ([v for c in last for v in (f"x_{c}", f"u_{c}_8")]
+               + [f"u_{c}_4" for c in (*first, *mid)], f"q_{a}")
 
 
 def build_rg82(r: int, s: int) -> BuiltFamily:
@@ -586,23 +524,14 @@ def build_rg82(r: int, s: int) -> BuiltFamily:
     _check(r >= 1, "r must be >= 1")
     _check(s >= 2 and s % 2 == 0, "s must be even and >= 2")
     k = r * s
-    g = build_kc82(k).graph
-    groups = []
-    for a in range(1, r + 1):
-        block = _block(a, s)
-        first, second = block[:s // 2], block[s // 2:]
-        groups.append(([f"z_{c}" for c in first] + [f"u_{c}_4" for c in second],
-                       f"p_{a}"))
-        groups.append(([f"z_{c}" for c in second] + [f"u_{c}_4" for c in first],
-                       f"q_{a}"))
-    g = apply_merge(g, groups)
+    g = apply_merge(_prism_units(k), _rg_groups(r, s))
     return BuiltFamily(
         "rG82", {"r": r, "s": s}, g,
         _expected([
             (10 * k + 1, 4 * k, 2),
             (13 * k + 1, 2 * k, 3),
             (s * (17 * k + 2), 2 * r, 3 * s),
-        ], 3),
+        ]),
         notes=(_DEGREE3_NOTE,),
     )
 
@@ -612,10 +541,10 @@ def build_oddk_h(r: int, s: int) -> BuiltFamily:
 
     The merge-index ranges defining this family are ambiguous (read
     literally they run past the number of copies), so this builder uses a
-    balanced per-block reading: in each
-    block of s copies the middle copy keeps its spoke vertex x and corner
-    u_8 separate, the leading (s-1)/2 copies contribute their z vertices
-    and the trailing (s-1)/2 copies their u_4 corners.  That achieves the
+    balanced per-block reading (``_rg_groups``): in each block of s copies
+    the middle copy keeps its spoke vertex x and corner u_8 separate, the
+    leading (s-1)/2 copies contribute their z vertices and the trailing
+    (s-1)/2 copies their u_4 corners.  That achieves the
     documented color set {10k+1, 13k+1, (s-1)(17k+2)+18k+1,
     (s-1)(17k+2)+6k+2}; the fused vertices have degree 3(s-1)+2.
     The claim is re-verified after construction and any mismatch is
@@ -625,19 +554,8 @@ def build_oddk_h(r: int, s: int) -> BuiltFamily:
     k = r * s
     _check(k % 2 == 1 and k >= 3, "k = rs must be odd and >= 3")
     g = _prism_units(k)
-    half = (s - 1) // 2
-    merge_groups = []
-    for a in range(1, r + 1):
-        block = _block(a, s)
-        lead, mid, trail = block[:half], block[half], block[half + 1:]
-        # a copy's z vertex is its spoke x fused with its corner u_8
-        big = [v for c in lead for v in (f"x_{c}", f"u_{c}_8")] \
-            + [f"u_{mid}_8"] + [f"u_{c}_4" for c in trail]
-        small = [v for c in trail for v in (f"x_{c}", f"u_{c}_8")] \
-            + [f"u_{c}_4" for c in lead] + [f"u_{mid}_4"]
-        merge_groups += [(big, f"p_{a}"), (small, f"q_{a}")]
-    if half:  # s = 1 fuses nothing
-        g = apply_merge(g, merge_groups)
+    if s > 1:  # s = 1 fuses nothing
+        g = apply_merge(g, _rg_groups(r, s))
 
     hub_deg = 3 * (s - 1) + 2
     claimed = [
@@ -646,7 +564,7 @@ def build_oddk_h(r: int, s: int) -> BuiltFamily:
         ((s - 1) * (17 * k + 2) + 18 * k + 1, r, hub_deg),
         ((s - 1) * (17 * k + 2) + 6 * k + 2, r, hub_deg),
     ]
-    expected = _expected(claimed, 4, exact=False)
+    expected = _expected(claimed, exact=False)
 
     achieved = sorted(set(vertex_sums(g)))
     claimed_values = sorted(c[0] for c in claimed)
@@ -677,20 +595,15 @@ FAMILIES: dict[str, Callable[..., BuiltFamily]] = {
     "FB_units": build_fb_units,
     "FB": build_fb,
     "rFB": build_rfb,
-    "FB1": build_fb1,
-    "FB2": build_fb2,
+    **{f"FB{v}": partial(build_fb_variant, v) for v in (1, 2)},
     "rDF": build_rdf,
     "DFr": build_dfr,
     **{f"DF{v}": partial(build_df_variant, v) for v in (1, 2, 3, 4)},
     "nC482": build_nc482,
-    "G1": build_g1,
-    "G2": build_g2,
+    **{f"G{v}": partial(build_g, v) for v in (1, 2)},
     **{f"H{m}": partial(build_h, m) for m in (1, 2, 3)},
     "Hm_rs": build_hm_rs,
-    "C8_units": build_c8_units,
-    "Bk": build_bk,
-    "kC82": build_kc82,
-    "kD82": build_kd82,
+    **{tag: partial(build_c8, tag) for tag in _C8},
     "rG82": build_rg82,
     "OddKH": build_oddk_h,
 }

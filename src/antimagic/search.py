@@ -178,18 +178,19 @@ def _automorphisms(g: LabeledGraph, order: list[int]) -> list[list[int]]:
     These generate the quotient's group (a Sims transversal) with at most
     size^2 / 2 maps, however large the group.  Vertices are ordered by
     their first edge in the static order, so the constraints the maps
-    give do not depend on vertex ids.
+    give do not depend on vertex ids.  A vertex on no edge takes no part:
+    every map sends it to itself, since a map that moves only such
+    vertices fixes every edge and constrains nothing.
     """
-    n = g.n_vertices
-    rank: dict[int, int] = {}
+    rank: dict[int, int] = {}  # vertex -> first position; insertion order is rank order
     for ei in order:
         for w in g.edges[ei][:2]:
             rank.setdefault(w, len(rank))
-    members = [[w] for w in sorted(range(n), key=lambda w: rank.get(w, n + w))]
+    members = [[w] for w in rank]
     block_of = {m[0]: b for b, m in enumerate(members)}
     nbrs = [{block_of[x] for x in g.adjacency[m[0]]} for m in members]
-    kinds: list[tuple] = [()] * n
-    identity = list(range(n))
+    kinds: list[tuple] = [()] * len(members)
+    identity = list(range(g.n_vertices))
     maps = []
     while True:
         classes: dict[tuple, list[int]] = {}
@@ -229,7 +230,7 @@ def _automorphisms(g: LabeledGraph, order: list[int]) -> list[list[int]]:
         """Map block b onto one of ``targets`` and complete ``image`` from
         there; record the first map found."""
         if b == size:
-            pi = [0] * n
+            pi = identity[:]
             for src, c in zip(members, image):
                 for x, y in zip(src, members[c]):
                     pi[x] = y

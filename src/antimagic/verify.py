@@ -163,11 +163,12 @@ def check_expected(g: LabeledGraph, expected: ExpectedColors,
     return tuple(diffs)
 
 
-def _achievable_part_sizes(bip: Bipartition) -> set[int]:
-    """All |X| achievable by flipping sides independently per component."""
-    sizes = {0}
+def _achievable_part_sizes(bip: Bipartition) -> int:
+    """Bitmask of every |X| achievable by flipping sides independently per
+    component: bit t is set when some choice gives |X| = t."""
+    sizes = 1
     for a, b in bip.component_parts:
-        sizes = {t + a for t in sizes} | {t + b for t in sizes}
+        sizes = sizes << a | sizes << b
     return sizes
 
 
@@ -193,8 +194,9 @@ def two_coloring_impossible(g: LabeledGraph) -> bool:
         return True
     n = g.n_vertices
     half = m * (m + 1) // 2
-    splits = ((big, n - big) for big in _achievable_part_sizes(bip) if big > n - big >= 1)
-    return not any(half % big == 0 and half % small == 0 for big, small in splits)
+    sizes = _achievable_part_sizes(bip)
+    return not any(half % big == 0 and half % (n - big) == 0 and sizes >> big & 1
+                   for big in range(n // 2 + 1, n))
 
 
 def lower_bound(g: LabeledGraph) -> int:

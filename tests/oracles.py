@@ -6,6 +6,8 @@ search module.  ``naive_merge`` does ``apply_merge``'s surgery on vertex
 names, with linear scans and no integer ids or pair keys.
 ``split_vertex`` is the inverse surgery, which no builder does: it is the
 oracle for the hubs that ``families._fan_units`` makes already split.
+``naive_two_coloring_impossible`` is ``verify.two_coloring_impossible``
+with the achievable part sizes as a set, not a bitmask.
 """
 
 from __future__ import annotations
@@ -19,6 +21,7 @@ from antimagic.graph import (
     LabeledGraph,
     LoopCreated,
     ParallelEdgeCreated,
+    is_bipartite,
 )
 
 
@@ -43,6 +46,22 @@ def naive_chi_la(g: LabeledGraph) -> int | None:
         if best is None or c < best:
             best = c
     return best
+
+
+def naive_two_coloring_impossible(g: LabeledGraph) -> bool:
+    """The 2-coloring lemma's verdict, with every achievable |X| in a set."""
+    m, n = g.size, g.n_vertices
+    bip = is_bipartite(g)
+    if m == 0 or bip is None:
+        return False
+    if bip.balanced:
+        return True
+    sizes = {0}
+    for a, b in bip.component_parts:
+        sizes = {t + a for t in sizes} | {t + b for t in sizes}
+    half = m * (m + 1) // 2
+    splits = ((big, n - big) for big in sizes if big > n - big >= 1)
+    return not any(half % big == 0 and half % small == 0 for big, small in splits)
 
 
 def naive_merge(g: LabeledGraph, groups) -> LabeledGraph:

@@ -19,13 +19,8 @@ from antimagic.families import (
     build_dfr,
     build_family,
     build_fb,
-    build_fb1,
-    build_fb2,
     build_fb_units,
-    build_g1,
-    build_g2,
     build_h,
-    build_kd82,
     build_nc482,
     build_oddk_h,
     build_rdf,
@@ -95,19 +90,19 @@ def test_rfb_rejects_odd_s():
 
 
 def test_fb1_fb2_colors():
-    b = build_fb1(2, 2)  # k = 2
+    b = build_family("FB1", r=2, s=2)  # k = 2
     assert sorted(set(sums_of(b.graph).values())) == [27, 42, 72]
     assert not b.warnings
-    b = build_fb2(3, 2)  # k = 3
+    b = build_family("FB2", r=3, s=2)  # k = 3
     assert sorted(set(sums_of(b.graph).values())) == [31, 106, 120]
 
 
 def test_fb1_fb2_hypothesis_warnings():
-    b = build_fb2(2, 2)  # rs = 4 divisible by 4
+    b = build_family("FB2", r=2, s=2)  # rs = 4 divisible by 4
     assert b.warnings and not chi_la_is_three(b)
     rep = induced_coloring(b.graph)
     assert rep.local_antimagic  # graph still produced and labeled
-    b = build_fb1(4, 2)  # r divisible by 4
+    b = build_family("FB1", r=4, s=2)  # r divisible by 4
     assert b.warnings and not chi_la_is_three(b)
 
 
@@ -192,12 +187,12 @@ def test_nc482_adjacent_degree3_pairs_alternate():
 
 
 def test_g1_g2_colors():
-    b = build_g1(1, 2)  # n = 2
+    b = build_family("G1", r=1, s=2)  # n = 2
     s = sums_of(b.graph)
     assert all(s[f"U_1_{j}"] == 82 for j in range(1, 5))
     assert b.graph.degrees()["U_1_1"] == 4
 
-    b = build_g2(3, 2)  # n = 6: fused vertices carry s*(30n+1)
+    b = build_family("G2", r=3, s=2)  # n = 6: fused vertices carry s*(30n+1)
     s = sums_of(b.graph)
     assert all(s[f"U_{bk}_{j}"] == 2 * 181 for bk in (1, 2, 3) for j in (1, 4))
     assert all(s[f"V_{bk}_{j}"] == 2 * 181 for bk in (1, 2, 3) for j in (2, 3))
@@ -250,12 +245,12 @@ def test_bk_and_kc82():
 
 def test_kd82_fused_value_is_34k_plus_4():
     for k in (1, 4):
-        b = build_kd82(k)
+        b = build_family("kD82", k=k)
         s = sums_of(b.graph)
         assert all(s[f"w_{i}"] == 34 * k + 4 for i in range(1, k + 1))
         assert all(s[f"w_{i}"] != 34 * k + 2 for i in range(1, k + 1))
         assert b.graph.degrees()["w_1"] == 6
-    assert build_kd82(4).expected.values.count(140) == 1
+    assert build_family("kD82", k=4).expected.values.count(140) == 1
 
 
 def test_rg82_small():

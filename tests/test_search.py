@@ -314,6 +314,20 @@ def test_star_symmetry_is_a_chain_of_twin_swaps():
     assert search._lex_leader(g, order) == [()] + [(t,) for t in range(10)]
 
 
+def test_isolated_vertices_add_no_automorphisms():
+    # vertices on no edge are fixed by every map, so their twin swaps
+    # (n - 1 maps of n entries each) are never made
+    p4 = path(4)
+    counts = []
+    for extra in (0, 1, 5, 200):
+        g = new_graph([*p4.names, *(f"i{j}" for j in range(extra))])
+        g = g.with_edges([(g.names[u], g.names[v], label) for u, v, label in p4.edges])
+        maps = search._automorphisms(g, search._edge_order(g))
+        assert all(pi[4:] == list(range(4, g.n_vertices)) for pi in maps)
+        counts.append(len(maps))
+    assert counts == [counts[0]] * 4
+
+
 def test_timeout_reports_the_largest_refuted_target(monkeypatch):
     class Clock:
         """Advances one second per read: the start, then every node."""

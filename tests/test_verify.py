@@ -22,7 +22,7 @@ from antimagic.verify import (
     two_coloring_impossible,
     vertex_sums,
 )
-from oracles import naive_chi_la
+from oracles import naive_chi_la, naive_two_coloring_impossible
 
 
 def test_induced_coloring_fb12():
@@ -114,6 +114,24 @@ def test_two_color_gate_divisor_scan():
     star = new_graph(["c", "l1", "l2", "l3"]).with_edges(
         [("c", "l1", 1), ("c", "l2", 2), ("c", "l3", 3)])
     assert two_coloring_impossible(star) is False
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.lists(st.one_of(st.just((1, 0, False)),
+                          st.tuples(st.integers(1, 4), st.integers(1, 4), st.booleans())),
+                min_size=1, max_size=7))
+def test_two_color_gate_bitmask_matches_the_set_oracle(parts):
+    # each component is K_{a,b} (dense) or a spanning tree of it; (1, 0)
+    # is an isolated vertex
+    names, triples = [], []
+    for c, (a, b, dense) in enumerate(parts):
+        xs, ys = [f"x{c}_{i}" for i in range(a)], [f"y{c}_{j}" for j in range(b)]
+        names += xs + ys
+        pairs = [(x, y) for x in xs for y in ys] if dense else \
+            [(xs[0], y) for y in ys] + [(x, ys[0]) for x in xs[1:]]
+        triples += [(x, y, len(triples) + 1) for x, y in pairs]
+    g = new_graph(names).with_edges(triples)
+    assert two_coloring_impossible(g) is naive_two_coloring_impossible(g)
 
 
 def test_lower_bounds():
