@@ -22,11 +22,11 @@ construction pipelines:
 
 ``FAMILIES`` maps each tag to its builder.  Families that share a
 construction and differ only in data share one builder, registered per
-tag through ``partial``: ``build_fb_variant`` (FB1, FB2),
-``build_df_variant`` (DF1-DF4), ``build_g`` (G1, G2), ``build_h``
-(H1-H3) and ``build_c8`` over the ``_C8`` table (C8_units, Bk, kC82,
-kD82).  ``build_family`` reads the parameter names from the builder's
-signature.  Each claimed color count is the number of claimed classes.
+tag through ``partial``: ``build_rfb`` (rFB, FB1, FB2), ``build_rdf``
+(rDF, DF1-DF4), ``build_g`` (G1, G2), ``build_h`` (H1-H3) and
+``build_c8`` over the ``_C8`` table (C8_units, Bk, kC82, kD82).
+``build_family`` reads the parameter names from the builder's signature.
+Each claimed color count is the number of claimed classes.
 The unit builders refuse a family of more than ``MAX_BUILD_EDGES`` edges
 (10k for the two k-matrices, 20n for the 6x4n sequences) before any work
 that grows with its size.
@@ -38,7 +38,7 @@ import inspect
 from dataclasses import dataclass
 from functools import partial
 from itertools import product
-from typing import Callable, Iterator, Sequence
+from typing import Callable, Iterable, Iterator, Sequence
 
 from .graph import LabeledGraph, apply_merge, new_graph
 from .matrices import LabelMatrix, matrix_5x2k, matrix_kx10, sequences_6x4n
@@ -160,76 +160,107 @@ def _across_components(r: int, s: int, roles: str) -> Iterator[tuple[list[str], 
             yield [f"{role}_{i}" for i in units], f"{role}_{j}"
 
 
-def build_rfb(r: int, s: int) -> BuiltFamily:
-    """r disjoint fans with s blades each; hubs fuse mirrored column pairs."""
+def build_rfb(v: int, r: int, s: int) -> BuiltFamily:
+    """r disjoint fans with s blades each; hubs fuse mirrored column pairs.
+
+    Variant 0 is rFB(s); FB1 also fuses the degree-2 tips across
+    components, FB2 the degree-3 centers.
+    """
     _check(r >= 2, "r must be >= 2")
     _check(s >= 2 and s % 2 == 0, "s must be even and >= 2")
     _check(r * s >= 4, "rs must be >= 4")
     k = r * s // 2
     g, _ = _fan_units(k)
-    g = apply_merge(g, [
-        ([f"x_{i}" for i in units], f"x_{j}")
-        for j, units in enumerate(_rfb_component_units(r, s), start=1)
-    ])
-    return BuiltFamily(
-        "rFB", {"r": r, "s": s}, g,
-        _expected([
-            (10 * k + 1, 4 * k, 2),
-            (13 * k + 1, 2 * k, 3),
-            (s * (17 * k + 2), r, 3 * s),
-        ]),
-    )
-
-
-def build_fb_variant(v: int, r: int, s: int) -> BuiltFamily:
-    """rFB(s) with matching blade vertices fused across components: 1 fuses
-    the degree-2 tips, 2 the degree-3 centers."""
-    _check(v in (1, 2), "variant must be 1 or 2")
-    g = build_rfb(r, s).graph
-    k = r * s // 2
-    hub = (s * (17 * k + 2), r, 3 * s)
+    groups = [([f"x_{i}" for i in units], f"x_{j}")
+              for j, units in enumerate(_rfb_component_units(r, s), start=1)]
+    classes = [(10 * k + 1, 4 * k, 2), (13 * k + 1, 2 * k, 3),
+               (s * (17 * k + 2), r, 3 * s)]
     warnings: tuple[str, ...] = ()
     if v == 1:
-        roles = "uv"
-        classes = [(r * (10 * k + 1), 2 * s, 2 * r), (13 * k + 1, 2 * k, 3), hub]
+        groups += _across_components(r, s, "uv")
+        classes[0] = (r * (10 * k + 1), 2 * s, 2 * r)
         if r % 4 == 0:
             warnings = (f"r = {r} is divisible by 4: distinctness of "
                         f"{r}*(10k+1) and s*(17k+2) is not guaranteed",)
-    else:
-        roles = "w"
-        classes = [(10 * k + 1, 4 * k, 2), (r * (13 * k + 1), s, 3 * r), hub]
+    elif v == 2:
+        groups += _across_components(r, s, "w")
+        classes[1] = (r * (13 * k + 1), s, 3 * r)
         if (r * s) % 4 == 0:
             warnings = (f"rs = {r * s} is divisible by 4: distinctness of "
                         f"{r}*(13k+1) and s*(17k+2) is not guaranteed",)
-    g = apply_merge(g, _across_components(r, s, roles))
-    return BuiltFamily(f"FB{v}", {"r": r, "s": s}, g, _expected(classes), warnings=warnings)
+    g = apply_merge(g, groups)
+    return BuiltFamily(f"FB{v}" if v else "rFB", {"r": r, "s": s}, g,
+                       _expected(classes), warnings=warnings)
 
 
-def _diamond_hubs(r: int, s: int, mirror: int) -> Iterator[tuple[list[str], str]]:
+def _diamond_hubs(r: int, s: int, mirror: int,
+                  fused: Callable[[str, int], str] = "{}_{}".format,
+                  ) -> list[tuple[list[str], str]]:
     """Diamond fan j's hubs: y_j fuses the x^1 halves of unit block j with
-    the x^2 halves of block mirror+1-j, and z_j the other halves."""
+    the x^2 halves of block mirror+1-j, and z_j the other halves.  Hub h_j
+    goes into the vertex ``fused(h, j)``; hubs given one name fuse."""
+    hubs: dict[str, list[str]] = {}
     for j in range(1, r + 1):
         front, back = _block(j, s), _block(mirror + 1 - j, s)
-        for name, (a, b) in (("y", (1, 2)), ("z", (2, 1))):
-            yield ([f"x_{i}^{a}" for i in front] + [f"x_{i}^{b}" for i in back],
-                   f"{name}_{j}")
+        for h, (a, b) in (("y", (1, 2)), ("z", (2, 1))):
+            hubs.setdefault(fused(h, j), []).extend(
+                [f"x_{i}^{a}" for i in front] + [f"x_{i}^{b}" for i in back])
+    return [(members, name) for name, members in hubs.items()]
 
 
-def build_rdf(r: int, s: int) -> BuiltFamily:
-    """r diamond fans of size 10s built from 2rs fan units by hub splitting."""
+def _across_fans(r: int, s: int, roles: str,
+                 name: str) -> Iterator[tuple[list[str], str]]:
+    """Per unit position a and role, one group across the front blocks
+    1..r and one across their mirror blocks 2r+1-j; the groups are named
+    name_t_a, with t counting the (role, side) pairs."""
+    sides = ([_block(j, s) for j in range(1, r + 1)],
+             [_block(2 * r + 1 - j, s) for j in range(1, r + 1)])
+    for a in range(s):
+        for t, (role, blocks) in enumerate(product(roles, sides), start=1):
+            yield [f"{role}_{b[a]}" for b in blocks], f"{name}_{t}_{a + 1}"
+
+
+def build_rdf(v: int, r: int, s: int) -> BuiltFamily:
+    """r diamond fans of size 10s built from 2rs fan units by hub splitting.
+
+    Variant 0 is rDF(s); DF1 also fuses the centers across fans, DF2 the
+    tips, DF3 all y hubs into y and all z hubs into z, DF4 each y_j with
+    z_(j+1) into yz_j.
+    """
+    if v:
+        _check(r >= 2, "r must be >= 2")
+        _check(s >= 1, "s must be >= 1")
+        _check(v != 4 or r % 2 == 0, "variant 4 needs even r")
     _check(r >= 1 and s >= 1, "r and s must be >= 1")
     _check(r * s >= 2, "rs must be >= 2")
     k = r * s
     g, _ = _fan_units(k, range(1, 2 * k + 1))
-    g = apply_merge(g, _diamond_hubs(r, s, 2 * r))
-    return BuiltFamily(
-        "rDF", {"r": r, "s": s}, g,
-        _expected([
-            (10 * k + 1, 4 * k, 2),
-            (13 * k + 1, 2 * k, 3),
-            (s * (17 * k + 2), 2 * r, 3 * s),
-        ]),
-    )
+    hub = s * (17 * k + 2)
+    classes = [(10 * k + 1, 4 * k, 2), (13 * k + 1, 2 * k, 3), (hub, 2 * r, 3 * s)]
+    fused = "{}_{}".format
+    across: Iterable[tuple[list[str], str]] = ()
+    warnings: tuple[str, ...] = ()
+    if v == 1:
+        across = _across_fans(r, s, "w", "alpha")
+        classes[1] = (r * (13 * k + 1), 2 * s, 3 * r)
+        if s % 2 or (r * s) % 4 == 0:
+            warnings = ("distinctness of r*(13k+1) and s*(17k+2) is only "
+                        "guaranteed for even s with rs not divisible by 4",)
+    elif v == 2:
+        across = _across_fans(r, s, "uv", "beta")
+        classes[0] = (r * (10 * k + 1), 4 * s, 2 * r)
+        if s % 2 or r % 4 == 0:
+            warnings = ("distinctness of r*(10k+1) and s*(17k+2) is only "
+                        "guaranteed for even s with r not divisible by 4",)
+    elif v == 3:
+        fused = lambda h, j: h
+        classes[2] = (r * hub, 2, 3 * r * s)
+    elif v == 4:
+        fused = lambda h, j: f"yz_{j if h == 'y' else (j - 2) % r + 1}"
+        classes[2] = (2 * hub, r, 6 * s)
+    g = apply_merge(g, [*_diamond_hubs(r, s, 2 * r, fused), *across])
+    return BuiltFamily(f"DF{v}" if v else "rDF", {"r": r, "s": s}, g,
+                       _expected(classes), warnings=warnings)
 
 
 def build_dfr(r: int, s: int) -> BuiltFamily:
@@ -251,57 +282,6 @@ def build_dfr(r: int, s: int) -> BuiltFamily:
             (s * (17 * k + 2), 2 * r + 1, 3 * s),
         ]),
     )
-
-
-def _across_fans(r: int, s: int, roles: str,
-                 name: str) -> Iterator[tuple[list[str], str]]:
-    """Per unit position a and role, one group across the front blocks
-    1..r and one across their mirror blocks 2r+1-j; the groups are named
-    name_t_a, with t counting the (role, side) pairs."""
-    sides = ([_block(j, s) for j in range(1, r + 1)],
-             [_block(2 * r + 1 - j, s) for j in range(1, r + 1)])
-    for a in range(s):
-        for t, (role, blocks) in enumerate(product(roles, sides), start=1):
-            yield [f"{role}_{b[a]}" for b in blocks], f"{name}_{t}_{a + 1}"
-
-
-def build_df_variant(v: int, r: int, s: int) -> BuiltFamily:
-    """Diamond-fan merge variants: 1 fuses centers, 2 tips, 3 hubs, 4 hub pairs."""
-    _check(v in (1, 2, 3, 4), "variant must be 1, 2, 3 or 4")
-    _check(r >= 2, "r must be >= 2")
-    _check(s >= 1, "s must be >= 1")
-    if v == 4:
-        _check(r % 2 == 0, "variant 4 needs even r")
-    base = build_rdf(r, s)
-    k = r * s
-    hub = s * (17 * k + 2)
-    warnings: tuple[str, ...] = ()
-    if v == 1:
-        groups = _across_fans(r, s, "w", "alpha")
-        classes = [(10 * k + 1, 4 * k, 2), (r * (13 * k + 1), 2 * s, 3 * r),
-                   (hub, 2 * r, 3 * s)]
-        if s % 2 or (r * s) % 4 == 0:
-            warnings = ("distinctness of r*(13k+1) and s*(17k+2) is only "
-                        "guaranteed for even s with rs not divisible by 4",)
-    elif v == 2:
-        groups = _across_fans(r, s, "uv", "beta")
-        classes = [(r * (10 * k + 1), 4 * s, 2 * r), (13 * k + 1, 2 * k, 3),
-                   (hub, 2 * r, 3 * s)]
-        if s % 2 or r % 4 == 0:
-            warnings = ("distinctness of r*(10k+1) and s*(17k+2) is only "
-                        "guaranteed for even s with r not divisible by 4",)
-    elif v == 3:
-        groups = [([f"y_{j}" for j in range(1, r + 1)], "y"),
-                  ([f"z_{j}" for j in range(1, r + 1)], "z")]
-        classes = [(10 * k + 1, 4 * k, 2), (13 * k + 1, 2 * k, 3),
-                   (r * hub, 2, 3 * r * s)]
-    else:
-        groups = [([f"y_{j}", f"z_{j % r + 1}"], f"yz_{j}")
-                  for j in range(1, r + 1)]
-        classes = [(10 * k + 1, 4 * k, 2), (13 * k + 1, 2 * k, 3),
-                   (2 * hub, r, 6 * s)]
-    g = apply_merge(base.graph, groups)
-    return BuiltFamily(f"DF{v}", {"r": r, "s": s}, g, _expected(classes), warnings=warnings)
 
 
 # ---------------------------------------------------------------------------
@@ -594,11 +574,11 @@ def build_oddk_h(r: int, s: int) -> BuiltFamily:
 FAMILIES: dict[str, Callable[..., BuiltFamily]] = {
     "FB_units": build_fb_units,
     "FB": build_fb,
-    "rFB": build_rfb,
-    **{f"FB{v}": partial(build_fb_variant, v) for v in (1, 2)},
-    "rDF": build_rdf,
+    "rFB": partial(build_rfb, 0),
+    **{f"FB{v}": partial(build_rfb, v) for v in (1, 2)},
+    "rDF": partial(build_rdf, 0),
     "DFr": build_dfr,
-    **{f"DF{v}": partial(build_df_variant, v) for v in (1, 2, 3, 4)},
+    **{f"DF{v}": partial(build_rdf, v) for v in (1, 2, 3, 4)},
     "nC482": build_nc482,
     **{f"G{v}": partial(build_g, v) for v in (1, 2)},
     **{f"H{m}": partial(build_h, m) for m in (1, 2, 3)},

@@ -1,17 +1,35 @@
 """Shared test utilities: structural graph comparison, fast transposition
 checking for the metamorphic suites, and graph, matrix and family helpers
 that only the tests need (components, disjoint union, the 6x4n
-closed-form rows, the verified acceptance grid, the 3-color claim)."""
+closed-form rows, the verified acceptance grid, the 3-color claim) and a
+fresh interpreter on the package's source."""
 
 from __future__ import annotations
 
+import os
+import subprocess
+import sys
 from collections import Counter, deque
+from pathlib import Path
 from typing import Iterable
 
 from antimagic.families import ACCEPTANCE_GRID, BuiltFamily, build_family
 from antimagic.graph import LabeledGraph
 from antimagic.matrices import KIND_6X4N, Check, LabelMatrix, ValidationReport
 from antimagic.verify import check_expected, induced_coloring, vertex_sums
+
+
+ROOT = Path(__file__).resolve().parents[1]
+
+
+def run_python(*args: str, timeout: float = 120, **kwargs) -> subprocess.CompletedProcess:
+    """A fresh interpreter with the package's source first on its path;
+    ``kwargs`` go to ``subprocess.run``."""
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(
+        p for p in (str(ROOT / "src"), env.get("PYTHONPATH")) if p)
+    return subprocess.run([sys.executable, *args], capture_output=True, text=True,
+                          env=env, timeout=timeout, **kwargs)
 
 
 def grid_points(tags: Iterable[str] = ACCEPTANCE_GRID):

@@ -6,8 +6,11 @@ import contextlib
 import copy
 import dataclasses
 import gc
+import inspect
 import io
 import json
+import re
+import resource
 from unittest import mock
 
 import pytest
@@ -30,6 +33,7 @@ from antimagic.graph import LabeledGraph, new_graph
 from antimagic.matrices import matrix_6x4n, sequences_6x4n, validate
 from antimagic.verify import induced_coloring
 from golden import GRID_5X2K_K6, SEQUENCES_N6
+from helpers import run_python
 
 
 def run(capsys, *argv):
@@ -297,6 +301,29 @@ def test_build_refuses_a_family_above_the_edge_cap(monkeypatch, capsys, tag):
         with monkeypatch.context() as patch:
             patch.setattr(families, "MAX_BUILD_EDGES", edges)
             assert families.build_family(tag, **params).graph.size == edges
+
+
+def _limit_address_space():
+    resource.setrlimit(resource.RLIMIT_AS, (1 << 30, 1 << 30))
+
+
+RS_TAGS = sorted(tag for tag, build in families.FAMILIES.items()
+                 if {"r", "s"} <= set(inspect.signature(build).parameters))
+
+
+@pytest.mark.parametrize("tag", RS_TAGS)
+def test_build_refuses_huge_parameters_before_any_group_list(tag):
+    # r = 10^9 with the real cap: a builder that made an O(k) list of names
+    # or groups before the size check would run out of 1 GiB or of time
+    r, s = (999_999_999, 3) if tag == "OddKH" else (10**9, 2)  # OddKH: rs odd
+    argv = ["build", tag, "--r", str(r), "--s", str(s)]
+    if tag == "Hm_rs":
+        argv += ["--m", "1"]
+    proc = run_python("-m", "antimagic.cli", *argv, timeout=5,
+                      preexec_fn=_limit_address_space)
+    assert proc.returncode == 2 and proc.stdout == "", proc.stderr
+    assert re.fullmatch(r"error: the family would have \d+ edges, above the cap "
+                        r"of \d+\n", proc.stderr), proc.stderr
 
 
 def test_selftest_reports_a_failing_grid_point(tmp_path, monkeypatch, capsys):

@@ -15,7 +15,6 @@ from antimagic.families import (
     FAMILIES,
     ParameterError,
     _fan_units,
-    build_df_variant,
     build_dfr,
     build_family,
     build_fb,
@@ -23,8 +22,6 @@ from antimagic.families import (
     build_h,
     build_nc482,
     build_oddk_h,
-    build_rdf,
-    build_rfb,
     build_rg82,
 )
 from antimagic.cli import _check
@@ -73,12 +70,12 @@ def test_fb_three_distinct_colors_always():
 def test_rfb_merge_sets_match_worked_example():
     # 6FB(2) at k=6 fuses {x_i, x_13-i}; 3FB(4) fuses consecutive pairs with
     # their mirrors
-    b62 = build_rfb(6, 2)
+    b62 = build_family("rFB", r=6, s=2)
     assert len(components(b62.graph)) == 6
     s = sums_of(b62.graph)
     assert all(s[f"x_{j}"] == 208 for j in range(1, 7))
 
-    b34 = build_rfb(3, 4)
+    b34 = build_family("rFB", r=3, s=4)
     assert len(components(b34.graph)) == 3
     s = sums_of(b34.graph)
     assert all(s[f"x_{j}"] == 4 * (17 * 6 + 2) for j in range(1, 4))
@@ -86,7 +83,7 @@ def test_rfb_merge_sets_match_worked_example():
 
 def test_rfb_rejects_odd_s():
     with pytest.raises(ParameterError):
-        build_rfb(2, 3)
+        build_family("rFB", r=2, s=3)
 
 
 def test_fb1_fb2_colors():
@@ -107,7 +104,7 @@ def test_fb1_fb2_hypothesis_warnings():
 
 
 def test_rdf_example_colors_and_structure():
-    b = build_rdf(3, 2)
+    b = build_family("rDF", r=3, s=2)
     g = b.graph
     assert len(components(g)) == 3
     rep = induced_coloring(g)
@@ -121,7 +118,7 @@ def test_rdf_example_colors_and_structure():
 
 
 def test_rdf_size_formula():
-    b = build_rdf(1, 2)
+    b = build_family("rDF", r=1, s=2)
     assert b.graph.size == 20
     assert len(components(b.graph)) == 1
 
@@ -139,16 +136,16 @@ def test_dfr_component_count_and_size():
 
 
 def test_df_variant_colors():
-    b = build_df_variant(3, 2, 1)  # k = 2
+    b = build_family("DF3", r=2, s=1)  # k = 2
     assert sorted(set(sums_of(b.graph).values())) == [21, 27, 72]
-    b = build_df_variant(1, 2, 2)  # alpha degree 3r
+    b = build_family("DF1", r=2, s=2)  # alpha degree 3r
     assert all(b.graph.degrees()[f"alpha_{i}_{a}"] == 6
                for i in (1, 2) for a in (1, 2))
 
 
 def test_df3_equals_df4_at_r2():
-    g3 = build_df_variant(3, 2, 2).graph
-    g4 = build_df_variant(4, 2, 2).graph
+    g3 = build_family("DF3", r=2, s=2).graph
+    g4 = build_family("DF4", r=2, s=2).graph
     assert g3.size == g4.size
     assert sorted(g3.degrees().values()) == sorted(g4.degrees().values())
     assert Counter(sums_of(g3).values()) == Counter(sums_of(g4).values())
@@ -156,14 +153,14 @@ def test_df3_equals_df4_at_r2():
 
 def test_df4_requires_even_r():
     with pytest.raises(ParameterError):
-        build_df_variant(4, 3, 2)
+        build_family("DF4", r=3, s=2)
 
 
 def test_df12_warnings_on_hypothesis_violation():
-    assert build_df_variant(1, 2, 2).warnings   # rs = 4 divisible by 4
-    assert build_df_variant(2, 4, 2).warnings   # r divisible by 4
-    assert not build_df_variant(1, 3, 2).warnings
-    assert not build_df_variant(2, 3, 2).warnings
+    assert build_family("DF1", r=2, s=2).warnings   # rs = 4 divisible by 4
+    assert build_family("DF2", r=4, s=2).warnings   # r divisible by 4
+    assert not build_family("DF1", r=3, s=2).warnings
+    assert not build_family("DF2", r=3, s=2).warnings
 
 
 def test_nc482_sums():
@@ -305,6 +302,16 @@ def test_parameter_errors():
         build_family("DF1", r=3)  # partial builders report their own names
     with pytest.raises(ParameterError, match=r"^m must be 1, 2 or 3$"):
         build_family("Hm_rs", m=0, r=1, s=2)  # the message names the parameter typed
+    # each fan variant checks its own hypotheses before its base family's
+    for tag, r, s, message in (
+        ("rDF", 0, 2, "r and s must be >= 1"),
+        ("DF1", 1, 1, "r must be >= 2"),
+        ("DF4", 3, 2, "variant 4 needs even r"),
+        ("FB1", 1, 2, "r must be >= 2"),
+        ("FB2", 2, 3, "s must be even and >= 2"),
+    ):
+        with pytest.raises(ParameterError, match=f"^{message}$"):
+            build_family(tag, r=r, s=s)
 
 
 @pytest.mark.parametrize("tag", sorted(ACCEPTANCE_GRID))
@@ -352,7 +359,7 @@ def test_c482_is_balanced_bipartite():
 
 def test_dfr_shape_equals_rdf_plus_fan():
     # structurally, DF_1(4) is the disjoint union of 1DF(4) and FB(2)
-    combined = disjoint_union(build_rdf(1, 2).graph, build_fb(1).graph)
+    combined = disjoint_union(build_family("rDF", r=1, s=2).graph, build_fb(1).graph)
     direct = build_dfr(1, 2).graph
     assert sorted(combined.degrees().values()) == sorted(direct.degrees().values())
     assert combined.size == direct.size
@@ -378,10 +385,12 @@ def test_presplit_fan_units_match_sequential_splits(case):
     ("DF1", {"r": 3, "s": 2}), ("DF2", {"r": 2, "s": 4}),
     ("DF3", {"r": 3, "s": 2}), ("DF4", {"r": 4, "s": 2}),
     ("FB_units", {"k": 6}),
+    ("rFB", {"r": 3, "s": 2}), ("FB1", {"r": 3, "s": 2}),
+    ("FB2", {"r": 3, "s": 2}), ("FB", {"k": 3}),
 ])
 def test_fan_builds_make_one_matrix_and_split_nothing(monkeypatch, tag, params):
-    # the per-hub split_vertex copies (O(k m)) and per-column matrix
-    # rebuilds (O(k^2)) must not come back
+    # the per-hub split_vertex copies (O(k m)), per-column matrix rebuilds
+    # (O(k^2)) and second merges over a built base family must not come back
     calls: Counter = Counter()
 
     def counted(name, fn):
@@ -390,7 +399,8 @@ def test_fan_builds_make_one_matrix_and_split_nothing(monkeypatch, tag, params):
             return fn(*args, **kwargs)
         return wrapper
 
-    for name in ("matrix_5x2k", "split_vertex"):
+    for name in ("matrix_5x2k", "split_vertex", "apply_merge"):
         monkeypatch.setattr(families, name, counted(name, getattr(families, name)))
     build_family(tag, **params)
-    assert calls == {"matrix_5x2k": 1}
+    merges = {"apply_merge": 1} if tag != "FB_units" else {}
+    assert calls == {"matrix_5x2k": 1, **merges}

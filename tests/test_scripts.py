@@ -5,29 +5,16 @@ and of the package's modules imported one at a time."""
 from __future__ import annotations
 
 import importlib
-import os
 import re
 import subprocess
-import sys
 from collections import Counter
-from pathlib import Path
 
 import pytest
 
 import antimagic.cli as cli
 from antimagic.families import build_family, build_fb
 from antimagic.graph import new_graph
-
-ROOT = Path(__file__).resolve().parents[1]
-
-
-def run_python(*args: str) -> subprocess.CompletedProcess:
-    """A fresh interpreter with the package's source first on its path."""
-    env = dict(os.environ)
-    env["PYTHONPATH"] = os.pathsep.join(
-        p for p in (str(ROOT / "src"), env.get("PYTHONPATH")) if p)
-    return subprocess.run([sys.executable, *args],
-                          capture_output=True, text=True, env=env, timeout=120)
+from helpers import ROOT, run_python
 
 
 def run_script(script: str, *args: str) -> subprocess.CompletedProcess:

@@ -6,12 +6,7 @@ from __future__ import annotations
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from antimagic.families import (
-    build_fb,
-    build_nc482,
-    build_rdf,
-    build_rfb,
-)
+from antimagic.families import build_family, build_fb, build_nc482
 from antimagic.graph import LabeledGraph, new_graph
 from antimagic.verify import (
     ColorClass,
@@ -34,7 +29,7 @@ def test_induced_coloring_fb12():
 
 
 def test_vertex_sums_match_the_report():
-    g = build_rdf(2, 2).graph
+    g = build_family("rDF", r=2, s=2).graph
     sums = vertex_sums(g)
     assert sums == [induced_coloring(g).sums[nm] for nm in g.names]
     assert sum(sums) == g.size * (g.size + 1)
@@ -61,7 +56,7 @@ def test_nonbijective_labels_reported():
 
 
 def test_check_expected_passes_and_catches_tampering():
-    built = build_rdf(3, 2)
+    built = build_family("rDF", r=3, s=2)
     assert check_expected(built.graph, built.expected,
                           induced_coloring(built.graph)) == ()
     # swap two labels: class table must notice
@@ -98,7 +93,7 @@ def test_check_expected_degree_mismatch_detected():
 
 
 def test_two_color_gate_balanced_families():
-    assert two_coloring_impossible(build_rdf(1, 2).graph) is True
+    assert two_coloring_impossible(build_family("rDF", r=1, s=2).graph) is True
     assert two_coloring_impossible(build_nc482(1).graph) is True
 
 
@@ -135,8 +130,8 @@ def test_two_color_gate_bitmask_matches_the_set_oracle(parts):
 
 
 def test_lower_bounds():
-    assert lower_bound(build_fb(1).graph) == 3          # chromatic number
-    assert lower_bound(build_rdf(1, 2).graph) == 3      # balanced gate
+    assert lower_bound(build_fb(1).graph) == 3  # chromatic number
+    assert lower_bound(build_family("rDF", r=1, s=2).graph) == 3  # balanced gate
     # the divisor scan also proves 3 for the 3-vertex path (its sums are
     # forced to 1, 3, 2); chi alone would only give 2
     p3 = new_graph(["a", "b", "c"]).with_edges([("a", "b", 1), ("b", "c", 2)])
@@ -162,14 +157,14 @@ def test_pendant_lower_bound():
 
 
 def test_lower_bound_large_graphs_do_not_raise():
-    g = build_rfb(12, 10).graph  # 600 edges, tripartite
+    g = build_family("rFB", r=12, s=10).graph  # 600 edges, tripartite
     assert lower_bound(g) == 3
 
 
 @settings(max_examples=40)
 @given(st.data())
 def test_transposition_changes_at_most_four_sums(data):
-    built = build_rfb(3, 2)
+    built = build_family("rFB", r=3, s=2)
     g = built.graph
     i = data.draw(st.integers(0, g.size - 1))
     j = data.draw(st.integers(0, g.size - 1).filter(lambda x: x != i))
