@@ -27,16 +27,19 @@ assignments it cuts:
   vertices (plus one for an isolated vertex, whose sum 0 is unique)
   exceed the round's target; a completed vertex keeps its sum, so the
   final count can only be larger.
-* ``reach``: a vertex w that still has r unlabeled edges ends on
-  sums[w] plus r distinct free labels, which lies between sums[w] plus
-  the r smallest and sums[w] plus the r largest free labels.  Call w
-  *stuck* if no sum of a fully labeled vertex lies in that interval: w
-  must end on a sum no vertex has yet.  When the fully labeled vertices
-  already use every color the target allows, one stuck vertex cuts the
-  branch.  When they use all but one, two adjacent stuck vertices
-  cut it: each needs a new sum, and adjacent sums differ, so the two
-  new sums exceed the target.  Every vertex with unlabeled edges is
-  checked, not only the current edge's endpoints.
+* ``reach``: let w be a vertex with r unlabeled edges and F the free
+  labels.  Its edges take r distinct labels of F, so it ends on sums[w]
+  plus a sum in S_r(F), the set of sums of r distinct labels of F (a
+  bitmask, cached per F).  A neighbor of w whose edges are all labeled
+  keeps its sum, and adjacent sums differ, so w cannot end on it.  Call
+  w *stuck* if no sum of a fully labeled vertex is reachable that way,
+  leaving out the sums of w's fully labeled neighbors: w must end on a
+  sum no vertex has yet.  When the fully labeled vertices already use
+  every color the target allows, one stuck vertex cuts the branch.
+  When they use all but one, two adjacent stuck vertices cut it: each
+  needs a new sum, and adjacent sums differ, so the two new sums exceed
+  the target.  Every vertex with unlabeled edges is checked, not only
+  the current edge's endpoints.
 * ``symmetry`` (lex-leader, Crawford, Ginsberg, Luks and Roy, KR 1996):
   let pi be a vertex automorphism of g, s the first position of the
   static edge order whose edge pi moves, and q the position of the image
@@ -56,8 +59,8 @@ l -> m+1-l can break validity between neighbors of unequal degree, so
 halving the space with it would be unsound here.  The edge order is
 static, so the position at which each vertex becomes fully labeled, the
 neighbors it must then be compared with, the edges each vertex still
-lacks and the lex-leader constraints are computed once before the
-search; the unused labels and
+lacks, its neighbors fully labeled by each position and the lex-leader
+constraints are computed once before the search; the unused labels and
 the taken sums are bitmasks, so each partial assignment loops over free
 labels only.  Default edge budget is 11; the time budget is the
 ``budget`` argument in seconds, and ``None`` means unlimited.  A search
@@ -72,7 +75,6 @@ import math
 import time
 from collections.abc import Sequence
 from dataclasses import dataclass
-from itertools import accumulate
 
 from .graph import GraphTooLarge, LabeledGraph
 from .verify import lower_bound
@@ -278,7 +280,8 @@ def _schedule(g: LabeledGraph, order: list[int]) -> list[tuple]:
     adjacent vertex pairs that become comparable at t (both fully
     labeled, one of them just now), the vertices completed at t, and
     every vertex with edges after t (the edge's endpoints first), with
-    its count of such edges, its bit and its neighbors as a bitmask.
+    its count of such edges, its bit, its neighbors as a bitmask and its
+    neighbors fully labeled by t.
     """
     adj = g.adjacency
     n = g.n_vertices
@@ -294,7 +297,8 @@ def _schedule(g: LabeledGraph, order: list[int]) -> list[tuple]:
         left[u] -= 1
         left[v] -= 1
         done = tuple(w for w in (u, v) if not left[w])
-        opens = tuple((w, left[w], 1 << w, neighbors[w])
+        opens = tuple((w, left[w], 1 << w, neighbors[w],
+                       tuple(x for x in adj[w] if last[x] <= t))
                       for w in (u, v, *(x for x in range(n) if x != u and x != v))
                       if left[w])
         pairs = [(w, nb) for w in done for nb in adj[w] if last[nb] < t]
@@ -314,18 +318,18 @@ class _LabelSets(dict):
         return labels
 
 
-class _Spans(dict):
-    """Bitmask of free labels -> per count r, the sum lo of its r smallest
-    labels and the bitmask of hi - lo + 1 ones, hi the sum of its r
-    largest; built on first use."""
+class _SumSets(dict):
+    """Bitmask of free labels -> per count r, the bitmask of the sums of
+    r distinct labels among them; built on first use."""
 
-    def __missing__(self, mask: int) -> tuple[tuple[int, int], ...]:
+    def __missing__(self, mask: int) -> tuple[int, ...]:
         labels = [lab for lab in range(mask.bit_length()) if mask >> lab & 1]
-        spans = self[mask] = tuple(
-            (lo, (2 << (hi - lo)) - 1)
-            for lo, hi in zip(accumulate(labels, initial=0),
-                              accumulate(reversed(labels), initial=0)))
-        return spans
+        sets = [1] + [0] * len(labels)
+        for k, lab in enumerate(labels, 1):
+            for r in range(k, 0, -1):
+                sets[r] |= sets[r - 1] << lab
+        self[mask] = sets = tuple(sets)
+        return sets
 
 
 def check_budget(budget: float | None) -> None:
@@ -366,7 +370,7 @@ def chi_la_exact(
     sums = [0] * n
     assignment = [0] * m
     label_sets = _LabelSets()
-    spans = _Spans()
+    sum_sets = _SumSets()
 
     nodes = conflict = color_bound = symmetry = reach = 0
     cap = 0  # most distinct completed sums the current target allows
@@ -408,11 +412,13 @@ def chi_la_exact(
                     rest = free ^ (1 << lab)
                     cut = False
                     if d >= cap - 1:  # an open vertex that cannot end on a taken sum needs a new one
-                        span = spans[rest]
+                        reachable = sum_sets[rest]
                         stuck = 0  # bitmask of such vertices
-                        for w, r, bit, near in opens:
-                            lo, width = span[r]
-                            if not now >> (sums[w] + lo) & width:
+                        for w, r, bit, near, finished in opens:
+                            ok = now  # taken sums no finished neighbor of w carries
+                            for x in finished:
+                                ok &= ~(1 << sums[x])
+                            if not ok >> sums[w] & reachable[r]:
                                 if d == cap or stuck & near:
                                     reach += 1
                                     cut = True

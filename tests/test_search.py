@@ -3,6 +3,7 @@ spot values, determinism, and witness re-verification."""
 
 from __future__ import annotations
 
+import itertools
 import json
 
 import pytest
@@ -262,8 +263,8 @@ def test_k4_path_proven_by_reach_prunes():
 # on the search's work that does not time it.  Lower counts may replace
 # these; higher ones mean a pruning rule got weaker.
 NODES_TO_PROOF = {
-    "K4_path": 43_428, "K1_9": 9, "C8_units": 6_895, "Bk": 8_883, "kC82": 2_593,
-    "kD82": 2_210, "FB": 2_423, "K1_11": 11,
+    "K4_path": 17_785, "K1_9": 9, "C8_units": 1_792, "Bk": 5_496, "kC82": 1_284,
+    "kD82": 856, "FB": 975, "K1_11": 11,
 }
 
 
@@ -275,19 +276,63 @@ def _benchmark_graph(name):
     return build_family(name, k=1).graph
 
 
-@pytest.mark.parametrize("name", list(NODES_TO_PROOF))
-def test_benchmark_graph_nodes_to_proof(name):
-    g = _benchmark_graph(name)
+def _proven_within(g, nodes):
+    """Search g: a re-verified value within ``nodes`` nodes, and the same
+    node count with the vertex ids reversed (the search tree is the same,
+    node for node)."""
     result = chi_la_exact(g)
     assert result.status == STATUS_VALUE
-    assert result.stats.nodes <= NODES_TO_PROOF[name]
+    assert result.stats.nodes <= nodes
     rep = induced_coloring(result.witness)
     assert rep.local_antimagic and rep.color_count == result.chi_la
-    # vertex ids reversed: the search tree is the same, node for node
     last = g.n_vertices - 1
     relabeled = LabeledGraph(g.names[::-1], tuple(
         (last - v, last - u, label) for u, v, label in g.edges))
     assert chi_la_exact(relabeled).stats.nodes == result.stats.nodes
+    return result
+
+
+@pytest.mark.parametrize("name", list(NODES_TO_PROOF))
+def test_benchmark_graph_nodes_to_proof(name):
+    _proven_within(_benchmark_graph(name), NODES_TO_PROOF[name])
+
+
+def graph_of(pairs):
+    n = max(max(p) for p in pairs) + 1
+    names = [f"v{i}" for i in range(n)]
+    return new_graph(names).with_edges(
+        [(names[a], names[b], t + 1) for t, (a, b) in enumerate(pairs)])
+
+
+# 11-edge graphs the benchmark's search set does not cover, each chi_la
+# confirmed once with naive_chi_la: pairs, chi_la and nodes to proof
+# (upper bounds, as above)
+HARD_GRAPHS = {
+    "R2": ([(0, 1), (0, 2), (1, 2), (1, 4), (1, 6), (2, 3), (2, 6), (3, 4), (3, 6),
+            (4, 5), (5, 6)], 3, 33_511),
+    "R3": ([(0, 2), (0, 6), (1, 2), (1, 4), (1, 5), (1, 6), (2, 4), (2, 5), (3, 4),
+            (3, 5), (4, 5)], 4, 121_444),
+    # K3,3 plus a 2-edge path hung on one vertex
+    "K33_path2": ([(a, b) for a in range(3) for b in range(3, 6)] + [(0, 6), (6, 7)],
+                  4, 31_950),
+}
+
+
+@pytest.mark.parametrize("name", list(HARD_GRAPHS))
+def test_hard_graphs_nodes_to_proof(name):
+    pairs, chi, nodes = HARD_GRAPHS[name]
+    assert _proven_within(graph_of(pairs), nodes).chi_la == chi
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.sets(st.integers(1, 13)))
+def test_sum_sets_are_the_sums_of_r_distinct_labels(labels):
+    mask = sum(1 << lab for lab in labels)
+    sets = search._SumSets()[mask]
+    assert len(sets) == len(labels) + 1
+    for r, got in enumerate(sets):
+        want = sum({1 << sum(c) for c in itertools.combinations(sorted(labels), r)})
+        assert got == want
 
 
 @pytest.mark.parametrize("name", ["K1_3", "kC82"])
