@@ -30,16 +30,16 @@ assignments it cuts:
 * ``reach``: let w be a vertex with r unlabeled edges and F the free
   labels.  Its edges take r distinct labels of F, so it ends on sums[w]
   plus a sum in S_r(F), the set of sums of r distinct labels of F (a
-  bitmask, cached per F).  A neighbor of w whose edges are all labeled
-  keeps its sum, and adjacent sums differ, so w cannot end on it.  Call
-  w *stuck* if no sum of a fully labeled vertex is reachable that way,
-  leaving out the sums of w's fully labeled neighbors: w must end on a
-  sum no vertex has yet.  When the fully labeled vertices already use
-  every color the target allows, one stuck vertex cuts the branch.
-  When they use all but one, two adjacent stuck vertices cut it: each
-  needs a new sum, and adjacent sums differ, so the two new sums exceed
-  the target.  Every vertex with unlabeled edges is checked, not only
-  the current edge's endpoints.
+  bitmask, cached per F as told below).  A neighbor of w whose edges are
+  all labeled keeps its sum, and adjacent sums differ, so w cannot end
+  on it.  Call w *stuck* if no sum of a fully labeled vertex is
+  reachable that way, leaving out the sums of w's fully labeled
+  neighbors: w must end on a sum no vertex has yet.  When the fully
+  labeled vertices already use every color the target allows, one stuck
+  vertex cuts the branch.  When they use all but one, two adjacent stuck
+  vertices cut it: each needs a new sum, and adjacent sums differ, so
+  the two new sums exceed the target.  Every vertex with unlabeled edges
+  is checked, not only the current edge's endpoints.
 * ``symmetry`` (lex-leader, Crawford, Ginsberg, Luks and Roy, KR 1996):
   let pi be a vertex automorphism of g, s the first position of the
   static edge order whose edge pi moves, and q the position of the image
@@ -62,16 +62,32 @@ neighbors it must then be compared with, the edges each vertex still
 lacks, its neighbors fully labeled by each position and the lex-leader
 constraints are computed once before the search; the unused labels and
 the taken sums are bitmasks, so each partial assignment loops over free
-labels only.  Default edge budget is 11; the time budget is the
-``budget`` argument in seconds, and ``None`` means unlimited.  A search
-that runs out of time reports the best labeling found so far and, as
-its lower bound, one more than the largest refuted target (at least
-``verify.lower_bound``).
+labels only.
+
+The sum sets S_r(F) are kept for r up to R, the most unlabeled edges
+any open vertex has at any position, since no larger r is asked for.
+The set of a new F is derived, not built from scratch: drop the lowest
+labels of F until a cached mask is reached (the empty one always is),
+then add the dropped labels back one at a time, each label l turning
+every S_r into S_r | S_(r-1) << l.  The masks passed on the way are
+cached while the cache has room (``SUM_SETS_ROOM`` bytes, at the size of
+the largest possible entry); F itself always is.
+
+Default edge budget is 11; the time budget is the ``budget`` argument
+in seconds, and ``None`` means unlimited.  It covers the setup too: the
+automorphism transversal reads the clock every ``CLOCK_PAIRS`` pairs of
+blocks, and the search every ``CLOCK_EVERY`` nodes.  A search that runs
+out of time reports the best labeling found so far and, as its lower
+bound, one more than the largest refuted target (at least
+``verify.lower_bound``); one that runs out in the setup has no labeling
+and the lower bound ``verify.lower_bound``.
 """
 
 from __future__ import annotations
 
+import itertools
 import math
+import sys
 import time
 from collections.abc import Sequence
 from dataclasses import dataclass
@@ -81,6 +97,8 @@ from .verify import lower_bound
 
 DEFAULT_MAX_EDGES = 11
 CLOCK_EVERY = 4096  # nodes between deadline checks
+CLOCK_PAIRS = 16  # block pairs of the automorphism transversal between deadline checks
+SUM_SETS_ROOM = 16 << 20  # bytes of sum sets; past them only the masks asked for are cached
 
 STATUS_VALUE = "value"
 STATUS_NO_LABELING = "no_labeling"
@@ -164,7 +182,8 @@ def _edge_order(g: LabeledGraph) -> list[int]:
     return order
 
 
-def _automorphisms(g: LabeledGraph, order: list[int]) -> list[list[int]]:
+def _automorphisms(g: LabeledGraph, order: list[int],
+                   deadline: float | None = None) -> list[list[int]]:
     """Vertex automorphisms of g as image lists: the swap of each pair of
     consecutive twins, and maps of the twin quotient lifted to g.
 
@@ -182,7 +201,9 @@ def _automorphisms(g: LabeledGraph, order: list[int]) -> list[list[int]]:
     their first edge in the static order, so the constraints the maps
     give do not depend on vertex ids.  A vertex on no edge takes no part:
     every map sends it to itself, since a map that moves only such
-    vertices fixes every edge and constrains nothing.
+    vertices fixes every edge and constrains nothing.  Past ``deadline``
+    the transversal raises ``_Timeout``; the clock is read every
+    ``CLOCK_PAIRS`` pairs of blocks.
     """
     rank: dict[int, int] = {}  # vertex -> first position; insertion order is rank order
     for ei in order:
@@ -247,15 +268,17 @@ def _automorphisms(g: LabeledGraph, order: list[int]) -> list[list[int]]:
                 unused[c] = True
         return False
 
-    for b in range(size):
-        for c in range(b + 1, size):
-            image[:b] = range(b)
-            unused[:] = [x >= b for x in range(size)]
-            extend(b, (c,))
+    for pairs, (b, c) in enumerate(itertools.combinations(range(size), 2), 1):
+        if deadline is not None and not pairs % CLOCK_PAIRS and time.monotonic() > deadline:
+            raise _Timeout
+        image[:b] = range(b)
+        unused[:] = [x >= b for x in range(size)]
+        extend(b, (c,))
     return maps
 
 
-def _lex_leader(g: LabeledGraph, order: list[int]) -> list[tuple[int, ...]]:
+def _lex_leader(g: LabeledGraph, order: list[int],
+                deadline: float | None = None) -> list[tuple[int, ...]]:
     """Per position q of the static order, the earlier positions s whose
     labels the label at q must exceed: for each automorphism, s is the
     first position it moves and q the position of its image."""
@@ -264,7 +287,7 @@ def _lex_leader(g: LabeledGraph, order: list[int]) -> list[tuple[int, ...]]:
         u, v, _ = g.edges[ei]
         position[u, v] = position[v, u] = t
     after: list[set[int]] = [set() for _ in order]
-    for pi in _automorphisms(g, order):
+    for pi in _automorphisms(g, order, deadline):
         for s, ei in enumerate(order):
             u, v, _ = g.edges[ei]
             q = position[pi[u], pi[v]]
@@ -274,14 +297,14 @@ def _lex_leader(g: LabeledGraph, order: list[int]) -> list[tuple[int, ...]]:
     return [tuple(sorted(s)) for s in after]
 
 
-def _schedule(g: LabeledGraph, order: list[int]) -> list[tuple]:
+def _schedule(g: LabeledGraph, order: list[int], deadline: float | None) -> list[tuple]:
     """Per position t of the static order: the edge's endpoints, the
     earlier positions whose labels the label at t must exceed, the
     adjacent vertex pairs that become comparable at t (both fully
     labeled, one of them just now), the vertices completed at t, and
     every vertex with edges after t (the edge's endpoints first), with
     its count of such edges, its bit, its neighbors as a bitmask and its
-    neighbors fully labeled by t.
+    neighbors fully labeled by t.  Raises ``_Timeout`` past ``deadline``.
     """
     adj = g.adjacency
     n = g.n_vertices
@@ -292,7 +315,7 @@ def _schedule(g: LabeledGraph, order: list[int]) -> list[tuple]:
     neighbors = [sum(1 << x for x in nbrs) for nbrs in adj]
     left = [len(nbrs) for nbrs in adj]
     plan = []
-    for t, (ei, after) in enumerate(zip(order, _lex_leader(g, order))):
+    for t, (ei, after) in enumerate(zip(order, _lex_leader(g, order, deadline))):
         u, v, _ = g.edges[ei]
         left[u] -= 1
         left[v] -= 1
@@ -319,16 +342,32 @@ class _LabelSets(dict):
 
 
 class _SumSets(dict):
-    """Bitmask of free labels -> per count r, the bitmask of the sums of
-    r distinct labels among them; built on first use."""
+    """Bitmask of free labels among 1..top -> per count r = 0..rmax, the
+    bitmask of the sums of r distinct labels among them; derived on first
+    use from the nearest cached mask with fewer low labels (see the
+    module docstring)."""
+
+    def __init__(self, rmax: int, top: int) -> None:
+        super().__init__({0: (1,) + (0,) * rmax})
+        # r distinct labels of 1..top sum to at most r * top - r * (r - 1) / 2
+        largest = sys.getsizeof(self[0]) + sum(
+            sys.getsizeof(1 << r * top - r * (r - 1) // 2) for r in range(rmax + 1))
+        self.room = SUM_SETS_ROOM // largest  # entries
 
     def __missing__(self, mask: int) -> tuple[int, ...]:
-        labels = [lab for lab in range(mask.bit_length()) if mask >> lab & 1]
-        sets = [1] + [0] * len(labels)
-        for k, lab in enumerate(labels, 1):
-            for r in range(k, 0, -1):
-                sets[r] |= sets[r - 1] << lab
-        self[mask] = sets = tuple(sets)
+        dropped = []
+        base = mask
+        while base not in self:
+            low = base & -base
+            dropped.append(low)
+            base ^= low
+        sets = self[base]
+        for low in reversed(dropped):
+            lab = low.bit_length() - 1
+            sets = (1, *[a | b << lab for a, b in zip(sets[1:], sets)])
+            base |= low
+            if base == mask or len(self) < self.room:
+                self[base] = sets
         return sets
 
 
@@ -363,14 +402,12 @@ def chi_la_exact(
                             lb, lb, budget)
 
     order = _edge_order(g)
-    plan = _schedule(g, order)
     n = g.n_vertices
     iso_extra = 1 if any(not nbrs for nbrs in g.adjacency) else 0
 
     sums = [0] * n
     assignment = [0] * m
     label_sets = _LabelSets()
-    sum_sets = _SumSets()
 
     nodes = conflict = color_bound = symmetry = reach = 0
     cap = 0  # most distinct completed sums the current target allows
@@ -381,6 +418,8 @@ def chi_la_exact(
     def dfs(t: int, distinct: int, taken: int, free: int) -> None:
         nonlocal nodes, conflict, color_bound, symmetry, reach, next_clock
         u, v, after, pairs, done, opens = plan[t]
+        su = sums[u]
+        sv = sums[v]
         tried = free
         if after:  # skip labels up to the largest label this one must exceed
             below = free & ((2 << max([assignment[s] for s in after])) - 1)
@@ -392,8 +431,8 @@ def chi_la_exact(
                 if time.monotonic() > deadline:
                     raise _Timeout
                 next_clock += CLOCK_EVERY
-            sums[u] += lab
-            sums[v] += lab
+            sums[u] = su + lab
+            sums[v] = sv + lab
             for a, b in pairs:
                 if sums[a] == sums[b]:
                     conflict += 1
@@ -415,10 +454,13 @@ def chi_la_exact(
                         reachable = sum_sets[rest]
                         stuck = 0  # bitmask of such vertices
                         for w, r, bit, near, finished in opens:
-                            ok = now  # taken sums no finished neighbor of w carries
-                            for x in finished:
-                                ok &= ~(1 << sums[x])
-                            if not ok >> sums[w] & reachable[r]:
+                            hit = now >> sums[w] & reachable[r]
+                            if hit and finished:  # leaving out their sums only clears bits
+                                ok = now  # taken sums no finished neighbor of w carries
+                                for x in finished:
+                                    ok &= ~(1 << sums[x])
+                                hit = ok >> sums[w] & reachable[r]
+                            if not hit:
                                 if d == cap or stuck & near:
                                     reach += 1
                                     cut = True
@@ -430,8 +472,8 @@ def chi_la_exact(
                             dfs(t + 1, d, now, rest)
                         else:
                             raise _Found(d + iso_extra)
-            sums[u] -= lab
-            sums[v] -= lab
+        sums[u] = su
+        sums[v] = sv
 
     def attempt(target: int) -> int | None:
         """Colors of the first labeling in search order with at most
@@ -449,6 +491,8 @@ def chi_la_exact(
     best: tuple[int, list[int]] | None = None  # colors, assignment
     refuted = lb - 1  # chi_la > refuted is proven
     try:
+        plan = _schedule(g, order, deadline)
+        sum_sets = _SumSets(max((r for *_, opens in plan for _, r, *_ in opens), default=0), m)
         colors = attempt(n)  # the dive: n colors never prune
         if colors is not None:
             best = colors, assignment[:]

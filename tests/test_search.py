@@ -5,6 +5,7 @@ from __future__ import annotations
 
 import itertools
 import json
+import random
 
 import pytest
 from hypothesis import given, settings
@@ -324,15 +325,23 @@ def test_hard_graphs_nodes_to_proof(name):
     assert _proven_within(graph_of(pairs), nodes).chi_la == chi
 
 
-@settings(max_examples=60, deadline=None)
-@given(st.sets(st.integers(1, 13)))
-def test_sum_sets_are_the_sums_of_r_distinct_labels(labels):
-    mask = sum(1 << lab for lab in labels)
-    sets = search._SumSets()[mask]
-    assert len(sets) == len(labels) + 1
-    for r, got in enumerate(sets):
-        want = sum({1 << sum(c) for c in itertools.combinations(sorted(labels), r)})
-        assert got == want
+def test_sum_sets_are_the_sums_of_r_distinct_labels(monkeypatch):
+    # one cache per R, asked for random label sets over 1..13 in random
+    # order, so that masks are derived from one another; with no room past
+    # the empty mask's entry, only the masks asked for are kept
+    rng = random.Random(13)
+    masks = rng.sample(range(0, 1 << 14, 2), 300)
+    want = {mask: [sum({1 << sum(c) for c in itertools.combinations(
+        [lab for lab in range(14) if mask >> lab & 1], r)}) for r in range(14)]
+        for mask in masks}
+    for room in (search.SUM_SETS_ROOM, 1):
+        monkeypatch.setattr(search, "SUM_SETS_ROOM", room)
+        for rmax in range(14):
+            sets = search._SumSets(rmax, 13)
+            for mask in rng.sample(masks, len(masks)):
+                assert sets[mask] == tuple(want[mask][:rmax + 1])
+            met_on_the_way = set(sets) - set(masks) - {0}
+            assert not met_on_the_way if room == 1 else met_on_the_way
 
 
 @pytest.mark.parametrize("name", ["K1_3", "kC82"])
@@ -479,6 +488,27 @@ def test_timeout_keeps_the_best_labeling(monkeypatch):
     doc = result.to_json_dict()
     assert doc["upper_bound"] == result.upper_bound
     assert len(doc["witness"]) == g.size
+
+
+def test_timeout_during_setup(monkeypatch):
+    class Clock:
+        """Reads 0 at the start, then past the deadline."""
+        reads = 0
+
+        def monotonic(self):
+            self.reads += 1
+            return 0.0 if self.reads == 1 else 10.0
+
+    clock = Clock()
+    monkeypatch.setattr(search, "time", clock)
+    g = build_family("FB", k=2).graph  # 36 pairs of blocks in the transversal
+    result = chi_la_exact(g, max_edges=g.size, budget=1.0)
+    # the transversal reads the clock at its 16th pair, before any node
+    assert result.status == STATUS_TIMEOUT and result.chi_la is None
+    assert result.stats.nodes == 0
+    assert result.lower_bound == lower_bound(g) == 3
+    assert result.upper_bound is None and result.witness is None
+    assert clock.reads == 3  # the start, the transversal and the elapsed time
 
 
 def test_empty_graph():
