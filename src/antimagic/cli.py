@@ -52,11 +52,14 @@ def _emit(text: str, out: str | None) -> None:
 
 
 def _load_document(path: str) -> dict:
-    if path == "-":
-        raw = sys.stdin.read(MAX_DOCUMENT_CHARS + 1)
-    else:
-        with open(path, encoding="utf-8") as f:
-            raw = f.read(MAX_DOCUMENT_CHARS + 1)
+    try:
+        if path == "-":
+            raw = sys.stdin.read(MAX_DOCUMENT_CHARS + 1)
+        else:
+            with open(path, encoding="utf-8") as f:
+                raw = f.read(MAX_DOCUMENT_CHARS + 1)
+    except UnicodeDecodeError as exc:
+        raise ValueError(f"{path}: {exc}") from None
     if len(raw) > MAX_DOCUMENT_CHARS:
         raise ValueError(f"{path}: more than {MAX_DOCUMENT_CHARS} characters, "
                          "longer than any document build writes")
@@ -64,6 +67,8 @@ def _load_document(path: str) -> dict:
         return json.loads(raw)
     except RecursionError:  # the decoder recurses once per nesting level
         raise ValueError(f"{path}: JSON nested too deeply to read") from None
+    except json.JSONDecodeError as exc:
+        raise ValueError(f"{path}: {exc}") from None
 
 
 def _check(g: LabeledGraph, expected: ExpectedColors | None) -> tuple[ColorReport, list[str]]:

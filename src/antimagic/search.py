@@ -74,13 +74,13 @@ cached while the cache has room (``SUM_SETS_ROOM`` bytes, at the size of
 the largest possible entry); F itself always is.
 
 Default edge budget is 11; the time budget is the ``budget`` argument
-in seconds, and ``None`` means unlimited.  It covers the setup too: the
-automorphism transversal reads the clock every ``CLOCK_PAIRS`` pairs of
-blocks, and the search every ``CLOCK_EVERY`` nodes.  A search that runs
-out of time reports the best labeling found so far and, as its lower
-bound, one more than the largest refuted target (at least
-``verify.lower_bound``); one that runs out in the setup has no labeling
-and the lower bound ``verify.lower_bound``.
+in seconds, and ``None`` means unlimited.  It covers the setup too: each
+step of each long loop reads the clock (each pick of the edge order,
+pair of blocks of the transversal, position of the schedule and search
+node).  A search that runs out of time reports the best labeling found
+so far and, as its lower bound, one more than the largest refuted
+target (at least ``verify.lower_bound``); one that runs out in the setup
+has no labeling and the lower bound ``verify.lower_bound``.
 """
 
 from __future__ import annotations
@@ -96,8 +96,6 @@ from .graph import GraphTooLarge, LabeledGraph
 from .verify import lower_bound
 
 DEFAULT_MAX_EDGES = 11
-CLOCK_EVERY = 4096  # nodes between deadline checks
-CLOCK_PAIRS = 16  # block pairs of the automorphism transversal between deadline checks
 SUM_SETS_ROOM = 16 << 20  # bytes of sum sets; past them only the masks asked for are cached
 
 STATUS_VALUE = "value"
@@ -162,18 +160,22 @@ class _Found(Exception):
     """A complete labeling within the target; carries its color count."""
 
 
-def _edge_order(g: LabeledGraph) -> list[int]:
-    """Static order that completes vertices early (more pruning up front)."""
+def _edge_order(g: LabeledGraph, deadline: float | None = None) -> list[int]:
+    """Static order that completes vertices early (more pruning up front);
+    raises ``_Timeout`` past ``deadline``."""
     deg = [len(nbrs) for nbrs in g.adjacency]
     placed = [0] * g.n_vertices
+
+    def score(ei: int) -> tuple[int, int, int]:
+        u, v, _ = g.edges[ei]
+        completes = (placed[u] == deg[u] - 1) + (placed[v] == deg[v] - 1)
+        return (completes, placed[u] + placed[v], -ei)
+
     remaining = list(range(g.size))
     order = []
     while remaining:
-        def score(ei: int) -> tuple[int, int, int]:
-            u, v, _ = g.edges[ei]
-            completes = (placed[u] == deg[u] - 1) + (placed[v] == deg[v] - 1)
-            return (completes, placed[u] + placed[v], -ei)
-
+        if deadline is not None and time.monotonic() > deadline:
+            raise _Timeout
         best = max(remaining, key=score)
         remaining.remove(best)
         order.append(best)
@@ -202,8 +204,7 @@ def _automorphisms(g: LabeledGraph, order: list[int],
     give do not depend on vertex ids.  A vertex on no edge takes no part:
     every map sends it to itself, since a map that moves only such
     vertices fixes every edge and constrains nothing.  Past ``deadline``
-    the transversal raises ``_Timeout``; the clock is read every
-    ``CLOCK_PAIRS`` pairs of blocks.
+    the transversal raises ``_Timeout``.
     """
     rank: dict[int, int] = {}  # vertex -> first position; insertion order is rank order
     for ei in order:
@@ -268,33 +269,13 @@ def _automorphisms(g: LabeledGraph, order: list[int],
                 unused[c] = True
         return False
 
-    for pairs, (b, c) in enumerate(itertools.combinations(range(size), 2), 1):
-        if deadline is not None and not pairs % CLOCK_PAIRS and time.monotonic() > deadline:
+    for b, c in itertools.combinations(range(size), 2):
+        if deadline is not None and time.monotonic() > deadline:
             raise _Timeout
         image[:b] = range(b)
         unused[:] = [x >= b for x in range(size)]
         extend(b, (c,))
     return maps
-
-
-def _lex_leader(g: LabeledGraph, order: list[int],
-                deadline: float | None = None) -> list[tuple[int, ...]]:
-    """Per position q of the static order, the earlier positions s whose
-    labels the label at q must exceed: for each automorphism, s is the
-    first position it moves and q the position of its image."""
-    position = {}
-    for t, ei in enumerate(order):
-        u, v, _ = g.edges[ei]
-        position[u, v] = position[v, u] = t
-    after: list[set[int]] = [set() for _ in order]
-    for pi in _automorphisms(g, order, deadline):
-        for s, ei in enumerate(order):
-            u, v, _ = g.edges[ei]
-            q = position[pi[u], pi[v]]
-            if q != s:
-                after[q].add(s)
-                break
-    return [tuple(sorted(s)) for s in after]
 
 
 def _schedule(g: LabeledGraph, order: list[int], deadline: float | None) -> list[tuple]:
@@ -309,13 +290,25 @@ def _schedule(g: LabeledGraph, order: list[int], deadline: float | None) -> list
     adj = g.adjacency
     n = g.n_vertices
     last = [-1] * n
+    position = {}
     for t, ei in enumerate(order):
         u, v, _ = g.edges[ei]
         last[u] = last[v] = t
+        position[u, v] = position[v, u] = t
+    after: list[set[int]] = [set() for _ in order]  # q -> each s that label[q] must exceed
+    for pi in _automorphisms(g, order, deadline):
+        for s, ei in enumerate(order):
+            u, v, _ = g.edges[ei]
+            q = position[pi[u], pi[v]]
+            if q != s:
+                after[q].add(s)
+                break
     neighbors = [sum(1 << x for x in nbrs) for nbrs in adj]
     left = [len(nbrs) for nbrs in adj]
     plan = []
-    for t, (ei, after) in enumerate(zip(order, _lex_leader(g, order, deadline))):
+    for t, ei in enumerate(order):
+        if deadline is not None and time.monotonic() > deadline:
+            raise _Timeout
         u, v, _ = g.edges[ei]
         left[u] -= 1
         left[v] -= 1
@@ -327,7 +320,7 @@ def _schedule(g: LabeledGraph, order: list[int], deadline: float | None) -> list
         pairs = [(w, nb) for w in done for nb in adj[w] if last[nb] < t]
         if len(done) == 2:
             pairs.append((u, v))
-        plan.append((u, v, after, tuple(pairs), done, opens))
+        plan.append((u, v, tuple(sorted(after[t])), tuple(pairs), done, opens))
     return plan
 
 
@@ -401,7 +394,6 @@ def chi_la_exact(
         return SearchResult(STATUS_VALUE, lb, g, SearchStats(0, 0, 0, 0, 0, 0.0),
                             lb, lb, budget)
 
-    order = _edge_order(g)
     n = g.n_vertices
     iso_extra = 1 if any(not nbrs for nbrs in g.adjacency) else 0
 
@@ -412,11 +404,10 @@ def chi_la_exact(
     nodes = conflict = color_bound = symmetry = reach = 0
     cap = 0  # most distinct completed sums the current target allows
     deadline = start + budget if budget is not None else None
-    next_clock = 1 if deadline is not None else -1
     final = m - 1
 
     def dfs(t: int, distinct: int, taken: int, free: int) -> None:
-        nonlocal nodes, conflict, color_bound, symmetry, reach, next_clock
+        nonlocal nodes, conflict, color_bound, symmetry, reach
         u, v, after, pairs, done, opens = plan[t]
         su = sums[u]
         sv = sums[v]
@@ -427,10 +418,8 @@ def chi_la_exact(
             tried ^= below
         for lab in label_sets[tried]:
             nodes += 1
-            if nodes == next_clock:
-                if time.monotonic() > deadline:
-                    raise _Timeout
-                next_clock += CLOCK_EVERY
+            if deadline is not None and time.monotonic() > deadline:
+                raise _Timeout
             sums[u] = su + lab
             sums[v] = sv + lab
             for a, b in pairs:
@@ -491,6 +480,7 @@ def chi_la_exact(
     best: tuple[int, list[int]] | None = None  # colors, assignment
     refuted = lb - 1  # chi_la > refuted is proven
     try:
+        order = _edge_order(g, deadline)
         plan = _schedule(g, order, deadline)
         sum_sets = _SumSets(max((r for *_, opens in plan for _, r, *_ in opens), default=0), m)
         colors = attempt(n)  # the dive: n colors never prune

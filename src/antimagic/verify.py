@@ -225,6 +225,6 @@ def lower_bound(g: LabeledGraph) -> int:
         bound = max(bound, 3)
         if g.n_vertices <= CHI_EXACT_MAX_VERTICES:
             bound = max(bound, chromatic_number_small(g))
-    if two_coloring_impossible(g):
+    elif two_coloring_impossible(g):  # False on every non-bipartite graph
         bound = max(bound, 3)
     return bound

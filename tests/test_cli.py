@@ -224,6 +224,10 @@ NEGATIVE_CLAIMS = {
 }
 
 
+# documents that are not UTF-8 JSON: malformed, empty, not UTF-8, nested too deeply
+UNREADABLE = ("notjson.json", "empty.json", "latin1.json", "deep.json")
+
+
 @pytest.mark.parametrize("argv, env", [
     (["build", "FB", "--k", "1", "--out", "missing/g.json"], {}),
     (["build", "FB", "--k", "1", "--r", "2"], {}),
@@ -241,10 +245,14 @@ NEGATIVE_CLAIMS = {
     (["matrix", "6x4n", "--n", "1", "--k", "7"], {}),
     (["search", "fb.json", "--max-edges", "-1"], {}),
     (["search", "fb.json", "--max-edges", "0"], {}),
+    *[([cmd, path], {}) for cmd in ("verify", "search", "export")
+      for path in ("empty.json", "latin1.json")],
 ])
 def test_bad_input_is_one_error_line(tmp_path, monkeypatch, capsys, argv, env):
     monkeypatch.chdir(tmp_path)
     (tmp_path / "notjson.json").write_text("not json {", encoding="utf-8")
+    (tmp_path / "empty.json").write_text("", encoding="utf-8")
+    (tmp_path / "latin1.json").write_bytes('{"name": "\xff"}'.encode("latin-1"))
     depth = 200_000  # far past the interpreter's recursion limit
     (tmp_path / "deep.json").write_text("[" * depth + "]" * depth, encoding="utf-8")
     for name, doc in {**BAD_DOCUMENTS, **NEGATIVE_CLAIMS}.items():
@@ -257,6 +265,8 @@ def test_bad_input_is_one_error_line(tmp_path, monkeypatch, capsys, argv, env):
     assert code == 2 and out == ""
     assert len(err.splitlines()) == 1 and err.startswith("error: ")
     assert "Traceback" not in err
+    if argv[-1] in UNREADABLE:  # a document that is not JSON names its file
+        assert err.startswith(f"error: {argv[-1]}: ")
 
 
 @pytest.mark.parametrize("command", ["verify", "search", "export"])

@@ -365,7 +365,8 @@ def test_star_symmetry_is_a_chain_of_twin_swaps():
     g = star(11)
     order = search._edge_order(g)
     assert len(search._automorphisms(g, order)) == 10
-    assert search._lex_leader(g, order) == [()] + [(t,) for t in range(10)]
+    after = [step[2] for step in search._schedule(g, order, None)]
+    assert after == [()] + [(t,) for t in range(10)]
 
 
 def test_isolated_vertices_add_no_automorphisms():
@@ -382,22 +383,39 @@ def test_isolated_vertices_add_no_automorphisms():
     assert counts == [counts[0]] * 4
 
 
+class ReadClock:
+    """A fake ``time`` module whose clock reads 0.0 for the first ``fast``
+    reads and then advances one second per read."""
+
+    def __init__(self, fast: int = 0) -> None:
+        self.fast = fast
+        self.reads = 0
+
+    def monotonic(self) -> float:
+        self.reads += 1
+        return max(0.0, float(self.reads - self.fast))
+
+
+def setup_reads(monkeypatch, g) -> int:
+    """Clock reads a budgeted search of g makes before its first node: one
+    per edge-order pick, block pair of the transversal and schedule
+    position."""
+    clock = ReadClock()
+    monkeypatch.setattr(search, "time", clock)
+    result = chi_la_exact(g, budget=1e9)
+    assert result.status == STATUS_VALUE
+    return clock.reads - 2 - result.stats.nodes  # less the start and the elapsed time
+
+
 def test_timeout_reports_the_largest_refuted_target(monkeypatch):
-    class Clock:
-        """Advances one second per read: the start, then every node."""
-        reads = 0
-
-        def monotonic(self):
-            self.reads += 1
-            return float(self.reads)
-
     g = bull()  # lower_bound 3, chi_la 4, and the dive finds 5 colors
     nodes = chi_la_exact(g).stats.nodes  # the last node completes the 4-coloring
-    monkeypatch.setattr(search, "CLOCK_EVERY", 1)
-    monkeypatch.setattr(search, "time", Clock())
+    setup = setup_reads(monkeypatch, g)
     seen = []
     for budget in range(1, nodes):
-        result = chi_la_exact(g, budget=float(budget))
+        # the start reads 0, the setup 1..setup and node j reads setup + j
+        monkeypatch.setattr(search, "time", ReadClock(fast=1))
+        result = chi_la_exact(g, budget=float(setup + budget))
         assert result.status == STATUS_TIMEOUT and result.chi_la is None
         assert result.stats.nodes == budget + 1
         if result.witness is not None:  # the dive's labeling
@@ -459,8 +477,8 @@ def test_budget_timeout():
     result = chi_la_exact(g, budget=1e-9)
     assert result.status == STATUS_TIMEOUT
     assert result.chi_la is None
-    # the clock is read at the first node, before any labeling is complete
-    assert result.stats.nodes == 1
+    # the clock is read at the first pick of the edge order, before any node
+    assert result.stats.nodes == 0
     assert result.lower_bound == 3
     assert result.upper_bound is None and result.witness is None
     doc = result.to_json_dict()
@@ -469,19 +487,14 @@ def test_budget_timeout():
 
 
 def test_timeout_keeps_the_best_labeling(monkeypatch):
-    class Clock:
-        """Reads 0 at the start and at node 1, then past the deadline."""
-        reads = 0
-
-        def monotonic(self):
-            self.reads += 1
-            return 0.0 if self.reads <= 2 else 10.0
-
-    monkeypatch.setattr(search, "time", Clock())
     g = k4_path()  # chi_la 4; the dive's first labeling has more colors
-    result = chi_la_exact(g, budget=1.0)
+    nodes = chi_la_exact(g).stats.nodes  # the last node completes the 4-coloring
+    setup = setup_reads(monkeypatch, g)
+    # the clock passes the deadline at the last node's read
+    monkeypatch.setattr(search, "time", ReadClock(fast=setup + nodes))
+    result = chi_la_exact(g, budget=0.5)
     assert result.status == STATUS_TIMEOUT and result.chi_la is None
-    assert result.stats.nodes == 1 + search.CLOCK_EVERY
+    assert result.stats.nodes == nodes
     assert result.lower_bound == lower_bound(g) <= 4
     rep = induced_coloring(result.witness)
     assert rep.local_antimagic and rep.color_count == result.upper_bound >= 4
@@ -491,24 +504,39 @@ def test_timeout_keeps_the_best_labeling(monkeypatch):
 
 
 def test_timeout_during_setup(monkeypatch):
-    class Clock:
-        """Reads 0 at the start, then past the deadline."""
-        reads = 0
-
-        def monotonic(self):
-            self.reads += 1
-            return 0.0 if self.reads == 1 else 10.0
-
-    clock = Clock()
-    monkeypatch.setattr(search, "time", clock)
     g = build_family("FB", k=2).graph  # 36 pairs of blocks in the transversal
-    result = chi_la_exact(g, max_edges=g.size, budget=1.0)
-    # the transversal reads the clock at its 16th pair, before any node
+    # the start and the edge order's picks read 0, the first pair past the deadline
+    clock = ReadClock(fast=1 + g.size)
+    monkeypatch.setattr(search, "time", clock)
+    result = chi_la_exact(g, max_edges=g.size, budget=0.5)
     assert result.status == STATUS_TIMEOUT and result.chi_la is None
     assert result.stats.nodes == 0
     assert result.lower_bound == lower_bound(g) == 3
     assert result.upper_bound is None and result.witness is None
-    assert clock.reads == 3  # the start, the transversal and the elapsed time
+    assert clock.reads == 1 + g.size + 2  # and the elapsed time
+
+
+def test_timeout_in_the_edge_order(monkeypatch):
+    g = k4_path()  # fewer than 16 pairs of blocks in the transversal
+    clock = ReadClock(fast=1)  # the first pick reads past the deadline
+    monkeypatch.setattr(search, "time", clock)
+    result = chi_la_exact(g, budget=0.5)
+    assert result.status == STATUS_TIMEOUT and result.chi_la is None
+    assert result.stats.nodes == 0
+    assert result.lower_bound == lower_bound(g)
+    assert result.upper_bound is None and result.witness is None
+    assert clock.reads == 3  # the start, the first pick and the elapsed time
+
+
+@pytest.mark.parametrize("stop", [1, 2, 5000])
+def test_search_stops_at_the_node_that_reads_past_the_deadline(monkeypatch, stop):
+    g = k4_path()  # 17,785 nodes to proof
+    setup = setup_reads(monkeypatch, g)
+    # nodes 1..stop-1 read 0, node stop reads past the deadline
+    monkeypatch.setattr(search, "time", ReadClock(fast=setup + stop))
+    result = chi_la_exact(g, budget=0.5)
+    assert result.status == STATUS_TIMEOUT
+    assert result.stats.nodes == stop
 
 
 def test_empty_graph():

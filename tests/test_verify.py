@@ -6,8 +6,10 @@ from __future__ import annotations
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import antimagic.graph
+import antimagic.verify
 from antimagic.families import build_family, build_fb, build_nc482
-from antimagic.graph import LabeledGraph, new_graph
+from antimagic.graph import LabeledGraph, is_bipartite, new_graph
 from antimagic.verify import (
     ColorClass,
     ExpectedColors,
@@ -154,6 +156,30 @@ def test_pendant_lower_bound():
         with_isolated = new_graph([*g.names, "z"]).with_edges(
             [(g.names[u], g.names[v], label) for u, v, label in g.edges])
         assert lower_bound(with_isolated) == naive_chi_la(with_isolated) == bound + 1
+
+
+def test_lower_bound_tests_bipartiteness_twice(monkeypatch):
+    # the 2-coloring gate tests bipartiteness again, so it runs only on a
+    # bipartite graph: elsewhere it is inconclusive
+    calls = []
+
+    def counted(g):
+        calls.append(g)
+        return is_bipartite(g)
+
+    monkeypatch.setattr(antimagic.graph, "is_bipartite", counted)
+    monkeypatch.setattr(antimagic.verify, "is_bipartite", counted)
+    names = [f"v{i}" for i in range(8)]
+    k4_path = new_graph(names).with_edges(
+        [(names[a], names[b], t + 1) for t, (a, b) in enumerate(
+            [(0, 1), (0, 2), (0, 3), (1, 2), (1, 3), (2, 3), (3, 4), (4, 5), (5, 6), (6, 7)])])
+    balanced = build_family("rDF", r=1, s=2).graph
+    # K4 plus a path: lower_bound's test and chromatic_number_small's;
+    # the balanced rDF: lower_bound's test and the gate's
+    for g, bound in ((k4_path, 4), (balanced, 3)):
+        calls.clear()
+        assert lower_bound(g) == bound
+        assert len(calls) == 2
 
 
 def test_lower_bound_large_graphs_do_not_raise():
