@@ -19,7 +19,6 @@ import sys
 from pathlib import Path
 
 from . import document as doc_mod
-from . import families
 from .families import ACCEPTANCE_GRID, FAMILIES, build_family
 from .graph import LabeledGraph
 from .matrices import (
@@ -102,10 +101,6 @@ def cmd_matrix(args: argparse.Namespace) -> int:
         raise ValueError(f"matrix {kind} takes --{param_name}, not --{other}")
     if args.sequences and kind != "6x4n":
         raise ValueError("--sequences only applies to the 6x4n matrix")
-    labels = (20 if kind == "6x4n" else 10) * param
-    if labels > families.MAX_BUILD_EDGES:
-        raise ValueError(f"matrix {kind} would have {labels} labels, "
-                         f"above the cap of {families.MAX_BUILD_EDGES}")
     generate = {"5x2k": matrix_5x2k, "kx10": matrix_kx10, "6x4n": matrix_6x4n}[kind]
     m = generate(param)
 
@@ -145,7 +140,11 @@ def cmd_verify(args: argparse.Namespace) -> int:
 def cmd_search(args: argparse.Namespace) -> int:
     budget = args.budget
     if budget is None and os.environ.get(BUDGET_ENV_VAR):
-        budget = float(os.environ[BUDGET_ENV_VAR])
+        try:
+            budget = float(os.environ[BUDGET_ENV_VAR])
+            check_budget(budget)
+        except ValueError as exc:
+            raise ValueError(f"{BUDGET_ENV_VAR}: {exc}") from None
     check_budget(budget)
     if args.max_edges < 0:
         raise ValueError(f"--max-edges must be at least 0, not {args.max_edges}")

@@ -13,6 +13,10 @@ this package:
   column pairs (1,8), (2,3), (4,5), (6,7), (9,10) sum to 10k+1 and the
   triples (1,2,9), (5,6,10) to 13k+1.
 
+A generator refuses a parameter whose matrix would have more than
+``MAX_LABELS`` labels before any work; a family has as many edges as its
+one matrix has labels, so this caps every family too.
+
 All arithmetic is exact.  Validators return a check list and never throw
 on a matrix of their own kind, as every generator here builds it.  Each
 identity is one named check, in a fixed order, built by one helper; only
@@ -27,6 +31,7 @@ from dataclasses import dataclass
 KIND_5X2K = "5x2k"
 KIND_6X4N = "6x4n"
 KIND_KX10 = "kx10"
+MAX_LABELS = 10**6  # no generator makes a matrix with more labels than this
 
 
 @dataclass(frozen=True)
@@ -64,9 +69,12 @@ class ValidationReport:
         return tuple(c for c in self.checks if not c.ok)
 
 
-def _require_param(value: int, name: str) -> None:
+def _require_param(kind: str, name: str, value: int, per: int) -> None:
     if type(value) is not int or value < 1:  # bool is an int subclass
         raise ValueError(f"{name} must be an integer >= 1, got {value!r}")
+    if per * value > MAX_LABELS:  # per: labels for each unit of the parameter
+        raise ValueError(f"matrix {kind} with {name} = {value} would have "
+                         f"{per * value} labels, above the cap of {MAX_LABELS}")
 
 
 # ---------------------------------------------------------------------------
@@ -74,7 +82,7 @@ def _require_param(value: int, name: str) -> None:
 
 
 def matrix_5x2k(k: int) -> LabelMatrix:
-    _require_param(k, "k")
+    _require_param(KIND_5X2K, "k", k, 10)
     r1 = [1] + [k + i - 1 for i in range(2, k + 1)] \
         + [i - k + 1 for i in range(k + 1, 2 * k)] + [2 * k]
     r2 = [6 * k + i - 1 for i in range(1, k + 1)] \
@@ -142,7 +150,7 @@ def validate_5x2k(m: LabelMatrix) -> ValidationReport:
 
 
 def sequences_6x4n(n: int) -> tuple[tuple[int, ...], ...]:
-    _require_param(n, "n")
+    _require_param(KIND_6X4N, "n", n, 20)
     seqs: list[tuple[int, ...]] = []
     for a in range(1, n + 1):
         seqs.append((
@@ -230,7 +238,7 @@ def validate_6x4n(sequences: tuple[tuple[int, ...], ...]) -> ValidationReport:
 
 
 def matrix_kx10(k: int) -> LabelMatrix:
-    _require_param(k, "k")
+    _require_param(KIND_KX10, "k", k, 10)
     rows = []
     for i in range(1, k + 1):
         rows.append((

@@ -69,18 +69,20 @@ any open vertex has at any position, since no larger r is asked for.
 The set of a new F is derived, not built from scratch: drop the lowest
 labels of F until a cached mask is reached (the empty one always is),
 then add the dropped labels back one at a time, each label l turning
-every S_r into S_r | S_(r-1) << l.  The masks passed on the way are
-cached while the cache has room (``SUM_SETS_ROOM`` bytes, at the size of
-the largest possible entry); F itself always is.
+every S_r into S_r | S_(r-1) << l.  The masks passed on the way, F
+last, are cached only while the cache has room (``SUM_SETS_ROOM`` bytes,
+at the size of the largest possible entry).
 
-Default edge budget is 11; the time budget is the ``budget`` argument
-in seconds, and ``None`` means unlimited.  It covers the setup too: each
-step of each long loop reads the clock (each pick of the edge order,
-pair of blocks of the transversal, position of the schedule and search
-node).  A search that runs out of time reports the best labeling found
-so far and, as its lower bound, one more than the largest refuted
-target (at least ``verify.lower_bound``); one that runs out in the setup
-has no labeling and the lower bound ``verify.lower_bound``.
+Default edge budget is 11, and a graph too deep for the recursion limit
+(see ``FRAME_MARGIN``) raises ``GraphTooLarge`` up front.  The time
+budget is the ``budget`` argument in seconds, and ``None`` means
+unlimited.  It covers the setup too: each step of each long loop reads
+the clock (each pick of the edge order, pair of blocks of the
+transversal, position of the schedule and search node).  A search that
+runs out of time reports the best labeling found so far and, as its
+lower bound, one more than the largest refuted target (at least
+``verify.lower_bound``); one that runs out in the setup has no labeling
+and the lower bound ``verify.lower_bound``.
 """
 
 from __future__ import annotations
@@ -96,7 +98,8 @@ from .graph import GraphTooLarge, LabeledGraph
 from .verify import lower_bound
 
 DEFAULT_MAX_EDGES = 11
-SUM_SETS_ROOM = 16 << 20  # bytes of sum sets; past them only the masks asked for are cached
+SUM_SETS_ROOM = 16 << 20  # bytes of sum sets; past them nothing more is cached
+FRAME_MARGIN = 100  # frames of the recursion limit left to the caller and the setup
 
 STATUS_VALUE = "value"
 STATUS_NO_LABELING = "no_labeling"
@@ -359,7 +362,7 @@ class _SumSets(dict):
             lab = low.bit_length() - 1
             sets = (1, *[a | b << lab for a, b in zip(sets[1:], sets)])
             base |= low
-            if base == mask or len(self) < self.room:
+            if len(self) < self.room:
                 self[base] = sets
         return sets
 
@@ -387,6 +390,11 @@ def chi_la_exact(
     m = g.size
     if m > max_edges:
         raise GraphTooLarge(f"{m} edges exceeds the search's edge cap of {max_edges} (--max-edges)")
+    ceiling = sys.getrecursionlimit() - FRAME_MARGIN
+    # dfs takes a frame per edge, the transversal one per vertex on an edge
+    if max(m, sum(1 for nbrs in g.adjacency if nbrs) - 1) > ceiling:
+        raise GraphTooLarge(f"too deep to search: at most {ceiling} edges on {ceiling + 1} "
+                            f"vertices fit the recursion limit")
     check_budget(budget)
     start = time.monotonic()
     lb = lower_bound(g)

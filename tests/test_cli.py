@@ -11,6 +11,7 @@ import io
 import json
 import re
 import resource
+import sys
 from unittest import mock
 
 import pytest
@@ -20,6 +21,7 @@ from hypothesis import strategies as st
 import antimagic.cli as cli
 import antimagic.document as doc_mod
 import antimagic.families as families
+import antimagic.matrices as matrices
 from antimagic.cli import main
 from antimagic.document import (
     DocumentError,
@@ -31,6 +33,7 @@ from antimagic.document import (
 )
 from antimagic.graph import LabeledGraph, new_graph
 from antimagic.matrices import matrix_6x4n, sequences_6x4n, validate
+from antimagic.search import FRAME_MARGIN
 from antimagic.verify import induced_coloring
 from golden import GRID_5X2K_K6, SEQUENCES_N6
 from helpers import run_python
@@ -247,6 +250,7 @@ UNREADABLE = ("notjson.json", "empty.json", "latin1.json", "deep.json")
     (["search", "fb.json", "--max-edges", "0"], {}),
     *[([cmd, path], {}) for cmd in ("verify", "search", "export")
       for path in ("empty.json", "latin1.json")],
+    *[(["search", path, "--max-edges", "2000"], {}) for path in ("star.json", "forest.json")],
 ])
 def test_bad_input_is_one_error_line(tmp_path, monkeypatch, capsys, argv, env):
     monkeypatch.chdir(tmp_path)
@@ -259,6 +263,17 @@ def test_bad_input_is_one_error_line(tmp_path, monkeypatch, capsys, argv, env):
         (tmp_path / name).write_text(json.dumps(doc), encoding="utf-8")
     g = new_graph(["a", "b"]).with_edges([("a", "b", 1)])
     (tmp_path / "fb.json").write_text(dumps(graph_to_document(g)), encoding="utf-8")
+    # too deep to search: a star with one edge more than the depth
+    # ceiling, and paths of 3 edges, no more edges than it but more vertices
+    ceiling = sys.getrecursionlimit() - FRAME_MARGIN
+    leaves = [f"l{i}" for i in range(ceiling + 1)]
+    star = new_graph(["hub", *leaves]).with_edges(
+        [("hub", x, i) for i, x in enumerate(leaves, 1)])
+    count = ceiling // 3
+    forest = new_graph([f"p{j}_{i}" for j in range(count) for i in range(4)]).with_edges(
+        [(f"p{j}_{i}", f"p{j}_{i + 1}", 3 * j + i + 1) for j in range(count) for i in range(3)])
+    for name, deep in (("star.json", star), ("forest.json", forest)):
+        (tmp_path / name).write_text(dumps(graph_to_document(deep)), encoding="utf-8")
     for name, value in env.items():
         monkeypatch.setenv(name, value)
     code, out, err = run(capsys, *argv)
@@ -267,6 +282,8 @@ def test_bad_input_is_one_error_line(tmp_path, monkeypatch, capsys, argv, env):
     assert "Traceback" not in err
     if argv[-1] in UNREADABLE:  # a document that is not JSON names its file
         assert err.startswith(f"error: {argv[-1]}: ")
+    if env:  # an error in the environment names its variable
+        assert err.startswith(f"error: {cli.BUDGET_ENV_VAR}: ")
 
 
 @pytest.mark.parametrize("command", ["verify", "search", "export"])
@@ -290,26 +307,28 @@ def test_document_above_the_size_cap_is_refused(tmp_path, monkeypatch, capsys, c
         assert code == 0 and out
 
 
+def _unreachable(*args):
+    raise AssertionError("a matrix or graph was made above the cap")
+
+
 @pytest.mark.parametrize("tag", sorted(families.ACCEPTANCE_GRID))
 def test_build_refuses_a_family_above_the_edge_cap(monkeypatch, capsys, tag):
     # the cap is lowered to each grid point's size, so that no test needs
-    # a huge parameter, which a broken cap would really build
-    def unreachable(*args):
-        raise AssertionError("a matrix was generated for a family above the cap")
-
+    # a huge parameter, which a broken cap would really build; each family
+    # has as many edges as its one matrix has labels
     for params in families.ACCEPTANCE_GRID[tag]:
         edges = families.build_family(tag, **params).graph.size
         argv = ["build", tag, *(x for p, v in params.items() for x in (f"--{p}", str(v)))]
         with monkeypatch.context() as patch:
-            patch.setattr(families, "MAX_BUILD_EDGES", edges - 1)
-            for name in ("matrix_5x2k", "matrix_kx10", "sequences_6x4n"):
-                patch.setattr(families, name, unreachable)
+            patch.setattr(matrices, "MAX_LABELS", edges - 1)
+            patch.setattr(matrices, "LabelMatrix", _unreachable)
+            patch.setattr(families, "new_graph", _unreachable)
             code, out, err = run(capsys, *argv)
         assert code == 2 and out == "", (params, edges)
         assert len(err.splitlines()) == 1 and err.startswith("error: ")
-        assert f"{edges} edges" in err
+        assert f" would have {edges} labels, above the cap of {edges - 1}\n" in err
         with monkeypatch.context() as patch:
-            patch.setattr(families, "MAX_BUILD_EDGES", edges)
+            patch.setattr(matrices, "MAX_LABELS", edges)
             assert families.build_family(tag, **params).graph.size == edges
 
 
@@ -321,19 +340,23 @@ RS_TAGS = sorted(tag for tag, build in families.FAMILIES.items()
                  if {"r", "s"} <= set(inspect.signature(build).parameters))
 
 
-@pytest.mark.parametrize("tag", RS_TAGS)
+@pytest.mark.parametrize("tag", [*RS_TAGS, "FB", "nC482", "kD82"])
 def test_build_refuses_huge_parameters_before_any_group_list(tag):
-    # r = 10^9 with the real cap: a builder that made an O(k) list of names
-    # or groups before the size check would run out of 1 GiB or of time
-    r, s = (999_999_999, 3) if tag == "OddKH" else (10**9, 2)  # OddKH: rs odd
-    argv = ["build", tag, "--r", str(r), "--s", str(s)]
-    if tag == "Hm_rs":
-        argv += ["--m", "1"]
+    # r, k or n = 10^9 with the real cap: a builder that made an O(k) list
+    # of names or groups before the size check would run out of 1 GiB or
+    # of time
+    if tag in RS_TAGS:
+        r, s = (999_999_999, 3) if tag == "OddKH" else (10**9, 2)  # OddKH: rs odd
+        argv = ["build", tag, "--r", str(r), "--s", str(s)]
+        if tag == "Hm_rs":
+            argv += ["--m", "1"]
+    else:
+        argv = ["build", tag, "--n" if tag == "nC482" else "--k", str(10**9)]
     proc = run_python("-m", "antimagic.cli", *argv, timeout=5,
                       preexec_fn=_limit_address_space)
     assert proc.returncode == 2 and proc.stdout == "", proc.stderr
-    assert re.fullmatch(r"error: the family would have \d+ edges, above the cap "
-                        r"of \d+\n", proc.stderr), proc.stderr
+    assert re.fullmatch(r"error: matrix (5x2k|kx10|6x4n) with [kn] = \d+ would have \d+ "
+                        r"labels, above the cap of 1000000\n", proc.stderr), proc.stderr
 
 
 def test_selftest_reports_a_failing_grid_point(tmp_path, monkeypatch, capsys):
@@ -457,19 +480,15 @@ def test_build_out_writes_the_text_dumps_returned(tmp_path, monkeypatch, capsys)
 def test_matrix_refuses_a_matrix_above_the_label_cap(monkeypatch, capsys, kind, flag,
                                                      labels_per_param):
     # as for build, the cap is lowered rather than a huge matrix requested
-    def unreachable(*args):
-        raise AssertionError("a matrix was generated above the cap")
-
     labels = 3 * labels_per_param
     with monkeypatch.context() as patch:
-        patch.setattr(families, "MAX_BUILD_EDGES", labels - 1)
-        for name in ("matrix_5x2k", "matrix_kx10", "matrix_6x4n"):
-            patch.setattr(cli, name, unreachable)
+        patch.setattr(matrices, "MAX_LABELS", labels - 1)
+        patch.setattr(matrices, "LabelMatrix", _unreachable)
         code, out, err = run(capsys, "matrix", kind, flag, "3", "--format", "json")
     assert code == 2 and out == ""
-    assert err == (f"error: matrix {kind} would have {labels} labels, "
+    assert err == (f"error: matrix {kind} with {flag[2:]} = 3 would have {labels} labels, "
                    f"above the cap of {labels - 1}\n")
-    monkeypatch.setattr(families, "MAX_BUILD_EDGES", labels)
+    monkeypatch.setattr(matrices, "MAX_LABELS", labels)
     code, out, _ = run(capsys, "matrix", kind, flag, "3", "--format", "json")
     assert code == 0 and json.loads(out)["param"] == 3
 

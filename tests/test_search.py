@@ -6,6 +6,7 @@ from __future__ import annotations
 import itertools
 import json
 import random
+import sys
 
 import pytest
 from hypothesis import given, settings
@@ -328,7 +329,7 @@ def test_hard_graphs_nodes_to_proof(name):
 def test_sum_sets_are_the_sums_of_r_distinct_labels(monkeypatch):
     # one cache per R, asked for random label sets over 1..13 in random
     # order, so that masks are derived from one another; with no room past
-    # the empty mask's entry, only the masks asked for are kept
+    # the empty mask's entry, nothing else is kept
     rng = random.Random(13)
     masks = rng.sample(range(0, 1 << 14, 2), 300)
     want = {mask: [sum({1 << sum(c) for c in itertools.combinations(
@@ -340,8 +341,10 @@ def test_sum_sets_are_the_sums_of_r_distinct_labels(monkeypatch):
             sets = search._SumSets(rmax, 13)
             for mask in rng.sample(masks, len(masks)):
                 assert sets[mask] == tuple(want[mask][:rmax + 1])
-            met_on_the_way = set(sets) - set(masks) - {0}
-            assert not met_on_the_way if room == 1 else met_on_the_way
+            if room == 1:
+                assert list(sets) == [0]
+            else:
+                assert set(sets) - set(masks) - {0}  # met on the way
 
 
 @pytest.mark.parametrize("name", ["K1_3", "kC82"])
@@ -470,6 +473,17 @@ def test_too_large_rejected():
     with pytest.raises(GraphTooLarge):
         chi_la_exact(path(20))
     assert chi_la_exact(path(13), max_edges=12).chi_la == 3
+
+
+def test_a_star_at_the_depth_ceiling_is_proven():
+    # the search recurses once per edge: one edge past the ceiling is
+    # refused before any work, the star at it is proven in m nodes
+    ceiling = sys.getrecursionlimit() - search.FRAME_MARGIN
+    with pytest.raises(GraphTooLarge, match=f"at most {ceiling} edges"):
+        chi_la_exact(star(ceiling + 1), max_edges=ceiling + 1)
+    result = chi_la_exact(star(ceiling), max_edges=ceiling)
+    assert result.status == STATUS_VALUE and result.chi_la == ceiling + 1
+    assert result.stats.nodes == ceiling
 
 
 def test_budget_timeout():
