@@ -114,7 +114,6 @@ def _fan_units(k: int, split: Iterable[int] = ()) -> tuple[LabeledGraph, LabelMa
 
 def build_fb_units(k: int) -> BuiltFamily:
     """2k disjoint fan units; hub sums vary per column, u/v/w are constant."""
-    _check(k >= 1, "k must be >= 1")
     g, m = _fan_units(k)
     classes = [(10 * k + 1, 4 * k, 2), (13 * k + 1, 2 * k, 3)]
     classes += [(sum(m.column(i)[2:]), 1, 3) for i in range(1, 2 * k + 1)]
@@ -123,7 +122,6 @@ def build_fb_units(k: int) -> BuiltFamily:
 
 def build_fb(k: int) -> BuiltFamily:
     """Fan with 2k blades: all unit hubs fused into one vertex x."""
-    _check(k >= 1, "k must be >= 1")
     g, _ = _fan_units(k)
     g = apply_merge(g, [([f"x_{i}" for i in range(1, 2 * k + 1)], "x")])
     return BuiltFamily(
@@ -283,7 +281,6 @@ def build_nc482(n: int) -> BuiltFamily:
     1,3,4,6,7,9,10,12; the inner cycle takes sequence n+a likewise; the four
     surviving rungs take positions 2,5,8,11 (shared by both sequences).
     """
-    _check(n >= 1, "n must be >= 1")
     seqs = sequences_6x4n(n)
     g = new_graph([f"{x}_{a}_{i}" for a in range(1, n + 1) for x in "uv" for i in range(1, 9)])
     cycle_pos = (0, 2, 3, 5, 6, 8, 9, 11)
@@ -363,7 +360,6 @@ def build_h(m: int, n: int) -> BuiltFamily:
     component becomes a triangular bracelet).
     """
     _check(m in (1, 2, 3), "m must be 1, 2 or 3")
-    _check(n >= 1, "n must be >= 1")
     g = apply_merge(build_nc482(n).graph, _corner_pairs(m, n, 1, "xy"))
     return BuiltFamily(
         f"H{m}", {"n": n}, g,
@@ -444,7 +440,6 @@ def build_c8(tag: str, k: int) -> BuiltFamily:
     ``_C8[tag]`` names fused into one: none (C8 units), u_4 and u_8 (Bk,
     color 24k+3), x and u_8 (kC(8,2), color 28k+2), or x, u_4 and u_8
     (kD(8,2), degree 6, color 34k+4)."""
-    _check(k >= 1, "k must be >= 1")
     fuse, name, exact, classes, notes = _C8[tag]
     g = _prism_units(k)
     if fuse:

@@ -9,7 +9,8 @@ other modules read (``adjacency``, ``degrees()``, ``labels()``,
 ``id_of``) and ``with_edges``.  The one surgery is ``apply_merge``,
 which every family builder uses; the tests keep a ``split_vertex``
 oracle.  ``is_bipartite`` and ``chromatic_number_small`` feed the
-verifier's lower bound.  Every operation is pure: it validates its
+verifier's lower bound, and the 2-coloring ``is_bipartite`` finds feeds
+the search's ``sum_total`` cut.  Every operation is pure: it validates its
 inputs and returns a new graph.  Edge labels stay attached to their
 edges through merges, so a bijective labeling survives any sequence of
 them.  Values are safe to share across threads.
@@ -73,6 +74,7 @@ class LabeledEdge(NamedTuple):
 @dataclass(frozen=True)
 class Bipartition:
     component_parts: tuple[tuple[int, int], ...]  # (|side0|, |side1|) per component
+    side: tuple[int, ...]  # 0 or 1 per vertex: every edge joins the two sides
 
     @property
     def part_sizes(self) -> tuple[int, int]:
@@ -253,7 +255,7 @@ def is_bipartite(g: LabeledGraph) -> Bipartition | None:
                 elif side[w] == side[v]:
                     return None
         parts.append((count[0], count[1]))
-    return Bipartition(tuple(parts))
+    return Bipartition(tuple(parts), tuple(side))
 
 
 def chromatic_number_small(g: LabeledGraph) -> int:

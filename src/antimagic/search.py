@@ -40,6 +40,22 @@ assignments it cuts:
   vertices cut it: each needs a new sum, and adjacent sums differ, so
   the two new sums exceed the target.  Every vertex with unlabeled edges
   is checked, not only the current edge's endpoints.
+* ``sum_total``: the label-total identity of
+  ``verify.two_coloring_impossible``, applied to a partial labeling.
+  When the fully labeled vertices use every color the target allows,
+  each open vertex w must end on a taken sum other than those of its
+  fully labeled neighbors, so its increment (its final sum less
+  sums[w]) lies in the set ``reach`` tests it against.  Each free label
+  ends on exactly one unlabeled edge, whose two ends are open, so the
+  increments of all open vertices add up to 2 * sum(F).  On a bipartite
+  g, fix a proper 2-coloring: each unlabeled edge has one end on each
+  side, so the increments of each side add up to sum(F).  A branch is
+  cut when that total is not a sum of one increment per open vertex:
+  per side on a bipartite g, over all open vertices otherwise.  The
+  totals reachable so far are a bitmask, and adding a vertex ORs one
+  shift of it per candidate increment (the dynamic program of Trick,
+  "A dynamic programming approach for consistency and propagation for
+  knapsack constraints", Annals of OR 118, 2003).
 * ``symmetry`` (lex-leader, Crawford, Ginsberg, Luks and Roy, KR 1996):
   let pi be a vertex automorphism of g, s the first position of the
   static edge order whose edge pi moves, and q the position of the image
@@ -94,7 +110,7 @@ import time
 from collections.abc import Sequence
 from dataclasses import dataclass
 
-from .graph import GraphTooLarge, LabeledGraph
+from .graph import GraphTooLarge, LabeledGraph, is_bipartite
 from .verify import lower_bound
 
 DEFAULT_MAX_EDGES = 11
@@ -113,11 +129,12 @@ class SearchStats:
     color_bound: int
     symmetry: int
     reach: int
+    sum_total: int
     elapsed: float
 
     @property
     def prunes(self) -> int:
-        return self.conflict + self.color_bound + self.symmetry + self.reach
+        return self.conflict + self.color_bound + self.symmetry + self.reach + self.sum_total
 
 
 @dataclass(frozen=True)
@@ -148,6 +165,7 @@ class SearchResult:
                     "color_bound": self.stats.color_bound,
                     "symmetry": self.stats.symmetry,
                     "reach": self.stats.reach,
+                    "sum_total": self.stats.sum_total,
                 },
                 "elapsed": self.stats.elapsed,
             },
@@ -281,14 +299,16 @@ def _automorphisms(g: LabeledGraph, order: list[int],
     return maps
 
 
-def _schedule(g: LabeledGraph, order: list[int], deadline: float | None) -> list[tuple]:
+def _schedule(g: LabeledGraph, order: list[int], side: Sequence[int],
+              deadline: float | None) -> list[tuple]:
     """Per position t of the static order: the edge's endpoints, the
     earlier positions whose labels the label at t must exceed, the
     adjacent vertex pairs that become comparable at t (both fully
     labeled, one of them just now), the vertices completed at t, and
     every vertex with edges after t (the edge's endpoints first), with
-    its count of such edges, its bit, its neighbors as a bitmask and its
-    neighbors fully labeled by t.  Raises ``_Timeout`` past ``deadline``.
+    its count of such edges, its bit, its neighbors as a bitmask, its
+    neighbors fully labeled by t and its entry of ``side``.  Raises
+    ``_Timeout`` past ``deadline``.
     """
     adj = g.adjacency
     n = g.n_vertices
@@ -317,7 +337,7 @@ def _schedule(g: LabeledGraph, order: list[int], deadline: float | None) -> list
         left[v] -= 1
         done = tuple(w for w in (u, v) if not left[w])
         opens = tuple((w, left[w], 1 << w, neighbors[w],
-                       tuple(x for x in adj[w] if last[x] <= t))
+                       tuple(x for x in adj[w] if last[x] <= t), side[w])
                       for w in (u, v, *(x for x in range(n) if x != u and x != v))
                       if left[w])
         pairs = [(w, nb) for w in done for nb in adj[w] if last[nb] < t]
@@ -399,23 +419,30 @@ def chi_la_exact(
     start = time.monotonic()
     lb = lower_bound(g)
     if m == 0:
-        return SearchResult(STATUS_VALUE, lb, g, SearchStats(0, 0, 0, 0, 0, 0.0),
+        return SearchResult(STATUS_VALUE, lb, g, SearchStats(0, 0, 0, 0, 0, 0, 0.0),
                             lb, lb, budget)
 
     n = g.n_vertices
     iso_extra = 1 if any(not nbrs for nbrs in g.adjacency) else 0
+    bip = is_bipartite(g)
+    # at a sum_total check the open vertices of side 0 gain share0 * sum(F)
+    # in all and those of side 1 share1 * sum(F); with no 2-coloring every
+    # vertex is on side 0, which then holds both ends of each free label
+    side = bip.side if bip else (0,) * n
+    share0, share1 = (1, 1) if bip else (2, 0)
 
     sums = [0] * n
     assignment = [0] * m
     label_sets = _LabelSets()
 
-    nodes = conflict = color_bound = symmetry = reach = 0
+    nodes = conflict = color_bound = symmetry = reach = sum_total = 0
     cap = 0  # most distinct completed sums the current target allows
     deadline = start + budget if budget is not None else None
     final = m - 1
 
-    def dfs(t: int, distinct: int, taken: int, free: int) -> None:
-        nonlocal nodes, conflict, color_bound, symmetry, reach
+    def dfs(t: int, distinct: int, taken: int, free: int, total: int) -> None:
+        """Label position t onward; ``total`` is the sum of the free labels."""
+        nonlocal nodes, conflict, color_bound, symmetry, reach, sum_total
         u, v, after, pairs, done, opens = plan[t]
         su = sums[u]
         sv = sums[v]
@@ -447,18 +474,55 @@ def chi_la_exact(
                 else:
                     rest = free ^ (1 << lab)
                     cut = False
-                    if d >= cap - 1:  # an open vertex that cannot end on a taken sum needs a new one
+                    if d == cap:  # every open vertex must end on a taken sum
                         reachable = sum_sets[rest]
-                        stuck = 0  # bitmask of such vertices
-                        for w, r, bit, near, finished in opens:
-                            hit = now >> sums[w] & reachable[r]
+                        ends0 = ends1 = 1  # bit k: that side's open vertices so far can gain k
+                        for w, r, _, _, finished, s in opens:
+                            hit = now >> sums[w] & reachable[r]  # bit k: w can gain k
                             if hit and finished:  # leaving out their sums only clears bits
                                 ok = now  # taken sums no finished neighbor of w carries
                                 for x in finished:
                                     ok &= ~(1 << sums[x])
                                 hit = ok >> sums[w] & reachable[r]
                             if not hit:
-                                if d == cap or stuck & near:
+                                reach += 1
+                                cut = True
+                                break
+                            # add w's increment to its side's totals: a shift per bit of hit
+                            if hit & (hit - 1):
+                                ends = ends1 if s else ends0
+                                grown = 0
+                                while hit:
+                                    low = hit & -hit
+                                    grown |= ends << low.bit_length() - 1
+                                    hit ^= low
+                                if s:
+                                    ends1 = grown
+                                else:
+                                    ends0 = grown
+                            elif s:
+                                ends1 <<= hit.bit_length() - 1
+                            else:
+                                ends0 <<= hit.bit_length() - 1
+                        else:
+                            left = total - lab
+                            if not ends0 >> share0 * left & ends1 >> share1 * left & 1:
+                                sum_total += 1
+                                cut = True
+                    elif d == cap - 1:  # two adjacent vertices that cannot end on a taken sum
+                        # the hit test is repeated, not shared with the branch
+                        # above, so that neither pays for the other's bookkeeping
+                        reachable = sum_sets[rest]
+                        stuck = 0  # bitmask of vertices that cannot
+                        for w, r, bit, near, finished, _ in opens:
+                            hit = now >> sums[w] & reachable[r]
+                            if hit and finished:
+                                ok = now
+                                for x in finished:
+                                    ok &= ~(1 << sums[x])
+                                hit = ok >> sums[w] & reachable[r]
+                            if not hit:
+                                if stuck & near:
                                     reach += 1
                                     cut = True
                                     break
@@ -466,7 +530,7 @@ def chi_la_exact(
                     if not cut:
                         assignment[t] = lab
                         if t < final:
-                            dfs(t + 1, d, now, rest)
+                            dfs(t + 1, d, now, rest, total - lab)
                         else:
                             raise _Found(d + iso_extra)
         sums[u] = su
@@ -479,7 +543,8 @@ def chi_la_exact(
         cap = target - iso_extra
         sums[:] = [0] * n  # a search that found a labeling left them set
         try:
-            dfs(0, 0, 0, (2 << m) - 2)  # bit l set: label l is free; all of 1..m
+            # bit l set: label l is free; all of 1..m, which add up to m(m+1)/2
+            dfs(0, 0, 0, (2 << m) - 2, m * (m + 1) // 2)
         except _Found as found:
             return found.args[0]
         return None
@@ -489,7 +554,7 @@ def chi_la_exact(
     refuted = lb - 1  # chi_la > refuted is proven
     try:
         order = _edge_order(g, deadline)
-        plan = _schedule(g, order, deadline)
+        plan = _schedule(g, order, side, deadline)
         sum_sets = _SumSets(max((r for *_, opens in plan for _, r, *_ in opens), default=0), m)
         colors = attempt(n)  # the dive: n colors never prune
         if colors is not None:
@@ -503,7 +568,7 @@ def chi_la_exact(
     except _Timeout:
         status = STATUS_TIMEOUT
 
-    stats = SearchStats(nodes, conflict, color_bound, symmetry, reach,
+    stats = SearchStats(nodes, conflict, color_bound, symmetry, reach, sum_total,
                         time.monotonic() - start)
     proven = refuted + 1 if status == STATUS_TIMEOUT else lb
     if best is None:

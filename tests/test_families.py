@@ -282,8 +282,11 @@ def test_oddk_h_rejects_even_k():
 
 
 def test_parameter_errors():
-    with pytest.raises(ParameterError):
+    # a parameter below 1 is refused once, by the generator of its matrix
+    with pytest.raises(ValueError, match="^k must be an integer >= 1, got 0$"):
         build_family("FB", k=0)
+    with pytest.raises(ValueError, match="^n must be an integer >= 1, got 0$"):
+        build_family("nC482", n=0)
     with pytest.raises(ParameterError):
         build_family("rDF", r=1, s=1)  # rs < 2
     with pytest.raises(ParameterError):

@@ -232,6 +232,16 @@ def test_is_bipartite():
     p3 = new_graph(["a", "b", "c"]).with_edges([("a", "b", 1), ("b", "c", 2)])
     bip = is_bipartite(p3)
     assert bip is not None and bip.part_sizes in ((2, 1), (1, 2))
+    c6_names = [f"c{i}" for i in range(6)]
+    c6 = new_graph(c6_names).with_edges(
+        [(c6_names[i], c6_names[(i + 1) % 6], i + 1) for i in range(6)])
+    # P3 and C6 side by side, with an isolated vertex between them
+    apart = disjoint_union(disjoint_union(p3, new_graph(["z"])), c6)
+    for g in (p3, c6, apart):
+        side = is_bipartite(g).side
+        assert len(side) == g.n_vertices and set(side) <= {0, 1}
+        assert all(side[u] != side[v] for u, v, _ in g.edges)
+        assert is_bipartite(g).part_sizes == (side.count(0), side.count(1))
     tri = new_graph(["a", "b", "c"]).with_edges(
         [("a", "b", 1), ("b", "c", 2), ("a", "c", 3)])
     assert is_bipartite(tri) is None

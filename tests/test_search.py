@@ -16,7 +16,7 @@ import antimagic.search as search
 from antimagic.cli import main
 from antimagic.document import dumps, graph_to_document, to_dot
 from antimagic.families import build_fb, build_family
-from antimagic.graph import GraphTooLarge, LabeledEdge, LabeledGraph, new_graph
+from antimagic.graph import GraphTooLarge, LabeledEdge, LabeledGraph, is_bipartite, new_graph
 from antimagic.search import (
     STATUS_NO_LABELING,
     STATUS_TIMEOUT,
@@ -161,8 +161,24 @@ def symmetric_graphs(draw):
         [(names[ids[a]], names[ids[b]], t + 1) for t, (a, b) in enumerate(pairs)])
 
 
-@settings(max_examples=80, deadline=None)
-@given(st.one_of(small_graphs(), symmetric_graphs()))
+@st.composite
+def bipartite_graphs(draw):
+    """Up to 8 edges between two sides of 1-4 and 1-5 vertices, vertex
+    ids shuffled: the sum_total cut runs in its per-side form."""
+    a = draw(st.integers(1, 4))
+    b = draw(st.integers(1, 5))
+    pairs = [(i, a + j) for i in range(a) for j in range(b)]
+    chosen = draw(st.lists(st.sampled_from(pairs), unique=True, min_size=1,
+                           max_size=min(8, len(pairs))))
+    used = sorted({w for p in chosen for w in p})
+    ids = dict(zip(used, draw(st.permutations(range(len(used))))))
+    names = [f"n{i}" for i in range(len(used))]
+    return new_graph(names).with_edges(
+        [(names[ids[x]], names[ids[y]], t + 1) for t, (x, y) in enumerate(chosen)])
+
+
+@settings(max_examples=120, deadline=None)
+@given(st.one_of(small_graphs(), symmetric_graphs(), bipartite_graphs()))
 def test_pruned_matches_naive_on_random_graphs(g):
     # the symmetry rule is sound only if every map it uses is an automorphism
     edges = {frozenset(e[:2]) for e in g.edges}
@@ -173,7 +189,8 @@ def test_pruned_matches_naive_on_random_graphs(g):
     result = chi_la_exact(g)
     assert result.lower_bound == lower_bound(g)
     assert result.stats.prunes == (result.stats.conflict + result.stats.color_bound
-                                   + result.stats.symmetry + result.stats.reach)
+                                   + result.stats.symmetry + result.stats.reach
+                                   + result.stats.sum_total)
     if naive is None:
         assert result.status == STATUS_NO_LABELING
         # Haslegrave (DMTCS 2018): every connected graph but K2 is local antimagic
@@ -233,7 +250,8 @@ def test_symmetry_rule_prunes_twin_leaves():
     assert by_rule == {"conflict": result.stats.conflict,
                        "color_bound": result.stats.color_bound,
                        "symmetry": result.stats.symmetry,
-                       "reach": result.stats.reach}
+                       "reach": result.stats.reach,
+                       "sum_total": result.stats.sum_total}
     assert result.to_json_dict()["stats"]["prunes"] == sum(by_rule.values())
 
 
@@ -261,11 +279,21 @@ def test_k4_path_proven_by_reach_prunes():
     assert result.stats.nodes <= NODES_TO_PROOF["K4_path"]
 
 
+@pytest.mark.parametrize("name, bipartite", [("C8_units", True), ("K4_path", False)])
+def test_sum_total_cuts(name, bipartite):
+    # C8_units is cut per side of its 2-coloring, K4 plus a path (not
+    # bipartite) over all open vertices at once
+    g = _benchmark_graph(name)
+    assert (is_bipartite(g) is not None) == bipartite
+    result = chi_la_exact(g)
+    assert result.status == STATUS_VALUE and result.stats.sum_total > 0
+
+
 # Nodes to proof of the graphs of the benchmark's search workload: a gate
 # on the search's work that does not time it.  Lower counts may replace
 # these; higher ones mean a pruning rule got weaker.
 NODES_TO_PROOF = {
-    "K4_path": 17_785, "K1_9": 9, "C8_units": 1_792, "Bk": 5_496, "kC82": 1_284,
+    "K4_path": 8_421, "K1_9": 9, "C8_units": 331, "Bk": 4_095, "kC82": 990,
     "kD82": 856, "FB": 975, "K1_11": 11,
 }
 
@@ -311,12 +339,12 @@ def graph_of(pairs):
 # (upper bounds, as above)
 HARD_GRAPHS = {
     "R2": ([(0, 1), (0, 2), (1, 2), (1, 4), (1, 6), (2, 3), (2, 6), (3, 4), (3, 6),
-            (4, 5), (5, 6)], 3, 33_511),
+            (4, 5), (5, 6)], 3, 31_353),
     "R3": ([(0, 2), (0, 6), (1, 2), (1, 4), (1, 5), (1, 6), (2, 4), (2, 5), (3, 4),
-            (3, 5), (4, 5)], 4, 121_444),
+            (3, 5), (4, 5)], 4, 116_505),
     # K3,3 plus a 2-edge path hung on one vertex
     "K33_path2": ([(a, b) for a in range(3) for b in range(3, 6)] + [(0, 6), (6, 7)],
-                  4, 31_950),
+                  4, 11_973),
 }
 
 
@@ -368,7 +396,7 @@ def test_star_symmetry_is_a_chain_of_twin_swaps():
     g = star(11)
     order = search._edge_order(g)
     assert len(search._automorphisms(g, order)) == 10
-    after = [step[2] for step in search._schedule(g, order, None)]
+    after = [step[2] for step in search._schedule(g, order, [0] * g.n_vertices, None)]
     assert after == [()] + [(t,) for t in range(10)]
 
 
@@ -544,7 +572,7 @@ def test_timeout_in_the_edge_order(monkeypatch):
 
 @pytest.mark.parametrize("stop", [1, 2, 5000])
 def test_search_stops_at_the_node_that_reads_past_the_deadline(monkeypatch, stop):
-    g = k4_path()  # 17,785 nodes to proof
+    g = k4_path()  # 8,421 nodes to proof
     setup = setup_reads(monkeypatch, g)
     # nodes 1..stop-1 read 0, node stop reads past the deadline
     monkeypatch.setattr(search, "time", ReadClock(fast=setup + stop))
