@@ -20,12 +20,23 @@ construction pipelines:
   ``sequences_6x4n`` trace labels nC4(8,2) and its merge families G1/G2,
   H1-H3 and Hm(r,s).
 
+The three unit generators lay out vertex ids by arithmetic and hand
+``new_graph`` int edges:
+
+* ``_fan_units``: unit i's u, v, w, x (or x^1) are ids 4(i-1)..4(i-1)+3,
+  and the p-th hub of ``split`` puts its x^2 at id 8k+p (p from 0);
+* ``build_nc482``: copy a's u_1..u_8 are ids 16(a-1)..16(a-1)+7 and its
+  v_1..v_8 the next eight;
+* ``_prism_units``: unit i's u_1..u_8 are ids 9(i-1)..9(i-1)+7 and x_i is
+  9(i-1)+8.
+
 ``FAMILIES`` maps each tag to its builder.  Families that share a
 construction and differ only in data share one builder, registered per
 tag through ``partial``: ``build_rfb`` (rFB, FB1, FB2), ``build_rdf``
 (rDF, DF1-DF4), ``build_g`` (G1, G2), ``build_h`` (H1-H3) and
 ``build_c8`` over the ``_C8`` table (C8_units, Bk, kC82, kD82).
-``build_family`` reads the parameter names from the builder's signature.
+``build_family`` reads the parameter names from the builder's signature,
+once per builder.
 Each claimed color count is the number of claimed classes.
 """
 
@@ -33,7 +44,7 @@ from __future__ import annotations
 
 import inspect
 from dataclasses import dataclass
-from functools import partial
+from functools import cache, partial
 from itertools import product
 from typing import Callable, Iterable, Iterator
 
@@ -91,25 +102,19 @@ def _fan_units(k: int, split: Iterable[int] = ()) -> tuple[LabeledGraph, LabelMa
     """
     m = matrix_5x2k(k)
     split = list(split)  # read after the matrix refuses a k above its cap
-    is_split = set(split)
+    second = {i: 8 * k + p for p, i in enumerate(split)}  # x_i^2's id
     names: list[str] = []
     for i in range(1, 2 * k + 1):
         names += [f"u_{i}", f"v_{i}", f"w_{i}",
-                  f"x_{i}^1" if i in is_split else f"x_{i}"]
+                  f"x_{i}^1" if i in second else f"x_{i}"]
     names += [f"x_{i}^2" for i in split]
-    g = new_graph(names)
-    triples = []
-    for i in range(1, 2 * k + 1):
-        col = m.column(i)
-        x1, x2 = (f"x_{i}^1", f"x_{i}^2") if i in is_split else (f"x_{i}",) * 2
-        triples += [
-            (f"u_{i}", f"w_{i}", col[0]),
-            (f"v_{i}", f"w_{i}", col[1]),
-            (x1, f"w_{i}", col[2]),
-            (x2, f"u_{i}", col[3]),
-            (x2, f"v_{i}", col[4]),
-        ]
-    return g.with_edges(triples), m
+    edges = []
+    for i, (a, b, c, d, e) in enumerate(zip(*m.grid), start=1):
+        u = 4 * i - 4
+        x2 = second.get(i, u + 3)
+        edges += [(u, u + 2, a), (u + 1, u + 2, b), (u + 2, u + 3, c),
+                  (u, x2, d), (u + 1, x2, e)]
+    return new_graph(names, edges), m
 
 
 def build_fb_units(k: int) -> BuiltFamily:
@@ -282,19 +287,19 @@ def build_nc482(n: int) -> BuiltFamily:
     surviving rungs take positions 2,5,8,11 (shared by both sequences).
     """
     seqs = sequences_6x4n(n)
-    g = new_graph([f"{x}_{a}_{i}" for a in range(1, n + 1) for x in "uv" for i in range(1, 9)])
+    names = [f"{x}_{a}_{i}" for a in range(1, n + 1) for x in "uv" for i in range(1, 9)]
     cycle_pos = (0, 2, 3, 5, 6, 8, 9, 11)
     rung_pos = (1, 4, 7, 10)
-    triples = []
+    edges = []
     for a in range(1, n + 1):
-        t, u = seqs[a - 1], seqs[n + a - 1]
-        for i in range(1, 9):
-            j = i % 8 + 1
-            triples.append((f"u_{a}_{i}", f"u_{a}_{j}", t[cycle_pos[i - 1]]))
-            triples.append((f"v_{a}_{i}", f"v_{a}_{j}", u[cycle_pos[i - 1]]))
-        for idx, i in enumerate((2, 4, 6, 8)):
-            triples.append((f"u_{a}_{i}", f"v_{a}_{i}", t[rung_pos[idx]]))
-    g = g.with_edges(triples)
+        outer, inner = seqs[a - 1], seqs[n + a - 1]
+        u, v = 16 * a - 16, 16 * a - 8
+        for i in range(7):
+            edges += [(u + i, u + i + 1, outer[cycle_pos[i]]),
+                      (v + i, v + i + 1, inner[cycle_pos[i]])]
+        edges += [(u, u + 7, outer[cycle_pos[7]]), (v, v + 7, inner[cycle_pos[7]])]
+        edges += [(u + i, v + i, outer[p]) for i, p in zip((1, 3, 5, 7), rung_pos)]
+    g = new_graph(names, edges)
     return BuiltFamily(
         "nC482", {"n": n}, g,
         _expected([
@@ -399,16 +404,14 @@ def _prism_units(k: int) -> LabeledGraph:
     go on the two spokes.
     """
     m = matrix_kx10(k)
-    g = new_graph([f"u_{i}_{j}" if j < 9 else f"x_{i}"
-                   for i in range(1, k + 1) for j in range(1, 10)])
-    triples = []
-    for i in range(1, k + 1):
-        row = m.grid[i - 1]
-        for j in range(1, 9):
-            triples.append((f"u_{i}_{j}", f"u_{i}_{j % 8 + 1}", row[j - 1]))
-        triples.append((f"x_{i}", f"u_{i}_2", row[8]))
-        triples.append((f"x_{i}", f"u_{i}_6", row[9]))
-    return g.with_edges(triples)
+    names = [f"u_{i}_{j}" if j < 9 else f"x_{i}"
+             for i in range(1, k + 1) for j in range(1, 10)]
+    edges = []
+    for i, row in enumerate(m.grid):
+        u, x = 9 * i, 9 * i + 8
+        edges += [(u + j, u + j + 1, row[j]) for j in range(7)]
+        edges += [(u, u + 7, row[7]), (u + 1, x, row[8]), (u + 5, x, row[9])]
+    return new_graph(names, edges)
 
 
 _DEGREE3_NOTE = ("degree-3 color verified as 13k+1 (column triple sums); "
@@ -573,10 +576,15 @@ def resolve_tag(tag: str) -> str:
     return _TAG_LOOKUP[key]
 
 
+@cache
+def _param_names(build: Callable[..., BuiltFamily]) -> tuple[str, ...]:
+    return tuple(inspect.signature(build).parameters)
+
+
 def build_family(tag: str, **params: int) -> BuiltFamily:
     tag = resolve_tag(tag)
     build = FAMILIES[tag]
-    names = tuple(inspect.signature(build).parameters)
+    names = _param_names(build)
     missing = [p for p in names if p not in params]
     extra = [p for p in params if p not in names]
     if missing:

@@ -4,9 +4,12 @@ Vertices are addressed by display name (``u_3``, ``x_5^1``, ``w_2_4``) so
 constructions and tests can refer to them directly; integer ids are
 positional handles.  An edge is a plain int triple ``(u, v, label)``
 with ``u < v`` and ``label >= 1``; ``LabeledEdge`` is its named form
-for outside callers.  A ``LabeledGraph`` gives the views the
+for outside callers.  The family builders lay out their ids by
+arithmetic and hand ``new_graph`` these int edges directly;
+``LabeledGraph.with_edges``, which takes edges by vertex name, stays for
+outside callers.  A ``LabeledGraph`` gives the views the
 other modules read (``adjacency``, ``degrees()``, ``labels()``,
-``id_of``) and ``with_edges``.  The one surgery is ``apply_merge``,
+``id_of``).  The one surgery is ``apply_merge``,
 which every family builder uses; the tests keep a ``split_vertex``
 oracle.  ``is_bipartite`` and ``chromatic_number_small`` feed the
 verifier's lower bound, and the 2-coloring ``is_bipartite`` finds feeds
@@ -21,7 +24,7 @@ from __future__ import annotations
 from collections import deque
 from dataclasses import dataclass
 from functools import cached_property
-from typing import Iterable, NamedTuple, Sequence
+from typing import Iterable, NamedTuple, NoReturn, Sequence
 
 
 CHI_EXACT_MAX_VERTICES = 20  # chromatic_number_small's backtracking budget
@@ -158,13 +161,45 @@ class LabeledGraph:
 # ---- module-level operations ------------------------------------------------
 
 
-def new_graph(names: list[str] | tuple[str, ...]) -> LabeledGraph:
-    seen = set()
-    for nm in names:
-        if nm in seen:
-            raise DuplicateName(f"duplicate vertex name {nm!r}")
-        seen.add(nm)
-    return LabeledGraph(tuple(names), ())
+def new_graph(names: list[str] | tuple[str, ...],
+              edges: Iterable[tuple[int, int, int]] = ()) -> LabeledGraph:
+    """A graph on distinct ``names`` with ``edges`` given as normalized int
+    triples ``(u, v, label)``: 0 <= u < v < n, label >= 1, no pair twice.
+
+    One set per argument checks it, so a builder that lays out its ids by
+    arithmetic formats no name per edge; only a refused input is scanned
+    again, for its first bad name or edge.  DuplicateName names the
+    repeated name.  Loop (u == v), ParallelEdge (a repeated pair) and
+    GraphError (a label below 1, ids out of order or range) name the edge.
+    """
+    names = tuple(names)
+    n = len(names)
+    if len(set(names)) != n:
+        seen = set()
+        for nm in names:
+            if nm in seen:
+                raise DuplicateName(f"duplicate vertex name {nm!r}")
+            seen.add(nm)
+    edges = tuple(edges)
+    if len({u * n + v for u, v, label in edges if 0 <= u < v < n and label >= 1}) != len(edges):
+        _refuse_edge(edges, n)
+    return LabeledGraph(names, edges)
+
+
+def _refuse_edge(edges: tuple[tuple[int, int, int], ...], n: int) -> NoReturn:
+    """Raise for the first of ``edges`` that ``new_graph`` refuses."""
+    pairs = set()
+    for e in edges:
+        u, v, label = e
+        if u == v:
+            raise Loop(f"edge {e} is a loop")
+        if label < 1:
+            raise GraphError(f"edge {e} has label {label}; labels must be >= 1")
+        if not 0 <= u < v < n:
+            raise GraphError(f"edge {e} needs ids 0 <= u < v < {n}")
+        if u * n + v in pairs:
+            raise ParallelEdge(f"edge {e} repeats the pair ({u}, {v})")
+        pairs.add(u * n + v)
 
 
 def apply_merge(g: LabeledGraph,
@@ -175,6 +210,12 @@ def apply_merge(g: LabeledGraph,
     Errors: InvalidPlan for malformed groups, LoopCreated when a group
     contains adjacent vertices, ParallelEdgeCreated when the fused graph
     would carry two edges between the same pair.
+
+    Only the edges with a fused endpoint are checked, in edge order.  The
+    remap is strictly increasing and injective on the unfused vertices,
+    and no group lands on an unfused vertex's new id.  So an edge with no
+    fused endpoint keeps u < v, and an edge with the same new pair would
+    have the same two old ends, which the simple input graph rules out.
     """
     group_of: dict[int, int] = {}  # vertex id -> group index
     lowest: list[int] = []  # group index -> smallest member id
@@ -215,23 +256,27 @@ def apply_merge(g: LabeledGraph,
             new_names.append(nm if gi is None else fused_names[gi])
 
     n = len(new_names)
+    fused = [False] * len(g.names)
+    for vid in group_of:
+        fused[vid] = True
     new_edges: list[tuple[int, int, int]] = []
-    seen: dict[int, int] = {}  # u * n + v -> label of the edge joining u < v
+    seen: dict[int, int] = {}  # u * n + v -> label, for edges at a fused vertex
     for u, v, label in g.edges:
         nu, nv = remap[u], remap[v]
-        if nu == nv:
-            raise LoopCreated(
-                f"merging adjacent vertices {g.names[u]!r} and {g.names[v]!r}"
-            )
-        if nu > nv:
-            nu, nv = nv, nu
-        key = nu * n + nv
-        if key in seen:
-            raise ParallelEdgeCreated(
-                f"edges labeled {seen[key]} and {label} would join "
-                f"{new_names[nu]!r} and {new_names[nv]!r} twice"
-            )
-        seen[key] = label
+        if fused[u] or fused[v]:
+            if nu == nv:
+                raise LoopCreated(
+                    f"merging adjacent vertices {g.names[u]!r} and {g.names[v]!r}"
+                )
+            if nu > nv:
+                nu, nv = nv, nu
+            key = nu * n + nv
+            if key in seen:
+                raise ParallelEdgeCreated(
+                    f"edges labeled {seen[key]} and {label} would join "
+                    f"{new_names[nu]!r} and {new_names[nv]!r} twice"
+                )
+            seen[key] = label
         new_edges.append((nu, nv, label))
     return LabeledGraph(tuple(new_names), tuple(new_edges))
 

@@ -8,6 +8,10 @@ names, with linear scans and no integer ids or pair keys.
 oracle for the hubs that ``families._fan_units`` makes already split.
 ``naive_two_coloring_impossible`` is ``verify.two_coloring_impossible``
 with the achievable part sizes as a set, not a bitmask.
+``fan_units_by_name``, ``nc482_by_name`` and ``prism_units_by_name``
+make the three unit graphs the family builders start from with an edge
+list of vertex names (``new_graph(names).with_edges(...)``), where the
+builders lay out ids by arithmetic.
 """
 
 from __future__ import annotations
@@ -22,7 +26,9 @@ from antimagic.graph import (
     LoopCreated,
     ParallelEdgeCreated,
     is_bipartite,
+    new_graph,
 )
+from antimagic.matrices import matrix_5x2k, matrix_kx10, sequences_6x4n
 
 
 class NotAPartition(GraphError):
@@ -65,42 +71,98 @@ def naive_two_coloring_impossible(g: LabeledGraph) -> bool:
 
 
 def naive_merge(g: LabeledGraph, groups) -> LabeledGraph:
-    """``apply_merge(g, groups)`` by name, raising the same exception types.
+    """``apply_merge(g, groups)`` by name, raising the same exceptions with
+    the same messages.
 
     Each vertex is renamed to its group's fused name; the new vertex list
     is the renamed names in order of first occurrence, so a fused vertex
-    sits where its lowest member was.
+    sits where its lowest member was.  Every edge is checked.
     """
     fused_name_of: dict[str, str] = {}
     for members, fused in groups:
-        if len(members) < 2 or len(set(members)) != len(members):
-            raise InvalidPlan(f"bad group {fused!r}")
+        if len(members) < 2:
+            raise InvalidPlan(f"group {fused!r} has fewer than 2 members")
+        if len(set(members)) != len(members):
+            raise InvalidPlan(f"group {fused!r} repeats a member")
         for nm in members:
             if nm not in g.names:
                 raise GraphError(f"no vertex named {nm!r}")
             if nm in fused_name_of:
-                raise InvalidPlan(f"{nm!r} is in two groups")
+                raise InvalidPlan(f"vertex {nm!r} appears in two merge groups")
             fused_name_of[nm] = fused
     fused_names = [fused for _, fused in groups]
     if len(set(fused_names)) != len(fused_names):
-        raise InvalidPlan("fused names repeat")
-    if any(nm in fused_names for nm in g.names if nm not in fused_name_of):
-        raise InvalidPlan("a fused name is a surviving vertex's name")
+        raise InvalidPlan("fused vertex names are not distinct")
+    for nm in fused_names:
+        if nm in g.names and nm not in fused_name_of:
+            raise InvalidPlan(f"fused name {nm!r} collides with a surviving vertex")
 
     renamed = [fused_name_of.get(nm, nm) for nm in g.names]
     names = [nm for i, nm in enumerate(renamed) if nm not in renamed[:i]]
     edges = []
-    joined: list[set[str]] = []
+    joined: list[tuple[set[str], int]] = []
     for x, y, label in g.edges:
         a, b = renamed[x], renamed[y]
         if a == b:
-            raise LoopCreated(f"{g.names[x]!r} and {g.names[y]!r} are adjacent")
-        if {a, b} in joined:
-            raise ParallelEdgeCreated(f"{a!r} and {b!r} are joined twice")
-        joined.append({a, b})
+            raise LoopCreated(f"merging adjacent vertices {g.names[x]!r} and {g.names[y]!r}")
         u, v = sorted((names.index(a), names.index(b)))
+        for ends, first in joined:
+            if ends == {a, b}:
+                raise ParallelEdgeCreated(f"edges labeled {first} and {label} would join "
+                                          f"{names[u]!r} and {names[v]!r} twice")
+        joined.append(({a, b}, label))
         edges.append((u, v, label))
     return LabeledGraph(tuple(names), tuple(edges))
+
+
+def fan_units_by_name(k: int, split=()) -> LabeledGraph:
+    """``families._fan_units(k, split)``'s graph, its edges given by name."""
+    m = matrix_5x2k(k)
+    split = list(split)
+    names: list[str] = []
+    for i in range(1, 2 * k + 1):
+        names += [f"u_{i}", f"v_{i}", f"w_{i}", f"x_{i}^1" if i in split else f"x_{i}"]
+    names += [f"x_{i}^2" for i in split]
+    triples = []
+    for i in range(1, 2 * k + 1):
+        col = m.column(i)
+        x1, x2 = (f"x_{i}^1", f"x_{i}^2") if i in split else (f"x_{i}",) * 2
+        triples += [(f"u_{i}", f"w_{i}", col[0]), (f"v_{i}", f"w_{i}", col[1]),
+                    (x1, f"w_{i}", col[2]), (x2, f"u_{i}", col[3]), (x2, f"v_{i}", col[4])]
+    return new_graph(names).with_edges(triples)
+
+
+def nc482_by_name(n: int) -> LabeledGraph:
+    """``families.build_nc482(n)``'s graph, its edges given by name."""
+    seqs = sequences_6x4n(n)
+    g = new_graph([f"{x}_{a}_{i}" for a in range(1, n + 1) for x in "uv" for i in range(1, 9)])
+    cycle_pos = (0, 2, 3, 5, 6, 8, 9, 11)
+    rung_pos = (1, 4, 7, 10)
+    triples = []
+    for a in range(1, n + 1):
+        t, u = seqs[a - 1], seqs[n + a - 1]
+        for i in range(1, 9):
+            j = i % 8 + 1
+            triples.append((f"u_{a}_{i}", f"u_{a}_{j}", t[cycle_pos[i - 1]]))
+            triples.append((f"v_{a}_{i}", f"v_{a}_{j}", u[cycle_pos[i - 1]]))
+        for idx, i in enumerate((2, 4, 6, 8)):
+            triples.append((f"u_{a}_{i}", f"v_{a}_{i}", t[rung_pos[idx]]))
+    return g.with_edges(triples)
+
+
+def prism_units_by_name(k: int) -> LabeledGraph:
+    """``families._prism_units(k)``, its edges given by name."""
+    m = matrix_kx10(k)
+    g = new_graph([f"u_{i}_{j}" if j < 9 else f"x_{i}"
+                   for i in range(1, k + 1) for j in range(1, 10)])
+    triples = []
+    for i in range(1, k + 1):
+        row = m.grid[i - 1]
+        for j in range(1, 9):
+            triples.append((f"u_{i}_{j}", f"u_{i}_{j % 8 + 1}", row[j - 1]))
+        triples.append((f"x_{i}", f"u_{i}_2", row[8]))
+        triples.append((f"x_{i}", f"u_{i}_6", row[9]))
+    return g.with_edges(triples)
 
 
 def split_vertex(

@@ -15,6 +15,7 @@ from antimagic.families import (
     FAMILIES,
     ParameterError,
     _fan_units,
+    _prism_units,
     build_dfr,
     build_family,
     build_fb,
@@ -27,7 +28,7 @@ from antimagic.families import (
 from antimagic.cli import _check
 from antimagic.verify import induced_coloring
 from helpers import chi_la_is_three, components, disjoint_union, grid_points
-from oracles import split_vertex
+from oracles import fan_units_by_name, nc482_by_name, prism_units_by_name, split_vertex
 
 
 def sums_of(g):
@@ -369,6 +370,11 @@ def test_dfr_shape_equals_rdf_plus_fan():
     assert len(components(combined)) == len(components(direct)) == 2
 
 
+def _same_graph(g, oracle):
+    assert g.names == oracle.names
+    assert g.edges == oracle.edges
+
+
 @settings(max_examples=80)
 @given(st.integers(1, 5).flatmap(lambda k: st.tuples(
     st.just(k), st.lists(st.integers(1, 2 * k), unique=True))))
@@ -378,9 +384,22 @@ def test_presplit_fan_units_match_sequential_splits(case):
     for i in split:
         oracle = split_vertex(oracle, f"x_{i}", {f"w_{i}"}, {f"u_{i}", f"v_{i}"},
                               f"x_{i}^1", f"x_{i}^2")
-    g, _ = _fan_units(k, split)
-    assert g.names == oracle.names
-    assert g.edges == oracle.edges
+    _same_graph(_fan_units(k, split)[0], oracle)
+
+
+@pytest.mark.parametrize("k", range(1, 9))
+def test_unit_generators_match_the_name_based_oracles(k):
+    _same_graph(_fan_units(k)[0], fan_units_by_name(k))
+    _same_graph(build_nc482(k).graph, nc482_by_name(k))
+    _same_graph(_prism_units(k), prism_units_by_name(k))
+
+
+@settings(max_examples=80, deadline=None)
+@given(st.integers(1, 8).flatmap(lambda k: st.tuples(
+    st.just(k), st.lists(st.integers(1, 2 * k), unique=True))))
+def test_split_fan_units_match_the_name_based_oracle(case):
+    k, split = case
+    _same_graph(_fan_units(k, split)[0], fan_units_by_name(k, split))
 
 
 @pytest.mark.parametrize("tag, params", [

@@ -47,8 +47,34 @@ def test_new_graph_and_errors():
     g = new_graph(["u", "v"])
     assert g.n_vertices == 2 and g.size == 0
     assert new_graph([]).n_vertices == 0
-    with pytest.raises(DuplicateName):
-        new_graph(["u", "u"])
+    with pytest.raises(DuplicateName, match="^duplicate vertex name 'u'$"):
+        new_graph(["u", "v", "u"])
+    with pytest.raises(DuplicateName, match="^duplicate vertex name 'v'$"):
+        new_graph(["v", "v"], [(0, 1, 1)])
+
+
+def test_new_graph_takes_int_edges():
+    edges = [(0, 2, 1), (1, 2, 2), (2, 3, 3), (0, 3, 4), (1, 3, 5)]
+    g = new_graph(["u", "v", "w", "x"], edges)
+    assert g == fan_unit() and _ordered(g)
+    assert new_graph(("a", "b"), iter([(0, 1, 7)])).edges == ((0, 1, 7),)
+
+
+@pytest.mark.parametrize("edges, kind, message", [
+    ([(1, 1, 1)], Loop, "edge (1, 1, 1) is a loop"),
+    ([(2, 1, 1)], GraphError, "edge (2, 1, 1) needs ids 0 <= u < v < 3"),
+    ([(-1, 1, 1)], GraphError, "edge (-1, 1, 1) needs ids 0 <= u < v < 3"),
+    ([(1, 3, 1)], GraphError, "edge (1, 3, 1) needs ids 0 <= u < v < 3"),
+    ([(0, 1, 1), (1, 2, 2), (0, 1, 3)], ParallelEdge, "edge (0, 1, 3) repeats the pair (0, 1)"),
+    ([(0, 1, 0)], GraphError, "edge (0, 1, 0) has label 0; labels must be >= 1"),
+    # the first bad edge in order is the one named
+    ([(0, 1, 1), (0, 2, -4), (2, 2, 3), (0, 1, 2)], GraphError,
+     "edge (0, 2, -4) has label -4; labels must be >= 1"),
+])
+def test_new_graph_refuses_a_bad_edge(edges, kind, message):
+    with pytest.raises(GraphError) as info:
+        new_graph(["a", "b", "c"], edges)
+    assert type(info.value) is kind and str(info.value) == message
 
 
 def test_add_edge_and_errors():
@@ -322,11 +348,28 @@ def merge_cases(draw):
     return g, plan
 
 
+@st.composite
+def colliding_merges(draw):
+    """A small graph and a one-group plan that fuses the two ends of an
+    edge, or two neighbors of one vertex, with maybe a third vertex."""
+    g = draw(small_graphs())
+    names = g.names
+    ends = [[names[u], names[v]] for u, v, _ in g.edges]
+    ends += [[names[a], names[b]] for nbrs in g.adjacency
+             for i, a in enumerate(nbrs) for b in nbrs[i + 1:]]
+    members = draw(st.sampled_from(ends))
+    rest = [nm for nm in names if nm not in members]
+    if rest and draw(st.booleans()):
+        members.append(draw(st.sampled_from(rest)))
+    members = draw(st.permutations(members))
+    return g, [(members, draw(st.sampled_from(["f", members[0]])))]
+
+
 def _outcome(merge, g, plan):
     try:
         return merge(g, plan)
     except GraphError as exc:
-        return type(exc)
+        return type(exc), str(exc)
 
 
 @settings(max_examples=300, deadline=None)
@@ -334,3 +377,14 @@ def _outcome(merge, g, plan):
 def test_merge_matches_the_naive_merge(case):
     g, plan = case
     assert _outcome(apply_merge, g, plan) == _outcome(naive_merge, g, plan)
+
+
+@settings(max_examples=200, deadline=None)
+@given(colliding_merges())
+def test_merge_refuses_what_the_naive_merge_refuses(case):
+    # apply_merge checks only the edges at a fused vertex, the naive merge
+    # every edge: both name the same first loop or parallel pair
+    g, plan = case
+    outcome = _outcome(apply_merge, g, plan)
+    assert outcome == _outcome(naive_merge, g, plan)
+    assert outcome[0] in (LoopCreated, ParallelEdgeCreated)

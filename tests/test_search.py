@@ -177,6 +177,13 @@ def bipartite_graphs(draw):
         [(names[ids[x]], names[ids[y]], t + 1) for t, (x, y) in enumerate(chosen)])
 
 
+# Budget of the searches that must prove a value, so a pruning bug that
+# refutes true targets fails its test instead of stalling the suite: over
+# 100 times each random, benchmark or hard graph (R3 takes 0.24 s on a
+# 2-vCPU 2.0 GHz Xeon VM) and 17 times the star at the depth ceiling (1.75 s).
+SEARCH_BUDGET_S = 30.0
+
+
 @settings(max_examples=120, deadline=None)
 @given(st.one_of(small_graphs(), symmetric_graphs(), bipartite_graphs()))
 def test_pruned_matches_naive_on_random_graphs(g):
@@ -186,7 +193,7 @@ def test_pruned_matches_naive_on_random_graphs(g):
         assert sorted(pi) == list(range(g.n_vertices))
         assert {frozenset((pi[u], pi[v])) for u, v, _ in g.edges} == edges
     naive = naive_chi_la(g)
-    result = chi_la_exact(g)
+    result = chi_la_exact(g, budget=SEARCH_BUDGET_S)
     assert result.lower_bound == lower_bound(g)
     assert result.stats.prunes == (result.stats.conflict + result.stats.color_bound
                                    + result.stats.symmetry + result.stats.reach
@@ -310,7 +317,7 @@ def _proven_within(g, nodes):
     """Search g: a re-verified value within ``nodes`` nodes, and the same
     node count with the vertex ids reversed (the search tree is the same,
     node for node)."""
-    result = chi_la_exact(g)
+    result = chi_la_exact(g, budget=SEARCH_BUDGET_S)
     assert result.status == STATUS_VALUE
     assert result.stats.nodes <= nodes
     rep = induced_coloring(result.witness)
@@ -318,7 +325,8 @@ def _proven_within(g, nodes):
     last = g.n_vertices - 1
     relabeled = LabeledGraph(g.names[::-1], tuple(
         (last - v, last - u, label) for u, v, label in g.edges))
-    assert chi_la_exact(relabeled).stats.nodes == result.stats.nodes
+    again = chi_la_exact(relabeled, budget=SEARCH_BUDGET_S)
+    assert again.status == STATUS_VALUE and again.stats.nodes == result.stats.nodes
     return result
 
 
@@ -509,7 +517,7 @@ def test_a_star_at_the_depth_ceiling_is_proven():
     ceiling = sys.getrecursionlimit() - search.FRAME_MARGIN
     with pytest.raises(GraphTooLarge, match=f"at most {ceiling} edges"):
         chi_la_exact(star(ceiling + 1), max_edges=ceiling + 1)
-    result = chi_la_exact(star(ceiling), max_edges=ceiling)
+    result = chi_la_exact(star(ceiling), max_edges=ceiling, budget=SEARCH_BUDGET_S)
     assert result.status == STATUS_VALUE and result.chi_la == ceiling + 1
     assert result.stats.nodes == ceiling
 

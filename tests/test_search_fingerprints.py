@@ -18,8 +18,8 @@ from pathlib import Path
 
 import pytest
 
-from antimagic.search import chi_la_exact
-from test_search import HARD_GRAPHS, NODES_TO_PROOF, _benchmark_graph, graph_of
+from antimagic.search import STATUS_VALUE, chi_la_exact
+from test_search import HARD_GRAPHS, NODES_TO_PROOF, SEARCH_BUDGET_S, _benchmark_graph, graph_of
 
 FINGERPRINTS = Path(__file__).with_name("search_fingerprints.json")
 NAMES = [*NODES_TO_PROOF, *HARD_GRAPHS]
@@ -27,7 +27,9 @@ NAMES = [*NODES_TO_PROOF, *HARD_GRAPHS]
 
 def _fingerprint(name: str) -> dict:
     g = graph_of(HARD_GRAPHS[name][0]) if name in HARD_GRAPHS else _benchmark_graph(name)
-    doc = chi_la_exact(g).to_json_dict()
+    result = chi_la_exact(g, budget=SEARCH_BUDGET_S)
+    assert result.status == STATUS_VALUE
+    doc = result.to_json_dict()
     return {
         "chi_la": doc["chi_la"],
         "lower_bound": doc["lower_bound"],
