@@ -66,7 +66,7 @@ def _load_document(path: str) -> dict:
         return json.loads(raw)
     except RecursionError:  # the decoder recurses once per nesting level
         raise ValueError(f"{path}: JSON nested too deeply to read") from None
-    except json.JSONDecodeError as exc:
+    except ValueError as exc:  # malformed JSON, or an int with too many digits
         raise ValueError(f"{path}: {exc}") from None
 
 

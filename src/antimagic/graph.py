@@ -4,10 +4,11 @@ Vertices are addressed by display name (``u_3``, ``x_5^1``, ``w_2_4``) so
 constructions and tests can refer to them directly; integer ids are
 positional handles.  An edge is a plain int triple ``(u, v, label)``
 with ``u < v`` and ``label >= 1``; ``LabeledEdge`` is its named form
-for outside callers.  The family builders lay out their ids by
-arithmetic and hand ``new_graph`` these int edges directly;
-``LabeledGraph.with_edges``, which takes edges by vertex name, stays for
-outside callers.  A ``LabeledGraph`` gives the views the
+for outside callers.  ``new_graph`` is the one edge check: it decides
+whether names and int edges form a simple graph, for the family
+builders, which lay out their ids by arithmetic, for
+``LabeledGraph.with_edges``, a name lookup in front of it, and for the
+document reader.  A ``LabeledGraph`` gives the views the
 other modules read (``adjacency``, ``degrees()``, ``labels()``,
 ``id_of``).  The one surgery is ``apply_merge``,
 which every family builder uses; the tests keep a ``split_vertex``
@@ -135,27 +136,17 @@ class LabeledGraph:
     # ---- pure construction ----------------------------------------------
 
     def with_edges(self, triples: list[tuple[str, str, int]]) -> LabeledGraph:
-        """Append edges given as (name_a, name_b, label); validates simplicity."""
-        ids, n = self._id_of, len(self.names)
-        new = list(self.edges)
-        seen = {u * n + v for u, v, _ in self.edges}  # one int per vertex pair
+        """Append edges given as (name_a, name_b, label); ``new_graph``
+        checks the result."""
+        ids = self._id_of
+        new = []
         for a, b, label in triples:
             try:
                 ia, ib = ids[a], ids[b]
             except KeyError as exc:
                 raise _no_vertex(exc.args[0]) from None
-            if ia == ib:
-                raise Loop(f"loop at vertex {a!r}")
-            if ia > ib:
-                ia, ib = ib, ia
-            key = ia * n + ib
-            if key in seen:
-                raise ParallelEdge(f"edge {a!r}--{b!r} already present")
-            if label < 1:
-                raise GraphError(f"edge label must be a positive integer, got {label}")
-            seen.add(key)
-            new.append((ia, ib, label))
-        return LabeledGraph(self.names, tuple(new))
+            new.append((ia, ib, label) if ia < ib else (ib, ia, label))
+        return new_graph(self.names, self.edges + tuple(new))
 
 
 # ---- module-level operations ------------------------------------------------

@@ -227,8 +227,9 @@ NEGATIVE_CLAIMS = {
 }
 
 
-# documents that are not UTF-8 JSON: malformed, empty, not UTF-8, nested too deeply
-UNREADABLE = ("notjson.json", "empty.json", "latin1.json", "deep.json")
+# documents that are not UTF-8 JSON: malformed, empty, not UTF-8, nested
+# too deeply, or holding an int with more digits than the interpreter reads
+UNREADABLE = ("notjson.json", "empty.json", "latin1.json", "deep.json", "bignum.json")
 
 
 @pytest.mark.parametrize("argv, env", [
@@ -251,6 +252,7 @@ UNREADABLE = ("notjson.json", "empty.json", "latin1.json", "deep.json")
     *[([cmd, path], {}) for cmd in ("verify", "search", "export")
       for path in ("empty.json", "latin1.json")],
     *[(["search", path, "--max-edges", "2000"], {}) for path in ("star.json", "forest.json")],
+    *[([cmd, "bignum.json"], {}) for cmd in ("verify", "search", "export")],
 ])
 def test_bad_input_is_one_error_line(tmp_path, monkeypatch, capsys, argv, env):
     monkeypatch.chdir(tmp_path)
@@ -259,6 +261,8 @@ def test_bad_input_is_one_error_line(tmp_path, monkeypatch, capsys, argv, env):
     (tmp_path / "latin1.json").write_bytes('{"name": "\xff"}'.encode("latin-1"))
     depth = 200_000  # far past the interpreter's recursion limit
     (tmp_path / "deep.json").write_text("[" * depth + "]" * depth, encoding="utf-8")
+    (tmp_path / "bignum.json").write_text(
+        dumps(P3_DOC).replace('"label": 1', '"label": 1' + "0" * 4999), encoding="utf-8")
     for name, doc in {**BAD_DOCUMENTS, **NEGATIVE_CLAIMS}.items():
         (tmp_path / name).write_text(json.dumps(doc), encoding="utf-8")
     g = new_graph(["a", "b"]).with_edges([("a", "b", 1)])

@@ -53,26 +53,33 @@ def test_dumps_is_deterministic():
 
 
 def test_document_validation_errors():
-    built = build_family("FB", k=1)
-    doc = built_to_document(built)
+    doc = json.loads(dumps(built_to_document(build_family("FB", k=1))))
+    # 7 vertices, vertex 0 is 'u_1' of degree 2, the first edge is {u: 0, v: 2, label: 1}
 
-    bad = json.loads(dumps(doc))
-    bad["edges"][0]["label"] = 0
-    with pytest.raises(DocumentError):
-        document_to_graph(bad)
+    def spoiled(change):
+        bad = json.loads(json.dumps(doc))
+        change(bad)
+        return bad
 
-    bad = json.loads(dumps(doc))
-    bad["edges"][0]["u"] = 99
-    with pytest.raises(DocumentError):
-        document_to_graph(bad)
-
-    bad = json.loads(dumps(doc))
-    bad["vertices"][0]["degree"] += 1
-    with pytest.raises(DocumentError):
-        document_to_graph(bad)
-
-    with pytest.raises(DocumentError):
-        document_to_graph({"format": "other"})
+    cases = [
+        (spoiled(lambda d: d["edges"][0].update(v=0)), "edge (0, 0, 1) is a loop"),
+        (spoiled(lambda d: d["edges"][0].update(label=0)),
+         "edge (0, 2, 0) has label 0; labels must be >= 1"),
+        (spoiled(lambda d: d["edges"][0].update(u=99)),
+         "edge (2, 99, 1) needs ids 0 <= u < v < 7"),
+        (spoiled(lambda d: d["edges"].append({"u": 0, "v": 2, "label": 99})),
+         "edge (0, 2, 99) repeats the pair (0, 2)"),
+        (spoiled(lambda d: d["edges"].append({"u": 2, "v": 0, "label": 99})),
+         "edge (0, 2, 99) repeats the pair (0, 2)"),
+        (spoiled(lambda d: d["vertices"][2].update(name="u_1")), "duplicate vertex name 'u_1'"),
+        (spoiled(lambda d: d["vertices"][0].update(degree=3)),
+         "stored degree of 'u_1' is 3, edges give 2"),
+        ({"format": "other"}, "unsupported document format 'other'"),
+    ]
+    for bad, message in cases:
+        with pytest.raises(DocumentError) as info:
+            document_to_graph(bad)
+        assert type(info.value) is DocumentError and str(info.value) == message
 
     for field in ("claimed_colors", "size"):
         bad = json.loads(dumps(doc))

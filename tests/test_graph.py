@@ -8,7 +8,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from antimagic.document import document_to_graph, dumps, graph_to_document
+from antimagic.document import FORMAT, DocumentError, document_to_graph, dumps, graph_to_document
 from antimagic.families import ACCEPTANCE_GRID, FAMILIES, build_family
 from antimagic.graph import (
     DuplicateName,
@@ -16,6 +16,7 @@ from antimagic.graph import (
     GraphTooLarge,
     InvalidPlan,
     LabeledEdge,
+    LabeledGraph,
     Loop,
     LoopCreated,
     ParallelEdge,
@@ -121,6 +122,52 @@ def test_every_edge_keeps_u_below_v():
     assert _ordered(chi_la_exact(fan_unit()).witness)
 
 
+@st.composite
+def edge_lists(draw):
+    """Names, now and then with a repeat, and int triples that may hold
+    loops, reversed pairs, ids out of range, repeated pairs or labels <= 0."""
+    names = draw(st.lists(st.sampled_from("abcdefg"), max_size=6, unique=True))
+    if names and draw(st.integers(0, 9)) == 0:
+        names.insert(draw(st.integers(0, len(names))), draw(st.sampled_from(names)))
+    n = len(names)
+    # slack 0: every id in range and every label >= 1
+    slack = draw(st.integers(0 if names else 1, 2))
+    ids = st.integers(-slack, n - 1 + slack)
+    triples = draw(st.lists(st.tuples(ids, ids, st.integers(1 - slack, 20)), max_size=9))
+    return names, triples
+
+
+def _outcome_of(build):
+    try:
+        return build()
+    except (GraphError, DocumentError) as exc:
+        return type(exc), str(exc)
+
+
+@settings(max_examples=300, deadline=None)
+@given(edge_lists())
+def test_every_edge_list_is_judged_alike(case):
+    # new_graph, with_edges and the document reader accept the same edge
+    # lists, and refuse the others with one message
+    names, triples = case
+    n = len(names)
+    ordered = [(min(u, v), max(u, v), label) for u, v, label in triples]
+    direct = _outcome_of(lambda: new_graph(names, ordered))
+    degrees = [sum((u == i) + (v == i) for u, v, _ in triples) for i in range(n)]
+    doc = {"format": FORMAT,
+           "vertices": [{"id": i, "name": nm, "degree": d}
+                        for i, (nm, d) in enumerate(zip(names, degrees))],
+           "edges": [{"u": u, "v": v, "label": label} for u, v, label in triples]}
+    read = _outcome_of(lambda: document_to_graph(doc)[0])
+    if isinstance(direct, LabeledGraph):
+        assert _ordered(direct) and read == direct
+    else:
+        assert read == (DocumentError, direct[1])
+    if all(0 <= x < n for u, v, _ in triples for x in (u, v)):
+        by_name = [(names[u], names[v], label) for u, v, label in triples]
+        assert _outcome_of(lambda: new_graph(names).with_edges(by_name)) == direct
+
+
 @pytest.mark.parametrize("tag", sorted(FAMILIES))
 def test_every_family_edge_is_a_plain_int_triple(tag):
     assert _ordered(build_family(tag, **ACCEPTANCE_GRID[tag][0]).graph)
@@ -129,8 +176,9 @@ def test_every_family_edge_is_a_plain_int_triple(tag):
 def test_surgery_error_messages():
     g = fan_unit()  # edges u-w 1, v-w 2, x-w 3, x-u 4, x-v 5
     cases = [
-        (lambda: g.with_edges([("u", "u", 6)]), Loop, "loop at vertex 'u'"),
-        (lambda: g.with_edges([("w", "u", 6)]), ParallelEdge, "edge 'w'--'u' already present"),
+        (lambda: g.with_edges([("u", "u", 6)]), Loop, "edge (0, 0, 6) is a loop"),
+        (lambda: g.with_edges([("w", "u", 6)]), ParallelEdge,
+         "edge (0, 2, 6) repeats the pair (0, 2)"),
         (lambda: g.with_edges([("u", "zz", 6)]), GraphError, "no vertex named 'zz'"),
         (lambda: g.with_edges([("zz", "yy", 6)]), GraphError, "no vertex named 'zz'"),
         (lambda: g.id_of("zz"), GraphError, "no vertex named 'zz'"),
