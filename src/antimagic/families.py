@@ -6,11 +6,12 @@ degrees), so tests and the CLI can check claims without re-deriving any
 formula.  The verifier recomputes everything from the edge list and never
 trusts these expectations.
 
-Every family is a merged graph: disjoint units labeled from one matrix,
-then vertex groups fused by ``apply_merge``, each fusion pattern coming
-from one generator (``_block``, ``_diamond_hubs``, ``_across_fans``,
-``_across_components``, ``_corner_pairs``, ``_rg_groups``).  Two
-construction pipelines:
+Every family starts from disjoint units labeled from one matrix; most
+then fuse vertex groups in one ``apply_merge`` call, each fusion pattern
+coming from one generator (``_block``, ``_diamond_hubs``,
+``_across_fans``, ``_across_components``, ``_corner_pairs``,
+``_rg_groups``).  FB_units, nC482, C8_units and OddKH with s = 1 are the
+units alone.  Two construction pipelines:
 
 * fan-blade units labeled by ``matrix_5x2k`` feed FB, rFB, FB1/FB2, the
   diamond-fan families rDF / DFr / DF1-DF4 (from units whose hubs come
@@ -20,15 +21,11 @@ construction pipelines:
   ``sequences_6x4n`` trace labels nC4(8,2) and its merge families G1/G2,
   H1-H3 and Hm(r,s).
 
-The three unit generators lay out vertex ids by arithmetic and hand
-``new_graph`` int edges:
-
-* ``_fan_units``: unit i's u, v, w, x (or x^1) are ids 4(i-1)..4(i-1)+3,
-  and the p-th hub of ``split`` puts its x^2 at id 8k+p (p from 0);
-* ``build_nc482``: copy a's u_1..u_8 are ids 16(a-1)..16(a-1)+7 and its
-  v_1..v_8 the next eight;
-* ``_prism_units``: unit i's u_1..u_8 are ids 9(i-1)..9(i-1)+7 and x_i is
-  9(i-1)+8.
+The unit generators (``_fan_units``, ``build_nc482``, ``_prism_units``)
+lay out vertex ids by arithmetic and hand ``new_graph`` int edges; one
+helper per layout (``_fan``, ``_nc``, ``_prism``) gives a unit vertex's
+id, and every merge group names its members by those ids.  Names are
+formatted only for the units' vertices and the fused ones.
 
 ``FAMILIES`` maps each tag to its builder.  Families that share a
 construction and differ only in data share one builder, registered per
@@ -92,13 +89,21 @@ def _block(j: int, s: int) -> range:
 # fan-blade units (5 x 2k matrix)
 
 
-def _fan_units(k: int, split: Iterable[int] = ()) -> tuple[LabeledGraph, LabelMatrix]:
+def _fan(i: int, role: str) -> int:
+    """Id of fan unit i's vertex role_i, role one of u, v, w, x (x_i^1 when
+    the hub comes split); x_i^2's id is in ``_fan_units``' map."""
+    return 4 * i - 4 + "uvwx".index(role)
+
+
+def _fan_units(k: int, split: Iterable[int] = ()
+               ) -> tuple[LabeledGraph, LabelMatrix, dict[int, int]]:
     """2k disjoint 4-vertex fans; column i labels unit i's five edges.
 
     Hubs x_i with i in ``split`` come split as the tests' ``split_vertex``
     oracle leaves them, hub by hub: x_i^1 takes x_i's place and the w_i
     edge, and x_i^2, appended after all units in ``split`` order, takes the
-    u_i, v_i edges.
+    u_i, v_i edges.  Also returns the matrix and the map from each split
+    hub's i to its x_i^2's id.
     """
     m = matrix_5x2k(k)
     split = list(split)  # read after the matrix refuses a k above its cap
@@ -110,25 +115,25 @@ def _fan_units(k: int, split: Iterable[int] = ()) -> tuple[LabeledGraph, LabelMa
     names += [f"x_{i}^2" for i in split]
     edges = []
     for i, (a, b, c, d, e) in enumerate(zip(*m.grid), start=1):
-        u = 4 * i - 4
+        u = _fan(i, "u")
         x2 = second.get(i, u + 3)
         edges += [(u, u + 2, a), (u + 1, u + 2, b), (u + 2, u + 3, c),
                   (u, x2, d), (u + 1, x2, e)]
-    return new_graph(names, edges), m
+    return new_graph(names, edges), m, second
 
 
 def build_fb_units(k: int) -> BuiltFamily:
     """2k disjoint fan units; hub sums vary per column, u/v/w are constant."""
-    g, m = _fan_units(k)
+    g, m, _ = _fan_units(k)
     classes = [(10 * k + 1, 4 * k, 2), (13 * k + 1, 2 * k, 3)]
-    classes += [(sum(m.column(i)[2:]), 1, 3) for i in range(1, 2 * k + 1)]
+    classes += [(sum(col[2:]), 1, 3) for col in zip(*m.grid)]
     return BuiltFamily("FB_units", {"k": k}, g, _expected(classes))
 
 
 def build_fb(k: int) -> BuiltFamily:
     """Fan with 2k blades: all unit hubs fused into one vertex x."""
-    g, _ = _fan_units(k)
-    g = apply_merge(g, [([f"x_{i}" for i in range(1, 2 * k + 1)], "x")])
+    g, _, _ = _fan_units(k)
+    g = apply_merge(g, [([_fan(i, "x") for i in range(1, 2 * k + 1)], "x")])
     return BuiltFamily(
         "FB", {"k": k}, g,
         _expected([
@@ -145,11 +150,11 @@ def _rfb_component_units(r: int, s: int) -> list[list[int]]:
     return [sorted([*half, *(r * s + 1 - i for i in half)]) for half in halves]
 
 
-def _across_components(r: int, s: int, roles: str) -> Iterator[tuple[list[str], str]]:
+def _across_components(r: int, s: int, roles: str) -> Iterator[tuple[list[int], str]]:
     """Unit j of every rFB(s) component, fused per role into role_j."""
     for j, units in enumerate(zip(*_rfb_component_units(r, s)), start=1):
         for role in roles:
-            yield [f"{role}_{i}" for i in units], f"{role}_{j}"
+            yield [_fan(i, role) for i in units], f"{role}_{j}"
 
 
 def build_rfb(v: int, r: int, s: int) -> BuiltFamily:
@@ -162,8 +167,8 @@ def build_rfb(v: int, r: int, s: int) -> BuiltFamily:
     _check(s >= 2 and s % 2 == 0, "s must be even and >= 2")
     _check(r * s >= 4, "rs must be >= 4")
     k = r * s // 2
-    g, _ = _fan_units(k)
-    groups = [([f"x_{i}" for i in units], f"x_{j}")
+    g, _, _ = _fan_units(k)
+    groups = [([_fan(i, "x") for i in units], f"x_{j}")
               for j, units in enumerate(_rfb_component_units(r, s), start=1)]
     classes = [(10 * k + 1, 4 * k, 2), (13 * k + 1, 2 * k, 3),
                (s * (17 * k + 2), r, 3 * s)]
@@ -185,23 +190,24 @@ def build_rfb(v: int, r: int, s: int) -> BuiltFamily:
                        _expected(classes), warnings=warnings)
 
 
-def _diamond_hubs(r: int, s: int, mirror: int,
+def _diamond_hubs(r: int, s: int, mirror: int, second: dict[int, int],
                   fused: Callable[[str, int], str] = "{}_{}".format,
-                  ) -> list[tuple[list[str], str]]:
+                  ) -> list[tuple[list[int], str]]:
     """Diamond fan j's hubs: y_j fuses the x^1 halves of unit block j with
-    the x^2 halves of block mirror+1-j, and z_j the other halves.  Hub h_j
-    goes into the vertex ``fused(h, j)``; hubs given one name fuse."""
-    hubs: dict[str, list[str]] = {}
+    the x^2 halves (ids in ``second``) of block mirror+1-j, and z_j the
+    other halves.  Hub h_j goes into the vertex ``fused(h, j)``; hubs given
+    one name fuse."""
+    hubs: dict[str, list[int]] = {}
     for j in range(1, r + 1):
         front, back = _block(j, s), _block(mirror + 1 - j, s)
-        for h, (a, b) in (("y", (1, 2)), ("z", (2, 1))):
+        for h, (ones, twos) in (("y", (front, back)), ("z", (back, front))):
             hubs.setdefault(fused(h, j), []).extend(
-                [f"x_{i}^{a}" for i in front] + [f"x_{i}^{b}" for i in back])
+                [_fan(i, "x") for i in ones] + [second[i] for i in twos])
     return [(members, name) for name, members in hubs.items()]
 
 
 def _across_fans(r: int, s: int, roles: str,
-                 name: str) -> Iterator[tuple[list[str], str]]:
+                 name: str) -> Iterator[tuple[list[int], str]]:
     """Per unit position a and role, one group across the front blocks
     1..r and one across their mirror blocks 2r+1-j; the groups are named
     name_t_a, with t counting the (role, side) pairs."""
@@ -209,7 +215,7 @@ def _across_fans(r: int, s: int, roles: str,
              [_block(2 * r + 1 - j, s) for j in range(1, r + 1)])
     for a in range(s):
         for t, (role, blocks) in enumerate(product(roles, sides), start=1):
-            yield [f"{role}_{b[a]}" for b in blocks], f"{name}_{t}_{a + 1}"
+            yield [_fan(b[a], role) for b in blocks], f"{name}_{t}_{a + 1}"
 
 
 def build_rdf(v: int, r: int, s: int) -> BuiltFamily:
@@ -226,11 +232,11 @@ def build_rdf(v: int, r: int, s: int) -> BuiltFamily:
     _check(r >= 1 and s >= 1, "r and s must be >= 1")
     _check(r * s >= 2, "rs must be >= 2")
     k = r * s
-    g, _ = _fan_units(k, range(1, 2 * k + 1))
+    g, _, second = _fan_units(k, range(1, 2 * k + 1))
     hub = s * (17 * k + 2)
     classes = [(10 * k + 1, 4 * k, 2), (13 * k + 1, 2 * k, 3), (hub, 2 * r, 3 * s)]
     fused = "{}_{}".format
-    across: Iterable[tuple[list[str], str]] = ()
+    across: Iterable[tuple[list[int], str]] = ()
     warnings: tuple[str, ...] = ()
     if v == 1:
         across = _across_fans(r, s, "w", "alpha")
@@ -250,7 +256,7 @@ def build_rdf(v: int, r: int, s: int) -> BuiltFamily:
     elif v == 4:
         fused = lambda h, j: f"yz_{j if h == 'y' else (j - 2) % r + 1}"
         classes[2] = (2 * hub, r, 6 * s)
-    g = apply_merge(g, [*_diamond_hubs(r, s, 2 * r, fused), *across])
+    g = apply_merge(g, [*_diamond_hubs(r, s, 2 * r, second, fused), *across])
     return BuiltFamily(f"DF{v}" if v else "rDF", {"r": r, "s": s}, g,
                        _expected(classes), warnings=warnings)
 
@@ -262,9 +268,9 @@ def build_dfr(r: int, s: int) -> BuiltFamily:
     two_k = (2 * r + 1) * s
     k = two_k // 2
     middle = _block(r + 1, s)
-    g, _ = _fan_units(k, (i for i in range(1, two_k + 1) if i not in middle))
-    g = apply_merge(g, [([f"x_{i}" for i in middle], "x"),
-                        *_diamond_hubs(r, s, 2 * r + 1)])
+    g, _, second = _fan_units(k, (i for i in range(1, two_k + 1) if i not in middle))
+    g = apply_merge(g, [([_fan(i, "x") for i in middle], "x"),
+                        *_diamond_hubs(r, s, 2 * r + 1, second)])
     return BuiltFamily(
         "DFr", {"r": r, "s": s}, g,
         _expected([
@@ -277,6 +283,12 @@ def build_dfr(r: int, s: int) -> BuiltFamily:
 
 # ---------------------------------------------------------------------------
 # prism families (6 x 4n sequences)
+
+
+def _nc(a: int, role: str, i: int) -> int:
+    """Id of nC4(8,2) copy a's vertex role_a_i: role u on the outer cycle,
+    v on the inner one, i = 1..8 around it."""
+    return 16 * a - 16 + 8 * "uv".index(role) + i - 1
 
 
 def build_nc482(n: int) -> BuiltFamily:
@@ -293,7 +305,7 @@ def build_nc482(n: int) -> BuiltFamily:
     edges = []
     for a in range(1, n + 1):
         outer, inner = seqs[a - 1], seqs[n + a - 1]
-        u, v = 16 * a - 16, 16 * a - 8
+        u, v = _nc(a, "u", 1), _nc(a, "v", 1)
         for i in range(7):
             edges += [(u + i, u + i + 1, outer[cycle_pos[i]]),
                       (v + i, v + i + 1, inner[cycle_pos[i]])]
@@ -326,7 +338,7 @@ def build_g(v: int, r: int, s: int) -> BuiltFamily:
     _check(s >= 2, "s must be >= 2")
     n = r * s
     g = apply_merge(build_nc482(n).graph, (
-        ([f"{role}_{c}_{p}" for c in _block(b, s)], f"{role.upper()}_{b}_{j}")
+        ([_nc(c, role, p) for c in _block(b, s)], f"{role.upper()}_{b}_{j}")
         for b in range(1, r + 1) for role, p, j in _G_CORNERS[v]))
     if v == 1:
         classes = [(s * (20 * n + 1), 8 * r, 2 * s), (30 * n + 1, 4 * n, 3),
@@ -347,13 +359,13 @@ _H_MERGES = {
 }
 
 
-def _corner_pairs(m: int, r: int, s: int, names: str) -> Iterator[tuple[list[str], str]]:
+def _corner_pairs(m: int, r: int, s: int, names: str) -> Iterator[tuple[list[int], str]]:
     """The four corner pairs of variant m in every copy of block b (of s
     copies), each fused across the block into x_b_1, x_b_2, y_b_1, y_b_2,
     with x and y the two letters of ``names``."""
     for b in range(1, r + 1):
         for pair, (x, j) in zip(_H_MERGES[m], product(names, (1, 2))):
-            yield ([f"{role}_{c}_{p}" for c in _block(b, s) for role, p in pair],
+            yield ([_nc(c, role, p) for c in _block(b, s) for role, p in pair],
                    f"{x}_{b}_{j}")
 
 
@@ -397,6 +409,12 @@ def build_hm_rs(m: int, r: int, s: int) -> BuiltFamily:
 # 8-cycle-with-chord families (k x 10 matrix)
 
 
+def _prism(i: int, j: int) -> int:
+    """Id of prism unit i's vertex u_i_j for j = 1..8 around the cycle, and
+    of its spoke vertex x_i for j = 9."""
+    return 9 * i - 9 + j - 1
+
+
 def _prism_units(k: int) -> LabeledGraph:
     """k disjoint 8-cycles, each with a spoke vertex x_i joined to u_2 and u_6.
 
@@ -407,8 +425,8 @@ def _prism_units(k: int) -> LabeledGraph:
     names = [f"u_{i}_{j}" if j < 9 else f"x_{i}"
              for i in range(1, k + 1) for j in range(1, 10)]
     edges = []
-    for i, row in enumerate(m.grid):
-        u, x = 9 * i, 9 * i + 8
+    for i, row in enumerate(m.grid, start=1):
+        u, x = _prism(i, 1), _prism(i, 9)
         edges += [(u + j, u + j + 1, row[j]) for j in range(7)]
         edges += [(u, u + 7, row[7]), (u + 1, x, row[8]), (u + 5, x, row[9])]
     return new_graph(names, edges)
@@ -420,19 +438,19 @@ _FUSED_D82_NOTE = ("degree-6 fused color is (10k+1)+(6k+2)+(18k+1) = 34k+4; "
                    "the alternative stated value 34k+2 fails verification")
 
 
-# tag -> (unit i's vertices fused into one, given as name formats of i,
-# that vertex's name, exact, classes as (a, b, c, degree) for value
-# a*k + b on c*k vertices, notes)
+# tag -> (unit i's vertices fused into one, given as their positions j in
+# ``_prism(i, j)``, that vertex's name, exact, classes as (a, b, c, degree)
+# for value a*k + b on c*k vertices, notes)
 _C8 = {
     "C8_units": ((), "", False,
                  ((10, 1, 5, 2), (13, 1, 2, 3), (6, 2, 1, 2), (18, 1, 1, 2)),
                  (_DEGREE3_NOTE,)),
-    "Bk": (("u_{}_4", "u_{}_8"), "b", False,
+    "Bk": ((4, 8), "b", False,
            ((10, 1, 5, 2), (13, 1, 2, 3), (24, 3, 1, 4)), (_DEGREE3_NOTE,)),
-    "kC82": (("x_{}", "u_{}_8"), "z", False,
+    "kC82": ((9, 8), "z", False,
              ((10, 1, 4, 2), (6, 2, 1, 2), (13, 1, 2, 3), (28, 2, 1, 4)),
              (_DEGREE3_NOTE,)),
-    "kD82": (("x_{}", "u_{}_4", "u_{}_8"), "w", True,
+    "kD82": ((9, 4, 8), "w", True,
              ((10, 1, 4, 2), (13, 1, 2, 3), (34, 4, 1, 6)),
              (_DEGREE3_NOTE, _FUSED_D82_NOTE)),
 }
@@ -440,13 +458,13 @@ _C8 = {
 
 def build_c8(tag: str, k: int) -> BuiltFamily:
     """k 8-cycles, each with a 2-spoke vertex, and per unit the vertices
-    ``_C8[tag]`` names fused into one: none (C8 units), u_4 and u_8 (Bk,
+    ``_C8[tag]`` lists fused into one: none (C8 units), u_4 and u_8 (Bk,
     color 24k+3), x and u_8 (kC(8,2), color 28k+2), or x, u_4 and u_8
     (kD(8,2), degree 6, color 34k+4)."""
     fuse, name, exact, classes, notes = _C8[tag]
     g = _prism_units(k)
     if fuse:
-        g = apply_merge(g, [([f.format(i) for f in fuse], f"{name}_{i}")
+        g = apply_merge(g, [([_prism(i, j) for j in fuse], f"{name}_{i}")
                             for i in range(1, k + 1)])
     return BuiltFamily(
         tag, {"k": k}, g,
@@ -455,7 +473,7 @@ def build_c8(tag: str, k: int) -> BuiltFamily:
     )
 
 
-def _rg_groups(r: int, s: int) -> Iterator[tuple[list[str], str]]:
+def _rg_groups(r: int, s: int) -> Iterator[tuple[list[int], str]]:
     """Per block a of s units, p_a fuses the z vertices (x with u_8) of the
     first s//2 units with the u_4 corners of the last s//2, and q_a the
     other way round; for odd s the middle unit gives its u_8 to p_a and
@@ -464,10 +482,10 @@ def _rg_groups(r: int, s: int) -> Iterator[tuple[list[str], str]]:
     for a in range(1, r + 1):
         block = _block(a, s)
         first, mid, last = block[:half], block[half:s - half], block[s - half:]
-        yield ([v for c in first for v in (f"x_{c}", f"u_{c}_8")]
-               + [f"u_{c}_8" for c in mid] + [f"u_{c}_4" for c in last], f"p_{a}")
-        yield ([v for c in last for v in (f"x_{c}", f"u_{c}_8")]
-               + [f"u_{c}_4" for c in (*first, *mid)], f"q_{a}")
+        yield ([_prism(c, j) for c in first for j in (9, 8)]
+               + [_prism(c, 8) for c in mid] + [_prism(c, 4) for c in last], f"p_{a}")
+        yield ([_prism(c, j) for c in last for j in (9, 8)]
+               + [_prism(c, 4) for c in (*first, *mid)], f"q_{a}")
 
 
 def build_rg82(r: int, s: int) -> BuiltFamily:

@@ -1,23 +1,22 @@
 """Immutable simple graphs with labeled edges and vertex surgery.
 
-Vertices are addressed by display name (``u_3``, ``x_5^1``, ``w_2_4``) so
-constructions and tests can refer to them directly; integer ids are
-positional handles.  An edge is a plain int triple ``(u, v, label)``
-with ``u < v`` and ``label >= 1``; ``LabeledEdge`` is its named form
-for outside callers.  ``new_graph`` is the one edge check: it decides
-whether names and int edges form a simple graph, for the family
-builders, which lay out their ids by arithmetic, for
-``LabeledGraph.with_edges``, a name lookup in front of it, and for the
-document reader.  A ``LabeledGraph`` gives the views the
-other modules read (``adjacency``, ``degrees()``, ``labels()``,
-``id_of``).  The one surgery is ``apply_merge``,
-which every family builder uses; the tests keep a ``split_vertex``
-oracle.  ``is_bipartite`` and ``chromatic_number_small`` feed the
-verifier's lower bound, and the 2-coloring ``is_bipartite`` finds feeds
-the search's ``sum_total`` cut.  Every operation is pure: it validates its
-inputs and returns a new graph.  Edge labels stay attached to their
-edges through merges, so a bijective labeling survives any sequence of
-them.  Values are safe to share across threads.
+A vertex is an integer id, its position in ``names``; the display name
+(``u_3``, ``x_5^1``, ``w_2_4``) is what documents and reports show.  An
+edge is a plain int triple ``(u, v, label)`` with ``u < v`` and
+``label >= 1``; ``LabeledEdge`` is its named form for outside callers.
+``new_graph`` is the one edge check: it decides whether names and int
+edges form a simple graph, for the family builders, which lay out their
+ids by arithmetic, for ``LabeledGraph.with_edges``, a name lookup in
+front of it, and for the document reader.  A ``LabeledGraph`` gives the
+views the other modules read (``adjacency``, ``degrees()``,
+``labels()``).  The one surgery is ``apply_merge``, which fuses groups
+of vertex ids and which every merged family uses; the tests keep a
+``split_vertex`` oracle.  ``is_bipartite`` and ``chromatic_number_small``
+feed the verifier's lower bound, and the 2-coloring ``is_bipartite``
+finds feeds the search's ``sum_total`` cut.  Every operation is pure: it
+validates its inputs and returns a new graph.  Edge labels stay attached
+to their edges through merges, so a bijective labeling survives any
+sequence of them.  Values are safe to share across threads.
 """
 
 from __future__ import annotations
@@ -63,10 +62,6 @@ class GraphTooLarge(GraphError):
     pass
 
 
-def _no_vertex(name: str) -> GraphError:
-    return GraphError(f"no vertex named {name!r}")
-
-
 class LabeledEdge(NamedTuple):
     """Named form of the ``(u, v, label)`` edge triple, u < v, label >= 1."""
 
@@ -109,15 +104,8 @@ class LabeledGraph:
         """Edge count m."""
         return len(self.edges)
 
-    @cached_property
-    def _id_of(self) -> dict[str, int]:
-        return {nm: i for i, nm in enumerate(self.names)}
-
-    def id_of(self, name: str) -> int:
-        try:
-            return self._id_of[name]
-        except KeyError:
-            raise _no_vertex(name) from None
+    # name -> id, read only by with_edges: everything else addresses vertices by id
+    _id_of = cached_property(lambda self: {nm: i for i, nm in enumerate(self.names)})
 
     @cached_property
     def adjacency(self) -> tuple[tuple[int, ...], ...]:
@@ -144,7 +132,7 @@ class LabeledGraph:
             try:
                 ia, ib = ids[a], ids[b]
             except KeyError as exc:
-                raise _no_vertex(exc.args[0]) from None
+                raise GraphError(f"no vertex named {exc.args[0]!r}") from None
             new.append((ia, ib, label) if ia < ib else (ib, ia, label))
         return new_graph(self.names, self.edges + tuple(new))
 
@@ -194,13 +182,14 @@ def _refuse_edge(edges: tuple[tuple[int, int, int], ...], n: int) -> NoReturn:
 
 
 def apply_merge(g: LabeledGraph,
-                groups: Iterable[tuple[Sequence[str], str]]) -> LabeledGraph:
-    """Fuse each ``(members, fused_name)`` group into one vertex, keeping all
-    edges and labels; the fused vertex takes its lowest member's position.
+                groups: Iterable[tuple[Sequence[int], str]]) -> LabeledGraph:
+    """Fuse each ``(member ids, fused_name)`` group into one vertex, keeping
+    all edges and labels; the fused vertex takes its lowest member's position.
 
-    Errors: InvalidPlan for malformed groups, LoopCreated when a group
-    contains adjacent vertices, ParallelEdgeCreated when the fused graph
-    would carry two edges between the same pair.
+    Errors: InvalidPlan for malformed groups (a member id outside
+    0 <= id < n included), LoopCreated when a group contains adjacent
+    vertices, ParallelEdgeCreated when the fused graph would carry two
+    edges between the same pair.
 
     Only the edges with a fused endpoint are checked, in edge order.  The
     remap is strictly increasing and injective on the unfused vertices,
@@ -208,6 +197,7 @@ def apply_merge(g: LabeledGraph,
     fused endpoint keeps u < v, and an edge with the same new pair would
     have the same two old ends, which the simple input graph rules out.
     """
+    n_old = len(g.names)
     group_of: dict[int, int] = {}  # vertex id -> group index
     lowest: list[int] = []  # group index -> smallest member id
     fused_names: list[str] = []
@@ -216,23 +206,15 @@ def apply_merge(g: LabeledGraph,
             raise InvalidPlan(f"group {name!r} has fewer than 2 members")
         if len(set(members)) != len(members):
             raise InvalidPlan(f"group {name!r} repeats a member")
-        low = len(g.names)
-        for nm in members:
-            vid = g.id_of(nm)
+        for vid in members:
+            if not 0 <= vid < n_old:  # a negative id would alias through indexing
+                raise InvalidPlan(
+                    f"member {vid} of group {name!r} needs 0 <= id < {n_old}")
             if vid in group_of:
-                raise InvalidPlan(f"vertex {nm!r} appears in two merge groups")
+                raise InvalidPlan(f"vertex {g.names[vid]!r} appears in two merge groups")
             group_of[vid] = gi
-            if vid < low:
-                low = vid
-        lowest.append(low)
+        lowest.append(min(members))
         fused_names.append(name)
-
-    if len(set(fused_names)) != len(fused_names):
-        raise InvalidPlan("fused vertex names are not distinct")
-    for nm in fused_names:
-        vid = g._id_of.get(nm)
-        if vid is not None and vid not in group_of:  # a vertex that survives
-            raise InvalidPlan(f"fused name {nm!r} collides with a surviving vertex")
 
     # a group's lowest member comes first, so its new id is known when the
     # other members reach it
@@ -247,7 +229,13 @@ def apply_merge(g: LabeledGraph,
             new_names.append(nm if gi is None else fused_names[gi])
 
     n = len(new_names)
-    fused = [False] * len(g.names)
+    if len(set(new_names)) != n:  # the surviving names are distinct already
+        if len(set(fused_names)) != len(fused_names):
+            raise InvalidPlan("fused vertex names are not distinct")
+        survivors = {nm for vid, nm in enumerate(g.names) if vid not in group_of}
+        nm = next(nm for nm in fused_names if nm in survivors)
+        raise InvalidPlan(f"fused name {nm!r} collides with a surviving vertex")
+    fused = [False] * n_old
     for vid in group_of:
         fused[vid] = True
     new_edges: list[tuple[int, int, int]] = []

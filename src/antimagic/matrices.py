@@ -44,10 +44,6 @@ class LabelMatrix:
     def flat(self) -> list[int]:
         return [x for row in self.grid for x in row]
 
-    def column(self, j: int) -> tuple[int, ...]:
-        """1-based column access."""
-        return tuple(row[j - 1] for row in self.grid)
-
 
 @dataclass(frozen=True)
 class Check:

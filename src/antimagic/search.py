@@ -474,10 +474,15 @@ def chi_la_exact(
                 else:
                     rest = free ^ (1 << lab)
                     cut = False
-                    if d == cap:  # every open vertex must end on a taken sum
+                    if d >= cap - 1:
+                        # at d == cap every open vertex must end on a taken
+                        # sum; at cap - 1 two adjacent vertices that cannot
+                        # would need two new colors
+                        full = d == cap
                         reachable = sum_sets[rest]
+                        stuck = 0  # bitmask of open vertices that cannot
                         ends0 = ends1 = 1  # bit k: that side's open vertices so far can gain k
-                        for w, r, _, _, finished, s in opens:
+                        for w, r, bit, near, finished, s in opens:
                             hit = now >> sums[w] & reachable[r]  # bit k: w can gain k
                             if hit and finished:  # leaving out their sums only clears bits
                                 ok = now  # taken sums no finished neighbor of w carries
@@ -485,48 +490,33 @@ def chi_la_exact(
                                     ok &= ~(1 << sums[x])
                                 hit = ok >> sums[w] & reachable[r]
                             if not hit:
-                                reach += 1
-                                cut = True
-                                break
-                            # add w's increment to its side's totals: a shift per bit of hit
-                            if hit & (hit - 1):
-                                ends = ends1 if s else ends0
-                                grown = 0
-                                while hit:
-                                    low = hit & -hit
-                                    grown |= ends << low.bit_length() - 1
-                                    hit ^= low
-                                if s:
-                                    ends1 = grown
-                                else:
-                                    ends0 = grown
-                            elif s:
-                                ends1 <<= hit.bit_length() - 1
-                            else:
-                                ends0 <<= hit.bit_length() - 1
-                        else:
-                            left = total - lab
-                            if not ends0 >> share0 * left & ends1 >> share1 * left & 1:
-                                sum_total += 1
-                                cut = True
-                    elif d == cap - 1:  # two adjacent vertices that cannot end on a taken sum
-                        # the hit test is repeated, not shared with the branch
-                        # above, so that neither pays for the other's bookkeeping
-                        reachable = sum_sets[rest]
-                        stuck = 0  # bitmask of vertices that cannot
-                        for w, r, bit, near, finished, _ in opens:
-                            hit = now >> sums[w] & reachable[r]
-                            if hit and finished:
-                                ok = now
-                                for x in finished:
-                                    ok &= ~(1 << sums[x])
-                                hit = ok >> sums[w] & reachable[r]
-                            if not hit:
-                                if stuck & near:
+                                if full or stuck & near:
                                     reach += 1
                                     cut = True
                                     break
                                 stuck |= bit
+                            elif full:
+                                # add w's increment to its side's totals: a shift per bit of hit
+                                if hit & (hit - 1):
+                                    ends = ends1 if s else ends0
+                                    grown = 0
+                                    while hit:
+                                        low = hit & -hit
+                                        grown |= ends << low.bit_length() - 1
+                                        hit ^= low
+                                    if s:
+                                        ends1 = grown
+                                    else:
+                                        ends0 = grown
+                                elif s:
+                                    ends1 <<= hit.bit_length() - 1
+                                else:
+                                    ends0 <<= hit.bit_length() - 1
+                        else:
+                            left = total - lab
+                            if full and not ends0 >> share0 * left & ends1 >> share1 * left & 1:
+                                sum_total += 1
+                                cut = True
                     if not cut:
                         assignment[t] = lab
                         if t < final:

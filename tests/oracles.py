@@ -5,7 +5,8 @@ with no pruning at all, so it shares no code path with the package's
 search module.  ``naive_merge`` does ``apply_merge``'s surgery on vertex
 names, with linear scans and no integer ids or pair keys.
 ``split_vertex`` is the inverse surgery, which no builder does: it is the
-oracle for the hubs that ``families._fan_units`` makes already split.
+oracle for the hubs that ``families._fan_units`` makes already split, and
+it finds each vertex by a scan of ``names``.
 ``naive_two_coloring_impossible`` is ``verify.two_coloring_impossible``
 with the achievable part sizes as a set, not a bitmask.
 ``fan_units_by_name``, ``nc482_by_name`` and ``prism_units_by_name``
@@ -71,8 +72,10 @@ def naive_two_coloring_impossible(g: LabeledGraph) -> bool:
 
 
 def naive_merge(g: LabeledGraph, groups) -> LabeledGraph:
-    """``apply_merge(g, groups)`` by name, raising the same exceptions with
-    the same messages.
+    """``apply_merge(g, groups)`` with each member given by name, not id,
+    raising the same exceptions with the same messages; where
+    ``apply_merge`` refuses an id out of range, this refuses an unknown
+    name.
 
     Each vertex is renamed to its group's fused name; the new vertex list
     is the renamed names in order of first occurrence, so a fused vertex
@@ -124,8 +127,7 @@ def fan_units_by_name(k: int, split=()) -> LabeledGraph:
         names += [f"u_{i}", f"v_{i}", f"w_{i}", f"x_{i}^1" if i in split else f"x_{i}"]
     names += [f"x_{i}^2" for i in split]
     triples = []
-    for i in range(1, 2 * k + 1):
-        col = m.column(i)
+    for i, col in enumerate(zip(*m.grid), start=1):
         x1, x2 = (f"x_{i}^1", f"x_{i}^2") if i in split else (f"x_{i}",) * 2
         triples += [(f"u_{i}", f"w_{i}", col[0]), (f"v_{i}", f"w_{i}", col[1]),
                     (x1, f"w_{i}", col[2]), (x2, f"u_{i}", col[3]), (x2, f"v_{i}", col[4])]
@@ -179,7 +181,7 @@ def split_vertex(
     incident edges correspond to neighbors).  Empty blocks are allowed and
     produce an isolated vertex.
     """
-    vid = g.id_of(v)
+    vid = g.names.index(v)
     nbrs = {g.names[w] for w in g.adjacency[vid]}
     first = set(first)
     second = set(second)
@@ -193,14 +195,14 @@ def split_vertex(
     if name_first == name_second:
         raise DuplicateName(f"split names for {v!r} are equal")
     for nm in (name_first, name_second):
-        if nm in g._id_of and nm != v:
+        if nm in g.names and nm != v:
             raise DuplicateName(f"split name {nm!r} already in use")
 
     names = list(g.names)
     names[vid] = name_first
     names.append(name_second)
     second_id = len(names) - 1
-    first_ids = {g.id_of(nm) for nm in first}
+    first_ids = {g.names.index(nm) for nm in first}
     new_edges = []
     for e in g.edges:
         a, b, label = e

@@ -14,7 +14,10 @@ from antimagic.families import (
     ACCEPTANCE_GRID,
     FAMILIES,
     ParameterError,
+    _fan,
     _fan_units,
+    _nc,
+    _prism,
     _prism_units,
     build_dfr,
     build_family,
@@ -26,6 +29,7 @@ from antimagic.families import (
     build_rg82,
 )
 from antimagic.cli import _check
+from antimagic.graph import LabeledGraph, new_graph
 from antimagic.verify import induced_coloring
 from helpers import chi_la_is_three, components, disjoint_union, grid_points
 from oracles import fan_units_by_name, nc482_by_name, prism_units_by_name, split_vertex
@@ -380,7 +384,7 @@ def _same_graph(g, oracle):
     st.just(k), st.lists(st.integers(1, 2 * k), unique=True))))
 def test_presplit_fan_units_match_sequential_splits(case):
     k, split = case
-    oracle, _ = _fan_units(k)
+    oracle = _fan_units(k)[0]
     for i in split:
         oracle = split_vertex(oracle, f"x_{i}", {f"w_{i}"}, {f"u_{i}", f"v_{i}"},
                               f"x_{i}^1", f"x_{i}^2")
@@ -426,3 +430,38 @@ def test_fan_builds_make_one_matrix_and_split_nothing(monkeypatch, tag, params):
     build_family(tag, **params)
     merges = {"apply_merge": 1} if tag != "FB_units" else {}
     assert calls == {"matrix_5x2k": 1, **merges}
+
+
+@pytest.mark.parametrize("k", range(1, 9))
+def test_unit_vertex_ids_name_their_vertices(k):
+    # each layout helper gives every vertex of its units, under the name
+    # its docstring says, and no other id
+    units = range(1, 2 * k + 1)
+    fans, _, _ = _fan_units(k)
+    assert dict(enumerate(fans.names)) == {
+        _fan(i, role): f"{role}_{i}" for i in units for role in "uvwx"}
+    split, _, second = _fan_units(k, reversed(units))
+    assert dict(enumerate(split.names)) == {
+        **{_fan(i, role): f"{role}_{i}" for i in units for role in "uvw"},
+        **{_fan(i, "x"): f"x_{i}^1" for i in units},
+        **{second[i]: f"x_{i}^2" for i in units}}
+    assert dict(enumerate(_prism_units(k).names)) == {
+        **{_prism(i, j): f"u_{i}_{j}" for i in range(1, k + 1) for j in range(1, 9)},
+        **{_prism(i, 9): f"x_{i}" for i in range(1, k + 1)}}
+    assert dict(enumerate(build_nc482(k).graph.names)) == {
+        _nc(a, role, i): f"{role}_{a}_{i}"
+        for a in range(1, k + 1) for role in "uv" for i in range(1, 9)}
+
+
+def test_no_builder_resolves_a_vertex_name(monkeypatch):
+    # merge groups name their members by id, so no build reads the
+    # name -> id dict that with_edges looks names up in
+    def refuse(self):
+        raise AssertionError("a vertex was looked up by name")
+
+    monkeypatch.setattr(LabeledGraph, "_id_of", property(refuse))
+    with pytest.raises(AssertionError):
+        new_graph(["a", "b"]).with_edges([("a", "b", 1)])
+    for tag, points in ACCEPTANCE_GRID.items():
+        for params in points:
+            build_family(tag, **params)

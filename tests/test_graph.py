@@ -41,7 +41,12 @@ def fan_unit(labels=(1, 2, 3, 4, 5), suffix=""):
 
 
 def neighbor_names(g, name):
-    return {g.names[w] for w in g.adjacency[g.id_of(name)]}
+    return {g.names[w] for w in g.adjacency[g.names.index(name)]}
+
+
+def ids(g, *names):
+    """The ids of the named vertices, for apply_merge."""
+    return [g.names.index(nm) for nm in names]
 
 
 def test_new_graph_and_errors():
@@ -110,7 +115,7 @@ def test_every_edge_keeps_u_below_v():
     g = new_graph(["a", "b", "c", "d", "e"]).with_edges(
         [("b", "a", 1), ("e", "c", 2), ("a", "d", 3), ("d", "b", 4)])
     assert _ordered(g) and [e[:2] for e in g.edges] == [(0, 1), (2, 4), (0, 3), (1, 3)]
-    merged = apply_merge(g, [(["e", "a"], "ae")])  # e lands on a's id 0
+    merged = apply_merge(g, [(ids(g, "e", "a"), "ae")])  # e lands on a's id 0
     assert _ordered(merged) and merged.names == ("ae", "b", "c", "d")
     assert [e[:2] for e in merged.edges] == [(0, 1), (0, 2), (0, 3), (1, 3)]
     doc = json.loads(dumps(graph_to_document(g)))
@@ -181,13 +186,11 @@ def test_surgery_error_messages():
          "edge (0, 2, 6) repeats the pair (0, 2)"),
         (lambda: g.with_edges([("u", "zz", 6)]), GraphError, "no vertex named 'zz'"),
         (lambda: g.with_edges([("zz", "yy", 6)]), GraphError, "no vertex named 'zz'"),
-        (lambda: g.id_of("zz"), GraphError, "no vertex named 'zz'"),
-        (lambda: apply_merge(g, [(["u", "zz"], "uz")]), GraphError, "no vertex named 'zz'"),
-        (lambda: apply_merge(g, [(["v", "u", "w"], "uvw")]), LoopCreated,
+        (lambda: apply_merge(g, [(ids(g, "v", "u", "w"), "uvw")]), LoopCreated,
          "merging adjacent vertices 'u' and 'w'"),
-        (lambda: apply_merge(g, [(["u", "v"], "uv")]), ParallelEdgeCreated,
+        (lambda: apply_merge(g, [(ids(g, "u", "v"), "uv")]), ParallelEdgeCreated,
          "edges labeled 1 and 2 would join 'uv' and 'w' twice"),
-        (lambda: apply_merge(g, [(["u", "v"], "w")]), InvalidPlan,
+        (lambda: apply_merge(g, [(ids(g, "u", "v"), "w")]), InvalidPlan,
          "fused name 'w' collides with a surviving vertex"),
     ]
     for call, kind, message in cases:
@@ -196,15 +199,29 @@ def test_surgery_error_messages():
         assert type(info.value) is kind and str(info.value) == message
     two = new_graph(["a", "b", "c", "d"]).with_edges([("a", "c", 4), ("d", "b", 9)])
     with pytest.raises(ParallelEdgeCreated) as info:
-        apply_merge(two, [(["c", "d"], "cd"), (["b", "a"], "ab")])
+        apply_merge(two, [(ids(two, "c", "d"), "cd"), (ids(two, "b", "a"), "ab")])
     assert str(info.value) == "edges labeled 4 and 9 would join 'ab' and 'cd' twice"
+
+
+@pytest.mark.parametrize("plan, message", [
+    ([([0, 3], "ac")], "member 3 of group 'ac' needs 0 <= id < 3"),
+    ([([0, 1], "ab"), ([2, 7], "c7")], "member 7 of group 'c7' needs 0 <= id < 3"),
+    # as an index, -1 is c and -3 is a: either would fuse without a complaint
+    ([([-1, 0], "ca")], "member -1 of group 'ca' needs 0 <= id < 3"),
+    ([([1, -3], "ba")], "member -3 of group 'ba' needs 0 <= id < 3"),
+])
+def test_merge_refuses_an_id_out_of_range(plan, message):
+    g = new_graph(["a", "b", "c"], [(0, 1, 1)])
+    with pytest.raises(GraphError) as info:
+        apply_merge(g, plan)
+    assert type(info.value) is InvalidPlan and str(info.value) == message
 
 
 def test_merge_two_units_degree_additivity():
     g1 = fan_unit((1, 2, 3, 4, 5), "1")
     g2 = fan_unit((6, 7, 8, 9, 10), "2")
     g = disjoint_union(g1, g2)
-    g = apply_merge(g, [(["1:x1", "2:x2"], "x")])
+    g = apply_merge(g, [(ids(g, "1:x1", "2:x2"), "x")])
     assert g.n_vertices == 7
     assert g.degrees()["x"] == 6
 
@@ -212,38 +229,38 @@ def test_merge_two_units_degree_additivity():
 def test_merge_adjacent_vertices_is_loop():
     g = fan_unit()
     with pytest.raises(LoopCreated):
-        apply_merge(g, [(["u", "w"], "uw")])
+        apply_merge(g, [(ids(g, "u", "w"), "uw")])
 
 
 def test_merge_creating_parallel_edge_detected():
     g = new_graph(["a", "b", "c"]).with_edges([("a", "c", 1), ("b", "c", 2)])
     with pytest.raises(ParallelEdgeCreated):
-        apply_merge(g, [(["a", "b"], "ab")])
+        apply_merge(g, [(ids(g, "a", "b"), "ab")])
 
 
 def test_merge_plan_validation():
     g = fan_unit()
     with pytest.raises(InvalidPlan):
-        apply_merge(g, [(["u"], "solo")])
+        apply_merge(g, [(ids(g, "u"), "solo")])
     with pytest.raises(InvalidPlan):
-        apply_merge(g, [(["u", "v"], "a"), (["v", "x"], "b")])
+        apply_merge(g, [(ids(g, "u", "v"), "a"), (ids(g, "v", "x"), "b")])
     with pytest.raises(InvalidPlan):
-        apply_merge(g, [(["u", "v"], "w")])  # name collision
+        apply_merge(g, [(ids(g, "u", "v"), "w")])  # name collision
 
 
 def test_merge_ignores_member_order():
     units = disjoint_union(disjoint_union(fan_unit((1, 2, 3, 4, 5), "1"),
                                           fan_unit((6, 7, 8, 9, 10), "2")),
                            fan_unit((11, 12, 13, 14, 15), "3"))
-    sorted_first = apply_merge(units, [(["1:1:x1", "1:2:x2", "2:x3"], "x")])
-    reordered = apply_merge(units, [(["2:x3", "1:1:x1", "1:2:x2"], "x")])
+    sorted_first = apply_merge(units, [(ids(units, "1:1:x1", "1:2:x2", "2:x3"), "x")])
+    reordered = apply_merge(units, [(ids(units, "2:x3", "1:1:x1", "1:2:x2"), "x")])
     assert sorted_first == reordered
 
 
 def test_merge_keeps_labels_and_size():
     units = disjoint_union(fan_unit((1, 2, 3, 4, 5), "1"),
                            fan_unit((6, 7, 8, 9, 10), "2"))
-    merged = apply_merge(units, [(["1:x1", "2:x2"], "x")])
+    merged = apply_merge(units, [(ids(units, "1:x1", "2:x2"), "x")])
     assert sorted(merged.labels()) == sorted(units.labels())
     assert merged.size == units.size
     assert merged.n_vertices == units.n_vertices - 1
@@ -274,7 +291,7 @@ def test_split_overlapping_blocks_rejected():
 def test_split_then_merge_is_identity_up_to_names():
     g = fan_unit()
     h = split_vertex(g, "x", {"w"}, {"u", "v"}, "x^1", "x^2")
-    back = apply_merge(h, [(["x^1", "x^2"], "x")])
+    back = apply_merge(h, [(ids(h, "x^1", "x^2"), "x")])
     assert same_up_to_names(g, back)
 
 
@@ -358,7 +375,7 @@ def test_split_merge_roundtrip_random(g, data):
     block2 = set(nbrs) - block1
     h = split_vertex(g, v, block1, block2, f"{v}^1", f"{v}^2")
     assert h.size == g.size
-    back = apply_merge(h, [([f"{v}^1", f"{v}^2"], v)])
+    back = apply_merge(h, [(ids(h, f"{v}^1", f"{v}^2"), v)])
     assert same_up_to_names(g, back)
 
 
@@ -370,8 +387,8 @@ def test_degree_sum_invariant_random(g):
 
 @st.composite
 def merge_cases(draw):
-    """A sparse small graph and a merge plan that is often valid, and
-    otherwise breaks one of apply_merge's rules."""
+    """A sparse small graph and a merge plan of vertex ids that is often
+    valid, and otherwise breaks one of apply_merge's rules."""
     n = draw(st.integers(min_value=2, max_value=8))
     names = [f"n{i}" for i in range(n)]
     pairs = [(i, j) for i in range(n) for j in range(i + 1, n)]
@@ -382,15 +399,18 @@ def merge_cases(draw):
         (names[j], names[i], lab) if flip else (names[i], names[j], lab)
         for (i, j), flip, lab in zip(chosen, flips, labels)])
     if draw(st.integers(0, 3)):  # disjoint groups of known vertices, mostly fresh names
-        order = draw(st.permutations(names))
+        order = draw(st.permutations(range(n)))
         k = draw(st.integers(1, n // 2))
         blocks = [order[2 * i:2 * i + 2] for i in range(k)]
         if 2 * k < n and draw(st.booleans()):
             blocks[-1].append(order[2 * k])
-        plan = [(block, draw(st.sampled_from([f"f{i}"] * 3 + [block[-1], names[0]])))
+        plan = [(block, draw(st.sampled_from([f"f{i}"] * 3 + [names[block[-1]], names[0]])))
                 for i, block in enumerate(blocks)]
     else:
-        members = st.lists(st.sampled_from([*names, "zz"]), min_size=1, max_size=4)
+        # one id out of range per plan, negative ones included: the naive
+        # merge sees it as the unknown name "zz"
+        bad = draw(st.sampled_from([-n - 1, -1, n, n + 2]))
+        members = st.lists(st.sampled_from([*range(n), bad]), min_size=1, max_size=4)
         fused = st.sampled_from(["f0", "f1", *names])
         plan = draw(st.lists(st.tuples(members, fused), min_size=1, max_size=3))
     return g, plan
@@ -401,16 +421,14 @@ def colliding_merges(draw):
     """A small graph and a one-group plan that fuses the two ends of an
     edge, or two neighbors of one vertex, with maybe a third vertex."""
     g = draw(small_graphs())
-    names = g.names
-    ends = [[names[u], names[v]] for u, v, _ in g.edges]
-    ends += [[names[a], names[b]] for nbrs in g.adjacency
-             for i, a in enumerate(nbrs) for b in nbrs[i + 1:]]
+    ends = [[u, v] for u, v, _ in g.edges]
+    ends += [[a, b] for nbrs in g.adjacency for i, a in enumerate(nbrs) for b in nbrs[i + 1:]]
     members = draw(st.sampled_from(ends))
-    rest = [nm for nm in names if nm not in members]
+    rest = [w for w in range(g.n_vertices) if w not in members]
     if rest and draw(st.booleans()):
         members.append(draw(st.sampled_from(rest)))
     members = draw(st.permutations(members))
-    return g, [(members, draw(st.sampled_from(["f", members[0]])))]
+    return g, [(members, draw(st.sampled_from(["f", g.names[members[0]]])))]
 
 
 def _outcome(merge, g, plan):
@@ -420,11 +438,24 @@ def _outcome(merge, g, plan):
         return type(exc), str(exc)
 
 
+def _named(g, plan):
+    """The id ``plan`` for ``naive_merge``: each member by its vertex name,
+    and an id out of range as the unknown name "zz"."""
+    return [([g.names[v] if 0 <= v < g.n_vertices else "zz" for v in members], fused)
+            for members, fused in plan]
+
+
 @settings(max_examples=300, deadline=None)
 @given(merge_cases())
 def test_merge_matches_the_naive_merge(case):
     g, plan = case
-    assert _outcome(apply_merge, g, plan) == _outcome(naive_merge, g, plan)
+    expected = _outcome(naive_merge, g, _named(g, plan))
+    if expected == (GraphError, "no vertex named 'zz'"):
+        # the naive merge's first unknown name is the plan's first id out of range
+        bad, fused = next((v, fused) for members, fused in plan for v in members
+                          if not 0 <= v < g.n_vertices)
+        expected = (InvalidPlan, f"member {bad} of group {fused!r} needs 0 <= id < {g.n_vertices}")
+    assert _outcome(apply_merge, g, plan) == expected
 
 
 @settings(max_examples=200, deadline=None)
@@ -434,5 +465,5 @@ def test_merge_refuses_what_the_naive_merge_refuses(case):
     # every edge: both name the same first loop or parallel pair
     g, plan = case
     outcome = _outcome(apply_merge, g, plan)
-    assert outcome == _outcome(naive_merge, g, plan)
+    assert outcome == _outcome(naive_merge, g, _named(g, plan))
     assert outcome[0] in (LoopCreated, ParallelEdgeCreated)

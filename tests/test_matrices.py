@@ -35,8 +35,9 @@ def test_matrix_5x2k_golden_k6():
 
 def test_matrix_5x2k_k1_columns():
     m = matrix_5x2k(1)
-    assert m.column(1) == COLUMNS_5X2K_K1[0]
-    assert m.column(2) == COLUMNS_5X2K_K1[1]
+    columns = list(zip(*m.grid))
+    assert columns[0] == COLUMNS_5X2K_K1[0]
+    assert columns[1] == COLUMNS_5X2K_K1[1]
     assert validate_5x2k(m).ok
 
 
