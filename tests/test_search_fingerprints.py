@@ -1,9 +1,9 @@
-"""Same search tree: for every graph of ``test_search.NODES_TO_PROOF`` and
-``test_search.HARD_GRAPHS``, the value, bounds, node count, prunes per
-rule and witness edges of ``chi_la_exact`` against the record in
-search_fingerprints.json.  A change that only makes nodes cheaper keeps
-every field; a change to the pruning or the search order moves them and
-must re-record the file.
+"""Same search tree: for every graph of ``test_search.NODES_TO_PROOF``,
+``test_search.HARD_GRAPHS`` and ``FAMILY_GRAPHS``, the value, bounds,
+node count, prunes per rule and witness edges of ``chi_la_exact``
+against the record in search_fingerprints.json.  A change that only
+makes nodes cheaper keeps every field; a change to the pruning or the
+search order moves them and must re-record the file.
 
 Re-record (only at a commit whose search results are known good):
 
@@ -18,16 +18,28 @@ from pathlib import Path
 
 import pytest
 
+from antimagic.families import build_family
 from antimagic.search import STATUS_VALUE, chi_la_exact
 from test_search import HARD_GRAPHS, NODES_TO_PROOF, SEARCH_BUDGET_S, _benchmark_graph, graph_of
 
 FINGERPRINTS = Path(__file__).with_name("search_fingerprints.json")
-NAMES = [*NODES_TO_PROOF, *HARD_GRAPHS]
+# 20-edge family graphs, past the default edge cap: tag and k
+FAMILY_GRAPHS = {"Bk_k2": ("Bk", 2), "C8_units_k2": ("C8_units", 2)}
+NAMES = [*NODES_TO_PROOF, *HARD_GRAPHS, *FAMILY_GRAPHS]
+
+
+def _graph(name: str):
+    if name in HARD_GRAPHS:
+        return graph_of(HARD_GRAPHS[name][0])
+    if name in FAMILY_GRAPHS:
+        tag, k = FAMILY_GRAPHS[name]
+        return build_family(tag, k=k).graph
+    return _benchmark_graph(name)
 
 
 def _fingerprint(name: str) -> dict:
-    g = graph_of(HARD_GRAPHS[name][0]) if name in HARD_GRAPHS else _benchmark_graph(name)
-    result = chi_la_exact(g, budget=SEARCH_BUDGET_S)
+    g = _graph(name)
+    result = chi_la_exact(g, max_edges=g.size, budget=SEARCH_BUDGET_S)
     assert result.status == STATUS_VALUE
     doc = result.to_json_dict()
     return {
