@@ -86,8 +86,9 @@ The set of a new F is derived, not built from scratch: drop the lowest
 labels of F until a cached mask is reached (the empty one always is),
 then add the dropped labels back one at a time, each label l turning
 every S_r into S_r | S_(r-1) << l.  The masks passed on the way, F
-last, are cached only while the cache has room (``SUM_SETS_ROOM`` bytes,
-at the size of the largest possible entry).
+last, are all cached.  The cache has one bound: once it holds
+``SUM_SETS_ROOM`` bytes (at the size of the largest possible entry), the
+next new F first empties it back to the empty mask's entry.
 
 Default edge budget is 11, and a graph too deep for the recursion limit
 (see ``FRAME_MARGIN``) raises ``GraphTooLarge`` up front.  The time
@@ -114,7 +115,7 @@ from .graph import GraphTooLarge, LabeledGraph, is_bipartite
 from .verify import lower_bound
 
 DEFAULT_MAX_EDGES = 11
-SUM_SETS_ROOM = 16 << 20  # bytes of sum sets; past them nothing more is cached
+SUM_SETS_ROOM = 16 << 20  # bytes of sum sets; past them the cache empties
 FRAME_MARGIN = 100  # frames of the recursion limit left to the caller and the setup
 
 STATUS_VALUE = "value"
@@ -347,21 +348,11 @@ def _schedule(g: LabeledGraph, order: list[int], side: Sequence[int],
     return plan
 
 
-class _LabelSets(dict):
-    """Bitmask (bit l for label l) -> its labels in increasing order,
-    built on first use."""
-
-    def __missing__(self, mask: int) -> tuple[int, ...]:
-        labels = self[mask] = tuple(
-            lab for lab in range(mask.bit_length()) if mask >> lab & 1)
-        return labels
-
-
 class _SumSets(dict):
     """Bitmask of free labels among 1..top -> per count r = 0..rmax, the
     bitmask of the sums of r distinct labels among them; derived on first
-    use from the nearest cached mask with fewer low labels (see the
-    module docstring)."""
+    use from the nearest cached mask with fewer low labels, after
+    emptying a full cache (see the module docstring)."""
 
     def __init__(self, rmax: int, top: int) -> None:
         super().__init__({0: (1,) + (0,) * rmax})
@@ -371,6 +362,10 @@ class _SumSets(dict):
         self.room = SUM_SETS_ROOM // largest  # entries
 
     def __missing__(self, mask: int) -> tuple[int, ...]:
+        if len(self) >= self.room:  # full: keep only the empty mask's entry
+            empty = self[0]
+            self.clear()
+            self[0] = empty
         dropped = []
         base = mask
         while base not in self:
@@ -382,8 +377,7 @@ class _SumSets(dict):
             lab = low.bit_length() - 1
             sets = (1, *[a | b << lab for a, b in zip(sets[1:], sets)])
             base |= low
-            if len(self) < self.room:
-                self[base] = sets
+            self[base] = sets
         return sets
 
 
@@ -433,7 +427,6 @@ def chi_la_exact(
 
     sums = [0] * n
     assignment = [0] * m
-    label_sets = _LabelSets()
 
     nodes = conflict = color_bound = symmetry = reach = sum_total = 0
     cap = 0  # most distinct completed sums the current target allows
@@ -451,7 +444,10 @@ def chi_la_exact(
             below = free & ((2 << max([assignment[s] for s in after])) - 1)
             symmetry += below.bit_count()
             tried ^= below
-        for lab in label_sets[tried]:
+        while tried:  # the labels of tried, in increasing order
+            low = tried & -tried
+            tried ^= low
+            lab = low.bit_length() - 1
             nodes += 1
             if deadline is not None and time.monotonic() > deadline:
                 raise _Timeout
@@ -472,7 +468,7 @@ def chi_la_exact(
                 if d > cap:
                     color_bound += 1
                 else:
-                    rest = free ^ (1 << lab)
+                    rest = free ^ low
                     cut = False
                     if d >= cap - 1:
                         # at d == cap every open vertex must end on a taken
@@ -501,9 +497,9 @@ def chi_la_exact(
                                     ends = ends1 if s else ends0
                                     grown = 0
                                     while hit:
-                                        low = hit & -hit
-                                        grown |= ends << low.bit_length() - 1
-                                        hit ^= low
+                                        gain = hit & -hit
+                                        grown |= ends << gain.bit_length() - 1
+                                        hit ^= gain
                                     if s:
                                         ends1 = grown
                                     else:

@@ -23,7 +23,7 @@ from antimagic.search import (
     STATUS_VALUE,
     chi_la_exact,
 )
-from antimagic.verify import induced_coloring, lower_bound
+from antimagic.verify import induced_coloring, lower_bound, two_coloring_impossible
 from helpers import components
 from oracles import naive_chi_la
 
@@ -362,10 +362,34 @@ def test_hard_graphs_nodes_to_proof(name):
     assert _proven_within(graph_of(pairs), nodes).chi_la == chi
 
 
+def test_b2_has_the_two_coloring_the_lemma_allows():
+    # the lemma of two_coloring_impossible on a graph that has a
+    # 2-coloring: sums x < y on classes X, Y with x|X| = y|Y| = m(m+1)/2
+    g = build_family("Bk", k=2).graph
+    assert two_coloring_impossible(g) is False
+    result = chi_la_exact(g, max_edges=20, budget=SEARCH_BUDGET_S)
+    assert result.status == STATUS_VALUE and result.chi_la == 2
+    rep = induced_coloring(result.witness)
+    assert rep.local_antimagic and rep.color_count == 2
+    (x, big), (y, small) = sorted(rep.color_classes.items())
+    assert x * len(big) == y * len(small) == g.size * (g.size + 1) // 2 == 210
+    assert len(big) > len(small)
+
+
+def _chain(mask):
+    """The empty mask, mask, and each mask left by dropping its lowest labels."""
+    chain = {0}
+    while mask:
+        chain.add(mask)
+        mask &= mask - 1
+    return chain
+
+
 def test_sum_sets_are_the_sums_of_r_distinct_labels(monkeypatch):
     # one cache per R, asked for random label sets over 1..13 in random
     # order, so that masks are derived from one another; with no room past
-    # the empty mask's entry, nothing else is kept
+    # the empty mask's entry, each miss empties the cache and keeps the
+    # one chain it derives
     rng = random.Random(13)
     masks = rng.sample(range(0, 1 << 14, 2), 300)
     want = {mask: [sum({1 << sum(c) for c in itertools.combinations(
@@ -376,10 +400,11 @@ def test_sum_sets_are_the_sums_of_r_distinct_labels(monkeypatch):
         for rmax in range(14):
             sets = search._SumSets(rmax, 13)
             for mask in rng.sample(masks, len(masks)):
+                kept = set(sets) if mask in sets else _chain(mask)
                 assert sets[mask] == tuple(want[mask][:rmax + 1])
-            if room == 1:
-                assert list(sets) == [0]
-            else:
+                if room == 1:
+                    assert set(sets) == kept
+            if room != 1:
                 assert set(sets) - set(masks) - {0}  # met on the way
 
 

@@ -18,6 +18,7 @@ from pathlib import Path
 
 import pytest
 
+import antimagic.search as search
 from antimagic.families import build_family
 from antimagic.search import STATUS_VALUE, chi_la_exact
 from test_search import HARD_GRAPHS, NODES_TO_PROOF, SEARCH_BUDGET_S, _benchmark_graph, graph_of
@@ -52,8 +53,12 @@ def _fingerprint(name: str) -> dict:
     }
 
 
-@pytest.mark.parametrize("name", NAMES)
-def test_search_matches_the_recorded_fingerprint(name):
+# a room of one byte empties the sum-set cache on every miss
+@pytest.mark.parametrize("name, room", [
+    pytest.param(name, room, id=name + suffix)
+    for suffix, room in (("", search.SUM_SETS_ROOM), ("-room1", 1)) for name in NAMES])
+def test_search_matches_the_recorded_fingerprint(name, room, monkeypatch):
+    monkeypatch.setattr(search, "SUM_SETS_ROOM", room)
     recorded = json.loads(FINGERPRINTS.read_text(encoding="utf-8"))
     assert _fingerprint(name) == recorded[name]
 
