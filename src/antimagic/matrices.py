@@ -25,8 +25,9 @@ the failure ``detail`` text may change.
 
 from __future__ import annotations
 
-from collections import Counter
 from dataclasses import dataclass
+
+from .verify import label_problems
 
 KIND_5X2K = "5x2k"
 KIND_6X4N = "6x4n"
@@ -277,14 +278,8 @@ def _identity(name: str, bad: list, target) -> Check:
 
 
 def _bijection_check(values: list[int], top: int) -> Check:
-    ok = sorted(values) == list(range(1, top + 1))
-    if ok:
-        return Check("bijection", True)
-    counts = Counter(values)
-    dupes = sorted(v for v, c in counts.items() if c > 1)
-    missing = sorted(set(range(1, top + 1)) - set(values))
-    return Check("bijection", False,
-                 f"not a bijection onto [1,{top}]: duplicates {dupes[:5]}, missing {missing[:5]}")
+    problems = label_problems(values, top)
+    return Check("bijection", not problems, "; ".join(problems[:5]))
 
 
 def validate(m: LabelMatrix) -> ValidationReport:

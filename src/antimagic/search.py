@@ -76,9 +76,10 @@ halving the space with it would be unsound here.  The edge order is
 static, so the position at which each vertex becomes fully labeled, the
 neighbors it must then be compared with, the edges each vertex still
 lacks, its neighbors fully labeled by each position and the lex-leader
-constraints are computed once before the search; the unused labels and
-the taken sums are bitmasks, so each partial assignment loops over free
-labels only.
+constraints are computed once before the search (``_schedule``); what
+does not change with the position, a vertex's neighbors as a bitmask and
+its side, is kept once per vertex.  The unused labels and the taken sums
+are bitmasks, so each partial assignment loops over free labels only.
 
 The sum sets S_r(F) are kept for r up to R, the most unlabeled edges
 any open vertex has at any position, since no larger r is asked for.
@@ -121,6 +122,7 @@ FRAME_MARGIN = 100  # frames of the recursion limit left to the caller and the s
 STATUS_VALUE = "value"
 STATUS_NO_LABELING = "no_labeling"
 STATUS_TIMEOUT = "timeout"
+RULES = ("conflict", "color_bound", "symmetry", "reach", "sum_total")  # SearchStats' prune counters
 
 
 @dataclass(frozen=True)
@@ -135,7 +137,7 @@ class SearchStats:
 
     @property
     def prunes(self) -> int:
-        return self.conflict + self.color_bound + self.symmetry + self.reach + self.sum_total
+        return sum(getattr(self, rule) for rule in RULES)
 
 
 @dataclass(frozen=True)
@@ -161,13 +163,7 @@ class SearchResult:
             "stats": {
                 "nodes": self.stats.nodes,
                 "prunes": self.stats.prunes,
-                "prunes_by_rule": {
-                    "conflict": self.stats.conflict,
-                    "color_bound": self.stats.color_bound,
-                    "symmetry": self.stats.symmetry,
-                    "reach": self.stats.reach,
-                    "sum_total": self.stats.sum_total,
-                },
+                "prunes_by_rule": {rule: getattr(self.stats, rule) for rule in RULES},
                 "elapsed": self.stats.elapsed,
             },
             "budget": self.budget,
@@ -240,9 +236,9 @@ def _automorphisms(g: LabeledGraph, order: list[int],
     maps = []
     while True:
         classes: dict[tuple, list[int]] = {}
-        for b, near in enumerate(nbrs):
-            classes.setdefault((kinds[b], False, frozenset(near)), []).append(b)
-            classes.setdefault((kinds[b], True, frozenset(near | {b})), []).append(b)
+        for b, around in enumerate(nbrs):
+            classes.setdefault((kinds[b], False, frozenset(around)), []).append(b)
+            classes.setdefault((kinds[b], True, frozenset(around | {b})), []).append(b)
         twins = [(key[1], c) for key, c in classes.items() if len(c) > 1]
         if not twins:
             break
@@ -300,16 +296,16 @@ def _automorphisms(g: LabeledGraph, order: list[int],
     return maps
 
 
-def _schedule(g: LabeledGraph, order: list[int], side: Sequence[int],
-              deadline: float | None) -> list[tuple]:
+def _schedule(g: LabeledGraph, order: list[int], deadline: float | None) -> list[tuple]:
     """Per position t of the static order: the edge's endpoints, the
     earlier positions whose labels the label at t must exceed, the
     adjacent vertex pairs that become comparable at t (both fully
     labeled, one of them just now), the vertices completed at t, and
-    every vertex with edges after t (the edge's endpoints first), with
-    its count of such edges, its bit, its neighbors as a bitmask, its
-    neighbors fully labeled by t and its entry of ``side``.  Raises
-    ``_Timeout`` past ``deadline``.
+    the open entries: ``(w, r, finished)`` for every vertex w with
+    r > 0 edges after t (the edge's endpoints first), where ``finished``
+    holds w's neighbors whose last edge is at or before t.  An entry
+    holds only what changes with t: ``dfs`` reads w's neighbor mask and
+    side from per-vertex lists.  Raises ``_Timeout`` past ``deadline``.
     """
     adj = g.adjacency
     n = g.n_vertices
@@ -327,7 +323,6 @@ def _schedule(g: LabeledGraph, order: list[int], side: Sequence[int],
             if q != s:
                 after[q].add(s)
                 break
-    neighbors = [sum(1 << x for x in nbrs) for nbrs in adj]
     left = [len(nbrs) for nbrs in adj]
     plan = []
     for t, ei in enumerate(order):
@@ -337,8 +332,7 @@ def _schedule(g: LabeledGraph, order: list[int], side: Sequence[int],
         left[u] -= 1
         left[v] -= 1
         done = tuple(w for w in (u, v) if not left[w])
-        opens = tuple((w, left[w], 1 << w, neighbors[w],
-                       tuple(x for x in adj[w] if last[x] <= t), side[w])
+        opens = tuple((w, left[w], tuple(x for x in adj[w] if last[x] <= t))
                       for w in (u, v, *(x for x in range(n) if x != u and x != v))
                       if left[w])
         pairs = [(w, nb) for w in done for nb in adj[w] if last[nb] < t]
@@ -424,6 +418,7 @@ def chi_la_exact(
     # vertex is on side 0, which then holds both ends of each free label
     side = bip.side if bip else (0,) * n
     share0, share1 = (1, 1) if bip else (2, 0)
+    neighbors = [sum(1 << x for x in nbrs) for nbrs in g.adjacency]  # bitmasks
 
     sums = [0] * n
     assignment = [0] * m
@@ -477,8 +472,8 @@ def chi_la_exact(
                         full = d == cap
                         reachable = sum_sets[rest]
                         stuck = 0  # bitmask of open vertices that cannot
-                        ends0 = ends1 = 1  # bit k: that side's open vertices so far can gain k
-                        for w, r, bit, near, finished, s in opens:
+                        ends = [1, 1]  # per side, bit k: its open vertices so far can gain k
+                        for w, r, finished in opens:
                             hit = now >> sums[w] & reachable[r]  # bit k: w can gain k
                             if hit and finished:  # leaving out their sums only clears bits
                                 ok = now  # taken sums no finished neighbor of w carries
@@ -486,31 +481,23 @@ def chi_la_exact(
                                     ok &= ~(1 << sums[x])
                                 hit = ok >> sums[w] & reachable[r]
                             if not hit:
-                                if full or stuck & near:
+                                if full or stuck & neighbors[w]:
                                     reach += 1
                                     cut = True
                                     break
-                                stuck |= bit
+                                stuck |= 1 << w
                             elif full:
                                 # add w's increment to its side's totals: a shift per bit of hit
-                                if hit & (hit - 1):
-                                    ends = ends1 if s else ends0
-                                    grown = 0
-                                    while hit:
-                                        gain = hit & -hit
-                                        grown |= ends << gain.bit_length() - 1
-                                        hit ^= gain
-                                    if s:
-                                        ends1 = grown
-                                    else:
-                                        ends0 = grown
-                                elif s:
-                                    ends1 <<= hit.bit_length() - 1
-                                else:
-                                    ends0 <<= hit.bit_length() - 1
+                                s = side[w]
+                                grown = 0
+                                while hit:
+                                    gain = hit & -hit
+                                    grown |= ends[s] << gain.bit_length() - 1
+                                    hit ^= gain
+                                ends[s] = grown
                         else:
                             left = total - lab
-                            if full and not ends0 >> share0 * left & ends1 >> share1 * left & 1:
+                            if full and not ends[0] >> share0 * left & ends[1] >> share1 * left & 1:
                                 sum_total += 1
                                 cut = True
                     if not cut:
@@ -540,8 +527,8 @@ def chi_la_exact(
     refuted = lb - 1  # chi_la > refuted is proven
     try:
         order = _edge_order(g, deadline)
-        plan = _schedule(g, order, side, deadline)
-        sum_sets = _SumSets(max((r for *_, opens in plan for _, r, *_ in opens), default=0), m)
+        plan = _schedule(g, order, deadline)
+        sum_sets = _SumSets(max((r for *_, opens in plan for _, r, _ in opens), default=0), m)
         colors = attempt(n)  # the dive: n colors never prune
         if colors is not None:
             best = colors, assignment[:]

@@ -3,19 +3,19 @@
 Everything here recomputes from the edge list: induced vertex sums, color
 classes, the local-antimagic verdict (labels bijective onto [1, m] and
 adjacent sums distinct), comparison against a builder's claimed coloring,
-and ``lower_bound`` from three sources: the chromatic number, the
-2-coloring lemma (``two_coloring_impossible``: balanced bipartitions and
-the divisor-pair scan), and the pendant count.
+and ``lower_bound`` from four sources: the chromatic number, the
+2-coloring lemma (``two_coloring_impossible``: the divisor-pair scan),
+the pendant count and the isolated vertices.
 Exact integer arithmetic throughout.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import Iterable
 
 from .graph import (
     CHI_EXACT_MAX_VERTICES,
-    Bipartition,
     LabeledGraph,
     chromatic_number_small,
     is_bipartite,
@@ -80,24 +80,29 @@ def vertex_sums(g: LabeledGraph) -> list[int]:
     return sums
 
 
+def label_problems(labels: Iterable[int], top: int) -> tuple[str, ...]:
+    """One line per way ``labels`` fail to be a bijection onto [1, top]:
+    each repeat and each label out of range, in increasing order, then
+    each missing label; none when they are one."""
+    labels = sorted(labels)
+    if labels == list(range(1, top + 1)):
+        return ()
+    problems = []
+    seen: set[int] = set()
+    for lab in labels:
+        if lab in seen:
+            problems.append(f"label {lab} used more than once")
+        seen.add(lab)
+        if not 1 <= lab <= top:
+            problems.append(f"label {lab} outside [1, {top}]")
+    problems += [f"label {lab} missing" for lab in range(1, top + 1) if lab not in seen]
+    return tuple(problems)
+
+
 def induced_coloring(g: LabeledGraph) -> ColorReport:
     """Induced vertex sums, color classes, and the local-antimagic verdict."""
     sums = vertex_sums(g)
-
-    problems: list[str] = []
-    labels = sorted(g.labels())
-    m = g.size
-    if labels != list(range(1, m + 1)):
-        seen: set[int] = set()
-        for lab in labels:
-            if lab in seen:
-                problems.append(f"label {lab} used more than once")
-            seen.add(lab)
-            if not 1 <= lab <= m:
-                problems.append(f"label {lab} outside [1, {m}]")
-        for lab in range(1, m + 1):
-            if lab not in seen:
-                problems.append(f"label {lab} missing")
+    problems = label_problems(g.labels(), g.size)
     bijective = not problems
 
     conflicts = tuple(
@@ -117,7 +122,7 @@ def induced_coloring(g: LabeledGraph) -> ColorReport:
         color_classes=color_classes,
         color_count=len(color_classes),
         labels_bijective=bijective,
-        label_problems=tuple(problems),
+        label_problems=problems,
         conflicts=conflicts,
         local_antimagic=bijective and not conflicts,
         bipartite=bip is not None,
@@ -163,15 +168,6 @@ def check_expected(g: LabeledGraph, expected: ExpectedColors,
     return tuple(diffs)
 
 
-def _achievable_part_sizes(bip: Bipartition) -> int:
-    """Bitmask of every |X| achievable by flipping sides independently per
-    component: bit t is set when some choice gives |X| = t."""
-    sizes = 1
-    for a, b in bip.component_parts:
-        sizes = sizes << a | sizes << b
-    return sizes
-
-
 def two_coloring_impossible(g: LabeledGraph) -> bool:
     """True when the lemma rules out every local antimagic 2-coloring;
     False means inconclusive.
@@ -180,21 +176,21 @@ def two_coloring_impossible(g: LabeledGraph) -> bool:
     forces a bipartition with |X| > |Y| and x|X| = y|Y| = m(m+1)/2.  Proof:
     adjacent sums differ, so X and Y are the sides of a bipartition; each
     edge has one endpoint in each side, so each side's sums add up to the
-    label total m(m+1)/2, and x < y then gives |X| > |Y|.  Balanced
-    bipartite graphs (equal sides in every component, hence in every
-    2-coloring) fail |X| > |Y|; otherwise every achievable split must
-    admit the integer divisor pair.  Graphs without edges or that are not
-    bipartite are inconclusive.
+    label total m(m+1)/2, and x < y then gives |X| > |Y|.  So some
+    achievable split with |X| > n/2 must admit the integer divisor pair;
+    a balanced bipartite graph (equal sides in every component) has no
+    such split.  Graphs without edges or that are not bipartite are
+    inconclusive.
     """
     m = g.size
     bip = is_bipartite(g)
     if m == 0 or bip is None:
         return False
-    if bip.balanced:
-        return True
     n = g.n_vertices
     half = m * (m + 1) // 2
-    sizes = _achievable_part_sizes(bip)
+    sizes = 1  # bit t: flipping sides per component can give |X| = t
+    for a, b in bip.component_parts:
+        sizes = sizes << a | sizes << b
     return not any(half % big == 0 and half % (n - big) == 0 and sizes >> big & 1
                    for big in range(n // 2 + 1, n))
 
@@ -207,20 +203,31 @@ def lower_bound(g: LabeledGraph) -> int:
     Arumugam, Premalatha, Baca and Semanicova-Fenovcikova (Local antimagic
     vertex coloring of a graph, Graphs Combin. 33, 2017): with l >= 1
     vertices of degree 1, every local antimagic labeling uses at least
-    l + 1 colors, plus 1 when some vertex is isolated.  Proof: a pendant
-    vertex's sum is the label of its own edge, so the l pendant sums are
-    distinct.  The edge labeled m has an endpoint of degree >= 2 (else it
-    is a K2 component, whose two equal sums admit no valid labeling at
-    all), and that endpoint's sum exceeds m, hence every pendant sum.  An
-    isolated vertex has sum 0, below every other sum.
+    l + 1 colors.  Proof: a pendant vertex's sum is the label of its own
+    edge, so the l pendant sums are distinct.  The edge labeled m has an
+    endpoint of degree >= 2 (else it is a K2 component, whose two equal
+    sums admit no valid labeling at all), and that endpoint's sum exceeds
+    m, hence every pendant sum.
+
+    Isolated vertices are bounded apart: on a graph with edges they all
+    have sum 0, below every other sum, and the labelings of g are those
+    of g without them, so chi_la(g) is one more than chi_la of the rest.
+    The bound of g is one more than the bound of the rest, whose gate
+    and chi see no isolated vertex.
     """
     if g.n_vertices == 0:
         return 0
     if g.size == 0:
         return 1
     degrees = [len(nbrs) for nbrs in g.adjacency]
+    if 0 in degrees:
+        kept = [v for v, d in enumerate(degrees) if d]
+        index = {v: i for i, v in enumerate(kept)}
+        rest = LabeledGraph(tuple(g.names[v] for v in kept),
+                            tuple((index[u], index[v], label) for u, v, label in g.edges))
+        return lower_bound(rest) + 1
     pendants = degrees.count(1)
-    bound = pendants + 1 + (0 in degrees) if pendants else 2
+    bound = pendants + 1 if pendants else 2
     if is_bipartite(g) is None:
         bound = max(bound, 3)
         if g.n_vertices <= CHI_EXACT_MAX_VERTICES:

@@ -210,16 +210,25 @@ def test_each_named_check_fails_on_some_change(kind):
         assert name in {c.name for c in check(NOT_BY_SWAPS[name](rows)).failures}
 
 
+def _bijection_detail(report):
+    return next(c.detail for c in report.failures if c.name == "bijection")
+
+
 def test_single_entry_perturbation_detected():
+    # the bijection's detail is verify.label_problems' lines for the entries
     m = matrix_5x2k(3)
     g = [list(r) for r in m.grid]
-    g[0][0] = 10 * 3 + 5  # out of range, breaks the bijection
-    assert not validate_5x2k(LabelMatrix(m.kind, 3, tuple(tuple(r) for r in g))).ok
+    was, g[0][0] = g[0][0], 10 * 3 + 5  # out of range, breaks the bijection
+    report = validate_5x2k(LabelMatrix(m.kind, 3, tuple(tuple(r) for r in g)))
+    assert not report.ok
+    assert _bijection_detail(report) == f"label 35 outside [1, 30]; label {was} missing"
 
     mk = matrix_kx10(3)
     g = [list(r) for r in mk.grid]
-    g[1][1] = 1  # duplicate value
-    assert not validate_kx10(LabelMatrix(mk.kind, 3, tuple(tuple(r) for r in g))).ok
+    was, g[1][1] = g[1][1], 1  # duplicate value
+    report = validate_kx10(LabelMatrix(mk.kind, 3, tuple(tuple(r) for r in g)))
+    assert not report.ok
+    assert _bijection_detail(report) == f"label 1 used more than once; label {was} missing"
 
     seqs = [list(t) for t in sequences_6x4n(2)]
     seqs[0][0] = 99

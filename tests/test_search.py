@@ -429,8 +429,32 @@ def test_star_symmetry_is_a_chain_of_twin_swaps():
     g = star(11)
     order = search._edge_order(g)
     assert len(search._automorphisms(g, order)) == 10
-    after = [step[2] for step in search._schedule(g, order, [0] * g.n_vertices, None)]
+    after = [step[2] for step in search._schedule(g, order, None)]
     assert after == [()] + [(t,) for t in range(10)]
+
+
+@settings(max_examples=80, deadline=None)
+@given(st.one_of(small_graphs(), symmetric_graphs(), bipartite_graphs()))
+def test_schedule_entries_match_a_brute_force_recount(g):
+    # each open entry of position t is (w, r, finished), recounted here
+    # from the positions of each vertex's edges in the static order
+    order = search._edge_order(g)
+    at = [[t for t, ei in enumerate(order) if w in g.edges[ei][:2]]
+          for w in range(g.n_vertices)]
+    plan = search._schedule(g, order, None)
+    assert len(plan) == g.size
+    for t, (ei, (u, v, _, _, done, opens)) in enumerate(zip(order, plan)):
+        assert (u, v) == g.edges[ei][:2]
+        left = [sum(1 for s in at[w] if s > t) for w in range(g.n_vertices)]
+        assert done == tuple(w for w in (u, v) if not left[w])
+        want = [w for w in (u, v) if left[w]]
+        want += [w for w in range(g.n_vertices) if left[w] and w not in (u, v)]
+        assert [entry[0] for entry in opens] == want
+        for entry in opens:
+            assert len(entry) == 3
+            w, r, finished = entry
+            assert r == left[w]
+            assert sorted(finished) == [x for x in sorted(g.adjacency[w]) if at[x][-1] <= t]
 
 
 def test_isolated_vertices_add_no_automorphisms():

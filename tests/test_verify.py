@@ -10,6 +10,7 @@ import antimagic.graph
 import antimagic.verify
 from antimagic.families import build_family, build_fb, build_nc482
 from antimagic.graph import LabeledGraph, is_bipartite, new_graph
+from antimagic.search import chi_la_exact
 from antimagic.verify import (
     ColorClass,
     ExpectedColors,
@@ -147,15 +148,66 @@ def test_lower_bounds():
     assert lower_bound(new_graph([])) == 0
 
 
+def _plus_isolated(g: LabeledGraph, count: int = 1) -> LabeledGraph:
+    return new_graph([*g.names, *(f"z{i}" for i in range(count))]).with_edges(
+        [(g.names[u], g.names[v], label) for u, v, label in g.edges])
+
+
 def test_pendant_lower_bound():
     p3 = new_graph(["a", "b", "c"]).with_edges([("a", "b", 1), ("b", "c", 2)])
     two_p3 = new_graph(["a", "b", "c", "d", "e", "f"]).with_edges(
         [("a", "b", 1), ("b", "c", 2), ("d", "e", 3), ("e", "f", 4)])
     for g, bound in ((p3, 3), (two_p3, 5)):
         assert lower_bound(g) == naive_chi_la(g) == bound
-        with_isolated = new_graph([*g.names, "z"]).with_edges(
-            [(g.names[u], g.names[v], label) for u, v, label in g.edges])
+        with_isolated = _plus_isolated(g)
         assert lower_bound(with_isolated) == naive_chi_la(with_isolated) == bound + 1
+
+
+def test_an_isolated_vertex_adds_a_color_to_chi_and_to_the_gate():
+    # sum 0 is a color of its own on top of chi (K3, K4) or of the
+    # 2-coloring gate's 3 (C4, C6), where no pendant bound counts it
+    cases = {
+        "K3": ([(0, 1), (1, 2), (0, 2)], 4),
+        "K4": ([(a, b) for a in range(4) for b in range(a + 1, 4)], 5),
+        "C4": ([(i, (i + 1) % 4) for i in range(4)], 4),
+        "C6": ([(i, (i + 1) % 6) for i in range(6)], 4),
+    }
+    for name, (pairs, chi_la) in cases.items():
+        names = [f"v{i}" for i in range(max(b for _, b in pairs) + 1)]
+        g = _plus_isolated(new_graph(names).with_edges(
+            [(names[a], names[b], t + 1) for t, (a, b) in enumerate(pairs)]))
+        assert lower_bound(g) == naive_chi_la(g) == chi_la, name
+
+
+def test_the_gate_of_a_graph_with_isolated_vertices_is_not_added_to():
+    # on B_2 plus two isolated vertices the whole graph's divisor scan
+    # rules out 2 colors, which is true of any graph with an isolated
+    # vertex; B_2 itself has a 2-coloring, so chi_la is 3, not 4
+    g = _plus_isolated(build_family("Bk", k=2).graph, 2)
+    assert two_coloring_impossible(g) is True
+    assert lower_bound(g) == chi_la_exact(g, max_edges=g.size, budget=30).chi_la == 3
+
+
+@st.composite
+def graphs_with_isolated_vertices(draw):
+    """Up to 7 edges on 2-6 vertices, 1-2 more vertices on no edge, and
+    every vertex id shuffled."""
+    n = draw(st.integers(2, 6))
+    pairs = [(i, j) for i in range(n) for j in range(i + 1, n)]
+    chosen = draw(st.lists(st.sampled_from(pairs), unique=True, min_size=1,
+                           max_size=min(7, len(pairs))))
+    total = n + draw(st.integers(1, 2))
+    ids = draw(st.permutations(range(total)))
+    names = [f"n{i}" for i in range(total)]
+    return new_graph(names).with_edges(
+        [(names[ids[a]], names[ids[b]], t + 1) for t, (a, b) in enumerate(chosen)])
+
+
+@settings(max_examples=100, deadline=None)
+@given(graphs_with_isolated_vertices())
+def test_lower_bound_with_isolated_vertices_is_sound(g):
+    chi_la = naive_chi_la(g)
+    assert chi_la is None or lower_bound(g) <= chi_la
 
 
 def test_lower_bound_tests_bipartiteness_twice(monkeypatch):
