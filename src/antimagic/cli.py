@@ -4,19 +4,22 @@ Exit codes: 0 success or verified, 1 verification failure or timeout,
 2 usage error.  Output is deterministic: no randomness anywhere, JSON with
 sorted keys, DOT with sorted vertices.
 
-Each command runs with the cyclic garbage collector paused, and ``main``
-turns it back on only if it was on.  No command builds cycles worth
-collecting, yet a 16k-edge build would run ~150 collections in vain.
+``main`` builds the parser once per process, on its first call, and runs
+the ``cmd_<command>`` it looks up by name when each call runs, so it may be
+called repeatedly in-process.  Each command runs with the cyclic garbage
+collector paused, and ``main`` turns it back on only if it was on.  No
+command builds cycles worth collecting, yet a 16k-edge build would run
+~150 collections in vain.
 """
 
 from __future__ import annotations
 
 import argparse
+import functools
 import gc
 import json
 import os
 import sys
-from pathlib import Path
 
 from . import document as doc_mod
 from .families import ACCEPTANCE_GRID, FAMILIES, build_family
@@ -44,8 +47,9 @@ MAX_DOCUMENT_CHARS = 200_000_000
 
 
 def _emit(text: str, out: str | None) -> None:
-    if out:
-        Path(out).write_text(text, encoding="utf-8")
+    if out is not None:  # an empty path is an error, as it is for an input
+        with open(out, "w", encoding="utf-8") as f:
+            f.write(text)
     else:
         sys.stdout.write(text)
 
@@ -199,6 +203,7 @@ def cmd_selftest(args: argparse.Namespace) -> int:
     return OK if failures == 0 else CHECK_FAILED
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="antimagic",
@@ -216,7 +221,6 @@ def build_parser() -> argparse.ArgumentParser:
                    help="emit the 6x4n trace sequences instead of the grid")
     p.add_argument("--validate", action="store_true")
     p.add_argument("--out")
-    p.set_defaults(func=cmd_matrix)
 
     p = sub.add_parser("build", help="construct a labeled family as JSON")
     p.add_argument("family", help=", ".join(sorted(FAMILIES)))
@@ -227,12 +231,10 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--m", type=int)
     p.add_argument("--verify", action="store_true")
     p.add_argument("--out")
-    p.set_defaults(func=cmd_build)
 
     p = sub.add_parser("verify", help="verify a graph document")
     p.add_argument("input", help="graph document path, or - for stdin")
     p.add_argument("--out")
-    p.set_defaults(func=cmd_verify)
 
     p = sub.add_parser("search", help="exact chi_la search on a graph document")
     p.add_argument("input")
@@ -240,29 +242,25 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--budget", type=float, default=None,
                    help=f"positive seconds; defaults to ${BUDGET_ENV_VAR}, else unlimited")
     p.add_argument("--out")
-    p.set_defaults(func=cmd_search)
 
     p = sub.add_parser("export", help="export a graph document as DOT")
     p.add_argument("input")
     p.add_argument("--format", choices=["dot"], default="dot")
     p.add_argument("--out")
-    p.set_defaults(func=cmd_export)
 
     p = sub.add_parser("selftest", help="run all validators over default grids")
     p.add_argument("--max-param", type=int, default=50,
                    help="check the matrices for parameters 1..N (0: none)")
-    p.set_defaults(func=cmd_selftest)
 
     return parser
 
 
 def main(argv: list[str] | None = None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    args = build_parser().parse_args(argv)
     enabled = gc.isenabled()
     gc.disable()
     try:
-        return args.func(args)
+        return globals()["cmd_" + args.command](args)
     except (OSError, ValueError) as exc:  # bad input: parameters, documents, files
         print(f"error: {exc}", file=sys.stderr)
         return USAGE_ERROR

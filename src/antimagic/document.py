@@ -15,7 +15,7 @@ export-only with vertices in sorted order so snapshots are stable.
 from __future__ import annotations
 
 import json
-from dataclasses import asdict, dataclass
+from dataclasses import dataclass
 from json.encoder import encode_basestring_ascii as _quote
 from typing import Iterable
 
@@ -47,10 +47,15 @@ def graph_to_document(g: LabeledGraph) -> dict:
 def built_to_document(built: BuiltFamily,
                       verification: ColorReport | None = None) -> dict:
     """The built graph's document with its family, its claimed coloring
-    and, when given, the coloring that verification found."""
+    and, when given, the coloring that verification found.  The claim's
+    classes are a list of plain dicts, which ``dumps`` writes itself."""
     doc = graph_to_document(built.graph)
     doc["family"] = {"tag": built.tag, "params": dict(built.params)}
-    doc["expected_colors"] = asdict(built.expected)
+    claim = built.expected
+    doc["expected_colors"] = {
+        "classes": [{"value": c.value, "size": c.size, "degree": c.degree}
+                    for c in claim.classes],
+        "claimed_colors": claim.claimed_colors, "exact": claim.exact}
     if verification is not None:
         doc["verification"] = verification.to_json_dict()
     if built.warnings:

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import argparse
 import contextlib
 import copy
 import dataclasses
@@ -253,6 +254,8 @@ UNREADABLE = ("notjson.json", "empty.json", "latin1.json", "deep.json", "bignum.
       for path in ("empty.json", "latin1.json")],
     *[(["search", path, "--max-edges", "2000"], {}) for path in ("star.json", "forest.json")],
     *[([cmd, "bignum.json"], {}) for cmd in ("verify", "search", "export")],
+    (["matrix", "5x2k", "--k", "1", "--out", ""], {}),
+    (["build", "FB", "--k", "1", "--out", ""], {}),
 ])
 def test_bad_input_is_one_error_line(tmp_path, monkeypatch, capsys, argv, env):
     monkeypatch.chdir(tmp_path)
@@ -453,6 +456,71 @@ def test_main_leaves_the_collector_as_it_found_it(tmp_path, monkeypatch, capsys,
         assert gc.isenabled() is enabled and during == [False]
     finally:
         (gc.enable if was else gc.disable)()
+    capsys.readouterr()
+
+
+def test_main_builds_the_parser_once(monkeypatch, capsys):
+    built = []
+    add_subparsers = argparse.ArgumentParser.add_subparsers
+
+    def counting(parser, **kwargs):  # called once per parser built
+        built.append(parser)
+        return add_subparsers(parser, **kwargs)
+
+    monkeypatch.setattr(argparse.ArgumentParser, "add_subparsers", counting)
+    cli.build_parser.cache_clear()
+    try:
+        for argv in (["matrix", "5x2k", "--k", "1"], ["matrix", "kx10", "--k", "1"],
+                     ["selftest", "--max-param", "-3"]):
+            main(argv)
+        with pytest.raises(SystemExit):
+            main(["matrix", "9x9"])
+    finally:
+        cli.build_parser.cache_clear()
+    capsys.readouterr()
+    assert len(built) == 1
+
+
+def _outcome(capsys, argv: list[str]) -> tuple:
+    """Exit code, stdout and stderr of one ``main`` call; a search result
+    without its elapsed time."""
+    try:
+        code = main(argv)
+    except SystemExit as exc:
+        code = exc.code
+    out, err = capsys.readouterr()
+    if argv[0] == "search":
+        result = json.loads(out)
+        del result["stats"]["elapsed"]
+        out = dumps(result)
+    return code, out, err
+
+
+def test_a_reused_parser_gives_what_a_fresh_one_gives(tmp_path, capsys):
+    path = tmp_path / "p3.json"
+    path.write_text(dumps(P3_DOC), encoding="utf-8")
+    doc = str(path)
+    argvs = [["matrix", "6x4n", "--n", "2", "--sequences"],
+             ["matrix", "5x2k", "--k", "2", "--format", "json", "--validate"],
+             ["build", "FB", "--k", "1", "--verify"], ["build", "rDF", "--r", "2", "--s", "2"],
+             ["verify", doc], ["search", doc], ["search", doc, "--budget", "60"],
+             ["export", doc, "--format", "dot"], ["selftest", "--max-param", "1"],
+             ["matrix", "9x9"], ["selftest", "--max-param", "-3"]]
+    fresh = {}
+    for argv in argvs:
+        cli.build_parser.cache_clear()
+        fresh[tuple(argv)] = _outcome(capsys, argv)
+    assert fresh[("matrix", "9x9")][0] == 2 and fresh[("selftest", "--max-param", "-3")][0] == 2
+    cli.build_parser.cache_clear()
+    for argv in [*argvs, *reversed(argvs)]:
+        assert _outcome(capsys, argv) == fresh[tuple(argv)], argv
+
+
+def test_a_command_replaced_after_the_first_call_runs(monkeypatch, capsys):
+    assert main(["matrix", "5x2k", "--k", "1"]) == 0  # the parser is built by now
+    ran = []
+    monkeypatch.setattr(cli, "cmd_matrix", lambda args: ran.append(args.kind) or 7)
+    assert main(["matrix", "kx10", "--k", "1"]) == 7 and ran == ["kx10"]
     capsys.readouterr()
 
 
