@@ -20,6 +20,7 @@ import gc
 import json
 import os
 import sys
+from typing import TextIO
 
 from . import document as doc_mod
 from .families import ACCEPTANCE_GRID, FAMILIES, build_family
@@ -44,6 +45,7 @@ BUDGET_ENV_VAR = "ANTIMAGIC_SEARCH_BUDGET"  # seconds; search's default budget
 # --verify`, 10**6 edges, writes the longest document measured: 192,167,544
 # characters, all ASCII.
 MAX_DOCUMENT_CHARS = 200_000_000
+READ_CHUNK_CHARS = 1 << 16  # a document is read this many characters at a time
 
 
 def _emit(text: str, out: str | None) -> None:
@@ -54,13 +56,27 @@ def _emit(text: str, out: str | None) -> None:
         sys.stdout.write(text)
 
 
+def _read_capped(f: TextIO) -> str:
+    """Up to ``MAX_DOCUMENT_CHARS + 1`` characters of ``f``, read in chunks
+    so that memory grows with the input, not with the cap."""
+    chunks = []
+    room = MAX_DOCUMENT_CHARS + 1
+    while room > 0:
+        chunk = f.read(min(READ_CHUNK_CHARS, room))
+        if not chunk:
+            break
+        chunks.append(chunk)
+        room -= len(chunk)
+    return "".join(chunks)
+
+
 def _load_document(path: str) -> dict:
     try:
         if path == "-":
-            raw = sys.stdin.read(MAX_DOCUMENT_CHARS + 1)
+            raw = _read_capped(sys.stdin)
         else:
             with open(path, encoding="utf-8") as f:
-                raw = f.read(MAX_DOCUMENT_CHARS + 1)
+                raw = _read_capped(f)
     except UnicodeDecodeError as exc:
         raise ValueError(f"{path}: {exc}") from None
     if len(raw) > MAX_DOCUMENT_CHARS:

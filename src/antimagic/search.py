@@ -36,10 +36,34 @@ assignments it cuts:
   reachable that way, leaving out the sums of w's fully labeled
   neighbors: w must end on a sum no vertex has yet.  When the fully
   labeled vertices already use every color the target allows, one stuck
-  vertex cuts the branch.  When they use all but one, two adjacent stuck
-  vertices cut it: each needs a new sum, and adjacent sums differ, so
-  the two new sums exceed the target.  Every vertex with unlabeled edges
-  is checked, not only the current edge's endpoints.
+  vertex cuts the branch.  When they use all but one, only one new sum
+  is left, and every stuck vertex ends on it: so two adjacent stuck
+  vertices cut the branch (adjacent sums differ), and so do stuck
+  vertices whose sets of reachable sums outside the taken ones,
+  (S_r(F) << sums[w]) & ~taken, have no common member.  Every vertex
+  with unlabeled edges is checked, not only the current edge's
+  endpoints.
+* ``clique``: the all-different filter of Regin ("A filtering
+  algorithm for constraints of difference in CSPs", AAAI 1994), reduced
+  to Hall's condition on the whole clique.  Let d be the distinct sums
+  of the fully labeled vertices and cap the round's target less the
+  isolated vertex, so that at most cap - d new sums may still appear,
+  and let Q be a clique of open vertices.  The members of Q are pairwise
+  adjacent, so they end on pairwise distinct sums.  Each ends either on
+  a taken sum it can reach, from fin[w], the taken sums ``reach`` finds
+  w able to end on (those of w's fully labeled neighbors left out), or
+  on one of the at most cap - d new sums.  So |Q| <= |U fin[w]| + cap - d
+  over w in Q, and a branch is cut when Q breaks it.  The first
+  ``reach`` cuts are the cases |Q| = 1 at cap - d = 0 and |Q| = 2 (an
+  edge) at cap - d = 1, both with U fin[w] empty.  The cliques tested
+  at a position are g's maximal cliques of three or more vertices,
+  found once, each restricted to the position's open vertices and
+  dropped once fewer than three of its members are open (see
+  ``_schedule``).  A clique of q open members can cut only when
+  d > cap - q, so the reach loop runs from d = cap - (w_t - 1) on, with
+  w_t the largest open clique of position t (2 when there is none): a
+  position with no open triangle, as on every bipartite g, runs it only
+  at d >= cap - 1, as it would without this rule.
 * ``sum_total``: the label-total identity of
   ``verify.two_coloring_impossible``, applied to a partial labeling.
   When the fully labeled vertices use every color the target allows,
@@ -70,16 +94,23 @@ assignments it cuts:
   prune.  The automorphisms come from the twin quotient (see
   ``_automorphisms``), so a star K1,n costs n - 1 swaps, not n! maps.
 
+A sound cut removes only subtrees that hold no labeling within the
+round's target, and the labels are tried in the same order whatever is
+cut, so each round's first labeling, and with it the witness, does not
+depend on which sound cuts are made: a new rule changes the node and
+prune counts only.
+
 No other symmetry reduction is applied: the label-complement map
 l -> m+1-l can break validity between neighbors of unequal degree, so
 halving the space with it would be unsound here.  The edge order is
 static, so the position at which each vertex becomes fully labeled, the
 neighbors it must then be compared with, the edges each vertex still
-lacks, its neighbors fully labeled by each position and the lex-leader
-constraints are computed once before the search (``_schedule``); what
-does not change with the position, a vertex's neighbors as a bitmask and
-its side, is kept once per vertex.  The unused labels and the taken sums
-are bitmasks, so each partial assignment loops over free labels only.
+lacks, its neighbors fully labeled by each position, the open cliques
+of each position and the lex-leader constraints are computed once
+before the search (``_schedule``); what does not change with the
+position, a vertex's neighbors as a bitmask and its side, is kept once
+per vertex.  The unused labels and the taken sums are bitmasks, so each
+partial assignment loops over free labels only.
 
 The sum sets S_r(F) are kept for r up to R, the most unlabeled edges
 any open vertex has at any position, since no larger r is asked for.
@@ -96,11 +127,12 @@ Default edge budget is 11, and a graph too deep for the recursion limit
 budget is the ``budget`` argument in seconds, and ``None`` means
 unlimited.  It covers the setup too: each step of each long loop reads
 the clock (each pick of the edge order, pair of blocks of the
-transversal, position of the schedule and search node).  A search that
-runs out of time reports the best labeling found so far and, as its
-lower bound, one more than the largest refuted target (at least
-``verify.lower_bound``); one that runs out in the setup has no labeling
-and the lower bound ``verify.lower_bound``.
+transversal, step of the clique enumeration, position of the schedule
+and search node).  A search that runs out of time reports the best
+labeling found so far and, as its lower bound, one more than the
+largest refuted target (at least ``verify.lower_bound``); one that runs
+out in the setup has no labeling and the lower bound
+``verify.lower_bound``.
 """
 
 from __future__ import annotations
@@ -122,7 +154,8 @@ FRAME_MARGIN = 100  # frames of the recursion limit left to the caller and the s
 STATUS_VALUE = "value"
 STATUS_NO_LABELING = "no_labeling"
 STATUS_TIMEOUT = "timeout"
-RULES = ("conflict", "color_bound", "symmetry", "reach", "sum_total")  # SearchStats' prune counters
+# SearchStats' prune counters
+RULES = ("conflict", "color_bound", "symmetry", "reach", "sum_total", "clique")
 
 
 @dataclass(frozen=True)
@@ -133,6 +166,7 @@ class SearchStats:
     symmetry: int
     reach: int
     sum_total: int
+    clique: int
     elapsed: float
 
     @property
@@ -296,16 +330,69 @@ def _automorphisms(g: LabeledGraph, order: list[int],
     return maps
 
 
+def _cliques(g: LabeledGraph, deadline: float | None) -> list[tuple[int, ...]]:
+    """The maximal cliques of three or more vertices of g, each as
+    increasing vertex ids: Bron-Kerbosch with Tomita's pivot, over
+    bitmasks, among the vertices on a triangle only.  A member of such a
+    clique is on a triangle, and so is a vertex that would extend one, so
+    each is maximal in g; a triangle-free g costs one pass over its
+    edges.  Each call reads the clock and raises ``_Timeout`` past
+    ``deadline``."""
+    neighbors = [0] * g.n_vertices
+    for u, v, _ in g.edges:
+        neighbors[u] |= 1 << v
+        neighbors[v] |= 1 << u
+    found = []
+
+    def expand(clique: tuple[int, ...], cand: int, seen: int) -> None:
+        if deadline is not None and time.monotonic() > deadline:
+            raise _Timeout
+        if not cand:
+            if not seen and len(clique) >= 3:
+                found.append(tuple(sorted(clique)))
+            return
+        pivot = max(((cand & neighbors[x]).bit_count(), x) for x in _bits(cand | seen))[1]
+        for x in _bits(cand & ~neighbors[pivot]):
+            expand(clique + (x,), cand & neighbors[x], seen & neighbors[x])
+            cand ^= 1 << x
+            seen |= 1 << x
+
+    on_triangle = 0
+    for u, v, _ in g.edges:
+        if neighbors[u] & neighbors[v]:
+            on_triangle |= 1 << u | 1 << v
+    if on_triangle:
+        expand((), on_triangle, 0)
+    return sorted(found)
+
+
+def _bits(mask: int) -> list[int]:
+    """The positions of the set bits of ``mask``, in increasing order."""
+    out = []
+    while mask:
+        low = mask & -mask
+        out.append(low.bit_length() - 1)
+        mask ^= low
+    return out
+
+
 def _schedule(g: LabeledGraph, order: list[int], deadline: float | None) -> list[tuple]:
     """Per position t of the static order: the edge's endpoints, the
     earlier positions whose labels the label at t must exceed, the
     adjacent vertex pairs that become comparable at t (both fully
-    labeled, one of them just now), the vertices completed at t, and
-    the open entries: ``(w, r, finished)`` for every vertex w with
-    r > 0 edges after t (the edge's endpoints first), where ``finished``
-    holds w's neighbors whose last edge is at or before t.  An entry
-    holds only what changes with t: ``dfs`` reads w's neighbor mask and
-    side from per-vertex lists.  Raises ``_Timeout`` past ``deadline``.
+    labeled, one of them just now), the vertices completed at t, the
+    open entries: ``(w, r, finished)`` for every vertex w with r > 0
+    edges after t (the edge's endpoints first), where ``finished`` holds
+    w's neighbors whose last edge is at or before t, the open cliques,
+    the reach span and the open entries of the open cliques' members,
+    in the order of the open entries.  The open cliques are the
+    restrictions to the open vertices of g's maximal cliques of three or
+    more vertices, those with three or more open members, without
+    repeats; the span is the size of the largest, less one, and 1 when
+    there is none.  An entry holds only what changes with t: ``dfs``
+    reads w's neighbor mask and side from per-vertex lists, and the open
+    cliques of a position that completes no clique member are its
+    predecessor's tuple.  Raises ``_Timeout`` past ``deadline``.
     """
     adj = g.adjacency
     n = g.n_vertices
@@ -323,6 +410,14 @@ def _schedule(g: LabeledGraph, order: list[int], deadline: float | None) -> list
             if q != s:
                 after[q].add(s)
                 break
+    # the open members of each clique not yet dropped; a vertex leaves its
+    # cliques at its last edge, and a clique left with two is dropped
+    live = dict(enumerate(_cliques(g, deadline)))
+    within: dict[int, list[int]] = {}  # vertex -> its cliques
+    for c, q in live.items():
+        for w in q:
+            within.setdefault(w, []).append(c)
+    changed = True
     left = [len(nbrs) for nbrs in adj]
     plan = []
     for t, ei in enumerate(order):
@@ -338,7 +433,24 @@ def _schedule(g: LabeledGraph, order: list[int], deadline: float | None) -> list
         pairs = [(w, nb) for w in done for nb in adj[w] if last[nb] < t]
         if len(done) == 2:
             pairs.append((u, v))
-        plan.append((u, v, tuple(sorted(after[t])), tuple(pairs), done, opens))
+        for w in done:
+            for c in within.get(w, ()):
+                q = live.get(c)
+                if q is not None:
+                    changed = True
+                    q = tuple(x for x in q if x != w)
+                    if len(q) < 3:
+                        del live[c]
+                    else:
+                        live[c] = q
+        if changed:
+            cliques = tuple(dict.fromkeys(live.values()))
+            span = max(map(len, cliques), default=2) - 1
+            inner = {w for q in cliques for w in q}
+            changed = False
+        members = tuple(entry for entry in opens if entry[0] in inner) if cliques else ()
+        plan.append((u, v, tuple(sorted(after[t])), tuple(pairs), done, opens,
+                     cliques, span, members))
     return plan
 
 
@@ -407,7 +519,7 @@ def chi_la_exact(
     start = time.monotonic()
     lb = lower_bound(g)
     if m == 0:
-        return SearchResult(STATUS_VALUE, lb, g, SearchStats(0, 0, 0, 0, 0, 0, 0.0),
+        return SearchResult(STATUS_VALUE, lb, g, SearchStats(0, 0, 0, 0, 0, 0, 0, 0.0),
                             lb, lb, budget)
 
     n = g.n_vertices
@@ -421,17 +533,18 @@ def chi_la_exact(
     neighbors = [sum(1 << x for x in nbrs) for nbrs in g.adjacency]  # bitmasks
 
     sums = [0] * n
+    fin = [0] * n  # per open clique member: the taken sums it can end on
     assignment = [0] * m
 
-    nodes = conflict = color_bound = symmetry = reach = sum_total = 0
+    nodes = conflict = color_bound = symmetry = reach = sum_total = clique = 0
     cap = 0  # most distinct completed sums the current target allows
     deadline = start + budget if budget is not None else None
     final = m - 1
 
     def dfs(t: int, distinct: int, taken: int, free: int, total: int) -> None:
         """Label position t onward; ``total`` is the sum of the free labels."""
-        nonlocal nodes, conflict, color_bound, symmetry, reach, sum_total
-        u, v, after, pairs, done, opens = plan[t]
+        nonlocal nodes, conflict, color_bound, symmetry, reach, sum_total, clique
+        u, v, after, pairs, done, opens, cliques, span, members = plan[t]
         su = sums[u]
         sv = sums[v]
         tried = free
@@ -465,41 +578,67 @@ def chi_la_exact(
                 else:
                     rest = free ^ low
                     cut = False
-                    if d >= cap - 1:
-                        # at d == cap every open vertex must end on a taken
-                        # sum; at cap - 1 two adjacent vertices that cannot
-                        # would need two new colors
-                        full = d == cap
+                    spare = cap - d  # new sums the target still allows
+                    if spare <= span:
                         reachable = sum_sets[rest]
-                        stuck = 0  # bitmask of open vertices that cannot
-                        ends = [1, 1]  # per side, bit k: its open vertices so far can gain k
-                        for w, r, finished in opens:
-                            hit = now >> sums[w] & reachable[r]  # bit k: w can gain k
-                            if hit and finished:  # leaving out their sums only clears bits
-                                ok = now  # taken sums no finished neighbor of w carries
+                        if spare < 2:
+                            # an open vertex that cannot end on a taken sum needs
+                            # a new one: at spare 0 it cuts, and at spare 1 all
+                            # such vertices share the one new sum, so no two are
+                            # adjacent and their reachable new sums meet
+                            stuck = 0  # bitmask of open vertices that cannot
+                            shared = ~now  # the new sums every one of them can reach
+                            ends = [1, 1]  # per side, bit k: its open vertices so far can gain k
+                            for w, r, finished in opens:
+                                hit = now >> sums[w] & reachable[r]  # bit k: w can gain k
+                                if hit and finished:  # leaving out their sums only clears bits
+                                    ok = now  # taken sums no finished neighbor of w carries
+                                    for x in finished:
+                                        ok &= ~(1 << sums[x])
+                                    hit = ok >> sums[w] & reachable[r]
+                                if cliques:
+                                    fin[w] = hit << sums[w]
+                                if not hit:
+                                    shared &= reachable[r] << sums[w]
+                                    if not spare or not shared or stuck & neighbors[w]:
+                                        reach += 1
+                                        cut = True
+                                        break
+                                    stuck |= 1 << w
+                                elif not spare:
+                                    # add w's increment to its side's totals, a shift per bit
+                                    s = side[w]
+                                    grown = 0
+                                    while hit:
+                                        gain = hit & -hit
+                                        grown |= ends[s] << gain.bit_length() - 1
+                                        hit ^= gain
+                                    ends[s] = grown
+                            else:
+                                left = total - lab
+                                if not spare and not (
+                                        ends[0] >> share0 * left & ends[1] >> share1 * left & 1):
+                                    sum_total += 1
+                                    cut = True
+                        else:  # only a clique can cut: its members' fin, as above
+                            for w, r, finished in members:
+                                ok = now
                                 for x in finished:
                                     ok &= ~(1 << sums[x])
-                                hit = ok >> sums[w] & reachable[r]
-                            if not hit:
-                                if full or stuck & neighbors[w]:
-                                    reach += 1
-                                    cut = True
-                                    break
-                                stuck |= 1 << w
-                            elif full:
-                                # add w's increment to its side's totals: a shift per bit of hit
-                                s = side[w]
-                                grown = 0
-                                while hit:
-                                    gain = hit & -hit
-                                    grown |= ends[s] << gain.bit_length() - 1
-                                    hit ^= gain
-                                ends[s] = grown
-                        else:
-                            left = total - lab
-                            if full and not ends[0] >> share0 * left & ends[1] >> share1 * left & 1:
-                                sum_total += 1
-                                cut = True
+                                fin[w] = ok & reachable[r] << sums[w]
+                        if cliques and not cut:
+                            # a clique's members end on distinct sums, each on a
+                            # taken sum it can reach or on one of the spare new ones
+                            for q in cliques:
+                                need = len(q) - spare  # members that end on distinct taken sums
+                                if need > 0:
+                                    union = 0  # the taken sums they can end on
+                                    for x in q:
+                                        union |= fin[x]
+                                    if union.bit_count() < need:
+                                        clique += 1
+                                        cut = True
+                                        break
                     if not cut:
                         assignment[t] = lab
                         if t < final:
@@ -528,7 +667,7 @@ def chi_la_exact(
     try:
         order = _edge_order(g, deadline)
         plan = _schedule(g, order, deadline)
-        sum_sets = _SumSets(max((r for *_, opens in plan for _, r, _ in opens), default=0), m)
+        sum_sets = _SumSets(max((r for step in plan for _, r, _ in step[5]), default=0), m)
         colors = attempt(n)  # the dive: n colors never prune
         if colors is not None:
             best = colors, assignment[:]
@@ -541,7 +680,7 @@ def chi_la_exact(
     except _Timeout:
         status = STATUS_TIMEOUT
 
-    stats = SearchStats(nodes, conflict, color_bound, symmetry, reach, sum_total,
+    stats = SearchStats(nodes, conflict, color_bound, symmetry, reach, sum_total, clique,
                         time.monotonic() - start)
     proven = refuted + 1 if status == STATUS_TIMEOUT else lb
     if best is None:

@@ -13,6 +13,7 @@ import json
 import re
 import resource
 import sys
+import tracemalloc
 from unittest import mock
 
 import pytest
@@ -312,6 +313,38 @@ def test_document_above_the_size_cap_is_refused(tmp_path, monkeypatch, capsys, c
         with mock.patch("sys.stdin", io.StringIO(text)):
             code, out, _ = run(capsys, command, source)
         assert code == 0 and out
+
+
+def test_a_small_document_is_read_in_little_memory(tmp_path):
+    # reading up to the cap in one call allocated a buffer of the cap's
+    # size, ~190 MB, for every document, however short
+    path = tmp_path / "p3.json"
+    path.write_text(dumps(P3_DOC), encoding="utf-8")
+    tracemalloc.start()
+    try:
+        assert cli._load_document(str(path)) == json.loads(dumps(P3_DOC))
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 1 << 20
+
+
+def test_a_document_longer_than_one_chunk_is_read_whole(tmp_path, monkeypatch, capsys):
+    # a chunk of 7 characters splits the document many times over, and
+    # the cap still counts the characters of all chunks together
+    text = dumps(P3_DOC)
+    path = tmp_path / "p3.json"
+    path.write_text(text, encoding="utf-8")
+    monkeypatch.setattr(cli, "READ_CHUNK_CHARS", 7)
+    for source in (str(path), "-"):
+        with mock.patch("sys.stdin", io.StringIO(text)):
+            assert cli._load_document(source) == json.loads(text)
+    monkeypatch.setattr(cli, "MAX_DOCUMENT_CHARS", len(text) - 1)
+    for source in (str(path), "-"):
+        with mock.patch("sys.stdin", io.StringIO(text)):
+            code, out, err = run(capsys, "export", source)
+        assert code == 2 and out == ""
+        assert f"more than {len(text) - 1} characters" in err
 
 
 def _unreachable(*args):

@@ -71,6 +71,20 @@ def test_explore_small_chi_la_reports_a_case_above_the_edge_cap():
     assert all("search: above --max-edges 5" in line for line in lines)
 
 
+def test_s60_draws_the_baseline_sample(monkeypatch):
+    # the first graph that the draw of the ROADMAP Baseline keeps, in the
+    # drawn edge order, which is the order the search labels it in
+    monkeypatch.syspath_prepend(str(ROOT / "scripts"))
+    s60 = importlib.import_module("s60")
+    graphs = s60.draw_s60()
+    assert len(graphs) == 60 and all(len(pairs) == 11 for pairs in graphs)
+    assert graphs[0] == [(0, 6), (4, 5), (1, 5), (1, 2), (2, 5), (1, 4), (3, 4), (0, 4),
+                         (1, 6), (2, 3), (1, 3)]
+    g = s60.graph_of(graphs[0])
+    assert g.names == tuple(f"v{i}" for i in range(7))
+    assert g.edges[:2] == ((0, 6, 1), (4, 5, 2))
+
+
 def test_bench_tracer_finds_every_name_it_wraps(monkeypatch):
     # bench/tracing.py resolves each wrap target with getattr and no
     # default, so a deleted or renamed package name breaks every traced run

@@ -177,6 +177,22 @@ def bipartite_graphs(draw):
         [(names[ids[x]], names[ids[y]], t + 1) for t, (x, y) in enumerate(chosen)])
 
 
+@st.composite
+def dense_graphs(draw):
+    """3 to 8 edges on 3-6 vertices, a triangle among them and often a
+    K4, so that the clique cut runs; vertex ids and edge order shuffled."""
+    n = draw(st.integers(3, 6))
+    triangle = [(0, 1), (0, 2), (1, 2)]
+    rest = [(i, j) for i in range(n) for j in range(i + 1, n) if (i, j) not in triangle]
+    chosen = triangle + (draw(st.lists(st.sampled_from(rest), unique=True, min_size=1,
+                                       max_size=min(5, len(rest)))) if rest else [])
+    ids = draw(st.permutations(range(n)))
+    names = [f"n{i}" for i in range(n)]
+    return new_graph(names).with_edges(
+        [(names[ids[a]], names[ids[b]], t + 1)
+         for t, (a, b) in enumerate(draw(st.permutations(chosen)))])
+
+
 # Budget of the searches that must prove a value, so a pruning bug that
 # refutes true targets fails its test instead of stalling the suite: over
 # 100 times each random, benchmark or hard graph (R3 takes 0.24 s on a
@@ -197,7 +213,7 @@ def test_pruned_matches_naive_on_random_graphs(g):
     assert result.lower_bound == lower_bound(g)
     assert result.stats.prunes == (result.stats.conflict + result.stats.color_bound
                                    + result.stats.symmetry + result.stats.reach
-                                   + result.stats.sum_total)
+                                   + result.stats.sum_total + result.stats.clique)
     if naive is None:
         assert result.status == STATUS_NO_LABELING
         # Haslegrave (DMTCS 2018): every connected graph but K2 is local antimagic
@@ -223,6 +239,19 @@ def connected_graphs(draw):
     names = [f"n{i}" for i in range(n)]
     return new_graph(names).with_edges(
         [(names[a], names[b], t + 1) for t, (a, b) in enumerate(draw(st.permutations(pairs)))])
+
+
+@settings(max_examples=60, deadline=None)
+@given(dense_graphs())
+def test_clique_cut_matches_naive_on_dense_graphs(g):
+    naive = naive_chi_la(g)
+    result = chi_la_exact(g, budget=SEARCH_BUDGET_S)
+    if naive is None:
+        assert result.status == STATUS_NO_LABELING
+        return
+    assert result.status == STATUS_VALUE and result.chi_la == naive
+    rep = induced_coloring(result.witness)
+    assert rep.local_antimagic and rep.color_count == naive
 
 
 @settings(max_examples=25, deadline=None)
@@ -258,7 +287,8 @@ def test_symmetry_rule_prunes_twin_leaves():
                        "color_bound": result.stats.color_bound,
                        "symmetry": result.stats.symmetry,
                        "reach": result.stats.reach,
-                       "sum_total": result.stats.sum_total}
+                       "sum_total": result.stats.sum_total,
+                       "clique": result.stats.clique}
     assert result.to_json_dict()["stats"]["prunes"] == sum(by_rule.values())
 
 
@@ -279,10 +309,11 @@ def test_value_above_lower_bound(g, lb, chi):
 
 def test_k4_path_proven_by_reach_prunes():
     # lower_bound is 4 but the dive's first labeling has more colors, so
-    # the round for 4 must find one; reach prunes keep it small
+    # the round for 4 must find one; reach and clique prunes keep it
+    # small, the latter on the K4's open vertices
     result = chi_la_exact(k4_path())
     assert result.status == STATUS_VALUE and result.chi_la == result.lower_bound == 4
-    assert result.stats.reach > 0
+    assert result.stats.reach > 0 and result.stats.clique > 0
     assert result.stats.nodes <= NODES_TO_PROOF["K4_path"]
 
 
@@ -300,8 +331,8 @@ def test_sum_total_cuts(name, bipartite):
 # on the search's work that does not time it.  Lower counts may replace
 # these; higher ones mean a pruning rule got weaker.
 NODES_TO_PROOF = {
-    "K4_path": 8_421, "K1_9": 9, "C8_units": 331, "Bk": 4_095, "kC82": 990,
-    "kD82": 856, "FB": 975, "K1_11": 11,
+    "K4_path": 577, "K1_9": 9, "C8_units": 331, "Bk": 2_319, "kC82": 405,
+    "kD82": 610, "FB": 703, "K1_11": 11,
 }
 
 
@@ -347,12 +378,12 @@ def graph_of(pairs):
 # (upper bounds, as above)
 HARD_GRAPHS = {
     "R2": ([(0, 1), (0, 2), (1, 2), (1, 4), (1, 6), (2, 3), (2, 6), (3, 4), (3, 6),
-            (4, 5), (5, 6)], 3, 31_353),
+            (4, 5), (5, 6)], 3, 6_888),
     "R3": ([(0, 2), (0, 6), (1, 2), (1, 4), (1, 5), (1, 6), (2, 4), (2, 5), (3, 4),
-            (3, 5), (4, 5)], 4, 116_505),
+            (3, 5), (4, 5)], 4, 4_782),
     # K3,3 plus a 2-edge path hung on one vertex
     "K33_path2": ([(a, b) for a in range(3) for b in range(3, 6)] + [(0, 6), (6, 7)],
-                  4, 11_973),
+                  4, 11_087),
 }
 
 
@@ -434,16 +465,30 @@ def test_star_symmetry_is_a_chain_of_twin_swaps():
 
 
 @settings(max_examples=80, deadline=None)
-@given(st.one_of(small_graphs(), symmetric_graphs(), bipartite_graphs()))
+@given(st.one_of(small_graphs(), symmetric_graphs(), bipartite_graphs(), dense_graphs()))
 def test_schedule_entries_match_a_brute_force_recount(g):
     # each open entry of position t is (w, r, finished), recounted here
-    # from the positions of each vertex's edges in the static order
+    # from the positions of each vertex's edges in the static order, and
+    # so are the open cliques, from every vertex set that is a maximal
+    # clique of g
     order = search._edge_order(g)
     at = [[t for t, ei in enumerate(order) if w in g.edges[ei][:2]]
           for w in range(g.n_vertices)]
     plan = search._schedule(g, order, None)
     assert len(plan) == g.size
-    for t, (ei, (u, v, _, _, done, opens)) in enumerate(zip(order, plan)):
+    adj = [set(nbrs) for nbrs in g.adjacency]
+    inner = [w for w in range(g.n_vertices) if len(adj[w]) >= 2]
+    maximal = [set(q) for size in range(3, len(inner) + 1)
+               for q in itertools.combinations(inner, size)
+               if all(b in adj[a] for a, b in itertools.combinations(q, 2))
+               and not set.intersection(*(adj[w] for w in q)) - set(q)]
+    for t, (ei, (u, v, _, _, done, opens, cliques, span, members)) in enumerate(zip(order, plan)):
+        alive = {w for w in range(g.n_vertices) if at[w] and at[w][-1] > t}
+        assert len(set(cliques)) == len(cliques)
+        assert {tuple(sorted(q & alive)) for q in maximal if len(q & alive) >= 3} \
+            == set(cliques)
+        assert span == max(map(len, cliques), default=2) - 1
+        assert members == tuple(e for e in opens if any(e[0] in q for q in cliques))
         assert (u, v) == g.edges[ei][:2]
         left = [sum(1 for s in at[w] if s > t) for w in range(g.n_vertices)]
         assert done == tuple(w for w in (u, v) if not left[w])
@@ -629,7 +674,7 @@ def test_timeout_in_the_edge_order(monkeypatch):
 
 @pytest.mark.parametrize("stop", [1, 2, 5000])
 def test_search_stops_at_the_node_that_reads_past_the_deadline(monkeypatch, stop):
-    g = k4_path()  # 8,421 nodes to proof
+    g = graph_of(HARD_GRAPHS["K33_path2"][0])  # 11,087 nodes to proof
     setup = setup_reads(monkeypatch, g)
     # nodes 1..stop-1 read 0, node stop reads past the deadline
     monkeypatch.setattr(search, "time", ReadClock(fast=setup + stop))
