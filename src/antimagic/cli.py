@@ -196,9 +196,13 @@ def cmd_selftest(args: argparse.Namespace) -> int:
     top = args.max_param
     if top < 0:
         raise ValueError(f"--max-param must be at least 0, not {top}")
-    for label, generate, check in (("matrix 5x2k k", matrix_5x2k, validate),
-                                   ("sequences 6x4n n", sequences_6x4n, validate_6x4n),
-                                   ("matrix kx10 k", matrix_kx10, validate)):
+    kinds = (("matrix 5x2k k", matrix_5x2k, validate),
+             ("sequences 6x4n n", sequences_6x4n, validate_6x4n),
+             ("matrix kx10 k", matrix_kx10, validate))
+    if top:  # a top above a generator's cap is refused before any output
+        for _, generate, _ in kinds:
+            generate(top)
+    for label, generate, check in kinds:
         before = failures
         for p in range(1, top + 1):
             rep = check(generate(p))

@@ -9,9 +9,9 @@ trusts these expectations.
 Every family starts from disjoint units labeled from one matrix; most
 then fuse vertex groups in one ``apply_merge`` call, each fusion pattern
 coming from one generator (``_block``, ``_diamond_hubs``,
-``_across_fans``, ``_across_components``, ``_corner_pairs``,
-``_rg_groups``).  FB_units, nC482, C8_units and OddKH with s = 1 are the
-units alone.  Two construction pipelines:
+``_across_fans``, ``_across_components``, ``_rg_groups`` and the corner
+pairs of ``_h_family``).  FB_units, nC482, C8_units and OddKH with s = 1
+are the units alone.  Two construction pipelines:
 
 * fan-blade units labeled by ``matrix_5x2k`` feed FB, rFB, FB1/FB2, the
   diamond-fan families rDF / DFr / DF1-DF4 (from units whose hubs come
@@ -32,6 +32,8 @@ construction and differ only in data share one builder, registered per
 tag through ``partial``: ``build_rfb`` (rFB, FB1, FB2), ``build_rdf``
 (rDF, DF1-DF4), ``build_g`` (G1, G2), ``build_h`` (H1-H3) and
 ``build_c8`` over the ``_C8`` table (C8_units, Bk, kC82, kD82).
+H_m(n) is H_m(rs) at s = 1, so ``build_h`` and ``build_hm_rs`` keep
+their own parameters and checks and share one body, ``_h_family``.
 ``build_family`` reads the parameter names from the builder's signature,
 once per builder.
 Each claimed color count is the number of claimed classes.
@@ -359,50 +361,44 @@ _H_MERGES = {
 }
 
 
-def _corner_pairs(m: int, r: int, s: int, names: str) -> Iterator[tuple[list[int], str]]:
-    """The four corner pairs of variant m in every copy of block b (of s
-    copies), each fused across the block into x_b_1, x_b_2, y_b_1, y_b_2,
-    with x and y the two letters of ``names``."""
-    for b in range(1, r + 1):
-        for pair, (x, j) in zip(_H_MERGES[m], product(names, (1, 2))):
-            yield ([_nc(c, role, p) for c in _block(b, s) for role, p in pair],
-                   f"{x}_{b}_{j}")
-
-
-def build_h(m: int, n: int) -> BuiltFamily:
-    """nC4(8,2) with two corner pairs per cycle fused into degree-4 vertices.
-
-    Variant 1 folds each cycle onto itself, variant 2 fuses opposite
-    corners across the two cycles, variant 3 fuses aligned corners (each
-    component becomes a triangular bracelet).
-    """
-    _check(m in (1, 2, 3), "m must be 1, 2 or 3")
-    g = apply_merge(build_nc482(n).graph, _corner_pairs(m, n, 1, "xy"))
-    return BuiltFamily(
-        f"H{m}", {"n": n}, g,
-        _expected([
-            (40 * n + 2, 4 * n, 4),
-            (30 * n + 1, 4 * n, 3),
-            (30 * n + 2, 4 * n, 3),
-        ]),
-    )
-
-
-def build_hm_rs(m: int, r: int, s: int) -> BuiltFamily:
-    """H_m(rs) with the degree-4 vertices fused across each block of s copies."""
-    _check(m in (1, 2, 3), "m must be 1, 2 or 3")
-    _check(r >= 1, "r must be >= 1")
-    _check(s >= 2, "s must be >= 2")
+def _h_family(tag: str, params: dict, m: int, r: int, s: int, names: str) -> BuiltFamily:
+    """nC4(8,2) on n = rs copies with the four corner pairs of variant m
+    in every copy of block b (of s copies) fused across the block into
+    x_b_1, x_b_2, y_b_1, y_b_2, with x and y the two letters of ``names``."""
     n = r * s
-    g = apply_merge(build_nc482(n).graph, _corner_pairs(m, r, s, "XY"))
+    g = apply_merge(build_nc482(n).graph, (
+        ([_nc(c, role, p) for c in _block(b, s) for role, p in pair], f"{x}_{b}_{j}")
+        for b in range(1, r + 1)
+        for pair, (x, j) in zip(_H_MERGES[m], product(names, (1, 2)))))
     return BuiltFamily(
-        "Hm_rs", {"m": m, "r": r, "s": s}, g,
+        tag, params, g,
         _expected([
             (s * (40 * n + 2), 4 * r, 4 * s),
             (30 * n + 1, 4 * n, 3),
             (30 * n + 2, 4 * n, 3),
         ]),
     )
+
+
+def build_h(m: int, n: int) -> BuiltFamily:
+    """nC4(8,2) with two corner pairs per cycle fused into degree-4 vertices:
+    H_m(rs) at r = n, s = 1, with lower-case fused names.
+
+    Variant 1 folds each cycle onto itself, variant 2 fuses opposite
+    corners across the two cycles, variant 3 fuses aligned corners (each
+    component becomes a triangular bracelet).
+    """
+    _check(m in (1, 2, 3), "m must be 1, 2 or 3")
+    return _h_family(f"H{m}", {"n": n}, m, n, 1, "xy")
+
+
+def build_hm_rs(m: int, r: int, s: int) -> BuiltFamily:
+    """H_m(rs) with the degree-4 vertices fused across each block of s
+    copies; H_m(n) is its s = 1 case."""
+    _check(m in (1, 2, 3), "m must be 1, 2 or 3")
+    _check(r >= 1, "r must be >= 1")
+    _check(s >= 2, "s must be >= 2")
+    return _h_family("Hm_rs", {"m": m, "r": r, "s": s}, m, r, s, "XY")
 
 
 # ---------------------------------------------------------------------------
@@ -616,10 +612,17 @@ def build_family(tag: str, **params: int) -> BuiltFamily:
 
 
 # parameter grids used by the verification suite and the selftest command;
-# every point satisfies the family's hypotheses, sizes reach ~600 edges
+# every point satisfies the family's hypotheses, sizes reach ~600 edges.
+# Families built alike share one grid.
+_FB_GRID = tuple({"k": k} for k in (1, 2, 3, 4, 5, 6, 8, 12, 30, 60))
+_NC_GRID = tuple({"n": n} for n in (1, 2, 3, 4, 5, 6, 7, 8, 15, 30))
+_G_GRID = tuple({"r": r, "s": s} for r, s in
+                ((1, 2), (1, 3), (2, 2), (1, 4), (3, 2), (2, 3),
+                 (1, 5), (4, 2), (2, 4), (10, 3)))
+_C8_GRID = tuple({"k": k} for k in (1, 2, 3, 4, 5, 6, 7, 8, 20, 60))
 ACCEPTANCE_GRID: dict[str, tuple[dict, ...]] = {
-    "FB_units": tuple({"k": k} for k in (1, 2, 3, 4, 5, 6, 8, 12, 30, 60)),
-    "FB": tuple({"k": k} for k in (1, 2, 3, 4, 5, 6, 8, 12, 30, 60)),
+    "FB_units": _FB_GRID,
+    "FB": _FB_GRID,
     "rFB": tuple({"r": r, "s": s} for r, s in
                  ((2, 2), (3, 2), (4, 2), (5, 2), (2, 4), (3, 4),
                   (2, 6), (4, 4), (6, 2), (12, 10))),
@@ -647,24 +650,14 @@ ACCEPTANCE_GRID: dict[str, tuple[dict, ...]] = {
     "DF4": tuple({"r": r, "s": s} for r, s in
                  ((2, 1), (2, 2), (4, 1), (2, 3), (4, 2), (6, 1),
                   (2, 4), (4, 3), (6, 2), (10, 6))),
-    "nC482": tuple({"n": n} for n in (1, 2, 3, 4, 5, 6, 7, 8, 15, 30)),
-    "G1": tuple({"r": r, "s": s} for r, s in
-                ((1, 2), (1, 3), (2, 2), (1, 4), (3, 2), (2, 3),
-                 (1, 5), (4, 2), (2, 4), (10, 3))),
-    "G2": tuple({"r": r, "s": s} for r, s in
-                ((1, 2), (1, 3), (2, 2), (1, 4), (3, 2), (2, 3),
-                 (1, 5), (4, 2), (2, 4), (10, 3))),
-    "H1": tuple({"n": n} for n in (1, 2, 3, 4, 5, 6, 7, 8, 15, 30)),
-    "H2": tuple({"n": n} for n in (1, 2, 3, 4, 5, 6, 7, 8, 15, 30)),
-    "H3": tuple({"n": n} for n in (1, 2, 3, 4, 5, 6, 7, 8, 15, 30)),
+    "nC482": _NC_GRID,
+    **{f"G{v}": _G_GRID for v in (1, 2)},
+    **{f"H{m}": _NC_GRID for m in (1, 2, 3)},
     "Hm_rs": tuple({"m": m, "r": r, "s": s}
                    for m in (1, 2, 3)
                    for r, s in ((1, 2), (2, 2), (1, 3), (3, 2), (2, 3),
                                 (1, 4), (4, 2), (5, 2), (2, 4), (10, 3))),
-    "C8_units": tuple({"k": k} for k in (1, 2, 3, 4, 5, 6, 7, 8, 20, 60)),
-    "Bk": tuple({"k": k} for k in (1, 2, 3, 4, 5, 6, 7, 8, 20, 60)),
-    "kC82": tuple({"k": k} for k in (1, 2, 3, 4, 5, 6, 7, 8, 20, 60)),
-    "kD82": tuple({"k": k} for k in (1, 2, 3, 4, 5, 6, 7, 8, 20, 60)),
+    **{tag: _C8_GRID for tag in _C8},
     "rG82": tuple({"r": r, "s": s} for r, s in
                   ((1, 2), (2, 2), (1, 4), (3, 2), (2, 4), (1, 6),
                    (4, 2), (5, 2), (3, 4), (10, 6))),

@@ -7,16 +7,17 @@ edge is a plain int triple ``(u, v, label)`` with ``u < v`` and
 ``new_graph`` is the one edge check: it decides whether names and int
 edges form a simple graph, for the family builders, which lay out their
 ids by arithmetic, for ``LabeledGraph.with_edges``, a name lookup in
-front of it, and for the document reader.  A ``LabeledGraph`` gives the
+front of it, and for the document reader.  A graph keeps no name -> id
+index: ``with_edges`` builds one per call.  A ``LabeledGraph`` gives the
 views the other modules read (``adjacency``, ``degrees()``,
 ``labels()``).  The one surgery is ``apply_merge``, which fuses groups
 of vertex ids and which every merged family uses; the tests keep a
-``split_vertex`` oracle.  ``is_bipartite`` and ``chromatic_number_small``
-feed the verifier's lower bound, and the 2-coloring ``is_bipartite``
-finds feeds the search's ``sum_total`` cut.  Every operation is pure: it
-validates its inputs and returns a new graph.  Edge labels stay attached
-to their edges through merges, so a bijective labeling survives any
-sequence of them.  Values are safe to share across threads.
+``split_vertex`` oracle.  ``is_bipartite`` feeds the verifier's lower
+bound and 2-coloring gate, and the 2-coloring it finds feeds the
+search's ``sum_total`` cut.  Every operation is pure: it validates its
+inputs and returns a new graph.  Edge labels stay attached to their
+edges through merges, so a bijective labeling survives any sequence of
+them.  Values are safe to share across threads.
 """
 
 from __future__ import annotations
@@ -25,9 +26,6 @@ from collections import deque
 from dataclasses import dataclass
 from functools import cached_property
 from typing import Iterable, NamedTuple, NoReturn, Sequence
-
-
-CHI_EXACT_MAX_VERTICES = 20  # chromatic_number_small's backtracking budget
 
 
 class GraphError(ValueError):
@@ -104,9 +102,6 @@ class LabeledGraph:
         """Edge count m."""
         return len(self.edges)
 
-    # name -> id, read only by with_edges: everything else addresses vertices by id
-    _id_of = cached_property(lambda self: {nm: i for i, nm in enumerate(self.names)})
-
     @cached_property
     def adjacency(self) -> tuple[tuple[int, ...], ...]:
         adj: list[list[int]] = [[] for _ in self.names]
@@ -124,9 +119,10 @@ class LabeledGraph:
     # ---- pure construction ----------------------------------------------
 
     def with_edges(self, triples: list[tuple[str, str, int]]) -> LabeledGraph:
-        """Append edges given as (name_a, name_b, label); ``new_graph``
-        checks the result."""
-        ids = self._id_of
+        """Append edges given as (name_a, name_b, label), each name looked
+        up in an index of ``names`` built per call; ``new_graph`` checks
+        the result."""
+        ids = {nm: i for i, nm in enumerate(self.names)}
         new = []
         for a, b, label in triples:
             try:
@@ -280,44 +276,3 @@ def is_bipartite(g: LabeledGraph) -> Bipartition | None:
                     return None
         parts.append((count[0], count[1]))
     return Bipartition(tuple(parts), tuple(side))
-
-
-def chromatic_number_small(g: LabeledGraph) -> int:
-    """Exact chromatic number by backtracking; refuses graphs with more than
-    ``CHI_EXACT_MAX_VERTICES`` vertices."""
-    n = g.n_vertices
-    if n > CHI_EXACT_MAX_VERTICES:
-        raise GraphTooLarge(
-            f"{n} vertices exceeds the exact-coloring budget {CHI_EXACT_MAX_VERTICES}")
-    if n == 0:
-        return 0
-    if g.size == 0:
-        return 1
-    if is_bipartite(g) is not None:
-        return 2
-
-    order = sorted(range(n), key=lambda v: -len(g.adjacency[v]))
-    adj = g.adjacency
-
-    def colorable(c: int) -> bool:
-        colors = [0] * n  # 0 = unassigned
-
-        def place(idx: int) -> bool:
-            if idx == n:
-                return True
-            v = order[idx]
-            used_here = {colors[w] for w in adj[v] if colors[w]}
-            # first-use symmetry break: never skip past the lowest fresh color
-            max_new = min(c, max((colors[order[i]] for i in range(idx)), default=0) + 1)
-            for col in range(1, max_new + 1):
-                if col in used_here:
-                    continue
-                colors[v] = col
-                if place(idx + 1):
-                    return True
-                colors[v] = 0
-            return False
-
-        return place(0)
-
-    return next(c for c in range(3, n + 1) if colorable(c))  # c = n always succeeds

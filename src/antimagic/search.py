@@ -330,18 +330,16 @@ def _automorphisms(g: LabeledGraph, order: list[int],
     return maps
 
 
-def _cliques(g: LabeledGraph, deadline: float | None) -> list[tuple[int, ...]]:
+def _cliques(g: LabeledGraph, neighbors: list[int],
+             deadline: float | None) -> list[tuple[int, ...]]:
     """The maximal cliques of three or more vertices of g, each as
-    increasing vertex ids: Bron-Kerbosch with Tomita's pivot, over
-    bitmasks, among the vertices on a triangle only.  A member of such a
+    increasing vertex ids: Bron-Kerbosch with Tomita's pivot, over the
+    bitmasks ``neighbors`` (bit x of entry w set when x is adjacent to
+    w), among the vertices on a triangle only.  A member of such a
     clique is on a triangle, and so is a vertex that would extend one, so
     each is maximal in g; a triangle-free g costs one pass over its
     edges.  Each call reads the clock and raises ``_Timeout`` past
     ``deadline``."""
-    neighbors = [0] * g.n_vertices
-    for u, v, _ in g.edges:
-        neighbors[u] |= 1 << v
-        neighbors[v] |= 1 << u
     found = []
 
     def expand(clique: tuple[int, ...], cand: int, seen: int) -> None:
@@ -376,7 +374,8 @@ def _bits(mask: int) -> list[int]:
     return out
 
 
-def _schedule(g: LabeledGraph, order: list[int], deadline: float | None) -> list[tuple]:
+def _schedule(g: LabeledGraph, order: list[int], neighbors: list[int],
+              deadline: float | None) -> list[tuple]:
     """Per position t of the static order: the edge's endpoints, the
     earlier positions whose labels the label at t must exceed, the
     adjacent vertex pairs that become comparable at t (both fully
@@ -392,7 +391,8 @@ def _schedule(g: LabeledGraph, order: list[int], deadline: float | None) -> list
     there is none.  An entry holds only what changes with t: ``dfs``
     reads w's neighbor mask and side from per-vertex lists, and the open
     cliques of a position that completes no clique member are its
-    predecessor's tuple.  Raises ``_Timeout`` past ``deadline``.
+    predecessor's tuple.  ``neighbors`` holds g's neighbor bitmasks, for
+    ``_cliques``.  Raises ``_Timeout`` past ``deadline``.
     """
     adj = g.adjacency
     n = g.n_vertices
@@ -412,7 +412,7 @@ def _schedule(g: LabeledGraph, order: list[int], deadline: float | None) -> list
                 break
     # the open members of each clique not yet dropped; a vertex leaves its
     # cliques at its last edge, and a clique left with two is dropped
-    live = dict(enumerate(_cliques(g, deadline)))
+    live = dict(enumerate(_cliques(g, neighbors, deadline)))
     within: dict[int, list[int]] = {}  # vertex -> its cliques
     for c, q in live.items():
         for w in q:
@@ -666,7 +666,7 @@ def chi_la_exact(
     refuted = lb - 1  # chi_la > refuted is proven
     try:
         order = _edge_order(g, deadline)
-        plan = _schedule(g, order, deadline)
+        plan = _schedule(g, order, neighbors, deadline)
         sum_sets = _SumSets(max((r for step in plan for _, r, _ in step[5]), default=0), m)
         colors = attempt(n)  # the dive: n colors never prune
         if colors is not None:

@@ -5,7 +5,9 @@ classes, the local-antimagic verdict (labels bijective onto [1, m] and
 adjacent sums distinct), comparison against a builder's claimed coloring,
 and ``lower_bound`` from four sources: the chromatic number, the
 2-coloring lemma (``two_coloring_impossible``: the divisor-pair scan),
-the pendant count and the isolated vertices.
+the pendant count and the isolated vertices.  The chromatic number of a
+graph that is not bipartite is found exactly, by backtracking, on at
+most ``CHI_EXACT_MAX_VERTICES`` vertices, and taken as 3 above that.
 Exact integer arithmetic throughout.
 """
 
@@ -14,12 +16,9 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Iterable
 
-from .graph import (
-    CHI_EXACT_MAX_VERTICES,
-    LabeledGraph,
-    chromatic_number_small,
-    is_bipartite,
-)
+from .graph import LabeledGraph, is_bipartite
+
+CHI_EXACT_MAX_VERTICES = 20  # _chromatic_number's backtracking budget
 
 
 @dataclass(frozen=True)
@@ -198,16 +197,17 @@ def two_coloring_impossible(g: LabeledGraph) -> bool:
 def lower_bound(g: LabeledGraph) -> int:
     """Best available lower bound on the local antimagic chromatic number.
 
-    Combines chi(g) (exact when the graph is small or bipartite, else the
-    odd-cycle bound 3), the 2-coloring gate, and the pendant bound of
-    Arumugam, Premalatha, Baca and Semanicova-Fenovcikova (Local antimagic
-    vertex coloring of a graph, Graphs Combin. 33, 2017): with l >= 1
-    vertices of degree 1, every local antimagic labeling uses at least
-    l + 1 colors.  Proof: a pendant vertex's sum is the label of its own
-    edge, so the l pendant sums are distinct.  The edge labeled m has an
-    endpoint of degree >= 2 (else it is a K2 component, whose two equal
-    sums admit no valid labeling at all), and that endpoint's sum exceeds
-    m, hence every pendant sum.
+    Combines chi(g) (exact when the graph is bipartite or has at most
+    ``CHI_EXACT_MAX_VERTICES`` vertices, else the odd-cycle bound 3), the
+    2-coloring gate, and the pendant bound of Arumugam, Premalatha, Baca
+    and Semanicova-Fenovcikova (Local antimagic vertex coloring of a
+    graph, Graphs Combin. 33, 2017): with l >= 1 vertices of degree 1,
+    every local antimagic labeling uses at least l + 1 colors.  Proof: a
+    pendant vertex's sum is the label of its own edge, so the l pendant
+    sums are distinct.  The edge labeled m has an endpoint of degree >= 2
+    (else it is a K2 component, whose two equal sums admit no valid
+    labeling at all), and that endpoint's sum exceeds m, hence every
+    pendant sum.
 
     Isolated vertices are bounded apart: on a graph with edges they all
     have sum 0, below every other sum, and the labelings of g are those
@@ -229,9 +229,39 @@ def lower_bound(g: LabeledGraph) -> int:
     pendants = degrees.count(1)
     bound = pendants + 1 if pendants else 2
     if is_bipartite(g) is None:
-        bound = max(bound, 3)
-        if g.n_vertices <= CHI_EXACT_MAX_VERTICES:
-            bound = max(bound, chromatic_number_small(g))
+        small = g.n_vertices <= CHI_EXACT_MAX_VERTICES
+        bound = max(bound, _chromatic_number(g) if small else 3)
     elif two_coloring_impossible(g):  # False on every non-bipartite graph
         bound = max(bound, 3)
     return bound
+
+
+def _chromatic_number(g: LabeledGraph) -> int:
+    """Exact chromatic number, by backtracking, of a graph that is not
+    bipartite, so 3 or more."""
+    n = g.n_vertices
+    adj = g.adjacency
+    order = sorted(range(n), key=lambda v: -len(adj[v]))
+
+    def colorable(c: int) -> bool:
+        colors = [0] * n  # 0 = unassigned
+
+        def place(idx: int) -> bool:
+            if idx == n:
+                return True
+            v = order[idx]
+            used_here = {colors[w] for w in adj[v] if colors[w]}
+            # first-use symmetry break: never skip past the lowest fresh color
+            max_new = min(c, max((colors[order[i]] for i in range(idx)), default=0) + 1)
+            for col in range(1, max_new + 1):
+                if col in used_here:
+                    continue
+                colors[v] = col
+                if place(idx + 1):
+                    return True
+                colors[v] = 0
+            return False
+
+        return place(0)
+
+    return next(c for c in range(3, n + 1) if colorable(c))  # c = n always succeeds

@@ -199,6 +199,32 @@ def test_selftest_small(capsys):
     assert code == 0 and "ok   matrix 5x2k k=1..0\n" in out
 
 
+def test_selftest_refuses_a_max_param_above_a_cap_before_any_output(monkeypatch, capsys):
+    # under a cap of 100 labels 5x2k and kx10 take k = 6, 6x4n refuses n = 6
+    monkeypatch.setattr(matrices, "MAX_LABELS", 100)
+    code, out, err = run(capsys, "selftest", "--max-param", "6")
+    assert code == 2 and out == ""
+    assert err == ("error: matrix 6x4n with n = 6 would have 120 labels, "
+                   "above the cap of 100\n")
+
+
+def test_selftest_reports_a_matrix_that_breaks_an_identity(monkeypatch, capsys):
+    def swapped_at_2(k):
+        m = matrices.matrix_5x2k(k)
+        if k != 2:
+            return m
+        (a, b, *rest), *rows = m.grid  # two columns' sums of rows 1-3 change
+        return dataclasses.replace(m, grid=((b, a, *rest), *rows))
+
+    monkeypatch.setattr(cli, "matrix_5x2k", swapped_at_2)
+    code, out, _ = run(capsys, "selftest", "--max-param", "3")
+    assert code == 1
+    assert "FAIL matrix 5x2k k=2: " in out and "FAIL matrix 5x2k k=1..3: " in out
+    assert "FAIL matrix 5x2k k=1:" not in out and "FAIL matrix 5x2k k=3:" not in out
+    assert "ok   sequences 6x4n n=1..3\n" in out
+    assert out.endswith("selftest: 2 failure(s)\n")
+
+
 P3_DOC = json.loads(dumps(graph_to_document(
     new_graph(["a", "b", "c"]).with_edges([("a", "b", 1), ("b", "c", 2)]))))
 

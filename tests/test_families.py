@@ -281,6 +281,14 @@ def test_oddk_h_matches_its_claim():
     assert sorted(rep.color_classes) == [20, 31, 40, 55]
 
 
+def test_oddk_h_notes_a_failed_post_hoc_check(monkeypatch):
+    # the note reports the sums the verifier computes, never the claim
+    monkeypatch.setattr(families, "vertex_sums", lambda g: [0] * g.n_vertices)
+    b = build_oddk_h(1, 3)
+    assert b.notes[-1] == ("post-hoc check FAILED: achieved colors [0] differ "
+                           "from claimed [31, 40, 126, 161]")
+
+
 def test_oddk_h_rejects_even_k():
     with pytest.raises(ParameterError):
         build_oddk_h(2, 3)
@@ -454,12 +462,12 @@ def test_unit_vertex_ids_name_their_vertices(k):
 
 
 def test_no_builder_resolves_a_vertex_name(monkeypatch):
-    # merge groups name their members by id, so no build reads the
-    # name -> id dict that with_edges looks names up in
-    def refuse(self):
+    # merge groups name their members by id, so no build calls
+    # with_edges, the one lookup of vertices by name
+    def refuse(self, triples):
         raise AssertionError("a vertex was looked up by name")
 
-    monkeypatch.setattr(LabeledGraph, "_id_of", property(refuse))
+    monkeypatch.setattr(LabeledGraph, "with_edges", refuse)
     with pytest.raises(AssertionError):
         new_graph(["a", "b"]).with_edges([("a", "b", 1)])
     for tag, points in ACCEPTANCE_GRID.items():

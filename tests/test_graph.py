@@ -1,4 +1,4 @@
-"""Graph core: construction, surgery, and the small exact colorer."""
+"""Graph core: construction, surgery and the bipartiteness test."""
 
 from __future__ import annotations
 
@@ -13,7 +13,6 @@ from antimagic.families import ACCEPTANCE_GRID, FAMILIES, build_family
 from antimagic.graph import (
     DuplicateName,
     GraphError,
-    GraphTooLarge,
     InvalidPlan,
     LabeledEdge,
     LabeledGraph,
@@ -22,7 +21,6 @@ from antimagic.graph import (
     ParallelEdge,
     ParallelEdgeCreated,
     apply_merge,
-    chromatic_number_small,
     is_bipartite,
     new_graph,
 )
@@ -336,18 +334,6 @@ def test_is_bipartite():
     tri = new_graph(["a", "b", "c"]).with_edges(
         [("a", "b", 1), ("b", "c", 2), ("a", "c", 3)])
     assert is_bipartite(tri) is None
-
-
-def test_chromatic_number_small():
-    assert chromatic_number_small(fan_unit()) == 3
-    edge = new_graph(["a", "b"]).with_edges([("a", "b", 1)])
-    assert chromatic_number_small(edge) == 2
-    k4 = new_graph(list("abcd")).with_edges(
-        [(a, b, i + 1) for i, (a, b) in enumerate(
-            (("a", "b"), ("a", "c"), ("a", "d"), ("b", "c"), ("b", "d"), ("c", "d")))])
-    assert chromatic_number_small(k4) == 4
-    with pytest.raises(GraphTooLarge):
-        chromatic_number_small(new_graph([str(i) for i in range(25)]))
 
 
 @st.composite

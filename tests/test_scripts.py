@@ -85,6 +85,23 @@ def test_s60_draws_the_baseline_sample(monkeypatch):
     assert g.edges[:2] == ((0, 6, 1), (4, 5, 2))
 
 
+def test_loc_counts_each_module_and_sums_them():
+    proc = run_script("loc.py")
+    assert proc.returncode == 0, proc.stderr
+    *rows, total = [line.split() for line in proc.stdout.splitlines()]
+    assert [name for name, _ in rows] == sorted(
+        p.name for p in (ROOT / "src" / "antimagic").glob("*.py"))
+    assert total[0] == "total" and int(total[1]) == sum(int(n) for _, n in rows)
+
+
+def test_loc_leaves_out_blank_comment_and_docstring_lines(monkeypatch):
+    monkeypatch.syspath_prepend(str(ROOT / "scripts"))
+    loc = importlib.import_module("loc")
+    source = ('"""Module\ndocstring."""\n\n# a comment\nx = """two\nlines"""\n\n'
+              'def f():\n    """Docstring."""\n    return x  # counted\n')
+    assert loc.code_lines(source) == 4  # x's two lines, def and return
+
+
 def test_bench_tracer_finds_every_name_it_wraps(monkeypatch):
     # bench/tracing.py resolves each wrap target with getattr and no
     # default, so a deleted or renamed package name breaks every traced run

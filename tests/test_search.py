@@ -454,13 +454,18 @@ def test_named_edges_give_what_plain_edges_give(name):
     assert a.chi_la == b.chi_la is not None and a.witness == b.witness
 
 
+def neighbor_masks(g):
+    """g's neighbor bitmasks, as ``chi_la_exact`` hands them to ``_schedule``."""
+    return [sum(1 << x for x in nbrs) for nbrs in g.adjacency]
+
+
 def test_star_symmetry_is_a_chain_of_twin_swaps():
     # the 11 leaves are one twin class: its 10 consecutive swaps and no
     # enumeration of the 11! automorphisms
     g = star(11)
     order = search._edge_order(g)
     assert len(search._automorphisms(g, order)) == 10
-    after = [step[2] for step in search._schedule(g, order, None)]
+    after = [step[2] for step in search._schedule(g, order, neighbor_masks(g), None)]
     assert after == [()] + [(t,) for t in range(10)]
 
 
@@ -474,7 +479,7 @@ def test_schedule_entries_match_a_brute_force_recount(g):
     order = search._edge_order(g)
     at = [[t for t, ei in enumerate(order) if w in g.edges[ei][:2]]
           for w in range(g.n_vertices)]
-    plan = search._schedule(g, order, None)
+    plan = search._schedule(g, order, neighbor_masks(g), None)
     assert len(plan) == g.size
     adj = [set(nbrs) for nbrs in g.adjacency]
     inner = [w for w in range(g.n_vertices) if len(adj[w]) >= 2]
@@ -531,8 +536,8 @@ class ReadClock:
 
 def setup_reads(monkeypatch, g) -> int:
     """Clock reads a budgeted search of g makes before its first node: one
-    per edge-order pick, block pair of the transversal and schedule
-    position."""
+    per edge-order pick, block pair of the transversal, call of the
+    clique search and schedule position."""
     clock = ReadClock()
     monkeypatch.setattr(search, "time", clock)
     result = chi_la_exact(g, budget=1e9)
@@ -670,6 +675,20 @@ def test_timeout_in_the_edge_order(monkeypatch):
     assert result.lower_bound == lower_bound(g)
     assert result.upper_bound is None and result.witness is None
     assert clock.reads == 3  # the start, the first pick and the elapsed time
+
+
+def test_timeout_at_each_setup_read(monkeypatch):
+    # K4 plus a path has a clique, so the reads run through the edge
+    # order, the transversal, the clique search and the schedule
+    g = k4_path()
+    setup = setup_reads(monkeypatch, g)
+    for fast in range(1, setup + 1):
+        # the start and setup reads 1..fast-1 read 0, setup read fast past the deadline
+        monkeypatch.setattr(search, "time", ReadClock(fast=fast))
+        result = chi_la_exact(g, budget=0.5)
+        assert result.status == STATUS_TIMEOUT and result.stats.nodes == 0
+        assert result.lower_bound == lower_bound(g)
+        assert result.witness is None and result.upper_bound is None
 
 
 @pytest.mark.parametrize("stop", [1, 2, 5000])

@@ -12,8 +12,10 @@ from antimagic.families import build_family, build_fb, build_nc482
 from antimagic.graph import LabeledGraph, is_bipartite, new_graph
 from antimagic.search import chi_la_exact
 from antimagic.verify import (
+    CHI_EXACT_MAX_VERTICES,
     ColorClass,
     ExpectedColors,
+    _chromatic_number,
     check_expected,
     induced_coloring,
     lower_bound,
@@ -210,6 +212,29 @@ def test_lower_bound_with_isolated_vertices_is_sound(g):
     assert chi_la is None or lower_bound(g) <= chi_la
 
 
+def k4_with_path(n):
+    """K4 on v0..v3 and a path from v3 through v4..v{n-1}."""
+    names = [f"v{i}" for i in range(n)]
+    pairs = [(0, 1), (0, 2), (0, 3), (1, 2), (1, 3), (2, 3)]
+    pairs += [(i, i + 1) for i in range(3, n - 1)]
+    return new_graph(names).with_edges(
+        [(names[a], names[b], t + 1) for t, (a, b) in enumerate(pairs)])
+
+
+def test_chromatic_number_small():
+    fan = new_graph(list("uvwx")).with_edges(
+        [("u", "w", 1), ("v", "w", 2), ("x", "w", 3), ("x", "u", 4), ("x", "v", 5)])
+    assert _chromatic_number(fan) == 3
+    assert _chromatic_number(k4_with_path(4)) == 4
+
+
+def test_lower_bound_colors_exactly_up_to_the_vertex_cap():
+    # K4 with a pendant path: chi = 4 is found at the cap, and past it
+    # only the odd-cycle bound 3 is taken
+    assert lower_bound(k4_with_path(CHI_EXACT_MAX_VERTICES)) == 4
+    assert lower_bound(k4_with_path(CHI_EXACT_MAX_VERTICES + 1)) == 3
+
+
 def test_lower_bound_tests_bipartiteness_twice(monkeypatch):
     # the 2-coloring gate tests bipartiteness again, so it runs only on a
     # bipartite graph: elsewhere it is inconclusive
@@ -221,17 +246,13 @@ def test_lower_bound_tests_bipartiteness_twice(monkeypatch):
 
     monkeypatch.setattr(antimagic.graph, "is_bipartite", counted)
     monkeypatch.setattr(antimagic.verify, "is_bipartite", counted)
-    names = [f"v{i}" for i in range(8)]
-    k4_path = new_graph(names).with_edges(
-        [(names[a], names[b], t + 1) for t, (a, b) in enumerate(
-            [(0, 1), (0, 2), (0, 3), (1, 2), (1, 3), (2, 3), (3, 4), (4, 5), (5, 6), (6, 7)])])
     balanced = build_family("rDF", r=1, s=2).graph
-    # K4 plus a path: lower_bound's test and chromatic_number_small's;
-    # the balanced rDF: lower_bound's test and the gate's
-    for g, bound in ((k4_path, 4), (balanced, 3)):
+    # K4 plus a path: lower_bound's test only, since the exact coloring
+    # runs no BFS; the balanced rDF: lower_bound's test and the gate's
+    for g, bound, tests in ((k4_with_path(8), 4, 1), (balanced, 3, 2)):
         calls.clear()
         assert lower_bound(g) == bound
-        assert len(calls) == 2
+        assert len(calls) == tests
 
 
 def test_lower_bound_large_graphs_do_not_raise():
