@@ -3,7 +3,8 @@
 The JSON document is the interchange format: it round-trips losslessly,
 and identical inputs always produce identical bytes (sorted keys, fixed
 indentation, trailing newline).  A graph's vertex and edge rows are
-``Rows`` views of it; ``json.loads(dumps(doc))`` is the plain form, and
+``Rows`` views of it, a slotted class that is not a tuple, so
+``json.dumps`` refuses it; ``json.loads(dumps(doc))`` is the plain form, and
 ``dumps(doc)`` writes exactly ``json.dumps(plain, indent=2,
 sort_keys=True) + "\n"``.  As CPython runs an indented ``json.dumps``
 through its pure-Python encoder, it writes objects, lists, ints and
@@ -15,7 +16,6 @@ export-only with vertices in sorted order so snapshots are stable.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass
 from json.encoder import encode_basestring_ascii as _quote
 from typing import Iterable
 
@@ -31,13 +31,15 @@ class DocumentError(ValueError):
     pass
 
 
-@dataclass(frozen=True, slots=True)
 class Rows:
     """The vertex or the edge rows of ``graph``'s document, which ``dumps``
-    writes straight from the graph's tuples.  ``json.dumps`` refuses it."""
+    writes straight from the graph's tuples.  Not a tuple, so ``json.dumps``
+    refuses it."""
 
-    graph: LabeledGraph
-    edges: bool  # False: the vertex rows
+    __slots__ = ("graph", "edges")
+
+    def __init__(self, graph: LabeledGraph, edges: bool) -> None:
+        self.graph, self.edges = graph, edges  # edges False: the vertex rows
 
 
 def graph_to_document(g: LabeledGraph) -> dict:

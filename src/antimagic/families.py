@@ -34,18 +34,16 @@ tag through ``partial``: ``build_rfb`` (rFB, FB1, FB2), ``build_rdf``
 ``build_c8`` over the ``_C8`` table (C8_units, Bk, kC82, kD82).
 H_m(n) is H_m(rs) at s = 1, so ``build_h`` and ``build_hm_rs`` keep
 their own parameters and checks and share one body, ``_h_family``.
-``build_family`` reads the parameter names from the builder's signature,
-once per builder.
+``build_family`` reads the parameter names from the builder's code
+object, once per builder.
 Each claimed color count is the number of claimed classes.
 """
 
 from __future__ import annotations
 
-import inspect
-from dataclasses import dataclass
 from functools import cache, partial
 from itertools import product
-from typing import Callable, Iterable, Iterator
+from typing import Callable, Iterable, Iterator, NamedTuple
 
 from .graph import LabeledGraph, apply_merge, new_graph
 from .matrices import LabelMatrix, matrix_5x2k, matrix_kx10, sequences_6x4n
@@ -61,8 +59,7 @@ class ParameterError(ValueError):
     """Family parameters outside the construction's hypotheses."""
 
 
-@dataclass(frozen=True)
-class BuiltFamily:
+class BuiltFamily(NamedTuple):
     tag: str
     params: dict
     graph: LabeledGraph
@@ -592,7 +589,11 @@ def resolve_tag(tag: str) -> str:
 
 @cache
 def _param_names(build: Callable[..., BuiltFamily]) -> tuple[str, ...]:
-    return tuple(inspect.signature(build).parameters)
+    """The builder's positional parameters, less those a ``partial`` binds."""
+    if isinstance(build, partial):
+        return _param_names(build.func)[len(build.args):]
+    code = build.__code__
+    return code.co_varnames[:code.co_argcount]
 
 
 def build_family(tag: str, **params: int) -> BuiltFamily:

@@ -8,13 +8,16 @@ edge is a plain int triple ``(u, v, label)`` with ``u < v`` and
 edges form a simple graph, for the family builders, which lay out their
 ids by arithmetic, for ``LabeledGraph.with_edges``, a name lookup in
 front of it, and for the document reader.  A graph keeps no name -> id
-index: ``with_edges`` builds one per call.  A ``LabeledGraph`` gives the
-views the other modules read (``adjacency``, ``degrees()``,
-``labels()``).  The one surgery is ``apply_merge``, which fuses groups
-of vertex ids and which every merged family uses; the tests keep a
-``split_vertex`` oracle.  ``is_bipartite`` feeds the verifier's lower
-bound and 2-coloring gate, and the 2-coloring it finds feeds the
-search's ``sum_total`` cut.  Every operation is pure: it validates its
+index: ``with_edges`` builds one per call.  ``LabeledGraph`` subclasses
+the ``NamedTuple`` of ``names`` and ``edges`` without ``__slots__``, so
+each graph's ``__dict__`` caches ``adjacency``; like ``Bipartition`` it is
+immutable, copied with ``_replace`` and equal to the plain tuple of its
+fields.  It gives the views the other modules read (``adjacency``,
+``degrees()``, ``labels()``).  The one surgery is ``apply_merge``, which
+fuses groups of vertex ids and which every merged family uses; the tests
+keep a ``split_vertex`` oracle.  ``is_bipartite`` feeds the verifier's
+lower bound, which hands its ``Bipartition`` to the 2-coloring gate, and
+the 2-coloring it finds feeds the search's ``sum_total`` cut.  Every operation is pure: it validates its
 inputs and returns a new graph.  Edge labels stay attached to their
 edges through merges, so a bijective labeling survives any sequence of
 them.  Values are safe to share across threads.
@@ -23,7 +26,6 @@ them.  Values are safe to share across threads.
 from __future__ import annotations
 
 from collections import deque
-from dataclasses import dataclass
 from functools import cached_property
 from typing import Iterable, NamedTuple, NoReturn, Sequence
 
@@ -68,8 +70,7 @@ class LabeledEdge(NamedTuple):
     label: int
 
 
-@dataclass(frozen=True)
-class Bipartition:
+class Bipartition(NamedTuple):
     component_parts: tuple[tuple[int, int], ...]  # (|side0|, |side1|) per component
     side: tuple[int, ...]  # 0 or 1 per vertex: every edge joins the two sides
 
@@ -86,10 +87,13 @@ class Bipartition:
         return all(a == b for a, b in self.component_parts)
 
 
-@dataclass(frozen=True)
-class LabeledGraph:
+class _GraphFields(NamedTuple):
     names: tuple[str, ...]
     edges: tuple[tuple[int, int, int], ...]
+
+
+class LabeledGraph(_GraphFields):
+    # no __slots__: the instance __dict__ holds the cached adjacency
 
     # ---- views ---------------------------------------------------------
 

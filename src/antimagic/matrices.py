@@ -25,7 +25,7 @@ the failure ``detail`` text may change.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from typing import NamedTuple
 
 from .verify import label_problems
 
@@ -35,8 +35,7 @@ KIND_KX10 = "kx10"
 MAX_LABELS = 10**6  # no generator makes a matrix with more labels than this
 
 
-@dataclass(frozen=True)
-class LabelMatrix:
+class LabelMatrix(NamedTuple):
     kind: str
     param: int  # k for 5x2k and kx10, n for 6x4n
     grid: tuple[tuple[int, ...], ...]  # row-major
@@ -46,15 +45,13 @@ class LabelMatrix:
         return [x for row in self.grid for x in row]
 
 
-@dataclass(frozen=True)
-class Check:
+class Check(NamedTuple):
     name: str
     ok: bool
     detail: str = ""
 
 
-@dataclass(frozen=True)
-class ValidationReport:
+class ValidationReport(NamedTuple):
     checks: tuple[Check, ...]
 
     @property

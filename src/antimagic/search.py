@@ -142,7 +142,7 @@ import math
 import sys
 import time
 from collections.abc import Sequence
-from dataclasses import dataclass
+from typing import NamedTuple
 
 from .graph import GraphTooLarge, LabeledGraph, is_bipartite
 from .verify import lower_bound
@@ -158,8 +158,7 @@ STATUS_TIMEOUT = "timeout"
 RULES = ("conflict", "color_bound", "symmetry", "reach", "sum_total", "clique")
 
 
-@dataclass(frozen=True)
-class SearchStats:
+class SearchStats(NamedTuple):
     nodes: int
     conflict: int
     color_bound: int
@@ -174,8 +173,7 @@ class SearchStats:
         return sum(getattr(self, rule) for rule in RULES)
 
 
-@dataclass(frozen=True)
-class SearchResult:
+class SearchResult(NamedTuple):
     status: str  # value | no_labeling | timeout
     chi_la: int | None
     witness: LabeledGraph | None  # the best labeling found, also on timeout

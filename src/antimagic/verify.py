@@ -13,23 +13,20 @@ Exact integer arithmetic throughout.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import Iterable
+from typing import Iterable, NamedTuple
 
-from .graph import LabeledGraph, is_bipartite
+from .graph import Bipartition, LabeledGraph, is_bipartite
 
 CHI_EXACT_MAX_VERTICES = 20  # _chromatic_number's backtracking budget
 
 
-@dataclass(frozen=True)
-class ColorClass:
+class ColorClass(NamedTuple):
     value: int
     size: int
     degree: int
 
 
-@dataclass(frozen=True)
-class ExpectedColors:
+class ExpectedColors(NamedTuple):
     classes: tuple[ColorClass, ...]
     claimed_colors: int
     exact: bool = True  # False: claimed_colors is an upper bound
@@ -39,8 +36,7 @@ class ExpectedColors:
         return tuple(c.value for c in self.classes)
 
 
-@dataclass(frozen=True)
-class ColorReport:
+class ColorReport(NamedTuple):
     sums: dict[str, int]
     color_classes: dict[int, tuple[str, ...]]
     color_count: int
@@ -181,8 +177,12 @@ def two_coloring_impossible(g: LabeledGraph) -> bool:
     such split.  Graphs without edges or that are not bipartite are
     inconclusive.
     """
+    return _two_coloring_impossible(g, is_bipartite(g))
+
+
+def _two_coloring_impossible(g: LabeledGraph, bip: Bipartition | None) -> bool:
+    """``two_coloring_impossible(g)`` given ``bip = is_bipartite(g)``."""
     m = g.size
-    bip = is_bipartite(g)
     if m == 0 or bip is None:
         return False
     n = g.n_vertices
@@ -228,10 +228,11 @@ def lower_bound(g: LabeledGraph) -> int:
         return lower_bound(rest) + 1
     pendants = degrees.count(1)
     bound = pendants + 1 if pendants else 2
-    if is_bipartite(g) is None:
+    bip = is_bipartite(g)
+    if bip is None:
         small = g.n_vertices <= CHI_EXACT_MAX_VERTICES
         bound = max(bound, _chromatic_number(g) if small else 3)
-    elif two_coloring_impossible(g):  # False on every non-bipartite graph
+    elif _two_coloring_impossible(g, bip):
         bound = max(bound, 3)
     return bound
 

@@ -5,7 +5,6 @@ from __future__ import annotations
 import argparse
 import contextlib
 import copy
-import dataclasses
 import gc
 import inspect
 import io
@@ -91,11 +90,11 @@ def test_matrix_validate_prints_each_failed_check(monkeypatch, capsys, kind, fla
     if m.sequences:  # the 6x4n validator reads the sequences
         seqs = [list(t) for t in m.sequences]
         seqs[0][0], seqs[0][1] = seqs[0][1], seqs[0][0]
-        tampered = dataclasses.replace(m, sequences=tuple(map(tuple, seqs)))
+        tampered = m._replace(sequences=tuple(map(tuple, seqs)))
     else:
         rows = [list(r) for r in m.grid]
         rows[0][0], rows[1][0] = rows[1][0], rows[0][0]
-        tampered = dataclasses.replace(m, grid=tuple(map(tuple, rows)))
+        tampered = m._replace(grid=tuple(map(tuple, rows)))
     monkeypatch.setattr(cli, generator, lambda param: tampered)
     code, out, err = run(capsys, "matrix", kind, flag, "3", "--validate")
     failed = [c.name for c in validate(tampered).failures]
@@ -214,7 +213,7 @@ def test_selftest_reports_a_matrix_that_breaks_an_identity(monkeypatch, capsys):
         if k != 2:
             return m
         (a, b, *rest), *rows = m.grid  # two columns' sums of rows 1-3 change
-        return dataclasses.replace(m, grid=((b, a, *rest), *rows))
+        return m._replace(grid=((b, a, *rest), *rows))
 
     monkeypatch.setattr(cli, "matrix_5x2k", swapped_at_2)
     code, out, _ = run(capsys, "selftest", "--max-param", "3")
@@ -434,7 +433,7 @@ def test_selftest_reports_a_failing_grid_point(tmp_path, monkeypatch, capsys):
             return built
         (u0, v0, label0), (u1, v1, label1), *rest = built.graph.edges
         edges = ((u0, v0, label1), (u1, v1, label0), *rest)
-        return dataclasses.replace(built, graph=LabeledGraph(built.graph.names, edges))
+        return built._replace(graph=LabeledGraph(built.graph.names, edges))
 
     monkeypatch.setattr(cli, "build_family", build_with_two_labels_swapped)
     code, out, _ = run(capsys, "selftest", "--max-param", "1")
@@ -457,7 +456,7 @@ def _build_with_a_label_repeated(tag, **params):
     built = families.build_family(tag, **params)
     (u0, v0, _), e1, *rest = built.graph.edges
     edges = ((u0, v0, e1[2]), e1, *rest)
-    return dataclasses.replace(built, graph=LabeledGraph(built.graph.names, edges))
+    return built._replace(graph=LabeledGraph(built.graph.names, edges))
 
 
 def test_failing_build_verify_prints_what_verify_prints(tmp_path, monkeypatch, capsys):

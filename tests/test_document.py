@@ -2,7 +2,6 @@
 
 from __future__ import annotations
 
-import dataclasses
 import json
 
 import pytest
@@ -260,7 +259,7 @@ def test_dumps_writes_graph_rows_as_json_dumps_of_plain_rows(g, verified):
     assert dumps(graph_to_document(g)) == _indented(
         {"format": FORMAT, "vertices": vertices, "edges": edges})
     # the other keys of a built document are plain already
-    doc = built_to_document(dataclasses.replace(FB1, graph=g),
+    doc = built_to_document(FB1._replace(graph=g),
                             induced_coloring(g) if verified else None)
     assert dumps(doc) == _indented({**doc, "vertices": vertices, "edges": edges})
 

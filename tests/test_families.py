@@ -4,6 +4,7 @@ counts, hypothesis gates, and the full verification grid."""
 from __future__ import annotations
 
 from collections import Counter
+from functools import partial
 
 import pytest
 from hypothesis import given, settings
@@ -17,6 +18,7 @@ from antimagic.families import (
     _fan,
     _fan_units,
     _nc,
+    _param_names,
     _prism,
     _prism_units,
     build_dfr,
@@ -344,6 +346,14 @@ def test_family_grid_verifies(tag):
 
 def test_registry_covers_grid():
     assert set(ACCEPTANCE_GRID) == set(FAMILIES)
+
+
+def test_each_family_takes_its_grid_parameters_in_order():
+    # the names build_family checks come off the builder's code object,
+    # less the leading arguments a partial binds (17 of the 24 entries)
+    assert sum(isinstance(build, partial) for build in FAMILIES.values()) == 17
+    for tag, build in FAMILIES.items():
+        assert _param_names(build) == tuple(ACCEPTANCE_GRID[tag][0]), tag
 
 
 OPTIMAL_AT_THREE = {

@@ -9,7 +9,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from antimagic.document import FORMAT, DocumentError, document_to_graph, dumps, graph_to_document
-from antimagic.families import ACCEPTANCE_GRID, FAMILIES, build_family
+from antimagic.families import ACCEPTANCE_GRID, FAMILIES, build_family, build_fb
 from antimagic.graph import (
     DuplicateName,
     GraphError,
@@ -24,7 +24,9 @@ from antimagic.graph import (
     is_bipartite,
     new_graph,
 )
+from antimagic.matrices import matrix_5x2k, validate_5x2k
 from antimagic.search import chi_la_exact
+from antimagic.verify import induced_coloring
 from helpers import disjoint_union, same_up_to_names, vertex_label_signature
 from oracles import NotAPartition, naive_merge, split_vertex
 
@@ -101,6 +103,35 @@ def test_edge_is_an_immutable_named_triple():
         e.label = 8
     assert e._replace(label=8) == LabeledEdge(2, 5, 8) and e.label == 7
     assert LabeledEdge(2, 5, 7) == (2, 5, 7)
+
+
+def _records():
+    """One instance of each public record, by name."""
+    g = new_graph(["a", "b", "c"]).with_edges([("a", "b", 1), ("b", "c", 2)])
+    built = build_fb(1)
+    m = matrix_5x2k(1)
+    report = validate_5x2k(m)
+    result = chi_la_exact(g)
+    return {"LabeledGraph": g, "Bipartition": is_bipartite(g),
+            "ColorClass": built.expected.classes[0], "ExpectedColors": built.expected,
+            "ColorReport": induced_coloring(g), "LabelMatrix": m,
+            "Check": report.checks[0], "ValidationReport": report,
+            "BuiltFamily": built, "SearchStats": result.stats, "SearchResult": result}
+
+
+@pytest.mark.parametrize("name, field", [
+    ("LabeledGraph", "edges"), ("Bipartition", "side"), ("ColorClass", "value"),
+    ("ExpectedColors", "exact"), ("ColorReport", "color_count"), ("LabelMatrix", "grid"),
+    ("Check", "ok"), ("ValidationReport", "checks"), ("BuiltFamily", "graph"),
+    ("SearchStats", "nodes"), ("SearchResult", "chi_la"),
+])
+def test_every_record_is_immutable(name, field):
+    record = _records()[name]
+    assert type(record).__name__ == name
+    before = getattr(record, field)
+    with pytest.raises(AttributeError):
+        setattr(record, field, None)
+    assert getattr(record, field) is before
 
 
 def _ordered(g) -> bool:

@@ -143,3 +143,16 @@ def test_each_module_imports_alone_and_the_version_is_the_projects():
     pyproject = (ROOT / "pyproject.toml").read_text(encoding="utf-8")
     version = re.search(r'^version = "([^"]+)"$', pyproject, re.MULTILINE).group(1)
     assert importlib.import_module("antimagic").__version__ == version
+
+
+def test_a_cold_start_loads_no_dataclasses_and_no_inspect():
+    # each command runs in a fresh interpreter, where importing dataclasses
+    # would also import inspect, ast, dis and tokenize; -S keeps site's
+    # .pth imports out of the count
+    code = ("import sys\n"
+            "from antimagic.cli import build_parser\n"
+            "build_parser()\n"
+            "print(sorted({'dataclasses', 'inspect'} & set(sys.modules)))")
+    proc = run_python("-S", "-c", code)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout == "[]\n"

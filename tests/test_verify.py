@@ -7,6 +7,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import antimagic.graph
+import antimagic.search
 import antimagic.verify
 from antimagic.families import build_family, build_fb, build_nc482
 from antimagic.graph import LabeledGraph, is_bipartite, new_graph
@@ -235,9 +236,9 @@ def test_lower_bound_colors_exactly_up_to_the_vertex_cap():
     assert lower_bound(k4_with_path(CHI_EXACT_MAX_VERTICES + 1)) == 3
 
 
-def test_lower_bound_tests_bipartiteness_twice(monkeypatch):
-    # the 2-coloring gate tests bipartiteness again, so it runs only on a
-    # bipartite graph: elsewhere it is inconclusive
+def test_lower_bound_tests_bipartiteness_once(monkeypatch):
+    # the 2-coloring gate reads the bipartition lower_bound found, so
+    # lower_bound runs one BFS whether the graph is bipartite or not
     calls = []
 
     def counted(g):
@@ -246,13 +247,16 @@ def test_lower_bound_tests_bipartiteness_twice(monkeypatch):
 
     monkeypatch.setattr(antimagic.graph, "is_bipartite", counted)
     monkeypatch.setattr(antimagic.verify, "is_bipartite", counted)
+    monkeypatch.setattr(antimagic.search, "is_bipartite", counted)
     balanced = build_family("rDF", r=1, s=2).graph
-    # K4 plus a path: lower_bound's test only, since the exact coloring
-    # runs no BFS; the balanced rDF: lower_bound's test and the gate's
-    for g, bound, tests in ((k4_with_path(8), 4, 1), (balanced, 3, 2)):
+    for g, bound in ((k4_with_path(8), 4), (balanced, 3)):
         calls.clear()
         assert lower_bound(g) == bound
-        assert len(calls) == tests
+        assert len(calls) == 1
+    # the exact search: lower_bound's BFS and the one for the search's sides
+    calls.clear()
+    assert chi_la_exact(build_family("Bk", k=1).graph).chi_la is not None
+    assert len(calls) == 2
 
 
 def test_lower_bound_large_graphs_do_not_raise():
