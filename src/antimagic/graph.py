@@ -3,24 +3,27 @@
 A vertex is an integer id, its position in ``names``; the display name
 (``u_3``, ``x_5^1``, ``w_2_4``) is what documents and reports show.  An
 edge is a plain int triple ``(u, v, label)`` with ``u < v`` and
-``label >= 1``; ``LabeledEdge`` is its named form for outside callers.
-``new_graph`` is the one edge check: it decides whether names and int
-edges form a simple graph, for the family builders, which lay out their
-ids by arithmetic, for ``LabeledGraph.with_edges``, a name lookup in
-front of it, and for the document reader.  A graph keeps no name -> id
-index: ``with_edges`` builds one per call.  ``LabeledGraph`` subclasses
-the ``NamedTuple`` of ``names`` and ``edges`` without ``__slots__``, so
-each graph's ``__dict__`` caches ``adjacency``; like ``Bipartition`` it is
+``label >= 1``.  ``new_graph(names, edges)`` with int edges is the one
+way to build a graph and the one edge check: it decides whether names
+and int edges form a simple graph, for the family builders, which lay
+out their ids by arithmetic, and for the document reader.  Nothing looks
+a vertex up by name, and a graph keeps no name -> id index.
+``LabeledEdge`` and the ``None`` stub in ``LabeledGraph`` stay only
+because the benchmark's workloads and tracer (``bench/``) name them;
+they go once it no longer does.  ``LabeledGraph`` subclasses the
+``NamedTuple`` of ``names`` and ``edges`` without ``__slots__``, so each
+graph's ``__dict__`` caches ``adjacency``; like ``Bipartition`` it is
 immutable, copied with ``_replace`` and equal to the plain tuple of its
 fields.  It gives the views the other modules read (``adjacency``,
 ``degrees()``, ``labels()``).  The one surgery is ``apply_merge``, which
 fuses groups of vertex ids and which every merged family uses; the tests
 keep a ``split_vertex`` oracle.  ``is_bipartite`` feeds the verifier's
 lower bound, which hands its ``Bipartition`` to the 2-coloring gate, and
-the 2-coloring it finds feeds the search's ``sum_total`` cut.  Every operation is pure: it validates its
-inputs and returns a new graph.  Edge labels stay attached to their
-edges through merges, so a bijective labeling survives any sequence of
-them.  Values are safe to share across threads.
+the 2-coloring it finds feeds the search's ``sum_total`` cut.  Every
+operation is pure: it validates its inputs and returns a new graph.
+Edge labels stay attached to their edges through merges, so a bijective
+labeling survives any sequence of them.  Values are safe to share across
+threads.
 """
 
 from __future__ import annotations
@@ -120,21 +123,11 @@ class LabeledGraph(_GraphFields):
     def labels(self) -> tuple[int, ...]:
         return tuple(label for _, _, label in self.edges)
 
-    # ---- pure construction ----------------------------------------------
-
-    def with_edges(self, triples: list[tuple[str, str, int]]) -> LabeledGraph:
-        """Append edges given as (name_a, name_b, label), each name looked
-        up in an index of ``names`` built per call; ``new_graph`` checks
-        the result."""
-        ids = {nm: i for i, nm in enumerate(self.names)}
-        new = []
-        for a, b, label in triples:
-            try:
-                ia, ib = ids[a], ids[b]
-            except KeyError as exc:
-                raise GraphError(f"no vertex named {exc.args[0]!r}") from None
-            new.append((ia, ib, label) if ia < ib else (ib, ia, label))
-        return new_graph(self.names, self.edges + tuple(new))
+    # Nothing calls it: graphs are built with ``new_graph``.  But
+    # bench/tracing.py looks up ``with_edges`` here with no default and
+    # fails without the name.  Benchmark v2 (ROADMAP item 2) drops it from
+    # the tracer, and then this line goes.
+    with_edges = None
 
 
 # ---- module-level operations ------------------------------------------------

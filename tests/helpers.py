@@ -1,8 +1,8 @@
 """Shared test utilities: structural graph comparison, fast transposition
 checking for the metamorphic suites, and graph, matrix and family helpers
-that only the tests need (components, disjoint union, the 6x4n
-closed-form rows, the verified acceptance grid, the 3-color claim) and a
-fresh interpreter on the package's source."""
+that only the tests need (a graph from edges by vertex name, components,
+disjoint union, the 6x4n closed-form rows, the verified acceptance grid,
+the 3-color claim) and a fresh interpreter on the package's source."""
 
 from __future__ import annotations
 
@@ -14,7 +14,7 @@ from pathlib import Path
 from typing import Iterable
 
 from antimagic.families import ACCEPTANCE_GRID, BuiltFamily, build_family
-from antimagic.graph import LabeledGraph
+from antimagic.graph import LabeledGraph, new_graph
 from antimagic.matrices import KIND_6X4N, Check, LabelMatrix, ValidationReport
 from antimagic.verify import check_expected, induced_coloring, vertex_sums
 
@@ -48,6 +48,19 @@ def chi_la_is_three(built: BuiltFamily) -> bool:
     3-coloring claim whose hypotheses raised no warning."""
     claim = built.expected
     return claim.exact and claim.claimed_colors == 3 and not built.warnings
+
+
+def by_name(names: Iterable[str], triples: Iterable[tuple[str, str, int]]) -> LabeledGraph:
+    """``new_graph`` on ``names`` with each edge given as ``(name_a,
+    name_b, label)``, its ends in either order; an unknown name raises
+    KeyError."""
+    names = tuple(names)
+    ids = {nm: i for i, nm in enumerate(names)}
+    edges = []
+    for a, b, label in triples:
+        u, v = ids[a], ids[b]
+        edges.append((u, v, label) if u < v else (v, u, label))
+    return new_graph(names, edges)
 
 
 def components(g: LabeledGraph) -> tuple[tuple[int, ...], ...]:

@@ -11,8 +11,10 @@ it finds each vertex by a scan of ``names``.
 with the achievable part sizes as a set, not a bitmask.
 ``fan_units_by_name``, ``nc482_by_name`` and ``prism_units_by_name``
 make the three unit graphs the family builders start from with an edge
-list of vertex names (``new_graph(names).with_edges(...)``), where the
-builders lay out ids by arithmetic.
+list of vertex names (``helpers.by_name(names, triples)``), where the
+builders lay out ids by arithmetic and call ``new_graph``, the
+package's one way to build a graph, with int edges; so this by-name path
+shares none of the builders' index arithmetic.
 """
 
 from __future__ import annotations
@@ -27,9 +29,9 @@ from antimagic.graph import (
     LoopCreated,
     ParallelEdgeCreated,
     is_bipartite,
-    new_graph,
 )
 from antimagic.matrices import matrix_5x2k, matrix_kx10, sequences_6x4n
+from helpers import by_name
 
 
 class NotAPartition(GraphError):
@@ -131,13 +133,13 @@ def fan_units_by_name(k: int, split=()) -> LabeledGraph:
         x1, x2 = (f"x_{i}^1", f"x_{i}^2") if i in split else (f"x_{i}",) * 2
         triples += [(f"u_{i}", f"w_{i}", col[0]), (f"v_{i}", f"w_{i}", col[1]),
                     (x1, f"w_{i}", col[2]), (x2, f"u_{i}", col[3]), (x2, f"v_{i}", col[4])]
-    return new_graph(names).with_edges(triples)
+    return by_name(names, triples)
 
 
 def nc482_by_name(n: int) -> LabeledGraph:
     """``families.build_nc482(n)``'s graph, its edges given by name."""
     seqs = sequences_6x4n(n)
-    g = new_graph([f"{x}_{a}_{i}" for a in range(1, n + 1) for x in "uv" for i in range(1, 9)])
+    names = [f"{x}_{a}_{i}" for a in range(1, n + 1) for x in "uv" for i in range(1, 9)]
     cycle_pos = (0, 2, 3, 5, 6, 8, 9, 11)
     rung_pos = (1, 4, 7, 10)
     triples = []
@@ -149,14 +151,13 @@ def nc482_by_name(n: int) -> LabeledGraph:
             triples.append((f"v_{a}_{i}", f"v_{a}_{j}", u[cycle_pos[i - 1]]))
         for idx, i in enumerate((2, 4, 6, 8)):
             triples.append((f"u_{a}_{i}", f"v_{a}_{i}", t[rung_pos[idx]]))
-    return g.with_edges(triples)
+    return by_name(names, triples)
 
 
 def prism_units_by_name(k: int) -> LabeledGraph:
     """``families._prism_units(k)``, its edges given by name."""
     m = matrix_kx10(k)
-    g = new_graph([f"u_{i}_{j}" if j < 9 else f"x_{i}"
-                   for i in range(1, k + 1) for j in range(1, 10)])
+    names = [f"u_{i}_{j}" if j < 9 else f"x_{i}" for i in range(1, k + 1) for j in range(1, 10)]
     triples = []
     for i in range(1, k + 1):
         row = m.grid[i - 1]
@@ -164,7 +165,7 @@ def prism_units_by_name(k: int) -> LabeledGraph:
             triples.append((f"u_{i}_{j}", f"u_{i}_{j % 8 + 1}", row[j - 1]))
         triples.append((f"x_{i}", f"u_{i}_2", row[8]))
         triples.append((f"x_{i}", f"u_{i}_6", row[9]))
-    return g.with_edges(triples)
+    return by_name(names, triples)
 
 
 def split_vertex(

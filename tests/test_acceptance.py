@@ -10,7 +10,6 @@ import random
 import time
 
 from antimagic.families import ACCEPTANCE_GRID, build_family
-from antimagic.graph import new_graph
 from antimagic.matrices import (
     matrix_5x2k,
     matrix_6x4n,
@@ -31,7 +30,7 @@ from antimagic.verify import (
     two_coloring_impossible,
 )
 from golden import GRID_5X2K_K6, GRID_KX10_K4, SEQUENCES_N6
-from helpers import chi_la_is_three, grid_points, transposition_detected
+from helpers import by_name, chi_la_is_three, grid_points, transposition_detected
 
 # families whose construction-time coloring is provably optimal at 3 colors
 THREE_COLOR_FAMILIES = (
@@ -168,15 +167,15 @@ def test_criterion_6_lower_bounds():
 
 def test_criterion_7_oracle_spot_checks():
     start = time.monotonic()
-    k2 = new_graph(["a", "b"]).with_edges([("a", "b", 1)])
+    k2 = by_name(["a", "b"], [("a", "b", 1)])
     assert chi_la_exact(k2).status == STATUS_NO_LABELING
 
-    p3 = new_graph(["a", "b", "c"]).with_edges([("a", "b", 1), ("b", "c", 2)])
+    p3 = by_name(["a", "b", "c"], [("a", "b", 1), ("b", "c", 2)])
     result = chi_la_exact(p3)
     assert result.status == STATUS_VALUE and result.chi_la == 3
 
-    fb1 = new_graph(["u", "v", "w", "x"]).with_edges(
-        [("u", "w", 1), ("v", "w", 2), ("x", "w", 3), ("x", "u", 4), ("x", "v", 5)])
+    fb1 = by_name(["u", "v", "w", "x"],
+                  [("u", "w", 1), ("v", "w", 2), ("x", "w", 3), ("x", "u", 4), ("x", "v", 5)])
     t0 = time.monotonic()
     result = chi_la_exact(fb1)
     fb1_time = time.monotonic() - t0

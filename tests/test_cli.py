@@ -32,12 +32,12 @@ from antimagic.document import (
     graph_to_document,
     rows_csv,
 )
-from antimagic.graph import LabeledGraph, new_graph
+from antimagic.graph import LabeledGraph
 from antimagic.matrices import matrix_6x4n, sequences_6x4n, validate
 from antimagic.search import FRAME_MARGIN
 from antimagic.verify import induced_coloring
 from golden import GRID_5X2K_K6, SEQUENCES_N6
-from helpers import run_python
+from helpers import by_name, run_python
 
 
 def run(capsys, *argv):
@@ -147,8 +147,8 @@ def test_verify_round_trip_and_tampering(tmp_path, capsys):
 
 
 def test_search_fb1_document(tmp_path, capsys):
-    g = new_graph(["u", "v", "w", "x"]).with_edges(
-        [("u", "w", 1), ("v", "w", 2), ("x", "w", 3), ("x", "u", 4), ("x", "v", 5)])
+    g = by_name(["u", "v", "w", "x"],
+                [("u", "w", 1), ("v", "w", 2), ("x", "w", 3), ("x", "u", 4), ("x", "v", 5)])
     path = tmp_path / "fb1.json"
     path.write_text(dumps(graph_to_document(g)), encoding="utf-8")
     code, out, err = run(capsys, "search", str(path))
@@ -225,7 +225,7 @@ def test_selftest_reports_a_matrix_that_breaks_an_identity(monkeypatch, capsys):
 
 
 P3_DOC = json.loads(dumps(graph_to_document(
-    new_graph(["a", "b", "c"]).with_edges([("a", "b", 1), ("b", "c", 2)]))))
+    by_name(["a", "b", "c"], [("a", "b", 1), ("b", "c", 2)]))))
 
 
 def _spoiled(change, base: dict = P3_DOC) -> dict:
@@ -294,17 +294,17 @@ def test_bad_input_is_one_error_line(tmp_path, monkeypatch, capsys, argv, env):
         dumps(P3_DOC).replace('"label": 1', '"label": 1' + "0" * 4999), encoding="utf-8")
     for name, doc in {**BAD_DOCUMENTS, **NEGATIVE_CLAIMS}.items():
         (tmp_path / name).write_text(json.dumps(doc), encoding="utf-8")
-    g = new_graph(["a", "b"]).with_edges([("a", "b", 1)])
+    g = by_name(["a", "b"], [("a", "b", 1)])
     (tmp_path / "fb.json").write_text(dumps(graph_to_document(g)), encoding="utf-8")
     # too deep to search: a star with one edge more than the depth
     # ceiling, and paths of 3 edges, no more edges than it but more vertices
     ceiling = sys.getrecursionlimit() - FRAME_MARGIN
     leaves = [f"l{i}" for i in range(ceiling + 1)]
-    star = new_graph(["hub", *leaves]).with_edges(
-        [("hub", x, i) for i, x in enumerate(leaves, 1)])
+    star = by_name(["hub", *leaves], [("hub", x, i) for i, x in enumerate(leaves, 1)])
     count = ceiling // 3
-    forest = new_graph([f"p{j}_{i}" for j in range(count) for i in range(4)]).with_edges(
-        [(f"p{j}_{i}", f"p{j}_{i + 1}", 3 * j + i + 1) for j in range(count) for i in range(3)])
+    forest = by_name([f"p{j}_{i}" for j in range(count) for i in range(4)],
+                     [(f"p{j}_{i}", f"p{j}_{i + 1}", 3 * j + i + 1)
+                      for j in range(count) for i in range(3)])
     for name, deep in (("star.json", star), ("forest.json", forest)):
         (tmp_path / name).write_text(dumps(graph_to_document(deep)), encoding="utf-8")
     for name, value in env.items():
@@ -474,7 +474,7 @@ def test_failing_build_verify_prints_what_verify_prints(tmp_path, monkeypatch, c
 def test_failed_check_with_an_unwritable_out_is_one_error_line(tmp_path, monkeypatch, capsys):
     # the output is written before the problem lines, so a failed write
     # is a usage error with nothing else on stderr
-    g = new_graph(["a", "b"]).with_edges([("a", "b", 1)])  # both ends sum to 1
+    g = by_name(["a", "b"], [("a", "b", 1)])  # both ends sum to 1
     path = tmp_path / "edge.json"
     path.write_text(dumps(graph_to_document(g)), encoding="utf-8")
     unwritable = str(tmp_path / "missing" / "r.json")
@@ -489,7 +489,7 @@ def test_failed_check_with_an_unwritable_out_is_one_error_line(tmp_path, monkeyp
 
 @pytest.mark.parametrize("enabled", [True, False])
 def test_main_leaves_the_collector_as_it_found_it(tmp_path, monkeypatch, capsys, enabled):
-    g = new_graph(["a", "b"]).with_edges([("a", "b", 1)])  # both ends sum to 1
+    g = by_name(["a", "b"], [("a", "b", 1)])  # both ends sum to 1
     path = tmp_path / "edge.json"
     path.write_text(dumps(graph_to_document(g)), encoding="utf-8")
     during = []
@@ -625,8 +625,8 @@ def test_matrix_refuses_a_matrix_above_the_label_cap(monkeypatch, capsys, kind, 
 
 def _fan_document() -> dict:
     """The 5-edge fan with its claimed coloring, so every key kind occurs."""
-    g = new_graph(["u", "v", "w", "x"]).with_edges(
-        [("u", "w", 1), ("v", "w", 2), ("x", "w", 3), ("x", "u", 4), ("x", "v", 5)])
+    g = by_name(["u", "v", "w", "x"],
+                [("u", "w", 1), ("v", "w", 2), ("x", "w", 3), ("x", "u", 4), ("x", "v", 5)])
     doc = graph_to_document(g)
     doc["expected_colors"] = {
         "classes": [{"value": 5, "size": 1, "degree": 2}, {"value": 7, "size": 1, "degree": 2},

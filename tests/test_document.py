@@ -20,9 +20,10 @@ from antimagic.document import (
     to_dot,
 )
 from antimagic.families import build_family
-from antimagic.graph import LabeledEdge, LabeledGraph, new_graph
+from antimagic.graph import LabeledEdge, LabeledGraph
 from antimagic.matrices import matrix_5x2k, matrix_6x4n, matrix_kx10, sequences_6x4n
 from antimagic.verify import check_expected, induced_coloring
+from helpers import by_name
 
 
 def test_document_round_trip_lossless():
@@ -89,7 +90,7 @@ def test_document_validation_errors():
 
 
 def test_dot_export_snapshot():
-    g = new_graph(["a", "b", "c"]).with_edges([("a", "b", 2), ("b", "c", 1)])
+    g = by_name(["a", "b", "c"], [("a", "b", 2), ("b", "c", 1)])
     expected = (
         "graph G {\n"
         '  v0 [label="a\\n2"];\n'
@@ -105,7 +106,7 @@ def test_dot_export_snapshot():
 
 def test_dot_export_escapes_quotes_and_backslashes():
     # unescaped, 'a"b' would end the label early and 'c\' would swallow the \n
-    g = new_graph(['a"b', "c\\"]).with_edges([('a"b', "c\\", 1)])
+    g = by_name(['a"b', "c\\"], [('a"b', "c\\", 1)])
     assert to_dot(g) == (
         "graph G {\n"
         '  v0 [label="a\\"b\\n1"];\n'
@@ -123,7 +124,7 @@ def test_matrix_csv():
 
 
 def test_graph_to_document_plain():
-    g = new_graph(["a", "b"]).with_edges([("a", "b", 1)])
+    g = by_name(["a", "b"], [("a", "b", 1)])
     doc = json.loads(dumps(graph_to_document(g)))
     assert doc["vertices"] == [
         {"id": 0, "name": "a", "degree": 1},
@@ -265,7 +266,7 @@ def test_dumps_writes_graph_rows_as_json_dumps_of_plain_rows(g, verified):
 
 
 def test_json_dumps_refuses_a_row_view():
-    doc = graph_to_document(new_graph(["a", "b"]).with_edges([("a", "b", 1)]))
+    doc = graph_to_document(by_name(["a", "b"], [("a", "b", 1)]))
     for value in (doc, doc["vertices"], doc["edges"]):
         with pytest.raises(TypeError):
             json.dumps(value)

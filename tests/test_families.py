@@ -31,7 +31,6 @@ from antimagic.families import (
     build_rg82,
 )
 from antimagic.cli import _check
-from antimagic.graph import LabeledGraph, new_graph
 from antimagic.verify import induced_coloring
 from helpers import chi_la_is_three, components, disjoint_union, grid_points
 from oracles import fan_units_by_name, nc482_by_name, prism_units_by_name, split_vertex
@@ -469,17 +468,3 @@ def test_unit_vertex_ids_name_their_vertices(k):
     assert dict(enumerate(build_nc482(k).graph.names)) == {
         _nc(a, role, i): f"{role}_{a}_{i}"
         for a in range(1, k + 1) for role in "uv" for i in range(1, 9)}
-
-
-def test_no_builder_resolves_a_vertex_name(monkeypatch):
-    # merge groups name their members by id, so no build calls
-    # with_edges, the one lookup of vertices by name
-    def refuse(self, triples):
-        raise AssertionError("a vertex was looked up by name")
-
-    monkeypatch.setattr(LabeledGraph, "with_edges", refuse)
-    with pytest.raises(AssertionError):
-        new_graph(["a", "b"]).with_edges([("a", "b", 1)])
-    for tag, points in ACCEPTANCE_GRID.items():
-        for params in points:
-            build_family(tag, **params)

@@ -1,6 +1,7 @@
 """Smoke tests of the scripts under scripts/, run as a user runs them or
-imported, of the names the benchmark's tracer looks up in the package,
-and of the package's modules imported one at a time."""
+imported, of the README's lists of the scripts and of the search's prune
+rules, of the names the benchmark's tracer looks up in the package, and
+of the package's modules imported one at a time."""
 
 from __future__ import annotations
 
@@ -9,11 +10,8 @@ import re
 import subprocess
 from collections import Counter
 
-import pytest
-
 import antimagic.cli as cli
-from antimagic.families import build_family, build_fb
-from antimagic.graph import new_graph
+from antimagic.search import RULES
 from helpers import ROOT, run_python
 
 
@@ -21,54 +19,23 @@ def run_script(script: str, *args: str) -> subprocess.CompletedProcess:
     return run_python(str(ROOT / "scripts" / script), *args)
 
 
-def test_explore_small_chi_la():
-    proc = run_script("explore_small_chi_la.py")
-    assert proc.returncode == 0, proc.stderr
-    lines = proc.stdout.splitlines()
-    assert len(lines) == 5
-    for tag in ("kD82", "FB"):
-        line = next(line for line in lines if line.startswith(tag + " "))
-        assert "search: chi_la = 3 (confirmed3)" in line
+def _readme() -> str:
+    return (ROOT / "README.md").read_text(encoding="utf-8")
 
 
-def test_confirm_three(monkeypatch):
-    monkeypatch.syspath_prepend(str(ROOT / "scripts"))
-    explore = importlib.import_module("explore_small_chi_la")
-    built = build_fb(1)  # chromatic number 3 backs the witness
-    assert explore.confirm_three(built.graph, built.graph) == explore.CONFIRMED_3
-    rdf = build_family("rDF", r=1, s=2)  # balanced bipartite: gate gives 3
-    assert explore.confirm_three(rdf.graph, rdf.graph) == explore.CONFIRMED_3
-    # B_2 is bipartite with parts (10, 6); 210 = 21*10 = 35*6 keeps the gate
-    # inconclusive, so its 3-color labeling stays an upper bound only
-    bk = build_family("Bk", k=2)
-    assert explore.confirm_three(bk.graph, bk.graph) == explore.ONLY_UPPER_BOUND
-    star = new_graph(["hub", "l0", "l1", "l2"]).with_edges(
-        [("hub", f"l{i}", i + 1) for i in range(3)])
-    with pytest.raises(ValueError):
-        explore.confirm_three(star, star)  # 4-color witness is rejected
+def test_readme_lists_every_script():
+    # the code block of the README's "Scripts" section runs each script,
+    # in name order
+    block = _readme().split("\n## Scripts\n", 1)[1].split("```")[1]
+    assert re.findall(r"^python scripts/(\S+)$", block, re.MULTILINE) == sorted(
+        p.name for p in (ROOT / "scripts").glob("*.py"))
 
 
-def test_explore_small_chi_la_rejects_a_bad_budget():
-    proc = run_script("explore_small_chi_la.py", "--budget", "nan")
-    assert proc.returncode == 2 and proc.stdout == ""
-    assert "positive finite number of seconds, not nan" in proc.stderr
-
-
-def test_explore_small_chi_la_refuses_a_negative_edge_cap():
-    proc = run_script("explore_small_chi_la.py", "--max-edges", "-1")
-    assert proc.returncode == 2 and proc.stdout == ""
-    assert proc.stderr.splitlines()[-1].endswith(
-        "error: --max-edges must be at least 0, not -1")
-    assert "Traceback" not in proc.stderr
-
-
-def test_explore_small_chi_la_reports_a_case_above_the_edge_cap():
-    # every case has 10 edges, so a cap of 5 skips each one and goes on
-    proc = run_script("explore_small_chi_la.py", "--max-edges", "5")
-    assert proc.returncode == 0 and proc.stderr == ""
-    lines = proc.stdout.splitlines()
-    assert len(lines) == 5
-    assert all("search: above --max-edges 5" in line for line in lines)
+def test_readme_names_every_search_prune_rule():
+    # what `search` prints: the README lists the keys of prunes_by_rule in
+    # search.RULES order
+    rules = re.search(r"the prunes per rule \(([^)]*)\)", _readme()).group(1)
+    assert re.findall(r"`(\w+)`", rules) == list(RULES)
 
 
 def test_s60_draws_the_baseline_sample(monkeypatch):

@@ -24,64 +24,55 @@ from antimagic.search import (
     chi_la_exact,
 )
 from antimagic.verify import induced_coloring, lower_bound, two_coloring_impossible
-from helpers import components
+from helpers import by_name, components
 from oracles import naive_chi_la
 
 
 def path(n, labels=None):
     names = [f"p{i}" for i in range(n)]
     labels = labels or list(range(1, n))
-    g = new_graph(names)
-    return g.with_edges([(names[i], names[i + 1], labels[i])
-                         for i in range(n - 1)])
+    return by_name(names, [(names[i], names[i + 1], labels[i]) for i in range(n - 1)])
 
 
 def cycle(n):
     names = [f"c{i}" for i in range(n)]
-    g = new_graph(names)
-    return g.with_edges(
-        [(names[i], names[(i + 1) % n], i + 1) for i in range(n)])
+    return by_name(names, [(names[i], names[(i + 1) % n], i + 1) for i in range(n)])
 
 
 def star(n):
     names = ["hub"] + [f"l{i}" for i in range(n)]
-    g = new_graph(names)
-    return g.with_edges([("hub", f"l{i}", i + 1) for i in range(n)])
+    return by_name(names, [("hub", f"l{i}", i + 1) for i in range(n)])
 
 
 def k4_path():
     names = [f"v{i}" for i in range(8)]
     pairs = [(0, 1), (0, 2), (0, 3), (1, 2), (1, 3), (2, 3),
              (3, 4), (4, 5), (5, 6), (6, 7)]
-    return new_graph(names).with_edges(
-        [(names[a], names[b], t + 1) for t, (a, b) in enumerate(pairs)])
+    return by_name(names, [(names[a], names[b], t + 1) for t, (a, b) in enumerate(pairs)])
 
 
 def bull():
     # a triangle a, b, c with a pendant at a and one at b
-    g = new_graph(["a", "b", "c", "x", "y"])
-    return g.with_edges([("a", "b", 1), ("b", "c", 2), ("a", "c", 3),
-                         ("a", "x", 4), ("b", "y", 5)])
+    return by_name(["a", "b", "c", "x", "y"], [("a", "b", 1), ("b", "c", 2), ("a", "c", 3),
+                                               ("a", "x", 4), ("b", "y", 5)])
 
 
 def double_star(leaves):
     names = ["a", "b"] + [f"a{i}" for i in range(leaves)] + [f"b{i}" for i in range(leaves)]
     pairs = [("a", "b")] + [(h, f"{h}{i}") for h in "ab" for i in range(leaves)]
-    return new_graph(names).with_edges(
-        [(a, b, t + 1) for t, (a, b) in enumerate(pairs)])
+    return by_name(names, [(a, b, t + 1) for t, (a, b) in enumerate(pairs)])
 
 
 def fan_with_leaves():
     # hub h joined to the path a-b-c and to two leaves x, y
-    g = new_graph(["h", "a", "b", "c", "x", "y"])
-    return g.with_edges([("h", "a", 1), ("h", "b", 2), ("h", "c", 3), ("h", "x", 4),
-                         ("a", "b", 5), ("b", "c", 6), ("h", "y", 7)])
+    return by_name(["h", "a", "b", "c", "x", "y"],
+                   [("h", "a", 1), ("h", "b", 2), ("h", "c", 3), ("h", "x", 4),
+                    ("a", "b", 5), ("b", "c", 6), ("h", "y", 7)])
 
 
 def fb1_graph():
-    g = new_graph(["u", "v", "w", "x"])
-    return g.with_edges([("u", "w", 1), ("v", "w", 2), ("x", "w", 3),
-                         ("x", "u", 4), ("x", "v", 5)])
+    return by_name(["u", "v", "w", "x"], [("u", "w", 1), ("v", "w", 2), ("x", "w", 3),
+                                          ("x", "u", 4), ("x", "v", 5)])
 
 
 def test_k2_has_no_labeling():
@@ -127,8 +118,7 @@ def small_graphs(draw):
     hub = draw(st.integers(0, n - 1))
     chosen += [(hub, n + i) for i in range(leaves)]
     names = [f"n{i}" for i in range(n + leaves + draw(st.integers(0, 1)))]
-    return new_graph(names).with_edges(
-        [(names[i], names[j], t + 1) for t, (i, j) in enumerate(chosen)])
+    return by_name(names, [(names[i], names[j], t + 1) for t, (i, j) in enumerate(chosen)])
 
 
 @st.composite
@@ -157,8 +147,8 @@ def symmetric_graphs(draw):
     used = sorted({w for p in pairs for w in p})
     ids = dict(zip(used, draw(st.permutations(range(len(used))))))
     names = [f"n{i}" for i in range(len(used))]
-    return new_graph(names).with_edges(
-        [(names[ids[a]], names[ids[b]], t + 1) for t, (a, b) in enumerate(pairs)])
+    return by_name(names,
+                   [(names[ids[a]], names[ids[b]], t + 1) for t, (a, b) in enumerate(pairs)])
 
 
 @st.composite
@@ -173,8 +163,8 @@ def bipartite_graphs(draw):
     used = sorted({w for p in chosen for w in p})
     ids = dict(zip(used, draw(st.permutations(range(len(used))))))
     names = [f"n{i}" for i in range(len(used))]
-    return new_graph(names).with_edges(
-        [(names[ids[x]], names[ids[y]], t + 1) for t, (x, y) in enumerate(chosen)])
+    return by_name(names,
+                   [(names[ids[x]], names[ids[y]], t + 1) for t, (x, y) in enumerate(chosen)])
 
 
 @st.composite
@@ -188,9 +178,9 @@ def dense_graphs(draw):
                                        max_size=min(5, len(rest)))) if rest else [])
     ids = draw(st.permutations(range(n)))
     names = [f"n{i}" for i in range(n)]
-    return new_graph(names).with_edges(
-        [(names[ids[a]], names[ids[b]], t + 1)
-         for t, (a, b) in enumerate(draw(st.permutations(chosen)))])
+    return by_name(names,
+                   [(names[ids[a]], names[ids[b]], t + 1)
+                    for t, (a, b) in enumerate(draw(st.permutations(chosen)))])
 
 
 # Budget of the searches that must prove a value, so a pruning bug that
@@ -237,8 +227,9 @@ def connected_graphs(draw):
     pairs += draw(st.lists(st.sampled_from(others), unique=True,
                            min_size=m - len(pairs), max_size=m - len(pairs)))
     names = [f"n{i}" for i in range(n)]
-    return new_graph(names).with_edges(
-        [(names[a], names[b], t + 1) for t, (a, b) in enumerate(draw(st.permutations(pairs)))])
+    return by_name(names,
+                   [(names[a], names[b], t + 1)
+                    for t, (a, b) in enumerate(draw(st.permutations(pairs)))])
 
 
 @settings(max_examples=60, deadline=None)
@@ -276,8 +267,8 @@ def test_star_proven_by_first_labeling(n):
 
 def test_symmetry_rule_prunes_twin_leaves():
     # a double star: two leaves on a, two on b
-    g = new_graph(["a", "b", "w", "x", "y", "z"]).with_edges(
-        [("a", "b", 1), ("a", "w", 2), ("a", "x", 3), ("b", "y", 4), ("b", "z", 5)])
+    g = by_name(["a", "b", "w", "x", "y", "z"],
+                [("a", "b", 1), ("a", "w", 2), ("a", "x", 3), ("b", "y", 4), ("b", "z", 5)])
     result = chi_la_exact(g)
     assert result.chi_la == naive_chi_la(g) == 6
     assert result.lower_bound == 5
@@ -369,8 +360,7 @@ def test_benchmark_graph_nodes_to_proof(name):
 def graph_of(pairs):
     n = max(max(p) for p in pairs) + 1
     names = [f"v{i}" for i in range(n)]
-    return new_graph(names).with_edges(
-        [(names[a], names[b], t + 1) for t, (a, b) in enumerate(pairs)])
+    return by_name(names, [(names[a], names[b], t + 1) for t, (a, b) in enumerate(pairs)])
 
 
 # 11-edge graphs the benchmark's search set does not cover, each chi_la
@@ -513,8 +503,7 @@ def test_isolated_vertices_add_no_automorphisms():
     p4 = path(4)
     counts = []
     for extra in (0, 1, 5, 200):
-        g = new_graph([*p4.names, *(f"i{j}" for j in range(extra))])
-        g = g.with_edges([(g.names[u], g.names[v], label) for u, v, label in p4.edges])
+        g = new_graph([*p4.names, *(f"i{j}" for j in range(extra))], p4.edges)
         maps = search._automorphisms(g, search._edge_order(g))
         assert all(pi[4:] == list(range(4, g.n_vertices)) for pi in maps)
         counts.append(len(maps))
@@ -578,22 +567,21 @@ def test_budget_must_be_positive_and_finite(budget):
 
 def test_disconnected_searched_whole():
     # labels span both components of 2P3: leaf sums pin four distinct labels
-    g = new_graph(["a", "b", "c", "d", "e", "f"]).with_edges(
-        [("a", "b", 1), ("b", "c", 2), ("d", "e", 3), ("e", "f", 4)])
+    g = by_name(["a", "b", "c", "d", "e", "f"],
+                [("a", "b", 1), ("b", "c", 2), ("d", "e", 3), ("e", "f", 4)])
     naive = naive_chi_la(g)
     result = chi_la_exact(g)
     assert result.chi_la == naive == 5
     # a lone extra edge component forces equal adjacent sums everywhere
-    bad = new_graph(["a", "b", "c", "d"]).with_edges(
-        [("a", "b", 1), ("c", "d", 2)])
+    bad = by_name(["a", "b", "c", "d"], [("a", "b", 1), ("c", "d", 2)])
     assert naive_chi_la(bad) is None
     assert chi_la_exact(bad).status == STATUS_NO_LABELING
 
 
 def test_result_independent_of_vertex_order():
     g1 = fb1_graph()
-    g2 = new_graph(["x", "w", "v", "u"]).with_edges(
-        [("x", "v", 1), ("x", "u", 2), ("x", "w", 3), ("u", "w", 4), ("v", "w", 5)])
+    g2 = by_name(["x", "w", "v", "u"],
+                 [("x", "v", 1), ("x", "u", 2), ("x", "w", 3), ("u", "w", 4), ("v", "w", 5)])
     r1, r2 = chi_la_exact(g1), chi_la_exact(g2)
     assert r1.chi_la == r2.chi_la == 3
 

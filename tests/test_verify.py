@@ -23,6 +23,7 @@ from antimagic.verify import (
     two_coloring_impossible,
     vertex_sums,
 )
+from helpers import by_name
 from oracles import naive_chi_la, naive_two_coloring_impossible
 
 
@@ -42,7 +43,7 @@ def test_vertex_sums_match_the_report():
 
 
 def test_single_edge_is_never_local_antimagic():
-    g = new_graph(["a", "b"]).with_edges([("a", "b", 1)])
+    g = by_name(["a", "b"], [("a", "b", 1)])
     rep = induced_coloring(g)
     assert rep.labels_bijective and not rep.local_antimagic
     assert rep.conflicts == (("a", "b", 1),)
@@ -55,8 +56,7 @@ def test_nonbijective_labels_reported():
     assert any("more than once" in p for p in rep.label_problems)
     assert not rep.local_antimagic
     # a label above m on the 3-vertex path
-    rep = induced_coloring(new_graph(["a", "b", "c"]).with_edges(
-        [("a", "b", 1), ("b", "c", 5)]))
+    rep = induced_coloring(by_name(["a", "b", "c"], [("a", "b", 1), ("b", "c", 5)]))
     assert not rep.labels_bijective and not rep.local_antimagic
     assert "label 5 outside [1, 2]" in rep.label_problems
 
@@ -109,11 +109,10 @@ def test_two_color_gate_tripartite_inconclusive():
 
 def test_two_color_gate_divisor_scan():
     # path on 3 vertices: q = 2, q(q+1)/2 = 3 does not split as x*2 = 3
-    p3 = new_graph(["a", "b", "c"]).with_edges([("a", "b", 1), ("b", "c", 2)])
+    p3 = by_name(["a", "b", "c"], [("a", "b", 1), ("b", "c", 2)])
     assert two_coloring_impossible(p3) is True
     # star K_{1,3}: q = 3, parts (1, 3): 6 = 2*3 = 6*1 fits, so inconclusive
-    star = new_graph(["c", "l1", "l2", "l3"]).with_edges(
-        [("c", "l1", 1), ("c", "l2", 2), ("c", "l3", 3)])
+    star = by_name(["c", "l1", "l2", "l3"], [("c", "l1", 1), ("c", "l2", 2), ("c", "l3", 3)])
     assert two_coloring_impossible(star) is False
 
 
@@ -131,7 +130,7 @@ def test_two_color_gate_bitmask_matches_the_set_oracle(parts):
         pairs = [(x, y) for x in xs for y in ys] if dense else \
             [(xs[0], y) for y in ys] + [(x, ys[0]) for x in xs[1:]]
         triples += [(x, y, len(triples) + 1) for x, y in pairs]
-    g = new_graph(names).with_edges(triples)
+    g = by_name(names, triples)
     assert two_coloring_impossible(g) is naive_two_coloring_impossible(g)
 
 
@@ -140,26 +139,24 @@ def test_lower_bounds():
     assert lower_bound(build_family("rDF", r=1, s=2).graph) == 3  # balanced gate
     # the divisor scan also proves 3 for the 3-vertex path (its sums are
     # forced to 1, 3, 2); chi alone would only give 2
-    p3 = new_graph(["a", "b", "c"]).with_edges([("a", "b", 1), ("b", "c", 2)])
+    p3 = by_name(["a", "b", "c"], [("a", "b", 1), ("b", "c", 2)])
     assert lower_bound(p3) == 3
     # the pendant bound: three leaves sum to three distinct labels, and the
     # center's sum exceeds them all
-    star = new_graph(["c", "l1", "l2", "l3"]).with_edges(
-        [("c", "l1", 1), ("c", "l2", 2), ("c", "l3", 3)])
+    star = by_name(["c", "l1", "l2", "l3"], [("c", "l1", 1), ("c", "l2", 2), ("c", "l3", 3)])
     assert lower_bound(star) == naive_chi_la(star) == 4
     assert lower_bound(new_graph(["a"])) == 1
     assert lower_bound(new_graph([])) == 0
 
 
 def _plus_isolated(g: LabeledGraph, count: int = 1) -> LabeledGraph:
-    return new_graph([*g.names, *(f"z{i}" for i in range(count))]).with_edges(
-        [(g.names[u], g.names[v], label) for u, v, label in g.edges])
+    return new_graph([*g.names, *(f"z{i}" for i in range(count))], g.edges)
 
 
 def test_pendant_lower_bound():
-    p3 = new_graph(["a", "b", "c"]).with_edges([("a", "b", 1), ("b", "c", 2)])
-    two_p3 = new_graph(["a", "b", "c", "d", "e", "f"]).with_edges(
-        [("a", "b", 1), ("b", "c", 2), ("d", "e", 3), ("e", "f", 4)])
+    p3 = by_name(["a", "b", "c"], [("a", "b", 1), ("b", "c", 2)])
+    two_p3 = by_name(["a", "b", "c", "d", "e", "f"],
+                     [("a", "b", 1), ("b", "c", 2), ("d", "e", 3), ("e", "f", 4)])
     for g, bound in ((p3, 3), (two_p3, 5)):
         assert lower_bound(g) == naive_chi_la(g) == bound
         with_isolated = _plus_isolated(g)
@@ -177,8 +174,8 @@ def test_an_isolated_vertex_adds_a_color_to_chi_and_to_the_gate():
     }
     for name, (pairs, chi_la) in cases.items():
         names = [f"v{i}" for i in range(max(b for _, b in pairs) + 1)]
-        g = _plus_isolated(new_graph(names).with_edges(
-            [(names[a], names[b], t + 1) for t, (a, b) in enumerate(pairs)]))
+        g = _plus_isolated(by_name(
+            names, [(names[a], names[b], t + 1) for t, (a, b) in enumerate(pairs)]))
         assert lower_bound(g) == naive_chi_la(g) == chi_la, name
 
 
@@ -202,8 +199,8 @@ def graphs_with_isolated_vertices(draw):
     total = n + draw(st.integers(1, 2))
     ids = draw(st.permutations(range(total)))
     names = [f"n{i}" for i in range(total)]
-    return new_graph(names).with_edges(
-        [(names[ids[a]], names[ids[b]], t + 1) for t, (a, b) in enumerate(chosen)])
+    return by_name(names,
+                   [(names[ids[a]], names[ids[b]], t + 1) for t, (a, b) in enumerate(chosen)])
 
 
 @settings(max_examples=100, deadline=None)
@@ -218,13 +215,12 @@ def k4_with_path(n):
     names = [f"v{i}" for i in range(n)]
     pairs = [(0, 1), (0, 2), (0, 3), (1, 2), (1, 3), (2, 3)]
     pairs += [(i, i + 1) for i in range(3, n - 1)]
-    return new_graph(names).with_edges(
-        [(names[a], names[b], t + 1) for t, (a, b) in enumerate(pairs)])
+    return by_name(names, [(names[a], names[b], t + 1) for t, (a, b) in enumerate(pairs)])
 
 
 def test_chromatic_number_small():
-    fan = new_graph(list("uvwx")).with_edges(
-        [("u", "w", 1), ("v", "w", 2), ("x", "w", 3), ("x", "u", 4), ("x", "v", 5)])
+    fan = by_name(list("uvwx"),
+                  [("u", "w", 1), ("v", "w", 2), ("x", "w", 3), ("x", "u", 4), ("x", "v", 5)])
     assert _chromatic_number(fan) == 3
     assert _chromatic_number(k4_with_path(4)) == 4
 
