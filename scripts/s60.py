@@ -3,12 +3,13 @@
 
 S60 is an unbiased sample: the first 60 connected graphs drawn from one
 ``random.Random(2024)``.  Each draw takes n = ``randint(6, 8)``, then
-``sample(pairs, 11)``, where ``pairs`` lists every (a, b) with
+``sample(pairs, M)``, where ``pairs`` lists every (a, b) with
 a < b < n in lexicographic order; a draw is kept only if every vertex is
-on an edge and the graph is connected.  Edges keep the drawn order and
-take labels 1..11 in that order, with vertex names v0..v{n-1}.  The named
+on an edge and the graph is connected.  M is 11 unless ``--edges M``
+says otherwise (S60@M, 5 to 15 edges).  Edges keep the drawn order and
+take labels 1..M in that order, with vertex names v0..v{n-1}.  The named
 graphs are R1-R3 (11 edges), T12a/b (12) and S13a/b (13), in their given
-edge order.
+edge order, whatever M is.
 
 One line per graph (#00..#59, then the named ones: its chi_la and
 nodes), then the S60 total, median, p90 (nearest rank) and maximum of
@@ -16,11 +17,12 @@ the nodes and the seconds taken, and the named graphs' total nodes and
 seconds, so that two trees' outputs can be compared line by line.
 
 Usage:
-    python scripts/s60.py
+    python scripts/s60.py [--edges M]
 """
 
 from __future__ import annotations
 
+import argparse
 import math
 import random
 import statistics
@@ -72,13 +74,13 @@ def _connected(n: int, pairs: list[tuple[int, int]]) -> bool:
     return len(reached) == n
 
 
-def draw_s60() -> list[list[tuple[int, int]]]:
-    """The S60 graphs' edge lists, in the order they are drawn."""
+def draw_s60(edges: int = S60_EDGES) -> list[list[tuple[int, int]]]:
+    """The S60@``edges`` graphs' edge lists, in the order they are drawn."""
     rng = random.Random(S60_SEED)
     graphs = []
     while len(graphs) < S60_SIZE:
         n = rng.randint(6, 8)
-        pairs = rng.sample([(a, b) for a in range(n) for b in range(a + 1, n)], S60_EDGES)
+        pairs = rng.sample([(a, b) for a in range(n) for b in range(a + 1, n)], edges)
         if len({w for p in pairs for w in p}) == n and _connected(n, pairs):
             graphs.append(pairs)
     return graphs
@@ -93,8 +95,16 @@ def _search(name: str, pairs: list[tuple[int, int]]) -> int:
 
 
 def main() -> int:
+    parser = argparse.ArgumentParser(description="The exact search's node counts on S60.")
+    parser.add_argument("--edges", type=int, default=S60_EDGES, metavar="M",
+                        help="draw S60@M, M edges per graph (default %(default)s)")
+    args = parser.parse_args()
+    # below 5 edges no draw is connected; above 15 a 6-vertex draw has too few pairs
+    if not 5 <= args.edges <= 15:
+        parser.error(f"--edges must be 5 to 15, not {args.edges}")
     start = time.monotonic()
-    nodes = sorted(_search(f"#{i:02d}", pairs) for i, pairs in enumerate(draw_s60()))
+    nodes = sorted(_search(f"#{i:02d}", pairs)
+                   for i, pairs in enumerate(draw_s60(args.edges)))
     seconds = time.monotonic() - start
     start = time.monotonic()
     named = [_search(name, pairs) for name, pairs in NAMED.items()]

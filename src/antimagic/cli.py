@@ -50,8 +50,11 @@ READ_CHUNK_CHARS = 1 << 16  # a document is read this many characters at a time
 
 def _emit(text: str, out: str | None) -> None:
     if out is not None:  # an empty path is an error, as it is for an input
-        with open(out, "w", encoding="utf-8") as f:
-            f.write(text)
+        # encoded before open() truncates out, so that a text UTF-8 cannot
+        # encode (a name with a lone surrogate) leaves out as it was
+        data = text.encode("utf-8")
+        with open(out, "wb") as f:
+            f.write(data)
     else:
         sys.stdout.write(text)
 

@@ -7,10 +7,17 @@ indentation, trailing newline).  A graph's vertex and edge rows are
 ``json.dumps`` refuses it; ``json.loads(dumps(doc))`` is the plain form, and
 ``dumps(doc)`` writes exactly ``json.dumps(plain, indent=2,
 sort_keys=True) + "\n"``.  As CPython runs an indented ``json.dumps``
-through its pure-Python encoder, it writes objects, lists, ints and
-strings itself, and a view's rows from two templates straight from the
-graph's tuples; anything else goes through ``json.dumps``.  DOT is
-export-only with vertices in sorted order so snapshots are stable.
+through its pure-Python encoder, ``dumps`` writes JSON itself.  It writes
+these homogeneous containers as one table each, one ``%`` over a row
+template repeated once per item: a view's rows, straight from the
+graph's tuples; a str-keyed object whose values are all exactly ``int``
+(a bool is not); and a non-empty list of objects that share one set of
+str keys and hold only exactly-``int`` values.  A key enters a template
+as an argument or with its ``%`` doubled.  A list of strings is joined
+from the quoted strings.  Every other object and list keeps the per-item
+path, with ints and strings written inline, and anything else goes
+through ``json.dumps``.  DOT is export-only with vertices in sorted order
+so snapshots are stable.
 """
 
 from __future__ import annotations
@@ -70,13 +77,14 @@ def built_to_document(built: BuiltFamily,
 def document_to_graph(doc: dict) -> tuple[LabeledGraph, ExpectedColors | None]:
     """The graph and claimed coloring a document holds.
 
-    Raises ``DocumentError`` for any malformed document: the wrong shape
-    or key set, a non-integer id, endpoint, label, degree or class field
-    (JSON ``true`` is a bool, not the label 1), a negative class size or
-    claimed color count, a non-string name, or a stored degree that the
-    edges contradict.  The ordered edges go to ``new_graph``, whose
-    message it carries for a repeated name, a loop, an endpoint out of
-    range, a label below 1 or a repeated pair.
+    Raises ``DocumentError`` for any malformed document: the wrong shape,
+    a missing key, a non-integer id, endpoint, label, degree or class
+    field (JSON ``true`` is a bool, not the label 1), a negative class
+    size or claimed color count, a non-string name, or a stored degree
+    that the edges contradict.  Other keys, in a vertex row, an edge row
+    or the document itself, are ignored.  The ordered edges go to
+    ``new_graph``, whose message it carries for a repeated name, a loop,
+    an endpoint out of range, a label below 1 or a repeated pair.
     """
     if not isinstance(doc, dict):
         raise DocumentError(f"a graph document is a JSON object, not {type(doc).__name__}")
@@ -151,7 +159,8 @@ def _expected_colors(block: dict) -> ExpectedColors:
 
 
 # A vertex and an edge row as json.dumps(indent=2, sort_keys=True) writes
-# them; _encode puts a list's indentation after each newline.
+# them at no indentation: the row templates of a view's two tables, which
+# _table repeats once per row and indents.
 _VERTEX_ROW = '{\n  "degree": %d,\n  "id": %d,\n  "name": %s\n}'
 _EDGE_ROW = '{\n  "label": %d,\n  "u": %d,\n  "v": %d\n}'
 
@@ -161,31 +170,55 @@ def dumps(doc) -> str:
     return _encode(doc, "") + "\n"
 
 
+def _table(brackets: str, row: str, count: int, columns, pad: str) -> str:
+    """``count`` items inside ``brackets``, one per line and nested at
+    ``pad``, each the template ``row``, all filled by one ``%``: the i-th
+    field of every row comes from ``columns[i]``."""
+    if not count:
+        return brackets
+    args = [None] * (count * len(columns))
+    for i, column in enumerate(columns):
+        args[i::len(columns)] = column
+    newline = "\n" + pad + "  "
+    rows = ("," + newline).join([row.replace("\n", newline)] * count)
+    return (brackets[0] + newline + rows + "\n" + pad + brackets[1]) % tuple(args)
+
+
 def _encode(value, pad: str) -> str:
     """``value`` as ``json.dumps(value, indent=2, sort_keys=True)`` writes it,
     with ``pad`` after each newline, i.e. nested at that indentation."""
     kind = type(value)
+    if kind is Rows and value.edges:
+        us, vs, labels = tuple(zip(*value.graph.edges)) or ((), (), ())
+        return _table("[]", _EDGE_ROW, len(us), (labels, us, vs), pad)
+    if kind is Rows:
+        g = value.graph
+        return _table("[]", _VERTEX_ROW, len(g.names), (
+            map(len, g.adjacency), range(len(g.names)), map(_quote, g.names)), pad)
+    if (kind is dict and set(map(type, value)) <= {str}
+            and set(map(type, value.values())) <= {int}):
+        keys = sorted(value)
+        return _table("{}", "%s: %d", len(keys),
+                      (map(_quote, keys), map(value.__getitem__, keys)), pad)
+    keys = value[0].keys() if kind is list and value and type(value[0]) is dict else ()
+    if (set(map(type, keys)) == {str} and set(map(type, value)) == {dict}
+            and all(x.keys() == keys for x in value)
+            and all(type(n) is int for x in value for n in x.values())):
+        row = ",\n".join(f"  {_quote(k).replace('%', '%%')}: %d" for k in sorted(keys))
+        return _table("[]", "{\n" + row + "\n}", len(value),
+                      [[x[k] for x in value] for k in sorted(keys)], pad)
     inner = pad + "  "
     newline = "\n" + inner
-    if kind is dict and value and all(type(k) is str for k in value):
-        body = [f"{inner}{_quote(k)}: {x if type(x) is int else _encode(x, inner)}"
+    if kind is dict and set(map(type, value)) == {str}:
+        body = [f"{_quote(k)}: {x if type(x) is int else _encode(x, inner)}"
                 for k, x in sorted(value.items())]
-        return "{\n" + ",\n".join(body) + "\n" + pad + "}"
+        return "{" + newline + ("," + newline).join(body) + "\n" + pad + "}"
     if kind is list and value:
-        rows = [repr(x) if type(x) is int else _quote(x) if type(x) is str
-                else _encode(x, inner) for x in value]
-    elif kind is Rows and value.edges:
-        template = _EDGE_ROW.replace("\n", newline)
-        rows = [template % (label, u, v) for u, v, label in value.graph.edges]
-    elif kind is Rows:
-        template, g = _VERTEX_ROW.replace("\n", newline), value.graph
-        rows = [template % (len(adj), i, _quote(name))
-                for i, (name, adj) in enumerate(zip(g.names, g.adjacency))]
-    else:
-        return json.dumps(value, indent=2, sort_keys=True).replace("\n", "\n" + pad)
-    if not rows:  # an empty view
-        return "[]"
-    return "[" + newline + ("," + newline).join(rows) + "\n" + pad + "]"
+        rows = map(_quote, value) if set(map(type, value)) == {str} else [
+            repr(x) if type(x) is int else _quote(x) if type(x) is str
+            else _encode(x, inner) for x in value]
+        return "[" + newline + ("," + newline).join(rows) + "\n" + pad + "]"
+    return json.dumps(value, indent=2, sort_keys=True).replace("\n", "\n" + pad)
 
 
 def to_dot(g: LabeledGraph) -> str:

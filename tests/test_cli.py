@@ -190,6 +190,19 @@ def test_build_writes_file(tmp_path, capsys):
     assert doc["family"]["tag"] == "H1"
 
 
+def test_a_failed_write_leaves_out_as_it_was(tmp_path, capsys):
+    # a lone surrogate is a JSON string and so a vertex name, but UTF-8
+    # cannot encode it: the export fails before --out is opened
+    path = tmp_path / "surrogate.json"
+    path.write_text(json.dumps(_spoiled(lambda d: d["vertices"][0].update(name="\ud800"))),
+                    encoding="utf-8")
+    old = tmp_path / "old.dot"
+    old.write_bytes(b"graph G {\n}\n")
+    code, out, err = run(capsys, "export", str(path), "--out", str(old))
+    assert code == 2 and out == "" and "can't encode character '\\ud800'" in err
+    assert old.read_bytes() == b"graph G {\n}\n"
+
+
 def test_selftest_small(capsys):
     code, out, _ = run(capsys, "selftest", "--max-param", "3")
     assert code == 0

@@ -134,9 +134,11 @@ def test_graph_to_document_plain():
 
 
 # Names with quotes, backslashes, control characters, non-ASCII text
-# (surrogates included) and the empty string.
+# (surrogates included), the empty string and % directives, which a row
+# template must not read as its own.
 NAMES = st.one_of(st.sampled_from(["", '"', "\\", "a\"b\\c", "\n\t\x00\x1f\x7f",
-                                   "x_5^1", "é", "∑ w_2", "\U0001f600", "\ud800"]),
+                                   "x_5^1", "é", "∑ w_2", "\U0001f600", "\ud800",
+                                   "%d", "100%", "%(x)s"]),
                   st.text(max_size=6))
 SCALARS = st.one_of(st.none(), st.booleans(), st.integers(), st.floats(), NAMES)
 JSON_VALUES = st.recursive(
@@ -194,6 +196,46 @@ DOCUMENTS = st.fixed_dictionaries(
 @given(doc=st.one_of(DOCUMENTS, REPORTS, SEARCH_RESULTS, JSON_VALUES))
 def test_dumps_writes_what_indented_json_dumps_writes(doc):
     assert dumps(doc) == json.dumps(doc, indent=2, sort_keys=True) + "\n"
+
+
+# What dumps writes as one table, and its near misses: bools, negative ints
+# and ints wider than 64 bits among the ints.
+TABLE_INTS = st.one_of(st.integers(), st.integers(-2**100, 2**100), st.booleans())
+TABLES = st.one_of(
+    st.lists(NAMES, min_size=1, max_size=4, unique=True).flatmap(
+        lambda keys: st.lists(st.fixed_dictionaries(dict.fromkeys(keys, TABLE_INTS)),
+                              min_size=1, max_size=6)),
+    st.dictionaries(NAMES, TABLE_INTS, max_size=6),
+    st.lists(NAMES, max_size=6))
+
+
+@settings(max_examples=300, deadline=None)
+@given(table=TABLES)
+def test_dumps_writes_tables_as_json_dumps(table):
+    for doc in (table, {"nested": [table]}):
+        assert dumps(doc) == json.dumps(doc, indent=2, sort_keys=True) + "\n"
+
+
+@pytest.mark.parametrize("doc", [
+    [{"a%d": 1}, {"a%d": 2}],  # a key read as a directive takes an argument
+    [{"100%": 3}],  # a key that ends a template in a lone %
+    [{"x": True}, {"x": False}],  # bools are not ints
+    {"n": -10**30},
+])
+def test_dumps_keeps_keys_and_bools_out_of_the_directives(doc):
+    assert dumps(doc) == json.dumps(doc, indent=2, sort_keys=True) + "\n"
+
+
+def test_document_to_graph_ignores_other_keys():
+    # only a missing key is refused: an extra key in a vertex row, an edge
+    # row or the document is ignored
+    g = by_name(["a", "b", "c"], [("a", "b", 1), ("b", "c", 2)])
+    doc = json.loads(dumps(graph_to_document(g)))
+    doc["vertices"][1]["colour"] = "red"
+    doc["edges"][0]["weight"] = [7]
+    doc["comment"] = None
+    got, expected = document_to_graph(doc)
+    assert (got.names, got.edges, expected) == (g.names, g.edges, None)
 
 
 @pytest.mark.parametrize("sequences", [False, True])

@@ -50,6 +50,17 @@ def test_s60_draws_the_baseline_sample(monkeypatch):
     g = s60.graph_of(graphs[0])
     assert g.names == tuple(f"v{i}" for i in range(7))
     assert g.edges[:2] == ((0, 6, 1), (4, 5, 2))
+    # the first graph of S60@12 and of S60@13 (--edges 12, 13): each extends
+    # the first graph at 11 edges
+    assert s60.draw_s60(12)[0] == graphs[0] + [(5, 6)]
+    assert s60.draw_s60(13)[0] == graphs[0] + [(5, 6), (3, 6)]
+
+
+def test_s60_refuses_an_edge_count_it_cannot_draw():
+    # 4 edges never connect 6 vertices; 16 are more than a 6-vertex draw's pairs
+    for edges in ("4", "16"):
+        proc = run_script("s60.py", "--edges", edges)
+        assert proc.returncode == 2 and "--edges must be 5 to 15" in proc.stderr
 
 
 def test_loc_counts_each_module_and_sums_them():
