@@ -23,7 +23,7 @@ import sys
 from typing import TextIO
 
 from . import document as doc_mod
-from .families import ACCEPTANCE_GRID, FAMILIES, build_family
+from .families import FAMILIES, build_family
 from .graph import LabeledGraph
 from .matrices import (
     matrix_5x2k,
@@ -46,6 +46,7 @@ BUDGET_ENV_VAR = "ANTIMAGIC_SEARCH_BUDGET"  # seconds; search's default budget
 # characters, all ASCII.
 MAX_DOCUMENT_CHARS = 200_000_000
 READ_CHUNK_CHARS = 1 << 16  # a document is read this many characters at a time
+_BUILD_PARAMS = ("k", "n", "r", "s", "m")  # build's parameter flags, --k ... --m
 
 
 def _emit(text: str, out: str | None) -> None:
@@ -142,8 +143,7 @@ def cmd_matrix(args: argparse.Namespace) -> int:
 
 
 def cmd_build(args: argparse.Namespace) -> int:
-    params = {p: getattr(args, p) for p in ("k", "n", "r", "s", "m")
-              if getattr(args, p) is not None}
+    params = {p: getattr(args, p) for p in _BUILD_PARAMS if getattr(args, p) is not None}
     built = build_family(args.family, **params)
     for w in built.warnings:
         print(f"warning: {w}", file=sys.stderr)
@@ -168,7 +168,8 @@ def cmd_search(args: argparse.Namespace) -> int:
             check_budget(budget)
         except ValueError as exc:
             raise ValueError(f"{BUDGET_ENV_VAR}: {exc}") from None
-    check_budget(budget)
+    else:
+        check_budget(budget)
     if args.max_edges < 0:
         raise ValueError(f"--max-edges must be at least 0, not {args.max_edges}")
     g, _ = doc_mod.document_to_graph(_load_document(args.input))
@@ -210,10 +211,11 @@ def cmd_selftest(args: argparse.Namespace) -> int:
         for p in range(1, top + 1):
             rep = check(generate(p))
             if not rep.ok:
-                report(f"{label}={p}", False, str(rep.failures))
+                report(f"{label}={p}", False,
+                       "; ".join(f"{c.name}: {c.detail}" for c in rep.failures))
         report(f"{label}=1..{top}", failures == before)
 
-    for tag, grid in ACCEPTANCE_GRID.items():
+    for tag, (_, grid) in FAMILIES.items():
         before = failures
         for params in grid:
             built = build_family(tag, **params)
@@ -247,11 +249,8 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("build", help="construct a labeled family as JSON")
     p.add_argument("family", help=", ".join(sorted(FAMILIES)))
-    p.add_argument("--k", type=int)
-    p.add_argument("--n", type=int)
-    p.add_argument("--r", type=int)
-    p.add_argument("--s", type=int)
-    p.add_argument("--m", type=int)
+    for name in _BUILD_PARAMS:
+        p.add_argument(f"--{name}", type=int)
     p.add_argument("--verify", action="store_true")
     p.add_argument("--out")
 

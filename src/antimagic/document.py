@@ -80,11 +80,12 @@ def document_to_graph(doc: dict) -> tuple[LabeledGraph, ExpectedColors | None]:
     Raises ``DocumentError`` for any malformed document: the wrong shape,
     a missing key, a non-integer id, endpoint, label, degree or class
     field (JSON ``true`` is a bool, not the label 1), a negative class
-    size or claimed color count, a non-string name, or a stored degree
-    that the edges contradict.  Other keys, in a vertex row, an edge row
-    or the document itself, are ignored.  The ordered edges go to
-    ``new_graph``, whose message it carries for a repeated name, a loop,
-    an endpoint out of range, a label below 1 or a repeated pair.
+    size or claimed color count, a non-string name or one that UTF-8
+    cannot encode (a lone surrogate), or a stored degree that the edges
+    contradict.  Other keys, in a vertex row, an edge row or the
+    document itself, are ignored.  The ordered edges go to ``new_graph``,
+    whose message it carries for a repeated name, a loop, an endpoint
+    out of range, a label below 1 or a repeated pair.
     """
     if not isinstance(doc, dict):
         raise DocumentError(f"a graph document is a JSON object, not {type(doc).__name__}")
@@ -111,6 +112,11 @@ def document_to_graph(doc: dict) -> tuple[LabeledGraph, ExpectedColors | None]:
             raise DocumentError(f"vertex {row!r} needs a string name and an integer degree")
         names.append(name)
         stored.append(degree)
+    try:
+        "".join(names).encode("utf-8")
+    except UnicodeEncodeError:  # a lone surrogate is a JSON string, but no UTF-8 text
+        i = next(i for i, nm in enumerate(names) if any("\ud800" <= c <= "\udfff" for c in nm))
+        raise DocumentError(f"vertex {i} has a name UTF-8 cannot encode: {names[i]!r}") from None
 
     edges = []
     for row in edge_rows:

@@ -27,21 +27,23 @@ helper per layout (``_fan``, ``_nc``, ``_prism``) gives a unit vertex's
 id, and every merge group names its members by those ids.  Names are
 formatted only for the units' vertices and the fused ones.
 
-``FAMILIES`` maps each tag to its builder.  Families that share a
-construction and differ only in data share one builder, registered per
-tag through ``partial``: ``build_rfb`` (rFB, FB1, FB2), ``build_rdf``
-(rDF, DF1-DF4), ``build_g`` (G1, G2), ``build_h`` (H1-H3) and
-``build_c8`` over the ``_C8`` table (C8_units, Bk, kC82, kD82).
-H_m(n) is H_m(rs) at s = 1, so ``build_h`` and ``build_hm_rs`` keep
-their own parameters and checks and share one body, ``_h_family``.
-``build_family`` reads the parameter names from the builder's code
-object, once per builder.
+``FAMILIES`` is the one registry: one row per tag, holding its builder
+and its acceptance grid, the parameter points the tests and ``selftest``
+verify.  Families that share a construction and differ only in data
+share one builder, registered per tag through ``partial``: ``build_rfb``
+(rFB, FB1, FB2), ``build_rdf`` (rDF, DF1-DF4), ``build_g`` (G1, G2),
+``build_h`` (H1-H3) and ``build_c8`` (C8_units, Bk, kC82, kD82, each
+row binding its fusion and claim); families built alike share one grid.  H_m(n) is
+H_m(rs) at s = 1, so ``build_h`` and ``build_hm_rs`` keep their own
+parameters and checks and share one body, ``_h_family``.
+``build_family`` takes the parameter names, in order, from the first
+point of the tag's grid.
 Each claimed color count is the number of claimed classes.
 """
 
 from __future__ import annotations
 
-from functools import cache, partial
+from functools import partial
 from itertools import product
 from typing import Callable, Iterable, Iterator, NamedTuple
 
@@ -431,30 +433,15 @@ _FUSED_D82_NOTE = ("degree-6 fused color is (10k+1)+(6k+2)+(18k+1) = 34k+4; "
                    "the alternative stated value 34k+2 fails verification")
 
 
-# tag -> (unit i's vertices fused into one, given as their positions j in
-# ``_prism(i, j)``, that vertex's name, exact, classes as (a, b, c, degree)
-# for value a*k + b on c*k vertices, notes)
-_C8 = {
-    "C8_units": ((), "", False,
-                 ((10, 1, 5, 2), (13, 1, 2, 3), (6, 2, 1, 2), (18, 1, 1, 2)),
-                 (_DEGREE3_NOTE,)),
-    "Bk": ((4, 8), "b", False,
-           ((10, 1, 5, 2), (13, 1, 2, 3), (24, 3, 1, 4)), (_DEGREE3_NOTE,)),
-    "kC82": ((9, 8), "z", False,
-             ((10, 1, 4, 2), (6, 2, 1, 2), (13, 1, 2, 3), (28, 2, 1, 4)),
-             (_DEGREE3_NOTE,)),
-    "kD82": ((9, 4, 8), "w", True,
-             ((10, 1, 4, 2), (13, 1, 2, 3), (34, 4, 1, 6)),
-             (_DEGREE3_NOTE, _FUSED_D82_NOTE)),
-}
-
-
-def build_c8(tag: str, k: int) -> BuiltFamily:
-    """k 8-cycles, each with a 2-spoke vertex, and per unit the vertices
-    ``_C8[tag]`` lists fused into one: none (C8 units), u_4 and u_8 (Bk,
-    color 24k+3), x and u_8 (kC(8,2), color 28k+2), or x, u_4 and u_8
-    (kD(8,2), degree 6, color 34k+4)."""
-    fuse, name, exact, classes, notes = _C8[tag]
+def build_c8(tag: str, fuse: tuple[int, ...], name: str, exact: bool,
+             classes: tuple[tuple[int, int, int, int], ...], notes: tuple[str, ...],
+             k: int) -> BuiltFamily:
+    """k 8-cycles, each with a 2-spoke vertex, and per unit i the vertices
+    at positions ``fuse`` (j in ``_prism(i, j)``) fused into one, name_i:
+    none (C8 units), u_4 and u_8 (Bk, color 24k+3), x and u_8 (kC(8,2),
+    color 28k+2), or x, u_4 and u_8 (kD(8,2), degree 6, color 34k+4).
+    The claim has ``classes`` as (a, b, c, degree) for value a*k + b on
+    c*k vertices, exactly or (``exact`` False) as an upper bound."""
     g = _prism_units(k)
     if fuse:
         g = apply_merge(g, [([_prism(i, j) for j in fuse], f"{name}_{i}")
@@ -559,21 +546,63 @@ def build_oddk_h(r: int, s: int) -> BuiltFamily:
 # registry
 
 
-FAMILIES: dict[str, Callable[..., BuiltFamily]] = {
-    "FB_units": build_fb_units,
-    "FB": build_fb,
-    "rFB": partial(build_rfb, 0),
-    **{f"FB{v}": partial(build_rfb, v) for v in (1, 2)},
-    "rDF": partial(build_rdf, 0),
-    "DFr": build_dfr,
-    **{f"DF{v}": partial(build_rdf, v) for v in (1, 2, 3, 4)},
-    "nC482": build_nc482,
-    **{f"G{v}": partial(build_g, v) for v in (1, 2)},
-    **{f"H{m}": partial(build_h, m) for m in (1, 2, 3)},
-    "Hm_rs": build_hm_rs,
-    **{tag: partial(build_c8, tag) for tag in _C8},
-    "rG82": build_rg82,
-    "OddKH": build_oddk_h,
+def _rs(*points: tuple[int, int]) -> tuple[dict, ...]:
+    """A grid of (r, s) points."""
+    return tuple({"r": r, "s": s} for r, s in points)
+
+
+# Acceptance grids, for the verification suite and the selftest command:
+# every point satisfies the family's hypotheses, sizes reach ~600 edges.
+# Families built alike share one grid.
+_FB_GRID = tuple({"k": k} for k in (1, 2, 3, 4, 5, 6, 8, 12, 30, 60))
+_NC_GRID = tuple({"n": n} for n in (1, 2, 3, 4, 5, 6, 7, 8, 15, 30))
+_G_GRID = _rs((1, 2), (1, 3), (2, 2), (1, 4), (3, 2), (2, 3), (1, 5), (4, 2), (2, 4), (10, 3))
+_C8_GRID = tuple({"k": k} for k in (1, 2, 3, 4, 5, 6, 7, 8, 20, 60))
+
+# tag -> (builder, acceptance grid); the grid's first point gives
+# build_family the builder's parameter names, in order
+FAMILIES: dict[str, tuple[Callable[..., BuiltFamily], tuple[dict, ...]]] = {
+    "FB_units": (build_fb_units, _FB_GRID),
+    "FB": (build_fb, _FB_GRID),
+    "rFB": (partial(build_rfb, 0), _rs((2, 2), (3, 2), (4, 2), (5, 2), (2, 4), (3, 4),
+                                       (2, 6), (4, 4), (6, 2), (12, 10))),
+    "FB1": (partial(build_rfb, 1), _rs((2, 2), (3, 2), (5, 2), (6, 2), (7, 2), (2, 4),
+                                       (3, 4), (6, 4), (5, 6), (10, 12))),
+    "FB2": (partial(build_rfb, 2), _rs((3, 2), (5, 2), (7, 2), (9, 2), (3, 6), (5, 6),
+                                       (11, 2), (3, 10), (7, 6), (19, 6))),
+    "rDF": (partial(build_rdf, 0), _rs((1, 2), (2, 1), (2, 2), (3, 2), (1, 4), (4, 1),
+                                       (3, 3), (2, 4), (5, 2), (6, 10))),
+    "DFr": (build_dfr, _rs((1, 2), (2, 2), (3, 2), (1, 4), (2, 4), (4, 2),
+                           (5, 2), (3, 4), (1, 6), (9, 6))),
+    "DF1": (partial(build_rdf, 1), _rs((3, 2), (5, 2), (7, 2), (9, 2), (3, 6), (5, 6),
+                                       (11, 2), (13, 2), (3, 10), (5, 10))),
+    "DF2": (partial(build_rdf, 2), _rs((2, 2), (3, 2), (5, 2), (6, 2), (7, 2), (2, 4),
+                                       (3, 4), (6, 4), (5, 6), (10, 6))),
+    "DF3": (partial(build_rdf, 3), _rs((2, 1), (2, 2), (3, 1), (3, 2), (4, 1), (2, 3),
+                                       (5, 2), (4, 3), (6, 2), (10, 6))),
+    "DF4": (partial(build_rdf, 4), _rs((2, 1), (2, 2), (4, 1), (2, 3), (4, 2), (6, 1),
+                                       (2, 4), (4, 3), (6, 2), (10, 6))),
+    "nC482": (build_nc482, _NC_GRID),
+    **{f"G{v}": (partial(build_g, v), _G_GRID) for v in (1, 2)},
+    **{f"H{m}": (partial(build_h, m), _NC_GRID) for m in (1, 2, 3)},
+    "Hm_rs": (build_hm_rs, tuple({"m": m, "r": r, "s": s} for m in (1, 2, 3)
+                                 for r, s in ((1, 2), (2, 2), (1, 3), (3, 2), (2, 3),
+                                              (1, 4), (4, 2), (5, 2), (2, 4), (10, 3)))),
+    "C8_units": (partial(build_c8, "C8_units", (), "", False,
+                         ((10, 1, 5, 2), (13, 1, 2, 3), (6, 2, 1, 2), (18, 1, 1, 2)),
+                         (_DEGREE3_NOTE,)), _C8_GRID),
+    "Bk": (partial(build_c8, "Bk", (4, 8), "b", False,
+                   ((10, 1, 5, 2), (13, 1, 2, 3), (24, 3, 1, 4)), (_DEGREE3_NOTE,)), _C8_GRID),
+    "kC82": (partial(build_c8, "kC82", (9, 8), "z", False,
+                     ((10, 1, 4, 2), (6, 2, 1, 2), (13, 1, 2, 3), (28, 2, 1, 4)),
+                     (_DEGREE3_NOTE,)), _C8_GRID),
+    "kD82": (partial(build_c8, "kD82", (9, 4, 8), "w", True,
+                     ((10, 1, 4, 2), (13, 1, 2, 3), (34, 4, 1, 6)),
+                     (_DEGREE3_NOTE, _FUSED_D82_NOTE)), _C8_GRID),
+    "rG82": (build_rg82, _rs((1, 2), (2, 2), (1, 4), (3, 2), (2, 4), (1, 6),
+                             (4, 2), (5, 2), (3, 4), (10, 6))),
+    "OddKH": (build_oddk_h, _rs((1, 3), (3, 1), (1, 5), (5, 1), (1, 7), (3, 3),
+                                (7, 1), (1, 9), (9, 1), (5, 3))),
 }
 
 _TAG_LOOKUP = {tag.lower().replace("-", "_"): tag for tag in FAMILIES}
@@ -587,19 +616,10 @@ def resolve_tag(tag: str) -> str:
     return _TAG_LOOKUP[key]
 
 
-@cache
-def _param_names(build: Callable[..., BuiltFamily]) -> tuple[str, ...]:
-    """The builder's positional parameters, less those a ``partial`` binds."""
-    if isinstance(build, partial):
-        return _param_names(build.func)[len(build.args):]
-    code = build.__code__
-    return code.co_varnames[:code.co_argcount]
-
-
 def build_family(tag: str, **params: int) -> BuiltFamily:
     tag = resolve_tag(tag)
-    build = FAMILIES[tag]
-    names = _param_names(build)
+    build, grid = FAMILIES[tag]
+    names = tuple(grid[0])
     missing = [p for p in names if p not in params]
     extra = [p for p in params if p not in names]
     if missing:
@@ -610,60 +630,3 @@ def build_family(tag: str, **params: int) -> BuiltFamily:
         if type(value) is not int:  # bool is an int subclass, so compare types
             raise ParameterError(f"{tag} parameter {p} must be an integer, got {value!r}")
     return build(**params)
-
-
-# parameter grids used by the verification suite and the selftest command;
-# every point satisfies the family's hypotheses, sizes reach ~600 edges.
-# Families built alike share one grid.
-_FB_GRID = tuple({"k": k} for k in (1, 2, 3, 4, 5, 6, 8, 12, 30, 60))
-_NC_GRID = tuple({"n": n} for n in (1, 2, 3, 4, 5, 6, 7, 8, 15, 30))
-_G_GRID = tuple({"r": r, "s": s} for r, s in
-                ((1, 2), (1, 3), (2, 2), (1, 4), (3, 2), (2, 3),
-                 (1, 5), (4, 2), (2, 4), (10, 3)))
-_C8_GRID = tuple({"k": k} for k in (1, 2, 3, 4, 5, 6, 7, 8, 20, 60))
-ACCEPTANCE_GRID: dict[str, tuple[dict, ...]] = {
-    "FB_units": _FB_GRID,
-    "FB": _FB_GRID,
-    "rFB": tuple({"r": r, "s": s} for r, s in
-                 ((2, 2), (3, 2), (4, 2), (5, 2), (2, 4), (3, 4),
-                  (2, 6), (4, 4), (6, 2), (12, 10))),
-    "FB1": tuple({"r": r, "s": s} for r, s in
-                 ((2, 2), (3, 2), (5, 2), (6, 2), (7, 2), (2, 4),
-                  (3, 4), (6, 4), (5, 6), (10, 12))),
-    "FB2": tuple({"r": r, "s": s} for r, s in
-                 ((3, 2), (5, 2), (7, 2), (9, 2), (3, 6), (5, 6),
-                  (11, 2), (3, 10), (7, 6), (19, 6))),
-    "rDF": tuple({"r": r, "s": s} for r, s in
-                 ((1, 2), (2, 1), (2, 2), (3, 2), (1, 4), (4, 1),
-                  (3, 3), (2, 4), (5, 2), (6, 10))),
-    "DFr": tuple({"r": r, "s": s} for r, s in
-                 ((1, 2), (2, 2), (3, 2), (1, 4), (2, 4), (4, 2),
-                  (5, 2), (3, 4), (1, 6), (9, 6))),
-    "DF1": tuple({"r": r, "s": s} for r, s in
-                 ((3, 2), (5, 2), (7, 2), (9, 2), (3, 6), (5, 6),
-                  (11, 2), (13, 2), (3, 10), (5, 10))),
-    "DF2": tuple({"r": r, "s": s} for r, s in
-                 ((2, 2), (3, 2), (5, 2), (6, 2), (7, 2), (2, 4),
-                  (3, 4), (6, 4), (5, 6), (10, 6))),
-    "DF3": tuple({"r": r, "s": s} for r, s in
-                 ((2, 1), (2, 2), (3, 1), (3, 2), (4, 1), (2, 3),
-                  (5, 2), (4, 3), (6, 2), (10, 6))),
-    "DF4": tuple({"r": r, "s": s} for r, s in
-                 ((2, 1), (2, 2), (4, 1), (2, 3), (4, 2), (6, 1),
-                  (2, 4), (4, 3), (6, 2), (10, 6))),
-    "nC482": _NC_GRID,
-    **{f"G{v}": _G_GRID for v in (1, 2)},
-    **{f"H{m}": _NC_GRID for m in (1, 2, 3)},
-    "Hm_rs": tuple({"m": m, "r": r, "s": s}
-                   for m in (1, 2, 3)
-                   for r, s in ((1, 2), (2, 2), (1, 3), (3, 2), (2, 3),
-                                (1, 4), (4, 2), (5, 2), (2, 4), (10, 3))),
-    **{tag: _C8_GRID for tag in _C8},
-    "rG82": tuple({"r": r, "s": s} for r, s in
-                  ((1, 2), (2, 2), (1, 4), (3, 2), (2, 4), (1, 6),
-                   (4, 2), (5, 2), (3, 4), (10, 6))),
-    "OddKH": tuple({"r": r, "s": s} for r, s in
-                   ((1, 3), (3, 1), (1, 5), (5, 1), (1, 7), (3, 3),
-                    (7, 1), (1, 9), (9, 1), (5, 3))),
-}
-

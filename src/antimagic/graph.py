@@ -12,15 +12,16 @@ a vertex up by name, and a graph keeps no name -> id index.
 because the benchmark's workloads and tracer (``bench/``) name them;
 they go once it no longer does.  ``LabeledGraph`` subclasses the
 ``NamedTuple`` of ``names`` and ``edges`` without ``__slots__``, so each
-graph's ``__dict__`` caches ``adjacency``; like ``Bipartition`` it is
-immutable, copied with ``_replace`` and equal to the plain tuple of its
-fields.  It gives the views the other modules read (``adjacency``,
-``degrees()``, ``labels()``).  The one surgery is ``apply_merge``, which
-fuses groups of vertex ids and which every merged family uses; the tests
-keep a ``split_vertex`` oracle.  ``is_bipartite`` feeds the verifier's
-lower bound, which hands its ``Bipartition`` to the 2-coloring gate, and
-the 2-coloring it finds feeds the search's ``sum_total`` cut.  Every
-operation is pure: it validates its inputs and returns a new graph.
+graph's ``__dict__`` caches ``adjacency`` and the ``Bipartition`` (or
+None) that ``is_bipartite`` finds; like ``Bipartition`` it is immutable,
+copied with ``_replace`` and equal to the plain tuple of its fields.  It
+gives the views the other modules read (``adjacency``, ``degrees()``,
+``labels()``).  The one surgery is ``apply_merge``, which fuses groups
+of vertex ids and which every merged family uses; the tests keep a
+``split_vertex`` oracle.  ``is_bipartite`` runs its BFS once per graph:
+the verifier's report, its lower bound and 2-coloring gate, and the
+search's ``sum_total`` cut all read the one answer the graph keeps.
+Every operation is pure: it validates its inputs and returns a new graph.
 Edge labels stay attached to their edges through merges, so a bijective
 labeling survives any sequence of them.  Values are safe to share across
 threads.
@@ -96,7 +97,8 @@ class _GraphFields(NamedTuple):
 
 
 class LabeledGraph(_GraphFields):
-    # no __slots__: the instance __dict__ holds the cached adjacency
+    # no __slots__: the instance __dict__ holds the cached adjacency and
+    # bipartition
 
     # ---- views ---------------------------------------------------------
 
@@ -122,6 +124,30 @@ class LabeledGraph(_GraphFields):
 
     def labels(self) -> tuple[int, ...]:
         return tuple(label for _, _, label in self.edges)
+
+    @cached_property
+    def _bipartition(self) -> Bipartition | None:
+        """``is_bipartite(self)``, by BFS."""
+        adj = self.adjacency
+        side = [-1] * len(adj)
+        parts: list[tuple[int, int]] = []
+        for start in range(len(adj)):
+            if side[start] != -1:
+                continue
+            side[start] = 0
+            count = [1, 0]
+            queue = deque([start])
+            while queue:
+                v = queue.popleft()
+                for w in adj[v]:
+                    if side[w] == -1:
+                        side[w] = 1 - side[v]
+                        count[side[w]] += 1
+                        queue.append(w)
+                    elif side[w] == side[v]:
+                        return None
+            parts.append((count[0], count[1]))
+        return Bipartition(tuple(parts), tuple(side))
 
     # Nothing calls it: graphs are built with ``new_graph``.  But
     # bench/tracing.py looks up ``with_edges`` here with no default and
@@ -254,22 +280,7 @@ def apply_merge(g: LabeledGraph,
 
 
 def is_bipartite(g: LabeledGraph) -> Bipartition | None:
-    side = [-1] * g.n_vertices
-    parts: list[tuple[int, int]] = []
-    for start in range(g.n_vertices):
-        if side[start] != -1:
-            continue
-        side[start] = 0
-        count = [1, 0]
-        queue = deque([start])
-        while queue:
-            v = queue.popleft()
-            for w in g.adjacency[v]:
-                if side[w] == -1:
-                    side[w] = 1 - side[v]
-                    count[side[w]] += 1
-                    queue.append(w)
-                elif side[w] == side[v]:
-                    return None
-        parts.append((count[0], count[1]))
-    return Bipartition(tuple(parts), tuple(side))
+    """The sides and per-component side sizes of ``g``'s 2-coloring, or
+    None when ``g`` has an odd cycle.  One BFS finds it, the first time
+    any caller asks; ``g`` keeps it, as it keeps its ``adjacency``."""
+    return g._bipartition

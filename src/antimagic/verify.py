@@ -8,6 +8,8 @@ and ``lower_bound`` from four sources: the chromatic number, the
 the pendant count and the isolated vertices.  The chromatic number of a
 graph that is not bipartite is found exactly, by backtracking, on at
 most ``CHI_EXACT_MAX_VERTICES`` vertices, and taken as 3 above that.
+The report, the bound and the gate each ask ``is_bipartite(g)``, which
+runs its BFS once per graph and keeps the answer on it.
 Exact integer arithmetic throughout.
 """
 
@@ -15,7 +17,7 @@ from __future__ import annotations
 
 from typing import Iterable, NamedTuple
 
-from .graph import Bipartition, LabeledGraph, is_bipartite
+from .graph import LabeledGraph, is_bipartite
 
 CHI_EXACT_MAX_VERTICES = 20  # _chromatic_number's backtracking budget
 
@@ -177,12 +179,8 @@ def two_coloring_impossible(g: LabeledGraph) -> bool:
     such split.  Graphs without edges or that are not bipartite are
     inconclusive.
     """
-    return _two_coloring_impossible(g, is_bipartite(g))
-
-
-def _two_coloring_impossible(g: LabeledGraph, bip: Bipartition | None) -> bool:
-    """``two_coloring_impossible(g)`` given ``bip = is_bipartite(g)``."""
     m = g.size
+    bip = is_bipartite(g)
     if m == 0 or bip is None:
         return False
     n = g.n_vertices
@@ -228,11 +226,10 @@ def lower_bound(g: LabeledGraph) -> int:
         return lower_bound(rest) + 1
     pendants = degrees.count(1)
     bound = pendants + 1 if pendants else 2
-    bip = is_bipartite(g)
-    if bip is None:
+    if is_bipartite(g) is None:
         small = g.n_vertices <= CHI_EXACT_MAX_VERTICES
         bound = max(bound, _chromatic_number(g) if small else 3)
-    elif _two_coloring_impossible(g, bip):
+    elif two_coloring_impossible(g):
         bound = max(bound, 3)
     return bound
 

@@ -13,7 +13,7 @@ from collections import Counter, deque
 from pathlib import Path
 from typing import Iterable
 
-from antimagic.families import ACCEPTANCE_GRID, BuiltFamily, build_family
+from antimagic.families import FAMILIES, BuiltFamily, build_family
 from antimagic.graph import LabeledGraph, new_graph
 from antimagic.matrices import KIND_6X4N, Check, LabelMatrix, ValidationReport
 from antimagic.verify import check_expected, induced_coloring, vertex_sums
@@ -32,12 +32,12 @@ def run_python(*args: str, timeout: float = 120, **kwargs) -> subprocess.Complet
                           env=env, timeout=timeout, **kwargs)
 
 
-def grid_points(tags: Iterable[str] = ACCEPTANCE_GRID):
+def grid_points(tags: Iterable[str] = FAMILIES):
     """Build and check every grid point of each tag, in grid order: yields
     the tag, the parameters, the build, its induced coloring and
     ``check_expected``'s difference lines."""
     for tag in tags:
-        for params in ACCEPTANCE_GRID[tag]:
+        for params in FAMILIES[tag][1]:
             built = build_family(tag, **params)
             report = induced_coloring(built.graph)
             yield tag, params, built, report, check_expected(built.graph, built.expected, report)

@@ -7,7 +7,7 @@ names, with linear scans and no integer ids or pair keys.
 ``split_vertex`` is the inverse surgery, which no builder does: it is the
 oracle for the hubs that ``families._fan_units`` makes already split, and
 it finds each vertex by a scan of ``names``.
-``naive_two_coloring_impossible`` is ``verify.two_coloring_impossible``
+``naive_two_coloring_gate`` is ``verify.two_coloring_impossible``
 with the achievable part sizes as a set, not a bitmask.
 ``fan_units_by_name``, ``nc482_by_name`` and ``prism_units_by_name``
 make the three unit graphs the family builders start from with an edge
@@ -57,7 +57,7 @@ def naive_chi_la(g: LabeledGraph) -> int | None:
     return best
 
 
-def naive_two_coloring_impossible(g: LabeledGraph) -> bool:
+def naive_two_coloring_gate(g: LabeledGraph) -> bool:
     """The 2-coloring lemma's verdict, with every achievable |X| in a set."""
     m, n = g.size, g.n_vertices
     bip = is_bipartite(g)

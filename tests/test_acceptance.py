@@ -9,7 +9,7 @@ from __future__ import annotations
 import random
 import time
 
-from antimagic.families import ACCEPTANCE_GRID, build_family
+from antimagic.families import FAMILIES, build_family
 from antimagic.matrices import (
     matrix_5x2k,
     matrix_6x4n,
@@ -75,14 +75,14 @@ def test_criterion_2_matrix_invariants_to_50():
 
 def test_criterion_3_family_verification_grid():
     start = time.monotonic()
-    for tag, grid in ACCEPTANCE_GRID.items():
+    for tag, (_, grid) in FAMILIES.items():
         assert len(grid) >= 10, tag
     seen = []
     for tag, params, _, report, diffs in grid_points():
         assert report.local_antimagic, (tag, params, report.conflicts[:3])
         assert not diffs, (tag, params, diffs)
         seen.append((tag, params))
-    assert seen == [(tag, params) for tag, grid in ACCEPTANCE_GRID.items()
+    assert seen == [(tag, params) for tag, (_, grid) in FAMILIES.items()
                     for params in grid]
     points = len(seen)
     assert points == 260
@@ -99,18 +99,18 @@ def test_criterion_3_family_verification_grid():
 def test_criterion_4_color_count_claims():
     start = time.monotonic()
     for tag in THREE_COLOR_FAMILIES:
-        for params in ACCEPTANCE_GRID[tag]:
+        for params in FAMILIES[tag][1]:
             built = build_family(tag, **params)
             if not chi_la_is_three(built):
                 continue
             rep = induced_coloring(built.graph)
             assert rep.color_count == 3, (tag, params, rep.color_count)
     for tag in ("C8_units", "kC82"):
-        for params in ACCEPTANCE_GRID[tag]:
+        for params in FAMILIES[tag][1]:
             rep = induced_coloring(build_family(tag, **params).graph)
             assert rep.color_count <= 4, (tag, params)
     # Bk's labeling lands on exactly 3 colors even though only a bound is claimed
-    for params in ACCEPTANCE_GRID["Bk"]:
+    for params in FAMILIES["Bk"][1]:
         rep = induced_coloring(build_family("Bk", **params).graph)
         assert rep.color_count == 3
     elapsed = time.monotonic() - start
@@ -149,15 +149,15 @@ def test_criterion_5_distinctness_arithmetic():
 def test_criterion_6_lower_bounds():
     start = time.monotonic()
     for tag in BALANCED_BIPARTITE_FAMILIES:
-        for params in ACCEPTANCE_GRID[tag]:
+        for params in FAMILIES[tag][1]:
             built = build_family(tag, **params)
             assert two_coloring_impossible(built.graph) is True, (tag, params)
-    for params in ACCEPTANCE_GRID["Hm_rs"]:
+    for params in FAMILIES["Hm_rs"][1]:
         if params["m"] == 1:  # the folded variant stays balanced bipartite
             built = build_family("Hm_rs", **params)
             assert two_coloring_impossible(built.graph) is True
     for tag in THREE_COLOR_FAMILIES:
-        for params in ACCEPTANCE_GRID[tag]:
+        for params in FAMILIES[tag][1]:
             built = build_family(tag, **params)
             if chi_la_is_three(built):
                 assert lower_bound(built.graph) >= 3, (tag, params)
@@ -220,7 +220,7 @@ def test_criterion_9_metamorphic_transpositions():
     start = time.monotonic()
     rng = random.Random(90125)
     checked = 0
-    for tag, grid in ACCEPTANCE_GRID.items():
+    for tag, (_, grid) in FAMILIES.items():
         for params in grid:
             built = build_family(tag, **params)
             m = built.graph.size

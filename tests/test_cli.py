@@ -6,7 +6,6 @@ import argparse
 import contextlib
 import copy
 import gc
-import inspect
 import io
 import json
 import re
@@ -190,16 +189,12 @@ def test_build_writes_file(tmp_path, capsys):
     assert doc["family"]["tag"] == "H1"
 
 
-def test_a_failed_write_leaves_out_as_it_was(tmp_path, capsys):
-    # a lone surrogate is a JSON string and so a vertex name, but UTF-8
-    # cannot encode it: the export fails before --out is opened
-    path = tmp_path / "surrogate.json"
-    path.write_text(json.dumps(_spoiled(lambda d: d["vertices"][0].update(name="\ud800"))),
-                    encoding="utf-8")
+def test_a_failed_write_leaves_out_as_it_was(tmp_path):
+    # a text UTF-8 cannot encode (a lone surrogate) fails before --out is opened
     old = tmp_path / "old.dot"
     old.write_bytes(b"graph G {\n}\n")
-    code, out, err = run(capsys, "export", str(path), "--out", str(old))
-    assert code == 2 and out == "" and "can't encode character '\\ud800'" in err
+    with pytest.raises(UnicodeEncodeError):
+        cli._emit("graph G {\n  v0 [label=\"\ud800\"];\n}\n", str(old))
     assert old.read_bytes() == b"graph G {\n}\n"
 
 
@@ -231,7 +226,10 @@ def test_selftest_reports_a_matrix_that_breaks_an_identity(monkeypatch, capsys):
     monkeypatch.setattr(cli, "matrix_5x2k", swapped_at_2)
     code, out, _ = run(capsys, "selftest", "--max-param", "3")
     assert code == 1
-    assert "FAIL matrix 5x2k k=2: " in out and "FAIL matrix 5x2k k=1..3: " in out
+    # each failed check as name: detail, joined as a failing family point's are
+    assert ("FAIL matrix 5x2k k=2: column_sum_rows_1_3: [1, 2] do not sum to 27; "
+            "column_sum_rows_1_4: [1, 2] do not sum to 21\n") in out
+    assert "FAIL matrix 5x2k k=1..3: " in out
     assert "FAIL matrix 5x2k k=1:" not in out and "FAIL matrix 5x2k k=3:" not in out
     assert "ok   sequences 6x4n n=1..3\n" in out
     assert out.endswith("selftest: 2 failure(s)\n")
@@ -258,6 +256,9 @@ BAD_DOCUMENTS = {
     "repeated_name.json": _spoiled(lambda d: d["vertices"][2].update(name="a")),
     "loop_edge.json": _spoiled(lambda d: d["edges"][0].update(v=0)),
 }
+# a lone surrogate is a JSON string, but no UTF-8 text
+SURROGATE_NAME = {"surrogate_name.json":
+                  _spoiled(lambda d: d["vertices"][1].update(name="\ud800"))}
 FB_DOC = built_to_document(families.build_family("FB", k=1))
 NEGATIVE_CLAIMS = {
     "negative_claimed_colors.json":
@@ -295,6 +296,7 @@ UNREADABLE = ("notjson.json", "empty.json", "latin1.json", "deep.json", "bignum.
     *[([cmd, "bignum.json"], {}) for cmd in ("verify", "search", "export")],
     (["matrix", "5x2k", "--k", "1", "--out", ""], {}),
     (["build", "FB", "--k", "1", "--out", ""], {}),
+    *[([cmd, *SURROGATE_NAME], {}) for cmd in ("verify", "search", "export")],
 ])
 def test_bad_input_is_one_error_line(tmp_path, monkeypatch, capsys, argv, env):
     monkeypatch.chdir(tmp_path)
@@ -305,7 +307,7 @@ def test_bad_input_is_one_error_line(tmp_path, monkeypatch, capsys, argv, env):
     (tmp_path / "deep.json").write_text("[" * depth + "]" * depth, encoding="utf-8")
     (tmp_path / "bignum.json").write_text(
         dumps(P3_DOC).replace('"label": 1', '"label": 1' + "0" * 4999), encoding="utf-8")
-    for name, doc in {**BAD_DOCUMENTS, **NEGATIVE_CLAIMS}.items():
+    for name, doc in {**BAD_DOCUMENTS, **NEGATIVE_CLAIMS, **SURROGATE_NAME}.items():
         (tmp_path / name).write_text(json.dumps(doc), encoding="utf-8")
     g = by_name(["a", "b"], [("a", "b", 1)])
     (tmp_path / "fb.json").write_text(dumps(graph_to_document(g)), encoding="utf-8")
@@ -389,12 +391,12 @@ def _unreachable(*args):
     raise AssertionError("a matrix or graph was made above the cap")
 
 
-@pytest.mark.parametrize("tag", sorted(families.ACCEPTANCE_GRID))
+@pytest.mark.parametrize("tag", sorted(families.FAMILIES))
 def test_build_refuses_a_family_above_the_edge_cap(monkeypatch, capsys, tag):
     # the cap is lowered to each grid point's size, so that no test needs
     # a huge parameter, which a broken cap would really build; each family
     # has as many edges as its one matrix has labels
-    for params in families.ACCEPTANCE_GRID[tag]:
+    for params in families.FAMILIES[tag][1]:
         edges = families.build_family(tag, **params).graph.size
         argv = ["build", tag, *(x for p, v in params.items() for x in (f"--{p}", str(v)))]
         with monkeypatch.context() as patch:
@@ -414,8 +416,8 @@ def _limit_address_space():
     resource.setrlimit(resource.RLIMIT_AS, (1 << 30, 1 << 30))
 
 
-RS_TAGS = sorted(tag for tag, build in families.FAMILIES.items()
-                 if {"r", "s"} <= set(inspect.signature(build).parameters))
+RS_TAGS = sorted(tag for tag, (_, grid) in families.FAMILIES.items()
+                 if {"r", "s"} <= set(grid[0]))
 
 
 @pytest.mark.parametrize("tag", [*RS_TAGS, "FB", "nC482", "kD82"])

@@ -74,6 +74,8 @@ def test_document_validation_errors():
         (spoiled(lambda d: d["vertices"][2].update(name="u_1")), "duplicate vertex name 'u_1'"),
         (spoiled(lambda d: d["vertices"][0].update(degree=3)),
          "stored degree of 'u_1' is 3, edges give 2"),
+        (spoiled(lambda d: d["vertices"][3].update(name="x\ud800")),
+         "vertex 3 has a name UTF-8 cannot encode: 'x\\ud800'"),
         ({"format": "other"}, "unsupported document format 'other'"),
     ]
     for bad, message in cases:

@@ -12,13 +12,11 @@ from hypothesis import strategies as st
 
 import antimagic.families as families
 from antimagic.families import (
-    ACCEPTANCE_GRID,
     FAMILIES,
     ParameterError,
     _fan,
     _fan_units,
     _nc,
-    _param_names,
     _prism,
     _prism_units,
     build_dfr,
@@ -331,10 +329,10 @@ def test_parameter_errors():
             build_family(tag, r=r, s=s)
 
 
-@pytest.mark.parametrize("tag", sorted(ACCEPTANCE_GRID))
+@pytest.mark.parametrize("tag", sorted(FAMILIES))
 def test_family_grid_verifies(tag):
     results = list(grid_points([tag]))
-    assert [params for _, params, *_ in results] == list(ACCEPTANCE_GRID[tag])
+    assert [params for _, params, *_ in results] == list(FAMILIES[tag][1])
     for _, params, built, report, diffs in results:
         g = built.graph
         assert sorted(g.labels()) == list(range(1, g.size + 1))
@@ -343,16 +341,17 @@ def test_family_grid_verifies(tag):
         assert _check(g, built.expected)[1] == []  # selftest's verdict
 
 
-def test_registry_covers_grid():
-    assert set(ACCEPTANCE_GRID) == set(FAMILIES)
-
-
-def test_each_family_takes_its_grid_parameters_in_order():
-    # the names build_family checks come off the builder's code object,
-    # less the leading arguments a partial binds (17 of the 24 entries)
-    assert sum(isinstance(build, partial) for build in FAMILIES.values()) == 17
-    for tag, build in FAMILIES.items():
-        assert _param_names(build) == tuple(ACCEPTANCE_GRID[tag][0]), tag
+@pytest.mark.parametrize("tag, bound_by_partial", [("DF1", True), ("OddKH", False)])
+def test_build_family_names_missing_and_extra_parameters(tag, bound_by_partial):
+    # the names come from the first point of the tag's grid, whether a
+    # partial binds the builder's leading argument or not
+    assert isinstance(FAMILIES[tag][0], partial) is bound_by_partial
+    with pytest.raises(ParameterError) as info:
+        build_family(tag, r=3)
+    assert str(info.value) == f"{tag} needs parameters ('r', 's'); missing ['s']"
+    with pytest.raises(ParameterError) as info:
+        build_family(tag, r=3, s=2, k=1, m=2)
+    assert str(info.value) == f"{tag} takes parameters ('r', 's'); got extra ['k', 'm']"
 
 
 OPTIMAL_AT_THREE = {
@@ -361,9 +360,9 @@ OPTIMAL_AT_THREE = {
 }
 
 
-@pytest.mark.parametrize("tag", sorted(ACCEPTANCE_GRID))
+@pytest.mark.parametrize("tag", sorted(FAMILIES))
 def test_chi_la_is_three_per_tag(tag):
-    for params in ACCEPTANCE_GRID[tag]:
+    for params in FAMILIES[tag][1]:
         assert chi_la_is_three(build_family(tag, **params)) is (tag in OPTIMAL_AT_THREE)
 
 

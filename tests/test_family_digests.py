@@ -1,5 +1,5 @@
 """Same bytes out for every family: `build TAG ... --verify` stdout at every
-point of ``families.ACCEPTANCE_GRID`` against the sha256 recorded in
+point of each tag's grid in ``families.FAMILIES`` against the sha256 recorded in
 family_digests.json.  The benchmark's digests cover only the families
 its workloads build; these cover every tag.
 
@@ -20,7 +20,7 @@ from pathlib import Path
 import pytest
 
 from antimagic.cli import main
-from antimagic.families import ACCEPTANCE_GRID
+from antimagic.families import FAMILIES
 
 DIGESTS = Path(__file__).with_name("family_digests.json")
 
@@ -33,7 +33,7 @@ def _argv(tag: str, params: dict) -> list[str]:
 def _digests(tag: str) -> dict[str, str]:
     """Point key ("TAG p=v ...") -> sha256 of that point's build stdout."""
     out = {}
-    for params in ACCEPTANCE_GRID[tag]:
+    for params in FAMILIES[tag][1]:
         stdout = io.StringIO()
         with contextlib.redirect_stdout(stdout), contextlib.redirect_stderr(io.StringIO()):
             assert main(_argv(tag, params)) == 0, (tag, params)
@@ -42,7 +42,7 @@ def _digests(tag: str) -> dict[str, str]:
     return out
 
 
-@pytest.mark.parametrize("tag", list(ACCEPTANCE_GRID))
+@pytest.mark.parametrize("tag", list(FAMILIES))
 def test_build_stdout_matches_the_recorded_digest(tag):
     recorded = json.loads(DIGESTS.read_text(encoding="utf-8"))
     expected = {key: d for key, d in recorded.items() if key.split(" ")[0] == tag}
@@ -50,7 +50,7 @@ def test_build_stdout_matches_the_recorded_digest(tag):
 
 
 if __name__ == "__main__":
-    digests = {key: d for tag in ACCEPTANCE_GRID for key, d in _digests(tag).items()}
+    digests = {key: d for tag in FAMILIES for key, d in _digests(tag).items()}
     DIGESTS.write_text(json.dumps(digests, indent=1, sort_keys=True) + "\n", encoding="utf-8")
     print(f"{len(digests)} digests written to {DIGESTS}")
     sys.exit(0)

@@ -9,7 +9,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from antimagic.document import FORMAT, DocumentError, document_to_graph, dumps, graph_to_document
-from antimagic.families import ACCEPTANCE_GRID, FAMILIES, build_family, build_fb
+from antimagic.families import FAMILIES, build_family, build_fb
 from antimagic.graph import (
     DuplicateName,
     GraphError,
@@ -199,7 +199,7 @@ def test_every_edge_list_is_judged_alike(case):
 
 @pytest.mark.parametrize("tag", sorted(FAMILIES))
 def test_every_family_edge_is_a_plain_int_triple(tag):
-    assert _ordered(build_family(tag, **ACCEPTANCE_GRID[tag][0]).graph)
+    assert _ordered(build_family(tag, **FAMILIES[tag][1][0]).graph)
 
 
 def test_surgery_error_messages():

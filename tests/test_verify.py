@@ -3,14 +3,13 @@ gate, and lower bounds."""
 
 from __future__ import annotations
 
+from functools import cached_property
+
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-import antimagic.graph
-import antimagic.search
-import antimagic.verify
 from antimagic.families import build_family, build_fb, build_nc482
-from antimagic.graph import LabeledGraph, is_bipartite, new_graph
+from antimagic.graph import LabeledGraph, new_graph
 from antimagic.search import chi_la_exact
 from antimagic.verify import (
     CHI_EXACT_MAX_VERTICES,
@@ -24,7 +23,7 @@ from antimagic.verify import (
     vertex_sums,
 )
 from helpers import by_name
-from oracles import naive_chi_la, naive_two_coloring_impossible
+from oracles import naive_chi_la, naive_two_coloring_gate
 
 
 def test_induced_coloring_fb12():
@@ -131,7 +130,7 @@ def test_two_color_gate_bitmask_matches_the_set_oracle(parts):
             [(xs[0], y) for y in ys] + [(x, ys[0]) for x in xs[1:]]
         triples += [(x, y, len(triples) + 1) for x, y in pairs]
     g = by_name(names, triples)
-    assert two_coloring_impossible(g) is naive_two_coloring_impossible(g)
+    assert two_coloring_impossible(g) is naive_two_coloring_gate(g)
 
 
 def test_lower_bounds():
@@ -233,26 +232,27 @@ def test_lower_bound_colors_exactly_up_to_the_vertex_cap():
 
 
 def test_lower_bound_tests_bipartiteness_once(monkeypatch):
-    # the 2-coloring gate reads the bipartition lower_bound found, so
-    # lower_bound runs one BFS whether the graph is bipartite or not
-    calls = []
+    # a graph keeps the bipartition its one BFS finds, and lower_bound, its
+    # 2-coloring gate and the search's sides all read it
+    runs = []
+    bfs = LabeledGraph.__dict__["_bipartition"]
 
     def counted(g):
-        calls.append(g)
-        return is_bipartite(g)
+        runs.append(g)
+        return bfs.func(g)
 
-    monkeypatch.setattr(antimagic.graph, "is_bipartite", counted)
-    monkeypatch.setattr(antimagic.verify, "is_bipartite", counted)
-    monkeypatch.setattr(antimagic.search, "is_bipartite", counted)
+    traced = cached_property(counted)
+    traced.__set_name__(LabeledGraph, "_bipartition")
+    monkeypatch.setattr(LabeledGraph, "_bipartition", traced)
     balanced = build_family("rDF", r=1, s=2).graph
     for g, bound in ((k4_with_path(8), 4), (balanced, 3)):
-        calls.clear()
-        assert lower_bound(g) == bound
-        assert len(calls) == 1
-    # the exact search: lower_bound's BFS and the one for the search's sides
-    calls.clear()
-    assert chi_la_exact(build_family("Bk", k=1).graph).chi_la is not None
-    assert len(calls) == 2
+        assert lower_bound(g) == bound and two_coloring_impossible(g) is (bound == 3)
+        assert len(runs) == 1 and runs[0] is g
+        runs.clear()
+    # the exact search: lower_bound's BFS gives the search's sides too
+    g = build_family("Bk", k=1).graph
+    assert chi_la_exact(g).chi_la is not None
+    assert len(runs) == 1 and runs[0] is g
 
 
 def test_lower_bound_large_graphs_do_not_raise():
