@@ -1,8 +1,9 @@
 """Command-line surface: matrix / build / verify / search / export / selftest.
 
 Exit codes: 0 success or verified, 1 verification failure or timeout,
-2 usage error.  Output is deterministic: no randomness anywhere, JSON with
-sorted keys, DOT with sorted vertices.
+2 usage error.  Output is deterministic: no randomness and no timings
+anywhere, JSON with sorted keys, DOT with sorted vertices.  Only a search
+whose budget runs out depends on when it ran out.
 
 ``main`` builds the parser once per process, on its first call, and runs
 the ``cmd_<command>`` it looks up by name when each call runs, so it may be
@@ -156,7 +157,7 @@ def cmd_build(args: argparse.Namespace) -> int:
 def cmd_verify(args: argparse.Namespace) -> int:
     g, expected = doc_mod.document_to_graph(_load_document(args.input))
     report, problems = _check(g, expected)
-    _emit(doc_mod.dumps(report.to_json_dict()), args.out)
+    _emit(doc_mod.dumps(doc_mod.report_to_document(report)), args.out)
     return _verdict(problems)
 
 
@@ -174,7 +175,7 @@ def cmd_search(args: argparse.Namespace) -> int:
         raise ValueError(f"--max-edges must be at least 0, not {args.max_edges}")
     g, _ = doc_mod.document_to_graph(_load_document(args.input))
     result = chi_la_exact(g, max_edges=args.max_edges, budget=budget)
-    _emit(doc_mod.dumps(result.to_json_dict()), args.out)
+    _emit(doc_mod.dumps(doc_mod.search_to_document(result)), args.out)
     if result.status == STATUS_VALUE:
         print(f"chi_la = {result.chi_la}", file=sys.stderr)
     return CHECK_FAILED if result.status == STATUS_TIMEOUT else OK

@@ -1,23 +1,26 @@
-"""Graph documents (versioned JSON), DOT export, and matrix CSV emission.
+"""Every JSON shape the CLI writes, DOT export, and matrix CSV emission.
 
-The JSON document is the interchange format: it round-trips losslessly,
-and identical inputs always produce identical bytes (sorted keys, fixed
-indentation, trailing newline).  A graph's vertex and edge rows are
-``Rows`` views of it, a slotted class that is not a tuple, so
-``json.dumps`` refuses it; ``json.loads(dumps(doc))`` is the plain form, and
-``dumps(doc)`` writes exactly ``json.dumps(plain, indent=2,
-sort_keys=True) + "\n"``.  As CPython runs an indented ``json.dumps``
-through its pure-Python encoder, ``dumps`` writes JSON itself.  It writes
-these homogeneous containers as one table each, one ``%`` over a row
-template repeated once per item: a view's rows, straight from the
-graph's tuples; a str-keyed object whose values are all exactly ``int``
-(a bool is not); and a non-empty list of objects that share one set of
-str keys and hold only exactly-``int`` values.  A key enters a template
-as an argument or with its ``%`` doubled.  A list of strings is joined
-from the quoted strings.  Every other object and list keeps the per-item
-path, with ints and strings written inline, and anything else goes
-through ``json.dumps``.  DOT is export-only with vertices in sorted order
-so snapshots are stable.
+This module alone decides how a result is written: ``graph_to_document``,
+``built_to_document``, ``report_to_document``, ``search_to_document`` and
+``matrix_json`` turn the records that the other modules compute into
+documents.  The graph document is the interchange format: it round-trips
+losslessly, and identical inputs always produce identical bytes (sorted
+keys, fixed indentation, trailing newline).  Each homogeneous table that
+a document holds, a graph's vertex rows and edge rows, a claim's classes
+and a search witness (a graph's edge rows again), is a ``Table``: a row
+template, a row count and its columns.  A ``Table`` is a slotted class,
+not a tuple, so ``json.dumps`` refuses it; ``json.loads(dumps(doc))`` is
+the plain form, and ``dumps(doc)`` writes exactly ``json.dumps(plain,
+indent=2, sort_keys=True) + "\n"``.  As CPython runs an indented
+``json.dumps`` through its pure-Python encoder, ``dumps`` writes JSON
+itself.  It writes a ``Table`` with one ``%`` over its row template
+repeated once per row, and a str-keyed object whose values are all
+exactly ``int`` (a bool is not) the same way, each key entering the
+template as an argument.  A list of strings is joined from the quoted
+strings.  Every other object and list keeps the per-item path, with ints
+and strings written inline, and anything else goes through
+``json.dumps``.  DOT is export-only with vertices in sorted order so
+snapshots are stable.
 """
 
 from __future__ import annotations
@@ -29,6 +32,7 @@ from typing import Iterable
 from .families import BuiltFamily
 from .graph import GraphError, LabeledGraph, new_graph
 from .matrices import LabelMatrix
+from .search import RULES, SearchResult
 from .verify import ColorClass, ColorReport, ExpectedColors, vertex_sums
 
 FORMAT = "antimagic.graph/1"
@@ -38,40 +42,91 @@ class DocumentError(ValueError):
     pass
 
 
-class Rows:
-    """The vertex or the edge rows of ``graph``'s document, which ``dumps``
-    writes straight from the graph's tuples.  Not a tuple, so ``json.dumps``
-    refuses it."""
+class Table:
+    """``count`` rows of one JSON shape, which ``dumps`` writes with one
+    ``%``: each row is the template ``row``, and its i-th field comes from
+    ``columns[i]``.  Not a tuple, so ``json.dumps`` refuses it."""
 
-    __slots__ = ("graph", "edges")
+    __slots__ = ("row", "count", "columns")
 
-    def __init__(self, graph: LabeledGraph, edges: bool) -> None:
-        self.graph, self.edges = graph, edges  # edges False: the vertex rows
+    def __init__(self, row: str, count: int, columns) -> None:
+        self.row, self.count, self.columns = row, count, columns
+
+
+# A vertex, an edge and a class row as json.dumps(indent=2, sort_keys=True)
+# writes them at no indentation: the templates of the tables, which _table
+# repeats once per row and indents.
+_VERTEX_ROW = '{\n  "degree": %d,\n  "id": %d,\n  "name": %s\n}'
+_EDGE_ROW = '{\n  "label": %d,\n  "u": %d,\n  "v": %d\n}'
+_CLASS_ROW = '{\n  "degree": %d,\n  "size": %d,\n  "value": %d\n}'
+
+
+def _edge_table(edges) -> Table:
+    """The edge rows of a graph document and of a search witness."""
+    us, vs, labels = tuple(zip(*edges)) or ((), (), ())
+    return Table(_EDGE_ROW, len(us), (labels, us, vs))
 
 
 def graph_to_document(g: LabeledGraph) -> dict:
-    return {"format": FORMAT, "vertices": Rows(g, False), "edges": Rows(g, True)}
+    n = len(g.names)
+    return {"format": FORMAT,
+            "vertices": Table(_VERTEX_ROW, n, (
+                list(map(len, g.adjacency)), range(n), list(map(_quote, g.names)))),
+            "edges": _edge_table(g.edges)}
 
 
 def built_to_document(built: BuiltFamily,
                       verification: ColorReport | None = None) -> dict:
     """The built graph's document with its family, its claimed coloring
     and, when given, the coloring that verification found.  The claim's
-    classes are a list of plain dicts, which ``dumps`` writes itself."""
+    classes are a ``Table`` of its ``ColorClass`` records."""
     doc = graph_to_document(built.graph)
     doc["family"] = {"tag": built.tag, "params": dict(built.params)}
     claim = built.expected
+    values, sizes, degrees = tuple(zip(*claim.classes)) or ((), (), ())
     doc["expected_colors"] = {
-        "classes": [{"value": c.value, "size": c.size, "degree": c.degree}
-                    for c in claim.classes],
+        "classes": Table(_CLASS_ROW, len(values), (degrees, sizes, values)),
         "claimed_colors": claim.claimed_colors, "exact": claim.exact}
     if verification is not None:
-        doc["verification"] = verification.to_json_dict()
+        doc["verification"] = report_to_document(verification)
     if built.warnings:
         doc["warnings"] = list(built.warnings)
     if built.notes:
         doc["notes"] = list(built.notes)
     return doc
+
+
+def report_to_document(report: ColorReport) -> dict:
+    """The verification report of ``verify`` and ``build --verify``."""
+    return {
+        "sums": report.sums,
+        "classes": {str(v): list(names) for v, names in report.color_classes.items()},
+        "color_count": report.color_count,
+        "labels_bijective": report.labels_bijective,
+        "label_problems": list(report.label_problems),
+        "conflicts": [{"u": u, "v": v, "sum": s} for u, v, s in report.conflicts],
+        "local_antimagic": report.local_antimagic,
+        "bipartite": report.bipartite,
+        "part_sizes": list(report.part_sizes) if report.part_sizes else None,
+        "balanced_bipartition": report.balanced_bipartition,
+        "total": report.total,
+    }
+
+
+def search_to_document(result: SearchResult) -> dict:
+    """The ``search`` output: the witness's rows are a graph's edge rows.
+    It holds no time, so equal searches write equal bytes."""
+    stats = result.stats
+    return {
+        "status": result.status,
+        "chi_la": result.chi_la,
+        "lower_bound": result.lower_bound,
+        "upper_bound": result.upper_bound,
+        "witness": None if result.witness is None else _edge_table(result.witness.edges),
+        "stats": {"nodes": stats.nodes, "prunes": stats.prunes,
+                  "prunes_by_rule": {rule: getattr(stats, rule) for rule in RULES}},
+        "budget": result.budget,
+    }
 
 
 def document_to_graph(doc: dict) -> tuple[LabeledGraph, ExpectedColors | None]:
@@ -164,13 +219,6 @@ def _expected_colors(block: dict) -> ExpectedColors:
     return ExpectedColors(classes, claimed, exact)
 
 
-# A vertex and an edge row as json.dumps(indent=2, sort_keys=True) writes
-# them at no indentation: the row templates of a view's two tables, which
-# _table repeats once per row and indents.
-_VERTEX_ROW = '{\n  "degree": %d,\n  "id": %d,\n  "name": %s\n}'
-_EDGE_ROW = '{\n  "label": %d,\n  "u": %d,\n  "v": %d\n}'
-
-
 def dumps(doc) -> str:
     """``json.dumps(doc, indent=2, sort_keys=True) + "\\n"``, byte for byte."""
     return _encode(doc, "") + "\n"
@@ -194,25 +242,13 @@ def _encode(value, pad: str) -> str:
     """``value`` as ``json.dumps(value, indent=2, sort_keys=True)`` writes it,
     with ``pad`` after each newline, i.e. nested at that indentation."""
     kind = type(value)
-    if kind is Rows and value.edges:
-        us, vs, labels = tuple(zip(*value.graph.edges)) or ((), (), ())
-        return _table("[]", _EDGE_ROW, len(us), (labels, us, vs), pad)
-    if kind is Rows:
-        g = value.graph
-        return _table("[]", _VERTEX_ROW, len(g.names), (
-            map(len, g.adjacency), range(len(g.names)), map(_quote, g.names)), pad)
+    if kind is Table:
+        return _table("[]", value.row, value.count, value.columns, pad)
     if (kind is dict and set(map(type, value)) <= {str}
             and set(map(type, value.values())) <= {int}):
         keys = sorted(value)
         return _table("{}", "%s: %d", len(keys),
                       (map(_quote, keys), map(value.__getitem__, keys)), pad)
-    keys = value[0].keys() if kind is list and value and type(value[0]) is dict else ()
-    if (set(map(type, keys)) == {str} and set(map(type, value)) == {dict}
-            and all(x.keys() == keys for x in value)
-            and all(type(n) is int for x in value for n in x.values())):
-        row = ",\n".join(f"  {_quote(k).replace('%', '%%')}: %d" for k in sorted(keys))
-        return _table("[]", "{\n" + row + "\n}", len(value),
-                      [[x[k] for x in value] for k in sorted(keys)], pad)
     inner = pad + "  "
     newline = "\n" + inner
     if kind is dict and set(map(type, value)) == {str}:

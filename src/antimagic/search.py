@@ -133,6 +133,10 @@ labeling found so far and, as its lower bound, one more than the
 largest refuted target (at least ``verify.lower_bound``); one that runs
 out in the setup has no labeling and the lower bound
 ``verify.lower_bound``.
+
+This module only computes: ``document.search_to_document`` writes a
+``SearchResult``.  ``SearchStats.elapsed`` stays on the record and is not
+written, so equal searches write equal bytes.
 """
 
 from __future__ import annotations
@@ -181,25 +185,6 @@ class SearchResult(NamedTuple):
     lower_bound: int  # verify.lower_bound; on a timeout, 1 + the largest refuted target
     upper_bound: int | None  # color count of the witness
     budget: float | None = None
-
-    def to_json_dict(self) -> dict:
-        return {
-            "status": self.status,
-            "chi_la": self.chi_la,
-            "lower_bound": self.lower_bound,
-            "upper_bound": self.upper_bound,
-            "witness": (
-                [{"u": u, "v": v, "label": label} for u, v, label in self.witness.edges]
-                if self.witness is not None else None
-            ),
-            "stats": {
-                "nodes": self.stats.nodes,
-                "prunes": self.stats.prunes,
-                "prunes_by_rule": {rule: getattr(self.stats, rule) for rule in RULES},
-                "elapsed": self.stats.elapsed,
-            },
-            "budget": self.budget,
-        }
 
 
 class _Timeout(Exception):

@@ -10,7 +10,8 @@ graph that is not bipartite is found exactly, by backtracking, on at
 most ``CHI_EXACT_MAX_VERTICES`` vertices, and taken as 3 above that.
 The report, the bound and the gate each ask ``is_bipartite(g)``, which
 runs its BFS once per graph and keeps the answer on it.
-Exact integer arithmetic throughout.
+Exact integer arithmetic throughout.  This module only computes:
+``document.report_to_document`` writes a ``ColorReport``.
 """
 
 from __future__ import annotations
@@ -50,22 +51,6 @@ class ColorReport(NamedTuple):
     part_sizes: tuple[int, int] | None
     balanced_bipartition: bool | None
     total: int  # sum of induced values; m(m+1) for bijective labelings
-
-    def to_json_dict(self) -> dict:
-        return {
-            "sums": dict(self.sums),
-            "classes": {str(v): list(names)
-                        for v, names in sorted(self.color_classes.items())},
-            "color_count": self.color_count,
-            "labels_bijective": self.labels_bijective,
-            "label_problems": list(self.label_problems),
-            "conflicts": [{"u": u, "v": v, "sum": s} for u, v, s in self.conflicts],
-            "local_antimagic": self.local_antimagic,
-            "bipartite": self.bipartite,
-            "part_sizes": list(self.part_sizes) if self.part_sizes else None,
-            "balanced_bipartition": self.balanced_bipartition,
-            "total": self.total,
-        }
 
 
 def vertex_sums(g: LabeledGraph) -> list[int]:

@@ -16,14 +16,18 @@ from antimagic.document import (
     dumps,
     graph_to_document,
     matrix_json,
+    report_to_document,
     rows_csv,
+    search_to_document,
     to_dot,
 )
 from antimagic.families import build_family
 from antimagic.graph import LabeledEdge, LabeledGraph
 from antimagic.matrices import matrix_5x2k, matrix_6x4n, matrix_kx10, sequences_6x4n
+from antimagic.search import STATUS_TIMEOUT, STATUS_VALUE, chi_la_exact
 from antimagic.verify import check_expected, induced_coloring
 from helpers import by_name
+from test_search import k4_path
 
 
 def test_document_round_trip_lossless():
@@ -37,10 +41,10 @@ def test_document_round_trip_lossless():
 
 def test_round_trip_verification_matches_in_memory():
     built = build_family("FB", k=2)
-    in_memory = induced_coloring(built.graph).to_json_dict()
+    in_memory = report_to_document(induced_coloring(built.graph))
     doc = json.loads(dumps(built_to_document(built)))
     g, expected = document_to_graph(doc)
-    loaded = induced_coloring(g).to_json_dict()
+    loaded = report_to_document(induced_coloring(g))
     assert dumps(in_memory) == dumps(loaded)
     assert check_expected(g, expected, induced_coloring(g)) == ()
 
@@ -183,7 +187,7 @@ SEARCH_RESULTS = st.fixed_dictionaries({
     "status": st.sampled_from(["value", "timeout", "no_labeling"]),
     "chi_la": st.one_of(st.none(), st.integers(0, 12)),
     "witness": st.one_of(st.none(), st.lists(EDGE_ROWS, max_size=4)),
-    "stats": st.fixed_dictionaries({"nodes": st.integers(0), "elapsed": st.floats(0)}),
+    "stats": st.fixed_dictionaries({"nodes": st.integers(0), "prunes": st.integers(0)}),
     "budget": st.one_of(st.none(), st.floats()),  # NaN and infinities included
 })
 DOCUMENTS = st.fixed_dictionaries(
@@ -263,6 +267,10 @@ def _indented(plain) -> str:
     return json.dumps(plain, indent=2, sort_keys=True) + "\n"
 
 
+def _plain_classes(expected) -> list:
+    return [{"value": c.value, "size": c.size, "degree": c.degree} for c in expected.classes]
+
+
 def test_dumps_writes_family_documents_as_json_dumps():
     built = build_family("DF2", r=2, s=2)
     report = induced_coloring(built.graph)
@@ -271,14 +279,66 @@ def test_dumps_writes_family_documents_as_json_dumps():
     plain = {
         "format": FORMAT, "vertices": vertices, "edges": edges,
         "family": {"tag": "DF2", "params": {"r": 2, "s": 2}},
-        "expected_colors": {
-            "classes": [{"value": c.value, "size": c.size, "degree": c.degree}
-                        for c in expected.classes],
-            "claimed_colors": expected.claimed_colors, "exact": expected.exact},
-        "verification": report.to_json_dict(),
+        "expected_colors": {"classes": _plain_classes(expected),
+                            "claimed_colors": expected.claimed_colors, "exact": expected.exact},
+        "verification": report_to_document(report),
     }
     assert not built.warnings and not built.notes
     assert dumps(built_to_document(built, report)) == _indented(plain)
+
+
+def test_dumps_writes_a_failing_report_as_json_dumps():
+    # a triangle with a pendant edge: label 2 repeats and 3 is missing, so
+    # b and c both sum to 3, and the odd cycle leaves no bipartition
+    g = by_name(["a", "b", "c", "d"],
+                [("a", "b", 1), ("a", "c", 2), ("b", "c", 2), ("c", "d", 4)])
+    report = induced_coloring(g)
+    plain = {
+        "sums": {"a": 3, "b": 3, "c": 8, "d": 4},
+        "classes": {"3": ["a", "b"], "8": ["c"], "4": ["d"]},
+        "color_count": 3,
+        "labels_bijective": False,
+        "label_problems": ["label 2 used more than once", "label 3 missing"],
+        "conflicts": [{"u": "a", "v": "b", "sum": 3}],
+        "local_antimagic": False,
+        "bipartite": False,
+        "part_sizes": None,
+        "balanced_bipartition": None,
+        "total": 18,
+    }
+    assert dumps(report_to_document(report)) == _indented(plain)
+
+
+def _search_plain(result, witness) -> dict:
+    """The plain ``search`` output of ``result``, with ``witness`` given."""
+    stats = result.stats
+    by_rule = {"conflict": stats.conflict, "color_bound": stats.color_bound,
+               "symmetry": stats.symmetry, "reach": stats.reach,
+               "sum_total": stats.sum_total, "clique": stats.clique}
+    return {"status": result.status, "chi_la": result.chi_la,
+            "lower_bound": result.lower_bound, "upper_bound": result.upper_bound,
+            "witness": witness,
+            "stats": {"nodes": stats.nodes, "prunes": sum(by_rule.values()),
+                      "prunes_by_rule": by_rule},
+            "budget": result.budget}
+
+
+def test_dumps_writes_search_documents_as_json_dumps():
+    value = chi_la_exact(k4_path())  # K4 plus a path: chi_la 4
+    assert value.status == STATUS_VALUE and value.chi_la == 4
+    _, rows = _plain_rows(value.witness)
+    assert dumps(search_to_document(value)) == _indented(_search_plain(value, rows))
+    # the witness rows are the edge rows of the witness's graph document
+    assert (json.loads(dumps(search_to_document(value)))["witness"]
+            == json.loads(dumps(graph_to_document(value.witness)))["edges"])
+
+    timeout = chi_la_exact(FB1.graph, budget=1e-9)  # out of time in the setup
+    assert timeout.status == STATUS_TIMEOUT and timeout.witness is None
+    assert dumps(search_to_document(timeout)) == _indented(_search_plain(timeout, None))
+
+    edgeless = chi_la_exact(by_name(["a", "b"], []))
+    assert edgeless.chi_la == 1 and edgeless.witness.edges == ()
+    assert dumps(search_to_document(edgeless)) == _indented(_search_plain(edgeless, []))
 
 
 @st.composite
@@ -303,10 +363,12 @@ def test_dumps_writes_graph_rows_as_json_dumps_of_plain_rows(g, verified):
     vertices, edges = _plain_rows(g)
     assert dumps(graph_to_document(g)) == _indented(
         {"format": FORMAT, "vertices": vertices, "edges": edges})
-    # the other keys of a built document are plain already
+    # the other keys of a built document, but for the claim's classes, are plain
     doc = built_to_document(FB1._replace(graph=g),
                             induced_coloring(g) if verified else None)
-    assert dumps(doc) == _indented({**doc, "vertices": vertices, "edges": edges})
+    claim = {**doc["expected_colors"], "classes": _plain_classes(FB1.expected)}
+    assert dumps(doc) == _indented(
+        {**doc, "vertices": vertices, "edges": edges, "expected_colors": claim})
 
 
 def test_json_dumps_refuses_a_row_view():

@@ -1,10 +1,12 @@
 """Smoke tests of the scripts under scripts/, run as a user runs them or
 imported, of the README's lists of the scripts and of the search's prune
 rules, of the names the benchmark's tracer looks up in the package, and
-of the package's modules imported one at a time."""
+of the package's modules imported one at a time, and of the layers they
+import each other in."""
 
 from __future__ import annotations
 
+import ast
 import importlib
 import re
 import subprocess
@@ -134,3 +136,40 @@ def test_a_cold_start_loads_no_dataclasses_and_no_inspect():
     proc = run_python("-S", "-c", code)
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout == "[]\n"
+
+
+# Each module's package-internal imports: the layers below it.  verify and
+# search compute; only document knows how a result is written.
+LAYERS = {
+    "graph": set(),
+    "verify": {"graph"},
+    "matrices": {"verify"},
+    "families": {"graph", "matrices", "verify"},
+    "search": {"graph", "verify"},
+    "document": {"families", "graph", "matrices", "search", "verify"},
+    "cli": {"document", "families", "graph", "matrices", "search", "verify"},
+}
+
+
+def _package_imports(source: str) -> set[str]:
+    """The antimagic modules ``source`` imports, relatively or by name."""
+    found = set()
+    for node in ast.walk(ast.parse(source)):
+        if isinstance(node, ast.ImportFrom) and node.level:
+            found.update([node.module] if node.module else (a.name for a in node.names))
+        elif isinstance(node, ast.ImportFrom) and (node.module or "").startswith("antimagic."):
+            found.add(node.module.split(".")[1])
+        elif isinstance(node, ast.Import):
+            found.update(a.name.split(".")[1] for a in node.names
+                         if a.name.startswith("antimagic."))
+    return {name.split(".")[0] for name in found}
+
+
+def test_each_module_imports_only_the_layers_below_it():
+    assert _package_imports("from . import document as d\nfrom .graph import g\n"
+                            "import antimagic.search\nfrom antimagic.verify import v\n"
+                            "import json") == {"document", "graph", "search", "verify"}
+    package = ROOT / "src" / "antimagic"
+    imports = {p.stem: _package_imports(p.read_text(encoding="utf-8"))
+               for p in package.glob("*.py") if p.stem != "__init__"}
+    assert imports == LAYERS

@@ -14,7 +14,7 @@ from hypothesis import strategies as st
 
 import antimagic.search as search
 from antimagic.cli import main
-from antimagic.document import dumps, graph_to_document, to_dot
+from antimagic.document import dumps, graph_to_document, search_to_document, to_dot
 from antimagic.families import build_fb, build_family
 from antimagic.graph import GraphTooLarge, LabeledEdge, LabeledGraph, is_bipartite, new_graph
 from antimagic.search import (
@@ -73,6 +73,11 @@ def fan_with_leaves():
 def fb1_graph():
     return by_name(["u", "v", "w", "x"], [("u", "w", 1), ("v", "w", 2), ("x", "w", 3),
                                           ("x", "u", 4), ("x", "v", 5)])
+
+
+def _document(result) -> dict:
+    """The plain form of the ``search`` output of ``result``."""
+    return json.loads(dumps(search_to_document(result)))
 
 
 def test_k2_has_no_labeling():
@@ -273,14 +278,15 @@ def test_symmetry_rule_prunes_twin_leaves():
     assert result.chi_la == naive_chi_la(g) == 6
     assert result.lower_bound == 5
     assert result.stats.symmetry > 0
-    by_rule = result.to_json_dict()["stats"]["prunes_by_rule"]
+    stats = _document(result)["stats"]
+    by_rule = stats["prunes_by_rule"]
     assert by_rule == {"conflict": result.stats.conflict,
                        "color_bound": result.stats.color_bound,
                        "symmetry": result.stats.symmetry,
                        "reach": result.stats.reach,
                        "sum_total": result.stats.sum_total,
                        "clique": result.stats.clique}
-    assert result.to_json_dict()["stats"]["prunes"] == sum(by_rule.values())
+    assert stats["prunes"] == sum(by_rule.values())
 
 
 @pytest.mark.parametrize("g, lb, chi", [
@@ -556,7 +562,7 @@ def test_timeout_reports_the_largest_refuted_target(monkeypatch):
     # refuted, in the round for 4
     assert {b for b, _ in seen} == {3, 4}
     assert seen[-1] == (4, 5)
-    assert result.to_json_dict()["lower_bound"] == 4
+    assert _document(result)["lower_bound"] == 4
 
 
 @pytest.mark.parametrize("budget", [0.0, -1.0, float("nan"), float("inf")])
@@ -618,7 +624,7 @@ def test_budget_timeout():
     assert result.stats.nodes == 0
     assert result.lower_bound == 3
     assert result.upper_bound is None and result.witness is None
-    doc = result.to_json_dict()
+    doc = _document(result)
     assert doc["lower_bound"] == 3 and doc["upper_bound"] is None
     assert doc["witness"] is None
 
@@ -635,7 +641,7 @@ def test_timeout_keeps_the_best_labeling(monkeypatch):
     assert result.lower_bound == lower_bound(g) <= 4
     rep = induced_coloring(result.witness)
     assert rep.local_antimagic and rep.color_count == result.upper_bound >= 4
-    doc = result.to_json_dict()
+    doc = _document(result)
     assert doc["upper_bound"] == result.upper_bound
     assert len(doc["witness"]) == g.size
 

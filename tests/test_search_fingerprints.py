@@ -42,14 +42,14 @@ def _fingerprint(name: str) -> dict:
     g = _graph(name)
     result = chi_la_exact(g, max_edges=g.size, budget=SEARCH_BUDGET_S)
     assert result.status == STATUS_VALUE
-    doc = result.to_json_dict()
+    stats = result.stats
     return {
-        "chi_la": doc["chi_la"],
-        "lower_bound": doc["lower_bound"],
-        "upper_bound": doc["upper_bound"],
-        "nodes": doc["stats"]["nodes"],
-        "prunes_by_rule": doc["stats"]["prunes_by_rule"],
-        "witness": [[e["u"], e["v"], e["label"]] for e in doc["witness"]],
+        "chi_la": result.chi_la,
+        "lower_bound": result.lower_bound,
+        "upper_bound": result.upper_bound,
+        "nodes": stats.nodes,
+        "prunes_by_rule": {rule: getattr(stats, rule) for rule in search.RULES},
+        "witness": [list(e) for e in result.witness.edges],
     }
 
 
