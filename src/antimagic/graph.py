@@ -12,15 +12,18 @@ a vertex up by name, and a graph keeps no name -> id index.
 because the benchmark's workloads and tracer (``bench/``) name them;
 they go once it no longer does.  ``LabeledGraph`` subclasses the
 ``NamedTuple`` of ``names`` and ``edges`` without ``__slots__``, so each
-graph's ``__dict__`` caches ``adjacency`` and the ``Bipartition`` (or
-None) that ``is_bipartite`` finds; like ``Bipartition`` it is immutable,
-copied with ``_replace`` and equal to the plain tuple of its fields.  It
-gives the views the other modules read (``adjacency``, ``degrees()``,
+graph's ``__dict__`` caches ``adjacency``, its one degree count
+``degree`` (per id, counted from the edges, so reading it builds no
+adjacency) and the ``Bipartition`` (or None) that ``is_bipartite``
+finds; like ``Bipartition`` it is immutable, copied with ``_replace``
+and equal to the plain tuple of its fields.  It gives the views the
+other modules read (``adjacency``, ``degree``, ``degrees()`` by name,
 ``labels()``).  The one surgery is ``apply_merge``, which fuses groups
 of vertex ids and which every merged family uses; the tests keep a
 ``split_vertex`` oracle.  ``is_bipartite`` runs its BFS once per graph:
 the verifier's report, its lower bound and 2-coloring gate, and the
-search's ``sum_total`` cut all read the one answer the graph keeps.
+search's ``sum_total`` cut all read the one answer the graph keeps, and
+only the report's bipartition fields ask for it when a graph is checked.
 Every operation is pure: it validates its inputs and returns a new graph.
 Edge labels stay attached to their edges through merges, so a bijective
 labeling survives any sequence of them.  Values are safe to share across
@@ -97,8 +100,8 @@ class _GraphFields(NamedTuple):
 
 
 class LabeledGraph(_GraphFields):
-    # no __slots__: the instance __dict__ holds the cached adjacency and
-    # bipartition
+    # no __slots__: the instance __dict__ holds the cached adjacency, degree
+    # count and bipartition
 
     # ---- views ---------------------------------------------------------
 
@@ -119,8 +122,17 @@ class LabeledGraph(_GraphFields):
             adj[v].append(u)
         return tuple(tuple(a) for a in adj)
 
+    @cached_property
+    def degree(self) -> tuple[int, ...]:
+        """Edge count per vertex id, counted from the edges, not the adjacency."""
+        count = [0] * len(self.names)
+        for u, v, _ in self.edges:
+            count[u] += 1
+            count[v] += 1
+        return tuple(count)
+
     def degrees(self) -> dict[str, int]:
-        return {nm: len(adj) for nm, adj in zip(self.names, self.adjacency)}
+        return dict(zip(self.names, self.degree))
 
     def labels(self) -> tuple[int, ...]:
         return tuple(label for _, _, label in self.edges)

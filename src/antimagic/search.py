@@ -198,7 +198,7 @@ class _Found(Exception):
 def _edge_order(g: LabeledGraph, deadline: float | None = None) -> list[int]:
     """Static order that completes vertices early (more pruning up front);
     raises ``_Timeout`` past ``deadline``."""
-    deg = [len(nbrs) for nbrs in g.adjacency]
+    deg = g.degree
     placed = [0] * g.n_vertices
 
     def score(ei: int) -> tuple[int, int, int]:
@@ -374,7 +374,10 @@ def _schedule(g: LabeledGraph, order: list[int], neighbors: list[int],
     there is none.  An entry holds only what changes with t: ``dfs``
     reads w's neighbor mask and side from per-vertex lists, and the open
     cliques of a position that completes no clique member are its
-    predecessor's tuple.  ``neighbors`` holds g's neighbor bitmasks, for
+    predecessor's tuple.  The open vertices are carried forward in id
+    order, and a vertex's entry is rebuilt only when its count or its
+    finished neighbors change, so a position costs time in its open
+    vertices, not in n.  ``neighbors`` holds g's neighbor bitmasks, for
     ``_cliques``.  Raises ``_Timeout`` past ``deadline``.
     """
     adj = g.adjacency
@@ -401,7 +404,9 @@ def _schedule(g: LabeledGraph, order: list[int], neighbors: list[int],
         for w in q:
             within.setdefault(w, []).append(c)
     changed = True
-    left = [len(nbrs) for nbrs in adj]
+    left = list(g.degree)
+    open_ids = [x for x in range(n) if left[x]]  # in id order: the vertices with edges left
+    latest = [(w, left[w], ()) for w in range(n)]  # each vertex's open entry, rebuilt on change
     plan = []
     for t, ei in enumerate(order):
         if deadline is not None and time.monotonic() > deadline:
@@ -410,8 +415,13 @@ def _schedule(g: LabeledGraph, order: list[int], neighbors: list[int],
         left[u] -= 1
         left[v] -= 1
         done = tuple(w for w in (u, v) if not left[w])
-        opens = tuple((w, left[w], tuple(x for x in adj[w] if last[x] <= t))
-                      for w in (u, v, *(x for x in range(n) if x != u and x != v))
+        if done:
+            open_ids = [x for x in open_ids if left[x]]
+            for x in {x for w in done for x in adj[w]}:
+                latest[x] = (x, left[x], tuple(y for y in adj[x] if last[y] <= t))
+        latest[u] = (u, left[u], latest[u][2])
+        latest[v] = (v, left[v], latest[v][2])
+        opens = tuple(latest[w] for w in (u, v, *(x for x in open_ids if x != u and x != v))
                       if left[w])
         pairs = [(w, nb) for w in done for nb in adj[w] if last[nb] < t]
         if len(done) == 2:
@@ -495,7 +505,7 @@ def chi_la_exact(
         raise GraphTooLarge(f"{m} edges exceeds the search's edge cap of {max_edges} (--max-edges)")
     ceiling = sys.getrecursionlimit() - FRAME_MARGIN
     # dfs takes a frame per edge, the transversal one per vertex on an edge
-    if max(m, sum(1 for nbrs in g.adjacency if nbrs) - 1) > ceiling:
+    if max(m, g.n_vertices - g.degree.count(0) - 1) > ceiling:
         raise GraphTooLarge(f"too deep to search: at most {ceiling} edges on {ceiling + 1} "
                             f"vertices fit the recursion limit")
     check_budget(budget)
@@ -506,7 +516,7 @@ def chi_la_exact(
                             lb, lb, budget)
 
     n = g.n_vertices
-    iso_extra = 1 if any(not nbrs for nbrs in g.adjacency) else 0
+    iso_extra = 1 if 0 in g.degree else 0
     bip = is_bipartite(g)
     # at a sum_total check the open vertices of side 0 gain share0 * sum(F)
     # in all and those of side 1 share1 * sum(F); with no 2-coloring every

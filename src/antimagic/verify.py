@@ -8,15 +8,26 @@ and ``lower_bound`` from four sources: the chromatic number, the
 the pendant count and the isolated vertices.  The chromatic number of a
 graph that is not bipartite is found exactly, by backtracking, on at
 most ``CHI_EXACT_MAX_VERTICES`` vertices, and taken as 3 above that.
-The report, the bound and the gate each ask ``is_bipartite(g)``, which
-runs its BFS once per graph and keeps the answer on it.
-Exact integer arithmetic throughout.  This module only computes:
-``document.report_to_document`` writes a ``ColorReport``.
+The verdict and the claim check work on vertex ids: the per-id sums,
+their distinct count, the label bijection, the conflicting pairs and
+the graph's one degree count.  A name is formatted only for a failing
+line.  A ``ColorReport`` keeps the graph and its per-id sums, derives
+its name views (``sums``, ``color_classes``) on first read, and reads
+its bipartition fields (``bipartite``, ``part_sizes``,
+``balanced_bipartition``) off the graph's kept answer, so a check that
+reads only its verdict builds no adjacency and runs no BFS.  The report's fields, the bound and the gate each ask
+``is_bipartite(g)``, which runs its BFS once per graph and keeps the
+answer on it.  Exact integer arithmetic throughout.  This module only
+computes: ``document.report_to_document`` writes a ``ColorReport``.
 """
 
 from __future__ import annotations
 
-from typing import Iterable, NamedTuple
+from collections import Counter
+from functools import cached_property
+from itertools import compress, count
+from operator import ne
+from typing import Iterable, NamedTuple, Sequence
 
 from .graph import LabeledGraph, is_bipartite
 
@@ -39,18 +50,44 @@ class ExpectedColors(NamedTuple):
         return tuple(c.value for c in self.classes)
 
 
-class ColorReport(NamedTuple):
-    sums: dict[str, int]
-    color_classes: dict[int, tuple[str, ...]]
+class _ReportFields(NamedTuple):
+    graph: LabeledGraph
+    id_sums: tuple[int, ...]  # induced sum per vertex id
     color_count: int
     labels_bijective: bool
     label_problems: tuple[str, ...]
     conflicts: tuple[tuple[str, str, int], ...]  # adjacent pair, shared sum
     local_antimagic: bool
-    bipartite: bool
-    part_sizes: tuple[int, int] | None
-    balanced_bipartition: bool | None
     total: int  # sum of induced values; m(m+1) for bijective labelings
+
+
+class ColorReport(_ReportFields):
+    # no __slots__: the instance __dict__ holds the name views derived on first read
+
+    @cached_property
+    def sums(self) -> dict[str, int]:
+        return dict(zip(self.graph.names, self.id_sums))
+
+    @cached_property
+    def color_classes(self) -> dict[int, tuple[str, ...]]:
+        classes: dict[int, list[str]] = {}
+        for name, value in zip(self.graph.names, self.id_sums):
+            classes.setdefault(value, []).append(name)
+        return {v: tuple(sorted(ns)) for v, ns in classes.items()}
+
+    @property
+    def bipartite(self) -> bool:
+        return is_bipartite(self.graph) is not None
+
+    @property
+    def part_sizes(self) -> tuple[int, int] | None:
+        bip = is_bipartite(self.graph)
+        return bip.part_sizes if bip else None
+
+    @property
+    def balanced_bipartition(self) -> bool | None:
+        bip = is_bipartite(self.graph)
+        return bip.balanced if bip else None
 
 
 def vertex_sums(g: LabeledGraph) -> list[int]:
@@ -66,9 +103,11 @@ def label_problems(labels: Iterable[int], top: int) -> tuple[str, ...]:
     """One line per way ``labels`` fail to be a bijection onto [1, top]:
     each repeat and each label out of range, in increasing order, then
     each missing label; none when they are one."""
-    labels = sorted(labels)
-    if labels == list(range(1, top + 1)):
+    labels = tuple(labels)
+    in_range = not labels or min(labels) == 1 and max(labels) == top
+    if len(labels) == top and in_range and len(set(labels)) == top:
         return ()
+    labels = sorted(labels)
     problems = []
     seen: set[int] = set()
     for lab in labels:
@@ -82,36 +121,19 @@ def label_problems(labels: Iterable[int], top: int) -> tuple[str, ...]:
 
 
 def induced_coloring(g: LabeledGraph) -> ColorReport:
-    """Induced vertex sums, color classes, and the local-antimagic verdict."""
+    """Induced vertex sums and the local-antimagic verdict, from vertex ids;
+    the report derives its name views and bipartition fields when read."""
     sums = vertex_sums(g)
     problems = label_problems(g.labels(), g.size)
     bijective = not problems
-
+    names = g.names
     conflicts = tuple(
-        (g.names[u], g.names[v], sums[u])
+        (names[u], names[v], sums[u])
         for u, v, _ in g.edges
         if sums[u] == sums[v]
     )
-
-    classes: dict[int, list[str]] = {}
-    for vid, value in enumerate(sums):
-        classes.setdefault(value, []).append(g.names[vid])
-    color_classes = {v: tuple(sorted(ns)) for v, ns in classes.items()}
-
-    bip = is_bipartite(g)
-    return ColorReport(
-        sums={g.names[i]: sums[i] for i in range(g.n_vertices)},
-        color_classes=color_classes,
-        color_count=len(color_classes),
-        labels_bijective=bijective,
-        label_problems=problems,
-        conflicts=conflicts,
-        local_antimagic=bijective and not conflicts,
-        bipartite=bip is not None,
-        part_sizes=bip.part_sizes if bip else None,
-        balanced_bipartition=bip.balanced if bip else None,
-        total=sum(sums),
-    )
+    return ColorReport(g, tuple(sums), len(set(sums)), bijective, problems, conflicts,
+                       bijective and not conflicts, sum(sums))
 
 
 def check_expected(g: LabeledGraph, expected: ExpectedColors,
@@ -119,24 +141,32 @@ def check_expected(g: LabeledGraph, expected: ExpectedColors,
     """Exact comparison of color values, class sizes and member degrees;
     ``report`` is ``induced_coloring(g)``.  Returns one line per difference,
     so the claim holds exactly when there are none."""
-    degrees = g.degrees()
+    sums, degree = report.id_sums, g.degree
     diffs: list[str] = []
 
     values = expected.values
     if len(set(values)) != len(values):
         diffs.append(f"expected color values are not distinct: {sorted(values)}")
 
-    actual_values = set(report.color_classes)
+    sizes = Counter(sums)
+    # the ids off their value's claimed degree, in one pass; with a repeated
+    # value (a line above) every id is a suspect, checked per class
+    claimed_degree = {cls.value: cls.degree for cls in expected.classes}
+    suspects = (range(len(sums)) if diffs else
+                compress(count(), map(ne, map(claimed_degree.get, sums), degree)))
+    off: dict[int, list[int]] = {}
+    for vid in suspects:
+        off.setdefault(sums[vid], []).append(vid)
     for cls in expected.classes:
-        members = report.color_classes.get(cls.value, ())
-        if len(members) != cls.size:
+        if sizes[cls.value] != cls.size:
             diffs.append(
-                f"color {cls.value}: expected {cls.size} vertices, found {len(members)}")
-        bad_deg = [nm for nm in members if degrees[nm] != cls.degree]
+                f"color {cls.value}: expected {cls.size} vertices, found {sizes[cls.value]}")
+        bad_deg = sorted(g.names[vid] for vid in off.get(cls.value, ())
+                         if degree[vid] != cls.degree)
         if bad_deg:
             diffs.append(
                 f"color {cls.value}: vertices {bad_deg[:4]} do not have degree {cls.degree}")
-    unexpected = sorted(actual_values - set(values))
+    unexpected = sorted(set(sizes) - set(values))
     if unexpected:
         diffs.append(f"unexpected color values {unexpected}")
 
@@ -164,14 +194,17 @@ def two_coloring_impossible(g: LabeledGraph) -> bool:
     such split.  Graphs without edges or that are not bipartite are
     inconclusive.
     """
-    m = g.size
     bip = is_bipartite(g)
-    if m == 0 or bip is None:
-        return False
-    n = g.n_vertices
+    return g.size > 0 and bip is not None and _no_divisor_split(bip.component_parts, g.size)
+
+
+def _no_divisor_split(parts: Sequence[tuple[int, int]], m: int) -> bool:
+    """The lemma's scan for a bipartite graph with m >= 1 edges whose
+    components have the side sizes ``parts``."""
+    n = sum(a + b for a, b in parts)
     half = m * (m + 1) // 2
     sizes = 1  # bit t: flipping sides per component can give |X| = t
-    for a, b in bip.component_parts:
+    for a, b in parts:
         sizes = sizes << a | sizes << b
     return not any(half % big == 0 and half % (n - big) == 0 and sizes >> big & 1
                    for big in range(n // 2 + 1, n))
@@ -181,53 +214,53 @@ def lower_bound(g: LabeledGraph) -> int:
     """Best available lower bound on the local antimagic chromatic number.
 
     Combines chi(g) (exact when the graph is bipartite or has at most
-    ``CHI_EXACT_MAX_VERTICES`` vertices, else the odd-cycle bound 3), the
-    2-coloring gate, and the pendant bound of Arumugam, Premalatha, Baca
-    and Semanicova-Fenovcikova (Local antimagic vertex coloring of a
-    graph, Graphs Combin. 33, 2017): with l >= 1 vertices of degree 1,
-    every local antimagic labeling uses at least l + 1 colors.  Proof: a
-    pendant vertex's sum is the label of its own edge, so the l pendant
-    sums are distinct.  The edge labeled m has an endpoint of degree >= 2
-    (else it is a K2 component, whose two equal sums admit no valid
-    labeling at all), and that endpoint's sum exceeds m, hence every
-    pendant sum.
+    ``CHI_EXACT_MAX_VERTICES`` vertices on an edge, else the odd-cycle
+    bound 3), the 2-coloring gate, and the pendant bound of Arumugam,
+    Premalatha, Baca and Semanicova-Fenovcikova (Local antimagic vertex
+    coloring of a graph, Graphs Combin. 33, 2017): with l >= 1 vertices
+    of degree 1, every local antimagic labeling uses at least l + 1
+    colors.  Proof: a pendant vertex's sum is the label of its own edge,
+    so the l pendant sums are distinct.  The edge labeled m has an
+    endpoint of degree >= 2 (else it is a K2 component, whose two equal
+    sums admit no valid labeling at all), and that endpoint's sum
+    exceeds m, hence every pendant sum.
 
     Isolated vertices are bounded apart: on a graph with edges they all
     have sum 0, below every other sum, and the labelings of g are those
     of g without them, so chi_la(g) is one more than chi_la of the rest.
-    The bound of g is one more than the bound of the rest, whose gate
-    and chi see no isolated vertex.
+    The bound of g is one more than the bound of the rest.  An isolated
+    vertex is a (1, 0) part of g's bipartition, and the gate and the
+    vertex cap of chi count only the other parts and vertices, so g's
+    own BFS bounds the rest too.
     """
     if g.n_vertices == 0:
         return 0
     if g.size == 0:
         return 1
-    degrees = [len(nbrs) for nbrs in g.adjacency]
-    if 0 in degrees:
-        kept = [v for v, d in enumerate(degrees) if d]
-        index = {v: i for i, v in enumerate(kept)}
-        rest = LabeledGraph(tuple(g.names[v] for v in kept),
-                            tuple((index[u], index[v], label) for u, v, label in g.edges))
-        return lower_bound(rest) + 1
-    pendants = degrees.count(1)
+    degree = g.degree
+    isolated = degree.count(0)
+    pendants = degree.count(1)
     bound = pendants + 1 if pendants else 2
-    if is_bipartite(g) is None:
-        small = g.n_vertices <= CHI_EXACT_MAX_VERTICES
-        bound = max(bound, _chromatic_number(g) if small else 3)
-    elif two_coloring_impossible(g):
+    bip = is_bipartite(g)
+    if bip is None:
+        small = g.n_vertices - isolated <= CHI_EXACT_MAX_VERTICES
+        bound = max(bound, _chromatic_number(g) if small else 3)  # chi of the rest
+    elif _no_divisor_split([p for p in bip.component_parts if p != (1, 0)], g.size):
         bound = max(bound, 3)
-    return bound
+    return bound + (isolated > 0)
 
 
 def _chromatic_number(g: LabeledGraph) -> int:
     """Exact chromatic number, by backtracking, of a graph that is not
     bipartite, so 3 or more."""
-    n = g.n_vertices
     adj = g.adjacency
-    order = sorted(range(n), key=lambda v: -len(adj[v]))
+    # isolated vertices never change chi: only the others are colored, so
+    # the recursion takes a frame per vertex on an edge
+    order = sorted((v for v in range(g.n_vertices) if adj[v]), key=lambda v: -len(adj[v]))
+    n = len(order)
 
     def colorable(c: int) -> bool:
-        colors = [0] * n  # 0 = unassigned
+        colors = [0] * g.n_vertices  # 0 = unassigned
 
         def place(idx: int) -> bool:
             if idx == n:

@@ -9,6 +9,13 @@ oracle for the hubs that ``families._fan_units`` makes already split, and
 it finds each vertex by a scan of ``names``.
 ``naive_two_coloring_gate`` is ``verify.two_coloring_impossible``
 with the achievable part sizes as a set, not a bitmask.
+``naive_coloring`` and ``naive_check_expected`` are
+``verify.induced_coloring`` and ``verify.check_expected`` by vertex
+name: every view of the report is built eagerly, the classes as sorted
+names, and the claim is checked class by class against those names and
+degrees read off the adjacency.  ``naive_label_problems`` decides the
+bijection by sorting.  ``schedule_opens`` lists each position's open
+entries of ``search._schedule`` by a scan of every vertex.
 ``fan_units_by_name``, ``nc482_by_name`` and ``prism_units_by_name``
 make the three unit graphs the family builders start from with an edge
 list of vertex names (``helpers.by_name(names, triples)``), where the
@@ -71,6 +78,102 @@ def naive_two_coloring_gate(g: LabeledGraph) -> bool:
     half = m * (m + 1) // 2
     splits = ((big, n - big) for big in sizes if big > n - big >= 1)
     return not any(half % big == 0 and half % small == 0 for big, small in splits)
+
+
+def naive_label_problems(labels, top: int) -> tuple[str, ...]:
+    """``verify.label_problems``, deciding the bijection by a sort."""
+    labels = sorted(labels)
+    if labels == list(range(1, top + 1)):
+        return ()
+    problems = []
+    seen: set[int] = set()
+    for lab in labels:
+        if lab in seen:
+            problems.append(f"label {lab} used more than once")
+        seen.add(lab)
+        if not 1 <= lab <= top:
+            problems.append(f"label {lab} outside [1, {top}]")
+    problems += [f"label {lab} missing" for lab in range(1, top + 1) if lab not in seen]
+    return tuple(problems)
+
+
+def naive_coloring(g: LabeledGraph) -> dict:
+    """Every field and view of ``induced_coloring(g)`` but the graph and
+    the per-id sums, by name."""
+    sums = [0] * g.n_vertices
+    for u, v, label in g.edges:
+        sums[u] += label
+        sums[v] += label
+    problems = naive_label_problems(g.labels(), g.size)
+    conflicts = tuple((g.names[u], g.names[v], sums[u]) for u, v, _ in g.edges
+                      if sums[u] == sums[v])
+    classes: dict[int, list[str]] = {}
+    for vid, value in enumerate(sums):
+        classes.setdefault(value, []).append(g.names[vid])
+    bip = is_bipartite(g)
+    return {
+        "sums": {g.names[i]: sums[i] for i in range(g.n_vertices)},
+        "color_classes": {v: tuple(sorted(ns)) for v, ns in classes.items()},
+        "color_count": len(classes),
+        "labels_bijective": not problems,
+        "label_problems": problems,
+        "conflicts": conflicts,
+        "local_antimagic": not problems and not conflicts,
+        "bipartite": bip is not None,
+        "part_sizes": bip.part_sizes if bip else None,
+        "balanced_bipartition": bip.balanced if bip else None,
+        "total": sum(sums),
+    }
+
+
+def naive_check_expected(g: LabeledGraph, expected, report: dict) -> tuple[str, ...]:
+    """``check_expected(g, expected, ...)`` on ``report = naive_coloring(g)``."""
+    degrees = {g.names[i]: len(nbrs) for i, nbrs in enumerate(g.adjacency)}
+    diffs: list[str] = []
+    values = expected.values
+    if len(set(values)) != len(values):
+        diffs.append(f"expected color values are not distinct: {sorted(values)}")
+    classes = report["color_classes"]
+    for cls in expected.classes:
+        members = classes.get(cls.value, ())
+        if len(members) != cls.size:
+            diffs.append(
+                f"color {cls.value}: expected {cls.size} vertices, found {len(members)}")
+        bad_deg = [nm for nm in members if degrees[nm] != cls.degree]
+        if bad_deg:
+            diffs.append(
+                f"color {cls.value}: vertices {bad_deg[:4]} do not have degree {cls.degree}")
+    unexpected = sorted(set(classes) - set(values))
+    if unexpected:
+        diffs.append(f"unexpected color values {unexpected}")
+    count = report["color_count"]
+    if expected.exact and count != expected.claimed_colors:
+        diffs.append(f"color count {count} != claimed {expected.claimed_colors}")
+    if not expected.exact and count > expected.claimed_colors:
+        diffs.append(f"color count {count} exceeds claimed bound {expected.claimed_colors}")
+    return tuple(diffs)
+
+
+def schedule_opens(g: LabeledGraph, order: list[int]) -> list[tuple]:
+    """Per position t of ``order``, the open entries ``(w, r, finished)``
+    of ``search._schedule``: the edge's endpoints first, then every other
+    vertex with r > 0 edges after t, found by a scan of all n vertices."""
+    n = g.n_vertices
+    adj = g.adjacency
+    last = [-1] * n
+    for t, ei in enumerate(order):
+        u, v, _ = g.edges[ei]
+        last[u] = last[v] = t
+    left = [len(nbrs) for nbrs in adj]
+    out = []
+    for t, ei in enumerate(order):
+        u, v, _ = g.edges[ei]
+        left[u] -= 1
+        left[v] -= 1
+        out.append(tuple((w, left[w], tuple(x for x in adj[w] if last[x] <= t))
+                         for w in (u, v, *(x for x in range(n) if x != u and x != v))
+                         if left[w]))
+    return out
 
 
 def naive_merge(g: LabeledGraph, groups) -> LabeledGraph:

@@ -15,7 +15,7 @@ from hypothesis import strategies as st
 import antimagic.search as search
 from antimagic.cli import main
 from antimagic.document import dumps, graph_to_document, search_to_document, to_dot
-from antimagic.families import build_fb, build_family
+from antimagic.families import FAMILIES, build_fb, build_family
 from antimagic.graph import GraphTooLarge, LabeledEdge, LabeledGraph, is_bipartite, new_graph
 from antimagic.search import (
     STATUS_NO_LABELING,
@@ -25,7 +25,7 @@ from antimagic.search import (
 )
 from antimagic.verify import induced_coloring, lower_bound, two_coloring_impossible
 from helpers import by_name, components
-from oracles import naive_chi_la
+from oracles import naive_chi_la, schedule_opens
 
 
 def path(n, labels=None):
@@ -501,6 +501,25 @@ def test_schedule_entries_match_a_brute_force_recount(g):
             w, r, finished = entry
             assert r == left[w]
             assert sorted(finished) == [x for x in sorted(g.adjacency[w]) if at[x][-1] <= t]
+
+
+def _opens_match_the_full_scan(g):
+    order = search._edge_order(g)
+    plan = search._schedule(g, order, neighbor_masks(g), None)
+    return [step[5] for step in plan] == schedule_opens(g, order)
+
+
+@settings(max_examples=80, deadline=None)
+@given(st.one_of(small_graphs(), symmetric_graphs(), bipartite_graphs(), dense_graphs()))
+def test_schedule_open_entries_match_the_full_scan(g):
+    assert _opens_match_the_full_scan(g)
+
+
+@pytest.mark.parametrize("tag", FAMILIES)
+def test_schedule_open_entries_match_the_full_scan_on_the_families(tag):
+    g = build_family(tag, **FAMILIES[tag][1][0]).graph
+    assert _opens_match_the_full_scan(g)
+    assert _opens_match_the_full_scan(new_graph([*g.names, "iso"], g.edges))
 
 
 def test_isolated_vertices_add_no_automorphisms():

@@ -5,10 +5,13 @@ from __future__ import annotations
 
 from functools import cached_property
 
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from antimagic.families import build_family, build_fb, build_nc482
+from antimagic.cli import _check
+from antimagic.document import report_to_document
+from antimagic.families import FAMILIES, build_family, build_fb, build_nc482
 from antimagic.graph import LabeledGraph, new_graph
 from antimagic.search import chi_la_exact
 from antimagic.verify import (
@@ -18,12 +21,23 @@ from antimagic.verify import (
     _chromatic_number,
     check_expected,
     induced_coloring,
+    label_problems,
     lower_bound,
     two_coloring_impossible,
     vertex_sums,
 )
 from helpers import by_name
-from oracles import naive_chi_la, naive_two_coloring_gate
+from oracles import (
+    naive_check_expected,
+    naive_chi_la,
+    naive_coloring,
+    naive_label_problems,
+    naive_two_coloring_gate,
+)
+
+REPORT_VIEWS = ("sums", "color_classes", "color_count", "labels_bijective", "label_problems",
+                "conflicts", "local_antimagic", "bipartite", "part_sizes",
+                "balanced_bipartition", "total")
 
 
 def test_induced_coloring_fb12():
@@ -73,6 +87,68 @@ def test_check_expected_passes_and_catches_tampering():
     rep = induced_coloring(tampered)
     diffs = check_expected(tampered, built.expected, rep)
     assert diffs or not rep.local_antimagic
+
+
+def test_a_check_builds_no_adjacency_and_runs_no_bfs():
+    # the verdict and the claim check read vertex ids and the degree count;
+    # writing the report derives its bipartition fields, and they build both
+    for tag, (_, grid) in FAMILIES.items():
+        for params in grid:
+            built = build_family(tag, **params)
+            g = built.graph
+            report, problems = _check(g, built.expected)
+            cached = g.__dict__
+            assert problems == []
+            assert "adjacency" not in cached and "_bipartition" not in cached, (tag, params)
+            report_to_document(report)
+            assert "adjacency" in cached and "_bipartition" in cached, (tag, params)
+
+
+def _spoiled(built):
+    """The grid point's graph and claim, then spoilt copies of either."""
+    g, claim = built.graph, built.expected
+    classes = claim.classes
+    edges = list(g.edges)
+    (u0, v0, first), (u1, v1, _), (ul, vl, last) = edges[0], edges[1], edges[-1]
+    swapped = [(u0, v0, last), *edges[1:-1], (ul, vl, first)]
+    repeated = [edges[0], (u1, v1, first), *edges[2:]]
+    extra = ColorClass(max(claim.values) + 1, 1, 1)
+    yield g, claim
+    yield LabeledGraph(g.names, tuple(swapped)), claim
+    yield LabeledGraph(g.names, tuple(repeated)), claim
+    yield g, claim._replace(classes=(classes[0]._replace(size=classes[0].size + 1),
+                                     *classes[1:]))
+    yield g, claim._replace(classes=(*classes[:-1],
+                                     classes[-1]._replace(degree=classes[-1].degree + 1)))
+    yield g, claim._replace(classes=(*classes, extra))
+    yield g, claim._replace(classes=classes[1:])
+    yield g, claim._replace(classes=(classes[0]._replace(degree=0), *classes))
+    yield g, ExpectedColors(classes, len(classes) - 1, exact=False)
+
+
+def test_the_check_matches_the_name_level_oracle_on_spoilt_grid_points():
+    for tag, (_, grid) in FAMILIES.items():
+        for params in grid:
+            for g, claim in _spoiled(build_family(tag, **params)):
+                report, problems = _check(g, claim)
+                views = naive_coloring(g)
+                assert {name: getattr(report, name) for name in REPORT_VIEWS} == views
+                want = [f"conflict: {u} -- {v} both sum to {s}"
+                        for u, v, s in views["conflicts"][:10]]
+                want += [f"labels: {p}" for p in views["label_problems"][:10]]
+                want += [f"expected-colors mismatch: {d}"
+                         for d in naive_check_expected(g, claim, views)]
+                assert problems == want, (tag, params, claim)
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.integers(0, 12).flatmap(lambda top: st.tuples(st.just(top), st.one_of(
+    st.permutations(range(1, top + 1)),
+    st.lists(st.integers(-1, top + 2), max_size=top + 2)))))
+def test_label_problems_match_the_sorting_oracle(case):
+    top, labels = case
+    assert label_problems(labels, top) == naive_label_problems(labels, top)
+    assert label_problems(iter(labels), top) == naive_label_problems(labels, top)
 
 
 def test_check_expected_fails_on_colliding_expectations():
@@ -229,11 +305,24 @@ def test_lower_bound_colors_exactly_up_to_the_vertex_cap():
     # only the odd-cycle bound 3 is taken
     assert lower_bound(k4_with_path(CHI_EXACT_MAX_VERTICES)) == 4
     assert lower_bound(k4_with_path(CHI_EXACT_MAX_VERTICES + 1)) == 3
+    # the cap counts the vertices on an edge: an isolated one adds a color
+    assert lower_bound(_plus_isolated(k4_with_path(CHI_EXACT_MAX_VERTICES))) == 5
 
 
-def test_lower_bound_tests_bipartiteness_once(monkeypatch):
-    # a graph keeps the bipartition its one BFS finds, and lower_bound, its
-    # 2-coloring gate and the search's sides all read it
+def test_many_isolated_vertices_cost_the_coloring_no_depth():
+    # chi is found on the vertices on an edge only, so isolated vertices
+    # past the recursion limit neither raise nor change the bound
+    triangle = by_name(["a", "b", "c"], [("a", "b", 1), ("b", "c", 2), ("a", "c", 3)])
+    for g in (triangle, k4_with_path(8)):
+        crowded = _plus_isolated(g, 1500)
+        assert _chromatic_number(crowded) == _chromatic_number(g)
+        assert lower_bound(crowded) == lower_bound(g) + 1
+        assert chi_la_exact(crowded).chi_la == chi_la_exact(g).chi_la + 1
+
+
+@pytest.fixture
+def bfs_runs(monkeypatch):
+    """The graphs whose bipartition BFS runs, in order."""
     runs = []
     bfs = LabeledGraph.__dict__["_bipartition"]
 
@@ -244,6 +333,13 @@ def test_lower_bound_tests_bipartiteness_once(monkeypatch):
     traced = cached_property(counted)
     traced.__set_name__(LabeledGraph, "_bipartition")
     monkeypatch.setattr(LabeledGraph, "_bipartition", traced)
+    return runs
+
+
+def test_lower_bound_tests_bipartiteness_once(bfs_runs):
+    # a graph keeps the bipartition its one BFS finds, and lower_bound, its
+    # 2-coloring gate and the search's sides all read it
+    runs = bfs_runs
     balanced = build_family("rDF", r=1, s=2).graph
     for g, bound in ((k4_with_path(8), 4), (balanced, 3)):
         assert lower_bound(g) == bound and two_coloring_impossible(g) is (bound == 3)
@@ -253,6 +349,16 @@ def test_lower_bound_tests_bipartiteness_once(monkeypatch):
     g = build_family("Bk", k=1).graph
     assert chi_la_exact(g).chi_la is not None
     assert len(runs) == 1 and runs[0] is g
+
+
+def test_one_bfs_bounds_and_searches_a_graph_with_an_isolated_vertex(bfs_runs):
+    # C4 with a pendant edge and an isolated vertex: the bound of the rest
+    # comes from g's own bipartition, less its (1, 0) part
+    g = by_name(["a", "b", "c", "d", "e", "z"],
+                [("a", "b", 1), ("b", "c", 2), ("c", "d", 3), ("a", "d", 4), ("d", "e", 5)])
+    result = chi_la_exact(g)
+    assert result.chi_la == naive_chi_la(g) and result.lower_bound == lower_bound(g)
+    assert bfs_runs == [g] and bfs_runs[0] is g
 
 
 def test_lower_bound_large_graphs_do_not_raise():
