@@ -16,7 +16,9 @@ only in ways that cannot change the minimum.  It searches in rounds:
   below), so a round that finds nothing proves chi_la > c; every target
   below c has been refuted or lies below ``lower_bound``, so a round
   that finds a labeling proves chi_la = c, and when every round fails
-  chi_la = u with the dive's witness.
+  chi_la = u with the dive's witness.  ``_searcher`` is the setup and
+  the node loop for one edge order, one target per call, and
+  ``chi_la_exact`` decides the targets.
 
 Each pruning rule, with the ``SearchStats`` counter of the partial
 assignments it cuts:
@@ -145,7 +147,7 @@ import itertools
 import math
 import sys
 import time
-from collections.abc import Sequence
+from collections.abc import Callable, Sequence
 from typing import NamedTuple
 
 from .graph import GraphTooLarge, LabeledGraph, is_bipartite
@@ -158,23 +160,24 @@ FRAME_MARGIN = 100  # frames of the recursion limit left to the caller and the s
 STATUS_VALUE = "value"
 STATUS_NO_LABELING = "no_labeling"
 STATUS_TIMEOUT = "timeout"
-# SearchStats' prune counters
-RULES = ("conflict", "color_bound", "symmetry", "reach", "sum_total", "clique")
 
 
 class SearchStats(NamedTuple):
-    nodes: int
-    conflict: int
-    color_bound: int
-    symmetry: int
-    reach: int
-    sum_total: int
-    clique: int
-    elapsed: float
+    nodes: int = 0
+    conflict: int = 0
+    color_bound: int = 0
+    symmetry: int = 0
+    reach: int = 0
+    sum_total: int = 0
+    clique: int = 0
+    elapsed: float = 0.0
 
     @property
     def prunes(self) -> int:
         return sum(getattr(self, rule) for rule in RULES)
+
+
+RULES = SearchStats._fields[1:-1]  # the prune counters, between nodes and elapsed
 
 
 class SearchResult(NamedTuple):
@@ -483,38 +486,22 @@ class _SumSets(dict):
 def check_budget(budget: float | None) -> None:
     """Reject a time budget that is not a positive finite number of
     seconds; ``None`` means unlimited."""
-    if budget is not None and not 0 < budget < math.inf:  # also rejects nan
+    # bool is an int subclass, so compare types; the bounds also reject nan
+    if budget is not None and not (type(budget) in (int, float) and 0 < budget < math.inf):
         raise ValueError(
-            f"search budget must be a positive finite number of seconds, not {budget}")
+            f"search budget must be a positive finite number of seconds, not {budget!r}")
 
 
-def chi_la_exact(
-    g: LabeledGraph,
-    max_edges: int = DEFAULT_MAX_EDGES,
-    budget: float | None = None,
-) -> SearchResult:
-    """Exhaustive minimum color count over all bijective edge labelings.
-
-    Existing labels on g are ignored; only the structure matters.  Returns
-    the minimum with a witness labeling, ``no_labeling`` when no bijection
-    is local antimagic, or ``timeout`` when the budget runs out; a timeout
-    keeps the best witness found, if any, and the best proven lower bound.
-    """
+def _searcher(g: LabeledGraph, order: list[int],
+              deadline: float | None) -> tuple[Callable, Callable]:
+    """The setup and the node loop of the search in the static edge order
+    ``order`` of g's m >= 1 edges; the setup and each node raise
+    ``_Timeout`` past ``deadline``.  Returns two closures:
+    ``attempt(target)``, the color count and the labels per edge id of the
+    first labeling in search order with at most ``target`` colors, or None
+    if there is none; and ``counts()``, the nodes and the prunes of every
+    attempt so far, in ``SearchStats`` order."""
     m = g.size
-    if m > max_edges:
-        raise GraphTooLarge(f"{m} edges exceeds the search's edge cap of {max_edges} (--max-edges)")
-    ceiling = sys.getrecursionlimit() - FRAME_MARGIN
-    # dfs takes a frame per edge, the transversal one per vertex on an edge
-    if max(m, g.n_vertices - g.degree.count(0) - 1) > ceiling:
-        raise GraphTooLarge(f"too deep to search: at most {ceiling} edges on {ceiling + 1} "
-                            f"vertices fit the recursion limit")
-    check_budget(budget)
-    start = time.monotonic()
-    lb = lower_bound(g)
-    if m == 0:
-        return SearchResult(STATUS_VALUE, lb, g, SearchStats(0, 0, 0, 0, 0, 0, 0, 0.0),
-                            lb, lb, budget)
-
     n = g.n_vertices
     iso_extra = 1 if 0 in g.degree else 0
     bip = is_bipartite(g)
@@ -524,14 +511,15 @@ def chi_la_exact(
     side = bip.side if bip else (0,) * n
     share0, share1 = (1, 1) if bip else (2, 0)
     neighbors = [sum(1 << x for x in nbrs) for nbrs in g.adjacency]  # bitmasks
+    plan = _schedule(g, order, neighbors, deadline)
+    sum_sets = _SumSets(max((r for step in plan for _, r, _ in step[5]), default=0), m)
 
     sums = [0] * n
     fin = [0] * n  # per open clique member: the taken sums it can end on
-    assignment = [0] * m
+    assignment = [0] * m  # per position of the order
 
     nodes = conflict = color_bound = symmetry = reach = sum_total = clique = 0
     cap = 0  # most distinct completed sums the current target allows
-    deadline = start + budget if budget is not None else None
     final = m - 1
 
     def dfs(t: int, distinct: int, taken: int, free: int, total: int) -> None:
@@ -641,9 +629,7 @@ def chi_la_exact(
         sums[u] = su
         sums[v] = sv
 
-    def attempt(target: int) -> int | None:
-        """Colors of the first labeling in search order with at most
-        `target` colors, left in `assignment`; None if there is none."""
+    def attempt(target: int) -> tuple[int, list[int]] | None:
         nonlocal cap
         cap = target - iso_extra
         sums[:] = [0] * n  # a search that found a labeling left them set
@@ -651,38 +637,64 @@ def chi_la_exact(
             # bit l set: label l is free; all of 1..m, which add up to m(m+1)/2
             dfs(0, 0, 0, (2 << m) - 2, m * (m + 1) // 2)
         except _Found as found:
-            return found.args[0]
+            return found.args[0], [lab for _, lab in sorted(zip(order, assignment))]
         return None
 
+    def counts() -> tuple[int, ...]:
+        return nodes, conflict, color_bound, symmetry, reach, sum_total, clique
+
+    return attempt, counts
+
+
+def chi_la_exact(
+    g: LabeledGraph,
+    max_edges: int = DEFAULT_MAX_EDGES,
+    budget: float | None = None,
+) -> SearchResult:
+    """Exhaustive minimum color count over all bijective edge labelings.
+
+    Existing labels on g are ignored; only the structure matters.  Returns
+    the minimum with a witness labeling, ``no_labeling`` when no bijection
+    is local antimagic, or ``timeout`` when the budget runs out; a timeout
+    keeps the best witness found, if any, and the best proven lower bound.
+    """
+    m = g.size
+    if m > max_edges:
+        raise GraphTooLarge(f"{m} edges exceeds the search's edge cap of {max_edges} (--max-edges)")
+    ceiling = sys.getrecursionlimit() - FRAME_MARGIN
+    # dfs takes a frame per edge, the transversal one per vertex on an edge
+    if max(m, g.n_vertices - g.degree.count(0) - 1) > ceiling:
+        raise GraphTooLarge(f"too deep to search: at most {ceiling} edges on {ceiling + 1} "
+                            f"vertices fit the recursion limit")
+    check_budget(budget)
+    start = time.monotonic()
+    lb = lower_bound(g)
+    if m == 0:
+        return SearchResult(STATUS_VALUE, lb, g, SearchStats(), lb, lb, budget)
+    deadline = start + budget if budget is not None else None
+
     status = STATUS_VALUE
-    best: tuple[int, list[int]] | None = None  # colors, assignment
-    refuted = lb - 1  # chi_la > refuted is proven
+    best = None  # colors, labels per edge id
+    target = lb  # every target below it is refuted, until a round finds a labeling
+    counts = tuple  # a setup that times out has counted nothing
     try:
-        order = _edge_order(g, deadline)
-        plan = _schedule(g, order, neighbors, deadline)
-        sum_sets = _SumSets(max((r for step in plan for _, r, _ in step[5]), default=0), m)
-        colors = attempt(n)  # the dive: n colors never prune
-        if colors is not None:
-            best = colors, assignment[:]
-            while refuted + 1 < best[0]:
-                colors = attempt(refuted + 1)
-                if colors is not None:
-                    best = colors, assignment[:]
-                    break
-                refuted += 1
+        attempt, counts = _searcher(g, _edge_order(g, deadline), deadline)
+        best = attempt(g.n_vertices)  # the dive: n colors never prune
+        # a round that finds a labeling ends the rounds: it has at most target colors
+        while best is not None and target < best[0]:
+            best = attempt(target) or best
+            target += 1
     except _Timeout:
         status = STATUS_TIMEOUT
 
-    stats = SearchStats(nodes, conflict, color_bound, symmetry, reach, sum_total, clique,
-                        time.monotonic() - start)
-    proven = refuted + 1 if status == STATUS_TIMEOUT else lb
+    stats = SearchStats(*counts(), elapsed=time.monotonic() - start)
+    proven = target if status == STATUS_TIMEOUT else lb
     if best is None:
         if status == STATUS_VALUE:
             status = STATUS_NO_LABELING
         return SearchResult(status, None, None, stats, proven, None, budget)
-    colors, best_assignment = best
-    label_of = dict(zip(order, best_assignment))
+    colors, labels = best
     witness = LabeledGraph(g.names, tuple(
-        (u, v, label_of[ei]) for ei, (u, v, _) in enumerate(g.edges)))
+        (u, v, lab) for (u, v, _), lab in zip(g.edges, labels)))
     chi = colors if status == STATUS_VALUE else None
     return SearchResult(status, chi, witness, stats, proven, colors, budget)

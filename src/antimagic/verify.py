@@ -15,10 +15,11 @@ line.  A ``ColorReport`` keeps the graph and its per-id sums, derives
 its name views (``sums``, ``color_classes``) on first read, and reads
 its bipartition fields (``bipartite``, ``part_sizes``,
 ``balanced_bipartition``) off the graph's kept answer, so a check that
-reads only its verdict builds no adjacency and runs no BFS.  The report's fields, the bound and the gate each ask
-``is_bipartite(g)``, which runs its BFS once per graph and keeps the
-answer on it.  Exact integer arithmetic throughout.  This module only
-computes: ``document.report_to_document`` writes a ``ColorReport``.
+reads only its verdict builds no adjacency and runs no BFS.  The
+report's fields, the bound and the gate each ask ``is_bipartite(g)``,
+which runs its BFS once per graph and keeps the answer on it.  Exact
+integer arithmetic throughout.  This module only computes:
+``document.report_to_document`` writes a ``ColorReport``.
 """
 
 from __future__ import annotations

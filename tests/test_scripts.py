@@ -1,8 +1,8 @@
 """Smoke tests of the scripts under scripts/, run as a user runs them or
 imported, of the README's lists of the scripts and of the search's prune
-rules, of the names the benchmark's tracer looks up in the package, and
-of the package's modules imported one at a time, and of the layers they
-import each other in."""
+rules, of the source's line length, of the names the benchmark's tracer
+looks up in the package, and of the package's modules imported one at a
+time, and of the layers they import each other in."""
 
 from __future__ import annotations
 
@@ -38,6 +38,15 @@ def test_readme_names_every_search_prune_rule():
     # search.RULES order
     rules = re.search(r"the prunes per rule \(([^)]*)\)", _readme()).group(1)
     assert re.findall(r"`(\w+)`", rules) == list(RULES)
+
+
+def test_no_source_line_is_longer_than_100_columns():
+    long = [f"{path.relative_to(ROOT)}:{number}"
+            for folder in ("src", "scripts", "tests")
+            for path in sorted((ROOT / folder).rglob("*.py"))
+            for number, line in enumerate(path.read_text(encoding="utf-8").splitlines(), 1)
+            if len(line) > 100]
+    assert long == []
 
 
 def test_s60_draws_the_baseline_sample(monkeypatch):

@@ -220,6 +220,29 @@ def test_pruned_matches_naive_on_random_graphs(g):
     assert rep.local_antimagic and rep.color_count == naive
 
 
+@settings(max_examples=120, deadline=None)
+@given(small_graphs())
+def test_searcher_answers_any_target_in_any_order(g):
+    # one searcher, asked for targets in an order chi_la_exact never uses:
+    # above every count, then each of 1..n + 1 (below lower_bound too),
+    # then the first target again
+    naive = naive_chi_la(g)
+    n = g.n_vertices
+    attempt, counts = search._searcher(g, search._edge_order(g), None)
+    answers = []
+    for target in (n + 1, *range(1, n + 2), n + 1):
+        found = attempt(target)
+        assert (found is None) == (naive is None or naive > target), target
+        if found is not None:
+            colors, labels = found
+            rep = induced_coloring(LabeledGraph(
+                g.names, tuple((u, v, lab) for (u, v, _), lab in zip(g.edges, labels))))
+            assert rep.local_antimagic and rep.color_count == colors <= target
+        answers.append(found)
+    assert answers[-1] == answers[0]  # the same first labeling, labels and colors
+    assert len(counts()) == len(search.RULES) + 1 and counts()[0] > 0
+
+
 @st.composite
 def connected_graphs(draw):
     """Connected with 9 or 10 edges, past the naive oracle's reach: a
@@ -584,8 +607,10 @@ def test_timeout_reports_the_largest_refuted_target(monkeypatch):
     assert _document(result)["lower_bound"] == 4
 
 
-@pytest.mark.parametrize("budget", [0.0, -1.0, float("nan"), float("inf")])
+@pytest.mark.parametrize("budget", [0.0, -1.0, float("nan"), float("inf"), True, "5"])
 def test_budget_must_be_positive_and_finite(budget):
+    # a bool is an int subclass but no number of seconds, and a string
+    # must not escape as a TypeError from the comparison
     with pytest.raises(ValueError, match="positive finite"):
         chi_la_exact(path(3), budget=budget)
 
