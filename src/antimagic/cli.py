@@ -24,7 +24,7 @@ import sys
 from typing import TextIO
 
 from . import document as doc_mod
-from .families import FAMILIES, build_family
+from .families import FAMILIES, build_family, shared_units
 from .graph import LabeledGraph
 from .matrices import (
     matrix_5x2k,
@@ -216,14 +216,15 @@ def cmd_selftest(args: argparse.Namespace) -> int:
                        "; ".join(f"{c.name}: {c.detail}" for c in rep.failures))
         report(f"{label}=1..{top}", failures == before)
 
-    for tag, (_, grid) in FAMILIES.items():
-        before = failures
-        for params in grid:
-            built = build_family(tag, **params)
-            _, problems = _check(built.graph, built.expected)
-            if problems:
-                report(f"family {tag} {params}", False, "; ".join(problems))
-        report(f"family {tag} ({len(grid)} points)", failures == before)
+    with shared_units():  # families on one grid build their units once
+        for tag, (_, grid) in FAMILIES.items():
+            before = failures
+            for params in grid:
+                built = build_family(tag, **params)
+                _, problems = _check(built.graph, built.expected)
+                if problems:
+                    report(f"family {tag} {params}", False, "; ".join(problems))
+            report(f"family {tag} ({len(grid)} points)", failures == before)
 
     print(f"selftest: {failures} failure(s)")
     return OK if failures == 0 else CHECK_FAILED

@@ -21,11 +21,16 @@ are the units alone.  Two construction pipelines:
   ``sequences_6x4n`` trace labels nC4(8,2) and its merge families G1/G2,
   H1-H3 and Hm(r,s).
 
-The unit generators (``_fan_units``, ``build_nc482``, ``_prism_units``)
+The unit generators (``_fan_units``, ``_nc_units``, ``_prism_units``)
 lay out vertex ids by arithmetic and hand ``new_graph`` int edges; one
 helper per layout (``_fan``, ``_nc``, ``_prism``) gives a unit vertex's
 id, and every merge group names its members by those ids.  Names are
-formatted only for the units' vertices and the fused ones.
+formatted only for the units' vertices and the fused ones.  Their values
+are never mutated (graphs and matrices are immutable, ``_fan_units``' map
+is read-only), so within a ``shared_units()`` block each generator builds
+a parameter point once and every family on that point shares the units.
+Only ``selftest`` opens the block, since it builds many families on one
+grid; outside it nothing is kept, and a single build never asks twice.
 
 ``FAMILIES`` is the one registry: one row per tag, holding its builder
 and its acceptance grid, the parameter points the tests and ``selftest``
@@ -43,9 +48,12 @@ Each claimed color count is the number of claimed classes.
 
 from __future__ import annotations
 
-from functools import partial
+from contextlib import contextmanager
+from contextvars import ContextVar
+from functools import partial, wraps
 from itertools import product
-from typing import Callable, Iterable, Iterator, NamedTuple
+from types import MappingProxyType
+from typing import Callable, Iterable, Iterator, Mapping, NamedTuple
 
 from .graph import LabeledGraph, apply_merge, new_graph
 from .matrices import LabelMatrix, matrix_5x2k, matrix_kx10, sequences_6x4n
@@ -86,6 +94,37 @@ def _block(j: int, s: int) -> range:
     return range((j - 1) * s + 1, j * s + 1)
 
 
+# the open shared_units() block's memo, (generator, *args) -> value
+_SHARED: ContextVar[dict | None] = ContextVar("shared_units", default=None)
+
+
+@contextmanager
+def shared_units() -> Iterator[None]:
+    """Within the block each unit generator builds a parameter point once,
+    and later calls return that value; on exit the memo is dropped."""
+    token = _SHARED.set({})
+    try:
+        yield
+    finally:
+        _SHARED.reset(token)
+
+
+def _shared(generate: Callable) -> Callable:
+    """``generate`` keeping its values per argument tuple while a
+    ``shared_units()`` block is open.  Its arguments are ints and ranges,
+    hashed and compared by value in O(1)."""
+    @wraps(generate)
+    def shared(*args):
+        memo = _SHARED.get()
+        if memo is None:
+            return generate(*args)
+        key = (generate, *args)
+        if key not in memo:
+            memo[key] = generate(*args)
+        return memo[key]
+    return shared
+
+
 # ---------------------------------------------------------------------------
 # fan-blade units (5 x 2k matrix)
 
@@ -96,18 +135,21 @@ def _fan(i: int, role: str) -> int:
     return 4 * i - 4 + "uvwx".index(role)
 
 
-def _fan_units(k: int, split: Iterable[int] = ()
-               ) -> tuple[LabeledGraph, LabelMatrix, dict[int, int]]:
+@_shared
+def _fan_units(k: int, *split: range
+               ) -> tuple[LabeledGraph, LabelMatrix, Mapping[int, int]]:
     """2k disjoint 4-vertex fans; column i labels unit i's five edges.
 
-    Hubs x_i with i in ``split`` come split as the tests' ``split_vertex``
-    oracle leaves them, hub by hub: x_i^1 takes x_i's place and the w_i
-    edge, and x_i^2, appended after all units in ``split`` order, takes the
-    u_i, v_i edges.  Also returns the matrix and the map from each split
-    hub's i to its x_i^2's id.
+    Hubs x_i with i in the ``split`` ranges come split as the tests'
+    ``split_vertex`` oracle leaves them, hub by hub: x_i^1 takes x_i's
+    place and the w_i edge, and x_i^2, appended after all units in
+    ``split`` order, takes the u_i, v_i edges.  Also returns the matrix and
+    the read-only map from each split hub's i to its x_i^2's id.  The
+    values are shared (``shared_units``) and never mutated.
     """
     m = matrix_5x2k(k)
-    split = list(split)  # read after the matrix refuses a k above its cap
+    # read after the matrix refuses a k above its cap
+    split = [i for hubs in split for i in hubs]
     second = {i: 8 * k + p for p, i in enumerate(split)}  # x_i^2's id
     names: list[str] = []
     for i in range(1, 2 * k + 1):
@@ -120,7 +162,7 @@ def _fan_units(k: int, split: Iterable[int] = ()
         x2 = second.get(i, u + 3)
         edges += [(u, u + 2, a), (u + 1, u + 2, b), (u + 2, u + 3, c),
                   (u, x2, d), (u + 1, x2, e)]
-    return new_graph(names, edges), m, second
+    return new_graph(names, edges), m, MappingProxyType(second)
 
 
 def build_fb_units(k: int) -> BuiltFamily:
@@ -191,7 +233,7 @@ def build_rfb(v: int, r: int, s: int) -> BuiltFamily:
                        _expected(classes), warnings=warnings)
 
 
-def _diamond_hubs(r: int, s: int, mirror: int, second: dict[int, int],
+def _diamond_hubs(r: int, s: int, mirror: int, second: Mapping[int, int],
                   fused: Callable[[str, int], str] = "{}_{}".format,
                   ) -> list[tuple[list[int], str]]:
     """Diamond fan j's hubs: y_j fuses the x^1 halves of unit block j with
@@ -269,7 +311,7 @@ def build_dfr(r: int, s: int) -> BuiltFamily:
     two_k = (2 * r + 1) * s
     k = two_k // 2
     middle = _block(r + 1, s)
-    g, _, second = _fan_units(k, (i for i in range(1, two_k + 1) if i not in middle))
+    g, _, second = _fan_units(k, range(1, middle.start), range(middle.stop, two_k + 1))
     g = apply_merge(g, [([_fan(i, "x") for i in middle], "x"),
                         *_diamond_hubs(r, s, 2 * r + 1, second)])
     return BuiltFamily(
@@ -292,12 +334,14 @@ def _nc(a: int, role: str, i: int) -> int:
     return 16 * a - 16 + 8 * "uv".index(role) + i - 1
 
 
-def build_nc482(n: int) -> BuiltFamily:
+@_shared
+def _nc_units(n: int) -> LabeledGraph:
     """n copies of the 8-prism with alternating rungs removed.
 
     Copy a's outer 8-cycle takes sequence a's terms at positions
     1,3,4,6,7,9,10,12; the inner cycle takes sequence n+a likewise; the four
     surviving rungs take positions 2,5,8,11 (shared by both sequences).
+    The value is shared (``shared_units``) and never mutated.
     """
     seqs = sequences_6x4n(n)
     names = [f"{x}_{a}_{i}" for a in range(1, n + 1) for x in "uv" for i in range(1, 9)]
@@ -312,9 +356,13 @@ def build_nc482(n: int) -> BuiltFamily:
                       (v + i, v + i + 1, inner[cycle_pos[i]])]
         edges += [(u, u + 7, outer[cycle_pos[7]]), (v, v + 7, inner[cycle_pos[7]])]
         edges += [(u + i, v + i, outer[p]) for i, p in zip((1, 3, 5, 7), rung_pos)]
-    g = new_graph(names, edges)
+    return new_graph(names, edges)
+
+
+def build_nc482(n: int) -> BuiltFamily:
+    """nC4(8,2): the units alone."""
     return BuiltFamily(
-        "nC482", {"n": n}, g,
+        "nC482", {"n": n}, _nc_units(n),
         _expected([
             (20 * n + 1, 8 * n, 2),
             (30 * n + 1, 4 * n, 3),
@@ -338,7 +386,7 @@ def build_g(v: int, r: int, s: int) -> BuiltFamily:
     _check(r >= 1, "r must be >= 1")
     _check(s >= 2, "s must be >= 2")
     n = r * s
-    g = apply_merge(build_nc482(n).graph, (
+    g = apply_merge(_nc_units(n), (
         ([_nc(c, role, p) for c in _block(b, s)], f"{role.upper()}_{b}_{j}")
         for b in range(1, r + 1) for role, p, j in _G_CORNERS[v]))
     if v == 1:
@@ -365,7 +413,7 @@ def _h_family(tag: str, params: dict, m: int, r: int, s: int, names: str) -> Bui
     in every copy of block b (of s copies) fused across the block into
     x_b_1, x_b_2, y_b_1, y_b_2, with x and y the two letters of ``names``."""
     n = r * s
-    g = apply_merge(build_nc482(n).graph, (
+    g = apply_merge(_nc_units(n), (
         ([_nc(c, role, p) for c in _block(b, s) for role, p in pair], f"{x}_{b}_{j}")
         for b in range(1, r + 1)
         for pair, (x, j) in zip(_H_MERGES[m], product(names, (1, 2)))))
@@ -410,11 +458,13 @@ def _prism(i: int, j: int) -> int:
     return 9 * i - 9 + j - 1
 
 
+@_shared
 def _prism_units(k: int) -> LabeledGraph:
     """k disjoint 8-cycles, each with a spoke vertex x_i joined to u_2 and u_6.
 
     Row i labels unit i: columns 1-8 go around the cycle, columns 9 and 10
-    go on the two spokes.
+    go on the two spokes.  The value is shared (``shared_units``) and
+    never mutated.
     """
     m = matrix_kx10(k)
     names = [f"u_{i}_{j}" if j < 9 else f"x_{i}"

@@ -240,7 +240,7 @@ def fan_units_by_name(k: int, split=()) -> LabeledGraph:
 
 
 def nc482_by_name(n: int) -> LabeledGraph:
-    """``families.build_nc482(n)``'s graph, its edges given by name."""
+    """``families._nc_units(n)``, its edges given by name."""
     seqs = sequences_6x4n(n)
     names = [f"{x}_{a}_{i}" for a in range(1, n + 1) for x in "uv" for i in range(1, 9)]
     cycle_pos = (0, 2, 3, 5, 6, 8, 9, 11)

@@ -17,6 +17,7 @@ from antimagic.families import (
     _fan,
     _fan_units,
     _nc,
+    _nc_units,
     _prism,
     _prism_units,
     build_dfr,
@@ -27,8 +28,9 @@ from antimagic.families import (
     build_nc482,
     build_oddk_h,
     build_rg82,
+    shared_units,
 )
-from antimagic.cli import _check
+from antimagic.cli import _check, main
 from antimagic.verify import induced_coloring
 from helpers import chi_la_is_three, components, disjoint_union, grid_points
 from oracles import fan_units_by_name, nc482_by_name, prism_units_by_name, split_vertex
@@ -395,6 +397,11 @@ def _same_graph(g, oracle):
     assert g.edges == oracle.edges
 
 
+def _hubs(split):
+    """``split`` as the one-hub ranges ``_fan_units`` takes."""
+    return [range(i, i + 1) for i in split]
+
+
 @settings(max_examples=80)
 @given(st.integers(1, 5).flatmap(lambda k: st.tuples(
     st.just(k), st.lists(st.integers(1, 2 * k), unique=True))))
@@ -404,13 +411,13 @@ def test_presplit_fan_units_match_sequential_splits(case):
     for i in split:
         oracle = split_vertex(oracle, f"x_{i}", {f"w_{i}"}, {f"u_{i}", f"v_{i}"},
                               f"x_{i}^1", f"x_{i}^2")
-    _same_graph(_fan_units(k, split)[0], oracle)
+    _same_graph(_fan_units(k, *_hubs(split))[0], oracle)
 
 
 @pytest.mark.parametrize("k", range(1, 9))
 def test_unit_generators_match_the_name_based_oracles(k):
     _same_graph(_fan_units(k)[0], fan_units_by_name(k))
-    _same_graph(build_nc482(k).graph, nc482_by_name(k))
+    _same_graph(_nc_units(k), nc482_by_name(k))
     _same_graph(_prism_units(k), prism_units_by_name(k))
 
 
@@ -419,7 +426,7 @@ def test_unit_generators_match_the_name_based_oracles(k):
     st.just(k), st.lists(st.integers(1, 2 * k), unique=True))))
 def test_split_fan_units_match_the_name_based_oracle(case):
     k, split = case
-    _same_graph(_fan_units(k, split)[0], fan_units_by_name(k, split))
+    _same_graph(_fan_units(k, *_hubs(split))[0], fan_units_by_name(k, split))
 
 
 @pytest.mark.parametrize("tag, params", [
@@ -456,7 +463,7 @@ def test_unit_vertex_ids_name_their_vertices(k):
     fans, _, _ = _fan_units(k)
     assert dict(enumerate(fans.names)) == {
         _fan(i, role): f"{role}_{i}" for i in units for role in "uvwx"}
-    split, _, second = _fan_units(k, reversed(units))
+    split, _, second = _fan_units(k, units[::-1])
     assert dict(enumerate(split.names)) == {
         **{_fan(i, role): f"{role}_{i}" for i in units for role in "uvw"},
         **{_fan(i, "x"): f"x_{i}^1" for i in units},
@@ -464,6 +471,70 @@ def test_unit_vertex_ids_name_their_vertices(k):
     assert dict(enumerate(_prism_units(k).names)) == {
         **{_prism(i, j): f"u_{i}_{j}" for i in range(1, k + 1) for j in range(1, 9)},
         **{_prism(i, 9): f"x_{i}" for i in range(1, k + 1)}}
-    assert dict(enumerate(build_nc482(k).graph.names)) == {
+    assert dict(enumerate(_nc_units(k).names)) == {
         _nc(a, role, i): f"{role}_{a}_{i}"
         for a in range(1, k + 1) for role in "uv" for i in range(1, 9)}
+
+
+def test_fan_units_hub_map_is_read_only():
+    _, _, second = _fan_units(2, range(1, 3))
+    assert dict(second) == {1: 16, 2: 17}
+    with pytest.raises(TypeError):
+        second[1] = 0
+
+
+def _built_fields(built):
+    return (built.tag, built.params, built.graph.names, built.graph.edges,
+            built.expected, built.warnings, built.notes)
+
+
+def test_shared_units_build_every_grid_point_as_outside_a_block():
+    points = [(tag, params) for tag, (_, grid) in FAMILIES.items() for params in grid]
+    with shared_units():
+        inside = [_built_fields(build_family(tag, **params)) for tag, params in points]
+    assert inside == [_built_fields(build_family(tag, **params)) for tag, params in points]
+
+
+UNIT_CALLS = [(_fan_units, (2,)), (_fan_units, (2, range(1, 3), range(4, 5))),
+              (_nc_units, (2,)), (_prism_units, (2,))]
+
+
+@pytest.mark.parametrize("generate, args", UNIT_CALLS)
+def test_unit_generators_share_values_only_inside_a_block(generate, args):
+    assert generate(*args) is not generate(*args)
+    with shared_units():
+        first = generate(*args)
+        assert generate(*args) is first
+        assert generate(args[0] + 1, *args[1:]) is not first  # another point
+    assert generate(*args) is not first and generate(*args) == first
+
+
+def test_shared_units_memo_is_dropped_on_exit_and_on_error():
+    with shared_units():
+        assert families._SHARED.get() == {}
+        _prism_units(1)
+    assert families._SHARED.get() is None
+    with pytest.raises(ParameterError):
+        with shared_units():
+            _prism_units(1)
+            build_family("rFB", r=1, s=2)
+    assert families._SHARED.get() is None
+    assert _prism_units(1) is not _prism_units(1)
+
+
+def test_nested_shared_units_blocks_keep_the_outer_memo():
+    with shared_units():
+        outer = _nc_units(1)
+        with shared_units():
+            inner = _nc_units(1)
+            assert _nc_units(1) is inner and inner == outer
+        assert _nc_units(1) is outer
+    assert families._SHARED.get() is None
+
+
+def test_selftest_twice_in_one_process_prints_the_same(capsys):
+    outs = []
+    for _ in range(2):
+        assert main(["selftest", "--max-param", "1"]) == 0
+        outs.append(capsys.readouterr().out)
+    assert outs[0] == outs[1] and outs[0].endswith("selftest: 0 failure(s)\n")

@@ -2,7 +2,8 @@
 imported, of the README's lists of the scripts and of the search's prune
 rules, of the source's line length, of the names the benchmark's tracer
 looks up in the package, and of the package's modules imported one at a
-time, and of the layers they import each other in."""
+time, of the layers they import each other in, and of the one command
+that shares unit graphs."""
 
 from __future__ import annotations
 
@@ -182,3 +183,35 @@ def test_each_module_imports_only_the_layers_below_it():
     imports = {p.stem: _package_imports(p.read_text(encoding="utf-8"))
                for p in package.glob("*.py") if p.stem != "__init__"}
     assert imports == LAYERS
+
+
+def _callers(source: str, name: str) -> set[str]:
+    """The functions of ``source`` that call ``name``, by name or as an
+    attribute, ``<module>`` for a call outside any function."""
+    found = set()
+
+    def visit(node: ast.AST, scope: str) -> None:
+        for child in ast.iter_child_nodes(node):
+            if isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                visit(child, child.name)
+                continue
+            if isinstance(child, ast.Call):
+                func = child.func
+                if (func.id if isinstance(func, ast.Name)
+                        else getattr(func, "attr", None)) == name:
+                    found.add(scope)
+            visit(child, scope)
+
+    visit(ast.parse(source), "<module>")
+    return found
+
+
+def test_only_selftest_opens_a_shared_units_block():
+    # a single build never asks for a unit point twice, so a memo there
+    # would only keep a dead unit graph alive through the document write
+    assert _callers("def f():\n    with m.shared_units():\n        g()\n"
+                    "shared_units()\n", "shared_units") == {"f", "<module>"}
+    package = ROOT / "src" / "antimagic"
+    callers = {(p.stem, caller) for p in package.glob("*.py")
+               for caller in _callers(p.read_text(encoding="utf-8"), "shared_units")}
+    assert callers == {("cli", "cmd_selftest")}
