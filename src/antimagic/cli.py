@@ -104,7 +104,7 @@ def _check(g: LabeledGraph, expected: ExpectedColors | None) -> tuple[ColorRepor
     problems += [f"labels: {p}" for p in report.label_problems[:10]]
     if expected is not None:
         problems += [f"expected-colors mismatch: {d}"
-                     for d in check_expected(g, expected, report)]
+                     for d in check_expected(expected, report)]
     return report, problems
 
 
@@ -216,7 +216,7 @@ def cmd_selftest(args: argparse.Namespace) -> int:
                        "; ".join(f"{c.name}: {c.detail}" for c in rep.failures))
         report(f"{label}=1..{top}", failures == before)
 
-    with shared_units():  # families on one grid build their units once
+    with shared_units():  # one unit build per point; DFr shares rDF's split fans
         for tag, (_, grid) in FAMILIES.items():
             before = failures
             for params in grid:

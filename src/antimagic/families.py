@@ -14,8 +14,9 @@ pairs of ``_h_family``).  FB_units, nC482, C8_units and OddKH with s = 1
 are the units alone.  Two construction pipelines:
 
 * fan-blade units labeled by ``matrix_5x2k`` feed FB, rFB, FB1/FB2, the
-  diamond-fan families rDF / DFr / DF1-DF4 (from units whose hubs come
-  already split into x_i^1 and x_i^2, merged into the diamond hubs);
+  diamond-fan families rDF / DFr / DF1-DF4 (from units whose hubs all come
+  already split into x_i^1 and x_i^2, merged into the diamond hubs, and
+  for DFr the middle block's halves back into the fan's hub);
 * 8-cycle units labeled by ``matrix_kx10`` feed the C8 units, Bk, kC(8,2),
   kD(8,2), rG(8,2) and the experimental odd-k construction, while the
   ``sequences_6x4n`` trace labels nC4(8,2) and its merge families G1/G2,
@@ -24,10 +25,10 @@ are the units alone.  Two construction pipelines:
 The unit generators (``_fan_units``, ``_nc_units``, ``_prism_units``)
 lay out vertex ids by arithmetic and hand ``new_graph`` int edges; one
 helper per layout (``_fan``, ``_nc``, ``_prism``) gives a unit vertex's
-id, and every merge group names its members by those ids.  Names are
-formatted only for the units' vertices and the fused ones.  Their values
-are never mutated (graphs and matrices are immutable, ``_fan_units``' map
-is read-only), so within a ``shared_units()`` block each generator builds
+id, x_i^2 included, and every merge group names its members by those
+ids.  Names are formatted only for the units' vertices and the fused
+ones.  Their values are never mutated (graphs and matrices are
+immutable), so within a ``shared_units()`` block each generator builds
 a parameter point once and every family on that point shares the units.
 Only ``selftest`` opens the block, since it builds many families on one
 grid; outside it nothing is kept, and a single build never asks twice.
@@ -52,8 +53,7 @@ from contextlib import contextmanager
 from contextvars import ContextVar
 from functools import partial, wraps
 from itertools import product
-from types import MappingProxyType
-from typing import Callable, Iterable, Iterator, Mapping, NamedTuple
+from typing import Callable, Iterable, Iterator, NamedTuple
 
 from .graph import LabeledGraph, apply_merge, new_graph
 from .matrices import LabelMatrix, matrix_5x2k, matrix_kx10, sequences_6x4n
@@ -111,7 +111,7 @@ def shared_units() -> Iterator[None]:
 
 def _shared(generate: Callable) -> Callable:
     """``generate`` keeping its values per argument tuple while a
-    ``shared_units()`` block is open.  Its arguments are ints and ranges,
+    ``shared_units()`` block is open.  Its arguments are ints and bools,
     hashed and compared by value in O(1)."""
     @wraps(generate)
     def shared(*args):
@@ -129,45 +129,41 @@ def _shared(generate: Callable) -> Callable:
 # fan-blade units (5 x 2k matrix)
 
 
-def _fan(i: int, role: str) -> int:
+def _fan(i: int, role: str, k: int = 0) -> int:
     """Id of fan unit i's vertex role_i, role one of u, v, w, x (x_i^1 when
-    the hub comes split); x_i^2's id is in ``_fan_units``' map."""
+    the hubs come split), or of x_i^2 for role x2 among 2k split units."""
+    if role == "x2":
+        return 8 * k + i - 1
     return 4 * i - 4 + "uvwx".index(role)
 
 
 @_shared
-def _fan_units(k: int, *split: range
-               ) -> tuple[LabeledGraph, LabelMatrix, Mapping[int, int]]:
+def _fan_units(k: int, split: bool = False) -> tuple[LabeledGraph, LabelMatrix]:
     """2k disjoint 4-vertex fans; column i labels unit i's five edges.
 
-    Hubs x_i with i in the ``split`` ranges come split as the tests'
-    ``split_vertex`` oracle leaves them, hub by hub: x_i^1 takes x_i's
-    place and the w_i edge, and x_i^2, appended after all units in
-    ``split`` order, takes the u_i, v_i edges.  Also returns the matrix and
-    the read-only map from each split hub's i to its x_i^2's id.  The
-    values are shared (``shared_units``) and never mutated.
+    With ``split`` every hub x_i comes split as the tests' ``split_vertex``
+    oracle leaves it, hub by hub in order: x_i^1 takes x_i's place and the
+    w_i edge, and x_i^2, appended after all units, takes the u_i, v_i
+    edges.  Also returns the matrix.  The values are shared
+    (``shared_units``) and never mutated.
     """
     m = matrix_5x2k(k)
-    # read after the matrix refuses a k above its cap
-    split = [i for hubs in split for i in hubs]
-    second = {i: 8 * k + p for p, i in enumerate(split)}  # x_i^2's id
     names: list[str] = []
     for i in range(1, 2 * k + 1):
-        names += [f"u_{i}", f"v_{i}", f"w_{i}",
-                  f"x_{i}^1" if i in second else f"x_{i}"]
-    names += [f"x_{i}^2" for i in split]
+        names += [f"u_{i}", f"v_{i}", f"w_{i}", f"x_{i}^1" if split else f"x_{i}"]
+    if split:
+        names += [f"x_{i}^2" for i in range(1, 2 * k + 1)]
     edges = []
     for i, (a, b, c, d, e) in enumerate(zip(*m.grid), start=1):
-        u = _fan(i, "u")
-        x2 = second.get(i, u + 3)
+        u, x2 = _fan(i, "u"), _fan(i, "x2" if split else "x", k)
         edges += [(u, u + 2, a), (u + 1, u + 2, b), (u + 2, u + 3, c),
                   (u, x2, d), (u + 1, x2, e)]
-    return new_graph(names, edges), m, MappingProxyType(second)
+    return new_graph(names, edges), m
 
 
 def build_fb_units(k: int) -> BuiltFamily:
     """2k disjoint fan units; hub sums vary per column, u/v/w are constant."""
-    g, m, _ = _fan_units(k)
+    g, m = _fan_units(k)
     classes = [(10 * k + 1, 4 * k, 2), (13 * k + 1, 2 * k, 3)]
     classes += [(sum(col[2:]), 1, 3) for col in zip(*m.grid)]
     return BuiltFamily("FB_units", {"k": k}, g, _expected(classes))
@@ -175,7 +171,7 @@ def build_fb_units(k: int) -> BuiltFamily:
 
 def build_fb(k: int) -> BuiltFamily:
     """Fan with 2k blades: all unit hubs fused into one vertex x."""
-    g, _, _ = _fan_units(k)
+    g, _ = _fan_units(k)
     g = apply_merge(g, [([_fan(i, "x") for i in range(1, 2 * k + 1)], "x")])
     return BuiltFamily(
         "FB", {"k": k}, g,
@@ -210,7 +206,7 @@ def build_rfb(v: int, r: int, s: int) -> BuiltFamily:
     _check(s >= 2 and s % 2 == 0, "s must be even and >= 2")
     _check(r * s >= 4, "rs must be >= 4")
     k = r * s // 2
-    g, _, _ = _fan_units(k)
+    g, _ = _fan_units(k)
     groups = [([_fan(i, "x") for i in units], f"x_{j}")
               for j, units in enumerate(_rfb_component_units(r, s), start=1)]
     classes = [(10 * k + 1, 4 * k, 2), (13 * k + 1, 2 * k, 3),
@@ -233,19 +229,19 @@ def build_rfb(v: int, r: int, s: int) -> BuiltFamily:
                        _expected(classes), warnings=warnings)
 
 
-def _diamond_hubs(r: int, s: int, mirror: int, second: Mapping[int, int],
+def _diamond_hubs(r: int, s: int, mirror: int, k: int,
                   fused: Callable[[str, int], str] = "{}_{}".format,
                   ) -> list[tuple[list[int], str]]:
-    """Diamond fan j's hubs: y_j fuses the x^1 halves of unit block j with
-    the x^2 halves (ids in ``second``) of block mirror+1-j, and z_j the
-    other halves.  Hub h_j goes into the vertex ``fused(h, j)``; hubs given
-    one name fuse."""
+    """Diamond fan j's hubs among 2k split fan units: y_j fuses the x^1
+    halves of unit block j with the x^2 halves of block mirror+1-j, and z_j
+    the other halves.  Hub h_j goes into the vertex ``fused(h, j)``; hubs
+    given one name fuse."""
     hubs: dict[str, list[int]] = {}
     for j in range(1, r + 1):
         front, back = _block(j, s), _block(mirror + 1 - j, s)
         for h, (ones, twos) in (("y", (front, back)), ("z", (back, front))):
             hubs.setdefault(fused(h, j), []).extend(
-                [_fan(i, "x") for i in ones] + [second[i] for i in twos])
+                [_fan(i, "x") for i in ones] + [_fan(i, "x2", k) for i in twos])
     return [(members, name) for name, members in hubs.items()]
 
 
@@ -275,7 +271,7 @@ def build_rdf(v: int, r: int, s: int) -> BuiltFamily:
     _check(r >= 1 and s >= 1, "r and s must be >= 1")
     _check(r * s >= 2, "rs must be >= 2")
     k = r * s
-    g, _, second = _fan_units(k, range(1, 2 * k + 1))
+    g, _ = _fan_units(k, True)
     hub = s * (17 * k + 2)
     classes = [(10 * k + 1, 4 * k, 2), (13 * k + 1, 2 * k, 3), (hub, 2 * r, 3 * s)]
     fused = "{}_{}".format
@@ -299,21 +295,21 @@ def build_rdf(v: int, r: int, s: int) -> BuiltFamily:
     elif v == 4:
         fused = lambda h, j: f"yz_{j if h == 'y' else (j - 2) % r + 1}"
         classes[2] = (2 * hub, r, 6 * s)
-    g = apply_merge(g, [*_diamond_hubs(r, s, 2 * r, second, fused), *across])
+    g = apply_merge(g, [*_diamond_hubs(r, s, 2 * r, k, fused), *across])
     return BuiltFamily(f"DF{v}" if v else "rDF", {"r": r, "s": s}, g,
                        _expected(classes), warnings=warnings)
 
 
 def build_dfr(r: int, s: int) -> BuiltFamily:
-    """r diamond fans plus one s-blade fan; the middle unit block feeds the fan."""
+    """r diamond fans plus one s-blade fan; the middle unit block's hub
+    halves fuse back into the fan's hub x."""
     _check(r >= 1, "r must be >= 1")
     _check(s >= 2 and s % 2 == 0, "s must be even and >= 2")
-    two_k = (2 * r + 1) * s
-    k = two_k // 2
+    k = (2 * r + 1) * s // 2
     middle = _block(r + 1, s)
-    g, _, second = _fan_units(k, range(1, middle.start), range(middle.stop, two_k + 1))
-    g = apply_merge(g, [([_fan(i, "x") for i in middle], "x"),
-                        *_diamond_hubs(r, s, 2 * r + 1, second)])
+    g, _ = _fan_units(k, True)
+    g = apply_merge(g, [([_fan(i, x, k) for i in middle for x in ("x", "x2")], "x"),
+                        *_diamond_hubs(r, s, 2 * r + 1, k)])
     return BuiltFamily(
         "DFr", {"r": r, "s": s}, g,
         _expected([

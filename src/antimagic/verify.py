@@ -137,11 +137,11 @@ def induced_coloring(g: LabeledGraph) -> ColorReport:
                        bijective and not conflicts, sum(sums))
 
 
-def check_expected(g: LabeledGraph, expected: ExpectedColors,
-                   report: ColorReport) -> tuple[str, ...]:
-    """Exact comparison of color values, class sizes and member degrees;
-    ``report`` is ``induced_coloring(g)``.  Returns one line per difference,
-    so the claim holds exactly when there are none."""
+def check_expected(expected: ExpectedColors, report: ColorReport) -> tuple[str, ...]:
+    """Exact comparison of color values, class sizes and member degrees in
+    ``report.graph``, whose ``induced_coloring`` ``report`` is.  Returns one
+    line per difference, so the claim holds exactly when there are none."""
+    g = report.graph
     sums, degree = report.id_sums, g.degree
     diffs: list[str] = []
 

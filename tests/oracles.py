@@ -127,7 +127,8 @@ def naive_coloring(g: LabeledGraph) -> dict:
 
 
 def naive_check_expected(g: LabeledGraph, expected, report: dict) -> tuple[str, ...]:
-    """``check_expected(g, expected, ...)`` on ``report = naive_coloring(g)``."""
+    """``check_expected(expected, induced_coloring(g))``, from the name-level
+    ``report = naive_coloring(g)``."""
     degrees = {g.names[i]: len(nbrs) for i, nbrs in enumerate(g.adjacency)}
     diffs: list[str] = []
     values = expected.values
@@ -224,7 +225,9 @@ def naive_merge(g: LabeledGraph, groups) -> LabeledGraph:
 
 
 def fan_units_by_name(k: int, split=()) -> LabeledGraph:
-    """``families._fan_units(k, split)``'s graph, its edges given by name."""
+    """The fan units with the hubs x_i for i in ``split`` split in that
+    order, their edges given by name: ``families._fan_units(k)``'s graph,
+    and ``_fan_units(k, True)``'s when ``split`` is every hub 1..2k."""
     m = matrix_5x2k(k)
     split = list(split)
     names: list[str] = []

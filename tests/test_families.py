@@ -7,8 +7,6 @@ from collections import Counter
 from functools import partial
 
 import pytest
-from hypothesis import given, settings
-from hypothesis import strategies as st
 
 import antimagic.families as families
 from antimagic.families import (
@@ -397,21 +395,13 @@ def _same_graph(g, oracle):
     assert g.edges == oracle.edges
 
 
-def _hubs(split):
-    """``split`` as the one-hub ranges ``_fan_units`` takes."""
-    return [range(i, i + 1) for i in split]
-
-
-@settings(max_examples=80)
-@given(st.integers(1, 5).flatmap(lambda k: st.tuples(
-    st.just(k), st.lists(st.integers(1, 2 * k), unique=True))))
-def test_presplit_fan_units_match_sequential_splits(case):
-    k, split = case
-    oracle = _fan_units(k)[0]
-    for i in split:
-        oracle = split_vertex(oracle, f"x_{i}", {f"w_{i}"}, {f"u_{i}", f"v_{i}"},
-                              f"x_{i}^1", f"x_{i}^2")
-    _same_graph(_fan_units(k, *_hubs(split))[0], oracle)
+def test_presplit_fan_units_match_sequential_splits():
+    for k in range(1, 9):
+        oracle = _fan_units(k)[0]
+        for i in range(1, 2 * k + 1):
+            oracle = split_vertex(oracle, f"x_{i}", {f"w_{i}"}, {f"u_{i}", f"v_{i}"},
+                                  f"x_{i}^1", f"x_{i}^2")
+        _same_graph(_fan_units(k, True)[0], oracle)
 
 
 @pytest.mark.parametrize("k", range(1, 9))
@@ -421,12 +411,24 @@ def test_unit_generators_match_the_name_based_oracles(k):
     _same_graph(_prism_units(k), prism_units_by_name(k))
 
 
-@settings(max_examples=80, deadline=None)
-@given(st.integers(1, 8).flatmap(lambda k: st.tuples(
-    st.just(k), st.lists(st.integers(1, 2 * k), unique=True))))
-def test_split_fan_units_match_the_name_based_oracle(case):
-    k, split = case
-    _same_graph(_fan_units(k, *_hubs(split))[0], fan_units_by_name(k, split))
+def test_split_fan_units_match_the_name_based_oracle():
+    for k in range(1, 9):
+        _same_graph(_fan_units(k, True)[0], fan_units_by_name(k, range(1, 2 * k + 1)))
+
+
+def _counted(monkeypatch, *names: str) -> Counter:
+    """The calls to each named ``families`` function, counted from now on."""
+    calls: Counter = Counter()
+
+    def counted(name, fn):
+        def wrapper(*args, **kwargs):
+            calls[name] += 1
+            return fn(*args, **kwargs)
+        return wrapper
+
+    for name in names:
+        monkeypatch.setattr(families, name, counted(name, getattr(families, name)))
+    return calls
 
 
 @pytest.mark.parametrize("tag, params", [
@@ -440,19 +442,22 @@ def test_split_fan_units_match_the_name_based_oracle(case):
 def test_fan_builds_make_one_matrix_and_split_nothing(monkeypatch, tag, params):
     # the per-hub split_vertex copies (O(k m)), per-column matrix rebuilds
     # (O(k^2)) and second merges over a built base family must not come back
-    calls: Counter = Counter()
-
-    def counted(name, fn):
-        def wrapper(*args, **kwargs):
-            calls[name] += 1
-            return fn(*args, **kwargs)
-        return wrapper
-
-    for name in ("matrix_5x2k", "split_vertex", "apply_merge"):
-        monkeypatch.setattr(families, name, counted(name, getattr(families, name)))
+    calls = _counted(monkeypatch, "matrix_5x2k", "split_vertex", "apply_merge")
     build_family(tag, **params)
     merges = {"apply_merge": 1} if tag != "FB_units" else {}
     assert calls == {"matrix_5x2k": 1, **merges}
+
+
+def test_dfr_and_df3_share_their_fan_units_at_one_k(monkeypatch):
+    # DFr splits every hub as DF3 does, so at k = 3 both start from one unit graph
+    calls = _counted(monkeypatch, "matrix_5x2k")
+    with shared_units():
+        build_family("DFr", r=1, s=2)
+        build_family("DF3", r=3, s=1)
+    assert calls == {"matrix_5x2k": 1}
+    build_family("DFr", r=1, s=2)
+    build_family("DF3", r=3, s=1)
+    assert calls == {"matrix_5x2k": 3}
 
 
 @pytest.mark.parametrize("k", range(1, 9))
@@ -460,27 +465,20 @@ def test_unit_vertex_ids_name_their_vertices(k):
     # each layout helper gives every vertex of its units, under the name
     # its docstring says, and no other id
     units = range(1, 2 * k + 1)
-    fans, _, _ = _fan_units(k)
+    fans, _ = _fan_units(k)
     assert dict(enumerate(fans.names)) == {
         _fan(i, role): f"{role}_{i}" for i in units for role in "uvwx"}
-    split, _, second = _fan_units(k, units[::-1])
+    split, _ = _fan_units(k, True)
     assert dict(enumerate(split.names)) == {
         **{_fan(i, role): f"{role}_{i}" for i in units for role in "uvw"},
         **{_fan(i, "x"): f"x_{i}^1" for i in units},
-        **{second[i]: f"x_{i}^2" for i in units}}
+        **{_fan(i, "x2", k): f"x_{i}^2" for i in units}}
     assert dict(enumerate(_prism_units(k).names)) == {
         **{_prism(i, j): f"u_{i}_{j}" for i in range(1, k + 1) for j in range(1, 9)},
         **{_prism(i, 9): f"x_{i}" for i in range(1, k + 1)}}
     assert dict(enumerate(_nc_units(k).names)) == {
         _nc(a, role, i): f"{role}_{a}_{i}"
         for a in range(1, k + 1) for role in "uv" for i in range(1, 9)}
-
-
-def test_fan_units_hub_map_is_read_only():
-    _, _, second = _fan_units(2, range(1, 3))
-    assert dict(second) == {1: 16, 2: 17}
-    with pytest.raises(TypeError):
-        second[1] = 0
 
 
 def _built_fields(built):
@@ -495,7 +493,7 @@ def test_shared_units_build_every_grid_point_as_outside_a_block():
     assert inside == [_built_fields(build_family(tag, **params)) for tag, params in points]
 
 
-UNIT_CALLS = [(_fan_units, (2,)), (_fan_units, (2, range(1, 3), range(4, 5))),
+UNIT_CALLS = [(_fan_units, (2,)), (_fan_units, (2, True)),
               (_nc_units, (2,)), (_prism_units, (2,))]
 
 

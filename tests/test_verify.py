@@ -76,8 +76,7 @@ def test_nonbijective_labels_reported():
 
 def test_check_expected_passes_and_catches_tampering():
     built = build_family("rDF", r=3, s=2)
-    assert check_expected(built.graph, built.expected,
-                          induced_coloring(built.graph)) == ()
+    assert check_expected(built.expected, induced_coloring(built.graph)) == ()
     # swap two labels: class table must notice
     edges = list(built.graph.edges)
     (u0, v0, label0), (u1, v1, label1) = edges[0], edges[7]
@@ -85,7 +84,7 @@ def test_check_expected_passes_and_catches_tampering():
     edges[7] = (u1, v1, label0)
     tampered = LabeledGraph(built.graph.names, tuple(edges))
     rep = induced_coloring(tampered)
-    diffs = check_expected(tampered, built.expected, rep)
+    diffs = check_expected(built.expected, rep)
     assert diffs or not rep.local_antimagic
 
 
@@ -155,7 +154,7 @@ def test_check_expected_fails_on_colliding_expectations():
     built = build_fb(1)
     collided = ExpectedColors(
         (ColorClass(11, 4, 2), ColorClass(11, 2, 3), ColorClass(38, 1, 6)), 3)
-    diffs = check_expected(built.graph, collided, induced_coloring(built.graph))
+    diffs = check_expected(collided, induced_coloring(built.graph))
     assert diffs
     assert any("not distinct" in d for d in diffs)
 
@@ -164,12 +163,12 @@ def test_check_expected_degree_mismatch_detected():
     built = build_fb(1)
     wrong_degree = ExpectedColors(
         (ColorClass(11, 4, 3), ColorClass(14, 2, 3), ColorClass(38, 1, 6)), 3)
-    diffs = check_expected(built.graph, wrong_degree, induced_coloring(built.graph))
+    diffs = check_expected(wrong_degree, induced_coloring(built.graph))
     assert diffs and any("degree" in d for d in diffs)
     # a bound claim (exact=False) of 2 colors, where FB_1 has 3
     bound = ExpectedColors(
         (ColorClass(11, 4, 2), ColorClass(14, 2, 3), ColorClass(38, 1, 6)), 2, exact=False)
-    diffs = check_expected(built.graph, bound, induced_coloring(built.graph))
+    diffs = check_expected(bound, induced_coloring(built.graph))
     assert diffs == ("color count 3 exceeds claimed bound 2",)
 
 
