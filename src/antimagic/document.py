@@ -29,6 +29,7 @@ import json
 from json.encoder import encode_basestring_ascii as _quote
 from typing import Iterable
 
+from . import graph
 from .families import BuiltFamily
 from .graph import GraphError, LabeledGraph, new_graph
 from .matrices import LabelMatrix
@@ -97,18 +98,25 @@ def built_to_document(built: BuiltFamily,
 
 
 def report_to_document(report: ColorReport) -> dict:
-    """The verification report of ``verify`` and ``build --verify``."""
+    """The verification report of ``verify`` and ``build --verify``.  Its
+    sums and classes are keyed by the graph's names, and its three
+    bipartition keys read the graph's one ``Bipartition``."""
+    names = report.graph.names
+    classes: dict[int, list[str]] = {}
+    for name, value in zip(names, report.id_sums):
+        classes.setdefault(value, []).append(name)
+    bip = graph.is_bipartite(report.graph)  # via the module: bench/'s tracer wraps it there
     return {
-        "sums": report.sums,
-        "classes": {str(v): list(names) for v, names in report.color_classes.items()},
+        "sums": dict(zip(names, report.id_sums)),
+        "classes": {str(v): sorted(ns) for v, ns in classes.items()},
         "color_count": report.color_count,
         "labels_bijective": report.labels_bijective,
         "label_problems": list(report.label_problems),
         "conflicts": [{"u": u, "v": v, "sum": s} for u, v, s in report.conflicts],
         "local_antimagic": report.local_antimagic,
-        "bipartite": report.bipartite,
-        "part_sizes": list(report.part_sizes) if report.part_sizes else None,
-        "balanced_bipartition": report.balanced_bipartition,
+        "bipartite": bip is not None,
+        "part_sizes": None if bip is None else list(bip.part_sizes),
+        "balanced_bipartition": None if bip is None else bip.balanced,
         "total": report.total,
     }
 

@@ -654,16 +654,12 @@ FAMILIES: dict[str, tuple[Callable[..., BuiltFamily], tuple[dict, ...]]] = {
 _TAG_LOOKUP = {tag.lower().replace("-", "_"): tag for tag in FAMILIES}
 
 
-def resolve_tag(tag: str) -> str:
+def build_family(tag: str, **params: int) -> BuiltFamily:
     key = tag.lower().replace("-", "_")
     if key not in _TAG_LOOKUP:
         raise ParameterError(
             f"unknown family {tag!r}; known: {', '.join(sorted(FAMILIES))}")
-    return _TAG_LOOKUP[key]
-
-
-def build_family(tag: str, **params: int) -> BuiltFamily:
-    tag = resolve_tag(tag)
+    tag = _TAG_LOOKUP[key]
     build, grid = FAMILIES[tag]
     names = tuple(grid[0])
     missing = [p for p in names if p not in params]

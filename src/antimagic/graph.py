@@ -21,9 +21,10 @@ other modules read (``adjacency``, ``degree``, ``degrees()`` by name,
 ``labels()``).  The one surgery is ``apply_merge``, which fuses groups
 of vertex ids and which every merged family uses; the tests keep a
 ``split_vertex`` oracle.  ``is_bipartite`` runs its BFS once per graph:
-the verifier's report, its lower bound and 2-coloring gate, and the
-search's ``sum_total`` cut all read the one answer the graph keeps, and
-only the report's bipartition fields ask for it when a graph is checked.
+the written report's bipartition fields, the verifier's lower bound and
+2-coloring gate, and the search's ``sum_total`` cut all read the one
+answer the graph keeps; checking a graph never asks for it, and only
+writing its report does.
 Every operation is pure: it validates its inputs and returns a new graph.
 Edge labels stay attached to their edges through merges, so a bijective
 labeling survives any sequence of them.  Values are safe to share across

@@ -11,21 +11,19 @@ most ``CHI_EXACT_MAX_VERTICES`` vertices, and taken as 3 above that.
 The verdict and the claim check work on vertex ids: the per-id sums,
 their distinct count, the label bijection, the conflicting pairs and
 the graph's one degree count.  A name is formatted only for a failing
-line.  A ``ColorReport`` keeps the graph and its per-id sums, derives
-its name views (``sums``, ``color_classes``) on first read, and reads
-its bipartition fields (``bipartite``, ``part_sizes``,
-``balanced_bipartition``) off the graph's kept answer, so a check that
-reads only its verdict builds no adjacency and runs no BFS.  The
-report's fields, the bound and the gate each ask ``is_bipartite(g)``,
-which runs its BFS once per graph and keeps the answer on it.  Exact
-integer arithmetic throughout.  This module only computes:
-``document.report_to_document`` writes a ``ColorReport``.
+line.  A ``ColorReport`` is a plain record of those id-level facts
+and the graph they belong to; it holds no name view and no bipartition,
+so a check builds no adjacency and runs no BFS.  The bound and the gate
+each ask ``is_bipartite(g)``, which runs its BFS once per graph and
+keeps the answer on it.  Exact integer arithmetic throughout.  This
+module only computes: ``document.report_to_document`` writes a
+``ColorReport``, and derives from it every name-keyed and bipartition
+field it writes.
 """
 
 from __future__ import annotations
 
 from collections import Counter
-from functools import cached_property
 from itertools import compress, count
 from operator import ne
 from typing import Iterable, NamedTuple, Sequence
@@ -51,7 +49,7 @@ class ExpectedColors(NamedTuple):
         return tuple(c.value for c in self.classes)
 
 
-class _ReportFields(NamedTuple):
+class ColorReport(NamedTuple):
     graph: LabeledGraph
     id_sums: tuple[int, ...]  # induced sum per vertex id
     color_count: int
@@ -60,35 +58,6 @@ class _ReportFields(NamedTuple):
     conflicts: tuple[tuple[str, str, int], ...]  # adjacent pair, shared sum
     local_antimagic: bool
     total: int  # sum of induced values; m(m+1) for bijective labelings
-
-
-class ColorReport(_ReportFields):
-    # no __slots__: the instance __dict__ holds the name views derived on first read
-
-    @cached_property
-    def sums(self) -> dict[str, int]:
-        return dict(zip(self.graph.names, self.id_sums))
-
-    @cached_property
-    def color_classes(self) -> dict[int, tuple[str, ...]]:
-        classes: dict[int, list[str]] = {}
-        for name, value in zip(self.graph.names, self.id_sums):
-            classes.setdefault(value, []).append(name)
-        return {v: tuple(sorted(ns)) for v, ns in classes.items()}
-
-    @property
-    def bipartite(self) -> bool:
-        return is_bipartite(self.graph) is not None
-
-    @property
-    def part_sizes(self) -> tuple[int, int] | None:
-        bip = is_bipartite(self.graph)
-        return bip.part_sizes if bip else None
-
-    @property
-    def balanced_bipartition(self) -> bool | None:
-        bip = is_bipartite(self.graph)
-        return bip.balanced if bip else None
 
 
 def vertex_sums(g: LabeledGraph) -> list[int]:
@@ -122,8 +91,7 @@ def label_problems(labels: Iterable[int], top: int) -> tuple[str, ...]:
 
 
 def induced_coloring(g: LabeledGraph) -> ColorReport:
-    """Induced vertex sums and the local-antimagic verdict, from vertex ids;
-    the report derives its name views and bipartition fields when read."""
+    """Induced vertex sums and the local-antimagic verdict, from vertex ids."""
     sums = vertex_sums(g)
     problems = label_problems(g.labels(), g.size)
     bijective = not problems

@@ -11,11 +11,14 @@ it finds each vertex by a scan of ``names``.
 with the achievable part sizes as a set, not a bitmask.
 ``naive_coloring`` and ``naive_check_expected`` are
 ``verify.induced_coloring`` and ``verify.check_expected`` by vertex
-name: every view of the report is built eagerly, the classes as sorted
-names, and the claim is checked class by class against those names and
-degrees read off the adjacency.  ``naive_label_problems`` decides the
-bijection by sorting.  ``schedule_opens`` lists each position's open
-entries of ``search._schedule`` by a scan of every vertex.
+name: the report's fields and every view that
+``document.report_to_document`` derives are built together, the classes
+as sorted names, and the claim is checked class by class against those
+names and degrees read off the adjacency.  ``naive_report_document``
+writes those views as the report document, key by key.
+``naive_label_problems`` decides the bijection by sorting.
+``schedule_opens`` lists each position's open entries of
+``search._schedule`` by a scan of every vertex.
 ``fan_units_by_name``, ``nc482_by_name`` and ``prism_units_by_name``
 make the three unit graphs the family builders start from with an edge
 list of vertex names (``helpers.by_name(names, triples)``), where the
@@ -98,8 +101,10 @@ def naive_label_problems(labels, top: int) -> tuple[str, ...]:
 
 
 def naive_coloring(g: LabeledGraph) -> dict:
-    """Every field and view of ``induced_coloring(g)`` but the graph and
-    the per-id sums, by name."""
+    """The id-level fields of ``induced_coloring(g)`` but the graph and the
+    per-id sums, and, by name, the views that ``report_to_document`` writes
+    of it: the sums and classes keyed by name, and the three bipartition
+    fields of ``g``'s ``Bipartition``."""
     sums = [0] * g.n_vertices
     for u, v, label in g.edges:
         sums[u] += label
@@ -123,6 +128,25 @@ def naive_coloring(g: LabeledGraph) -> dict:
         "part_sizes": bip.part_sizes if bip else None,
         "balanced_bipartition": bip.balanced if bip else None,
         "total": sum(sums),
+    }
+
+
+def naive_report_document(views: dict) -> dict:
+    """``report_to_document(induced_coloring(g))`` as plain JSON values, for
+    ``views = naive_coloring(g)``."""
+    part_sizes = views["part_sizes"]
+    return {
+        "sums": views["sums"],
+        "classes": {str(v): list(ns) for v, ns in views["color_classes"].items()},
+        "color_count": views["color_count"],
+        "labels_bijective": views["labels_bijective"],
+        "label_problems": list(views["label_problems"]),
+        "conflicts": [{"u": u, "v": v, "sum": s} for u, v, s in views["conflicts"]],
+        "local_antimagic": views["local_antimagic"],
+        "bipartite": views["bipartite"],
+        "part_sizes": None if part_sizes is None else list(part_sizes),
+        "balanced_bipartition": views["balanced_bipartition"],
+        "total": views["total"],
     }
 
 

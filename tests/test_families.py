@@ -29,13 +29,14 @@ from antimagic.families import (
     shared_units,
 )
 from antimagic.cli import _check, main
+from antimagic.document import report_to_document
 from antimagic.verify import induced_coloring
 from helpers import chi_la_is_three, components, disjoint_union, grid_points
 from oracles import fan_units_by_name, nc482_by_name, prism_units_by_name, split_vertex
 
 
 def sums_of(g):
-    return induced_coloring(g).sums
+    return report_to_document(induced_coloring(g))["sums"]
 
 
 def test_fb_units_k1_hub_sums():
@@ -111,9 +112,9 @@ def test_rdf_example_colors_and_structure():
     b = build_family("rDF", r=3, s=2)
     g = b.graph
     assert len(components(g)) == 3
-    rep = induced_coloring(g)
-    assert sorted(rep.color_classes) == [61, 79, 208]
-    assert [len(rep.color_classes[v]) for v in (61, 79, 208)] == [24, 12, 6]
+    sizes = Counter(induced_coloring(g).id_sums)
+    assert sorted(sizes) == [61, 79, 208]
+    assert [sizes[v] for v in (61, 79, 208)] == [24, 12, 6]
     deg = Counter(g.degrees().values())
     # per diamond fan: 4s degree-2, 2s degree-3, 2 hubs of degree 3s
     assert deg == {2: 24, 3: 12, 6: 6}
@@ -176,7 +177,7 @@ def test_nc482_sums():
     b6 = build_nc482(6)
     rep = induced_coloring(b6.graph)
     assert rep.local_antimagic
-    assert sorted(rep.color_classes) == [121, 181, 182]
+    assert sorted(Counter(rep.id_sums)) == [121, 181, 182]
 
 
 def test_nc482_adjacent_degree3_pairs_alternate():
@@ -270,14 +271,14 @@ def test_oddk_h_matches_its_claim():
     b = build_oddk_h(1, 3)  # k = 3
     rep = induced_coloring(b.graph)
     assert rep.local_antimagic
-    assert sorted(rep.color_classes) == sorted([31, 40, 2 * 53 + 55, 2 * 53 + 20])
+    assert sorted(Counter(rep.id_sums)) == sorted([31, 40, 2 * 53 + 55, 2 * 53 + 20])
     assert any("match" in note for note in b.notes)
     # merges never change labels, so the bijection survives
     assert sorted(b.graph.labels()) == list(range(1, 31))
     b = build_oddk_h(3, 1)  # s = 1 degenerates to the plain units
     rep = induced_coloring(b.graph)
     assert rep.local_antimagic
-    assert sorted(rep.color_classes) == [20, 31, 40, 55]
+    assert sorted(Counter(rep.id_sums)) == [20, 31, 40, 55]
 
 
 def test_oddk_h_notes_a_failed_post_hoc_check(monkeypatch):

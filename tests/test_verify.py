@@ -3,20 +3,24 @@ gate, and lower bounds."""
 
 from __future__ import annotations
 
+import json
+from collections import Counter
 from functools import cached_property
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+import antimagic.graph as graph_module
 from antimagic.cli import _check
-from antimagic.document import report_to_document
+from antimagic.document import dumps, report_to_document
 from antimagic.families import FAMILIES, build_family, build_fb, build_nc482
-from antimagic.graph import LabeledGraph, new_graph
+from antimagic.graph import LabeledGraph, is_bipartite, new_graph
 from antimagic.search import chi_la_exact
 from antimagic.verify import (
     CHI_EXACT_MAX_VERTICES,
     ColorClass,
+    ColorReport,
     ExpectedColors,
     _chromatic_number,
     check_expected,
@@ -32,27 +36,54 @@ from oracles import (
     naive_chi_la,
     naive_coloring,
     naive_label_problems,
+    naive_report_document,
     naive_two_coloring_gate,
 )
 
-REPORT_VIEWS = ("sums", "color_classes", "color_count", "labels_bijective", "label_problems",
-                "conflicts", "local_antimagic", "bipartite", "part_sizes",
-                "balanced_bipartition", "total")
+ID_FIELDS = ("color_count", "labels_bijective", "label_problems", "conflicts",
+             "local_antimagic", "total")
+# the keys that report_to_document derives from the graph, not copies from the report
+DERIVED_KEYS = ("sums", "classes", "bipartite", "part_sizes", "balanced_bipartition")
 
 
 def test_induced_coloring_fb12():
     rep = induced_coloring(build_fb(6).graph)
     assert rep.local_antimagic
-    assert sorted(rep.color_classes) == [61, 79, 1248]
-    assert [len(rep.color_classes[v]) for v in (61, 79, 1248)] == [24, 12, 1]
+    sizes = Counter(rep.id_sums)
+    assert sorted(sizes) == [61, 79, 1248]
+    assert [sizes[v] for v in (61, 79, 1248)] == [24, 12, 1]
     assert rep.total == 60 * 61  # m(m+1) for a bijective labeling
 
 
 def test_vertex_sums_match_the_report():
     g = build_family("rDF", r=2, s=2).graph
     sums = vertex_sums(g)
-    assert sums == [induced_coloring(g).sums[nm] for nm in g.names]
+    assert sums == [report_to_document(induced_coloring(g))["sums"][nm] for nm in g.names]
     assert sum(sums) == g.size * (g.size + 1)
+
+
+def test_a_report_is_a_plain_record():
+    rep = induced_coloring(build_fb(1).graph)
+    assert not hasattr(rep, "__dict__")
+    assert ColorReport._fields == ("graph", "id_sums", "color_count", "labels_bijective",
+                                   "label_problems", "conflicts", "local_antimagic", "total")
+
+
+def test_writing_a_report_asks_for_the_bipartition_once(monkeypatch):
+    # all three bipartition keys read one answer, asked of the graph module
+    # at call time, where the benchmark's tracer wraps it
+    asked = []
+
+    def counted(g):
+        asked.append(g)
+        return is_bipartite(g)
+
+    monkeypatch.setattr(graph_module, "is_bipartite", counted)
+    triangle = by_name(["a", "b", "c"], [("a", "b", 1), ("b", "c", 2), ("a", "c", 3)])
+    for g in (build_family("rDF", r=3, s=2).graph, triangle, new_graph([], [])):
+        report_to_document(induced_coloring(g))
+        assert asked == [g]
+        asked.clear()
 
 
 def test_single_edge_is_never_local_antimagic():
@@ -131,13 +162,45 @@ def test_the_check_matches_the_name_level_oracle_on_spoilt_grid_points():
             for g, claim in _spoiled(build_family(tag, **params)):
                 report, problems = _check(g, claim)
                 views = naive_coloring(g)
-                assert {name: getattr(report, name) for name in REPORT_VIEWS} == views
+                assert [getattr(report, f) for f in ID_FIELDS] == [views[f] for f in ID_FIELDS]
+                written, oracle = report_to_document(report), naive_report_document(views)
+                assert [written[k] for k in DERIVED_KEYS] == [oracle[k] for k in DERIVED_KEYS]
                 want = [f"conflict: {u} -- {v} both sum to {s}"
                         for u, v, s in views["conflicts"][:10]]
                 want += [f"labels: {p}" for p in views["label_problems"][:10]]
                 want += [f"expected-colors mismatch: {d}"
                          for d in naive_check_expected(g, claim, views)]
                 assert problems == want, (tag, params, claim)
+
+
+@st.composite
+def report_graphs(draw):
+    """Up to 7 vertices with names to quote: maybe an odd cycle on the
+    first ids, any other pairs, isolated vertices, labels bijective or
+    not, or no vertex at all."""
+    n = draw(st.integers(0, 7))
+    names = draw(st.lists(st.text('ab"\\\u00e9', min_size=1, max_size=3),
+                          min_size=n, max_size=n, unique=True))
+    odd = draw(st.sampled_from([0, *range(3, n + 1, 2)]))
+    cycle = [(i, i + 1) for i in range(odd - 1)] + [(0, odd - 1)] * (odd > 0)
+    pairs = [(i, j) for i in range(n) for j in range(i + 1, n)]
+    extra = draw(st.lists(st.sampled_from(pairs), unique=True)) if pairs else []
+    chosen = list(dict.fromkeys(cycle + extra))
+    m = len(chosen)
+    labels = draw(st.one_of(st.permutations(range(1, m + 1)),
+                            st.lists(st.integers(1, m + 2), min_size=m, max_size=m)))
+    return new_graph(names, [(u, v, lab) for (u, v), lab in zip(chosen, labels)])
+
+
+@settings(max_examples=200, deadline=None)
+@given(report_graphs())
+@example(new_graph([], []))
+@example(new_graph(["a", "b"], []))
+def test_the_written_report_matches_the_name_level_oracle(g):
+    # odd cycles write part_sizes null, the empty graph [0, 0]
+    want = naive_report_document(naive_coloring(g))
+    assert dumps(report_to_document(induced_coloring(g))) == \
+        json.dumps(want, indent=2, sort_keys=True) + "\n"
 
 
 @settings(max_examples=300, deadline=None)
@@ -377,8 +440,8 @@ def test_transposition_changes_at_most_four_sums(data):
     edges[i] = (ui, vi, label_j)
     edges[j] = (uj, vj, label_i)
     swapped = LabeledGraph(g.names, tuple(edges))
-    before = induced_coloring(g).sums
-    after = induced_coloring(swapped).sums
+    before = report_to_document(induced_coloring(g))["sums"]
+    after = report_to_document(induced_coloring(swapped))["sums"]
     changed = {nm for nm in before if before[nm] != after[nm]}
     assert len(changed) <= 4
     touched = {g.names[v] for v in (ui, vi, uj, vj)}
