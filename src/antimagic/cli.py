@@ -47,7 +47,8 @@ BUDGET_ENV_VAR = "ANTIMAGIC_SEARCH_BUDGET"  # seconds; search's default budget
 # characters, all ASCII.
 MAX_DOCUMENT_CHARS = 200_000_000
 READ_CHUNK_CHARS = 1 << 16  # a document is read this many characters at a time
-_BUILD_PARAMS = ("k", "n", "r", "s", "m")  # build's parameter flags, --k ... --m
+# build's parameter flags, one per parameter name of the registry's grids
+_BUILD_PARAMS = tuple(dict.fromkeys(p for _, grid in FAMILIES.values() for p in grid[0]))
 
 
 def _emit(text: str, out: str | None) -> None:

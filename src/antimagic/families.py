@@ -1,10 +1,11 @@
 """Graph families with their bijective edge labelings and claimed colorings.
 
-Every builder returns a :class:`BuiltFamily` holding the labeled graph and
-the exact coloring it is supposed to induce (color values, class sizes and
-degrees), so tests and the CLI can check claims without re-deriving any
-formula.  The verifier recomputes everything from the edge list and never
-trusts these expectations.
+``build_family(tag, **params)`` is the one entry point: it returns a
+:class:`BuiltFamily` holding the tag, the parameters, the labeled graph
+and the exact coloring it is supposed to induce (color values, class
+sizes and degrees), so tests and the CLI can check claims without
+re-deriving any formula.  The verifier recomputes everything from the
+edge list and never trusts these expectations.
 
 Every family starts from disjoint units labeled from one matrix; most
 then fuse vertex groups in one ``apply_merge`` call, each fusion pattern
@@ -33,17 +34,19 @@ a parameter point once and every family on that point shares the units.
 Only ``selftest`` opens the block, since it builds many families on one
 grid; outside it nothing is kept, and a single build never asks twice.
 
-``FAMILIES`` is the one registry: one row per tag, holding its builder
-and its acceptance grid, the parameter points the tests and ``selftest``
-verify.  Families that share a construction and differ only in data
-share one builder, registered per tag through ``partial``: ``build_rfb``
-(rFB, FB1, FB2), ``build_rdf`` (rDF, DF1-DF4), ``build_g`` (G1, G2),
-``build_h`` (H1-H3) and ``build_c8`` (C8_units, Bk, kC82, kD82, each
-row binding its fusion and claim); families built alike share one grid.  H_m(n) is
-H_m(rs) at s = 1, so ``build_h`` and ``build_hm_rs`` keep their own
-parameters and checks and share one body, ``_h_family``.
-``build_family`` takes the parameter names, in order, from the first
-point of the tag's grid.
+``FAMILIES`` is the one registry: one row per tag, holding its private
+builder and its acceptance grid, the parameter points the tests and
+``selftest`` verify.  A builder returns the graph and its claim, then
+its warnings and notes where it has any; ``build_family`` checks the
+parameter names against the first point of the tag's grid and stamps
+the tag and the parameters.  Families that share a construction and
+differ only in data share one builder, registered per tag through
+``partial``: ``_build_rfb`` (rFB, FB1, FB2), ``_build_rdf`` (rDF,
+DF1-DF4), ``_build_g`` (G1, G2), ``_build_h`` (H1-H3) and ``_build_c8``
+(C8_units, Bk, kC82, kD82, each row binding its fusion and claim);
+families built alike share one grid.  H_m(n) is H_m(rs) at s = 1, so
+``_build_h`` and ``_build_hm_rs`` keep their own parameters and share
+one body, ``_h_family``; only H_m(rs) checks m, which the user types.
 Each claimed color count is the number of claimed classes.
 """
 
@@ -161,26 +164,23 @@ def _fan_units(k: int, split: bool = False) -> tuple[LabeledGraph, LabelMatrix]:
     return new_graph(names, edges), m
 
 
-def build_fb_units(k: int) -> BuiltFamily:
+def _build_fb_units(k: int) -> tuple:
     """2k disjoint fan units; hub sums vary per column, u/v/w are constant."""
     g, m = _fan_units(k)
     classes = [(10 * k + 1, 4 * k, 2), (13 * k + 1, 2 * k, 3)]
     classes += [(sum(col[2:]), 1, 3) for col in zip(*m.grid)]
-    return BuiltFamily("FB_units", {"k": k}, g, _expected(classes))
+    return g, _expected(classes)
 
 
-def build_fb(k: int) -> BuiltFamily:
+def _build_fb(k: int) -> tuple:
     """Fan with 2k blades: all unit hubs fused into one vertex x."""
     g, _ = _fan_units(k)
     g = apply_merge(g, [([_fan(i, "x") for i in range(1, 2 * k + 1)], "x")])
-    return BuiltFamily(
-        "FB", {"k": k}, g,
-        _expected([
-            (10 * k + 1, 4 * k, 2),
-            (13 * k + 1, 2 * k, 3),
-            (k * (34 * k + 4), 1, 6 * k),
-        ]),
-    )
+    return g, _expected([
+        (10 * k + 1, 4 * k, 2),
+        (13 * k + 1, 2 * k, 3),
+        (k * (34 * k + 4), 1, 6 * k),
+    ])
 
 
 def _rfb_component_units(r: int, s: int) -> list[list[int]]:
@@ -196,7 +196,7 @@ def _across_components(r: int, s: int, roles: str) -> Iterator[tuple[list[int], 
             yield [_fan(i, role) for i in units], f"{role}_{j}"
 
 
-def build_rfb(v: int, r: int, s: int) -> BuiltFamily:
+def _build_rfb(v: int, r: int, s: int) -> tuple:
     """r disjoint fans with s blades each; hubs fuse mirrored column pairs.
 
     Variant 0 is rFB(s); FB1 also fuses the degree-2 tips across
@@ -224,9 +224,7 @@ def build_rfb(v: int, r: int, s: int) -> BuiltFamily:
         if (r * s) % 4 == 0:
             warnings = (f"rs = {r * s} is divisible by 4: distinctness of "
                         f"{r}*(13k+1) and s*(17k+2) is not guaranteed",)
-    g = apply_merge(g, groups)
-    return BuiltFamily(f"FB{v}" if v else "rFB", {"r": r, "s": s}, g,
-                       _expected(classes), warnings=warnings)
+    return apply_merge(g, groups), _expected(classes), warnings
 
 
 def _diamond_hubs(r: int, s: int, mirror: int, k: int,
@@ -257,7 +255,7 @@ def _across_fans(r: int, s: int, roles: str,
             yield [_fan(b[a], role) for b in blocks], f"{name}_{t}_{a + 1}"
 
 
-def build_rdf(v: int, r: int, s: int) -> BuiltFamily:
+def _build_rdf(v: int, r: int, s: int) -> tuple:
     """r diamond fans of size 10s built from 2rs fan units by hub splitting.
 
     Variant 0 is rDF(s); DF1 also fuses the centers across fans, DF2 the
@@ -296,11 +294,10 @@ def build_rdf(v: int, r: int, s: int) -> BuiltFamily:
         fused = lambda h, j: f"yz_{j if h == 'y' else (j - 2) % r + 1}"
         classes[2] = (2 * hub, r, 6 * s)
     g = apply_merge(g, [*_diamond_hubs(r, s, 2 * r, k, fused), *across])
-    return BuiltFamily(f"DF{v}" if v else "rDF", {"r": r, "s": s}, g,
-                       _expected(classes), warnings=warnings)
+    return g, _expected(classes), warnings
 
 
-def build_dfr(r: int, s: int) -> BuiltFamily:
+def _build_dfr(r: int, s: int) -> tuple:
     """r diamond fans plus one s-blade fan; the middle unit block's hub
     halves fuse back into the fan's hub x."""
     _check(r >= 1, "r must be >= 1")
@@ -310,14 +307,11 @@ def build_dfr(r: int, s: int) -> BuiltFamily:
     g, _ = _fan_units(k, True)
     g = apply_merge(g, [([_fan(i, x, k) for i in middle for x in ("x", "x2")], "x"),
                         *_diamond_hubs(r, s, 2 * r + 1, k)])
-    return BuiltFamily(
-        "DFr", {"r": r, "s": s}, g,
-        _expected([
-            (10 * k + 1, 4 * k, 2),
-            (13 * k + 1, 2 * k, 3),
-            (s * (17 * k + 2), 2 * r + 1, 3 * s),
-        ]),
-    )
+    return g, _expected([
+        (10 * k + 1, 4 * k, 2),
+        (13 * k + 1, 2 * k, 3),
+        (s * (17 * k + 2), 2 * r + 1, 3 * s),
+    ])
 
 
 # ---------------------------------------------------------------------------
@@ -355,16 +349,13 @@ def _nc_units(n: int) -> LabeledGraph:
     return new_graph(names, edges)
 
 
-def build_nc482(n: int) -> BuiltFamily:
+def _build_nc482(n: int) -> tuple:
     """nC4(8,2): the units alone."""
-    return BuiltFamily(
-        "nC482", {"n": n}, _nc_units(n),
-        _expected([
-            (20 * n + 1, 8 * n, 2),
-            (30 * n + 1, 4 * n, 3),
-            (30 * n + 2, 4 * n, 3),
-        ]),
-    )
+    return _nc_units(n), _expected([
+        (20 * n + 1, 8 * n, 2),
+        (30 * n + 1, 4 * n, 3),
+        (30 * n + 2, 4 * n, 3),
+    ])
 
 
 # G variant -> (role, corner, fused index) per copy: role_c_corner of every
@@ -375,10 +366,9 @@ _G_CORNERS = {
 }
 
 
-def build_g(v: int, r: int, s: int) -> BuiltFamily:
+def _build_g(v: int, r: int, s: int) -> tuple:
     """nC4(8,2) with corners fused across each block of s copies: 1 fuses
     the degree-2 cycle corners, 2 the 30n+1 degree-3 vertices."""
-    _check(v in (1, 2), "variant must be 1 or 2")
     _check(r >= 1, "r must be >= 1")
     _check(s >= 2, "s must be >= 2")
     n = r * s
@@ -391,7 +381,7 @@ def build_g(v: int, r: int, s: int) -> BuiltFamily:
     else:
         classes = [(20 * n + 1, 8 * n, 2), (30 * n + 2, 4 * n, 3),
                    (s * (30 * n + 1), 4 * r, 3 * s)]
-    return BuiltFamily(f"G{v}", {"r": r, "s": s}, g, _expected(classes))
+    return g, _expected(classes)
 
 
 _H_MERGES = {
@@ -404,7 +394,7 @@ _H_MERGES = {
 }
 
 
-def _h_family(tag: str, params: dict, m: int, r: int, s: int, names: str) -> BuiltFamily:
+def _h_family(m: int, r: int, s: int, names: str) -> tuple:
     """nC4(8,2) on n = rs copies with the four corner pairs of variant m
     in every copy of block b (of s copies) fused across the block into
     x_b_1, x_b_2, y_b_1, y_b_2, with x and y the two letters of ``names``."""
@@ -413,17 +403,14 @@ def _h_family(tag: str, params: dict, m: int, r: int, s: int, names: str) -> Bui
         ([_nc(c, role, p) for c in _block(b, s) for role, p in pair], f"{x}_{b}_{j}")
         for b in range(1, r + 1)
         for pair, (x, j) in zip(_H_MERGES[m], product(names, (1, 2)))))
-    return BuiltFamily(
-        tag, params, g,
-        _expected([
-            (s * (40 * n + 2), 4 * r, 4 * s),
-            (30 * n + 1, 4 * n, 3),
-            (30 * n + 2, 4 * n, 3),
-        ]),
-    )
+    return g, _expected([
+        (s * (40 * n + 2), 4 * r, 4 * s),
+        (30 * n + 1, 4 * n, 3),
+        (30 * n + 2, 4 * n, 3),
+    ])
 
 
-def build_h(m: int, n: int) -> BuiltFamily:
+def _build_h(m: int, n: int) -> tuple:
     """nC4(8,2) with two corner pairs per cycle fused into degree-4 vertices:
     H_m(rs) at r = n, s = 1, with lower-case fused names.
 
@@ -431,17 +418,16 @@ def build_h(m: int, n: int) -> BuiltFamily:
     corners across the two cycles, variant 3 fuses aligned corners (each
     component becomes a triangular bracelet).
     """
-    _check(m in (1, 2, 3), "m must be 1, 2 or 3")
-    return _h_family(f"H{m}", {"n": n}, m, n, 1, "xy")
+    return _h_family(m, n, 1, "xy")
 
 
-def build_hm_rs(m: int, r: int, s: int) -> BuiltFamily:
+def _build_hm_rs(m: int, r: int, s: int) -> tuple:
     """H_m(rs) with the degree-4 vertices fused across each block of s
     copies; H_m(n) is its s = 1 case."""
     _check(m in (1, 2, 3), "m must be 1, 2 or 3")
     _check(r >= 1, "r must be >= 1")
     _check(s >= 2, "s must be >= 2")
-    return _h_family("Hm_rs", {"m": m, "r": r, "s": s}, m, r, s, "XY")
+    return _h_family(m, r, s, "XY")
 
 
 # ---------------------------------------------------------------------------
@@ -479,9 +465,9 @@ _FUSED_D82_NOTE = ("degree-6 fused color is (10k+1)+(6k+2)+(18k+1) = 34k+4; "
                    "the alternative stated value 34k+2 fails verification")
 
 
-def build_c8(tag: str, fuse: tuple[int, ...], name: str, exact: bool,
-             classes: tuple[tuple[int, int, int, int], ...], notes: tuple[str, ...],
-             k: int) -> BuiltFamily:
+def _build_c8(fuse: tuple[int, ...], name: str, exact: bool,
+              classes: tuple[tuple[int, int, int, int], ...], notes: tuple[str, ...],
+              k: int) -> tuple:
     """k 8-cycles, each with a 2-spoke vertex, and per unit i the vertices
     at positions ``fuse`` (j in ``_prism(i, j)``) fused into one, name_i:
     none (C8 units), u_4 and u_8 (Bk, color 24k+3), x and u_8 (kC(8,2),
@@ -492,11 +478,7 @@ def build_c8(tag: str, fuse: tuple[int, ...], name: str, exact: bool,
     if fuse:
         g = apply_merge(g, [([_prism(i, j) for j in fuse], f"{name}_{i}")
                             for i in range(1, k + 1)])
-    return BuiltFamily(
-        tag, {"k": k}, g,
-        _expected([(a * k + b, c * k, d) for a, b, c, d in classes], exact),
-        notes=notes,
-    )
+    return g, _expected([(a * k + b, c * k, d) for a, b, c, d in classes], exact), (), notes
 
 
 def _rg_groups(r: int, s: int) -> Iterator[tuple[list[int], str]]:
@@ -514,7 +496,7 @@ def _rg_groups(r: int, s: int) -> Iterator[tuple[list[int], str]]:
                + [_prism(c, 4) for c in (*first, *mid)], f"q_{a}")
 
 
-def build_rg82(r: int, s: int) -> BuiltFamily:
+def _build_rg82(r: int, s: int) -> tuple:
     """r components, each fusing s C(8,2) copies at two degree-3s vertices.
 
     Per block a the z vertices of the first half-block fuse with the u_4
@@ -526,18 +508,14 @@ def build_rg82(r: int, s: int) -> BuiltFamily:
     _check(s >= 2 and s % 2 == 0, "s must be even and >= 2")
     k = r * s
     g = apply_merge(_prism_units(k), _rg_groups(r, s))
-    return BuiltFamily(
-        "rG82", {"r": r, "s": s}, g,
-        _expected([
-            (10 * k + 1, 4 * k, 2),
-            (13 * k + 1, 2 * k, 3),
-            (s * (17 * k + 2), 2 * r, 3 * s),
-        ]),
-        notes=(_DEGREE3_NOTE,),
-    )
+    return g, _expected([
+        (10 * k + 1, 4 * k, 2),
+        (13 * k + 1, 2 * k, 3),
+        (s * (17 * k + 2), 2 * r, 3 * s),
+    ]), (), (_DEGREE3_NOTE,)
 
 
-def build_oddk_h(r: int, s: int) -> BuiltFamily:
+def _build_oddk_h(r: int, s: int) -> tuple:
     """Experimental odd-k analog of rG(8,2); k = rs odd.
 
     The merge-index ranges defining this family are ambiguous (read
@@ -580,12 +558,7 @@ def build_oddk_h(r: int, s: int) -> BuiltFamily:
             "post-hoc check FAILED: achieved colors "
             f"{achieved} differ from claimed {claimed_values}"
         )
-    return BuiltFamily(
-        "OddKH", {"r": r, "s": s}, g,
-        expected,
-        warnings=("experimental construction; claims verified post hoc",),
-        notes=tuple(notes),
-    )
+    return g, expected, ("experimental construction; claims verified post hoc",), tuple(notes)
 
 
 # ---------------------------------------------------------------------------
@@ -606,48 +579,48 @@ _G_GRID = _rs((1, 2), (1, 3), (2, 2), (1, 4), (3, 2), (2, 3), (1, 5), (4, 2), (2
 _C8_GRID = tuple({"k": k} for k in (1, 2, 3, 4, 5, 6, 7, 8, 20, 60))
 
 # tag -> (builder, acceptance grid); the grid's first point gives
-# build_family the builder's parameter names, in order
-FAMILIES: dict[str, tuple[Callable[..., BuiltFamily], tuple[dict, ...]]] = {
-    "FB_units": (build_fb_units, _FB_GRID),
-    "FB": (build_fb, _FB_GRID),
-    "rFB": (partial(build_rfb, 0), _rs((2, 2), (3, 2), (4, 2), (5, 2), (2, 4), (3, 4),
+# build_family the builder's parameter names
+FAMILIES: dict[str, tuple[Callable[..., tuple], tuple[dict, ...]]] = {
+    "FB_units": (_build_fb_units, _FB_GRID),
+    "FB": (_build_fb, _FB_GRID),
+    "rFB": (partial(_build_rfb, 0), _rs((2, 2), (3, 2), (4, 2), (5, 2), (2, 4), (3, 4),
                                        (2, 6), (4, 4), (6, 2), (12, 10))),
-    "FB1": (partial(build_rfb, 1), _rs((2, 2), (3, 2), (5, 2), (6, 2), (7, 2), (2, 4),
+    "FB1": (partial(_build_rfb, 1), _rs((2, 2), (3, 2), (5, 2), (6, 2), (7, 2), (2, 4),
                                        (3, 4), (6, 4), (5, 6), (10, 12))),
-    "FB2": (partial(build_rfb, 2), _rs((3, 2), (5, 2), (7, 2), (9, 2), (3, 6), (5, 6),
+    "FB2": (partial(_build_rfb, 2), _rs((3, 2), (5, 2), (7, 2), (9, 2), (3, 6), (5, 6),
                                        (11, 2), (3, 10), (7, 6), (19, 6))),
-    "rDF": (partial(build_rdf, 0), _rs((1, 2), (2, 1), (2, 2), (3, 2), (1, 4), (4, 1),
+    "rDF": (partial(_build_rdf, 0), _rs((1, 2), (2, 1), (2, 2), (3, 2), (1, 4), (4, 1),
                                        (3, 3), (2, 4), (5, 2), (6, 10))),
-    "DFr": (build_dfr, _rs((1, 2), (2, 2), (3, 2), (1, 4), (2, 4), (4, 2),
+    "DFr": (_build_dfr, _rs((1, 2), (2, 2), (3, 2), (1, 4), (2, 4), (4, 2),
                            (5, 2), (3, 4), (1, 6), (9, 6))),
-    "DF1": (partial(build_rdf, 1), _rs((3, 2), (5, 2), (7, 2), (9, 2), (3, 6), (5, 6),
+    "DF1": (partial(_build_rdf, 1), _rs((3, 2), (5, 2), (7, 2), (9, 2), (3, 6), (5, 6),
                                        (11, 2), (13, 2), (3, 10), (5, 10))),
-    "DF2": (partial(build_rdf, 2), _rs((2, 2), (3, 2), (5, 2), (6, 2), (7, 2), (2, 4),
+    "DF2": (partial(_build_rdf, 2), _rs((2, 2), (3, 2), (5, 2), (6, 2), (7, 2), (2, 4),
                                        (3, 4), (6, 4), (5, 6), (10, 6))),
-    "DF3": (partial(build_rdf, 3), _rs((2, 1), (2, 2), (3, 1), (3, 2), (4, 1), (2, 3),
+    "DF3": (partial(_build_rdf, 3), _rs((2, 1), (2, 2), (3, 1), (3, 2), (4, 1), (2, 3),
                                        (5, 2), (4, 3), (6, 2), (10, 6))),
-    "DF4": (partial(build_rdf, 4), _rs((2, 1), (2, 2), (4, 1), (2, 3), (4, 2), (6, 1),
+    "DF4": (partial(_build_rdf, 4), _rs((2, 1), (2, 2), (4, 1), (2, 3), (4, 2), (6, 1),
                                        (2, 4), (4, 3), (6, 2), (10, 6))),
-    "nC482": (build_nc482, _NC_GRID),
-    **{f"G{v}": (partial(build_g, v), _G_GRID) for v in (1, 2)},
-    **{f"H{m}": (partial(build_h, m), _NC_GRID) for m in (1, 2, 3)},
-    "Hm_rs": (build_hm_rs, tuple({"m": m, "r": r, "s": s} for m in (1, 2, 3)
+    "nC482": (_build_nc482, _NC_GRID),
+    **{f"G{v}": (partial(_build_g, v), _G_GRID) for v in (1, 2)},
+    **{f"H{m}": (partial(_build_h, m), _NC_GRID) for m in (1, 2, 3)},
+    "Hm_rs": (_build_hm_rs, tuple({"m": m, "r": r, "s": s} for m in (1, 2, 3)
                                  for r, s in ((1, 2), (2, 2), (1, 3), (3, 2), (2, 3),
                                               (1, 4), (4, 2), (5, 2), (2, 4), (10, 3)))),
-    "C8_units": (partial(build_c8, "C8_units", (), "", False,
+    "C8_units": (partial(_build_c8, (), "", False,
                          ((10, 1, 5, 2), (13, 1, 2, 3), (6, 2, 1, 2), (18, 1, 1, 2)),
                          (_DEGREE3_NOTE,)), _C8_GRID),
-    "Bk": (partial(build_c8, "Bk", (4, 8), "b", False,
+    "Bk": (partial(_build_c8, (4, 8), "b", False,
                    ((10, 1, 5, 2), (13, 1, 2, 3), (24, 3, 1, 4)), (_DEGREE3_NOTE,)), _C8_GRID),
-    "kC82": (partial(build_c8, "kC82", (9, 8), "z", False,
+    "kC82": (partial(_build_c8, (9, 8), "z", False,
                      ((10, 1, 4, 2), (6, 2, 1, 2), (13, 1, 2, 3), (28, 2, 1, 4)),
                      (_DEGREE3_NOTE,)), _C8_GRID),
-    "kD82": (partial(build_c8, "kD82", (9, 4, 8), "w", True,
+    "kD82": (partial(_build_c8, (9, 4, 8), "w", True,
                      ((10, 1, 4, 2), (13, 1, 2, 3), (34, 4, 1, 6)),
                      (_DEGREE3_NOTE, _FUSED_D82_NOTE)), _C8_GRID),
-    "rG82": (build_rg82, _rs((1, 2), (2, 2), (1, 4), (3, 2), (2, 4), (1, 6),
+    "rG82": (_build_rg82, _rs((1, 2), (2, 2), (1, 4), (3, 2), (2, 4), (1, 6),
                              (4, 2), (5, 2), (3, 4), (10, 6))),
-    "OddKH": (build_oddk_h, _rs((1, 3), (3, 1), (1, 5), (5, 1), (1, 7), (3, 3),
+    "OddKH": (_build_oddk_h, _rs((1, 3), (3, 1), (1, 5), (5, 1), (1, 7), (3, 3),
                                 (7, 1), (1, 9), (9, 1), (5, 3))),
 }
 
@@ -671,4 +644,4 @@ def build_family(tag: str, **params: int) -> BuiltFamily:
     for p, value in params.items():
         if type(value) is not int:  # bool is an int subclass, so compare types
             raise ParameterError(f"{tag} parameter {p} must be an integer, got {value!r}")
-    return build(**params)
+    return BuiltFamily(tag, params, *build(**params))

@@ -151,7 +151,7 @@ from collections.abc import Callable, Sequence
 from typing import NamedTuple
 
 from .graph import GraphTooLarge, LabeledGraph, is_bipartite
-from .verify import lower_bound
+from .verify import induced_coloring, lower_bound
 
 DEFAULT_MAX_EDGES = 11
 SUM_SETS_ROOM = 16 << 20  # bytes of sum sets; past them the cache empties
@@ -653,10 +653,12 @@ def chi_la_exact(
 ) -> SearchResult:
     """Exhaustive minimum color count over all bijective edge labelings.
 
-    Existing labels on g are ignored; only the structure matters.  Returns
-    the minimum with a witness labeling, ``no_labeling`` when no bijection
-    is local antimagic, or ``timeout`` when the budget runs out; a timeout
-    keeps the best witness found, if any, and the best proven lower bound.
+    Existing labels on g serve only as a timeout's fallback witness; the
+    search itself reads only the structure.  Returns the minimum with a
+    witness labeling, ``no_labeling`` when no bijection is local
+    antimagic, or ``timeout`` when the budget runs out; a timeout keeps
+    the best proven lower bound and the best witness: the one found, or
+    g's own labeling when it is local antimagic with fewer colors.
     """
     m = g.size
     if m > max_edges:
@@ -689,6 +691,10 @@ def chi_la_exact(
 
     stats = SearchStats(*counts(), elapsed=time.monotonic() - start)
     proven = target if status == STATUS_TIMEOUT else lb
+    if status == STATUS_TIMEOUT:
+        own = induced_coloring(g)
+        if own.local_antimagic and (best is None or own.color_count < best[0]):
+            best = own.color_count, g.labels()
     if best is None:
         if status == STATUS_VALUE:
             status = STATUS_NO_LABELING

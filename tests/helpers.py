@@ -1,8 +1,9 @@
 """Shared test utilities: structural graph comparison, fast transposition
 checking for the metamorphic suites, and graph, matrix and family helpers
 that only the tests need (a graph from edges by vertex name, components,
-disjoint union, the 6x4n closed-form rows, the verified acceptance grid,
-the 3-color claim) and a fresh interpreter on the package's source."""
+disjoint union, two labels swapped, the 6x4n closed-form rows, the
+verified acceptance grid, the 3-color claim) and a fresh interpreter on
+the package's source."""
 
 from __future__ import annotations
 
@@ -10,6 +11,7 @@ import os
 import subprocess
 import sys
 from collections import Counter, deque
+from itertools import combinations
 from pathlib import Path
 from typing import Iterable
 
@@ -61,6 +63,22 @@ def by_name(names: Iterable[str], triples: Iterable[tuple[str, str, int]]) -> La
         u, v = ids[a], ids[b]
         edges.append((u, v, label) if u < v else (v, u, label))
     return new_graph(names, edges)
+
+
+def swapped(g: LabeledGraph, i: int, j: int) -> LabeledGraph:
+    """g with the labels of edges i and j (in ``g.edges`` order) swapped."""
+    labels = list(g.labels())
+    labels[i], labels[j] = labels[j], labels[i]
+    return LabeledGraph(g.names, tuple(
+        (u, v, label) for (u, v, _), label in zip(g.edges, labels)))
+
+
+def spoilt(g: LabeledGraph) -> LabeledGraph:
+    """g with the first two labels, in edge order, whose swap leaves it
+    not local antimagic: the same structure with no labeling of its own
+    that a search's timeout could fall back on."""
+    return next(h for i, j in combinations(range(g.size), 2)
+                if not induced_coloring(h := swapped(g, i, j)).local_antimagic)
 
 
 def components(g: LabeledGraph) -> tuple[tuple[int, ...], ...]:

@@ -17,6 +17,8 @@ as sorted names, and the claim is checked class by class against those
 names and degrees read off the adjacency.  ``naive_report_document``
 writes those views as the report document, key by key.
 ``naive_label_problems`` decides the bijection by sorting.
+``naive_chromatic_number`` tries every coloring of every vertex with
+1, 2, ... colors, where ``verify._chromatic_number`` backtracks.
 ``schedule_opens`` lists each position's open entries of
 ``search._schedule`` by a scan of every vertex.
 ``fan_units_by_name``, ``nc482_by_name`` and ``prism_units_by_name``
@@ -65,6 +67,16 @@ def naive_chi_la(g: LabeledGraph) -> int | None:
         if best is None or c < best:
             best = c
     return best
+
+
+def naive_chromatic_number(g: LabeledGraph) -> int:
+    """Fewest colors with no edge inside one color, by trying every map of
+    the vertices onto 1, 2, ... colors in turn."""
+    edges = [(u, v) for u, v, _ in g.edges]
+    for c in itertools.count(1):
+        for colors in itertools.product(range(c), repeat=g.n_vertices):
+            if all(colors[u] != colors[v] for u, v in edges):
+                return c
 
 
 def naive_two_coloring_gate(g: LabeledGraph) -> bool:

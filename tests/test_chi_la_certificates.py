@@ -2,13 +2,18 @@
 the paper's families.  Each case of chi_la_certificates.json gives the
 family tag, its parameters, chi_la and a witness: the labels of
 ``build_family(tag, **params).graph`` in ``g.edges`` order.  A case is
-proven in milliseconds, with no search:
+proven in milliseconds:
 
 * at most chi_la colors: the witness is a local antimagic labeling with
   chi_la colors (``induced_coloring``);
 * at least chi_la colors: ``lower_bound`` of the graph is chi_la, or
   chi_la is 2 on a graph with an edge, since adjacent sums differ and
-  one color never suffices.
+  one color never suffices, or, for a value above ``lower_bound``, the
+  case's ``refuted`` target is chi_la - 1 and a replay of the search's
+  round for it, ``attempt(refuted)`` of ``search._searcher(g,
+  search._edge_order(g), None)``, finds no labeling within the case's
+  ``node_limit`` nodes.  That replay is only as sound as the search's
+  pruning rules: it proves nothing the search itself does not.
 
 Re-record with ``chi_la_exact`` (about two minutes; each search's nodes
 and time are printed):
@@ -24,6 +29,7 @@ from pathlib import Path
 
 import pytest
 
+import antimagic.search as search
 from antimagic.families import build_family
 from antimagic.graph import LabeledGraph
 from antimagic.search import STATUS_VALUE, chi_la_exact
@@ -32,7 +38,8 @@ from antimagic.verify import induced_coloring, lower_bound
 CERTIFICATES = Path(__file__).with_name("chi_la_certificates.json")
 # tag and k; B_k at k = 1 has lower_bound 3, at k = 2, 5, 8 only 2
 CASES = (("C8_units", 1), ("Bk", 1), ("kC82", 1), ("kD82", 1), ("FB", 1),
-         ("Bk", 2), ("Bk", 5), ("Bk", 8), ("C8_units", 2), ("C8_units", 3), ("kC82", 2))
+         ("Bk", 2), ("Bk", 5), ("Bk", 8), ("C8_units", 2), ("C8_units", 3), ("kC82", 2),
+         ("FB_units", 1))
 
 
 def _labeled(case: dict) -> LabeledGraph:
@@ -50,9 +57,19 @@ def problems(case: dict) -> list[str]:
     found = []
     if not report.local_antimagic or report.color_count != chi_la:
         found.append(f"the witness is not a local antimagic labeling with {chi_la} colors")
-    bound = lower_bound(g)
-    if bound != chi_la and not (chi_la == 2 and g.size):
-        found.append(f"lower_bound {bound} is below chi_la {chi_la}")
+    if "refuted" not in case:
+        bound = lower_bound(g)
+        if bound != chi_la and not (chi_la == 2 and g.size):
+            found.append(f"lower_bound {bound} is below chi_la {chi_la}")
+        return found
+    refuted, limit = case["refuted"], case["node_limit"]
+    if refuted != chi_la - 1:
+        found.append(f"refuting {refuted} colors does not bound chi_la {chi_la} from below")
+    attempt, counts = search._searcher(g, search._edge_order(g), None)
+    if attempt(refuted) is not None:
+        found.append(f"the search finds a labeling with at most {refuted} colors")
+    elif counts()[0] > limit:
+        found.append(f"refuting {refuted} colors took {counts()[0]} nodes, above {limit}")
     return found
 
 
@@ -71,9 +88,11 @@ def test_the_certificate_proves_chi_la(index):
 
 
 def test_a_witness_with_two_labels_swapped_proves_nothing():
+    # not edges 0 and 1: in FB_units they are u_1 w_1 and v_1 w_1, and u_1
+    # and v_1 are twins, so that swap can give another valid labeling
     for case in _recorded():
         labels = case["labels"][:]
-        labels[0], labels[1] = labels[1], labels[0]
+        labels[0], labels[2] = labels[2], labels[0]
         assert problems({**case, "labels": labels}), (case["tag"], case["params"])
 
 
@@ -87,14 +106,32 @@ def test_a_value_above_its_lower_bound_proves_nothing():
     assert problems(case) == ["lower_bound 2 is below chi_la 3"]
 
 
+def test_a_refutation_holds_only_below_chi_la_and_within_its_node_limit():
+    # FB_units at k = 1: lower_bound 3, chi_la 4; this labeling has 5 colors
+    five = [8, 9, 6, 4, 1, 10, 7, 3, 2, 5]
+    row = _recorded()[CASES.index(("FB_units", 1))]
+    assert row["refuted"] == 3 and problems(row) == []
+    assert problems({**row, "chi_la": 5, "refuted": 4, "labels": five}) == [
+        "the search finds a labeling with at most 4 colors"]
+    limit = row["node_limit"]
+    assert problems({**row, "node_limit": limit - 1}) == [
+        f"refuting 3 colors took {limit} nodes, above {limit - 1}"]
+    assert problems({**row, "refuted": 2}) == [
+        "refuting 2 colors does not bound chi_la 4 from below"]
+
+
 if __name__ == "__main__":
     rows = []
     for tag, k in CASES:
         g = build_family(tag, k=k).graph
         result = chi_la_exact(g, max_edges=g.size)
         assert result.status == STATUS_VALUE
-        case = {"tag": tag, "params": {"k": k}, "chi_la": result.chi_la,
-                "labels": [label for _, _, label in result.witness.edges]}
+        case = {"tag": tag, "params": {"k": k}, "chi_la": result.chi_la}
+        if lower_bound(g) != result.chi_la and not (result.chi_la == 2 and g.size):
+            attempt, counts = search._searcher(g, search._edge_order(g), None)
+            assert attempt(result.chi_la - 1) is None
+            case.update(refuted=result.chi_la - 1, node_limit=counts()[0])
+        case["labels"] = [label for _, _, label in result.witness.edges]
         assert problems(case) == [], (tag, k)
         print(f"{tag} k={k}: m={g.size} chi_la={result.chi_la} "
               f"nodes={result.stats.nodes} elapsed={result.stats.elapsed:.2f}s", flush=True)

@@ -26,7 +26,7 @@ from antimagic.graph import LabeledEdge, LabeledGraph
 from antimagic.matrices import matrix_5x2k, matrix_6x4n, matrix_kx10, sequences_6x4n
 from antimagic.search import STATUS_TIMEOUT, STATUS_VALUE, chi_la_exact
 from antimagic.verify import check_expected, induced_coloring
-from helpers import by_name
+from helpers import by_name, spoilt
 from test_search import k4_path
 
 
@@ -332,7 +332,8 @@ def test_dumps_writes_search_documents_as_json_dumps():
     assert (json.loads(dumps(search_to_document(value)))["witness"]
             == json.loads(dumps(graph_to_document(value.witness)))["edges"])
 
-    timeout = chi_la_exact(FB1.graph, budget=1e-9)  # out of time in the setup
+    # out of time in the setup, with no labeling of the graph's own to fall back on
+    timeout = chi_la_exact(spoilt(FB1.graph), budget=1e-9)
     assert timeout.status == STATUS_TIMEOUT and timeout.witness is None
     assert dumps(search_to_document(timeout)) == _indented(_search_plain(timeout, None))
 

@@ -18,14 +18,7 @@ from antimagic.families import (
     _nc_units,
     _prism,
     _prism_units,
-    build_dfr,
     build_family,
-    build_fb,
-    build_fb_units,
-    build_h,
-    build_nc482,
-    build_oddk_h,
-    build_rg82,
     shared_units,
 )
 from antimagic.cli import _check, main
@@ -40,7 +33,7 @@ def sums_of(g):
 
 
 def test_fb_units_k1_hub_sums():
-    built = build_fb_units(1)
+    built = build_family("FB_units", k=1)
     s = sums_of(built.graph)
     assert s["x_1"] == 22 and s["x_2"] == 16
     assert s["u_1"] == s["v_1"] == s["u_2"] == s["v_2"] == 11
@@ -49,26 +42,26 @@ def test_fb_units_k1_hub_sums():
 
 
 def test_fb_units_k6_center_sum():
-    built = build_fb_units(6)
+    built = build_family("FB_units", k=6)
     s = sums_of(built.graph)
     assert all(s[f"w_{i}"] == 79 for i in range(1, 13))
 
 
 def test_fb_merge_of_twelve_units():
-    built = build_fb(6)
+    built = build_family("FB", k=6)
     g = built.graph
     assert g.degrees()["x"] == 36
     assert sums_of(g)["x"] == 1248 == 6 * (34 * 6 + 4)
 
 
 def test_fb_k1_colors():
-    built = build_fb(1)
+    built = build_family("FB", k=1)
     assert sorted(set(sums_of(built.graph).values())) == [11, 14, 38]
 
 
 def test_fb_three_distinct_colors_always():
     for k in (1, 2, 5, 9):
-        rep = induced_coloring(build_fb(k).graph)
+        rep = induced_coloring(build_family("FB", k=k).graph)
         assert rep.color_count == 3
 
 
@@ -129,14 +122,14 @@ def test_rdf_size_formula():
 
 
 def test_dfr_component_count_and_size():
-    b = build_dfr(1, 2)
+    b = build_family("DFr", r=1, s=2)
     assert b.graph.size == 30
     assert len(components(b.graph)) == 2  # one diamond fan + the fan
-    b = build_dfr(1, 4)
+    b = build_family("DFr", r=1, s=4)
     assert len(components(b.graph)) == 2
     rep = induced_coloring(b.graph)
     assert rep.local_antimagic
-    b = build_dfr(3, 2)
+    b = build_family("DFr", r=3, s=2)
     assert len(components(b.graph)) == 4
 
 
@@ -169,19 +162,19 @@ def test_df12_warnings_on_hypothesis_violation():
 
 
 def test_nc482_sums():
-    b = build_nc482(1)
+    b = build_family("nC482", n=1)
     s = sums_of(b.graph)
     assert s["u_1_2"] == 31  # 30n+1 at n=1
     assert all(s[f"u_1_{i}"] == 21 for i in (1, 3, 5, 7))
     assert all(s[f"v_1_{i}"] == 21 for i in (1, 3, 5, 7))
-    b6 = build_nc482(6)
+    b6 = build_family("nC482", n=6)
     rep = induced_coloring(b6.graph)
     assert rep.local_antimagic
     assert sorted(Counter(rep.id_sums)) == [121, 181, 182]
 
 
 def test_nc482_adjacent_degree3_pairs_alternate():
-    g = build_nc482(2).graph
+    g = build_family("nC482", n=2).graph
     s = sums_of(g)
     for a in (1, 2):
         for i in (2, 4, 6, 8):
@@ -203,14 +196,14 @@ def test_g1_g2_colors():
 
 def test_h_families():
     for m in (1, 2, 3):
-        b = build_h(m, 1)
+        b = build_family(f"H{m}", n=1)
         s = sums_of(b.graph)
         assert s["x_1_1"] == 42
         rep = induced_coloring(b.graph)
         assert rep.local_antimagic and rep.color_count == 3
     # aligned-corner variant folds each component into a triangular bracelet:
     # 6 triangles around the four degree-4 vertices
-    g = build_h(3, 2).graph
+    g = build_family("H3", n=2).graph
     assert len(components(g)) == 2
     deg = Counter(g.degrees().values())
     assert deg == {3: 16, 4: 8}
@@ -256,26 +249,26 @@ def test_kd82_fused_value_is_34k_plus_4():
 
 
 def test_rg82_small():
-    b = build_rg82(1, 2)  # k = 2
+    b = build_family("rG82", r=1, s=2)  # k = 2
     s = sums_of(b.graph)
     assert s["p_1"] == 72 and s["q_1"] == 72
     assert b.graph.degrees()["p_1"] == 6
     assert len(components(b.graph)) == 1
-    b = build_rg82(2, 2)  # the two-component case
+    b = build_family("rG82", r=2, s=2)  # the two-component case
     assert len(components(b.graph)) == 2
     rep = induced_coloring(b.graph)
     assert rep.local_antimagic and rep.color_count == 3
 
 
 def test_oddk_h_matches_its_claim():
-    b = build_oddk_h(1, 3)  # k = 3
+    b = build_family("OddKH", r=1, s=3)  # k = 3
     rep = induced_coloring(b.graph)
     assert rep.local_antimagic
     assert sorted(Counter(rep.id_sums)) == sorted([31, 40, 2 * 53 + 55, 2 * 53 + 20])
     assert any("match" in note for note in b.notes)
     # merges never change labels, so the bijection survives
     assert sorted(b.graph.labels()) == list(range(1, 31))
-    b = build_oddk_h(3, 1)  # s = 1 degenerates to the plain units
+    b = build_family("OddKH", r=3, s=1)  # s = 1 degenerates to the plain units
     rep = induced_coloring(b.graph)
     assert rep.local_antimagic
     assert sorted(Counter(rep.id_sums)) == [20, 31, 40, 55]
@@ -284,14 +277,14 @@ def test_oddk_h_matches_its_claim():
 def test_oddk_h_notes_a_failed_post_hoc_check(monkeypatch):
     # the note reports the sums the verifier computes, never the claim
     monkeypatch.setattr(families, "vertex_sums", lambda g: [0] * g.n_vertices)
-    b = build_oddk_h(1, 3)
+    b = build_family("OddKH", r=1, s=3)
     assert b.notes[-1] == ("post-hoc check FAILED: achieved colors [0] differ "
                            "from claimed [31, 40, 126, 161]")
 
 
 def test_oddk_h_rejects_even_k():
     with pytest.raises(ParameterError):
-        build_oddk_h(2, 3)
+        build_family("OddKH", r=2, s=3)
 
 
 def test_parameter_errors():
@@ -378,14 +371,15 @@ def test_chi_la_is_three_false_where_hypotheses_warn(tag, r, s):
 def test_c482_is_balanced_bipartite():
     from antimagic.graph import is_bipartite
 
-    bip = is_bipartite(build_nc482(1).graph)
+    bip = is_bipartite(build_family("nC482", n=1).graph)
     assert bip is not None and bip.part_sizes == (8, 8)
 
 
 def test_dfr_shape_equals_rdf_plus_fan():
     # structurally, DF_1(4) is the disjoint union of 1DF(4) and FB(2)
-    combined = disjoint_union(build_family("rDF", r=1, s=2).graph, build_fb(1).graph)
-    direct = build_dfr(1, 2).graph
+    combined = disjoint_union(build_family("rDF", r=1, s=2).graph,
+                              build_family("FB", k=1).graph)
+    direct = build_family("DFr", r=1, s=2).graph
     assert sorted(combined.degrees().values()) == sorted(direct.degrees().values())
     assert combined.size == direct.size
     assert len(components(combined)) == len(components(direct)) == 2

@@ -9,7 +9,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from antimagic.document import FORMAT, DocumentError, document_to_graph, dumps, graph_to_document
-from antimagic.families import FAMILIES, build_family, build_fb
+from antimagic.families import FAMILIES, build_family
 from antimagic.graph import (
     DuplicateName,
     GraphError,
@@ -106,7 +106,7 @@ def test_edge_is_an_immutable_named_triple():
 def _records():
     """One instance of each public record, by name."""
     g = by_name(["a", "b", "c"], [("a", "b", 1), ("b", "c", 2)])
-    built = build_fb(1)
+    built = build_family("FB", k=1)
     m = matrix_5x2k(1)
     report = validate_5x2k(m)
     result = chi_la_exact(g)

@@ -2,8 +2,8 @@
 imported, of the README's lists of the scripts and of the search's prune
 rules, of the source's line length, of the names the benchmark's tracer
 looks up in the package, and of the package's modules imported one at a
-time, of the layers they import each other in, and of the one command
-that shares unit graphs."""
+time, of the layers they import each other in, of the one command
+that shares unit graphs and of the one function that makes a family."""
 
 from __future__ import annotations
 
@@ -215,3 +215,16 @@ def test_only_selftest_opens_a_shared_units_block():
     callers = {(p.stem, caller) for p in package.glob("*.py")
                for caller in _callers(p.read_text(encoding="utf-8"), "shared_units")}
     assert callers == {("cli", "cmd_selftest")}
+
+
+def test_only_build_family_makes_a_family():
+    # the builders return the graph and its claim; build_family alone
+    # stamps the registry's tag and the caller's parameters
+    package = ROOT / "src" / "antimagic"
+    callers = {(p.stem, caller) for p in package.glob("*.py")
+               for caller in _callers(p.read_text(encoding="utf-8"), "BuiltFamily")}
+    assert callers == {("families", "build_family")}
+    tree = ast.parse((package / "families.py").read_text(encoding="utf-8"))
+    public = [node.name for node in tree.body if isinstance(node, ast.FunctionDef)
+              and node.name.startswith("build_")]
+    assert public == ["build_family"]

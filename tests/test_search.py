@@ -16,7 +16,7 @@ from hypothesis import strategies as st
 import antimagic.search as search
 from antimagic.cli import main
 from antimagic.document import dumps, graph_to_document, search_to_document, to_dot
-from antimagic.families import FAMILIES, build_fb, build_family
+from antimagic.families import FAMILIES, build_family
 from antimagic.graph import GraphTooLarge, LabeledEdge, LabeledGraph, is_bipartite, new_graph
 from antimagic.search import (
     STATUS_NO_LABELING,
@@ -25,7 +25,7 @@ from antimagic.search import (
     chi_la_exact,
 )
 from antimagic.verify import induced_coloring, lower_bound, two_coloring_impossible
-from helpers import by_name, components
+from helpers import by_name, components, spoilt, swapped
 from oracles import naive_chi_la, schedule_opens
 
 
@@ -661,7 +661,7 @@ def test_a_star_at_the_depth_ceiling_is_proven():
 
 
 def test_budget_timeout():
-    g = build_fb(1).graph  # 10 edges
+    g = spoilt(build_family("FB", k=1).graph)  # 10 edges, no labeling to fall back on
     result = chi_la_exact(g, budget=1e-9)
     assert result.status == STATUS_TIMEOUT
     assert result.chi_la is None
@@ -675,7 +675,7 @@ def test_budget_timeout():
 
 
 def test_timeout_keeps_the_best_labeling(monkeypatch):
-    g = k4_path()  # chi_la 4; the dive's first labeling has more colors
+    g = spoilt(k4_path())  # chi_la 4; the dive's first labeling has more colors
     nodes = chi_la_exact(g).stats.nodes  # the last node completes the 4-coloring
     setup = setup_reads(monkeypatch, g)
     # the clock passes the deadline at the last node's read
@@ -692,7 +692,7 @@ def test_timeout_keeps_the_best_labeling(monkeypatch):
 
 
 def test_timeout_during_setup(monkeypatch):
-    g = build_family("FB", k=2).graph  # 36 pairs of blocks in the transversal
+    g = spoilt(build_family("FB", k=2).graph)  # 36 pairs of blocks in the transversal
     # the start and the edge order's picks read 0, the first pair past the deadline
     clock = ReadClock(fast=1 + g.size)
     monkeypatch.setattr(search, "time", clock)
@@ -705,7 +705,7 @@ def test_timeout_during_setup(monkeypatch):
 
 
 def test_timeout_in_the_edge_order(monkeypatch):
-    g = k4_path()  # fewer than 16 pairs of blocks in the transversal
+    g = spoilt(k4_path())  # fewer than 16 pairs of blocks in the transversal
     clock = ReadClock(fast=1)  # the first pick reads past the deadline
     monkeypatch.setattr(search, "time", clock)
     result = chi_la_exact(g, budget=0.5)
@@ -719,7 +719,7 @@ def test_timeout_in_the_edge_order(monkeypatch):
 def test_timeout_at_each_setup_read(monkeypatch):
     # K4 plus a path has a clique, so the reads run through the edge
     # order, the transversal, the clique search and the schedule
-    g = k4_path()
+    g = spoilt(k4_path())
     setup = setup_reads(monkeypatch, g)
     for fast in range(1, setup + 1):
         # the start and setup reads 1..fast-1 read 0, setup read fast past the deadline
@@ -728,6 +728,48 @@ def test_timeout_at_each_setup_read(monkeypatch):
         assert result.status == STATUS_TIMEOUT and result.stats.nodes == 0
         assert result.lower_bound == lower_bound(g)
         assert result.witness is None and result.upper_bound is None
+
+
+def test_every_counter_is_zero_when_no_node_runs():
+    # an edgeless search and a setup timeout take their stats from the defaults
+    for result in (chi_la_exact(new_graph(["a", "b"])),
+                   chi_la_exact(build_family("FB", k=1).graph, budget=1e-9)):
+        assert result.stats.nodes == result.stats.prunes == 0
+        assert [getattr(result.stats, rule) for rule in search.RULES] == [0] * len(search.RULES)
+
+
+def test_a_setup_timeout_falls_back_on_the_graphs_own_labeling():
+    g = build_family("FB", k=1).graph  # the builder's 3-coloring
+    result = chi_la_exact(g, budget=1e-9)
+    assert result.status == STATUS_TIMEOUT and result.chi_la is None
+    assert result.stats.nodes == 0
+    assert result.witness == g and result.upper_bound == 3 == result.lower_bound
+    # with labels 1 and 4 swapped, w_2 and its neighbors u_2, v_2 all sum to 11
+    bad = swapped(g, 0, 7)
+    assert not induced_coloring(bad).local_antimagic
+    result = chi_la_exact(bad, budget=1e-9)
+    assert result.status == STATUS_TIMEOUT and result.stats.nodes == 0
+    assert result.witness is None and result.upper_bound is None
+
+
+def test_a_timeout_keeps_the_graphs_own_labeling_only_with_fewer_colors(monkeypatch):
+    # out of time at bull's last node, the search holds the dive's
+    # 5-coloring and has refuted 3 colors
+    nodes = chi_la_exact(bull()).stats.nodes
+    setup = setup_reads(monkeypatch, bull())
+    own = chi_la_exact(bull()).witness  # a 4-coloring
+    five = by_name(["a", "b", "c", "x", "y"], [("a", "b", 1), ("b", "c", 2), ("a", "c", 5),
+                                               ("a", "x", 4), ("b", "y", 3)])
+    assert induced_coloring(five).local_antimagic and induced_coloring(five).color_count == 5
+    found = {}
+    for name, g in (("spoilt", bull()), ("own", own), ("five", five)):
+        monkeypatch.setattr(search, "time", ReadClock(fast=1))
+        result = chi_la_exact(g, budget=float(setup + nodes - 1))
+        assert result.status == STATUS_TIMEOUT and result.lower_bound == 4
+        found[name] = result.witness, result.upper_bound
+    assert found["spoilt"][1] == 5 and found["spoilt"][0] != five
+    assert found["own"] == (own, 4)
+    assert found["five"] == found["spoilt"]  # as many colors: the search's labeling stays
 
 
 @pytest.mark.parametrize("stop", [1, 2, 5000])
@@ -749,7 +791,7 @@ def test_empty_graph():
 def test_env_var_budget(tmp_path, monkeypatch, capsys):
     # only the search command reads the variable
     doc = tmp_path / "fb2.json"
-    doc.write_text(dumps(graph_to_document(build_fb(1).graph)), encoding="utf-8")
+    doc.write_text(dumps(graph_to_document(build_family("FB", k=1).graph)), encoding="utf-8")
     monkeypatch.setenv("ANTIMAGIC_SEARCH_BUDGET", "1e-9")
     assert main(["search", str(doc)]) == 1
     result = json.loads(capsys.readouterr().out)

@@ -4,8 +4,10 @@ gate, and lower bounds."""
 from __future__ import annotations
 
 import json
+import random
 from collections import Counter
 from functools import cached_property
+from itertools import combinations
 
 import pytest
 from hypothesis import example, given, settings
@@ -14,7 +16,7 @@ from hypothesis import strategies as st
 import antimagic.graph as graph_module
 from antimagic.cli import _check
 from antimagic.document import dumps, report_to_document
-from antimagic.families import FAMILIES, build_family, build_fb, build_nc482
+from antimagic.families import FAMILIES, build_family
 from antimagic.graph import LabeledGraph, is_bipartite, new_graph
 from antimagic.search import chi_la_exact
 from antimagic.verify import (
@@ -34,6 +36,7 @@ from helpers import by_name
 from oracles import (
     naive_check_expected,
     naive_chi_la,
+    naive_chromatic_number,
     naive_coloring,
     naive_label_problems,
     naive_report_document,
@@ -47,7 +50,7 @@ DERIVED_KEYS = ("sums", "classes", "bipartite", "part_sizes", "balanced_bipartit
 
 
 def test_induced_coloring_fb12():
-    rep = induced_coloring(build_fb(6).graph)
+    rep = induced_coloring(build_family("FB", k=6).graph)
     assert rep.local_antimagic
     sizes = Counter(rep.id_sums)
     assert sorted(sizes) == [61, 79, 1248]
@@ -63,7 +66,7 @@ def test_vertex_sums_match_the_report():
 
 
 def test_a_report_is_a_plain_record():
-    rep = induced_coloring(build_fb(1).graph)
+    rep = induced_coloring(build_family("FB", k=1).graph)
     assert not hasattr(rep, "__dict__")
     assert ColorReport._fields == ("graph", "id_sums", "color_count", "labels_bijective",
                                    "label_problems", "conflicts", "local_antimagic", "total")
@@ -214,7 +217,7 @@ def test_label_problems_match_the_sorting_oracle(case):
 
 
 def test_check_expected_fails_on_colliding_expectations():
-    built = build_fb(1)
+    built = build_family("FB", k=1)
     collided = ExpectedColors(
         (ColorClass(11, 4, 2), ColorClass(11, 2, 3), ColorClass(38, 1, 6)), 3)
     diffs = check_expected(collided, induced_coloring(built.graph))
@@ -223,7 +226,7 @@ def test_check_expected_fails_on_colliding_expectations():
 
 
 def test_check_expected_degree_mismatch_detected():
-    built = build_fb(1)
+    built = build_family("FB", k=1)
     wrong_degree = ExpectedColors(
         (ColorClass(11, 4, 3), ColorClass(14, 2, 3), ColorClass(38, 1, 6)), 3)
     diffs = check_expected(wrong_degree, induced_coloring(built.graph))
@@ -237,11 +240,11 @@ def test_check_expected_degree_mismatch_detected():
 
 def test_two_color_gate_balanced_families():
     assert two_coloring_impossible(build_family("rDF", r=1, s=2).graph) is True
-    assert two_coloring_impossible(build_nc482(1).graph) is True
+    assert two_coloring_impossible(build_family("nC482", n=1).graph) is True
 
 
 def test_two_color_gate_tripartite_inconclusive():
-    assert two_coloring_impossible(build_fb(1).graph) is False
+    assert two_coloring_impossible(build_family("FB", k=1).graph) is False
 
 
 def test_two_color_gate_divisor_scan():
@@ -272,7 +275,7 @@ def test_two_color_gate_bitmask_matches_the_set_oracle(parts):
 
 
 def test_lower_bounds():
-    assert lower_bound(build_fb(1).graph) == 3  # chromatic number
+    assert lower_bound(build_family("FB", k=1).graph) == 3  # chromatic number
     assert lower_bound(build_family("rDF", r=1, s=2).graph) == 3  # balanced gate
     # the divisor scan also proves 3 for the 3-vertex path (its sums are
     # forced to 1, 3, 2); chi alone would only give 2
@@ -360,6 +363,25 @@ def test_chromatic_number_small():
                   [("u", "w", 1), ("v", "w", 2), ("x", "w", 3), ("x", "u", 4), ("x", "v", 5)])
     assert _chromatic_number(fan) == 3
     assert _chromatic_number(k4_with_path(4)) == 4
+
+
+def test_chromatic_number_matches_the_brute_force_oracle():
+    # 3-colorable, but the colorer's first choices fail on it, so it
+    # must undo them: each color it takes back has to be freed
+    pairs = [(2, 3), (4, 6), (3, 4), (0, 4), (2, 5), (2, 6), (3, 5), (3, 6), (0, 6),
+             (1, 2), (1, 4), (0, 1), (0, 5)]
+    g = new_graph([f"v{i}" for i in range(7)], [(u, v, t) for t, (u, v) in enumerate(pairs, 1)])
+    assert _chromatic_number(g) == naive_chromatic_number(g) == 3
+    rng = random.Random(5)
+    checked = 0
+    while checked < 100:
+        n = rng.randint(3, 9)
+        pairs = [p for p in combinations(range(n), 2) if rng.random() < 0.5]
+        g = new_graph([f"v{i}" for i in range(n)],
+                      [(u, v, t) for t, (u, v) in enumerate(pairs, 1)])
+        if is_bipartite(g) is None:  # the colorer's precondition
+            assert _chromatic_number(g) == naive_chromatic_number(g), pairs
+            checked += 1
 
 
 def test_lower_bound_colors_exactly_up_to_the_vertex_cap():
