@@ -21,7 +21,7 @@ import gc
 import json
 import os
 import sys
-from typing import TextIO
+from typing import Iterable, Sequence, TextIO
 
 from . import document as doc_mod
 from .families import FAMILIES, build_family, shared_units
@@ -135,13 +135,8 @@ def cmd_matrix(args: argparse.Namespace) -> int:
     else:
         text = doc_mod.dumps(doc_mod.matrix_json(m, include_sequences=args.sequences))
     _emit(text, args.out)
-
-    if args.validate:
-        report = validate(m)
-        for check in report.failures:
-            print(f"FAIL {check.name}: {check.detail}", file=sys.stderr)
-        return OK if report.ok else CHECK_FAILED
-    return OK
+    problems = [f"FAIL {line}" for line in validate(m)] if args.validate else []
+    return _verdict(problems)
 
 
 def cmd_build(args: argparse.Namespace) -> int:
@@ -191,13 +186,20 @@ def cmd_export(args: argparse.Namespace) -> int:
 def cmd_selftest(args: argparse.Namespace) -> int:
     failures = 0
 
-    def report(name: str, ok: bool, detail: str = "") -> None:
+    def group(summary: str, points: Iterable[tuple[str, Sequence[str]]]) -> None:
+        """Print a FAIL line for each (name, problem lines) point that has
+        problems, then the group's ok or FAIL line; each FAIL is a failure."""
         nonlocal failures
-        if ok:
-            print(f"ok   {name}")
+        before = failures
+        for name, problems in points:
+            if problems:
+                failures += 1
+                print(f"FAIL {name}: {'; '.join(problems)}")
+        if failures == before:
+            print(f"ok   {summary}")
         else:
             failures += 1
-            print(f"FAIL {name}: {detail}")
+            print(f"FAIL {summary}: ")
 
     top = args.max_param
     if top < 0:
@@ -209,23 +211,14 @@ def cmd_selftest(args: argparse.Namespace) -> int:
         for _, generate, _ in kinds:
             generate(top)
     for label, generate, check in kinds:
-        before = failures
-        for p in range(1, top + 1):
-            rep = check(generate(p))
-            if not rep.ok:
-                report(f"{label}={p}", False,
-                       "; ".join(f"{c.name}: {c.detail}" for c in rep.failures))
-        report(f"{label}=1..{top}", failures == before)
+        group(f"{label}=1..{top}",
+              ((f"{label}={p}", check(generate(p))) for p in range(1, top + 1)))
 
     with shared_units():  # one unit build per point; DFr shares rDF's split fans
         for tag, (_, grid) in FAMILIES.items():
-            before = failures
-            for params in grid:
-                built = build_family(tag, **params)
-                _, problems = _check(built.graph, built.expected)
-                if problems:
-                    report(f"family {tag} {params}", False, "; ".join(problems))
-            report(f"family {tag} ({len(grid)} points)", failures == before)
+            group(f"family {tag} ({len(grid)} points)",
+                  ((f"family {tag} {params}", _check(built.graph, built.expected)[1])
+                   for params in grid for built in [build_family(tag, **params)]))
 
     print(f"selftest: {failures} failure(s)")
     return OK if failures == 0 else CHECK_FAILED

@@ -3,10 +3,13 @@
 A vertex is an integer id, its position in ``names``; the display name
 (``u_3``, ``x_5^1``, ``w_2_4``) is what documents and reports show.  An
 edge is a plain int triple ``(u, v, label)`` with ``u < v`` and
-``label >= 1``.  ``new_graph(names, edges)`` with int edges is the one
-way to build a graph and the one edge check: it decides whether names
-and int edges form a simple graph, for the family builders, which lay
-out their ids by arithmetic, and for the document reader.  Nothing looks
+``label >= 1``.  ``new_graph(names, edges)`` with int edges checks every
+graph made from names and ids: it decides whether they form a simple
+graph, for the family builders, which lay out their ids by arithmetic,
+and for the document reader.  ``apply_merge`` builds its result from a
+graph that was checked already, so it checks only what fusing can break
+(the proof is in its docstring); the search's witness is a graph's own
+names and pairs with new labels, copied by ``_replace``.  Nothing looks
 a vertex up by name, and a graph keeps no name -> id index.
 ``LabeledEdge`` and the ``None`` stub in ``LabeledGraph`` stay only
 because the benchmark's workloads and tracer (``bench/``) name them;
@@ -162,10 +165,10 @@ class LabeledGraph(_GraphFields):
             parts.append((count[0], count[1]))
         return Bipartition(tuple(parts), tuple(side))
 
-    # Nothing calls it: graphs are built with ``new_graph``.  But
-    # bench/tracing.py looks up ``with_edges`` here with no default and
-    # fails without the name.  Benchmark v2 (ROADMAP item 2) drops it from
-    # the tracer, and then this line goes.
+    # Nothing calls it: graphs are built with ``new_graph``, ``apply_merge``
+    # and ``_replace``.  But bench/tracing.py looks up ``with_edges`` here
+    # with no default and fails without the name.  Benchmark v2 (ROADMAP
+    # item 2) drops it from the tracer, and then this line goes.
     with_edges = None
 
 

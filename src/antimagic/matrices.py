@@ -17,10 +17,11 @@ A generator refuses a parameter whose matrix would have more than
 ``MAX_LABELS`` labels before any work; a family has as many edges as its
 one matrix has labels, so this caps every family too.
 
-All arithmetic is exact.  Validators return a check list and never throw
-on a matrix of their own kind, as every generator here builds it.  Each
-identity is one named check, in a fixed order, built by one helper; only
-the failure ``detail`` text may change.
+All arithmetic is exact.  Validators return problem lines and never
+throw on a matrix of their own kind, as every generator here builds it:
+one ``name: detail`` line for each identity the matrix misses, in a fixed
+order of names, and none when it holds them all.  Only the ``detail``
+text may change.
 """
 
 from __future__ import annotations
@@ -43,24 +44,6 @@ class LabelMatrix(NamedTuple):
 
     def flat(self) -> list[int]:
         return [x for row in self.grid for x in row]
-
-
-class Check(NamedTuple):
-    name: str
-    ok: bool
-    detail: str = ""
-
-
-class ValidationReport(NamedTuple):
-    checks: tuple[Check, ...]
-
-    @property
-    def ok(self) -> bool:
-        return all(c.ok for c in self.checks)
-
-    @property
-    def failures(self) -> tuple[Check, ...]:
-        return tuple(c for c in self.checks if not c.ok)
 
 
 def _require_param(kind: str, name: str, value: int, per: int) -> None:
@@ -91,7 +74,7 @@ def matrix_5x2k(k: int) -> LabelMatrix:
     return LabelMatrix(KIND_5X2K, k, grid)
 
 
-def validate_5x2k(m: LabelMatrix) -> ValidationReport:
+def validate_5x2k(m: LabelMatrix) -> tuple[str, ...]:
     k = m.param
     cols = 2 * k
     r1, r2, r3, r4, r5 = m.grid
@@ -112,31 +95,31 @@ def validate_5x2k(m: LabelMatrix) -> ValidationReport:
             blocks += [(r, s, j) for j in range(1, (r + 1) // 2 + 1)
                        if sum(r3[(j - 1) * s:j * s]) + sum(rows45[(r - j) * s:(r + 1 - j) * s])
                        != s * (17 * k + 2)]
-    return ValidationReport((
-        _bijection_check(m.flat(), 10 * k),
-        _identity("column_sum_rows_1_3",
-                  [j for j, (a, b, c) in enumerate(zip(r1, r2, r3), 1) if a + b + c != center],
-                  center),
-        _identity("column_sum_rows_1_4",
-                  [j for j, (a, b) in enumerate(zip(r1, r4), 1) if a + b != tip], tip),
-        _identity("column_sum_rows_2_5",
-                  [j for j, (a, b) in enumerate(zip(r2, r5), 1) if a + b != tip], tip),
-        _identity("mirror_sum_rows_3_5",
-                  [("pair", a) for a in range(1, k + 1)
-                   if bottom[a - 1] + bottom[-a] != 34 * k + 4]
-                  + [("column", j, b) for j, (a, b) in enumerate(zip(bottom, want), 1) if a != b],
-                  f"{34 * k + 4} per mirrored pair, or the target listed with the column"),
-        _identity("total_rows_3_5", [total] if total != k * (34 * k + 4) else [],
-                  k * (34 * k + 4)),
-        _identity("block_sums", blocks, f"s * {17 * k + 2} for each (r, s, j)"),
-        _identity("rows_2_3_4_mirror",
-                  [j for j, (a, b, c) in enumerate(zip(r2, r3, r4[::-1]), 1)
-                   if a + b + c != 21 * k + 1], 21 * k + 1),
-        _identity("row_4_mirror",
-                  [a for a in range(1, k + 1) if r4[a - 1] + r4[-a] != 18 * k + 1], 18 * k + 1),
-        _identity("row_5_mirror",
-                  [a for a in range(1, k + 1) if r5[a - 1] + r5[-a] != 6 * k + 2], 6 * k + 2),
-    ))
+    return (
+        *_bijection_check(m.flat(), 10 * k),
+        *_identity("column_sum_rows_1_3",
+                   [j for j, (a, b, c) in enumerate(zip(r1, r2, r3), 1) if a + b + c != center],
+                   center),
+        *_identity("column_sum_rows_1_4",
+                   [j for j, (a, b) in enumerate(zip(r1, r4), 1) if a + b != tip], tip),
+        *_identity("column_sum_rows_2_5",
+                   [j for j, (a, b) in enumerate(zip(r2, r5), 1) if a + b != tip], tip),
+        *_identity("mirror_sum_rows_3_5",
+                   [("pair", a) for a in range(1, k + 1)
+                    if bottom[a - 1] + bottom[-a] != 34 * k + 4]
+                   + [("column", j, b) for j, (a, b) in enumerate(zip(bottom, want), 1) if a != b],
+                   f"{34 * k + 4} per mirrored pair, or the target listed with the column"),
+        *_identity("total_rows_3_5", [total] if total != k * (34 * k + 4) else [],
+                   k * (34 * k + 4)),
+        *_identity("block_sums", blocks, f"s * {17 * k + 2} for each (r, s, j)"),
+        *_identity("rows_2_3_4_mirror",
+                   [j for j, (a, b, c) in enumerate(zip(r2, r3, r4[::-1]), 1)
+                    if a + b + c != 21 * k + 1], 21 * k + 1),
+        *_identity("row_4_mirror",
+                   [a for a in range(1, k + 1) if r4[a - 1] + r4[-a] != 18 * k + 1], 18 * k + 1),
+        *_identity("row_5_mirror",
+                   [a for a in range(1, k + 1) if r5[a - 1] + r5[-a] != 6 * k + 2], 6 * k + 2),
+    )
 
 
 # ---------------------------------------------------------------------------
@@ -193,11 +176,10 @@ def expected_6x4n_multiset(n: int) -> list[int]:
                    *range(16 * n + 1, 18 * n + 1)])
 
 
-def validate_6x4n(sequences: tuple[tuple[int, ...], ...]) -> ValidationReport:
+def validate_6x4n(sequences: tuple[tuple[int, ...], ...]) -> tuple[str, ...]:
     count = len(sequences)
     if count == 0 or count % 2 or any(len(t) != 12 for t in sequences):
-        return ValidationReport(
-            (Check("shape", False, "need an even number of length-12 sequences"),))
+        return ("shape: need an even number of length-12 sequences",)
     n = count // 2
     end = 20 * n + 1
     # (head, tail, middle, middle) triple sums: the first n sequences take
@@ -211,20 +193,17 @@ def validate_6x4n(sequences: tuple[tuple[int, ...], ...]) -> ValidationReport:
         for p in (1, 4, 7, 10):
             if sequences[a][p] != sequences[n + a][p]:
                 bad.append((a + 1, p + 1))
-    return ValidationReport((
-        Check("shape", True),
-        Check("term_multiset", ok,
-              "" if ok else "terms do not cover [1,20n] with the doubled bands"),
-        _identity("end_pair_sums", [
+    return (
+        *(() if ok else ("term_multiset: terms do not cover [1,20n] with the doubled bands",)),
+        *_identity("end_pair_sums", [
             i for i, t in enumerate(sequences, 1)
             if not t[0] + t[11] == t[5] + t[6] == t[8] + t[9] == end], end),
-        _identity("triple_sums", [
+        *_identity("triple_sums", [
             i for i, t in enumerate(sequences, 1)
             if (t[0] + t[1] + t[2], t[9] + t[10] + t[11], t[3] + t[4] + t[5], t[6] + t[7] + t[8])
             != (firsts if i <= n else lasts)], "ends 30n+1, middles 30n+2; the reverse after n"),
-        Check("shared_positions", not bad,
-              f"(sequence, position) mismatches: {bad}" if bad else ""),
-    ))
+        *((f"shared_positions: (sequence, position) mismatches: {bad}",) if bad else ()),
+    )
 
 
 # ---------------------------------------------------------------------------
@@ -255,31 +234,32 @@ _KX10_PAIRS = ((0, 7), (1, 2), (3, 4), (5, 6), (8, 9))  # sum 10k+1
 _KX10_TRIPLES = ((0, 1, 8), (4, 5, 9))  # sum 13k+1
 
 
-def validate_kx10(m: LabelMatrix) -> ValidationReport:
+def validate_kx10(m: LabelMatrix) -> tuple[str, ...]:
     k = m.param
     tip, center = 10 * k + 1, 13 * k + 1
-    return ValidationReport((
-        _bijection_check(m.flat(), 10 * k),
-        _identity("pair_sums", [(i, a + 1, b + 1) for i, row in enumerate(m.grid, 1)
-                                for a, b in _KX10_PAIRS if row[a] + row[b] != tip], tip),
-        _identity("triple_sums", [(i, a + 1, b + 1, c + 1) for i, row in enumerate(m.grid, 1)
-                                  for a, b, c in _KX10_TRIPLES
-                                  if row[a] + row[b] + row[c] != center], center),
-    ))
+    return (
+        *_bijection_check(m.flat(), 10 * k),
+        *_identity("pair_sums", [(i, a + 1, b + 1) for i, row in enumerate(m.grid, 1)
+                                 for a, b in _KX10_PAIRS if row[a] + row[b] != tip], tip),
+        *_identity("triple_sums", [(i, a + 1, b + 1, c + 1) for i, row in enumerate(m.grid, 1)
+                                   for a, b, c in _KX10_TRIPLES
+                                   if row[a] + row[b] + row[c] != center], center),
+    )
 
 
-def _identity(name: str, bad: list, target) -> Check:
-    """The check of one identity: it holds when nothing in ``bad`` (the
-    places that miss it) is left; ``target`` is what they should sum to."""
-    return Check(name, not bad, f"{bad} do not sum to {target}" if bad else "")
+def _identity(name: str, bad: list, target) -> tuple[str, ...]:
+    """The problem line of one identity, or none: it holds when nothing in
+    ``bad`` (the places that miss it) is left; ``target`` is what they
+    should sum to."""
+    return (f"{name}: {bad} do not sum to {target}",) if bad else ()
 
 
-def _bijection_check(values: list[int], top: int) -> Check:
+def _bijection_check(values: list[int], top: int) -> tuple[str, ...]:
     problems = label_problems(values, top)
-    return Check("bijection", not problems, "; ".join(problems[:5]))
+    return (f"bijection: {'; '.join(problems[:5])}",) if problems else ()
 
 
-def validate(m: LabelMatrix) -> ValidationReport:
+def validate(m: LabelMatrix) -> tuple[str, ...]:
     """Dispatch to the validator matching the matrix kind."""
     if m.kind == KIND_6X4N:
         return validate_6x4n(m.sequences)

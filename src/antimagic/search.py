@@ -658,7 +658,9 @@ def chi_la_exact(
     witness labeling, ``no_labeling`` when no bijection is local
     antimagic, or ``timeout`` when the budget runs out; a timeout keeps
     the best proven lower bound and the best witness: the one found, or
-    g's own labeling when it is local antimagic with fewer colors.
+    g's own labeling when it is local antimagic with fewer colors.  The
+    witness is g with new labels, copied by ``_replace``: g's names and
+    pairs, which ``new_graph`` or ``apply_merge`` checked when g was made.
     """
     m = g.size
     if m > max_edges:
@@ -700,7 +702,7 @@ def chi_la_exact(
             status = STATUS_NO_LABELING
         return SearchResult(status, None, None, stats, proven, None, budget)
     colors, labels = best
-    witness = LabeledGraph(g.names, tuple(
+    witness = g._replace(edges=tuple(
         (u, v, lab) for (u, v, _), lab in zip(g.edges, labels)))
     chi = colors if status == STATUS_VALUE else None
     return SearchResult(status, chi, witness, stats, proven, colors, budget)

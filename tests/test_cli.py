@@ -97,11 +97,45 @@ def test_matrix_validate_prints_each_failed_check(monkeypatch, capsys, kind, fla
         tampered = m._replace(grid=tuple(map(tuple, rows)))
     monkeypatch.setattr(cli, generator, lambda param: tampered)
     code, out, err = run(capsys, "matrix", kind, flag, "3", "--validate")
-    failed = [c.name for c in validate(tampered).failures]
+    failed = validate(tampered)
     assert code == 1 and failed and out == rows_csv(tampered.grid)
-    lines = err.splitlines()
-    assert len(lines) == len(failed)
-    assert all(line.startswith(f"FAIL {name}: ") for line, name in zip(lines, failed))
+    assert err.splitlines() == [f"FAIL {line}" for line in failed]
+
+
+def _with(rows, *cells):
+    """``rows`` with each ``((i, j), value)`` of ``cells`` written in."""
+    rows = [list(r) for r in rows]
+    for (i, j), value in cells:
+        rows[i][j] = value
+    return tuple(map(tuple, rows))
+
+
+@pytest.mark.parametrize("kind, tamper, want", [
+    ("5x2k", lambda m: m._replace(grid=_with(m.grid, ((0, 0), 35))),
+     "FAIL bijection: label 35 outside [1, 30]; label 1 missing\n"
+     "FAIL column_sum_rows_1_3: [1] do not sum to 40\n"
+     "FAIL column_sum_rows_1_4: [1] do not sum to 31\n"),
+    ("kx10", lambda m: m._replace(grid=_with(m.grid, ((1, 1), 1))),
+     "FAIL bijection: label 1 used more than once; label 19 missing\n"
+     "FAIL pair_sums: [(2, 2, 3)] do not sum to 31\n"
+     "FAIL triple_sums: [(2, 1, 2, 9)] do not sum to 40\n"),
+    ("6x4n", lambda m: m._replace(sequences=_with(m.sequences, ((0, 3), 65))),
+     "FAIL term_multiset: terms do not cover [1,20n] with the doubled bands\n"
+     "FAIL triple_sums: [1] do not sum to ends 30n+1, middles 30n+2; the reverse after n\n"),
+    ("6x4n", lambda m: m._replace(sequences=_with(m.sequences, ((0, 0), 51), ((5, 1), 1))),
+     "FAIL end_pair_sums: [1] do not sum to 61\n"
+     "FAIL triple_sums: [1, 6] do not sum to ends 30n+1, middles 30n+2; the reverse after n\n"
+     "FAIL shared_positions: (sequence, position) mismatches: [(3, 2)]\n"),
+    ("6x4n", lambda m: m._replace(sequences=m.sequences[:-1]),
+     "FAIL shape: need an even number of length-12 sequences\n"),
+])
+def test_matrix_validate_prints_the_exact_failure_lines(monkeypatch, capsys, kind, tamper, want):
+    generator = f"matrix_{kind}"
+    tampered = tamper(getattr(matrices, generator)(3))
+    monkeypatch.setattr(cli, generator, lambda param: tampered)
+    code, _, err = run(capsys, "matrix", kind, "--n" if kind == "6x4n" else "--k", "3",
+                       "--validate")
+    assert (code, err) == (1, want)
 
 
 def test_build_fb_verify(capsys):
@@ -146,6 +180,19 @@ def test_verify_round_trip_and_tampering(tmp_path, capsys):
     assert "conflict" in err or "mismatch" in err
 
 
+def test_verify_prints_at_most_ten_problem_lines_of_each_kind(tmp_path, capsys):
+    # twelve disjoint edges all labeled 1: twelve conflicts, and label 1
+    # repeated eleven times before the eleven missing labels
+    names = [f"a{i}" for i in range(12)] + [f"b{i}" for i in range(12)]
+    g = by_name(names, [(f"a{i}", f"b{i}", 1) for i in range(12)])
+    path = tmp_path / "ones.json"
+    path.write_text(dumps(graph_to_document(g)), encoding="utf-8")
+    code, _, err = run(capsys, "verify", str(path))
+    assert code == 1
+    assert err == "".join([f"conflict: a{i} -- b{i} both sum to 1\n" for i in range(10)]
+                          + ["labels: label 1 used more than once\n"] * 10)
+
+
 def test_search_fb1_document(tmp_path, capsys):
     g = by_name(["u", "v", "w", "x"],
                 [("u", "w", 1), ("v", "w", 2), ("x", "w", 3), ("x", "u", 4), ("x", "v", 5)])
@@ -174,6 +221,9 @@ def test_search_too_large_is_usage_error(tmp_path, capsys):
     code, _, err = run(capsys, "search", str(path), "--max-edges", "5")
     assert code == 2
     assert err == "error: 20 edges exceeds the search's edge cap of 5 (--max-edges)\n"
+    code, _, err = run(capsys, "search", str(path), "--max-edges", "0")  # 0 is a cap too
+    assert code == 2
+    assert err == "error: 20 edges exceeds the search's edge cap of 0 (--max-edges)\n"
     # a negative cap is refused before the document is read
     code, _, err = run(capsys, "search", str(tmp_path / "missing.json"), "--max-edges", "-1")
     assert code == 2 and err == "error: --max-edges must be at least 0, not -1\n"
@@ -242,6 +292,15 @@ def test_selftest_reports_a_matrix_that_breaks_an_identity(monkeypatch, capsys):
     assert "FAIL matrix 5x2k k=1..3: " in out
     assert "FAIL matrix 5x2k k=1:" not in out and "FAIL matrix 5x2k k=3:" not in out
     assert "ok   sequences 6x4n n=1..3\n" in out
+    assert out.endswith("selftest: 2 failure(s)\n")
+
+
+def test_selftest_checks_each_matrix_from_parameter_1(monkeypatch, capsys):
+    monkeypatch.setattr(cli, "sequences_6x4n", lambda n: sequences_6x4n(n)[:-1])
+    code, out, _ = run(capsys, "selftest", "--max-param", "1")
+    assert code == 1
+    assert ("FAIL sequences 6x4n n=1: shape: need an even number of length-12 sequences\n"
+            "FAIL sequences 6x4n n=1..1: \n") in out
     assert out.endswith("selftest: 2 failure(s)\n")
 
 

@@ -38,7 +38,7 @@ def test_matrix_5x2k_k1_columns():
     columns = list(zip(*m.grid))
     assert columns[0] == COLUMNS_5X2K_K1[0]
     assert columns[1] == COLUMNS_5X2K_K1[1]
-    assert validate_5x2k(m).ok
+    assert validate_5x2k(m) == ()
 
 
 def test_matrix_5x2k_rejects_bad_k():
@@ -52,8 +52,7 @@ def test_matrix_5x2k_rejects_bad_k():
 def test_matrix_5x2k_validates(k):
     m = matrix_5x2k(k)
     assert sorted(m.flat()) == list(range(1, 10 * k + 1))
-    report = validate_5x2k(m)
-    assert report.ok, report.failures
+    assert validate_5x2k(m) == ()
 
 
 def test_validate_5x2k_constants_at_k6():
@@ -62,7 +61,7 @@ def test_validate_5x2k_constants_at_k6():
     m = matrix_5x2k(6)
     r1, r2, r3, _, _ = m.grid
     assert all(r1[j] + r2[j] + r3[j] == 79 for j in range(12))
-    assert validate_5x2k(m).ok
+    assert validate_5x2k(m) == ()
 
 
 def test_validate_5x2k_total_k1():
@@ -83,8 +82,7 @@ def test_sequences_n1_multiset():
 
 @pytest.mark.parametrize("n", list(range(1, 51)))
 def test_sequences_validate(n):
-    report = validate_6x4n(sequences_6x4n(n))
-    assert report.ok, report.failures
+    assert validate_6x4n(sequences_6x4n(n)) == ()
 
 
 def test_matrix_6x4n_n1_row1():
@@ -94,7 +92,7 @@ def test_matrix_6x4n_n1_row1():
 @pytest.mark.parametrize("n", list(range(1, 51)))
 def test_matrix_6x4n_structure_and_multiset(n):
     m = matrix_6x4n(n)
-    assert row_structure_6x4n(m).ok
+    assert row_structure_6x4n(m) == ()
     assert sorted(m.flat()) == expected_6x4n_multiset(n)
     # flattened grid and flattened sequences agree as multisets
     assert Counter(m.flat()) == Counter(t for seq in m.sequences for t in seq)
@@ -108,15 +106,14 @@ def test_matrix_kx10_k1_row():
     m = matrix_kx10(1)
     assert m.grid[0] == ROW_KX10_K1
     assert sorted(m.flat()) == list(range(1, 11))
-    assert validate_kx10(m).ok
+    assert validate_kx10(m) == ()
 
 
 @pytest.mark.parametrize("k", list(range(1, 51)))
 def test_matrix_kx10_validates(k):
     m = matrix_kx10(k)
     assert sorted(m.flat()) == list(range(1, 10 * k + 1))
-    report = validate_kx10(m)
-    assert report.ok, report.failures
+    assert validate_kx10(m) == ()
 
 
 def test_kx10_k4_row1_arithmetic():
@@ -140,7 +137,7 @@ def test_5x2k_detects_any_swap(k, data):
     a = data.draw(st.sampled_from(cells))
     b = data.draw(st.sampled_from([c for c in cells if c != a]))
     tampered = LabelMatrix(m.kind, k, _swap(m.grid, a, b))
-    assert not validate_5x2k(tampered).ok
+    assert validate_5x2k(tampered)
 
 
 @settings(max_examples=80)
@@ -151,7 +148,7 @@ def test_kx10_detects_any_swap(k, data):
     a = data.draw(st.sampled_from(cells))
     b = data.draw(st.sampled_from([c for c in cells if c != a]))
     tampered = LabelMatrix(m.kind, k, _swap(m.grid, a, b))
-    assert not validate_kx10(tampered).ok
+    assert validate_kx10(tampered)
 
 
 @settings(max_examples=80)
@@ -164,7 +161,7 @@ def test_6x4n_detects_sequence_swap(n, data):
     if seqs[i][p] == seqs[i][q]:  # same value swap cannot be observed
         return
     seqs[i][p], seqs[i][q] = seqs[i][q], seqs[i][p]
-    assert not validate_6x4n(tuple(tuple(t) for t in seqs)).ok
+    assert validate_6x4n(tuple(tuple(t) for t in seqs))
 
 
 CHECK_NAMES = {
@@ -196,22 +193,61 @@ VALIDATE_AT_3 = {
 }
 
 
+def _failed_names(kind, lines):
+    """The check names of ``lines``, each a name of ``kind``'s validator."""
+    names = [line.split(": ", 1)[0] for line in lines]
+    assert set(names) <= set(CHECK_NAMES[kind]), lines
+    return names
+
+
 @pytest.mark.parametrize("kind", sorted(CHECK_NAMES))
 def test_each_named_check_fails_on_some_change(kind):
     rows, check = VALIDATE_AT_3[kind]
-    assert tuple(c.name for c in check(rows).checks) == CHECK_NAMES[kind]
+    assert check(rows) == ()
     cells = [(i, j) for i, row in enumerate(rows) for j in range(len(row))]
     broken_by_swaps = set()
     for n, a in enumerate(cells):
         for b in cells[n + 1:]:
-            broken_by_swaps |= {c.name for c in check(_swap(rows, a, b)).failures}
+            names = _failed_names(kind, check(_swap(rows, a, b)))
+            # one line per failed check, in the validator's order of checks
+            assert names == sorted(set(names), key=CHECK_NAMES[kind].index), (a, b)
+            broken_by_swaps |= set(names)
     assert broken_by_swaps == set(CHECK_NAMES[kind]) - set(NOT_BY_SWAPS)
     for name in set(CHECK_NAMES[kind]) & set(NOT_BY_SWAPS):
-        assert name in {c.name for c in check(NOT_BY_SWAPS[name](rows)).failures}
+        assert name in _failed_names(kind, check(NOT_BY_SWAPS[name](rows)))
 
 
-def _bijection_detail(report):
-    return next(c.detail for c in report.failures if c.name == "bijection")
+@pytest.mark.parametrize("k, a, b, want", [
+    (3, (3, 0), (3, 2), (
+        "column_sum_rows_1_4: [1, 3] do not sum to 31",
+        "mirror_sum_rows_3_5: [('pair', 1), ('pair', 3), ('column', 1, 64), ('column', 3, 52)]"
+        " do not sum to 106 per mirrored pair, or the target listed with the column",
+        "block_sums: [(3, 2, 2)] do not sum to s * 53 for each (r, s, j)",
+        "rows_2_3_4_mirror: [4, 6] do not sum to 64",
+        "row_4_mirror: [1, 3] do not sum to 55",
+    )),
+    (4, (2, 4), (2, 5), (
+        "column_sum_rows_1_3: [5, 6] do not sum to 53",
+        "mirror_sum_rows_3_5: [('pair', 3), ('pair', 4), ('column', 5, 73), ('column', 6, 69)]"
+        " do not sum to 140 per mirrored pair, or the target listed with the column",
+        "rows_2_3_4_mirror: [5, 6] do not sum to 85",
+    )),
+])
+def test_5x2k_failure_lines_are_exact(k, a, b, want):
+    """Each mirrored pair of columns (of the bottom sums, of row 4) is
+    listed once, from the outer pair to the middle one, and a block is
+    checked against its mirror only for j <= (r + 1) // 2: row 3's second
+    half, where the second swap falls, meets no block check."""
+    assert validate_5x2k(LabelMatrix("5x2k", k, _swap(matrix_5x2k(k).grid, a, b))) == want
+
+
+def test_6x4n_without_sequences_fails_its_shape():
+    assert validate_6x4n(()) == ("shape: need an even number of length-12 sequences",)
+
+
+def _bijection_detail(lines):
+    return next(line.removeprefix("bijection: ") for line in lines
+                if line.startswith("bijection: "))
 
 
 def test_single_entry_perturbation_detected():
@@ -219,17 +255,15 @@ def test_single_entry_perturbation_detected():
     m = matrix_5x2k(3)
     g = [list(r) for r in m.grid]
     was, g[0][0] = g[0][0], 10 * 3 + 5  # out of range, breaks the bijection
-    report = validate_5x2k(LabelMatrix(m.kind, 3, tuple(tuple(r) for r in g)))
-    assert not report.ok
-    assert _bijection_detail(report) == f"label 35 outside [1, 30]; label {was} missing"
+    lines = validate_5x2k(LabelMatrix(m.kind, 3, tuple(tuple(r) for r in g)))
+    assert _bijection_detail(lines) == f"label 35 outside [1, 30]; label {was} missing"
 
     mk = matrix_kx10(3)
     g = [list(r) for r in mk.grid]
     was, g[1][1] = g[1][1], 1  # duplicate value
-    report = validate_kx10(LabelMatrix(mk.kind, 3, tuple(tuple(r) for r in g)))
-    assert not report.ok
-    assert _bijection_detail(report) == f"label 1 used more than once; label {was} missing"
+    lines = validate_kx10(LabelMatrix(mk.kind, 3, tuple(tuple(r) for r in g)))
+    assert _bijection_detail(lines) == f"label 1 used more than once; label {was} missing"
 
     seqs = [list(t) for t in sequences_6x4n(2)]
     seqs[0][0] = 99
-    assert not validate_6x4n(tuple(tuple(t) for t in seqs)).ok
+    assert validate_6x4n(tuple(tuple(t) for t in seqs))
