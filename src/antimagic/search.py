@@ -26,9 +26,10 @@ assignments it cuts:
 * ``conflict``: abort as soon as two adjacent, fully labeled vertices
   carry equal sums; no completion can change either sum.
 * ``color_bound``: abort when the distinct sums among fully labeled
-  vertices (plus one for an isolated vertex, whose sum 0 is unique)
-  exceed the round's target; a completed vertex keeps its sum, so the
-  final count can only be larger.
+  vertices exceed the round's target; a completed vertex keeps its sum,
+  so the final count can only be larger.  An isolated vertex counts as
+  a completed vertex from the start, at sum 0, which no vertex on an
+  edge can have.
 * ``reach``: let w be a vertex with r unlabeled edges and F the free
   labels.  Its edges take r distinct labels of F, so it ends on sums[w]
   plus a sum in S_r(F), the set of sums of r distinct labels of F (a
@@ -48,16 +49,16 @@ assignments it cuts:
 * ``clique``: the all-different filter of Regin ("A filtering
   algorithm for constraints of difference in CSPs", AAAI 1994), reduced
   to Hall's condition on the whole clique.  Let d be the distinct sums
-  of the fully labeled vertices and cap the round's target less the
-  isolated vertex, so that at most cap - d new sums may still appear,
-  and let Q be a clique of open vertices.  The members of Q are pairwise
-  adjacent, so they end on pairwise distinct sums.  Each ends either on
-  a taken sum it can reach, from fin[w], the taken sums ``reach`` finds
-  w able to end on (those of w's fully labeled neighbors left out), or
-  on one of the at most cap - d new sums.  So |Q| <= |U fin[w]| + cap - d
-  over w in Q, and a branch is cut when Q breaks it.  The first
-  ``reach`` cuts are the cases |Q| = 1 at cap - d = 0 and |Q| = 2 (an
-  edge) at cap - d = 1, both with U fin[w] empty.  The cliques tested
+  of the fully labeled vertices and cap the round's target, so that at
+  most cap - d new sums may still appear, and let Q be a clique of open
+  vertices.  The members of Q are pairwise adjacent, so they end on
+  pairwise distinct sums.  Each ends either on a taken sum it can reach,
+  from fin[w], the taken sums ``reach`` finds w able to end on (those of
+  w's fully labeled neighbors left out), or on one of the at most
+  cap - d new sums.  So |Q| <= |U fin[w]| + cap - d over w in Q, and a
+  branch is cut when Q breaks it.  The first ``reach`` cuts are the
+  cases |Q| = 1 at cap - d = 0 and |Q| = 2 (an edge) at cap - d = 1,
+  both with U fin[w] empty.  The cliques tested
   at a position are g's maximal cliques of three or more vertices,
   found once, each restricted to the position's open vertices and
   dropped once fewer than three of its members are open (see
@@ -125,16 +126,17 @@ last, are all cached.  The cache has one bound: once it holds
 next new F first empties it back to the empty mask's entry.
 
 Default edge budget is 11, and a graph too deep for the recursion limit
-(see ``FRAME_MARGIN``) raises ``GraphTooLarge`` up front.  The time
-budget is the ``budget`` argument in seconds, and ``None`` means
-unlimited.  It covers the setup too: each step of each long loop reads
-the clock (each pick of the edge order, pair of blocks of the
-transversal, step of the clique enumeration, position of the schedule
-and search node).  A search that runs out of time reports the best
-labeling found so far and, as its lower bound, one more than the
-largest refuted target (at least ``verify.lower_bound``); one that runs
-out in the setup has no labeling and the lower bound
-``verify.lower_bound``.
+(see ``FRAME_MARGIN``) raises ``GraphTooLarge`` up front: ``dfs`` takes
+one frame per edge, plus one in which it recognizes the complete
+labeling, at position m.  The time budget is the ``budget`` argument
+in seconds, and ``None`` means unlimited.  It covers the setup too: each
+step of each long loop reads the clock (each pick of the edge order,
+pair of blocks of the transversal, step of the clique enumeration,
+position of the schedule and search node).  A search that runs out of
+time reports the best labeling found so far and, as its lower bound,
+one more than the largest refuted target (at least
+``verify.lower_bound``); one that runs out in the setup has no labeling
+and the lower bound ``verify.lower_bound``.
 
 This module only computes: ``document.search_to_document`` writes a
 ``SearchResult``.  ``SearchStats.elapsed`` stays on the record and is not
@@ -155,7 +157,9 @@ from .verify import induced_coloring, lower_bound
 
 DEFAULT_MAX_EDGES = 11
 SUM_SETS_ROOM = 16 << 20  # bytes of sum sets; past them the cache empties
-FRAME_MARGIN = 100  # frames of the recursion limit left to the caller and the setup
+# frames of the recursion limit left to the caller, the setup and the
+# frame in which dfs recognizes a complete labeling
+FRAME_MARGIN = 100
 
 STATUS_VALUE = "value"
 STATUS_NO_LABELING = "no_labeling"
@@ -244,10 +248,7 @@ def _automorphisms(g: LabeledGraph, order: list[int],
     vertices fixes every edge and constrains nothing.  Past ``deadline``
     the transversal raises ``_Timeout``.
     """
-    rank: dict[int, int] = {}  # vertex -> first position; insertion order is rank order
-    for ei in order:
-        for w in g.edges[ei][:2]:
-            rank.setdefault(w, len(rank))
+    rank = dict.fromkeys(w for ei in order for w in g.edges[ei][:2])  # by first edge
     members = [[w] for w in rank]
     block_of = {m[0]: b for b, m in enumerate(members)}
     nbrs = [{block_of[x] for x in g.adjacency[m[0]]} for m in members]
@@ -376,11 +377,12 @@ def _schedule(g: LabeledGraph, order: list[int], neighbors: list[int],
     repeats; the span is the size of the largest, less one, and 1 when
     there is none.  An entry holds only what changes with t: ``dfs``
     reads w's neighbor mask and side from per-vertex lists, and the open
-    cliques of a position that completes no clique member are its
-    predecessor's tuple.  The open vertices are carried forward in id
-    order, and a vertex's entry is rebuilt only when its count or its
-    finished neighbors change, so a position costs time in its open
-    vertices, not in n.  ``neighbors`` holds g's neighbor bitmasks, for
+    cliques of a position that completes no vertex are its predecessor's
+    tuple (one that does filters that tuple by the vertices left open).
+    The open vertices are carried forward in id order, and a vertex's
+    entry is rebuilt only when its count or its finished neighbors
+    change, so a position costs time in its open vertices and open
+    cliques, not in n.  ``neighbors`` holds g's neighbor bitmasks, for
     ``_cliques``.  Raises ``_Timeout`` past ``deadline``.
     """
     adj = g.adjacency
@@ -399,14 +401,9 @@ def _schedule(g: LabeledGraph, order: list[int], neighbors: list[int],
             if q != s:
                 after[q].add(s)
                 break
-    # the open members of each clique not yet dropped; a vertex leaves its
+    # the open members of each clique, without repeats; a vertex leaves its
     # cliques at its last edge, and a clique left with two is dropped
-    live = dict(enumerate(_cliques(g, neighbors, deadline)))
-    within: dict[int, list[int]] = {}  # vertex -> its cliques
-    for c, q in live.items():
-        for w in q:
-            within.setdefault(w, []).append(c)
-    changed = True
+    cliques = tuple(_cliques(g, neighbors, deadline))
     left = list(g.degree)
     open_ids = [x for x in range(n) if left[x]]  # in id order: the vertices with edges left
     latest = [(w, left[w], ()) for w in range(n)]  # each vertex's open entry, rebuilt on change
@@ -422,6 +419,8 @@ def _schedule(g: LabeledGraph, order: list[int], neighbors: list[int],
             open_ids = [x for x in open_ids if left[x]]
             for x in {x for w in done for x in adj[w]}:
                 latest[x] = (x, left[x], tuple(y for y in adj[x] if last[y] <= t))
+            kept = (tuple(x for x in q if left[x]) for q in cliques)
+            cliques = tuple(dict.fromkeys(q for q in kept if len(q) > 2))
         latest[u] = (u, left[u], latest[u][2])
         latest[v] = (v, left[v], latest[v][2])
         opens = tuple(latest[w] for w in (u, v, *(x for x in open_ids if x != u and x != v))
@@ -429,24 +428,10 @@ def _schedule(g: LabeledGraph, order: list[int], neighbors: list[int],
         pairs = [(w, nb) for w in done for nb in adj[w] if last[nb] < t]
         if len(done) == 2:
             pairs.append((u, v))
-        for w in done:
-            for c in within.get(w, ()):
-                q = live.get(c)
-                if q is not None:
-                    changed = True
-                    q = tuple(x for x in q if x != w)
-                    if len(q) < 3:
-                        del live[c]
-                    else:
-                        live[c] = q
-        if changed:
-            cliques = tuple(dict.fromkeys(live.values()))
-            span = max(map(len, cliques), default=2) - 1
-            inner = {w for q in cliques for w in q}
-            changed = False
-        members = tuple(entry for entry in opens if entry[0] in inner) if cliques else ()
-        plan.append((u, v, tuple(sorted(after[t])), tuple(pairs), done, opens,
-                     cliques, span, members))
+        inner = {w for q in cliques for w in q}
+        plan.append((u, v, tuple(sorted(after[t])), tuple(pairs), done, opens, cliques,
+                     max(map(len, cliques), default=2) - 1,
+                     tuple(entry for entry in opens if entry[0] in inner)))
     return plan
 
 
@@ -495,7 +480,7 @@ def check_budget(budget: float | None) -> None:
 def _searcher(g: LabeledGraph, order: list[int],
               deadline: float | None) -> tuple[Callable, Callable]:
     """The setup and the node loop of the search in the static edge order
-    ``order`` of g's m >= 1 edges; the setup and each node raise
+    ``order`` of g's m edges; the setup and each node raise
     ``_Timeout`` past ``deadline``.  Returns two closures:
     ``attempt(target)``, the color count and the labels per edge id of the
     first labeling in search order with at most ``target`` colors, or None
@@ -503,7 +488,6 @@ def _searcher(g: LabeledGraph, order: list[int],
     attempt so far, in ``SearchStats`` order."""
     m = g.size
     n = g.n_vertices
-    iso_extra = 1 if 0 in g.degree else 0
     bip = is_bipartite(g)
     # at a sum_total check the open vertices of side 0 gain share0 * sum(F)
     # in all and those of side 1 share1 * sum(F); with no 2-coloring every
@@ -515,16 +499,19 @@ def _searcher(g: LabeledGraph, order: list[int],
     sum_sets = _SumSets(max((r for step in plan for _, r, _ in step[5]), default=0), m)
 
     sums = [0] * n
-    fin = [0] * n  # per open clique member: the taken sums it can end on
+    fin = [0] * n  # per open clique member: the taken sums it can end on, set by the reach loop
     assignment = [0] * m  # per position of the order
 
     nodes = conflict = color_bound = symmetry = reach = sum_total = clique = 0
-    cap = 0  # most distinct completed sums the current target allows
-    final = m - 1
+    cap = 0  # the current target: most distinct completed sums allowed
 
-    def dfs(t: int, distinct: int, taken: int, free: int, total: int) -> None:
-        """Label position t onward; ``total`` is the sum of the free labels."""
+    def dfs(t: int, taken: int, free: int, total: int) -> None:
+        """Label position t onward, or at t == m report the complete
+        labeling; bit s of ``taken`` is set when a completed vertex has
+        sum s, and ``total`` is the sum of the free labels."""
         nonlocal nodes, conflict, color_bound, symmetry, reach, sum_total, clique
+        if t == m:
+            raise _Found(taken.bit_count())
         u, v, after, pairs, done, opens, cliques, span, members = plan[t]
         su = sums[u]
         sv = sums[v]
@@ -547,66 +534,56 @@ def _searcher(g: LabeledGraph, order: list[int],
                     conflict += 1
                     break
             else:
-                d = distinct
-                now = taken  # bit s set: a completed vertex has sum s
+                now = taken
                 for w in done:
-                    bit = 1 << sums[w]
-                    if not now & bit:
-                        now |= bit
-                        d += 1
-                if d > cap:
+                    now |= 1 << sums[w]
+                spare = cap - now.bit_count()  # new sums the target still allows
+                if spare < 0:
                     color_bound += 1
                 else:
                     rest = free ^ low
                     cut = False
-                    spare = cap - d  # new sums the target still allows
                     if spare <= span:
                         reachable = sum_sets[rest]
-                        if spare < 2:
-                            # an open vertex that cannot end on a taken sum needs
-                            # a new one: at spare 0 it cuts, and at spare 1 all
-                            # such vertices share the one new sum, so no two are
-                            # adjacent and their reachable new sums meet
-                            stuck = 0  # bitmask of open vertices that cannot
-                            shared = ~now  # the new sums every one of them can reach
-                            ends = [1, 1]  # per side, bit k: its open vertices so far can gain k
-                            for w, r, finished in opens:
-                                hit = now >> sums[w] & reachable[r]  # bit k: w can gain k
-                                if hit and finished:  # leaving out their sums only clears bits
-                                    ok = now  # taken sums no finished neighbor of w carries
-                                    for x in finished:
-                                        ok &= ~(1 << sums[x])
-                                    hit = ok >> sums[w] & reachable[r]
-                                if cliques:
-                                    fin[w] = hit << sums[w]
-                                if not hit:
-                                    shared &= reachable[r] << sums[w]
-                                    if not spare or not shared or stuck & neighbors[w]:
-                                        reach += 1
-                                        cut = True
-                                        break
-                                    stuck |= 1 << w
-                                elif not spare:
-                                    # add w's increment to its side's totals, a shift per bit
-                                    s = side[w]
-                                    grown = 0
-                                    while hit:
-                                        gain = hit & -hit
-                                        grown |= ends[s] << gain.bit_length() - 1
-                                        hit ^= gain
-                                    ends[s] = grown
-                            else:
-                                left = total - lab
-                                if not spare and not (
-                                        ends[0] >> share0 * left & ends[1] >> share1 * left & 1):
-                                    sum_total += 1
-                                    cut = True
-                        else:  # only a clique can cut: its members' fin, as above
-                            for w, r, finished in members:
-                                ok = now
+                        # below spare 2, an open vertex that cannot end on a taken
+                        # sum needs a new one: at spare 0 it cuts, and at spare 1
+                        # all such vertices share the one new sum, so no two are
+                        # adjacent and their reachable new sums meet; above it,
+                        # only a clique can cut, so only its members are visited
+                        stuck = 0  # bitmask of open vertices that cannot
+                        shared = ~now  # the new sums every one of them can reach
+                        ends = [1, 1]  # per side, bit k: its open vertices so far can gain k
+                        for w, r, finished in (opens if spare < 2 else members):
+                            hit = now >> sums[w] & reachable[r]  # bit k: w can gain k
+                            if hit and finished:  # leaving out their sums only clears bits
+                                ok = now  # taken sums no finished neighbor of w carries
                                 for x in finished:
                                     ok &= ~(1 << sums[x])
-                                fin[w] = ok & reachable[r] << sums[w]
+                                hit = ok >> sums[w] & reachable[r]
+                            if cliques:
+                                fin[w] = hit << sums[w]
+                            if not hit and spare < 2:
+                                shared &= reachable[r] << sums[w]
+                                if not spare or not shared or stuck & neighbors[w]:
+                                    reach += 1
+                                    cut = True
+                                    break
+                                stuck |= 1 << w
+                            elif not spare:
+                                # add w's increment to its side's totals, a shift per bit
+                                s = side[w]
+                                grown = 0
+                                while hit:
+                                    gain = hit & -hit
+                                    grown |= ends[s] << gain.bit_length() - 1
+                                    hit ^= gain
+                                ends[s] = grown
+                        else:
+                            left = total - lab
+                            if not spare and not (
+                                    ends[0] >> share0 * left & ends[1] >> share1 * left & 1):
+                                sum_total += 1
+                                cut = True
                         if cliques and not cut:
                             # a clique's members end on distinct sums, each on a
                             # taken sum it can reach or on one of the spare new ones
@@ -622,20 +599,18 @@ def _searcher(g: LabeledGraph, order: list[int],
                                         break
                     if not cut:
                         assignment[t] = lab
-                        if t < final:
-                            dfs(t + 1, d, now, rest, total - lab)
-                        else:
-                            raise _Found(d + iso_extra)
+                        dfs(t + 1, now, rest, total - lab)
         sums[u] = su
         sums[v] = sv
 
     def attempt(target: int) -> tuple[int, list[int]] | None:
         nonlocal cap
-        cap = target - iso_extra
+        cap = target
         sums[:] = [0] * n  # a search that found a labeling left them set
         try:
-            # bit l set: label l is free; all of 1..m, which add up to m(m+1)/2
-            dfs(0, 0, 0, (2 << m) - 2, m * (m + 1) // 2)
+            # taken: bit 0 if a vertex is isolated (complete from the start, at
+            # sum 0); free: bit l per label l of 1..m, which add up to m(m+1)/2
+            dfs(0, int(0 in g.degree), (2 << m) - 2, m * (m + 1) // 2)
         except _Found as found:
             return found.args[0], [lab for _, lab in sorted(zip(order, assignment))]
         return None
@@ -666,15 +641,14 @@ def chi_la_exact(
     if m > max_edges:
         raise GraphTooLarge(f"{m} edges exceeds the search's edge cap of {max_edges} (--max-edges)")
     ceiling = sys.getrecursionlimit() - FRAME_MARGIN
-    # dfs takes a frame per edge, the transversal one per vertex on an edge
+    # dfs takes a frame per edge (and the margin's one for the complete
+    # labeling), the transversal one per vertex on an edge
     if max(m, g.n_vertices - g.degree.count(0) - 1) > ceiling:
         raise GraphTooLarge(f"too deep to search: at most {ceiling} edges on {ceiling + 1} "
                             f"vertices fit the recursion limit")
     check_budget(budget)
     start = time.monotonic()
     lb = lower_bound(g)
-    if m == 0:
-        return SearchResult(STATUS_VALUE, lb, g, SearchStats(), lb, lb, budget)
     deadline = start + budget if budget is not None else None
 
     status = STATUS_VALUE

@@ -10,7 +10,7 @@ import sys
 from collections import Counter
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import antimagic.search as search
@@ -489,8 +489,21 @@ def test_star_symmetry_is_a_chain_of_twin_swaps():
     assert after == [()] + [(t,) for t in range(10)]
 
 
+K4 = [(0, 1), (0, 2), (0, 3), (1, 2), (1, 3), (2, 3)]
+
+
 @settings(max_examples=80, deadline=None)
 @given(st.one_of(small_graphs(), symmetric_graphs(), bipartite_graphs(), dense_graphs()))
+# K4 and K5: a position completes two members of one clique; a bowtie and
+# K4 less an edge: a vertex in two maximal cliques; the last: the cliques
+# {0, 1, 3, 4} and {0, 1, 3, 5} keep the same open members once 4 and 5
+# are done
+@example(graph_of(K4))
+@example(graph_of([(a, b) for a in range(5) for b in range(a + 1, 5)]))
+@example(graph_of([(0, 1), (0, 2), (1, 2), (0, 3), (0, 4), (3, 4)]))
+@example(graph_of(K4[:-1]))
+@example(graph_of([(0, 4), (3, 4), (3, 5), (2, 4), (1, 4), (0, 5), (2, 5), (1, 3), (1, 5),
+                   (0, 3), (0, 1)]))
 def test_schedule_entries_match_a_brute_force_recount(g):
     # each open entry of position t is (w, r, finished), recounted here
     # from the positions of each vertex's edges in the static order, and
@@ -557,6 +570,44 @@ def test_isolated_vertices_add_no_automorphisms():
         assert all(pi[4:] == list(range(4, g.n_vertices)) for pi in maps)
         counts.append(len(maps))
     assert counts == [counts[0]] * 4
+
+
+def without_isolated_vertices(g):
+    """g less its vertices on no edge, the others in the same order."""
+    used = [w for w in range(g.n_vertices) if g.degree[w]]
+    ids = {w: i for i, w in enumerate(used)}
+    return new_graph([g.names[w] for w in used],
+                     [(ids[u], ids[v], label) for u, v, label in g.edges])
+
+
+def _isolated_vertex_is_invisible(g, at):
+    # an isolated vertex completes at sum 0, a color of its own: every
+    # count moves up by one, and the search tree and witness stay the same
+    shift = [w + (w >= at) for w in range(g.n_vertices)]
+    more = new_graph([*g.names[:at], "isolated", *g.names[at:]],
+                     [(shift[u], shift[v], label) for u, v, label in g.edges])
+    a, b = chi_la_exact(g), chi_la_exact(more)
+    assert b.status == a.status
+    assert b.lower_bound == a.lower_bound + 1
+    for x, y in ((a.chi_la, b.chi_la), (a.upper_bound, b.upper_bound)):
+        assert y == (None if x is None else x + 1)
+    assert b.stats[:-1] == a.stats[:-1]  # nodes and every rule's prunes
+    assert (b.witness and b.witness.labels()) == (a.witness and a.witness.labels())
+
+
+@settings(max_examples=80, deadline=None)
+@given(st.one_of(small_graphs(), symmetric_graphs(), bipartite_graphs(), dense_graphs()),
+       st.integers(0, 20))
+def test_an_isolated_vertex_is_invisible_to_the_search(g, at):
+    g = without_isolated_vertices(g)
+    _isolated_vertex_is_invisible(g, at % (g.n_vertices + 1))
+
+
+@pytest.mark.parametrize("tag", [tag for tag, (_, grid) in FAMILIES.items()
+                                 if grid[0] == {"k": 1}])
+def test_an_isolated_vertex_is_invisible_on_the_k1_families(tag):
+    g = build_family(tag, k=1).graph
+    _isolated_vertex_is_invisible(g, g.n_vertices // 2)
 
 
 class ReadClock:
@@ -731,7 +782,7 @@ def test_timeout_at_each_setup_read(monkeypatch):
 
 
 def test_every_counter_is_zero_when_no_node_runs():
-    # an edgeless search and a setup timeout take their stats from the defaults
+    # an edgeless search runs no node, and a setup timeout counts nothing
     for result in (chi_la_exact(new_graph(["a", "b"])),
                    chi_la_exact(build_family("FB", k=1).graph, budget=1e-9)):
         assert result.stats.nodes == result.stats.prunes == 0
@@ -786,6 +837,18 @@ def test_search_stops_at_the_node_that_reads_past_the_deadline(monkeypatch, stop
 def test_empty_graph():
     assert chi_la_exact(new_graph([])).chi_la == 0
     assert chi_la_exact(new_graph(["a"])).chi_la == 1
+    # the whole written document: no vertex takes no color, and any
+    # number of isolated vertices one (sum 0); a budget, however short,
+    # cannot run out, since an edgeless search checks no deadline
+    for n, colors in ((0, 0), (1, 1), (3, 1)):
+        for budget in (None, 1e-9):
+            result = chi_la_exact(new_graph([f"i{j}" for j in range(n)]), budget=budget)
+            assert _document(result) == {
+                "budget": budget, "chi_la": colors, "lower_bound": colors,
+                "stats": {"nodes": 0, "prunes": 0, "prunes_by_rule": dict.fromkeys(
+                    ["clique", "color_bound", "conflict", "reach", "sum_total",
+                     "symmetry"], 0)},
+                "status": STATUS_VALUE, "upper_bound": colors, "witness": []}
 
 
 def test_env_var_budget(tmp_path, monkeypatch, capsys):
