@@ -48,6 +48,21 @@ families built alike share one grid.  H_m(n) is H_m(rs) at s = 1, so
 ``_build_h`` and ``_build_hm_rs`` keep their own parameters and share
 one body, ``_h_family``; only H_m(rs) checks m, which the user types.
 Each claimed color count is the number of claimed classes.
+
+Two helpers write the claimed classes that the unit matrices give many
+families, each in a fixed place, since the output keeps the class order.
+``_fan_classes(k, *own)`` gives the 4k degree-2 vertices at 10k+1
+and the 2k degree-3 vertices at 13k+1 (the 5 x 2k and k x 10 pair and
+triple sums) and then the builder's own classes: every fan family and
+rG(8,2); FB1, FB2, DF1 and DF2 then replace the class their fusion
+merges.  ``_prism_classes(n, first)`` gives the builder's first class and
+then the 4n degree-3 vertices at each of 30n+1 and 30n+2 (the 6 x 4n
+triple sums): nC4(8,2), G1 and the H families.  Three claims keep their
+own lists: G2 writes 30n+2 before its fused 30n+1 class, OddKH has
+4k+r degree-2 vertices at 10k+1, and the C8 registry rows hold their
+classes as data in one form that ``_build_c8`` scales by k; three of
+the four do not start with the fan pair (C8_units and Bk have 5k
+degree-2 vertices at 10k+1, kC82 writes its 6k+2 class second).
 """
 
 from __future__ import annotations
@@ -85,6 +100,20 @@ def _expected(classes: list[tuple[int, int, int]], exact: bool = True) -> Expect
     """The claim that the coloring has exactly these (value, size, degree)
     classes; ``exact`` False claims their count only as an upper bound."""
     return ExpectedColors(tuple(ColorClass(*c) for c in classes), len(classes), exact)
+
+
+def _fan_classes(k: int, *own: tuple[int, int, int]) -> list[tuple[int, int, int]]:
+    """The 4k degree-2 vertices at 10k+1 and the 2k degree-3 vertices at
+    13k+1 that the 5 x 2k and k x 10 pair and triple sums give every fan
+    family and rG(8,2), then the builder's ``own`` classes."""
+    return [(10 * k + 1, 4 * k, 2), (13 * k + 1, 2 * k, 3), *own]
+
+
+def _prism_classes(n: int, first: tuple[int, int, int]) -> list[tuple[int, int, int]]:
+    """The builder's ``first`` class, then the 4n degree-3 vertices at each
+    of 30n+1 and 30n+2 that the 6 x 4n triple sums give nC4(8,2), G1 and
+    the H families."""
+    return [first, (30 * n + 1, 4 * n, 3), (30 * n + 2, 4 * n, 3)]
 
 
 def _check(cond: bool, msg: str) -> None:
@@ -167,20 +196,14 @@ def _fan_units(k: int, split: bool = False) -> tuple[LabeledGraph, LabelMatrix]:
 def _build_fb_units(k: int) -> tuple:
     """2k disjoint fan units; hub sums vary per column, u/v/w are constant."""
     g, m = _fan_units(k)
-    classes = [(10 * k + 1, 4 * k, 2), (13 * k + 1, 2 * k, 3)]
-    classes += [(sum(col[2:]), 1, 3) for col in zip(*m.grid)]
-    return g, _expected(classes)
+    return g, _expected(_fan_classes(k, *((sum(col[2:]), 1, 3) for col in zip(*m.grid))))
 
 
 def _build_fb(k: int) -> tuple:
     """Fan with 2k blades: all unit hubs fused into one vertex x."""
     g, _ = _fan_units(k)
     g = apply_merge(g, [([_fan(i, "x") for i in range(1, 2 * k + 1)], "x")])
-    return g, _expected([
-        (10 * k + 1, 4 * k, 2),
-        (13 * k + 1, 2 * k, 3),
-        (k * (34 * k + 4), 1, 6 * k),
-    ])
+    return g, _expected(_fan_classes(k, (k * (34 * k + 4), 1, 6 * k)))
 
 
 def _rfb_component_units(r: int, s: int) -> list[list[int]]:
@@ -209,8 +232,7 @@ def _build_rfb(v: int, r: int, s: int) -> tuple:
     g, _ = _fan_units(k)
     groups = [([_fan(i, "x") for i in units], f"x_{j}")
               for j, units in enumerate(_rfb_component_units(r, s), start=1)]
-    classes = [(10 * k + 1, 4 * k, 2), (13 * k + 1, 2 * k, 3),
-               (s * (17 * k + 2), r, 3 * s)]
+    classes = _fan_classes(k, (s * (17 * k + 2), r, 3 * s))
     warnings: tuple[str, ...] = ()
     if v == 1:
         groups += _across_components(r, s, "uv")
@@ -271,7 +293,7 @@ def _build_rdf(v: int, r: int, s: int) -> tuple:
     k = r * s
     g, _ = _fan_units(k, True)
     hub = s * (17 * k + 2)
-    classes = [(10 * k + 1, 4 * k, 2), (13 * k + 1, 2 * k, 3), (hub, 2 * r, 3 * s)]
+    classes = _fan_classes(k, (hub, 2 * r, 3 * s))
     fused = "{}_{}".format
     across: Iterable[tuple[list[int], str]] = ()
     warnings: tuple[str, ...] = ()
@@ -307,11 +329,7 @@ def _build_dfr(r: int, s: int) -> tuple:
     g, _ = _fan_units(k, True)
     g = apply_merge(g, [([_fan(i, x, k) for i in middle for x in ("x", "x2")], "x"),
                         *_diamond_hubs(r, s, 2 * r + 1, k)])
-    return g, _expected([
-        (10 * k + 1, 4 * k, 2),
-        (13 * k + 1, 2 * k, 3),
-        (s * (17 * k + 2), 2 * r + 1, 3 * s),
-    ])
+    return g, _expected(_fan_classes(k, (s * (17 * k + 2), 2 * r + 1, 3 * s)))
 
 
 # ---------------------------------------------------------------------------
@@ -351,11 +369,7 @@ def _nc_units(n: int) -> LabeledGraph:
 
 def _build_nc482(n: int) -> tuple:
     """nC4(8,2): the units alone."""
-    return _nc_units(n), _expected([
-        (20 * n + 1, 8 * n, 2),
-        (30 * n + 1, 4 * n, 3),
-        (30 * n + 2, 4 * n, 3),
-    ])
+    return _nc_units(n), _expected(_prism_classes(n, (20 * n + 1, 8 * n, 2)))
 
 
 # G variant -> (role, corner, fused index) per copy: role_c_corner of every
@@ -376,8 +390,7 @@ def _build_g(v: int, r: int, s: int) -> tuple:
         ([_nc(c, role, p) for c in _block(b, s)], f"{role.upper()}_{b}_{j}")
         for b in range(1, r + 1) for role, p, j in _G_CORNERS[v]))
     if v == 1:
-        classes = [(s * (20 * n + 1), 8 * r, 2 * s), (30 * n + 1, 4 * n, 3),
-                   (30 * n + 2, 4 * n, 3)]
+        classes = _prism_classes(n, (s * (20 * n + 1), 8 * r, 2 * s))
     else:
         classes = [(20 * n + 1, 8 * n, 2), (30 * n + 2, 4 * n, 3),
                    (s * (30 * n + 1), 4 * r, 3 * s)]
@@ -403,11 +416,7 @@ def _h_family(m: int, r: int, s: int, names: str) -> tuple:
         ([_nc(c, role, p) for c in _block(b, s) for role, p in pair], f"{x}_{b}_{j}")
         for b in range(1, r + 1)
         for pair, (x, j) in zip(_H_MERGES[m], product(names, (1, 2)))))
-    return g, _expected([
-        (s * (40 * n + 2), 4 * r, 4 * s),
-        (30 * n + 1, 4 * n, 3),
-        (30 * n + 2, 4 * n, 3),
-    ])
+    return g, _expected(_prism_classes(n, (s * (40 * n + 2), 4 * r, 4 * s)))
 
 
 def _build_h(m: int, n: int) -> tuple:
@@ -508,11 +517,7 @@ def _build_rg82(r: int, s: int) -> tuple:
     _check(s >= 2 and s % 2 == 0, "s must be even and >= 2")
     k = r * s
     g = apply_merge(_prism_units(k), _rg_groups(r, s))
-    return g, _expected([
-        (10 * k + 1, 4 * k, 2),
-        (13 * k + 1, 2 * k, 3),
-        (s * (17 * k + 2), 2 * r, 3 * s),
-    ]), (), (_DEGREE3_NOTE,)
+    return g, _expected(_fan_classes(k, (s * (17 * k + 2), 2 * r, 3 * s))), (), (_DEGREE3_NOTE,)
 
 
 def _build_oddk_h(r: int, s: int) -> tuple:

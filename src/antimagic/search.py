@@ -671,12 +671,10 @@ def chi_la_exact(
         own = induced_coloring(g)
         if own.local_antimagic and (best is None or own.color_count < best[0]):
             best = own.color_count, g.labels()
-    if best is None:
-        if status == STATUS_VALUE:
-            status = STATUS_NO_LABELING
-        return SearchResult(status, None, None, stats, proven, None, budget)
-    colors, labels = best
-    witness = g._replace(edges=tuple(
+    if best is None and status == STATUS_VALUE:
+        status = STATUS_NO_LABELING
+    colors, labels = best or (None, None)
+    witness = None if best is None else g._replace(edges=tuple(
         (u, v, lab) for (u, v, _), lab in zip(g.edges, labels)))
     chi = colors if status == STATUS_VALUE else None
     return SearchResult(status, chi, witness, stats, proven, colors, budget)

@@ -221,7 +221,14 @@ def lower_bound(g: LabeledGraph) -> int:
 
 def _chromatic_number(g: LabeledGraph) -> int:
     """Exact chromatic number, by backtracking, of a graph that is not
-    bipartite, so 3 or more."""
+    bipartite, so 3 or more.
+
+    Vertices are colored in a fixed order.  First-use symmetry break:
+    unused colors are interchangeable, so a vertex takes no color above
+    ``top + 1`` (nor above c), where ``top`` is the highest color used so
+    far.  ``place`` carries ``top`` down the recursion instead of
+    rescanning the colored vertices on every call, and tries the same
+    colorings in the same order."""
     adj = g.adjacency
     # isolated vertices never change chi: only the others are colored, so
     # the recursion takes a frame per vertex on an edge
@@ -231,22 +238,20 @@ def _chromatic_number(g: LabeledGraph) -> int:
     def colorable(c: int) -> bool:
         colors = [0] * g.n_vertices  # 0 = unassigned
 
-        def place(idx: int) -> bool:
+        def place(idx: int, top: int) -> bool:
             if idx == n:
                 return True
             v = order[idx]
             used_here = {colors[w] for w in adj[v] if colors[w]}
-            # first-use symmetry break: never skip past the lowest fresh color
-            max_new = min(c, max((colors[order[i]] for i in range(idx)), default=0) + 1)
-            for col in range(1, max_new + 1):
+            for col in range(1, min(c, top + 1) + 1):
                 if col in used_here:
                     continue
                 colors[v] = col
-                if place(idx + 1):
+                if place(idx + 1, max(top, col)):
                     return True
                 colors[v] = 0
             return False
 
-        return place(0)
+        return place(0, 0)
 
     return next(c for c in range(3, n + 1) if colorable(c))  # c = n always succeeds

@@ -95,6 +95,18 @@ def test_document_validation_errors():
             document_to_graph(bad)
 
 
+def test_a_claim_of_size_zero_is_read():
+    # only a negative size or count is malformed: a class of size 0 and a
+    # claimed count of 0 are read as written, and the check then reports them
+    doc = json.loads(dumps(built_to_document(build_family("FB", k=1))))
+    doc["expected_colors"]["claimed_colors"] = 0
+    doc["expected_colors"]["classes"][0]["size"] = 0
+    g, expected = document_to_graph(doc)
+    assert expected.claimed_colors == 0 and expected.classes[0].size == 0
+    assert check_expected(expected, induced_coloring(g)) == (
+        "color 11: expected 0 vertices, found 4", "color count 3 != claimed 0")
+
+
 def test_dot_export_snapshot():
     g = by_name(["a", "b", "c"], [("a", "b", 2), ("b", "c", 1)])
     expected = (

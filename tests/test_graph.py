@@ -8,6 +8,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import antimagic.graph as graph
 from antimagic.document import FORMAT, DocumentError, document_to_graph, dumps, graph_to_document
 from antimagic.families import FAMILIES, build_family
 from antimagic.graph import (
@@ -80,6 +81,18 @@ def test_new_graph_refuses_a_bad_edge(edges, kind, message):
     with pytest.raises(GraphError) as info:
         new_graph(["a", "b", "c"], edges)
     assert type(info.value) is kind and str(info.value) == message
+
+
+def test_new_graph_scans_only_a_refused_input_again(monkeypatch):
+    # a valid edge list passes the one set of pair keys, edges at id 0 and
+    # edges sharing an end included; only a refused one is scanned edge by
+    # edge for the first bad edge
+    def rescan(edges, n):
+        raise AssertionError(f"valid edges {edges} scanned again")
+
+    monkeypatch.setattr(graph, "_refuse_edge", rescan)
+    edges = ((0, 2, 1), (1, 2, 2), (2, 3, 3), (0, 3, 4), (1, 3, 5))
+    assert new_graph(["u", "v", "w", "x"], edges).edges == edges
 
 
 def test_add_edge_and_errors():

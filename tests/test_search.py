@@ -85,6 +85,27 @@ def test_k2_has_no_labeling():
     assert chi_la_exact(path(2)).status == STATUS_NO_LABELING
 
 
+@pytest.mark.parametrize("budget", [None, 60.0])
+@pytest.mark.parametrize("g, lb, nodes", [
+    (path(2), 3, 1),
+    (by_name(["p0", "p1", "i"], [("p0", "p1", 1)]), 4, 1),
+    (by_name(["a", "b", "c", "d", "e"], [("a", "b", 1), ("b", "c", 2), ("d", "e", 3)]), 5, 3),
+], ids=["K2", "K2_plus_isolated", "P3_plus_K2"])
+def test_a_graph_with_no_labeling_writes_no_witness(g, lb, nodes, budget):
+    # a K2 component has two equal sums under every labeling: no witness,
+    # no chi_la and no upper bound, with or without a budget
+    result = chi_la_exact(g, budget=budget)
+    assert result.status == STATUS_NO_LABELING
+    assert result.chi_la is None and result.witness is None and result.upper_bound is None
+    assert result.lower_bound == lower_bound(g) == lb
+    assert _document(result) == {
+        "budget": budget, "chi_la": None, "lower_bound": lb,
+        "stats": {"nodes": nodes, "prunes": nodes, "prunes_by_rule": {
+            "clique": 0, "color_bound": 0, "conflict": nodes, "reach": 0, "sum_total": 0,
+            "symmetry": 0}},
+        "status": STATUS_NO_LABELING, "upper_bound": None, "witness": None}
+
+
 def test_p3_value_3():
     result = chi_la_exact(path(3))
     assert result.status == STATUS_VALUE and result.chi_la == 3
