@@ -21,6 +21,11 @@ strings.  Every other object and list keeps the per-item path, with ints
 and strings written inline, and anything else goes through
 ``json.dumps``.  DOT is export-only with vertices in sorted order so
 snapshots are stable.
+
+A record holds only its facts, and the writer derives what else a
+document shows: ``report_to_document`` writes a report's sums and
+classes by name and derives its ``labels_bijective``, ``total``,
+``part_sizes`` and ``balanced_bipartition``.
 """
 
 from __future__ import annotations
@@ -100,24 +105,30 @@ def built_to_document(built: BuiltFamily,
 def report_to_document(report: ColorReport) -> dict:
     """The verification report of ``verify`` and ``build --verify``.  Its
     sums and classes are keyed by the graph's names, and its three
-    bipartition keys read the graph's one ``Bipartition``."""
+    bipartition keys read the graph's one ``Bipartition``: ``part_sizes``
+    adds up the side sizes of its components, and ``balanced_bipartition``
+    says every component has equal sides (so every 2-coloring does too).
+    ``labels_bijective`` is that there is no label problem, and ``total``
+    the sum of the induced sums: m(m+1) for a bijective labeling."""
     names = report.graph.names
     classes: dict[int, list[str]] = {}
     for name, value in zip(names, report.id_sums):
         classes.setdefault(value, []).append(name)
     bip = graph.is_bipartite(report.graph)  # via the module: bench/'s tracer wraps it there
+    parts = () if bip is None else bip.component_parts
     return {
         "sums": dict(zip(names, report.id_sums)),
         "classes": {str(v): sorted(ns) for v, ns in classes.items()},
         "color_count": report.color_count,
-        "labels_bijective": report.labels_bijective,
+        "labels_bijective": not report.label_problems,
         "label_problems": list(report.label_problems),
         "conflicts": [{"u": u, "v": v, "sum": s} for u, v, s in report.conflicts],
         "local_antimagic": report.local_antimagic,
         "bipartite": bip is not None,
-        "part_sizes": None if bip is None else list(bip.part_sizes),
-        "balanced_bipartition": None if bip is None else bip.balanced,
-        "total": report.total,
+        "part_sizes": None if bip is None else [sum(a for a, _ in parts),
+                                                 sum(b for _, b in parts)],
+        "balanced_bipartition": None if bip is None else all(a == b for a, b in parts),
+        "total": sum(report.id_sums),
     }
 
 

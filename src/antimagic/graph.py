@@ -20,14 +20,17 @@ graph's ``__dict__`` caches ``adjacency``, its one degree count
 adjacency) and the ``Bipartition`` (or None) that ``is_bipartite``
 finds; like ``Bipartition`` it is immutable, copied with ``_replace``
 and equal to the plain tuple of its fields.  It gives the views the
-other modules read (``adjacency``, ``degree``, ``degrees()`` by name,
-``labels()``).  The one surgery is ``apply_merge``, which fuses groups
-of vertex ids and which every merged family uses; the tests keep a
-``split_vertex`` oracle.  ``is_bipartite`` runs its BFS once per graph:
-the written report's bipartition fields, the verifier's lower bound and
-2-coloring gate, and the search's ``sum_total`` cut all read the one
-answer the graph keeps; checking a graph never asks for it, and only
-writing its report does.
+other modules read (``adjacency``, ``degree``, ``labels()``).  The one
+surgery is ``apply_merge``, which fuses groups of vertex ids and which
+every merged family uses; the tests keep a ``split_vertex`` oracle.
+``is_bipartite`` runs its BFS once per graph: the written report's
+bipartition fields, the verifier's lower bound and 2-coloring gate, and
+the search's ``sum_total`` cut all read the one answer the graph keeps;
+checking a graph never asks for it, and only writing its report does.
+Each input a caller passes has one refusal class: ``GraphError`` for
+an edge, ``DuplicateName`` for the names, ``InvalidPlan`` for a merge
+plan and ``GraphTooLarge`` for a graph too large to search; the other
+three subclass ``GraphError``, so one ``except`` catches every refusal.
 Every operation is pure: it validates its inputs and returns a new graph.
 Edge labels stay attached to their edges through merges, so a bijective
 labeling survives any sequence of them.  Values are safe to share across
@@ -42,30 +45,14 @@ from typing import Iterable, NamedTuple, NoReturn, Sequence
 
 
 class GraphError(ValueError):
-    """Invalid graph construction or surgery."""
+    """A refused edge; the base of the refusals of the other inputs."""
 
 
 class DuplicateName(GraphError):
     pass
 
 
-class Loop(GraphError):
-    pass
-
-
-class ParallelEdge(GraphError):
-    pass
-
-
 class InvalidPlan(GraphError):
-    pass
-
-
-class LoopCreated(GraphError):
-    pass
-
-
-class ParallelEdgeCreated(GraphError):
     pass
 
 
@@ -84,18 +71,6 @@ class LabeledEdge(NamedTuple):
 class Bipartition(NamedTuple):
     component_parts: tuple[tuple[int, int], ...]  # (|side0|, |side1|) per component
     side: tuple[int, ...]  # 0 or 1 per vertex: every edge joins the two sides
-
-    @property
-    def part_sizes(self) -> tuple[int, int]:
-        return (
-            sum(a for a, _ in self.component_parts),
-            sum(b for _, b in self.component_parts),
-        )
-
-    @property
-    def balanced(self) -> bool:
-        """True when every component has equal sides (so every 2-coloring does too)."""
-        return all(a == b for a, b in self.component_parts)
 
 
 class _GraphFields(NamedTuple):
@@ -134,9 +109,6 @@ class LabeledGraph(_GraphFields):
             count[u] += 1
             count[v] += 1
         return tuple(count)
-
-    def degrees(self) -> dict[str, int]:
-        return dict(zip(self.names, self.degree))
 
     def labels(self) -> tuple[int, ...]:
         return tuple(label for _, _, label in self.edges)
@@ -183,8 +155,8 @@ def new_graph(names: list[str] | tuple[str, ...],
     One set per argument checks it, so a builder that lays out its ids by
     arithmetic formats no name per edge; only a refused input is scanned
     again, for its first bad name or edge.  DuplicateName names the
-    repeated name.  Loop (u == v), ParallelEdge (a repeated pair) and
-    GraphError (a label below 1, ids out of order or range) name the edge.
+    repeated name; GraphError names the edge: a loop (u == v), a label
+    below 1, ids out of order or range, or a repeated pair.
     """
     names = tuple(names)
     n = len(names)
@@ -206,13 +178,13 @@ def _refuse_edge(edges: tuple[tuple[int, int, int], ...], n: int) -> NoReturn:
     for e in edges:
         u, v, label = e
         if u == v:
-            raise Loop(f"edge {e} is a loop")
+            raise GraphError(f"edge {e} is a loop")
         if label < 1:
             raise GraphError(f"edge {e} has label {label}; labels must be >= 1")
         if not 0 <= u < v < n:
             raise GraphError(f"edge {e} needs ids 0 <= u < v < {n}")
         if u * n + v in pairs:
-            raise ParallelEdge(f"edge {e} repeats the pair ({u}, {v})")
+            raise GraphError(f"edge {e} repeats the pair ({u}, {v})")
         pairs.add(u * n + v)
 
 
@@ -221,10 +193,10 @@ def apply_merge(g: LabeledGraph,
     """Fuse each ``(member ids, fused_name)`` group into one vertex, keeping
     all edges and labels; the fused vertex takes its lowest member's position.
 
-    Errors: InvalidPlan for malformed groups (a member id outside
-    0 <= id < n included), LoopCreated when a group contains adjacent
-    vertices, ParallelEdgeCreated when the fused graph would carry two
-    edges between the same pair.
+    Errors: InvalidPlan for every refusal: a malformed group (a member id
+    outside 0 <= id < n included), a group that contains adjacent
+    vertices, or a fused graph that would carry two edges between the
+    same pair.
 
     Only the edges with a fused endpoint are checked, in edge order.  The
     remap is strictly increasing and injective on the unfused vertices,
@@ -279,14 +251,14 @@ def apply_merge(g: LabeledGraph,
         nu, nv = remap[u], remap[v]
         if fused[u] or fused[v]:
             if nu == nv:
-                raise LoopCreated(
+                raise InvalidPlan(
                     f"merging adjacent vertices {g.names[u]!r} and {g.names[v]!r}"
                 )
             if nu > nv:
                 nu, nv = nv, nu
             key = nu * n + nv
             if key in seen:
-                raise ParallelEdgeCreated(
+                raise InvalidPlan(
                     f"edges labeled {seen[key]} and {label} would join "
                     f"{new_names[nu]!r} and {new_names[nv]!r} twice"
                 )

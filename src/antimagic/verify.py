@@ -11,14 +11,16 @@ most ``CHI_EXACT_MAX_VERTICES`` vertices, and taken as 3 above that.
 The verdict and the claim check work on vertex ids: the per-id sums,
 their distinct count, the label bijection, the conflicting pairs and
 the graph's one degree count.  A name is formatted only for a failing
-line.  A ``ColorReport`` is a plain record of those id-level facts
-and the graph they belong to; it holds no name view and no bipartition,
-so a check builds no adjacency and runs no BFS.  The bound and the gate
-each ask ``is_bipartite(g)``, which runs its BFS once per graph and
-keeps the answer on it.  Exact integer arithmetic throughout.  This
-module only computes: ``document.report_to_document`` writes a
-``ColorReport``, and derives from it every name-keyed and bipartition
-field it writes.
+line.  A ``ColorReport`` is a plain record of six fields: the graph,
+its per-id sums, their distinct count, the label problems, the
+conflicting pairs and the verdict.  It holds no name view, no
+bipartition and nothing derived from its own fields, so a check builds
+no adjacency and runs no BFS.  The bound and the gate each ask
+``is_bipartite(g)``, which runs its BFS once per graph and keeps the
+answer on it.  Exact integer arithmetic throughout.  This module only
+computes: ``document.report_to_document`` writes a ``ColorReport``, and
+derives from it every name-keyed and bipartition field it writes, the
+label bijection and the sum total.
 """
 
 from __future__ import annotations
@@ -44,20 +46,14 @@ class ExpectedColors(NamedTuple):
     claimed_colors: int
     exact: bool = True  # False: claimed_colors is an upper bound
 
-    @property
-    def values(self) -> tuple[int, ...]:
-        return tuple(c.value for c in self.classes)
-
 
 class ColorReport(NamedTuple):
     graph: LabeledGraph
     id_sums: tuple[int, ...]  # induced sum per vertex id
     color_count: int
-    labels_bijective: bool
-    label_problems: tuple[str, ...]
+    label_problems: tuple[str, ...]  # none: the labels are a bijection onto [1, m]
     conflicts: tuple[tuple[str, str, int], ...]  # adjacent pair, shared sum
     local_antimagic: bool
-    total: int  # sum of induced values; m(m+1) for bijective labelings
 
 
 def vertex_sums(g: LabeledGraph) -> list[int]:
@@ -94,15 +90,14 @@ def induced_coloring(g: LabeledGraph) -> ColorReport:
     """Induced vertex sums and the local-antimagic verdict, from vertex ids."""
     sums = vertex_sums(g)
     problems = label_problems(g.labels(), g.size)
-    bijective = not problems
     names = g.names
     conflicts = tuple(
         (names[u], names[v], sums[u])
         for u, v, _ in g.edges
         if sums[u] == sums[v]
     )
-    return ColorReport(g, tuple(sums), len(set(sums)), bijective, problems, conflicts,
-                       bijective and not conflicts, sum(sums))
+    return ColorReport(g, tuple(sums), len(set(sums)), problems, conflicts,
+                       not problems and not conflicts)
 
 
 def check_expected(expected: ExpectedColors, report: ColorReport) -> tuple[str, ...]:
@@ -113,7 +108,7 @@ def check_expected(expected: ExpectedColors, report: ColorReport) -> tuple[str, 
     sums, degree = report.id_sums, g.degree
     diffs: list[str] = []
 
-    values = expected.values
+    values = [cls.value for cls in expected.classes]
     if len(set(values)) != len(values):
         diffs.append(f"expected color values are not distinct: {sorted(values)}")
 

@@ -1,9 +1,9 @@
 """Shared test utilities: structural graph comparison, fast transposition
 checking for the metamorphic suites, and graph, matrix and family helpers
-that only the tests need (a graph from edges by vertex name, components,
-disjoint union, two labels swapped, the 6x4n closed-form rows, the
-verified acceptance grid, the 3-color claim) and a fresh interpreter on
-the package's source."""
+that only the tests need (a graph from edges by vertex name, degrees by
+name, components, disjoint union, two labels swapped, the 6x4n
+closed-form rows, the verified acceptance grid, the 3-color claim) and a
+fresh interpreter on the package's source."""
 
 from __future__ import annotations
 
@@ -63,6 +63,11 @@ def by_name(names: Iterable[str], triples: Iterable[tuple[str, str, int]]) -> La
         u, v = ids[a], ids[b]
         edges.append((u, v, label) if u < v else (v, u, label))
     return new_graph(names, edges)
+
+
+def degrees(g: LabeledGraph) -> dict[str, int]:
+    """Each vertex's degree, keyed by its name."""
+    return dict(zip(g.names, g.degree))
 
 
 def swapped(g: LabeledGraph, i: int, j: int) -> LabeledGraph:

@@ -7,14 +7,19 @@ names, with linear scans and no integer ids or pair keys.
 ``split_vertex`` is the inverse surgery, which no builder does: it is the
 oracle for the hubs that ``families._fan_units`` makes already split, and
 it finds each vertex by a scan of ``names``.
+``naive_bipartition`` is ``graph.is_bipartite`` without the graph's
+adjacency or BFS: it colours each component from its lowest id by a
+depth-first search over neighbour lists of its own, each vertex taking
+whichever of the two colours none of its coloured neighbours has.
 ``naive_two_coloring_gate`` is ``verify.two_coloring_impossible``
-with the achievable part sizes as a set, not a bitmask.
+with those sides and the achievable part sizes as a set, not a bitmask.
 ``naive_coloring`` and ``naive_check_expected`` are
 ``verify.induced_coloring`` and ``verify.check_expected`` by vertex
 name: the report's fields and every view that
 ``document.report_to_document`` derives are built together, the classes
-as sorted names, and the claim is checked class by class against those
-names and degrees read off the adjacency.  ``naive_report_document``
+as sorted names and the bipartition fields from ``naive_bipartition``,
+and the claim is checked class by class against those names and
+degrees read off the adjacency.  ``naive_report_document``
 writes those views as the report document, key by key.
 ``naive_label_problems`` decides the bijection by sorting.
 ``naive_chromatic_number`` tries every coloring of every vertex with
@@ -38,9 +43,6 @@ from antimagic.graph import (
     GraphError,
     InvalidPlan,
     LabeledGraph,
-    LoopCreated,
-    ParallelEdgeCreated,
-    is_bipartite,
 )
 from antimagic.matrices import matrix_5x2k, matrix_kx10, sequences_6x4n
 from helpers import by_name
@@ -79,16 +81,48 @@ def naive_chromatic_number(g: LabeledGraph) -> int:
                 return c
 
 
+def naive_bipartition(g: LabeledGraph):
+    """``is_bipartite(g)`` as the plain tuple ``(component_parts, side)``,
+    or None when some component has no 2-coloring.  Components come in
+    order of their lowest id, which takes side 0; each vertex a search
+    reaches tries both colours and takes the one no coloured neighbour
+    has, so an edge whose ends end up alike refuses the graph."""
+    near: list[list[int]] = [[] for _ in g.names]
+    for u, v, _ in g.edges:
+        near[u].append(v)
+        near[v].append(u)
+    side: dict[int, int] = {}
+    parts = []
+    for start in range(g.n_vertices):
+        if start in side:
+            continue
+        count = [0, 0]
+        stack = [start]
+        while stack:
+            v = stack.pop()
+            if v in side:
+                continue
+            fits = [c for c in (0, 1) if all(side.get(w) != c for w in near[v])]
+            if not fits:
+                return None
+            side[v] = fits[0]
+            count[fits[0]] += 1
+            stack += [w for w in near[v] if w not in side]
+        parts.append(tuple(count))
+    return tuple(parts), tuple(side[v] for v in range(g.n_vertices))
+
+
 def naive_two_coloring_gate(g: LabeledGraph) -> bool:
     """The 2-coloring lemma's verdict, with every achievable |X| in a set."""
     m, n = g.size, g.n_vertices
-    bip = is_bipartite(g)
+    bip = naive_bipartition(g)
     if m == 0 or bip is None:
         return False
-    if bip.balanced:
+    parts, _ = bip
+    if all(a == b for a, b in parts):
         return True
     sizes = {0}
-    for a, b in bip.component_parts:
+    for a, b in parts:
         sizes = {t + a for t in sizes} | {t + b for t in sizes}
     half = m * (m + 1) // 2
     splits = ((big, n - big) for big in sizes if big > n - big >= 1)
@@ -116,7 +150,7 @@ def naive_coloring(g: LabeledGraph) -> dict:
     """The id-level fields of ``induced_coloring(g)`` but the graph and the
     per-id sums, and, by name, the views that ``report_to_document`` writes
     of it: the sums and classes keyed by name, and the three bipartition
-    fields of ``g``'s ``Bipartition``."""
+    fields of ``naive_bipartition(g)``."""
     sums = [0] * g.n_vertices
     for u, v, label in g.edges:
         sums[u] += label
@@ -127,7 +161,7 @@ def naive_coloring(g: LabeledGraph) -> dict:
     classes: dict[int, list[str]] = {}
     for vid, value in enumerate(sums):
         classes.setdefault(value, []).append(g.names[vid])
-    bip = is_bipartite(g)
+    bip = naive_bipartition(g)
     return {
         "sums": {g.names[i]: sums[i] for i in range(g.n_vertices)},
         "color_classes": {v: tuple(sorted(ns)) for v, ns in classes.items()},
@@ -137,8 +171,9 @@ def naive_coloring(g: LabeledGraph) -> dict:
         "conflicts": conflicts,
         "local_antimagic": not problems and not conflicts,
         "bipartite": bip is not None,
-        "part_sizes": bip.part_sizes if bip else None,
-        "balanced_bipartition": bip.balanced if bip else None,
+        "part_sizes": None if bip is None else (sum(side == 0 for side in bip[1]),
+                                                 sum(side == 1 for side in bip[1])),
+        "balanced_bipartition": None if bip is None else all(a == b for a, b in bip[0]),
         "total": sum(sums),
     }
 
@@ -167,7 +202,7 @@ def naive_check_expected(g: LabeledGraph, expected, report: dict) -> tuple[str, 
     ``report = naive_coloring(g)``."""
     degrees = {g.names[i]: len(nbrs) for i, nbrs in enumerate(g.adjacency)}
     diffs: list[str] = []
-    values = expected.values
+    values = [cls.value for cls in expected.classes]
     if len(set(values)) != len(values):
         diffs.append(f"expected color values are not distinct: {sorted(values)}")
     classes = report["color_classes"]
@@ -249,12 +284,12 @@ def naive_merge(g: LabeledGraph, groups) -> LabeledGraph:
     for x, y, label in g.edges:
         a, b = renamed[x], renamed[y]
         if a == b:
-            raise LoopCreated(f"merging adjacent vertices {g.names[x]!r} and {g.names[y]!r}")
+            raise InvalidPlan(f"merging adjacent vertices {g.names[x]!r} and {g.names[y]!r}")
         u, v = sorted((names.index(a), names.index(b)))
         for ends, first in joined:
             if ends == {a, b}:
-                raise ParallelEdgeCreated(f"edges labeled {first} and {label} would join "
-                                          f"{names[u]!r} and {names[v]!r} twice")
+                raise InvalidPlan(f"edges labeled {first} and {label} would join "
+                                  f"{names[u]!r} and {names[v]!r} twice")
         joined.append(({a, b}, label))
         edges.append((u, v, label))
     return LabeledGraph(tuple(names), tuple(edges))

@@ -3,13 +3,21 @@
 from __future__ import annotations
 
 import json
+import re
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import antimagic.graph as graph
-from antimagic.document import FORMAT, DocumentError, document_to_graph, dumps, graph_to_document
+from antimagic.document import (
+    FORMAT,
+    DocumentError,
+    document_to_graph,
+    dumps,
+    graph_to_document,
+    report_to_document,
+)
 from antimagic.families import FAMILIES, build_family
 from antimagic.graph import (
     DuplicateName,
@@ -17,10 +25,6 @@ from antimagic.graph import (
     InvalidPlan,
     LabeledEdge,
     LabeledGraph,
-    Loop,
-    LoopCreated,
-    ParallelEdge,
-    ParallelEdgeCreated,
     apply_merge,
     is_bipartite,
     new_graph,
@@ -28,8 +32,8 @@ from antimagic.graph import (
 from antimagic.matrices import matrix_5x2k
 from antimagic.search import chi_la_exact
 from antimagic.verify import induced_coloring
-from helpers import by_name, disjoint_union, same_up_to_names, vertex_label_signature
-from oracles import NotAPartition, naive_merge, split_vertex
+from helpers import by_name, degrees, disjoint_union, same_up_to_names, vertex_label_signature
+from oracles import NotAPartition, naive_bipartition, naive_merge, split_vertex
 
 
 def fan_unit(labels=(1, 2, 3, 4, 5), suffix=""):
@@ -53,10 +57,11 @@ def test_new_graph_and_errors():
     g = new_graph(["u", "v"])
     assert g.n_vertices == 2 and g.size == 0
     assert new_graph([]).n_vertices == 0
-    with pytest.raises(DuplicateName, match="^duplicate vertex name 'u'$"):
-        new_graph(["u", "v", "u"])
-    with pytest.raises(DuplicateName, match="^duplicate vertex name 'v'$"):
-        new_graph(["v", "v"], [(0, 1, 1)])
+    for names, edges, repeated in ((["u", "v", "u"], [], "u"), (["v", "v"], [(0, 1, 1)], "v")):
+        with pytest.raises(GraphError) as info:
+            new_graph(names, edges)
+        assert type(info.value) is DuplicateName
+        assert str(info.value) == f"duplicate vertex name {repeated!r}"
 
 
 def test_new_graph_takes_int_edges():
@@ -67,11 +72,11 @@ def test_new_graph_takes_int_edges():
 
 
 @pytest.mark.parametrize("edges, kind, message", [
-    ([(1, 1, 1)], Loop, "edge (1, 1, 1) is a loop"),
+    ([(1, 1, 1)], GraphError, "edge (1, 1, 1) is a loop"),
     ([(2, 1, 1)], GraphError, "edge (2, 1, 1) needs ids 0 <= u < v < 3"),
     ([(-1, 1, 1)], GraphError, "edge (-1, 1, 1) needs ids 0 <= u < v < 3"),
     ([(1, 3, 1)], GraphError, "edge (1, 3, 1) needs ids 0 <= u < v < 3"),
-    ([(0, 1, 1), (1, 2, 2), (0, 1, 3)], ParallelEdge, "edge (0, 1, 3) repeats the pair (0, 1)"),
+    ([(0, 1, 1), (1, 2, 2), (0, 1, 3)], GraphError, "edge (0, 1, 3) repeats the pair (0, 1)"),
     ([(0, 1, 0)], GraphError, "edge (0, 1, 0) has label 0; labels must be >= 1"),
     # the first bad edge in order is the one named
     ([(0, 1, 1), (0, 2, -4), (2, 2, 3), (0, 1, 2)], GraphError,
@@ -98,9 +103,9 @@ def test_new_graph_scans_only_a_refused_input_again(monkeypatch):
 def test_add_edge_and_errors():
     g = by_name(["u", "v"], [("u", "v", 1)])
     assert g.size == 1
-    with pytest.raises(Loop):
+    with pytest.raises(GraphError, match=r"^edge \(0, 0, 2\) is a loop$"):
         by_name(["u", "v"], [("u", "v", 1), ("u", "u", 2)])
-    with pytest.raises(ParallelEdge):
+    with pytest.raises(GraphError, match=r"^edge \(0, 1, 2\) repeats the pair \(0, 1\)$"):
         by_name(["u", "v"], [("u", "v", 1), ("v", "u", 2)])
 
 
@@ -214,12 +219,21 @@ def test_every_family_edge_is_a_plain_int_triple(tag):
 def test_surgery_error_messages():
     g = fan_unit()  # edges u-w 1, v-w 2, x-w 3, x-u 4, x-v 5
     cases = [
-        (lambda: new_graph(g.names, g.edges + ((0, 0, 6),)), Loop, "edge (0, 0, 6) is a loop"),
-        (lambda: new_graph(g.names, g.edges + ((0, 2, 6),)), ParallelEdge,
+        (lambda: new_graph(g.names, g.edges + ((0, 0, 6),)), GraphError,
+         "edge (0, 0, 6) is a loop"),
+        (lambda: new_graph(g.names, g.edges + ((0, 2, 6),)), GraphError,
          "edge (0, 2, 6) repeats the pair (0, 2)"),
-        (lambda: apply_merge(g, [(ids(g, "v", "u", "w"), "uvw")]), LoopCreated,
+        (lambda: apply_merge(g, [(ids(g, "u"), "solo")]), InvalidPlan,
+         "group 'solo' has fewer than 2 members"),
+        (lambda: apply_merge(g, [(ids(g, "u", "v", "u"), "uvu")]), InvalidPlan,
+         "group 'uvu' repeats a member"),
+        (lambda: apply_merge(g, [(ids(g, "u", "v"), "a"), (ids(g, "v", "x"), "b")]), InvalidPlan,
+         "vertex 'v' appears in two merge groups"),
+        (lambda: apply_merge(g, [(ids(g, "u", "v"), "f"), (ids(g, "w", "x"), "f")]), InvalidPlan,
+         "fused vertex names are not distinct"),
+        (lambda: apply_merge(g, [(ids(g, "v", "u", "w"), "uvw")]), InvalidPlan,
          "merging adjacent vertices 'u' and 'w'"),
-        (lambda: apply_merge(g, [(ids(g, "u", "v"), "uv")]), ParallelEdgeCreated,
+        (lambda: apply_merge(g, [(ids(g, "u", "v"), "uv")]), InvalidPlan,
          "edges labeled 1 and 2 would join 'uv' and 'w' twice"),
         (lambda: apply_merge(g, [(ids(g, "u", "v"), "w")]), InvalidPlan,
          "fused name 'w' collides with a surviving vertex"),
@@ -229,8 +243,9 @@ def test_surgery_error_messages():
             call()
         assert type(info.value) is kind and str(info.value) == message
     two = by_name(["a", "b", "c", "d"], [("a", "c", 4), ("d", "b", 9)])
-    with pytest.raises(ParallelEdgeCreated) as info:
+    with pytest.raises(GraphError) as info:
         apply_merge(two, [(ids(two, "c", "d"), "cd"), (ids(two, "b", "a"), "ab")])
+    assert type(info.value) is InvalidPlan
     assert str(info.value) == "edges labeled 4 and 9 would join 'ab' and 'cd' twice"
 
 
@@ -254,18 +269,18 @@ def test_merge_two_units_degree_additivity():
     g = disjoint_union(g1, g2)
     g = apply_merge(g, [(ids(g, "1:x1", "2:x2"), "x")])
     assert g.n_vertices == 7
-    assert g.degrees()["x"] == 6
+    assert degrees(g)["x"] == 6
 
 
 def test_merge_adjacent_vertices_is_loop():
     g = fan_unit()
-    with pytest.raises(LoopCreated):
+    with pytest.raises(InvalidPlan, match="^merging adjacent vertices 'u' and 'w'$"):
         apply_merge(g, [(ids(g, "u", "w"), "uw")])
 
 
 def test_merge_creating_parallel_edge_detected():
     g = by_name(["a", "b", "c"], [("a", "c", 1), ("b", "c", 2)])
-    with pytest.raises(ParallelEdgeCreated):
+    with pytest.raises(InvalidPlan, match="^edges labeled 1 and 2 would join 'ab' and 'c' twice$"):
         apply_merge(g, [(ids(g, "a", "b"), "ab")])
 
 
@@ -301,14 +316,14 @@ def test_split_vertex_fan():
     g = fan_unit()
     g = split_vertex(g, "x", {"w"}, {"u", "v"}, "x^1", "x^2")
     assert g.n_vertices == 5
-    assert g.degrees()["x^1"] == 1 and g.degrees()["x^2"] == 2
+    assert degrees(g)["x^1"] == 1 and degrees(g)["x^2"] == 2
     assert "w" in neighbor_names(g, "x^1") and "u" in neighbor_names(g, "x^2")
 
 
 def test_split_empty_block_gives_isolated_vertex():
     g = by_name(["a", "b"], [("a", "b", 1)])
     g = split_vertex(g, "a", {"b"}, set(), "a1", "a2")
-    assert g.degrees()["a2"] == 0
+    assert degrees(g)["a2"] == 0
 
 
 def test_split_overlapping_blocks_rejected():
@@ -347,13 +362,14 @@ def test_disjoint_union_associative_up_to_names():
 
 def test_degrees_sum_to_twice_size():
     g = disjoint_union(fan_unit(suffix="1"), fan_unit((6, 7, 8, 9, 10), "2"))
-    assert sum(g.degrees().values()) == 2 * g.size
+    assert sum(degrees(g).values()) == 2 * g.size
 
 
 def test_is_bipartite():
     p3 = by_name(["a", "b", "c"], [("a", "b", 1), ("b", "c", 2)])
     bip = is_bipartite(p3)
-    assert bip is not None and bip.part_sizes in ((2, 1), (1, 2))
+    assert bip is not None
+    assert report_to_document(induced_coloring(p3))["part_sizes"] in ([2, 1], [1, 2])
     c6_names = [f"c{i}" for i in range(6)]
     c6 = by_name(c6_names, [(c6_names[i], c6_names[(i + 1) % 6], i + 1) for i in range(6)])
     # P3 and C6 side by side, with an isolated vertex between them
@@ -362,9 +378,40 @@ def test_is_bipartite():
         side = is_bipartite(g).side
         assert len(side) == g.n_vertices and set(side) <= {0, 1}
         assert all(side[u] != side[v] for u, v, _ in g.edges)
-        assert is_bipartite(g).part_sizes == (side.count(0), side.count(1))
+        part_sizes = report_to_document(induced_coloring(g))["part_sizes"]
+        assert part_sizes == [side.count(0), side.count(1)]
     tri = by_name(["a", "b", "c"], [("a", "b", 1), ("b", "c", 2), ("a", "c", 3)])
     assert is_bipartite(tri) is None
+
+
+@st.composite
+def bipartition_cases(draw):
+    """Up to 9 vertices: maybe an odd cycle through some of them in any
+    order, a few other pairs, and the vertices on none isolated."""
+    n = draw(st.integers(0, 9))
+    order = draw(st.permutations(range(n)))
+    odd = draw(st.sampled_from([0, *range(3, n + 1, 2)]))
+    cycle = [(order[i], order[(i + 1) % odd]) for i in range(odd)]
+    pairs = [(i, j) for i in range(n) for j in range(i + 1, n)]
+    extra = draw(st.lists(st.sampled_from(pairs), unique=True, max_size=n)) if pairs else []
+    chosen = list(dict.fromkeys([(min(p), max(p)) for p in cycle] + extra))
+    return new_graph([f"n{i}" for i in range(n)],
+                     [(u, v, label) for label, (u, v) in enumerate(chosen, start=1)])
+
+
+@settings(max_examples=300, deadline=None)
+@given(bipartition_cases())
+@example(new_graph([]))
+@example(new_graph(["a", "b", "c", "z"], [(0, 1, 1), (1, 2, 2), (0, 2, 3)]))
+def test_is_bipartite_matches_the_brute_force_oracle(g):
+    # None exactly when some component has no 2-coloring; otherwise the
+    # oracle's sides, lowest id of each component on side 0
+    bip, oracle = is_bipartite(g), naive_bipartition(g)
+    assert (bip is None) == (oracle is None)
+    if bip is not None:
+        assert bip.component_parts == oracle[0]
+        assert all(bip.side[u] != bip.side[v] for u, v, _ in g.edges)
+        assert bip.side == oracle[1]
 
 
 @st.composite
@@ -381,7 +428,7 @@ def small_graphs(draw):
 @settings(max_examples=60)
 @given(small_graphs(), st.data())
 def test_split_merge_roundtrip_random(g, data):
-    candidates = [nm for nm in g.names if g.degrees()[nm] >= 1]
+    candidates = [nm for nm in g.names if degrees(g)[nm] >= 1]
     v = data.draw(st.sampled_from(candidates))
     nbrs = sorted(neighbor_names(g, v))
     block1 = set(data.draw(st.lists(st.sampled_from(nbrs), unique=True,
@@ -396,7 +443,7 @@ def test_split_merge_roundtrip_random(g, data):
 @settings(max_examples=60)
 @given(small_graphs())
 def test_degree_sum_invariant_random(g):
-    assert sum(g.degrees().values()) == 2 * g.size
+    assert sum(degrees(g).values()) == 2 * g.size
 
 
 @st.composite
@@ -480,4 +527,5 @@ def test_merge_refuses_what_the_naive_merge_refuses(case):
     g, plan = case
     outcome = _outcome(apply_merge, g, plan)
     assert outcome == _outcome(naive_merge, g, _named(g, plan))
-    assert outcome[0] in (LoopCreated, ParallelEdgeCreated)
+    assert outcome[0] is InvalidPlan
+    assert re.fullmatch("merging adjacent vertices .*|edges labeled .* twice", outcome[1])
