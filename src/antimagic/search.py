@@ -117,13 +117,25 @@ partial assignment loops over free labels only.
 
 The sum sets S_r(F) are kept for r up to R, the most unlabeled edges
 any open vertex has at any position, since no larger r is asked for.
-The set of a new F is derived, not built from scratch: drop the lowest
-labels of F until a cached mask is reached (the empty one always is),
-then add the dropped labels back one at a time, each label l turning
-every S_r into S_r | S_(r-1) << l.  The masks passed on the way, F
-last, are all cached.  The cache has one bound: once it holds
-``SUM_SETS_ROOM`` bytes (at the size of the largest possible entry), the
-next new F first empties it back to the empty mask's entry.
+They are packed into one int per F: field r, its bits r * width to
+r * width + width - 1, holds S_r(F).  ``width`` is the largest sum a
+vertex can end on, plus one.  With D the largest degree, a vertex of
+degree d <= D <= m ends on d distinct labels of 1..m, at most
+D * m - D * (D - 1) / 2 in all, so every taken sum is below
+2 ** width, and since R <= D so is every sum of r <= R labels: no field
+overflows into the next.  ``reach`` reads S_r(F) as
+``taken >> sums[w] & entry >> r * width``, where the shifted taken sums
+have no bit at width or above, so no higher field shows through; only
+where S_r(F) is ANDed into a negative mask is it cut to its field
+first.  The set of a new F is derived, not built from scratch: drop the
+lowest labels of F until a cached mask is reached (the empty one, whose
+entry is 1, always is), then add the dropped labels back one at a time,
+each label l turning the entry P into (P | P << width + l) & keep, with
+keep the fields 0..R: one shift moves every S_(r-1) << l into field r.
+The masks passed on the way, F last, are all cached.  The cache has one
+bound: once it holds ``SUM_SETS_ROOM`` bytes (counted at the size of one
+packed entry with every field full), the next new F first empties it
+back to the empty mask's entry.
 
 Default edge budget is 11, and a graph too deep for the recursion limit
 (see ``FRAME_MARGIN``) raises ``GraphTooLarge`` up front: ``dfs`` takes
@@ -156,7 +168,7 @@ from .graph import GraphTooLarge, LabeledGraph, is_bipartite
 from .verify import induced_coloring, lower_bound
 
 DEFAULT_MAX_EDGES = 11
-SUM_SETS_ROOM = 16 << 20  # bytes of sum sets; past them the cache empties
+SUM_SETS_ROOM = 16 << 20  # bytes of packed sum sets, each at its full size; past them it empties
 # frames of the recursion limit left to the caller, the setup and the
 # frame in which dfs recognizes a complete labeling
 FRAME_MARGIN = 100
@@ -436,23 +448,22 @@ def _schedule(g: LabeledGraph, order: list[int], neighbors: list[int],
 
 
 class _SumSets(dict):
-    """Bitmask of free labels among 1..top -> per count r = 0..rmax, the
-    bitmask of the sums of r distinct labels among them; derived on first
-    use from the nearest cached mask with fewer low labels, after
-    emptying a full cache (see the module docstring)."""
+    """Bitmask of free labels -> one int whose field r (its bits r * width
+    to r * width + width - 1, r = 0..rmax) is the bitmask of the sums of r
+    distinct labels among them; derived on first use from the nearest
+    cached mask with fewer low labels, after emptying a full cache (see
+    the module docstring)."""
 
-    def __init__(self, rmax: int, top: int) -> None:
-        super().__init__({0: (1,) + (0,) * rmax})
-        # r distinct labels of 1..top sum to at most r * top - r * (r - 1) / 2
-        largest = sys.getsizeof(self[0]) + sum(
-            sys.getsizeof(1 << r * top - r * (r - 1) // 2) for r in range(rmax + 1))
-        self.room = SUM_SETS_ROOM // largest  # entries
+    def __init__(self, rmax: int, width: int) -> None:
+        super().__init__({0: 1})
+        self.width = width
+        self.keep = (1 << (rmax + 1) * width) - 1  # fields 0..rmax
+        self.room = SUM_SETS_ROOM // sys.getsizeof(self.keep)  # entries
 
-    def __missing__(self, mask: int) -> tuple[int, ...]:
+    def __missing__(self, mask: int) -> int:
         if len(self) >= self.room:  # full: keep only the empty mask's entry
-            empty = self[0]
             self.clear()
-            self[0] = empty
+            self[0] = 1
         dropped = []
         base = mask
         while base not in self:
@@ -460,9 +471,10 @@ class _SumSets(dict):
             dropped.append(low)
             base ^= low
         sets = self[base]
+        width, keep = self.width, self.keep
         for low in reversed(dropped):
-            lab = low.bit_length() - 1
-            sets = (1, *[a | b << lab for a, b in zip(sets[1:], sets)])
+            # field r - 1, shifted by the label, lands in field r
+            sets = (sets | sets << width + low.bit_length() - 1) & keep
             base |= low
             self[base] = sets
         return sets
@@ -496,7 +508,14 @@ def _searcher(g: LabeledGraph, order: list[int],
     share0, share1 = (1, 1) if bip else (2, 0)
     neighbors = [sum(1 << x for x in nbrs) for nbrs in g.adjacency]  # bitmasks
     plan = _schedule(g, order, neighbors, deadline)
-    sum_sets = _SumSets(max((r for step in plan for _, r, _ in step[5]), default=0), m)
+    rmax = max((r for step in plan for _, r, _ in step[5]), default=0)
+    # a vertex of degree d <= delta ends on at most d * m - d * (d - 1) / 2, so
+    # every taken sum and every sum of r <= rmax <= delta labels fits a field
+    delta = max(g.degree, default=0)
+    width = delta * m - delta * (delta - 1) // 2 + 1
+    sum_sets = _SumSets(rmax, width)
+    at = [r * width for r in range(rmax + 1)]  # where field r of a sum set starts
+    field = (1 << width) - 1
 
     sums = [0] * n
     fin = [0] * n  # per open clique member: the taken sums it can end on, set by the reach loop
@@ -544,7 +563,7 @@ def _searcher(g: LabeledGraph, order: list[int],
                     rest = free ^ low
                     cut = False
                     if spare <= span:
-                        reachable = sum_sets[rest]
+                        reachable = sum_sets[rest]  # field r: S_r(rest)
                         # below spare 2, an open vertex that cannot end on a taken
                         # sum needs a new one: at spare 0 it cuts, and at spare 1
                         # all such vertices share the one new sum, so no two are
@@ -554,16 +573,18 @@ def _searcher(g: LabeledGraph, order: list[int],
                         shared = ~now  # the new sums every one of them can reach
                         ends = [1, 1]  # per side, bit k: its open vertices so far can gain k
                         for w, r, finished in (opens if spare < 2 else members):
-                            hit = now >> sums[w] & reachable[r]  # bit k: w can gain k
+                            # now >> sums[w] is below 1 << width: it reads field r alone
+                            hit = now >> sums[w] & reachable >> at[r]  # bit k: w can gain k
                             if hit and finished:  # leaving out their sums only clears bits
                                 ok = now  # taken sums no finished neighbor of w carries
                                 for x in finished:
                                     ok &= ~(1 << sums[x])
-                                hit = ok >> sums[w] & reachable[r]
+                                hit = ok >> sums[w] & reachable >> at[r]
                             if cliques:
                                 fin[w] = hit << sums[w]
                             if not hit and spare < 2:
-                                shared &= reachable[r] << sums[w]
+                                # shared is negative: only field r may survive
+                                shared &= (reachable >> at[r] & field) << sums[w]
                                 if not spare or not shared or stuck & neighbors[w]:
                                     reach += 1
                                     cut = True

@@ -414,9 +414,14 @@ def graph_of(pairs):
     return by_name(names, [(names[a], names[b], t + 1) for t, (a, b) in enumerate(pairs)])
 
 
-# 11-edge graphs the benchmark's search set does not cover, each chi_la
-# confirmed once with naive_chi_la: pairs, chi_la and nodes to proof
-# (upper bounds, as above)
+# graphs the benchmark's search set does not cover, each chi_la confirmed
+# once with naive_chi_la: pairs, chi_la and nodes to proof (upper bounds,
+# as above).  The 7-edge ones need the packed sum sets' fields kept
+# apart.  On R_below_degree the one vertex of the largest degree is on
+# the first edge of the order, so R is below that degree, and a field
+# sized from R alone would let the high taken sums a vertex is compared
+# with read into the next field.  On stuck_share the new sums the stuck
+# vertices share must be read from field r alone, not from those above
 HARD_GRAPHS = {
     "R2": ([(0, 1), (0, 2), (1, 2), (1, 4), (1, 6), (2, 3), (2, 6), (3, 4), (3, 6),
             (4, 5), (5, 6)], 3, 6_888),
@@ -425,6 +430,8 @@ HARD_GRAPHS = {
     # K3,3 plus a 2-edge path hung on one vertex
     "K33_path2": ([(a, b) for a in range(3) for b in range(3, 6)] + [(0, 6), (6, 7)],
                   4, 11_087),
+    "R_below_degree": ([(4, 5), (3, 7), (0, 4), (6, 7), (3, 6), (2, 4), (1, 2)], 4, 179),
+    "stuck_share": ([(1, 3), (5, 6), (0, 1), (4, 5), (3, 4), (0, 2), (1, 4)], 4, 71),
 }
 
 
@@ -461,23 +468,53 @@ def test_sum_sets_are_the_sums_of_r_distinct_labels(monkeypatch):
     # one cache per R, asked for random label sets over 1..13 in random
     # order, so that masks are derived from one another; with no room past
     # the empty mask's entry, each miss empties the cache and keeps the
-    # one chain it derives
+    # one chain it derives.  Field r of an entry, width bits from
+    # r * width, is the set for r labels, and nothing lies above field R
     rng = random.Random(13)
     masks = rng.sample(range(0, 1 << 14, 2), 300)
     want = {mask: [sum({1 << sum(c) for c in itertools.combinations(
         [lab for lab in range(14) if mask >> lab & 1], r)}) for r in range(14)]
         for mask in masks}
+    width = sum(range(14)) + 1  # above the sum of all 13 labels
     for room in (search.SUM_SETS_ROOM, 1):
         monkeypatch.setattr(search, "SUM_SETS_ROOM", room)
         for rmax in range(14):
-            sets = search._SumSets(rmax, 13)
+            sets = search._SumSets(rmax, width)
             for mask in rng.sample(masks, len(masks)):
                 kept = set(sets) if mask in sets else _chain(mask)
-                assert sets[mask] == tuple(want[mask][:rmax + 1])
+                packed = sets[mask]
+                assert [packed >> r * width & (1 << width) - 1
+                        for r in range(rmax + 1)] == want[mask][:rmax + 1]
+                assert packed >> (rmax + 1) * width == 0
                 if room == 1:
                     assert set(sets) == kept
             if room != 1:
                 assert set(sets) - set(masks) - {0}  # met on the way
+
+
+@pytest.mark.parametrize("g", [
+    path(2), star(5), k4_path(), bull(), graph_of(HARD_GRAPHS["R_below_degree"][0]),
+    build_family("Bk", k=1).graph, build_family("kC82", k=1).graph,
+], ids=["K2", "K1_5", "K4_path", "bull", "R_below_degree", "Bk", "kC82"])
+def test_sum_set_fields_are_one_above_the_largest_vertex_sum(g, monkeypatch):
+    # the search's one cache has fields 0..R (R = 0 when no vertex is ever
+    # open, as on K2), each one bit wider than the top deg(w) labels of
+    # 1..m add up to, over every vertex w; R is below the largest degree
+    # on K1_5 (the hub is on the first edge) and on R_below_degree
+    made = []
+
+    class Recorded(search._SumSets):
+        def __init__(self, rmax, width):
+            made.append((rmax, width))
+            super().__init__(rmax, width)
+
+    monkeypatch.setattr(search, "_SumSets", Recorded)
+    chi_la_exact(g, max_edges=g.size)
+    m = g.size
+    width = max(sum(range(m - d + 1, m + 1)) for d in g.degree) + 1
+    rmax = max((r for opens in schedule_opens(g, search._edge_order(g)) for _, r, _ in opens),
+               default=0)
+    assert made == [(rmax, width)]
 
 
 @pytest.mark.parametrize("name", ["K1_3", "kC82"])
